@@ -29,7 +29,7 @@ from .suppression import (
     rescore,
 )
 from .assignment import solve_greedy, solve_hungarian
-from .tracking import Track, TrackerConfig, TrackerState, finalize, similarity, step
+from .tracking import Track, TrackerConfig, TrackerState, finalize, similarity
 from .evaluation import EvalReport, GroundTruthFrame, compute_map, compute_mota, pckh_distance
 from .toynet import NetConfig, ToyNetwork, forward, gradients, init_network, loss_l2_masked, loss_ohkm
 from .synthetic import DomainSpec, Sample, gen_synthetic

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .synthetic import DomainSpec, gen_synthetic
+from .synthetic import DEFAULT_DOMAINS, gen_synthetic
 from .toynet import NetConfig
 from .training import (
     staged_schedule,
@@ -22,12 +22,6 @@ from .training import (
     single_domain_schedule,
     train,
 )
-
-BENCHMARK_DOMAINS = {
-    "coco": DomainSpec("coco", contrast=1.0, noise=0.05, offset=(0.0, 0.0)),
-    "mpii": DomainSpec("mpii", contrast=0.9, noise=0.08, offset=(0.5, 0.3)),
-    "posetrack": DomainSpec("posetrack", contrast=0.8, noise=0.12, offset=(-0.4, 0.25)),
-}
 
 
 @dataclass
@@ -60,7 +54,7 @@ def run_benchmark(seeds=(0, 1, 2, 3, 4), target: str = "posetrack",
         config = NetConfig()
     if train_sizes is None:
         train_sizes = {"coco": 2000, "mpii": 2000, "posetrack": 200}
-    specs = BENCHMARK_DOMAINS
+    specs = DEFAULT_DOMAINS
     domains = tuple(specs)
     data = {d: gen_synthetic(specs[d], train_sizes[d], seed=data_seed) for d in domains}
     heldout = {target: gen_synthetic(specs[target], heldout_size, seed=heldout_seed)}

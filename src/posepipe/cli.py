@@ -18,10 +18,9 @@ import numpy as np
 from .config import PipelineConfig
 from .errors import PoseError
 from .evaluation import compute_map, compute_mota, format_table, report_to_dict
-from .fusion import BranchOutputs, fuse_head_swap, fuse_select, fuse_vote
-from .heatmaps import decode, flip_merge, load_heatmap
+from .heatmaps import decode, load_heatmap
 from .instances import PersonInstance
-from .pipeline import load_manifest, run_pipeline
+from .pipeline import fuse, load_manifest, run_pipeline, track_sequence
 from .poseio import (
     BoxSequence,
     PoseSequence,
@@ -34,7 +33,7 @@ from .suppression import OksConstants, box_nms, oks_nms
 from .scenes import generate_scene
 from .synthetic import DEFAULT_DOMAINS, DomainSpec, gen_synthetic
 from .toynet import NetConfig, save_network
-from .tracking import TrackerConfig, TrackerState, finalize
+from .tracking import TrackerConfig
 from .training import (
     Stage,
     TrainSchedule,
@@ -76,15 +75,22 @@ def cmd_synth(args):
     print(json.dumps({"manifest": manifest, "gt": gt}))
 
 
+def _require(doc, key, what):
+    """doc[key]; a missing key is a contract error naming it."""
+    if key not in doc:
+        raise PoseError(f"{what} needs key {key!r}")
+    return doc[key]
+
+
 def _stage_from_dict(doc):
     return Stage(
         name=doc.get("name", "stage"),
-        domains=tuple(doc["domains"]),
+        domains=tuple(_require(doc, "domains", "train stage")),
         trainable=("all" if doc.get("trainable", "all") == "all"
                    else tuple(doc["trainable"])),
         loss=doc.get("loss", "l2"),
         ohkm_k=doc.get("ohkm_k", 8),
-        steps=doc["steps"],
+        steps=_require(doc, "steps", "train stage"),
         lr=doc.get("lr", 1.2),
         batch_size=doc.get("batch_size", 8),
     )
@@ -101,13 +107,15 @@ def _schedule_from_config(doc):
         return staged_schedule(domains, doc.get("primary", "coco"),
                              tuple(doc.get("steps", (2000, 300, 400))), lr, batch)
     if preset == "single":
-        return single_domain_schedule(doc["domain"], doc.get("steps", 2000), lr, batch)
+        return single_domain_schedule(_require(doc, "domain", "preset 'single'"),
+                                      doc.get("steps", 2000), lr, batch)
     if preset == "multi":
         return multi_domain_schedule(domains, doc.get("steps", 2000), lr, batch)
     if preset == "mixed":
         return mixed_schedule(domains, doc.get("steps", 2000), lr, batch)
     if preset == "transfer":
-        return transfer_schedule(doc["source"], doc["target"],
+        return transfer_schedule(_require(doc, "source", "preset 'transfer'"),
+                                 _require(doc, "target", "preset 'transfer'"),
                                  tuple(doc.get("steps", (2000, 400))), lr, batch)
     raise PoseError(f"unknown schedule preset {preset!r}")
 
@@ -115,6 +123,7 @@ def _schedule_from_config(doc):
 def cmd_train_toy(args):
     with open(args.config) as f:
         doc = json.load(f)
+    schedule = _schedule_from_config(doc.get("schedule", {}))
     domain_specs = {}
     for name, d in doc.get("domains", {n: {} for n in ("coco", "mpii", "posetrack")}).items():
         base = DEFAULT_DOMAINS.get(name)
@@ -144,7 +153,6 @@ def cmd_train_toy(args):
         domains=tuple(net_doc.get("domains", tuple(domain_specs))),
         dilation=net_doc.get("dilation", 1),
     )
-    schedule = _schedule_from_config(doc.get("schedule", {}))
     if args.log:
         open(args.log, "w").close()   # truncate; train appends
     net, log = train(schedule, datasets, seed=args.seed, config=config,
@@ -173,27 +181,8 @@ def _parse_branch_args(pairs):
 
 
 def cmd_fuse(args):
-    branch_paths = _parse_branch_args(args.branch)
-    flipped_paths = _parse_branch_args(args.flipped)
-    branches = {}
-    for name, path in sorted(branch_paths.items()):
-        h = load_heatmap(path)
-        if name in flipped_paths:
-            h = flip_merge(h, load_heatmap(flipped_paths[name]))
-        branches[name] = h
-    b = BranchOutputs(branches)
-    kind, _, arg = args.strategy.partition(":")
-    if kind == "select":
-        d = fuse_select(b, arg, args.target, args.smooth_sigma,
-                        not args.no_quarter_offset)
-    elif kind == "head-swap":
-        body, _, head = arg.partition(",")
-        d = fuse_head_swap(b, body, head, args.target, args.smooth_sigma,
-                           not args.no_quarter_offset)
-    elif kind == "vote":
-        d = fuse_vote(b, args.target, args.smooth_sigma, not args.no_quarter_offset)
-    else:
-        raise PoseError(f"unknown fusion strategy {args.strategy!r}")
+    d = fuse(_parse_branch_args(args.branch), _parse_branch_args(args.flipped),
+             args.strategy, args.target, args.smooth_sigma, not args.no_quarter_offset)
     seq = PoseSequence(d.joint_set, [(0, [_decoded_to_instance(d)])])
     save_pose_file(seq, args.out)
 
@@ -224,19 +213,11 @@ def cmd_nms(args):
 
 def cmd_track(args):
     seq = load_pose_file(args.input)
-    consts = OksConstants.for_joint_set(seq.joint_set)
-    state = TrackerState(consts, TrackerConfig(
-        sim_threshold=args.sim_thr, lookback=args.lookback,
-        matcher=args.matcher, propagator=args.propagator,
-    ))
-    tracked = []
-    for fidx, instances in seq.frames:
-        ids = state.step(fidx, instances)
-        tracked.append((fidx, [p.replace(track_id=t)
-                               for p, t in zip(instances, ids)]))
-    kept = {t.id for t in finalize(state, args.min_len)}
-    frames = [(fidx, [p for p in instances if p.track_id in kept])
-              for fidx, instances in tracked]
+    frames = track_sequence(seq.frames, OksConstants.for_joint_set(seq.joint_set),
+                            TrackerConfig(sim_threshold=args.sim_thr,
+                                          lookback=args.lookback, matcher=args.matcher,
+                                          propagator=args.propagator),
+                            args.min_len)
     save_pose_file(PoseSequence(seq.joint_set, frames), args.out)
 
 

@@ -87,15 +87,8 @@ def interpolate_head(pose: DecodedPose, bottom_coef: float = HEAD_BOTTOM_COEF,
 
 def _project_pose(pose: DecodedPose, target_set: str) -> DecodedPose:
     m = mapping(pose.joint_set, target_set)
-    k = get_joint_set(target_set).count
-    coords = np.zeros((k, 2), dtype=np.float64)
-    scores = np.zeros(k, dtype=np.float64)
-    annotated = np.zeros(k, dtype=bool)
-    for i, j in m.index_map:
-        coords[j] = pose.coords[i]
-        scores[j] = pose.scores[i]
-        annotated[j] = pose.annotated[i]
-    return DecodedPose(target_set, coords, scores, annotated)
+    return DecodedPose(target_set, m.take(pose.coords), m.take(pose.scores),
+                       m.take(pose.annotated))
 
 
 def _fill_head(pose: DecodedPose, source: DecodedPose,

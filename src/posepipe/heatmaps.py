@@ -203,46 +203,41 @@ def flip_merge(h: Heatmap, h_flipped_input: Heatmap, flip_pairs=None) -> Heatmap
     return Heatmap(merged.astype(np.float32), h.joint_set, h.crop, h.strides)
 
 
+def peaks(channels: np.ndarray, use_quarter_offset: bool = True):
+    """Argmax cell of each (H, W) channel of a (K, H, W) array.
+
+    Returns ((K, 2) grid xy, (K,) values at the argmax cells). With quarter
+    offsets on, an interior peak shifts each axis 0.25 cell toward the larger
+    of its two neighbors (no shift on exact ties); border peaks never shift.
+    """
+    k, height, width = channels.shape
+    py, px = np.divmod(channels.reshape(k, -1).argmax(axis=1), width)
+    gxy = np.stack([px, py], axis=1).astype(np.float64)
+    if use_quarter_offset:
+        i = np.flatnonzero((0 < px) & (px < width - 1) & (0 < py) & (py < height - 1))
+        x, y = px[i], py[i]
+        for axis, lo, hi in ((0, channels[i, y, x - 1], channels[i, y, x + 1]),
+                             (1, channels[i, y - 1, x], channels[i, y + 1, x])):
+            gxy[i, axis] += np.where(hi > lo, 0.25, np.where(lo > hi, -0.25, 0.0))
+    return gxy, channels[np.arange(k), py, px]
+
+
 def decode(h: Heatmap, smooth_sigma: float = 1.0,
            use_quarter_offset: bool = True) -> DecodedPose:
     """Peak-pick each channel and map to image coordinates.
 
-    Per channel: smooth, take the argmax cell p; if quarter offsets are on and
-    p is interior, shift each axis 0.25 cell toward the larger of its two
-    neighbors (no shift on exact ties); convert with the cell-center rule.
-    The score is the smoothed value at p. All-zero channels decode to
-    not-annotated joints.
+    Per channel: smooth, take the :func:`peaks` cell with its quarter offset,
+    convert with the cell-center rule. The score is the smoothed value at the
+    peak. All-zero channels decode to not-annotated joints with zeroed
+    coordinates and score.
     """
     hm = smooth(h, smooth_sigma)
-    k, height, width = hm.values.shape
-    coords = np.zeros((k, 2), dtype=np.float64)
-    scores = np.zeros(k, dtype=np.float64)
-    annotated = np.zeros(k, dtype=bool)
-    for i in range(k):
-        raw = h.values[i]
-        if not raw.any():
-            continue
-        channel = hm.values[i]
-        flat = int(np.argmax(channel))
-        py, px = divmod(flat, width)
-        val = float(channel[py, px])
-        sx = sy = 0.0
-        interior = 0 < px < width - 1 and 0 < py < height - 1
-        if use_quarter_offset and interior:
-            right, left = channel[py, px + 1], channel[py, px - 1]
-            if right > left:
-                sx = 0.25
-            elif left > right:
-                sx = -0.25
-            down, up = channel[py + 1, px], channel[py - 1, px]
-            if down > up:
-                sy = 0.25
-            elif up > down:
-                sy = -0.25
-        coords[i, 0] = hm.crop[0] + (px + sx + 0.5) * hm.strides[0]
-        coords[i, 1] = hm.crop[1] + (py + sy + 0.5) * hm.strides[1]
-        scores[i] = val
-        annotated[i] = True
+    gxy, values = peaks(hm.values, use_quarter_offset)
+    annotated = h.values.reshape(len(values), -1).any(axis=1)
+    coords = hm.grid_to_image(gxy)
+    scores = values.astype(np.float64)
+    coords[~annotated] = 0.0
+    scores[~annotated] = 0.0
     return DecodedPose(h.joint_set, coords, scores, annotated)
 
 

@@ -87,20 +87,12 @@ def project(instance: PersonInstance, m: JointMapping) -> PersonInstance:
         raise PoseError(
             f"instance tagged {instance.joint_set!r} but mapping is from {m.from_set!r}"
         )
-    k_to = get_joint_set(m.to_set).count
-    coords = np.zeros((k_to, 2), dtype=np.float64)
-    scores = np.zeros(k_to, dtype=np.float64)
-    annotated = np.zeros(k_to, dtype=bool)
-    for i, j in m.index_map:
-        coords[j] = instance.coords[i]
-        scores[j] = instance.scores[i]
-        annotated[j] = instance.annotated[i]
     return PersonInstance(
         box=instance.box.copy(),
         box_score=instance.box_score,
-        coords=coords,
-        scores=scores,
-        annotated=annotated,
+        coords=m.take(instance.coords),
+        scores=m.take(instance.scores),
+        annotated=m.take(instance.annotated),
         joint_set=m.to_set,
         area=instance.area,
         score=instance.score,

@@ -28,7 +28,14 @@ import numpy as np
 
 from .config import PipelineConfig
 from .errors import PoseError
-from .fusion import BranchOutputs, fuse_head_swap, fuse_select, fuse_vote
+from .fusion import (
+    HEAD_BOTTOM_COEF,
+    HEAD_TOP_COEF,
+    BranchOutputs,
+    fuse_head_swap,
+    fuse_select,
+    fuse_vote,
+)
 from .heatmaps import DecodedPose, flip_merge, load_heatmap
 from .instances import PersonInstance
 from .poseio import PoseSequence
@@ -45,18 +52,31 @@ def load_manifest(path) -> list:
             doc = json.load(f)
     except json.JSONDecodeError as exc:
         raise PoseError(f"manifest is not valid JSON: {exc}", path=path) from exc
+    if not isinstance(doc, dict):
+        raise PoseError("manifest must be a JSON object", path=path)
+    frame_docs = doc.get("frames", [])
+    if not isinstance(frame_docs, list):
+        raise PoseError("manifest frames must be a list", path=path)
     base = os.path.dirname(os.path.abspath(path))
     frames = []
     last = None
-    for frame in doc.get("frames", []):
+    for frame in frame_docs:
+        if not isinstance(frame, dict):
+            raise PoseError("manifest frame must be an object", path=path)
         if "frame_index" not in frame:
             raise PoseError("manifest frame missing frame_index", path=path)
         fidx = frame["frame_index"]
         if last is not None and fidx <= last:
             raise PoseError("manifest frame indices must increase", path=path, frame=fidx)
         last = fidx
+        inst_docs = frame.get("instances", [])
+        if not isinstance(inst_docs, list):
+            raise PoseError("manifest instances must be a list", path=path, frame=fidx)
         entries = []
-        for n, inst in enumerate(frame.get("instances", [])):
+        for n, inst in enumerate(inst_docs):
+            if not isinstance(inst, dict):
+                raise PoseError(f"manifest instance {n} must be an object",
+                                path=path, frame=fidx)
             if "box" not in inst or "heatmaps" not in inst:
                 raise PoseError(f"manifest instance {n} needs box and heatmaps",
                                 path=path, frame=fidx)
@@ -74,29 +94,50 @@ def load_manifest(path) -> list:
     return frames
 
 
-def _fuse_instance(entry, config: PipelineConfig) -> DecodedPose:
+def fuse(heatmaps, flipped, spec: str, target_set: str, smooth_sigma: float,
+         use_quarter_offset: bool,
+         head_coefs=(HEAD_BOTTOM_COEF, HEAD_TOP_COEF)) -> DecodedPose:
+    """Fuse one crop's branch heatmaps into a pose on ``target_set``.
+
+    heatmaps and flipped map branch name -> .pkhm path; a branch with a
+    flipped entry is flip-merged first. spec is ``select:<branch>``,
+    ``head-swap:<body>,<head>`` or ``vote``, and is checked before any file
+    is read.
+    """
+    kind, _, arg = spec.partition(":")
+    if kind not in ("select", "head-swap", "vote"):
+        raise PoseError(f"unknown fusion strategy {spec!r}")
     branches = {}
-    for name in sorted(entry["heatmaps"]):
-        h = load_heatmap(entry["heatmaps"][name])
+    for name in sorted(heatmaps):
+        h = load_heatmap(heatmaps[name])
         if h.joint_set != name:
-            raise PoseError(
-                f"manifest branch {name!r} points at a {h.joint_set!r} heatmap"
-            )
-        flipped = entry.get("flipped_heatmaps", {}).get(name)
-        if flipped is not None:
-            h = flip_merge(h, load_heatmap(flipped))
+            raise PoseError(f"branch {name!r} points at a {h.joint_set!r} heatmap")
+        if name in flipped:
+            h = flip_merge(h, load_heatmap(flipped[name]))
         branches[name] = h
     b = BranchOutputs(branches)
-    sigma = config.smooth_sigma if config.use_gaussian_filter else 0.0
-    quarter = config.use_quarter_offset
-    kind, _, arg = config.fusion.partition(":")
     if kind == "select":
-        return fuse_select(b, arg, config.target_joint_set, sigma, quarter,
-                           (config.head_bottom_coef, config.head_top_coef))
+        return fuse_select(b, arg, target_set, smooth_sigma, use_quarter_offset,
+                           head_coefs)
     if kind == "head-swap":
         body, _, head = arg.partition(",")
-        return fuse_head_swap(b, body, head, config.target_joint_set, sigma, quarter)
-    return fuse_vote(b, config.target_joint_set, sigma, quarter)
+        return fuse_head_swap(b, body, head, target_set, smooth_sigma,
+                              use_quarter_offset)
+    return fuse_vote(b, target_set, smooth_sigma, use_quarter_offset)
+
+
+def track_sequence(frames, consts: OksConstants, tracker_config: TrackerConfig,
+                   min_len: int) -> list:
+    """Give every instance of [(frame_index, instances)] its track id, then
+    drop the instances of tracks with fewer than ``min_len`` frames."""
+    tracker = TrackerState(consts, tracker_config)
+    tracked = []
+    for fidx, instances in frames:
+        ids = tracker.step(fidx, instances)
+        tracked.append((fidx, [p.replace(track_id=t) for p, t in zip(instances, ids)]))
+    kept = {t.id for t in finalize(tracker, min_len)}
+    return [(fidx, [p for p in instances if p.track_id in kept])
+            for fidx, instances in tracked]
 
 
 def _to_instance(decoded: DecodedPose, box, box_score: float) -> PersonInstance:
@@ -128,12 +169,16 @@ def run_pipeline(config: PipelineConfig, manifest_frames) -> PoseSequence:
     )
     box_thr = config.box_threshold if config.use_box_threshold else 0.0
     kp_thr = config.keypoint_threshold if config.use_keypoint_threshold else 0.0
+    sigma = config.smooth_sigma if config.use_gaussian_filter else 0.0
 
     frames = []
     for fidx, entries in manifest_frames:
         instances = []
         for entry in entries:
-            decoded = _fuse_instance(entry, config)
+            decoded = fuse(entry["heatmaps"], entry.get("flipped_heatmaps", {}),
+                           config.fusion, config.target_joint_set, sigma,
+                           config.use_quarter_offset,
+                           (config.head_bottom_coef, config.head_top_coef))
             instances.append(_to_instance(decoded, entry["box"], entry["box_score"]))
         if config.use_box_rescore:
             instances = [rescore(p) for p in instances]
@@ -144,20 +189,11 @@ def run_pipeline(config: PipelineConfig, manifest_frames) -> PoseSequence:
         frames.append((fidx, instances))
 
     if config.use_tracking:
-        tracker = TrackerState(consts, TrackerConfig(
+        frames = track_sequence(frames, consts, TrackerConfig(
             sim_threshold=config.similarity_threshold,
             lookback=config.lookback,
             matcher=config.matcher,
             propagator=config.propagator,
-        ))
-        tracked = []
-        for fidx, instances in frames:
-            ids = tracker.step(fidx, instances)
-            tracked.append((fidx, [p.replace(track_id=t)
-                                   for p, t in zip(instances, ids)]))
-        min_len = config.min_track_length if config.use_tracklet_pruning else 1
-        kept_ids = {t.id for t in finalize(tracker, min_len)}
-        frames = [(fidx, [p for p in instances if p.track_id in kept_ids])
-                  for fidx, instances in tracked]
+        ), config.min_track_length if config.use_tracklet_pruning else 1)
 
     return PoseSequence(config.target_joint_set, frames)

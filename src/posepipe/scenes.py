@@ -87,14 +87,11 @@ def _render_instance(points_img, crop, strides, grid, sigma, joint_set,
                      weak: dict, noise_rng, branch_noise):
     """One branch heatmap for one person crop; weak maps joint index ->
     (displacement xy in cells, peak gain)."""
-    gh, gw = grid
-    m = mapping("merged", joint_set)
     k = get_joint_set(joint_set).count
-    grid_pts = np.zeros((k, 2))
-    for mi, di in m.index_map:
-        gx = (points_img[mi][0] - crop[0]) / strides[0] - 0.5
-        gy = (points_img[mi][1] - crop[1]) / strides[1] - 0.5
-        grid_pts[di] = (gx, gy)
+    grid_pts = mapping("merged", joint_set).take(np.column_stack([
+        (points_img[:, 0] - crop[0]) / strides[0] - 0.5,
+        (points_img[:, 1] - crop[1]) / strides[1] - 0.5,
+    ]))
     gains = np.ones(k)
     for di, (disp, gain) in weak.items():
         grid_pts[di] = grid_pts[di] + disp
@@ -180,13 +177,10 @@ def generate_scene(outdir, num_frames: int = 5, num_persons: int = 2, seed: int 
             entries.append(entry)
 
             k = posetrack.count
-            coords = np.zeros((k, 2))
-            for mi, di in to_pt.index_map:
-                coords[di] = pts[mi]
             gt_instances.append(PersonInstance(
                 box=np.array([crop[0], crop[1], crop[2], crop[3]]),
                 box_score=1.0,
-                coords=coords,
+                coords=to_pt.take(pts),
                 scores=np.ones(k),
                 annotated=np.ones(k, dtype=bool),
                 joint_set="posetrack",

@@ -26,6 +26,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import PoseError
 
 # head_bottom (posetrack naming) and upper_neck (mpii naming) are one joint
@@ -189,9 +191,24 @@ class JointMapping:
         froms = [a for a, _ in self.index_map]
         if len(set(froms)) != len(froms):
             raise PoseError("mapping is not injective on from-indices")
+        pairs = np.array(self.index_map, dtype=np.intp).reshape(-1, 2)
+        object.__setattr__(self, "_src", pairs[:, 0])
+        object.__setattr__(self, "_dst", pairs[:, 1])
 
     def __len__(self) -> int:
         return len(self.index_map)
+
+    def take(self, values) -> np.ndarray:
+        """Re-index per-joint rows (axis 0) of ``values`` into the to-set.
+
+        Mapped rows are copied unchanged; to-set rows with no source come out
+        zero (False for bool). The result keeps the input's dtype.
+        """
+        values = np.asarray(values)
+        out = np.zeros((get_joint_set(self.to_set).count,) + values.shape[1:],
+                       dtype=values.dtype)
+        out[self._dst] = values[self._src]
+        return out
 
 
 def mapping(from_name: str, to_name: str) -> JointMapping:

@@ -168,9 +168,7 @@ def gen_synthetic(spec: DomainSpec, n: int, seed: int):
     """
     if n < 1:
         raise PoseError("sample count must be >= 1")
-    js = get_joint_set(spec.name)
     m = mapping("merged", spec.name)
-    merged_to_domain = dict(m.index_map)
     domain_salt = zlib.crc32(spec.name.encode("utf-8"))
     samples = []
     offset = np.asarray(spec.offset, dtype=np.float64)
@@ -189,9 +187,7 @@ def gen_synthetic(spec: DomainSpec, n: int, seed: int):
             img = img + spec.noise * noise_rng.standard_normal(img.shape)
         inp = np.broadcast_to(img, (spec.in_channels, spec.height, spec.width)).copy()
 
-        keypoints = np.zeros((js.count, 2), dtype=np.float64)
-        for mi, di in merged_to_domain.items():
-            keypoints[di] = latent[mi] + offset
+        keypoints = m.take(latent + offset)
         if spec.label_noise > 0:
             keypoints += noise_rng.normal(0.0, spec.label_noise, keypoints.shape)
         hm, mask = render_target(keypoints, spec.target_sigma,
@@ -213,13 +209,5 @@ def project_to_merged(sample: Sample) -> Sample:
     if sample.domain == "merged":
         return sample
     m = mapping(sample.domain, "merged")
-    k = _MERGED.count
-    h, w = sample.target.shape[1:]
-    target = np.zeros((k, h, w), dtype=sample.target.dtype)
-    mask = np.zeros(k, dtype=bool)
-    keypoints = np.zeros((k, 2), dtype=np.float64)
-    for i, j in m.index_map:
-        target[j] = sample.target[i]
-        mask[j] = sample.mask[i]
-        keypoints[j] = sample.keypoints[i]
-    return Sample("merged", sample.input, target, mask, keypoints, sample.latent)
+    return Sample("merged", sample.input, m.take(sample.target), m.take(sample.mask),
+                  m.take(sample.keypoints), sample.latent)

@@ -159,12 +159,6 @@ class TrackerState:
         return sorted(self.finished + self.active, key=lambda t: t.id)
 
 
-def step(state: TrackerState, frame: int, detections) -> TrackerState:
-    """Functional-style wrapper over :meth:`TrackerState.step`."""
-    state.step(frame, detections)
-    return state
-
-
 def finalize(state: TrackerState, min_len: int = 2) -> list:
     """All tracks with at least ``min_len`` stored frames, id order."""
     if min_len < 1:

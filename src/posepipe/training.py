@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoseError
+from .heatmaps import peaks
 from .skeletons import mapping
 from .toynet import NetConfig, ToyNetwork, forward, gradients, init_network, sgd_step
 from .synthetic import project_to_merged
@@ -136,27 +137,6 @@ def staged_schedule(domains=("coco", "mpii", "posetrack"), primary: str = "coco"
     ])
 
 
-def _grid_argmax_decode(channels: np.ndarray) -> np.ndarray:
-    """(K, H, W) -> (K, 2) grid xy via argmax plus quarter offsets."""
-    k, h, w = channels.shape
-    flat = channels.reshape(k, -1).argmax(axis=1)
-    py, px = np.divmod(flat, w)
-    out = np.stack([px, py], axis=1).astype(np.float64)
-    for i in range(k):
-        x, y = int(px[i]), int(py[i])
-        if 0 < x < w - 1 and 0 < y < h - 1:
-            c = channels[i]
-            if c[y, x + 1] > c[y, x - 1]:
-                out[i, 0] += 0.25
-            elif c[y, x - 1] > c[y, x + 1]:
-                out[i, 0] -= 0.25
-            if c[y + 1, x] > c[y - 1, x]:
-                out[i, 1] += 0.25
-            elif c[y - 1, x] > c[y + 1, x]:
-                out[i, 1] -= 0.25
-    return out
-
-
 def heldout_error(net: ToyNetwork, samples, reference: str = "annotation") -> float:
     """Mean keypoint localization error (grid cells) over annotated joints.
 
@@ -176,14 +156,12 @@ def heldout_error(net: ToyNetwork, samples, reference: str = "annotation") -> fl
         if merged_only:
             s = project_to_merged(s)
         if reference == "truth":
-            target = np.zeros_like(s.keypoints)
-            for mi, di in mapping("merged", s.domain).index_map:
-                target[di] = s.latent[mi]
+            target = mapping("merged", s.domain).take(s.latent)
         else:
             target = s.keypoints
         outputs, _ = forward(net, np.asarray(s.input, dtype=np.float64),
                              domains=(s.domain,))
-        decoded = _grid_argmax_decode(outputs[s.domain])
+        decoded, _ = peaks(outputs[s.domain])
         if s.mask.any():
             d = np.linalg.norm(decoded[s.mask] - target[s.mask], axis=1)
             errs.append(d.mean())

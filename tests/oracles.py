@@ -116,3 +116,36 @@ def reference_pose_matching(count, meandist):
         used_p.add(p)
         used_g.add(g)
         matches.append((p, g))
+
+
+def reference_take(m, values, k_to):
+    """Re-index per-joint rows into a k_to-row array, one index pair at a
+    time; rows with no source stay zero and the input dtype is kept."""
+    values = np.asarray(values)
+    out = np.zeros((k_to,) + values.shape[1:], dtype=values.dtype)
+    for i, j in m.index_map:
+        out[j] = values[i]
+    return out
+
+
+def reference_grid_peaks(channels, use_quarter_offset=True):
+    """(K, H, W) -> (K, 2) grid xy: per-channel argmax, then for an interior
+    peak a 0.25-cell shift per axis toward the larger neighbor (none on a
+    tie), one channel at a time."""
+    k, h, w = channels.shape
+    flat = channels.reshape(k, -1).argmax(axis=1)
+    py, px = np.divmod(flat, w)
+    out = np.stack([px, py], axis=1).astype(np.float64)
+    for i in range(k):
+        x, y = int(px[i]), int(py[i])
+        if use_quarter_offset and 0 < x < w - 1 and 0 < y < h - 1:
+            c = channels[i]
+            if c[y, x + 1] > c[y, x - 1]:
+                out[i, 0] += 0.25
+            elif c[y, x - 1] > c[y, x + 1]:
+                out[i, 0] -= 0.25
+            if c[y + 1, x] > c[y - 1, x]:
+                out[i, 1] += 0.25
+            elif c[y - 1, x] > c[y + 1, x]:
+                out[i, 1] -= 0.25
+    return out

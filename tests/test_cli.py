@@ -8,6 +8,8 @@ from posepipe.cli import main
 from posepipe.heatmaps import render_target, save_heatmap
 from posepipe.poseio import load_pose_file
 
+from make_golden import GOLDEN_SEED
+
 
 @pytest.fixture(scope="module")
 def scene_dir(tmp_path_factory):
@@ -15,6 +17,25 @@ def scene_dir(tmp_path_factory):
     rc = main(["synth", "--out", str(out), "--seed", "1"])
     assert rc == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def golden_scene_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden_scene")
+    assert main(["synth", "--out", str(out), "--seed", str(GOLDEN_SEED)]) == 0
+    return out
+
+
+def _run(manifest, out, tmp_path, **config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--manifest", str(manifest),
+                 "--out", str(out)]) == 0
+    return load_pose_file(out)
+
+
+def _error_doc(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
 
 def test_synth_writes_expected_files(scene_dir):
@@ -178,3 +199,80 @@ def test_cli_error_reporting(tmp_path, capsys):
     assert rc == 2
     doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert doc["kind"] == "contract"
+
+
+@pytest.mark.parametrize("strategy", ["select:coco", "head-swap:coco,mpii", "vote"])
+def test_fuse_subcommand_matches_run_without_post_processing(golden_scene_dir,
+                                                            tmp_path, strategy):
+    manifest = golden_scene_dir / "manifest.json"
+    seq = _run(manifest, tmp_path / "run.json", tmp_path, fusion=strategy,
+               use_box_rescore=False, use_box_threshold=False,
+               use_keypoint_threshold=False, use_oks_nms=False,
+               use_tracking=False)
+    doc = json.loads(manifest.read_text())
+    for (fidx, instances), frame in zip(seq.frames, doc["frames"], strict=True):
+        for inst, entry in zip(instances, frame["instances"], strict=True):
+            argv = ["fuse", "--strategy", strategy, "--target", "posetrack",
+                    "--out", str(tmp_path / "fused.json")]
+            for flag, key in (("--branch", "heatmaps"), ("--flipped", "flipped_heatmaps")):
+                for name, path in entry[key].items():
+                    argv += [flag, f"{name}={golden_scene_dir / path}"]
+            assert main(argv) == 0
+            fused = load_pose_file(tmp_path / "fused.json").frames[0][1][0]
+            assert np.array_equal(fused.coords, inst.coords), (fidx, strategy)
+            assert np.array_equal(fused.scores, inst.scores), (fidx, strategy)
+            assert np.array_equal(fused.annotated, inst.annotated), (fidx, strategy)
+
+
+def test_track_subcommand_matches_run_with_tracking(golden_scene_dir, tmp_path):
+    manifest = golden_scene_dir / "manifest.json"
+    _run(manifest, tmp_path / "raw.json", tmp_path, use_tracking=False)
+    assert main(["track", str(tmp_path / "raw.json"),
+                 "--out", str(tmp_path / "tracked.json")]) == 0
+    tracked = load_pose_file(tmp_path / "tracked.json")
+    ran = _run(manifest, tmp_path / "run.json", tmp_path)
+    ids = [[(p.track_id, p.coords.tobytes()) for p in ii] for _, ii in tracked.frames]
+    assert ids == [[(p.track_id, p.coords.tobytes()) for p in ii]
+                   for _, ii in ran.frames]
+    assert [f for f, _ in tracked.frames] == [f for f, _ in ran.frames]
+    assert any(p.track_id is not None for _, ii in ran.frames for p in ii)
+
+
+def test_fuse_rejects_unknown_strategy_before_reading(tmp_path, capsys):
+    rc = main(["fuse", "--strategy", "median", "--target", "posetrack",
+               "--branch", f"coco={tmp_path / 'missing.pkhm'}",
+               "--out", str(tmp_path / "o.json")])
+    assert rc == 2
+    doc = _error_doc(capsys)
+    assert doc["kind"] == "contract" and "median" in doc["error"]
+
+
+@pytest.mark.parametrize("manifest", [
+    [],
+    {"frames": {"frame_index": 0}},
+    {"frames": [3]},
+    {"frames": [{"frame_index": 0, "instances": 5}]},
+    {"frames": [{"frame_index": 0, "instances": [7]}]},
+])
+def test_run_rejects_malformed_manifest_structure(tmp_path, capsys, manifest):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    rc = main(["run", "--manifest", str(path), "--out", str(tmp_path / "o.json")])
+    assert rc == 2
+    assert _error_doc(capsys)["kind"] == "contract"
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("schedule, key", [
+    ({"preset": "single"}, "domain"),
+    ({"preset": "transfer", "target": "mpii"}, "source"),
+    ({"stages": [{"name": "s", "steps": 2}]}, "domains"),
+    ({"stages": [{"name": "s", "domains": ["coco"]}]}, "steps"),
+])
+def test_train_toy_names_missing_schedule_key(tmp_path, capsys, schedule, key):
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"schedule": schedule}))
+    rc = main(["train-toy", "--config", str(cfg)])
+    assert rc == 2
+    doc = _error_doc(capsys)
+    assert doc["kind"] == "contract" and repr(key) in doc["error"]

@@ -9,11 +9,14 @@ from posepipe.heatmaps import (
     decode,
     flip_merge,
     load_heatmap,
+    peaks,
     render_target,
     save_heatmap,
     smooth,
     unmirror,
 )
+
+from oracles import reference_grid_peaks
 
 
 def _single_joint_set():
@@ -188,6 +191,25 @@ def test_decode_all_zero_channel_unannotated():
     hm = Heatmap(np.zeros((1, 8, 8), dtype=np.float32), "single")
     d = decode(hm, smooth_sigma=1.0)
     assert not d.annotated[0]
+
+
+def test_peaks_match_per_channel_loop_on_ties():
+    # small integer values make ties between the argmax and its neighbors,
+    # and between neighbor pairs, common; 1- and 2-wide grids put every
+    # peak on the border
+    rng = np.random.default_rng(11)
+    for case in range(3000):
+        k = int(rng.integers(1, 5))
+        h, w = (int(v) for v in rng.integers(1, 7, size=2))
+        dtype = np.float32 if case % 2 else np.float64
+        channels = rng.integers(0, 4, size=(k, h, w)).astype(dtype)
+        for quarter in (True, False):
+            gxy, values = peaks(channels, quarter)
+            want = reference_grid_peaks(channels, quarter)
+            assert gxy.dtype == np.float64
+            assert gxy.tobytes() == want.tobytes()
+            assert values.dtype == dtype
+            assert np.array_equal(values, channels.reshape(k, -1).max(axis=1))
 
 
 def test_decode_score_is_smoothed_peak():

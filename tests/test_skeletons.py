@@ -5,6 +5,8 @@ from posepipe import PoseError, builtin_joint_set, mapping, project
 from posepipe.instances import PersonInstance
 from posepipe.skeletons import JointSet, canonical_name, get_joint_set, register_joint_set
 
+from oracles import reference_take
+
 # Official keypoint vocabularies of the three datasets, written out in full
 # so the counts below are independent of the library's tables.
 COCO_OFFICIAL = [
@@ -90,6 +92,23 @@ def test_mapping_matches_name_equality():
                     if canonical_name(joint) == canonical_name(other):
                         expect = j
                 assert m.get(i) == expect
+
+
+def test_take_matches_index_pair_loop():
+    names = ("merged", "coco", "mpii", "posetrack")
+    rng = np.random.default_rng(7)
+    for a in names:
+        for b in names:
+            m = mapping(a, b)
+            k_from, k_to = builtin_joint_set(a).count, builtin_joint_set(b).count
+            for values in (rng.normal(size=(k_from, 2)),
+                           rng.random(k_from) < 0.5,
+                           rng.random((k_from, 4, 3)).astype(np.float32)):
+                got = m.take(values)
+                want = reference_take(m, values, k_to)
+                assert got.dtype == want.dtype == values.dtype
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 def test_head_bottom_aliases_upper_neck():

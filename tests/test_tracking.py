@@ -12,7 +12,6 @@ from posepipe.tracking import (
     finalize,
     identity,
     similarity,
-    step,
 )
 
 JS = builtin_joint_set("posetrack")
@@ -198,12 +197,6 @@ def test_finalize_counts_stored_frames_not_span():
     state.step(3, [pose_at(0, 0)])
     tracks = finalize(state, 3)
     assert len(tracks) == 1 and len(tracks[0]) == 3
-
-
-def test_functional_step_wrapper():
-    state = TrackerState(CONSTS)
-    out = step(state, 0, [pose_at(0, 0)])
-    assert out is state and state.next_id == 1
 
 
 def test_hungarian_resolves_crossing_better_than_greedy():
