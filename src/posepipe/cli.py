@@ -26,6 +26,7 @@ from .poseio import (
     PoseSequence,
     load_box_file,
     load_pose_file,
+    read_json_object,
     save_box_file,
     save_pose_file,
 )
@@ -82,7 +83,15 @@ def _require(doc, key, what):
     return doc[key]
 
 
+def _object(value, what):
+    """value, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise PoseError(f"{what} must be a JSON object")
+    return value
+
+
 def _stage_from_dict(doc):
+    _object(doc, "train stage")
     return Stage(
         name=doc.get("name", "stage"),
         domains=tuple(_require(doc, "domains", "train stage")),
@@ -98,6 +107,8 @@ def _stage_from_dict(doc):
 
 def _schedule_from_config(doc):
     if "stages" in doc:
+        if not isinstance(doc["stages"], list):
+            raise PoseError("train schedule stages must be a list")
         return TrainSchedule([_stage_from_dict(s) for s in doc["stages"]])
     preset = doc.get("preset", "staged")
     domains = tuple(doc.get("domains", ("coco", "mpii", "posetrack")))
@@ -120,12 +131,13 @@ def _schedule_from_config(doc):
     raise PoseError(f"unknown schedule preset {preset!r}")
 
 
-def cmd_train_toy(args):
-    with open(args.config) as f:
-        doc = json.load(f)
-    schedule = _schedule_from_config(doc.get("schedule", {}))
+def _train_config(doc):
+    """(schedule, domain specs, NetConfig) from a train config document."""
+    schedule = _schedule_from_config(_object(doc.get("schedule", {}), "train schedule"))
     domain_specs = {}
-    for name, d in doc.get("domains", {n: {} for n in ("coco", "mpii", "posetrack")}).items():
+    domain_docs = doc.get("domains", {n: {} for n in ("coco", "mpii", "posetrack")})
+    for name, d in _object(domain_docs, "train config domains").items():
+        d = _object(d, f"train config domain {name!r}")
         base = DEFAULT_DOMAINS.get(name)
         merged = {
             "contrast": d.get("contrast", base.contrast if base else 1.0),
@@ -136,15 +148,7 @@ def cmd_train_toy(args):
             "target_sigma": d.get("target_sigma", 2.0),
         }
         domain_specs[name] = DomainSpec(name, **merged)
-    sizes = doc.get("train_sizes", {n: 200 for n in domain_specs})
-    heldout_sizes = doc.get("heldout_sizes", {n: 50 for n in domain_specs})
-    data_seed = doc.get("data_seed", 5)
-    heldout_seed = doc.get("heldout_seed", 995)
-    datasets = {n: gen_synthetic(domain_specs[n], sizes[n], data_seed)
-                for n in domain_specs}
-    heldout = {n: gen_synthetic(domain_specs[n], heldout_sizes[n], heldout_seed)
-               for n in domain_specs}
-    net_doc = doc.get("net", {})
+    net_doc = _object(doc.get("net", {}), "train config net")
     config = NetConfig(
         in_channels=net_doc.get("in_channels", 1),
         hidden=net_doc.get("hidden", 16),
@@ -153,6 +157,25 @@ def cmd_train_toy(args):
         domains=tuple(net_doc.get("domains", tuple(domain_specs))),
         dilation=net_doc.get("dilation", 1),
     )
+    return schedule, domain_specs, config
+
+
+def cmd_train_toy(args):
+    doc = read_json_object(args.config, "train config")
+    try:
+        schedule, domain_specs, config = _train_config(doc)
+    except PoseError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise PoseError(f"bad train config: {exc}", path=args.config) from exc
+    sizes = doc.get("train_sizes", {n: 200 for n in domain_specs})
+    heldout_sizes = doc.get("heldout_sizes", {n: 50 for n in domain_specs})
+    data_seed = doc.get("data_seed", 5)
+    heldout_seed = doc.get("heldout_seed", 995)
+    datasets = {n: gen_synthetic(domain_specs[n], sizes[n], data_seed)
+                for n in domain_specs}
+    heldout = {n: gen_synthetic(domain_specs[n], heldout_sizes[n], heldout_seed)
+               for n in domain_specs}
     if args.log:
         open(args.log, "w").close()   # truncate; train appends
     net, log = train(schedule, datasets, seed=args.seed, config=config,

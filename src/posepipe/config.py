@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import PoseError
+from .poseio import read_json_object
 
 
 @dataclass
@@ -80,13 +81,7 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        try:
-            with open(path) as f:
-                doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise PoseError(f"config is not valid JSON: {exc}", path=path) from exc
-        if not isinstance(doc, dict):
-            raise PoseError("config must be a JSON object", path=path)
+        doc = read_json_object(path, "config")
         try:
             return cls.from_dict(doc)
         except PoseError:

@@ -1,10 +1,12 @@
 """Per-joint average precision and per-joint tracking accuracy.
 
-Protocol (all constants config-exposed):
+Protocol (the threshold is the CLI's ``--pckh-thr`` argument, default 0.5):
 
-* A predicted joint is correct when its distance to the ground-truth joint is
-  at most 0.5 x the person's head reference size (head-box diagonal x 0.6,
-  computed upstream).
+* A predicted joint is correct when both poses annotate it and its distance
+  to the ground-truth joint is at most threshold x the person's head
+  reference size (head-box diagonal x 0.6, computed upstream). ``_judge``
+  is the one place this rule and its distance are computed; matching and
+  both metrics read it.
 * Poses are matched per frame, greedily, by descending count of correct
   joints; ties prefer the smaller mean normalized distance, then the smaller
   (prediction, ground-truth) index pair. Pairs with zero correct joints stay
@@ -118,6 +120,18 @@ def _group_columns(joint_set, per_joint):
     return out
 
 
+def _judge(p, g, threshold: float):
+    """PCKh judgement of prediction p against ground truth g, per joint.
+
+    Returns the (K,) correct mask (annotated in both poses and within
+    threshold) and the (K,) distances normalized by g's head size.
+    """
+    if g.head_size is None or g.head_size <= 0:
+        raise PoseError("ground-truth instances need a positive head_size")
+    d = np.linalg.norm(p.coords - g.coords, axis=1) / g.head_size
+    return p.annotated & g.annotated & (d <= threshold), d
+
+
 def match_poses(preds, gts, threshold: float = PCKH_THRESHOLD):
     """Greedy one-to-one pose assignment for a single frame.
 
@@ -127,15 +141,11 @@ def match_poses(preds, gts, threshold: float = PCKH_THRESHOLD):
     candidates = []
     for pi, p in enumerate(preds):
         for gi, g in enumerate(gts):
-            if g.head_size is None or g.head_size <= 0:
-                raise PoseError("ground-truth instances need a positive head_size")
-            both = p.annotated & g.annotated
-            if not both.any():
-                continue
-            d = np.linalg.norm(p.coords[both] - g.coords[both], axis=1) / g.head_size
-            count = int(np.sum(d <= threshold))
+            correct, d = _judge(p, g, threshold)
+            count = int(correct.sum())
             if count > 0:
-                candidates.append((-count, float(d.mean()), pi, gi))
+                both = p.annotated & g.annotated
+                candidates.append((-count, float(d[both].mean()), pi, gi))
     candidates.sort()
     used_p, used_g, matches = set(), set(), []
     for _, _, pi, gi in candidates:
@@ -189,6 +199,29 @@ def _check_sets(frame_maps, joint_set):
                     )
 
 
+def _matched_frames(preds, gts, joint_set: str, threshold: float):
+    """Match and judge every frame, in frame-index order.
+
+    Yields (frame_index, frame_preds, frame_gts, pairs, correct, dist): pairs
+    are the matched (pred_index, gt_index) in ground-truth order, and
+    correct/dist are their (P, K) ``_judge`` results, row for row.
+    """
+    k = get_joint_set(joint_set).count
+    pred_by_frame = _index_frames(preds)
+    gt_by_frame = _index_frames(gts)
+    _check_sets((pred_by_frame, gt_by_frame), joint_set)
+    for frame_index in sorted(set(pred_by_frame) | set(gt_by_frame)):
+        frame_preds = pred_by_frame.get(frame_index, [])
+        frame_gts = gt_by_frame.get(frame_index, [])
+        pairs = sorted(match_poses(frame_preds, frame_gts, threshold),
+                       key=lambda pair: pair[1])
+        correct = np.zeros((len(pairs), k), dtype=bool)
+        dist = np.zeros((len(pairs), k))
+        for row, (pi, gi) in enumerate(pairs):
+            correct[row], dist[row] = _judge(frame_preds[pi], frame_gts[gi], threshold)
+        yield frame_index, frame_preds, frame_gts, pairs, correct, dist
+
+
 def compute_map(preds, gts, joint_set: str = "posetrack",
                 threshold: float = PCKH_THRESHOLD) -> EvalReport:
     """Per-joint AP over score-ranked keypoint detections.
@@ -199,31 +232,18 @@ def compute_map(preds, gts, joint_set: str = "posetrack",
     """
     js = get_joint_set(joint_set)
     k = js.count
-    pred_by_frame = _index_frames(preds)
-    gt_by_frame = _index_frames(gts)
-    _check_sets((pred_by_frame, gt_by_frame), joint_set)
-
     npos = np.zeros(k, dtype=np.int64)
     records = [[] for _ in range(k)]   # (score, is_tp) per joint
 
-    for frame_index in sorted(set(pred_by_frame) | set(gt_by_frame)):
-        frame_preds = pred_by_frame.get(frame_index, [])
-        frame_gts = gt_by_frame.get(frame_index, [])
+    for _, frame_preds, frame_gts, pairs, correct, _ in _matched_frames(
+            preds, gts, joint_set, threshold):
         for g in frame_gts:
             npos += g.annotated
-        matches = dict(match_poses(frame_preds, frame_gts, threshold))
-        for pi, p in enumerate(frame_preds):
-            gi = matches.get(pi)
-            g = frame_gts[gi] if gi is not None else None
-            for j in range(k):
-                if not p.annotated[j]:
-                    continue
-                hit = (
-                    g is not None
-                    and g.annotated[j]
-                    and pckh_distance(p.coords[j], g.coords[j], g.head_size) <= threshold
-                )
-                records[j].append((float(p.scores[j]), hit))
+        hits = np.zeros((len(frame_preds), k), dtype=bool)
+        hits[[pi for pi, _ in pairs]] = correct
+        for p, hit in zip(frame_preds, hits):
+            for j in np.flatnonzero(p.annotated).tolist():
+                records[j].append((float(p.scores[j]), bool(hit[j])))
 
     ap = {}
     for j, name in enumerate(js.joints):
@@ -241,71 +261,43 @@ def compute_mota(preds, gts, joint_set: str = "posetrack",
     """Per-joint MOTA/MOTP/precision/recall for tracked predictions.
 
     Predictions must carry track ids; ground truth must carry person ids.
+    Every annotated ground-truth joint not judged correct is a miss and every
+    reported prediction joint not judged correct is a false positive.
     """
     js = get_joint_set(joint_set)
     k = js.count
-    pred_by_frame = _index_frames(preds)
-    gt_by_frame = _index_frames(gts)
-    _check_sets((pred_by_frame, gt_by_frame), joint_set)
-
     gt_total = np.zeros(k, dtype=np.int64)
-    fn = np.zeros(k, dtype=np.int64)
-    fp = np.zeros(k, dtype=np.int64)
-    idsw = np.zeros(k, dtype=np.int64)
+    reported = np.zeros(k, dtype=np.int64)
     tp = np.zeros(k, dtype=np.int64)
+    idsw = np.zeros(k, dtype=np.int64)
     dist_sum = np.zeros(k, dtype=np.float64)
     last_id = {}   # (person_id, joint) -> last matched track id
 
-    for frame_index in sorted(set(pred_by_frame) | set(gt_by_frame)):
-        frame_preds = pred_by_frame.get(frame_index, [])
-        frame_gts = gt_by_frame.get(frame_index, [])
+    for frame_index, frame_preds, frame_gts, pairs, correct, dist in _matched_frames(
+            preds, gts, joint_set, threshold):
         for p in frame_preds:
             if p.track_id is None:
                 raise PoseError("compute_mota needs track ids on predictions",
                                 frame=frame_index)
+            reported += p.annotated
         for g in frame_gts:
             if g.person_id is None:
                 raise PoseError("compute_mota needs person ids on ground truth",
                                 frame=frame_index)
-        matches = dict(match_poses(frame_preds, frame_gts, threshold))
-        matched_gt = {gi: pi for pi, gi in matches.items()}
-
-        for gi, g in enumerate(frame_gts):
-            pi = matched_gt.get(gi)
-            p = frame_preds[pi] if pi is not None else None
-            for j in range(k):
-                if not g.annotated[j]:
-                    continue
-                gt_total[j] += 1
-                ok = False
-                if p is not None and p.annotated[j]:
-                    d = pckh_distance(p.coords[j], g.coords[j], g.head_size)
-                    ok = d <= threshold
-                if ok:
-                    tp[j] += 1
-                    dist_sum[j] += d
-                    key = (g.person_id, j)
-                    prev = last_id.get(key)
-                    if prev is not None and prev != p.track_id:
-                        idsw[j] += 1
-                    last_id[key] = p.track_id
-                else:
-                    fn[j] += 1
-
-        # reported prediction joints with no gated match are false positives
-        for pi, p in enumerate(frame_preds):
-            gi = matches.get(pi)
-            g = frame_gts[gi] if gi is not None else None
-            for j in range(k):
-                if not p.annotated[j]:
-                    continue
-                ok = (
-                    g is not None
-                    and g.annotated[j]
-                    and pckh_distance(p.coords[j], g.coords[j], g.head_size) <= threshold
-                )
-                if not ok:
-                    fp[j] += 1
+            gt_total += g.annotated
+        tp += correct.sum(axis=0)
+        for (pi, gi), ok, d in zip(pairs, correct, dist):
+            # summed pair by pair in ground-truth order, one fixed float
+            # order per joint
+            dist_sum += np.where(ok, d, 0.0)
+            track_id, person_id = frame_preds[pi].track_id, frame_gts[gi].person_id
+            for j in np.flatnonzero(ok).tolist():
+                prev = last_id.get((person_id, j))
+                if prev is not None and prev != track_id:
+                    idsw[j] += 1
+                last_id[(person_id, j)] = track_id
+    fn = gt_total - tp
+    fp = reported - tp
 
     mota, precision, recall, motp = {}, {}, {}, {}
     for j, name in enumerate(js.joints):

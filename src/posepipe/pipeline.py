@@ -20,7 +20,6 @@ Heatmap paths are resolved relative to the manifest's directory; the
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 
@@ -38,7 +37,7 @@ from .fusion import (
 )
 from .heatmaps import DecodedPose, flip_merge, load_heatmap
 from .instances import PersonInstance
-from .poseio import PoseSequence
+from .poseio import PoseSequence, read_frames, read_json_object
 from .suppression import OksConstants, apply_thresholds, oks_nms, rescore
 from .tracking import TrackerConfig, TrackerState, finalize
 
@@ -47,31 +46,10 @@ log = logging.getLogger("posepipe.pipeline")
 
 def load_manifest(path) -> list:
     """[(frame_index, [instance entries])], paths resolved, ordering checked."""
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise PoseError(f"manifest is not valid JSON: {exc}", path=path) from exc
-    if not isinstance(doc, dict):
-        raise PoseError("manifest must be a JSON object", path=path)
-    frame_docs = doc.get("frames", [])
-    if not isinstance(frame_docs, list):
-        raise PoseError("manifest frames must be a list", path=path)
+    doc = read_json_object(path, "manifest")
     base = os.path.dirname(os.path.abspath(path))
     frames = []
-    last = None
-    for frame in frame_docs:
-        if not isinstance(frame, dict):
-            raise PoseError("manifest frame must be an object", path=path)
-        if "frame_index" not in frame:
-            raise PoseError("manifest frame missing frame_index", path=path)
-        fidx = frame["frame_index"]
-        if last is not None and fidx <= last:
-            raise PoseError("manifest frame indices must increase", path=path, frame=fidx)
-        last = fidx
-        inst_docs = frame.get("instances", [])
-        if not isinstance(inst_docs, list):
-            raise PoseError("manifest instances must be a list", path=path, frame=fidx)
+    for fidx, inst_docs in read_frames(doc, "instances", "manifest", path):
         entries = []
         for n, inst in enumerate(inst_docs):
             if not isinstance(inst, dict):
@@ -80,15 +58,22 @@ def load_manifest(path) -> list:
             if "box" not in inst or "heatmaps" not in inst:
                 raise PoseError(f"manifest instance {n} needs box and heatmaps",
                                 path=path, frame=fidx)
-            entry = {
-                "box": [float(v) for v in inst["box"]],
-                "box_score": float(inst.get("box_score", 1.0)),
-                "heatmaps": {k: os.path.join(base, v)
-                             for k, v in inst["heatmaps"].items()},
-            }
-            if "flipped_heatmaps" in inst:
-                entry["flipped_heatmaps"] = {k: os.path.join(base, v)
-                                             for k, v in inst["flipped_heatmaps"].items()}
+            for key in ("heatmaps", "flipped_heatmaps"):
+                if not isinstance(inst.get(key, {}), dict):
+                    raise PoseError(f"manifest instance {n}: {key} must be an object",
+                                    path=path, frame=fidx)
+            try:
+                entry = {
+                    "box": [float(v) for v in inst["box"]],
+                    "box_score": float(inst.get("box_score", 1.0)),
+                }
+                for key in ("heatmaps", "flipped_heatmaps"):
+                    if key in inst:
+                        entry[key] = {k: os.path.join(base, v)
+                                      for k, v in inst[key].items()}
+            except (TypeError, ValueError) as exc:
+                raise PoseError(f"manifest instance {n}: {exc}",
+                                path=path, frame=fidx) from exc
             entries.append(entry)
         frames.append((fidx, entries))
     return frames

@@ -63,6 +63,41 @@ def _require(cond, message, path, frame=None):
         raise PoseError(message, path=path, frame=frame)
 
 
+def read_json_object(path, what: str) -> dict:
+    """The JSON object stored at path. Text that is not JSON, or a document
+    whose top level is not an object, is a PoseError naming ``what``."""
+    with open(path) as f:
+        try:
+            doc = json.load(f)
+        except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+            raise PoseError(f"{what} is not valid JSON: {exc}", path=path) from exc
+    _require(isinstance(doc, dict), f"{what} must be a JSON object", path)
+    return doc
+
+
+def read_frames(doc: dict, items: str, what: str, path):
+    """Yield (frame_index, entries) for each object in doc["frames"].
+
+    Frames need strictly increasing integer frame indices; each frame's
+    ``items`` key (default empty) must hold a list, returned as entries.
+    """
+    frames = doc.get("frames", [])
+    _require(isinstance(frames, list), f"{what} frames must be a list", path)
+    last = None
+    for frame in frames:
+        _require(isinstance(frame, dict), f"{what} frame must be an object", path)
+        _require("frame_index" in frame, f"{what} frame missing frame_index", path)
+        fidx = frame["frame_index"]
+        _require(isinstance(fidx, int), "frame_index must be an integer", path)
+        _require(last is None or fidx > last,
+                 f"frame indices must be strictly increasing ({fidx} after {last})",
+                 path, fidx)
+        last = fidx
+        entries = frame.get(items, [])
+        _require(isinstance(entries, list), f"{what} {items} must be a list", path, fidx)
+        yield fidx, entries
+
+
 def parse_pose_document(doc: dict, path=None,
                         head_factor: float = DEFAULT_HEAD_SIZE_FACTOR) -> PoseSequence:
     _require(isinstance(doc, dict), "pose document must be a JSON object", path)
@@ -70,16 +105,9 @@ def parse_pose_document(doc: dict, path=None,
     js = get_joint_set(doc["joint_set"])
     k = js.count
     frames = []
-    last = None
-    for frame in doc.get("frames", []):
-        _require("frame_index" in frame, "frame missing frame_index", path)
-        fidx = frame["frame_index"]
-        _require(isinstance(fidx, int), "frame_index must be an integer", path)
-        _require(last is None or fidx > last,
-                 f"frame indices must be strictly increasing ({fidx} after {last})", path)
-        last = fidx
+    for fidx, inst_docs in read_frames(doc, "instances", "pose document", path):
         instances = []
-        for n, inst in enumerate(frame.get("instances", [])):
+        for n, inst in enumerate(inst_docs):
             try:
                 kps = inst["keypoints"]
                 _require(len(kps) == 3 * k,
@@ -119,12 +147,8 @@ def parse_pose_document(doc: dict, path=None,
 
 
 def load_pose_file(path, head_factor: float = DEFAULT_HEAD_SIZE_FACTOR) -> PoseSequence:
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise PoseError(f"not valid JSON: {exc}", path=path) from exc
-    return parse_pose_document(doc, path=path, head_factor=head_factor)
+    return parse_pose_document(read_json_object(path, "pose document"), path=path,
+                               head_factor=head_factor)
 
 
 def pose_document(seq: PoseSequence) -> dict:
@@ -169,24 +193,19 @@ class BoxSequence:
 
 
 def load_box_file(path) -> BoxSequence:
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise PoseError(f"not valid JSON: {exc}", path=path) from exc
+    doc = read_json_object(path, "box document")
     frames = []
-    last = None
-    for frame in doc.get("frames", []):
-        _require("frame_index" in frame, "frame missing frame_index", path)
-        fidx = frame["frame_index"]
-        _require(last is None or fidx > last, "frame indices must increase", path)
-        last = fidx
+    for fidx, box_docs in read_frames(doc, "boxes", "box document", path):
         boxes = []
-        for b in frame.get("boxes", []):
-            box = [float(v) for v in b["box"]]
+        for n, b in enumerate(box_docs):
+            try:
+                box = [float(v) for v in b["box"]]
+                score = float(b.get("score", 1.0))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise PoseError(f"box {n}: {exc}", path=path, frame=fidx) from exc
             _require(len(box) == 4 and box[2] > 0 and box[3] > 0,
                      "boxes need positive width/height", path, fidx)
-            boxes.append((box, float(b.get("score", 1.0))))
+            boxes.append((box, score))
         frames.append((fidx, boxes))
     return BoxSequence(frames)
 

@@ -64,43 +64,34 @@ class TrainSchedule:
             raise PoseError("schedule needs at least one stage")
 
 
-def _split_ohkm(total_steps: int):
-    ohkm_steps = round(total_steps / 6)
-    return total_steps - ohkm_steps, ohkm_steps
+def _l2_then_ohkm(prefix: str, domains, steps: int, lr: float,
+                  batch_size: int) -> list:
+    """``<prefix>-l2`` then ``<prefix>-ohkm`` over all blocks; the mining
+    stage takes the final sixth of the steps."""
+    ohkm_steps = round(steps / 6)
+    return [
+        Stage(f"{prefix}-l2", tuple(domains), "all", "l2", steps=steps - ohkm_steps,
+              lr=lr, batch_size=batch_size),
+        Stage(f"{prefix}-ohkm", tuple(domains), "all", "ohkm", steps=ohkm_steps,
+              lr=lr, batch_size=batch_size),
+    ]
 
 
 def single_domain_schedule(domain: str, steps: int = 2000, lr: float = DEFAULT_LR,
                            batch_size: int = DEFAULT_BATCH) -> TrainSchedule:
-    l2_steps, ohkm_steps = _split_ohkm(steps)
-    return TrainSchedule([
-        Stage(f"{domain}-l2", (domain,), "all", "l2", steps=l2_steps, lr=lr,
-              batch_size=batch_size),
-        Stage(f"{domain}-ohkm", (domain,), "all", "ohkm", steps=ohkm_steps, lr=lr,
-              batch_size=batch_size),
-    ])
+    return TrainSchedule(_l2_then_ohkm(domain, (domain,), steps, lr, batch_size))
 
 
 def multi_domain_schedule(domains=("coco", "mpii", "posetrack"), steps: int = 2000,
                           lr: float = DEFAULT_LR,
                           batch_size: int = DEFAULT_BATCH) -> TrainSchedule:
-    l2_steps, ohkm_steps = _split_ohkm(steps)
-    return TrainSchedule([
-        Stage("joint-l2", tuple(domains), "all", "l2", steps=l2_steps, lr=lr,
-              batch_size=batch_size),
-        Stage("joint-ohkm", tuple(domains), "all", "ohkm", steps=ohkm_steps, lr=lr,
-              batch_size=batch_size),
-    ])
+    return TrainSchedule(_l2_then_ohkm("joint", domains, steps, lr, batch_size))
 
 
 def transfer_schedule(source: str, target: str, steps=(2000, 400),
                       lr: float = DEFAULT_LR,
                       batch_size: int = DEFAULT_BATCH) -> TrainSchedule:
-    l2_steps, ohkm_steps = _split_ohkm(steps[0])
-    return TrainSchedule([
-        Stage(f"{source}-l2", (source,), "all", "l2", steps=l2_steps, lr=lr,
-              batch_size=batch_size),
-        Stage(f"{source}-ohkm", (source,), "all", "ohkm", steps=ohkm_steps, lr=lr,
-              batch_size=batch_size),
+    return TrainSchedule(_l2_then_ohkm(source, (source,), steps[0], lr, batch_size) + [
         Stage(f"finetune-{target}", (target,), "all", "ohkm", steps=steps[1], lr=lr,
               batch_size=batch_size),
     ])
@@ -109,13 +100,7 @@ def transfer_schedule(source: str, target: str, steps=(2000, 400),
 def mixed_schedule(domains=("coco", "mpii", "posetrack"), steps: int = 2000,
                    lr: float = DEFAULT_LR,
                    batch_size: int = DEFAULT_BATCH) -> TrainSchedule:
-    l2_steps, ohkm_steps = _split_ohkm(steps)
-    return TrainSchedule([
-        Stage("mixed-l2", tuple(domains), "all", "l2", steps=l2_steps, lr=lr,
-              batch_size=batch_size),
-        Stage("mixed-ohkm", tuple(domains), "all", "ohkm", steps=ohkm_steps, lr=lr,
-              batch_size=batch_size),
-    ])
+    return TrainSchedule(_l2_then_ohkm("mixed", domains, steps, lr, batch_size))
 
 
 def staged_schedule(domains=("coco", "mpii", "posetrack"), primary: str = "coco",
@@ -124,12 +109,7 @@ def staged_schedule(domains=("coco", "mpii", "posetrack"), primary: str = "coco"
     if primary not in domains:
         raise PoseError(f"primary domain {primary!r} not in {domains}")
     others = tuple(d for d in domains if d != primary)
-    l2_steps, ohkm_steps = _split_ohkm(steps[0])
-    return TrainSchedule([
-        Stage("joint-l2", tuple(domains), "all", "l2", steps=l2_steps, lr=lr,
-              batch_size=batch_size),
-        Stage("joint-ohkm", tuple(domains), "all", "ohkm", steps=ohkm_steps, lr=lr,
-              batch_size=batch_size),
+    return TrainSchedule(_l2_then_ohkm("joint", domains, steps[0], lr, batch_size) + [
         Stage(f"finetune-{primary}", (primary,), "all", "ohkm", steps=steps[1],
               lr=lr, batch_size=batch_size),
         Stage("finetune-heads", others, tuple(f"head.{d}" for d in others),

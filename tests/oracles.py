@@ -4,7 +4,9 @@ Everything here is deliberately written the slow, obvious way (full
 enumeration, no shortcuts, no library code) and kept free of the library's
 own algorithm code paths. The assignment oracle is still a full enumeration
 of every permutation; it is only batched over permutations with numpy
-instead of looping over them in Python.
+instead of looping over them in Python. The mAP/MOTA references keep the
+per-joint loops and reuse only the library's AP integration and mean, so
+they check the matching-and-judging bookkeeping, not those formulas.
 """
 
 import functools
@@ -149,3 +151,102 @@ def reference_grid_peaks(channels, use_quarter_offset=True):
             elif c[y - 1, x] > c[y + 1, x]:
                 out[i, 1] -= 0.25
     return out
+
+
+def _reference_frame_distances(preds, gts):
+    """{(p, g): (K,) head-normalised distances} for one frame, row-wise norm."""
+    return {(pi, gi): np.linalg.norm(p.coords - g.coords, axis=1) / g.head_size
+            for pi, p in enumerate(preds) for gi, g in enumerate(gts)}
+
+
+def _reference_frame_matches(preds, gts, dist, threshold):
+    """{pred index: gt index} via reference_pose_matching over plain loops."""
+    count = [[0] * len(gts) for _ in preds]
+    meandist = [[np.inf] * len(gts) for _ in preds]
+    for (pi, gi), d in dist.items():
+        both = [j for j in range(len(d))
+                if preds[pi].annotated[j] and gts[gi].annotated[j]]
+        if both:
+            count[pi][gi] = sum(1 for j in both if d[j] <= threshold)
+            meandist[pi][gi] = float(d[both].mean())
+    return dict(reference_pose_matching(count, meandist))
+
+
+def _reference_frames(preds, gts):
+    pred_by_frame, gt_by_frame = dict(preds), dict(gts)
+    for frame_index in sorted(set(pred_by_frame) | set(gt_by_frame)):
+        yield frame_index, pred_by_frame.get(frame_index, []), gt_by_frame.get(frame_index, [])
+
+
+def reference_compute_map(preds, gts, k, threshold):
+    """Per-joint AP with one loop per prediction joint: {"ap", "map_total",
+    "gt_joints"} with ap and gt_joints as per-joint lists."""
+    from posepipe.evaluation import _average_precision, _mean_defined
+    npos = [0] * k
+    records = [[] for _ in range(k)]
+    for _, frame_preds, frame_gts in _reference_frames(preds, gts):
+        for g in frame_gts:
+            for j in range(k):
+                npos[j] += int(g.annotated[j])
+        dist = _reference_frame_distances(frame_preds, frame_gts)
+        matches = _reference_frame_matches(frame_preds, frame_gts, dist, threshold)
+        for pi, p in enumerate(frame_preds):
+            gi = matches.get(pi)
+            for j in range(k):
+                if not p.annotated[j]:
+                    continue
+                hit = (gi is not None and frame_gts[gi].annotated[j]
+                       and dist[pi, gi][j] <= threshold)
+                records[j].append((float(p.scores[j]), hit))
+    ap = [_average_precision(records[j], npos[j]) for j in range(k)]
+    return {"ap": ap, "map_total": _mean_defined(ap), "gt_joints": npos}
+
+
+def reference_compute_mota(preds, gts, k, threshold):
+    """Per-joint MOTA with separate ground-truth and false-positive loops:
+    per-joint lists "mota", "precision", "recall", "gt_joints", "fp", their
+    "*_total" means, and the totals "fn", "idsw" and "motp_total"."""
+    from posepipe.evaluation import _mean_defined
+    gt_total, fn, fp, idsw, tp = ([0] * k for _ in range(5))
+    dist_sum = [0.0] * k
+    last_id = {}
+    for _, frame_preds, frame_gts in _reference_frames(preds, gts):
+        dist = _reference_frame_distances(frame_preds, frame_gts)
+        matches = _reference_frame_matches(frame_preds, frame_gts, dist, threshold)
+        matched_gt = {gi: pi for pi, gi in matches.items()}
+        for gi, g in enumerate(frame_gts):
+            pi = matched_gt.get(gi)
+            for j in range(k):
+                if not g.annotated[j]:
+                    continue
+                gt_total[j] += 1
+                if (pi is not None and frame_preds[pi].annotated[j]
+                        and dist[pi, gi][j] <= threshold):
+                    tp[j] += 1
+                    dist_sum[j] += dist[pi, gi][j]
+                    prev = last_id.get((g.person_id, j))
+                    if prev is not None and prev != frame_preds[pi].track_id:
+                        idsw[j] += 1
+                    last_id[g.person_id, j] = frame_preds[pi].track_id
+                else:
+                    fn[j] += 1
+        for pi, p in enumerate(frame_preds):
+            gi = matches.get(pi)
+            for j in range(k):
+                if p.annotated[j] and not (
+                        gi is not None and frame_gts[gi].annotated[j]
+                        and dist[pi, gi][j] <= threshold):
+                    fp[j] += 1
+    defined = [j for j in range(k) if gt_total[j]]
+    mota = [100.0 * (1.0 - (fn[j] + fp[j] + idsw[j]) / gt_total[j])
+            if j in defined else None for j in range(k)]
+    precision = [(100.0 * tp[j] / (tp[j] + fp[j]) if tp[j] + fp[j] else 0.0)
+                 if j in defined else None for j in range(k)]
+    recall = [100.0 * tp[j] / gt_total[j] if j in defined else None for j in range(k)]
+    motp = [100.0 * (dist_sum[j] / tp[j]) / threshold for j in defined if tp[j]]
+    return {"mota": mota, "precision": precision, "recall": recall,
+            "mota_total": _mean_defined(mota),
+            "precision_total": _mean_defined(precision),
+            "recall_total": _mean_defined(recall),
+            "gt_joints": gt_total, "fp": fp, "fn": sum(fn), "idsw": sum(idsw),
+            "motp_total": _mean_defined(motp) if motp else None}

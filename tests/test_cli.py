@@ -276,3 +276,68 @@ def test_train_toy_names_missing_schedule_key(tmp_path, capsys, schedule, key):
     assert rc == 2
     doc = _error_doc(capsys)
     assert doc["kind"] == "contract" and repr(key) in doc["error"]
+
+
+def _bad_input(tmp_path, capsys, doc, argv):
+    """Write doc (raw text when a str) and run argv with {path} and {out}
+    filled in; the CLI must exit 2 with the one-line contract error."""
+    path, out = tmp_path / "input.json", tmp_path / "o.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    rc = main([a.format(path=path, out=out) for a in argv])
+    assert rc == 2
+    assert _error_doc(capsys)["kind"] == "contract"
+    assert not out.exists()
+
+
+_INSTANCE = {"box": [0, 0, 10, 10], "heatmaps": {"coco": "c.pkhm"}}
+
+
+@pytest.mark.parametrize("manifest", [
+    {"frames": [{"frame_index": 0, "instances": [dict(_INSTANCE, box=["a", 0, 1, 1])]}]},
+    {"frames": [{"frame_index": 0, "instances": [dict(_INSTANCE, box=5)]}]},
+    {"frames": [{"frame_index": 0, "instances": [dict(_INSTANCE, heatmaps=["x"])]}]},
+    {"frames": [{"frame_index": 0, "instances": [dict(_INSTANCE, heatmaps={"coco": 5})]}]},
+    {"frames": [{"frame_index": 0,
+                 "instances": [dict(_INSTANCE, flipped_heatmaps="c.pkhm")]}]},
+    {"frames": [{"frame_index": 0}, {"frame_index": "1"}]},
+    {"frames": [{"frame_index": 0.5}]},
+])
+def test_run_rejects_malformed_manifest_values(tmp_path, capsys, manifest):
+    _bad_input(tmp_path, capsys, manifest, ["run", "--manifest", "{path}", "--out", "{out}"])
+
+
+@pytest.mark.parametrize("pose_doc", [
+    {"joint_set": "posetrack", "frames": 5},
+    {"joint_set": "posetrack", "frames": [3]},
+    {"joint_set": "posetrack", "frames": [{"frame_index": 0, "instances": 5}]},
+])
+def test_nms_rejects_malformed_pose_file(tmp_path, capsys, pose_doc):
+    _bad_input(tmp_path, capsys, pose_doc, ["nms", "{path}", "--out", "{out}"])
+
+
+@pytest.mark.parametrize("box_doc", [
+    [],
+    {"frames": 5},
+    {"frames": [{"frame_index": 0, "boxes": [{"box": "ab"}]}]},
+    {"frames": [{"frame_index": 0, "boxes": [{"score": 1.0}]}]},
+    {"frames": [{"frame_index": 0, "boxes": [[0, 0, 1, 1]]}]},
+    {"frames": [{"frame_index": 0}, {"frame_index": "1"}]},
+])
+def test_merge_boxes_rejects_malformed_box_file(tmp_path, capsys, box_doc):
+    _bad_input(tmp_path, capsys, box_doc, ["merge-boxes", "{path}", "--out", "{out}"])
+
+
+@pytest.mark.parametrize("train_doc", [
+    "{not json",
+    [],
+    {"schedule": []},
+    {"schedule": {"stages": "oops"}},
+    {"schedule": {"stages": [3]}},
+    {"schedule": {"stages": [{"domains": ["coco"], "steps": "x"}]}},
+    {"domains": {"coco": 5}},
+    {"domains": {"coco": {"noise": "x"}}},
+    {"net": {"domains": 5}},
+])
+def test_train_toy_rejects_malformed_config(tmp_path, capsys, train_doc):
+    _bad_input(tmp_path, capsys, train_doc, ["train-toy", "--config", "{path}",
+                                             "--out", "{out}"])

@@ -13,7 +13,11 @@ from posepipe.evaluation import (
 )
 from posepipe.instances import PersonInstance
 
-from oracles import reference_pose_matching
+from oracles import (
+    reference_compute_map,
+    reference_compute_mota,
+    reference_pose_matching,
+)
 
 JS = builtin_joint_set("posetrack")
 K = JS.count
@@ -265,3 +269,82 @@ def test_table_formatting_layout():
     assert doc["total_mota"] == 100.0
     assert set(doc["groups"]) == {"Head", "Shoulder", "Elbow", "Wrist",
                                   "Hip", "Knee", "Ankle"}
+
+
+def _random_sequence(rng, num_frames):
+    """Integer-valued frames with head size 10: distances land exactly on
+    0.2, 0.5 and 1.0 (offsets such as (0, 2), (3, 4) and (6, 8)). Joints go
+    missing on either side, predictions and ground truth go unmatched, some
+    frames exist on one side only, and track ids swap between persons."""
+    track_of = list(rng.permutation(6))
+    gts, preds = [], []
+    for t in range(num_frames):
+        if rng.random() < 0.3:   # two persons swap track ids from here on
+            a, b = rng.choice(6, size=2, replace=False)
+            track_of[a], track_of[b] = track_of[b], track_of[a]
+        frame_gts, frame_preds = [], []
+        for pid in rng.choice(6, size=int(rng.integers(0, 5)), replace=False):
+            g = PersonInstance(
+                box=np.array([0.0, 0.0, 40.0, 60.0]), box_score=1.0,
+                coords=rng.integers(0, 40, size=2) + rng.integers(-10, 11, size=(K, 2)),
+                scores=np.ones(K), annotated=rng.random(K) < 0.8,
+                joint_set="posetrack", person_id=int(pid), head_size=10.0,
+            )
+            frame_gts.append(g)
+            if rng.random() < 0.8:
+                frame_preds.append(PersonInstance(
+                    box=g.box, box_score=1.0,
+                    coords=g.coords + rng.integers(-8, 9, size=(K, 2)),
+                    scores=rng.integers(0, 5, size=K) / 4.0,
+                    annotated=rng.random(K) < 0.8, joint_set="posetrack",
+                    track_id=int(track_of[pid]),
+                ))
+        for _ in range(int(rng.integers(0, 3))):   # spurious predictions
+            frame_preds.append(PersonInstance(
+                box=np.array([0.0, 0.0, 40.0, 60.0]), box_score=1.0,
+                coords=rng.integers(0, 60, size=(K, 2)),
+                scores=rng.integers(0, 5, size=K) / 4.0,
+                annotated=rng.random(K) < 0.8, joint_set="posetrack",
+                track_id=int(rng.integers(6, 9)),
+            ))
+        rng.shuffle(frame_preds)
+        side = rng.random()
+        if side > 0.1:
+            gts.append((t, frame_gts))
+        if side < 0.9:
+            preds.append((t, frame_preds))
+    return preds, gts
+
+
+@pytest.mark.parametrize("threshold", [0.2, 0.5, 1.0])
+def test_metrics_match_per_joint_reference_loops(threshold):
+    rng = np.random.default_rng(7)
+    on_threshold = idsw = 0
+    for _ in range(40):
+        preds, gts = _random_sequence(rng, int(rng.integers(1, 12)))
+        gt_by_frame = dict(gts)
+        on_threshold += sum(
+            int(np.sum(np.linalg.norm(p.coords - g.coords, axis=1) == 10.0 * threshold))
+            for t, pp in preds for p in pp for g in gt_by_frame.get(t, []))
+
+        rep = compute_map(preds, gts, threshold=threshold)
+        want = reference_compute_map(preds, gts, K, threshold)
+        assert [rep.ap[n] for n in JS.joints] == want["ap"]
+        assert rep.map_total == want["map_total"]
+        assert [rep.counts["gt_joints"][n] for n in JS.joints] == want["gt_joints"]
+
+        rep = compute_mota(preds, gts, threshold=threshold)
+        want = reference_compute_mota(preds, gts, K, threshold)
+        for key in ("mota", "precision", "recall"):
+            assert [getattr(rep, key)[n] for n in JS.joints] == want[key], key
+            assert getattr(rep, f"{key}_total") == want[f"{key}_total"], key
+        assert [rep.counts["gt_joints"][n] for n in JS.joints] == want["gt_joints"]
+        assert [rep.counts["fp_per_joint"][n] for n in JS.joints] == want["fp"]
+        assert rep.counts["fp"] == sum(want["fp"])
+        assert (rep.counts["fn"], rep.counts["idsw"]) == (want["fn"], want["idsw"])
+        if want["motp_total"] is None:
+            assert rep.motp_total is None
+        else:
+            assert rep.motp_total == pytest.approx(want["motp_total"], rel=1e-12, abs=0)
+        idsw += want["idsw"]
+    assert on_threshold > 0 and idsw > 0
