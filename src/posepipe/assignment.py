@@ -6,6 +6,13 @@ map covering min(rows, cols) pairs. The Hungarian result is the minimum-total-
 cost maximum matching of the zero-padded square problem; among equal-cost
 optima it returns the lexicographically smallest assignment vector (row 0's
 column first, then row 1's, ...).
+
+The Hungarian solver solves once, then breaks ties row by row with one
+O(n^2) shortest-path pass over the reduced costs, O(n^3) in all. A column
+qualifies for a row when forcing the row to it raises the optimum of the rows
+and columns not yet fixed by at most a tolerance of
+1e-9 * max(1, max |cost|) * n; the row takes the smallest qualifying column.
+The greedy solver is one stable sort of the cells and a walk over them.
 """
 
 from __future__ import annotations
@@ -24,8 +31,11 @@ def _validate(cost) -> np.ndarray:
     return a
 
 
-def _solve_square(cost: np.ndarray) -> np.ndarray:
-    """Column-for-row assignment of an n x n matrix, minimum total cost.
+def _solve_square(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column-for-row assignment of an n x n matrix, minimum total cost, with
+    the row and column potentials ``u, v`` that prove it optimal: every
+    reduced cost ``cost[i, j] - u[i] - v[j]`` is nonnegative and the chosen
+    cells' are zero.
 
     Shortest-augmenting-path formulation with row/column potentials; scans
     are in ascending index order so the result is deterministic.
@@ -64,12 +74,7 @@ def _solve_square(cost: np.ndarray) -> np.ndarray:
     col_of_row = np.zeros(n, dtype=np.int64)
     for j in range(1, n + 1):
         col_of_row[match[j] - 1] = j - 1
-    return col_of_row
-
-
-def _optimal_total(cost: np.ndarray) -> float:
-    cols = _solve_square(cost)
-    return float(cost[np.arange(cost.shape[0]), cols].sum())
+    return col_of_row, u[1:], v[1:]
 
 
 def solve_hungarian(cost) -> dict:
@@ -78,6 +83,17 @@ def solve_hungarian(cost) -> dict:
     Rectangular inputs are zero-padded to square; pairs involving padding are
     dropped from the result. Ties between optimal assignments break toward the
     lexicographically smallest (row, col) choice.
+
+    One solve gives an optimal matching and its potentials. Rows are then
+    fixed in order: a Dijkstra over the reduced costs of the rows and columns
+    not yet fixed, backward from the row's column along alternating paths,
+    gives for each column how much the remaining optimum rises if the row is
+    forced to it. The search stops once every column before the row's own is
+    settled or no column left can rise by at most the tolerance. A column
+    qualifies when its rise is at most the tolerance; the row takes the
+    smallest qualifying column, the matching is rotated along the path to it
+    and the potentials are shifted by the path lengths, so they stay feasible
+    and tight. Each row costs O(n^2), O(n^3) in all.
     """
     a = _validate(cost)
     r, c = a.shape
@@ -92,55 +108,69 @@ def solve_hungarian(cost) -> dict:
 
     tol = 1e-9 * max(1.0, float(np.abs(padded).max())) * n
 
-    # Fix rows in order to the smallest column that still admits an optimal
-    # completion; only columns before the current optimum need probing.
-    rows = list(range(n))
-    cols = list(range(n))
-    sub = padded
-    chosen = {}
-    while rows:
-        local = _solve_square(sub)
-        opt = float(sub[np.arange(sub.shape[0]), local].sum())
-        best_local = int(local[0])
-        pick = best_local
-        for j_local in range(best_local):
-            rest = np.delete(np.delete(sub, 0, axis=0), j_local, axis=1)
-            rest_total = _optimal_total(rest) if rest.size else 0.0
-            if sub[0, j_local] + rest_total <= opt + tol:
-                pick = j_local
-                break
-        chosen[rows[0]] = cols[pick]
-        rows.pop(0)
-        cols.pop(pick)
-        sub = np.delete(np.delete(sub, 0, axis=0), pick, axis=1)
+    col_of, u, v = _solve_square(padded)
+    row_of = np.empty(n, dtype=np.int64)
+    row_of[col_of] = np.arange(n)
+    live = np.ones(n, dtype=bool)   # columns not yet fixed to a row
+    for r0 in range(n):
+        cols = np.flatnonzero(live)
+        m = int(np.searchsorted(cols, col_of[r0]))
+        if m:   # some smaller column may also admit an optimal completion
+            owners = row_of[cols]
+            # step[a, b]: reduced cost of moving column a's owner to column b
+            step = padded[np.ix_(owners, cols)] - u[owners, None] - v[cols]
+            g = np.full(len(cols), np.inf)   # rise of the other rows' optimum if r0 takes b
+            g[m] = 0.0
+            nxt = np.full(len(cols), m)   # next column on b's path to column m
+            done = np.zeros(len(cols), dtype=bool)
+            while not done[:m].all():
+                b = int(np.argmin(np.where(done, np.inf, g)))
+                if g[b] > tol:   # no column left can qualify
+                    break
+                done[b] = True
+                via = step[:, b] + g[b]
+                better = ~done & (via < g)
+                g[better] = via[better]
+                nxt[better] = b
+            if not done.all():   # clamp unsettled columns; the potentials stay feasible
+                g = np.minimum(g, g[~done].min())
+            fits = np.flatnonzero(done[:m] & (step[m, :m] + g[:m] <= tol))
+            b = int(fits[0]) if len(fits) else m
+            u[owners] += g
+            v[cols] -= g
+            row = r0
+            while True:   # rotate along the path from column b to column m
+                col_of[row] = cols[b]
+                row_of[cols[b]] = row
+                if b == m:
+                    break
+                row, b = owners[b], nxt[b]
+        live[col_of[r0]] = False
 
-    return {i: j for i, j in sorted(chosen.items()) if i < r and j < c}
+    return {i: int(col_of[i]) for i in range(r) if col_of[i] < c}
 
 
 def solve_greedy(cost) -> dict:
-    """Repeatedly take the globally cheapest remaining cell, ties by (row, col)."""
+    """Repeatedly take the globally cheapest remaining cell, ties by (row, col).
+
+    One stable sort of the cells by cost keeps row-major order among equal
+    costs; the walk then takes each cell whose row and column are both free.
+    """
     a = _validate(cost)
     r, c = a.shape
     if r == 0 or c == 0:
         return {}
-    work = a.copy()
     rows_left = np.ones(r, dtype=bool)
     cols_left = np.ones(c, dtype=bool)
     out = {}
-    for _ in range(min(r, c)):
-        best = np.inf
-        pick = None
-        for i in range(r):
-            if not rows_left[i]:
-                continue
-            for j in range(c):
-                if cols_left[j] and work[i, j] < best:
-                    best = work[i, j]
-                    pick = (i, j)
-        i, j = pick
-        out[i] = j
-        rows_left[i] = False
-        cols_left[j] = False
+    for cell in np.argsort(a, axis=None, kind="stable"):
+        i, j = divmod(int(cell), c)
+        if rows_left[i] and cols_left[j]:
+            out[i] = j
+            rows_left[i] = False
+            cols_left[j] = False
+            if len(out) == min(r, c):
+                break
     return dict(sorted(out.items()))
 
 

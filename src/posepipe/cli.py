@@ -160,6 +160,16 @@ def _train_config(doc):
     return schedule, domain_specs, config
 
 
+def _domain_sizes(doc, key, default, domains):
+    """doc[key], a sample count for every domain (default for each when absent)."""
+    sizes = _object(doc.get(key, {n: default for n in domains}), f"train config {key}")
+    for name in domains:
+        size = _require(sizes, name, f"train config {key}")
+        if isinstance(size, bool) or not isinstance(size, int):
+            raise PoseError(f"train config {key}[{name!r}] must be an integer")
+    return sizes
+
+
 def cmd_train_toy(args):
     doc = read_json_object(args.config, "train config")
     try:
@@ -168,8 +178,8 @@ def cmd_train_toy(args):
         raise
     except (TypeError, ValueError) as exc:
         raise PoseError(f"bad train config: {exc}", path=args.config) from exc
-    sizes = doc.get("train_sizes", {n: 200 for n in domain_specs})
-    heldout_sizes = doc.get("heldout_sizes", {n: 50 for n in domain_specs})
+    sizes = _domain_sizes(doc, "train_sizes", 200, domain_specs)
+    heldout_sizes = _domain_sizes(doc, "heldout_sizes", 50, domain_specs)
     data_seed = doc.get("data_seed", 5)
     heldout_seed = doc.get("heldout_seed", 995)
     datasets = {n: gen_synthetic(domain_specs[n], sizes[n], data_seed)

@@ -17,6 +17,9 @@ from dataclasses import dataclass, field
 from .errors import PoseError
 from .poseio import read_json_object
 
+# annotation -> accepted JSON value types; bool is never taken for a number
+_FIELD_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str, "dict": dict}
+
 
 @dataclass
 class PipelineConfig:
@@ -61,6 +64,12 @@ class PipelineConfig:
     ohkm_k: int = 8
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if (not isinstance(value, _FIELD_TYPES[f.type])
+                    or (f.type != "bool" and isinstance(value, bool))):
+                raise PoseError(f"config field {f.name!r} must be {f.type}, "
+                                f"got {type(value).__name__}")
         if self.matcher not in ("hungarian", "greedy"):
             raise PoseError(f"unknown matcher {self.matcher!r}")
         kind = self.fusion.split(":", 1)[0]

@@ -53,6 +53,8 @@ class Stage:
             raise PoseError("bad stage configuration")
         if self.loss not in ("l2", "ohkm"):
             raise PoseError(f"unknown loss {self.loss!r}")
+        if isinstance(self.lr, bool) or not isinstance(self.lr, (int, float)):
+            raise PoseError(f"stage lr must be a number, got {type(self.lr).__name__}")
 
 
 @dataclass

@@ -4,7 +4,10 @@ Everything here is deliberately written the slow, obvious way (full
 enumeration, no shortcuts, no library code) and kept free of the library's
 own algorithm code paths. The assignment oracle is still a full enumeration
 of every permutation; it is only batched over permutations with numpy
-instead of looping over them in Python. The mAP/MOTA references keep the
+instead of looping over them in Python. The re-solving Hungarian and the
+cell-scanning greedy assignment are the library's earlier solvers, kept as
+they were (about O(n^5) and O(n^3) Python steps) to check the faster ones on
+matrices too large to enumerate. The mAP/MOTA references keep the
 per-joint loops and reuse only the library's AP integration and mean, so
 they check the matching-and-judging bookkeeping, not those formulas.
 """
@@ -52,6 +55,127 @@ def brute_force_assignment(cost):
         best += 1 + int(cheaper[0])
     real = {i: int(j) for i, j in enumerate(perms[best]) if i < r and j < c}
     return real, float(sum(a[i, j] for i, j in real.items()))
+
+
+def _reference_solve_square(cost: np.ndarray) -> np.ndarray:
+    """Column-for-row assignment of an n x n matrix, minimum total cost.
+
+    Shortest-augmenting-path formulation with row/column potentials; scans
+    are in ascending index order so the result is deterministic.
+    """
+    n = cost.shape[0]
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    match = np.zeros(n + 1, dtype=np.int64)   # match[j]: row held by column j (1-based, 0 = free)
+    for i in range(1, n + 1):
+        match[0] = i
+        j0 = 0
+        minv = np.full(n + 1, np.inf)
+        way = np.zeros(n + 1, dtype=np.int64)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            cur = cost[i0 - 1, :] - u[i0] - v[1:]
+            free = ~used[1:]
+            better = free & (cur < minv[1:])
+            minv[1:][better] = cur[better]
+            way[1:][better] = j0
+            reach = np.where(free, minv[1:], np.inf)
+            j1 = int(np.argmin(reach)) + 1
+            delta = reach[j1 - 1]
+            u[match[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+            j0 = j1
+            if match[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    col_of_row = np.zeros(n, dtype=np.int64)
+    for j in range(1, n + 1):
+        col_of_row[match[j] - 1] = j - 1
+    return col_of_row
+
+
+def _reference_optimal_total(cost: np.ndarray) -> float:
+    cols = _reference_solve_square(cost)
+    return float(cost[np.arange(cost.shape[0]), cols].sum())
+
+
+def reference_lex_hungarian(cost) -> dict:
+    """Lexicographically smallest minimum-cost maximum matching by re-solving:
+    fix rows in order, each to the smallest column whose forced choice still
+    admits a completion within the tolerance of the remaining optimum, found
+    by solving the rest from scratch for every candidate column, about
+    O(n^5).
+    """
+    a = np.asarray(cost, dtype=np.float64)
+    r, c = a.shape
+    if r == 0 or c == 0:
+        return {}
+    n = max(r, c)
+    padded = np.zeros((n, n), dtype=np.float64)
+    padded[:r, :c] = a
+    lo = padded.min()
+    if lo < 0:
+        padded = padded - lo   # keep reduced costs nonnegative for the path search
+
+    tol = 1e-9 * max(1.0, float(np.abs(padded).max())) * n
+
+    # Fix rows in order to the smallest column that still admits an optimal
+    # completion; only columns before the current optimum need probing.
+    rows = list(range(n))
+    cols = list(range(n))
+    sub = padded
+    chosen = {}
+    while rows:
+        local = _reference_solve_square(sub)
+        opt = float(sub[np.arange(sub.shape[0]), local].sum())
+        best_local = int(local[0])
+        pick = best_local
+        for j_local in range(best_local):
+            rest = np.delete(np.delete(sub, 0, axis=0), j_local, axis=1)
+            rest_total = _reference_optimal_total(rest) if rest.size else 0.0
+            if sub[0, j_local] + rest_total <= opt + tol:
+                pick = j_local
+                break
+        chosen[rows[0]] = cols[pick]
+        rows.pop(0)
+        cols.pop(pick)
+        sub = np.delete(np.delete(sub, 0, axis=0), pick, axis=1)
+
+    return {i: j for i, j in sorted(chosen.items()) if i < r and j < c}
+
+
+def reference_greedy_assignment(cost) -> dict:
+    """Repeatedly take the globally cheapest remaining cell, ties by (row, col),
+    scanning every remaining cell for each pick."""
+    a = np.asarray(cost, dtype=np.float64)
+    r, c = a.shape
+    if r == 0 or c == 0:
+        return {}
+    work = a.copy()
+    rows_left = np.ones(r, dtype=bool)
+    cols_left = np.ones(c, dtype=bool)
+    out = {}
+    for _ in range(min(r, c)):
+        best = np.inf
+        pick = None
+        for i in range(r):
+            if not rows_left[i]:
+                continue
+            for j in range(c):
+                if cols_left[j] and work[i, j] < best:
+                    best = work[i, j]
+                    pick = (i, j)
+        i, j = pick
+        out[i] = j
+        rows_left[i] = False
+        cols_left[j] = False
+    return dict(sorted(out.items()))
 
 
 def reference_greedy_nms(similarity_matrix, scores, threshold):

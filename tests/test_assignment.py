@@ -6,7 +6,11 @@ import pytest
 from posepipe import PoseError
 from posepipe.assignment import assignment_total, solve_greedy, solve_hungarian
 
-from oracles import brute_force_assignment
+from oracles import (
+    brute_force_assignment,
+    reference_greedy_assignment,
+    reference_lex_hungarian,
+)
 
 
 def test_two_by_two_example():
@@ -137,3 +141,43 @@ def test_lexicographic_tie_break():
 def test_greedy_tie_break_by_row_col():
     cost = np.zeros((2, 2))
     assert solve_greedy(cost) == {0: 0, 1: 1}
+
+
+_KINDS = ["int", "oks", "negative", "near-tie"]
+
+
+def _tie_heavy_matrix(rng, kind, r, c):
+    """One of the cost shapes the solvers see: small integers, 1 - OKS as
+    tracking builds it (most cells exactly 1.0), negative entries, or
+    integers with near-ties of k * 1e-13."""
+    if kind == "int":
+        return rng.integers(0, 3, (r, c)).astype(float)
+    if kind == "oks":
+        cost = np.ones((r, c))
+        near = rng.random((r, c)) < 2.0 / max(r, c)
+        cost[near] = 1.0 - rng.choice([0.25, 0.5, 0.75, 0.9, rng.random()], near.sum())
+        return cost
+    if kind == "negative":
+        return rng.integers(-3, 3, (r, c)).astype(float)
+    return rng.integers(0, 3, (r, c)) + rng.integers(-3, 4, (r, c)) * 1e-13
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_hungarian_matches_re_solving_reference(kind):
+    rng = np.random.default_rng(_KINDS.index(kind))
+    for trial in range(30):
+        r = int(rng.integers(1, 31))
+        c = r if trial % 2 else int(rng.integers(1, 31))
+        cost = _tie_heavy_matrix(rng, kind, r, c)
+        assert solve_hungarian(cost) == reference_lex_hungarian(cost), cost
+
+
+def test_greedy_matches_cell_scan_reference():
+    rng = np.random.default_rng(12)
+    for trial in range(300):
+        r = int(rng.integers(1, 12))
+        c = r if trial % 2 else int(rng.integers(1, 12))
+        cost = _tie_heavy_matrix(rng, _KINDS[trial % 4], r, c)
+        if trial % 3 == 0:   # signed zeros compare equal: (row, col) order decides
+            cost[rng.random((r, c)) < 0.5] = -0.0
+        assert solve_greedy(cost) == reference_greedy_assignment(cost), cost

@@ -306,6 +306,15 @@ def test_run_rejects_malformed_manifest_values(tmp_path, capsys, manifest):
     _bad_input(tmp_path, capsys, manifest, ["run", "--manifest", "{path}", "--out", "{out}"])
 
 
+@pytest.mark.parametrize("config", [{"use_tracking": "no"}, {"similarity_threshold": "x"}])
+def test_run_rejects_mistyped_config_before_reading_manifest(tmp_path, capsys, config):
+    # the manifest does not exist: only a config checked first reports a
+    # contract error
+    _bad_input(tmp_path, capsys, config,
+               ["run", "--config", "{path}", "--manifest", str(tmp_path / "missing.json"),
+                "--out", "{out}"])
+
+
 @pytest.mark.parametrize("pose_doc", [
     {"joint_set": "posetrack", "frames": 5},
     {"joint_set": "posetrack", "frames": [3]},
@@ -337,6 +346,10 @@ def test_merge_boxes_rejects_malformed_box_file(tmp_path, capsys, box_doc):
     {"domains": {"coco": 5}},
     {"domains": {"coco": {"noise": "x"}}},
     {"net": {"domains": 5}},
+    {"schedule": {"stages": [{"domains": ["coco"], "steps": 1, "lr": "x"}]}},
+    {"schedule": {"lr": "x"}},
+    {"train_sizes": {"coco": 2}},
+    {"heldout_sizes": {"coco": 2, "mpii": 2, "posetrack": "x"}},
 ])
 def test_train_toy_rejects_malformed_config(tmp_path, capsys, train_doc):
     _bad_input(tmp_path, capsys, train_doc, ["train-toy", "--config", "{path}",

@@ -159,3 +159,12 @@ def test_config_validation():
     with pytest.raises(PoseError):
         PipelineConfig(fusion="blend:coco")
     assert PipelineConfig(use_flow_track=False).propagator == "identity"
+    # each field must have its annotated type; an int is a float, a bool is
+    # neither
+    for bad in ({"use_tracking": "no"}, {"use_tracking": 0},
+                {"similarity_threshold": "x"}, {"box_threshold": True},
+                {"lookback": 8.0}, {"min_track_length": False},
+                {"fusion": 5}, {"oks_falloff_overrides": []}):
+        with pytest.raises(PoseError):
+            PipelineConfig.from_dict(bad)
+    assert PipelineConfig(box_threshold=0).box_threshold == 0
