@@ -75,6 +75,21 @@ class PipelineConfig:
         kind = self.fusion.split(":", 1)[0]
         if kind not in ("select", "head-swap", "vote"):
             raise PoseError(f"unknown fusion strategy {self.fusion!r}")
+        for name in ("box_threshold", "keypoint_threshold", "similarity_threshold"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise PoseError(f"config field {name!r} must be in [0, 1]")
+        if not 0 < self.oks_nms_threshold <= 1:
+            raise PoseError("config field 'oks_nms_threshold' must be in (0, 1]")
+        if not self.smooth_sigma >= 0:
+            raise PoseError("config field 'smooth_sigma' must be >= 0")
+        for name in ("lookback", "min_track_length"):
+            if getattr(self, name) < 1:
+                raise PoseError(f"config field {name!r} must be >= 1")
+        falloffs = [self.oks_extra_falloff, *self.oks_falloff_overrides.values()]
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
+                   for v in falloffs):
+            raise PoseError("config fields 'oks_extra_falloff' and "
+                            "'oks_falloff_overrides' need numbers > 0")
 
     @property
     def propagator(self) -> str:

@@ -5,12 +5,15 @@ Protocol (the threshold is the CLI's ``--pckh-thr`` argument, default 0.5):
 * A predicted joint is correct when both poses annotate it and its distance
   to the ground-truth joint is at most threshold x the person's head
   reference size (head-box diagonal x 0.6, computed upstream). ``_judge``
-  is the one place this rule and its distance are computed; matching and
-  both metrics read it.
+  is the one place this rule and its distance are computed, over stacked
+  poses: matching judges a frame's P x G pairs in one call, and both
+  metrics read one paired call over the frame's matched pairs. The
+  distances are bit-equal to judging one pair at a time.
 * Poses are matched per frame, greedily, by descending count of correct
-  joints; ties prefer the smaller mean normalized distance, then the smaller
-  (prediction, ground-truth) index pair. Pairs with zero correct joints stay
-  unmatched.
+  joints; ties prefer the smaller mean normalized distance (over joints
+  annotated in both, in ``np.mean``'s float order, by the same masked-mean
+  helper as OKS), then the smaller (prediction, ground-truth) index pair.
+  Pairs with zero correct joints stay unmatched.
 * AP ranks every reported prediction joint by its keypoint score over the
   whole dataset and integrates the interpolated precision-recall curve.
 * MOTA counts per-joint misses, false positives and identity switches against
@@ -28,6 +31,7 @@ import numpy as np
 
 from .errors import PoseError
 from .skeletons import canonical_name, get_joint_set
+from .suppression import _masked_mean
 
 PCKH_THRESHOLD = 0.5
 
@@ -120,40 +124,50 @@ def _group_columns(joint_set, per_joint):
     return out
 
 
-def _judge(p, g, threshold: float):
-    """PCKh judgement of prediction p against ground truth g, per joint.
+def _judge(preds, gts, threshold: float, every_pair: bool = False):
+    """PCKh judgement of a stack of predictions against ground truth.
 
-    Returns the (K,) correct mask (annotated in both poses and within
-    threshold) and the (K,) distances normalized by g's head size.
+    With ``every_pair`` the results are (P, G, K), one row per prediction x
+    ground-truth pair; without it preds and gts are paired up in order and
+    the results are (P, K). Returns the correct mask (annotated in both
+    poses and within threshold), the distances normalized by the ground
+    truth's head size and the annotated-in-both mask.
     """
-    if g.head_size is None or g.head_size <= 0:
+    heads = [g.head_size for g in gts]
+    if any(h is None or h <= 0 for h in heads):
         raise PoseError("ground-truth instances need a positive head_size")
-    d = np.linalg.norm(p.coords - g.coords, axis=1) / g.head_size
-    return p.annotated & g.annotated & (d <= threshold), d
+    pc = np.stack([p.coords for p in preds])
+    pa = np.stack([p.annotated for p in preds])
+    if every_pair:
+        pc, pa = pc[:, None], pa[:, None]
+    gc = np.stack([g.coords for g in gts])
+    d = np.linalg.norm(pc - gc, axis=-1) / np.array(heads, dtype=np.float64)[:, None]
+    both = pa & np.stack([g.annotated for g in gts])
+    return both & (d <= threshold), d, both
 
 
 def match_poses(preds, gts, threshold: float = PCKH_THRESHOLD):
     """Greedy one-to-one pose assignment for a single frame.
 
     preds/gts are PersonInstance lists in the same joint set; every gt must
-    carry head_size. Returns a list of (pred_index, gt_index) pairs.
+    carry head_size. All P x G pairs are judged at once; the mean distance
+    over joints annotated in both keeps ``np.mean``'s float order. Returns a
+    list of (pred_index, gt_index) pairs.
     """
-    candidates = []
-    for pi, p in enumerate(preds):
-        for gi, g in enumerate(gts):
-            correct, d = _judge(p, g, threshold)
-            count = int(correct.sum())
-            if count > 0:
-                both = p.annotated & g.annotated
-                candidates.append((-count, float(d[both].mean()), pi, gi))
-    candidates.sort()
+    if not preds or not gts:
+        return []
+    correct, d, both = _judge(preds, gts, threshold, every_pair=True)
+    count = correct.sum(axis=-1)
+    meandist = _masked_mean(d, both)
+    pi, gi = np.nonzero(count > 0)
+    order = np.lexsort((gi, pi, meandist[pi, gi], -count[pi, gi]))
     used_p, used_g, matches = set(), set(), []
-    for _, _, pi, gi in candidates:
-        if pi in used_p or gi in used_g:
+    for p, g in zip(pi[order].tolist(), gi[order].tolist()):
+        if p in used_p or g in used_g:
             continue
-        used_p.add(pi)
-        used_g.add(gi)
-        matches.append((pi, gi))
+        used_p.add(p)
+        used_g.add(g)
+        matches.append((p, g))
     return matches
 
 
@@ -215,10 +229,11 @@ def _matched_frames(preds, gts, joint_set: str, threshold: float):
         frame_gts = gt_by_frame.get(frame_index, [])
         pairs = sorted(match_poses(frame_preds, frame_gts, threshold),
                        key=lambda pair: pair[1])
-        correct = np.zeros((len(pairs), k), dtype=bool)
-        dist = np.zeros((len(pairs), k))
-        for row, (pi, gi) in enumerate(pairs):
-            correct[row], dist[row] = _judge(frame_preds[pi], frame_gts[gi], threshold)
+        if pairs:
+            correct, dist, _ = _judge([frame_preds[pi] for pi, _ in pairs],
+                                      [frame_gts[gi] for _, gi in pairs], threshold)
+        else:
+            correct, dist = np.zeros((0, k), dtype=bool), np.zeros((0, k))
         yield frame_index, frame_preds, frame_gts, pairs, correct, dist
 
 

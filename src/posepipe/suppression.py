@@ -1,4 +1,11 @@
-"""OKS similarity, greedy OKS-NMS, box IoU NMS, box re-scoring, thresholds."""
+"""OKS similarity, greedy OKS-NMS, box IoU NMS, box re-scoring, thresholds.
+
+``oks`` is one kernel over stacked poses: it takes a reference stack and a
+candidate stack and returns their whole similarity matrix, so OKS-NMS and
+the tracker each make one call per frame. Its entries are bit-equal to the
+one-pair formula; ``_masked_mean`` keeps ``np.mean``'s float order, and
+``evaluation`` uses the same helper for its mean PCKh distance.
+"""
 
 from __future__ import annotations
 
@@ -59,24 +66,73 @@ class OksConstants:
         return cls(name, np.array(values))
 
 
-def oks(a: PersonInstance, b: PersonInstance, consts: OksConstants) -> float:
-    """Keypoint similarity of b to reference a, normalized by a's area.
+def _stack(instances):
+    """(list, was_single) for one PersonInstance or a sequence of them."""
+    if isinstance(instances, PersonInstance):
+        return [instances], True
+    return list(instances), False
 
-    Mean over jointly annotated joints of exp(-d^2 / (2 area k^2)); 0.0 when
-    no joint is annotated in both.
+
+def _masked_mean(values, mask):
+    """Mean of each row's ``values[mask]`` over the last axis; 0.0 for a row
+    with no masked entry.
+
+    Bit-equal to ``np.mean(row[mask_row])`` per row: rows are grouped by
+    their masked count n, each group's masked values are packed left in
+    joint order into one contiguous (M, n) array, and ``np.add.reduce`` over
+    its rows divided by n adds in the same order as ``np.mean`` of one
+    row. (A masked sum with zeros in place of the unmasked entries is not
+    bit-equal: numpy's 8-way unrolled sum groups the terms differently.)
     """
-    if a.joint_set != b.joint_set or a.joint_set != consts.joint_set:
+    shape = mask.shape[:-1]
+    values = values.reshape(-1, mask.shape[-1])
+    mask = mask.reshape(values.shape)
+    counts = mask.sum(axis=1)
+    out = np.zeros(values.shape[0])
+    for n in np.unique(counts[counts > 0]).tolist():
+        rows = np.flatnonzero(counts == n)
+        packed = values[rows][mask[rows]].reshape(len(rows), n)
+        out[rows] = np.add.reduce(packed, axis=1) / n
+    return out.reshape(shape)
+
+
+def oks(a, b, consts: OksConstants):
+    """Keypoint similarity of candidates b to references a, normalized by
+    each reference's area.
+
+    a and b are each a PersonInstance or a sequence of them. The result is
+    the (len(a), len(b)) float64 matrix whose row i holds every candidate's
+    OKS to reference i; two single instances give a Python float. Each
+    entry is the mean over jointly annotated joints of
+    exp(-d^2 / (2 area k^2)), 0.0 when no joint is annotated in both, with
+    the float order of the one-pair formula (see ``_masked_mean``).
+    """
+    refs, single_a = _stack(a)
+    cands, single_b = _stack(b)
+    sims = np.zeros((len(refs), len(cands)))
+    if not refs or not cands:
+        return sims
+    sets = {p.joint_set for p in refs} | {p.joint_set for p in cands}
+    if sets != {consts.joint_set}:
+        first_a = next((p for p in refs if p.joint_set != consts.joint_set), refs[0])
+        first_b = next((p for p in cands if p.joint_set != consts.joint_set), cands[0])
         raise PoseError(
-            f"oks joint-set mismatch: {a.joint_set!r}, {b.joint_set!r}, {consts.joint_set!r}"
+            f"oks joint-set mismatch: {first_a.joint_set!r}, {first_b.joint_set!r}, "
+            f"{consts.joint_set!r}"
         )
-    if a.area <= 0:
+    area = np.array([p.area for p in refs], dtype=np.float64)
+    if np.any(area <= 0):
         raise PoseError("reference instance area must be positive")
-    shared = a.annotated & b.annotated
-    if not shared.any():
-        return 0.0
-    d2 = np.sum((a.coords[shared] - b.coords[shared]) ** 2, axis=1)
-    k2 = consts.falloff[shared] ** 2
-    return float(np.mean(np.exp(-d2 / (2.0 * a.area * k2))))
+    ra = np.stack([p.annotated for p in refs])
+    ca = np.stack([p.annotated for p in cands])
+    # unannotated coordinates may be anything; zero them so they stay finite
+    rc = np.where(ra[:, :, None], np.stack([p.coords for p in refs]), 0.0)
+    cc = np.where(ca[:, :, None], np.stack([p.coords for p in cands]), 0.0)
+    delta = rc[:, None] - cc[None]                      # (R, C, K, 2)
+    d2 = delta[..., 0] ** 2 + delta[..., 1] ** 2
+    e = np.exp(-d2 / ((2.0 * area)[:, None, None] * consts.falloff ** 2))
+    sims = _masked_mean(e, ra[:, None] & ca[None])
+    return float(sims[0, 0]) if single_a and single_b else sims
 
 
 def oks_nms(instances, threshold: float, consts: OksConstants):
@@ -84,19 +140,21 @@ def oks_nms(instances, threshold: float, consts: OksConstants):
 
     Instances are visited in descending instance score (input order breaks
     ties); each kept instance suppresses everything with OKS >= threshold to
-    it. Returns kept indices in visit order.
+    it. One stacked ``oks`` call gives the whole N x N matrix the visit
+    reads. Returns kept indices in visit order.
     """
     if not 0 < threshold <= 1:
         raise PoseError("oks-nms threshold must be in (0, 1]")
     if not instances:
         return []
+    sims = oks(instances, instances, consts)
     scores = np.array([p.score for p in instances], dtype=np.float64)
-    order = list(np.argsort(-scores, kind="stable"))
+    order = np.argsort(-scores, kind="stable")
     keep = []
-    while order:
-        i = order.pop(0)
-        keep.append(int(i))
-        order = [j for j in order if oks(instances[i], instances[j], consts) < threshold]
+    while order.size:
+        i = int(order[0])
+        keep.append(i)
+        order = order[1:][sims[i, order[1:]] < threshold]
     return keep
 
 

@@ -6,7 +6,10 @@ default (greedy available for comparison); a track may sit out up to
 ``lookback`` frames before it is finalized, with the propagator bridging the
 gap. Optical flow is out of scope: the propagation slot accepts any callable
 ``(track, gap) -> PersonInstance``; ``identity`` and ``constant_velocity``
-ship with the package.
+ship with the package. Each frame with detections propagates every live
+track exactly once (a stateful callable sees one call per live track per
+frame) and scores all track x detection pairs with one stacked ``oks``
+call.
 """
 
 from __future__ import annotations
@@ -92,15 +95,29 @@ class TrackerConfig:
         return PROPAGATORS.get(self.propagator, self.propagator)
 
 
-def similarity(track: Track, candidate: PersonInstance, frame: int,
-               prop, consts: OksConstants, lookback: int = 8) -> float:
-    """OKS between the propagated track and the candidate; 0 beyond lookback."""
-    gap = frame - track.last_active
-    if gap < 1:
+def similarity(tracks, candidates, frame: int, prop, consts: OksConstants,
+               lookback: int = 8):
+    """OKS of each candidate to each propagated track; 0 beyond lookback.
+
+    tracks is a Track or a sequence of them, candidates a PersonInstance or
+    a sequence of them; the result is the (len(tracks), len(candidates))
+    matrix, or a Python float for one track and one candidate. Every track
+    within lookback is propagated once, by ``prop(track, gap)``, and all of
+    them go through one stacked ``oks`` call; a track more than lookback
+    frames back gets a zero row. Nothing is propagated when there is no
+    candidate.
+    """
+    single = isinstance(tracks, Track) and isinstance(candidates, PersonInstance)
+    tracks = [tracks] if isinstance(tracks, Track) else list(tracks)
+    candidates = [candidates] if isinstance(candidates, PersonInstance) else list(candidates)
+    gaps = [frame - t.last_active for t in tracks]
+    if any(gap < 1 for gap in gaps):
         raise PoseError("similarity requires frame > track.last_active")
-    if gap > lookback:
-        return 0.0
-    return oks(prop(track, gap), candidate, consts)
+    sims = np.zeros((len(tracks), len(candidates)))
+    live = [i for i, gap in enumerate(gaps) if gap <= lookback]
+    if live and candidates:
+        sims[live] = oks([prop(tracks[i], gaps[i]) for i in live], candidates, consts)
+    return float(sims[0, 0]) if single else sims
 
 
 @dataclass
@@ -123,7 +140,6 @@ class TrackerState:
             )
         self.last_frame = frame
         cfg = self.config
-        prop = cfg.propagate
 
         still, retired = [], []
         for t in self.active:
@@ -131,10 +147,8 @@ class TrackerState:
         self.active = still
         self.finished.extend(retired)
 
-        sims = np.zeros((len(self.active), len(detections)))
-        for i, t in enumerate(self.active):
-            for j, det in enumerate(detections):
-                sims[i, j] = similarity(t, det, frame, prop, self.consts, cfg.lookback)
+        sims = similarity(self.active, detections, frame, cfg.propagate,
+                          self.consts, cfg.lookback)
 
         matched_dets = {}
         if sims.size:

@@ -10,6 +10,9 @@ they were (about O(n^5) and O(n^3) Python steps) to check the faster ones on
 matrices too large to enumerate. The mAP/MOTA references keep the
 per-joint loops and reuse only the library's AP integration and mean, so
 they check the matching-and-judging bookkeeping, not those formulas.
+The one-pair OKS and the pair-by-pair pose matching are the library's
+earlier versions, kept as they were, to check the stacked kernels bit for
+bit.
 """
 
 import functools
@@ -374,3 +377,60 @@ def reference_compute_mota(preds, gts, k, threshold):
             "recall_total": _mean_defined(recall),
             "gt_joints": gt_total, "fp": fp, "fn": sum(fn), "idsw": sum(idsw),
             "motp_total": _mean_defined(motp) if motp else None}
+
+
+def reference_oks(a, b, consts):
+    """Keypoint similarity of b to reference a, normalized by a's area.
+
+    Mean over jointly annotated joints of exp(-d^2 / (2 area k^2)); 0.0 when
+    no joint is annotated in both.
+    """
+    from posepipe.errors import PoseError
+    if a.joint_set != b.joint_set or a.joint_set != consts.joint_set:
+        raise PoseError(
+            f"oks joint-set mismatch: {a.joint_set!r}, {b.joint_set!r}, {consts.joint_set!r}"
+        )
+    if a.area <= 0:
+        raise PoseError("reference instance area must be positive")
+    shared = a.annotated & b.annotated
+    if not shared.any():
+        return 0.0
+    d2 = np.sum((a.coords[shared] - b.coords[shared]) ** 2, axis=1)
+    k2 = consts.falloff[shared] ** 2
+    return float(np.mean(np.exp(-d2 / (2.0 * a.area * k2))))
+
+
+def _reference_judge(p, g, threshold):
+    """PCKh judgement of prediction p against ground truth g, per joint.
+
+    Returns the (K,) correct mask (annotated in both poses and within
+    threshold) and the (K,) distances normalized by g's head size.
+    """
+    from posepipe.errors import PoseError
+    if g.head_size is None or g.head_size <= 0:
+        raise PoseError("ground-truth instances need a positive head_size")
+    d = np.linalg.norm(p.coords - g.coords, axis=1) / g.head_size
+    return p.annotated & g.annotated & (d <= threshold), d
+
+
+def reference_match_poses(preds, gts, threshold):
+    """Greedy one-to-one pose assignment for a single frame, judged one
+    (prediction, ground-truth) pair at a time. Returns a list of
+    (pred_index, gt_index) pairs."""
+    candidates = []
+    for pi, p in enumerate(preds):
+        for gi, g in enumerate(gts):
+            correct, d = _reference_judge(p, g, threshold)
+            count = int(correct.sum())
+            if count > 0:
+                both = p.annotated & g.annotated
+                candidates.append((-count, float(d[both].mean()), pi, gi))
+    candidates.sort()
+    used_p, used_g, matches = set(), set(), []
+    for _, _, pi, gi in candidates:
+        if pi in used_p or gi in used_g:
+            continue
+        used_p.add(pi)
+        used_g.add(gi)
+        matches.append((pi, gi))
+    return matches

@@ -315,6 +315,19 @@ def test_run_rejects_mistyped_config_before_reading_manifest(tmp_path, capsys, c
                 "--out", "{out}"])
 
 
+@pytest.mark.parametrize("config", [
+    {"keypoint_threshold": 2}, {"box_threshold": 5}, {"similarity_threshold": -1},
+    {"oks_nms_threshold": 2}, {"oks_nms_threshold": 0}, {"lookback": 0},
+    {"smooth_sigma": -1}, {"oks_falloff_overrides": {"nose": 0}},
+])
+def test_run_rejects_out_of_range_config_before_reading_manifest(tmp_path, capsys, config):
+    # each of these used to exit 0 with nothing tracked, or fail only after
+    # every heatmap was decoded
+    _bad_input(tmp_path, capsys, config,
+               ["run", "--config", "{path}", "--manifest", str(tmp_path / "missing.json"),
+                "--out", "{out}"])
+
+
 @pytest.mark.parametrize("pose_doc", [
     {"joint_set": "posetrack", "frames": 5},
     {"joint_set": "posetrack", "frames": [3]},

@@ -16,6 +16,7 @@ from posepipe.instances import PersonInstance
 from oracles import (
     reference_compute_map,
     reference_compute_mota,
+    reference_match_poses,
     reference_pose_matching,
 )
 
@@ -229,6 +230,27 @@ def test_greedy_matching_agrees_with_reference():
                 count[pi, gi] = int((d <= 0.5).sum())
                 meandist[pi, gi] = float(d.mean())
         assert got == reference_pose_matching(count, meandist)
+
+
+@pytest.mark.parametrize("threshold", [0.2, 0.5, 1.0])
+def test_match_poses_matches_pair_by_pair_reference(threshold):
+    # integer offsets with head size 10 put many joints exactly on the
+    # threshold; duplicated predictions tie on count and mean distance
+    rng = np.random.default_rng(int(threshold * 10))
+    for _ in range(150):
+        n_g = int(rng.integers(0, 6))
+        g = [gt_person((30.0 * i, 0), i, annotated=rng.random(K) < 0.8)
+             for i in range(n_g)]
+        p = []
+        for _ in range(int(rng.integers(0, 7))):
+            src = g[int(rng.integers(0, n_g))] if n_g else gt_person((0, 0), 0)
+            shape = (K, 2) if rng.random() < 0.5 else 2
+            pred = pred_from(src, displacement=rng.integers(-12, 13, shape).astype(float))
+            pred.annotated = pred.annotated & (rng.random(K) < 0.8)
+            p.append(pred)
+            if rng.random() < 0.3:
+                p.append(pred.replace())
+        assert match_poses(p, g, threshold) == reference_match_poses(p, g, threshold)
 
 
 def test_mota_requires_ids():

@@ -168,3 +168,18 @@ def test_config_validation():
         with pytest.raises(PoseError):
             PipelineConfig.from_dict(bad)
     assert PipelineConfig(box_threshold=0).box_threshold == 0
+    # and each number must lie in its range
+    for bad in ({"box_threshold": 5}, {"box_threshold": -0.1},
+                {"keypoint_threshold": 2}, {"similarity_threshold": -1},
+                {"similarity_threshold": float("nan")},
+                {"oks_nms_threshold": 0}, {"oks_nms_threshold": 2},
+                {"smooth_sigma": -1}, {"lookback": 0}, {"min_track_length": 0},
+                {"oks_extra_falloff": 0}, {"oks_falloff_overrides": {"nose": -1}},
+                {"oks_falloff_overrides": {"nose": "x"}},
+                {"oks_falloff_overrides": {"nose": True}}):
+        with pytest.raises(PoseError):
+            PipelineConfig.from_dict(bad)
+    edges = PipelineConfig(box_threshold=1, keypoint_threshold=0, similarity_threshold=1,
+                           oks_nms_threshold=1, smooth_sigma=0, lookback=1,
+                           min_track_length=1, oks_falloff_overrides={"nose": 0.5})
+    assert edges.oks_nms_threshold == 1 and edges.smooth_sigma == 0

@@ -15,7 +15,7 @@ from posepipe.suppression import (
     rescore,
 )
 
-from oracles import reference_greedy_nms
+from oracles import reference_greedy_nms, reference_oks
 
 JS = builtin_joint_set("posetrack")
 CONSTS = OksConstants.for_joint_set("posetrack")
@@ -89,6 +89,110 @@ def test_oks_set_mismatch():
                        joint_set="coco")
     with pytest.raises(PoseError):
         oks(a, c, CONSTS)
+
+
+def _pose(js_name, coords, annotated, box):
+    k = builtin_joint_set(js_name).count
+    return PersonInstance(box=box, box_score=0.5, coords=coords,
+                          scores=np.full(k, 0.5), annotated=annotated,
+                          joint_set=js_name)
+
+
+def _oks_stacks(rng, kind, js_name):
+    """A reference stack and a candidate stack of one kind of input."""
+    k = builtin_joint_set(js_name).count
+    r, c = (int(v) for v in rng.integers(1, 10, 2))
+
+    def annotated():
+        return rng.random(k) < rng.uniform(0.2, 1.0)
+
+    if kind == "ties":
+        # integer coordinates on a 4-cell grid and 1-2 pixel boxes
+        def make():
+            return _pose(js_name, rng.integers(0, 4, (k, 2)).astype(float),
+                         annotated(), (0, 0, int(rng.integers(1, 3)), int(rng.integers(1, 3))))
+        return [make() for _ in range(r)], [make() for _ in range(c)]
+    if kind == "near-duplicate":
+        # every candidate a copy of one base pose, most moved by a hair:
+        # similarities at or near 1, as a 1 - OKS cost matrix sees them
+        base = rng.uniform(0, 50, (k, 2))
+
+        def make():
+            jitter = rng.normal(0, 10.0 ** -rng.integers(1, 8), (k, 2)) * (rng.random() < 0.7)
+            return _pose(js_name, base + jitter, annotated(),
+                         (0, 0, rng.uniform(20, 40), rng.uniform(20, 40)))
+        return [make() for _ in range(r)], [make() for _ in range(c)]
+
+    def make():
+        return _pose(js_name, rng.uniform(0, 40, (k, 2)), annotated(),
+                     (0, 0, rng.uniform(1, 40), rng.uniform(1, 40)))
+    return [make() for _ in range(r)], [make() for _ in range(c)]
+
+
+def _pair_matrix(refs, cands, consts):
+    return np.array([[reference_oks(a, b, consts) for b in cands] for a in refs],
+                    dtype=np.float64).reshape(len(refs), len(cands))
+
+
+@pytest.mark.parametrize("js_name", ["posetrack", "coco"])
+@pytest.mark.parametrize("kind", ["ties", "near-duplicate", "random"])
+def test_oks_matrix_bit_equal_to_pair_reference(kind, js_name):
+    consts = OksConstants.for_joint_set(js_name)
+    rng = np.random.default_rng(["ties", "near-duplicate", "random"].index(kind))
+    for _ in range(120):
+        refs, cands = _oks_stacks(rng, kind, js_name)
+        got = oks(refs, cands, consts)
+        assert got.dtype == np.float64 and got.shape == (len(refs), len(cands))
+        assert got.tobytes() == _pair_matrix(refs, cands, consts).tobytes()
+
+
+@pytest.mark.parametrize("js_name", ["posetrack", "coco"])
+def test_oks_matrix_bit_equal_for_every_shared_count(js_name):
+    # one stack holding every shared-joint count from 0 to K, several pairs
+    # each, so the packed per-count sums see rows of every length at once
+    consts = OksConstants.for_joint_set(js_name)
+    k = consts.falloff.shape[0]
+    rng = np.random.default_rng(7)
+    refs, cands = [], []
+    for n in range(k + 1):
+        for _ in range(3):
+            shared = np.zeros(k, bool)
+            shared[rng.permutation(k)[:n]] = True
+            extra = rng.random(k) < 0.5
+            box = (0, 0, rng.uniform(2, 30), rng.uniform(2, 30))
+            refs.append(_pose(js_name, rng.uniform(0, 20, (k, 2)), shared | extra & ~shared, box))
+            cands.append(_pose(js_name, rng.uniform(0, 20, (k, 2)), shared | ~extra & ~shared, box))
+    counts = [int((a.annotated & b.annotated).sum()) for a, b in zip(refs, cands)]
+    assert sorted(set(counts)) == list(range(k + 1))
+    got = oks(refs, cands, consts)
+    assert got.tobytes() == _pair_matrix(refs, cands, consts).tobytes()
+    assert [float(v) for v in np.diag(got)] == [reference_oks(a, b, consts)
+                                               for a, b in zip(refs, cands)]
+
+
+def test_oks_stacking_forms():
+    rng = np.random.default_rng(3)
+    a, b, c = (random_instance(rng) for _ in range(3))
+    assert type(oks(a, b, CONSTS)) is float
+    assert oks(a, b, CONSTS) == reference_oks(a, b, CONSTS)
+    assert oks(a, [b, c], CONSTS).shape == (1, 2)
+    assert oks([a, b], c, CONSTS).shape == (2, 1)
+    assert oks([], [b, c], CONSTS).shape == (0, 2)
+    assert oks([a, b], (), CONSTS).shape == (2, 0)
+
+
+def test_oks_stack_rejects_a_mismatched_member():
+    a = make_instance(np.zeros((JS.count, 2)))
+    coco = builtin_joint_set("coco")
+    c = PersonInstance(box=[0, 0, 5, 5], box_score=1.0,
+                       coords=np.zeros((coco.count, 2)),
+                       scores=np.ones(coco.count),
+                       annotated=np.ones(coco.count, bool),
+                       joint_set="coco")
+    with pytest.raises(PoseError, match="'posetrack', 'coco', 'posetrack'"):
+        oks([a, a], [a, c], CONSTS)
+    with pytest.raises(PoseError, match="'coco', 'posetrack', 'posetrack'"):
+        oks([a, c], [a], CONSTS)
 
 
 def test_oks_nms_identical_instances():

@@ -14,6 +14,8 @@ from posepipe.tracking import (
     similarity,
 )
 
+from oracles import reference_oks
+
 JS = builtin_joint_set("posetrack")
 # uniform fall-off keeps the similarity arithmetic in the scenarios simple
 CONSTS = OksConstants.for_joint_set(
@@ -207,3 +209,54 @@ def test_hungarian_resolves_crossing_better_than_greedy():
     h = solve_hungarian(1.0 - sims)
     assert g == {0: 1, 1: 0}   # greedy takes the 0.60 cell first
     assert h == {0: 0, 1: 1}
+
+
+def test_similarity_matrix_matches_pair_loop():
+    rng = np.random.default_rng(11)
+    frame = 12
+    for _ in range(30):
+        tracks = []
+        for i in range(int(rng.integers(0, 7))):
+            # last seen 1 to 10 frames back, some beyond a lookback of 8
+            first = frame - int(rng.integers(1, 11)) - int(rng.integers(1, 3))
+            history = {f: pose_at(rng.uniform(0, 40), rng.uniform(0, 40))
+                       for f in sorted({first, frame - int(rng.integers(1, 11))})}
+            tracks.append(Track(i, history))
+        dets = [pose_at(rng.uniform(0, 40), rng.uniform(0, 40))
+                for _ in range(int(rng.integers(0, 7)))]
+        for prop in (identity, constant_velocity):
+            got = similarity(tracks, dets, frame, prop, CONSTS, lookback=8)
+            want = np.zeros((len(tracks), len(dets)))
+            for i, t in enumerate(tracks):
+                gap = frame - t.last_active
+                for j, det in enumerate(dets):
+                    if gap <= 8:
+                        want[i, j] = reference_oks(prop(t, gap), det, CONSTS)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_similarity_matrix_rejects_a_past_track():
+    tracks = [Track(0, {3: pose_at(10, 10)}), Track(1, {5: pose_at(10, 10)})]
+    with pytest.raises(PoseError):
+        similarity(tracks, [pose_at(10, 10)], 5, identity, CONSTS)
+
+
+def test_custom_propagator_runs_once_per_live_track_per_frame():
+    calls = []
+
+    def counting(track, gap):
+        calls.append((track.id, gap))
+        return track.last_instance
+
+    state = TrackerState(CONSTS, TrackerConfig(propagator=counting, lookback=3))
+    lanes = [pose_at(0, 0), pose_at(100, 100), pose_at(200, 0)]
+    state.step(0, lanes)
+    assert calls == []                        # no track yet
+    state.step(1, lanes[:2])
+    assert calls == [(0, 1), (1, 1), (2, 1)]  # once per live track, not per pair
+    calls.clear()
+    state.step(2, [])
+    assert calls == []                        # nothing to score
+    state.step(4, lanes)                      # track 2 is 4 frames back: retired
+    assert calls == [(0, 3), (1, 3)]
