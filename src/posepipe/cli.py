@@ -9,6 +9,7 @@ one-line JSON report on stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -90,19 +91,20 @@ def _object(value, what):
     return value
 
 
+def _fields(doc, cls, what, exclude=()):
+    """doc, each of whose keys must name a field of dataclass cls (less
+    exclude)."""
+    unknown = set(doc) - ({f.name for f in dataclasses.fields(cls)} - set(exclude))
+    if unknown:
+        raise PoseError(f"unknown {what} keys {sorted(unknown)}")
+    return doc
+
+
 def _stage_from_dict(doc):
     _object(doc, "train stage")
-    return Stage(
-        name=doc.get("name", "stage"),
-        domains=tuple(_require(doc, "domains", "train stage")),
-        trainable=("all" if doc.get("trainable", "all") == "all"
-                   else tuple(doc["trainable"])),
-        loss=doc.get("loss", "l2"),
-        ohkm_k=doc.get("ohkm_k", 8),
-        steps=_require(doc, "steps", "train stage"),
-        lr=doc.get("lr", 1.2),
-        batch_size=doc.get("batch_size", 8),
-    )
+    _require(doc, "domains", "train stage")
+    _require(doc, "steps", "train stage")
+    return Stage(**{"name": "stage", **_fields(doc, Stage, "train stage")})
 
 
 def _schedule_from_config(doc):
@@ -131,32 +133,24 @@ def _schedule_from_config(doc):
     raise PoseError(f"unknown schedule preset {preset!r}")
 
 
+_GEOMETRY = ("height", "width", "in_channels")   # set by "net", shared by every domain
+
+
 def _train_config(doc):
     """(schedule, domain specs, NetConfig) from a train config document."""
     schedule = _schedule_from_config(_object(doc.get("schedule", {}), "train schedule"))
+    domain_docs = _object(doc.get("domains", {n: {} for n in DEFAULT_DOMAINS}),
+                          "train config domains")
+    net_doc = _fields(_object(doc.get("net", {}), "train config net"), NetConfig,
+                      "train config net")
+    config = NetConfig(**{**net_doc, "domains": tuple(net_doc.get("domains", domain_docs))})
+    geometry = {k: getattr(config, k) for k in _GEOMETRY}
     domain_specs = {}
-    domain_docs = doc.get("domains", {n: {} for n in ("coco", "mpii", "posetrack")})
-    for name, d in _object(domain_docs, "train config domains").items():
-        d = _object(d, f"train config domain {name!r}")
-        base = DEFAULT_DOMAINS.get(name)
-        merged = {
-            "contrast": d.get("contrast", base.contrast if base else 1.0),
-            "noise": d.get("noise", base.noise if base else 0.05),
-            "offset": tuple(d.get("offset", base.offset if base else (0.0, 0.0))),
-            "label_noise": d.get("label_noise", 0.0),
-            "occlusion": d.get("occlusion", 0.0),
-            "target_sigma": d.get("target_sigma", 2.0),
-        }
-        domain_specs[name] = DomainSpec(name, **merged)
-    net_doc = _object(doc.get("net", {}), "train config net")
-    config = NetConfig(
-        in_channels=net_doc.get("in_channels", 1),
-        hidden=net_doc.get("hidden", 16),
-        height=net_doc.get("height", 32),
-        width=net_doc.get("width", 24),
-        domains=tuple(net_doc.get("domains", tuple(domain_specs))),
-        dilation=net_doc.get("dilation", 1),
-    )
+    for name, d in domain_docs.items():
+        what = f"train config domain {name!r}"
+        d = _fields(_object(d, what), DomainSpec, what, exclude=("name",) + _GEOMETRY)
+        base = DEFAULT_DOMAINS.get(name) or DomainSpec(name)
+        domain_specs[name] = dataclasses.replace(base, **d, **geometry)
     return schedule, domain_specs, config
 
 

@@ -1,11 +1,18 @@
 """Pipeline configuration: one flat record of every knob, JSON-loadable.
 
-Defaults bake in the standard operating point: Gaussian targets at sigma 9,
-1-cell smoothing before decode, quarter offsets on, box re-scoring on,
-box/keypoint thresholds 0.4/0.3, OKS-NMS at 0.4, detector box merging at IoU
-0.6, Hungarian matching with the constant-velocity propagator, an 8-frame
-lookback and 2-frame track pruning. Each post-processing and tracking stage
-has its own boolean switch so any single stage can be ablated.
+Defaults bake in the standard operating point: 1-cell smoothing before
+decode, quarter offsets on, box re-scoring on, box/keypoint thresholds
+0.4/0.3, OKS-NMS at 0.4, Hungarian matching with the constant-velocity
+propagator, an 8-frame lookback and 2-frame track pruning. Any single stage
+can be ablated: re-scoring, OKS-NMS, tracking, velocity propagation and
+quarter offsets each have a boolean switch, and smoothing, the box and
+keypoint thresholds and track pruning are off at ``smooth_sigma`` 0,
+``box_threshold`` 0, ``keypoint_threshold`` 0 and ``min_track_length`` 1.
+
+A config is checked when it is made: field types and ranges here, the
+fusion spec by ``fusion.parse_fusion_spec``, and the tracking and OKS values
+by building the ``TrackerConfig`` and ``OksConstants`` that ``run_pipeline``
+uses.
 """
 
 from __future__ import annotations
@@ -15,7 +22,10 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import PoseError
+from .fusion import parse_fusion_spec
 from .poseio import read_json_object
+from .suppression import OksConstants
+from .tracking import TrackerConfig
 
 # annotation -> accepted JSON value types; bool is never taken for a number
 _FIELD_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str, "dict": dict}
@@ -26,20 +36,15 @@ class PipelineConfig:
     # fusion / decode
     target_joint_set: str = "posetrack"
     fusion: str = "head-swap:coco,mpii"   # select:<b> | head-swap:<body>,<head> | vote
-    render_sigma: float = 9.0
-    smooth_sigma: float = 1.0
-    use_gaussian_filter: bool = True
+    smooth_sigma: float = 1.0             # 0 = no smoothing
     use_quarter_offset: bool = True
 
     # scoring / suppression
     use_box_rescore: bool = True
-    use_box_threshold: bool = True
-    box_threshold: float = 0.4
-    use_keypoint_threshold: bool = True
-    keypoint_threshold: float = 0.3
+    box_threshold: float = 0.4            # 0 = keep every instance
+    keypoint_threshold: float = 0.3       # 0 = keep every joint
     use_oks_nms: bool = True
     oks_nms_threshold: float = 0.4
-    box_merge_iou_threshold: float = 0.6
     oks_falloff_overrides: dict = field(default_factory=dict)
     oks_extra_falloff: float = 0.079
 
@@ -49,19 +54,7 @@ class PipelineConfig:
     use_flow_track: bool = True        # velocity propagation; off = identity
     similarity_threshold: float = 0.3
     lookback: int = 8
-    use_tracklet_pruning: bool = True
-    min_track_length: int = 2
-
-    # fusion head interpolation coefficients (midpoint->nose axis)
-    head_bottom_coef: float = 0.5
-    head_top_coef: float = 1.0
-
-    # evaluation
-    pckh_threshold: float = 0.5
-    head_size_factor: float = 0.6
-
-    # toy training
-    ohkm_k: int = 8
+    min_track_length: int = 2          # 1 = no pruning
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -70,30 +63,32 @@ class PipelineConfig:
                     or (f.type != "bool" and isinstance(value, bool))):
                 raise PoseError(f"config field {f.name!r} must be {f.type}, "
                                 f"got {type(value).__name__}")
-        if self.matcher not in ("hungarian", "greedy"):
-            raise PoseError(f"unknown matcher {self.matcher!r}")
-        kind = self.fusion.split(":", 1)[0]
-        if kind not in ("select", "head-swap", "vote"):
-            raise PoseError(f"unknown fusion strategy {self.fusion!r}")
-        for name in ("box_threshold", "keypoint_threshold", "similarity_threshold"):
+        parse_fusion_spec(self.fusion)
+        for name in ("box_threshold", "keypoint_threshold"):
             if not 0 <= getattr(self, name) <= 1:
                 raise PoseError(f"config field {name!r} must be in [0, 1]")
         if not 0 < self.oks_nms_threshold <= 1:
             raise PoseError("config field 'oks_nms_threshold' must be in (0, 1]")
         if not self.smooth_sigma >= 0:
             raise PoseError("config field 'smooth_sigma' must be >= 0")
-        for name in ("lookback", "min_track_length"):
-            if getattr(self, name) < 1:
-                raise PoseError(f"config field {name!r} must be >= 1")
-        falloffs = [self.oks_extra_falloff, *self.oks_falloff_overrides.values()]
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
-                   for v in falloffs):
-            raise PoseError("config fields 'oks_extra_falloff' and "
-                            "'oks_falloff_overrides' need numbers > 0")
+        if self.min_track_length < 1:
+            raise PoseError("config field 'min_track_length' must be >= 1")
+        self.oks_constants()
+        self.tracker_config()
 
     @property
     def propagator(self) -> str:
         return "velocity" if self.use_flow_track else "identity"
+
+    def oks_constants(self) -> OksConstants:
+        return OksConstants.for_joint_set(self.target_joint_set,
+                                          overrides=self.oks_falloff_overrides,
+                                          extra_falloff=self.oks_extra_falloff)
+
+    def tracker_config(self) -> TrackerConfig:
+        return TrackerConfig(sim_threshold=self.similarity_threshold,
+                             lookback=self.lookback, matcher=self.matcher,
+                             propagator=self.propagator)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":

@@ -98,15 +98,6 @@ class EvalReport:
         return _group_columns(self.joint_set, self.mota)
 
 
-def pckh_distance(pred_joint, gt_joint, head_size: float) -> float:
-    """Euclidean distance normalized by the head reference size."""
-    if head_size <= 0:
-        raise PoseError("head size must be positive")
-    p = np.asarray(pred_joint, dtype=np.float64)
-    g = np.asarray(gt_joint, dtype=np.float64)
-    return float(np.linalg.norm(p - g) / head_size)
-
-
 def _mean_defined(values) -> float:
     vals = [v for v in values if v is not None]
     return float(np.mean(vals)) if vals else None

@@ -1,8 +1,9 @@
 """Combining per-domain head outputs for one crop into a final pose.
 
 Three strategies cover the single-branch, head-swap, and heatmap-voting
-predictions; heads missing from a single branch can be synthesized from the
-nose/shoulder geometry with :func:`interpolate_head`.
+predictions, named by a spec that :func:`parse_fusion_spec` reads; heads
+missing from a single branch can be synthesized from the nose/shoulder
+geometry with :func:`interpolate_head`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,22 @@ HEAD_BOTTOM_COEF = 0.5
 HEAD_TOP_COEF = 1.0
 
 _HEAD_JOINTS = ("head_top", "upper_neck")   # canonical names
+
+# fusion strategy -> how many branch names its spec takes
+_SPEC_BRANCHES = {"select": 1, "head-swap": 2, "vote": 0}
+
+
+def parse_fusion_spec(spec: str):
+    """(kind, branch names) of ``select:<branch>``, ``head-swap:<body>,<head>``
+    or ``vote``. Whether the named branches exist is checked per crop."""
+    kind, sep, arg = spec.partition(":")
+    if kind not in _SPEC_BRANCHES:
+        raise PoseError(f"unknown fusion strategy {spec!r}")
+    names = tuple(arg.split(",")) if sep else ()
+    if len(names) != _SPEC_BRANCHES[kind] or not all(names):
+        raise PoseError(f"fusion strategy {kind!r} takes {_SPEC_BRANCHES[kind]} "
+                        f"branch name(s), got {spec!r}")
+    return kind, names
 
 
 @dataclass
@@ -91,8 +108,7 @@ def _project_pose(pose: DecodedPose, target_set: str) -> DecodedPose:
                        m.take(pose.annotated))
 
 
-def _fill_head(pose: DecodedPose, source: DecodedPose,
-               head_coefs=(HEAD_BOTTOM_COEF, HEAD_TOP_COEF)) -> DecodedPose:
+def _fill_head(pose: DecodedPose, source: DecodedPose) -> DecodedPose:
     """Fill missing head_top/head_bottom of ``pose`` by interpolation on ``source``."""
     js = get_joint_set(pose.joint_set)
     slots = {}
@@ -101,8 +117,7 @@ def _fill_head(pose: DecodedPose, source: DecodedPose,
             slots[canonical_name(name)] = i
     if not slots:
         return pose
-    (top_xy, top_s, top_ok), (bot_xy, bot_s, bot_ok) = \
-        interpolate_head(source, head_coefs[0], head_coefs[1])
+    (top_xy, top_s, top_ok), (bot_xy, bot_s, bot_ok) = interpolate_head(source)
     for name, i in slots.items():
         if name == "head_top" and top_ok:
             pose.coords[i] = top_xy
@@ -116,13 +131,12 @@ def _fill_head(pose: DecodedPose, source: DecodedPose,
 
 
 def fuse_select(b: BranchOutputs, branch: str, target_set: str,
-                smooth_sigma: float = 1.0, use_quarter_offset: bool = True,
-                head_coefs=(HEAD_BOTTOM_COEF, HEAD_TOP_COEF)) -> DecodedPose:
+                smooth_sigma: float = 1.0, use_quarter_offset: bool = True) -> DecodedPose:
     """Decode one branch and project it onto the target set; head joints the
     branch cannot supply are interpolated from its nose/shoulders."""
     decoded = decode(b[branch], smooth_sigma, use_quarter_offset)
     out = _project_pose(decoded, target_set)
-    return _fill_head(out, decoded, head_coefs)
+    return _fill_head(out, decoded)
 
 
 def fuse_head_swap(b: BranchOutputs, body_branch: str, head_branch: str,

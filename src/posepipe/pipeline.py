@@ -1,9 +1,10 @@
 """End-to-end pose pipeline over heatmap files.
 
 Stage order is fixed: decode/fuse -> re-score -> thresholds -> OKS-NMS ->
-tracking. Each stage is individually switchable through PipelineConfig; a
-disabled stage is skipped, nothing is reordered. Given identical config,
-inputs and seeds the output file is byte-identical.
+tracking. Each stage can be ablated through PipelineConfig, by its switch or
+by the off value of its number; a disabled stage is skipped, nothing is
+reordered. Given identical config, inputs and seeds the output file is
+byte-identical.
 
 The input manifest is JSON:
 
@@ -27,14 +28,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .errors import PoseError
-from .fusion import (
-    HEAD_BOTTOM_COEF,
-    HEAD_TOP_COEF,
-    BranchOutputs,
-    fuse_head_swap,
-    fuse_select,
-    fuse_vote,
-)
+from .fusion import BranchOutputs, fuse_head_swap, fuse_select, fuse_vote, parse_fusion_spec
 from .heatmaps import DecodedPose, flip_merge, load_heatmap
 from .instances import PersonInstance
 from .poseio import PoseSequence, read_frames, read_json_object
@@ -80,8 +74,7 @@ def load_manifest(path) -> list:
 
 
 def fuse(heatmaps, flipped, spec: str, target_set: str, smooth_sigma: float,
-         use_quarter_offset: bool,
-         head_coefs=(HEAD_BOTTOM_COEF, HEAD_TOP_COEF)) -> DecodedPose:
+         use_quarter_offset: bool) -> DecodedPose:
     """Fuse one crop's branch heatmaps into a pose on ``target_set``.
 
     heatmaps and flipped map branch name -> .pkhm path; a branch with a
@@ -89,9 +82,7 @@ def fuse(heatmaps, flipped, spec: str, target_set: str, smooth_sigma: float,
     ``head-swap:<body>,<head>`` or ``vote``, and is checked before any file
     is read.
     """
-    kind, _, arg = spec.partition(":")
-    if kind not in ("select", "head-swap", "vote"):
-        raise PoseError(f"unknown fusion strategy {spec!r}")
+    kind, names = parse_fusion_spec(spec)
     branches = {}
     for name in sorted(heatmaps):
         h = load_heatmap(heatmaps[name])
@@ -102,12 +93,9 @@ def fuse(heatmaps, flipped, spec: str, target_set: str, smooth_sigma: float,
         branches[name] = h
     b = BranchOutputs(branches)
     if kind == "select":
-        return fuse_select(b, arg, target_set, smooth_sigma, use_quarter_offset,
-                           head_coefs)
+        return fuse_select(b, *names, target_set, smooth_sigma, use_quarter_offset)
     if kind == "head-swap":
-        body, _, head = arg.partition(",")
-        return fuse_head_swap(b, body, head, target_set, smooth_sigma,
-                              use_quarter_offset)
+        return fuse_head_swap(b, *names, target_set, smooth_sigma, use_quarter_offset)
     return fuse_vote(b, target_set, smooth_sigma, use_quarter_offset)
 
 
@@ -147,38 +135,27 @@ def run_pipeline(config: PipelineConfig, manifest_frames) -> PoseSequence:
     ]
     log.info("pipeline stages: %s", " -> ".join(s for s in enabled if s))
 
-    consts = OksConstants.for_joint_set(
-        config.target_joint_set,
-        overrides=config.oks_falloff_overrides,
-        extra_falloff=config.oks_extra_falloff,
-    )
-    box_thr = config.box_threshold if config.use_box_threshold else 0.0
-    kp_thr = config.keypoint_threshold if config.use_keypoint_threshold else 0.0
-    sigma = config.smooth_sigma if config.use_gaussian_filter else 0.0
+    consts = config.oks_constants()
 
     frames = []
     for fidx, entries in manifest_frames:
         instances = []
         for entry in entries:
             decoded = fuse(entry["heatmaps"], entry.get("flipped_heatmaps", {}),
-                           config.fusion, config.target_joint_set, sigma,
-                           config.use_quarter_offset,
-                           (config.head_bottom_coef, config.head_top_coef))
+                           config.fusion, config.target_joint_set,
+                           config.smooth_sigma, config.use_quarter_offset)
             instances.append(_to_instance(decoded, entry["box"], entry["box_score"]))
         if config.use_box_rescore:
             instances = [rescore(p) for p in instances]
-        instances = apply_thresholds(instances, box_thr, kp_thr)
+        instances = apply_thresholds(instances, config.box_threshold,
+                                     config.keypoint_threshold)
         if config.use_oks_nms:
             keep = oks_nms(instances, config.oks_nms_threshold, consts)
             instances = [instances[i] for i in keep]
         frames.append((fidx, instances))
 
     if config.use_tracking:
-        frames = track_sequence(frames, consts, TrackerConfig(
-            sim_threshold=config.similarity_threshold,
-            lookback=config.lookback,
-            matcher=config.matcher,
-            propagator=config.propagator,
-        ), config.min_track_length if config.use_tracklet_pruning else 1)
+        frames = track_sequence(frames, consts, config.tracker_config(),
+                                config.min_track_length)
 
     return PoseSequence(config.target_joint_set, frames)

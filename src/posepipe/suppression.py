@@ -52,14 +52,24 @@ class OksConstants:
     def for_joint_set(cls, name: str, overrides=None,
                       extra_falloff: float = DEFAULT_EXTRA_FALLOFF) -> "OksConstants":
         """COCO-standard constants where the joint exists in COCO, otherwise
-        ``extra_falloff``; ``overrides`` maps joint name to a replacement value.
+        ``extra_falloff``; ``overrides`` maps a joint of the set, by its name
+        or its alias, to a replacement value (the exact name wins over the
+        alias). Every value must be a number > 0.
         """
         js = get_joint_set(name)
         overrides = overrides or {}
+        unknown = [key for key in overrides if not js.has(key)]
+        if unknown:
+            raise PoseError(f"fall-off overrides {sorted(unknown)} name no joint "
+                            f"of set {name!r}")
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
+                   for v in (extra_falloff, *overrides.values())):
+            raise PoseError("fall-off constants must be numbers > 0")
+        by_alias = {canonical_name(key): v for key, v in overrides.items()}
         values = []
         for joint in js.joints:
             key = canonical_name(joint)
-            v = overrides.get(joint, overrides.get(key))
+            v = overrides.get(joint, by_alias.get(key))
             if v is None:
                 v = _COCO_FALLOFF.get(key, extra_falloff)
             values.append(float(v))

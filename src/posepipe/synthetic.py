@@ -81,6 +81,7 @@ class DomainSpec:
     in_channels: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "offset", tuple(self.offset))
         get_joint_set(self.name)   # domain name doubles as joint-set tag
         if self.target_sigma <= 0 or self.noise < 0 or self.label_noise < 0:
             raise PoseError("bad domain spec")

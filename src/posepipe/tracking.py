@@ -83,6 +83,8 @@ class TrackerConfig:
     propagator: str = "velocity"
 
     def __post_init__(self):
+        if not 0 <= self.sim_threshold <= 1:
+            raise PoseError("similarity threshold must be in [0, 1]")
         if self.matcher not in MATCHERS:
             raise PoseError(f"unknown matcher {self.matcher!r}")
         if self.propagator not in PROPAGATORS and not callable(self.propagator):

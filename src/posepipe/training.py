@@ -49,6 +49,9 @@ class Stage:
     batch_size: int = DEFAULT_BATCH
 
     def __post_init__(self):
+        object.__setattr__(self, "domains", tuple(self.domains))
+        if self.trainable != "all":
+            object.__setattr__(self, "trainable", tuple(self.trainable))
         if self.steps < 0 or self.batch_size < 1:
             raise PoseError("bad stage configuration")
         if self.loss not in ("l2", "ohkm"):

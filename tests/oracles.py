@@ -12,7 +12,8 @@ per-joint loops and reuse only the library's AP integration and mean, so
 they check the matching-and-judging bookkeeping, not those formulas.
 The one-pair OKS and the pair-by-pair pose matching are the library's
 earlier versions, kept as they were, to check the stacked kernels bit for
-bit.
+bit. ``pckh_distance`` is the one-joint PCKh distance, the textbook form
+the judgement in ``evaluation`` stacks.
 """
 
 import functools
@@ -278,6 +279,16 @@ def reference_grid_peaks(channels, use_quarter_offset=True):
             elif c[y - 1, x] > c[y + 1, x]:
                 out[i, 1] -= 0.25
     return out
+
+
+def pckh_distance(pred_joint, gt_joint, head_size: float) -> float:
+    """Euclidean distance of one joint normalized by the head reference size."""
+    from posepipe.errors import PoseError
+    if head_size <= 0:
+        raise PoseError("head size must be positive")
+    p = np.asarray(pred_joint, dtype=np.float64)
+    g = np.asarray(gt_joint, dtype=np.float64)
+    return float(np.linalg.norm(p - g) / head_size)
 
 
 def _reference_frame_distances(preds, gts):

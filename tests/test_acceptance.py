@@ -350,8 +350,8 @@ def test_criterion_9_tracking_ablations(tmp_path_factory):
         return rep.counts["fp"], tracks
 
     base_fp, base_tracks = run(cfg)
-    noprune_fp, noprune_tracks = run(dataclasses.replace(cfg, use_tracklet_pruning=False))
-    nokp_fp, _ = run(dataclasses.replace(cfg, use_keypoint_threshold=False))
+    noprune_fp, noprune_tracks = run(dataclasses.replace(cfg, min_track_length=1))
+    nokp_fp, _ = run(dataclasses.replace(cfg, keypoint_threshold=0))
 
     one_frame_tracks = noprune_tracks - base_tracks
     assert len(one_frame_tracks) >= 1      # pruning removed at least one track

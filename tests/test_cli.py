@@ -4,9 +4,12 @@ import os
 import numpy as np
 import pytest
 
+from posepipe import PoseError
 from posepipe.cli import main
+from posepipe.config import PipelineConfig
 from posepipe.heatmaps import render_target, save_heatmap
 from posepipe.poseio import load_pose_file
+from posepipe.toynet import load_network
 
 from make_golden import GOLDEN_SEED
 
@@ -206,8 +209,8 @@ def test_fuse_subcommand_matches_run_without_post_processing(golden_scene_dir,
                                                             tmp_path, strategy):
     manifest = golden_scene_dir / "manifest.json"
     seq = _run(manifest, tmp_path / "run.json", tmp_path, fusion=strategy,
-               use_box_rescore=False, use_box_threshold=False,
-               use_keypoint_threshold=False, use_oks_nms=False,
+               use_box_rescore=False, box_threshold=0,
+               keypoint_threshold=0, use_oks_nms=False,
                use_tracking=False)
     doc = json.loads(manifest.read_text())
     for (fidx, instances), frame in zip(seq.frames, doc["frames"], strict=True):
@@ -319,6 +322,9 @@ def test_run_rejects_mistyped_config_before_reading_manifest(tmp_path, capsys, c
     {"keypoint_threshold": 2}, {"box_threshold": 5}, {"similarity_threshold": -1},
     {"oks_nms_threshold": 2}, {"oks_nms_threshold": 0}, {"lookback": 0},
     {"smooth_sigma": -1}, {"oks_falloff_overrides": {"nose": 0}},
+    {"fusion": "vote:coco"}, {"fusion": "head-swap:coco"}, {"fusion": "select:"},
+    {"fusion": "head-swap:,mpii"}, {"fusion": "head-swap:coco,mpii,posetrack"},
+    {"oks_falloff_overrides": {"nose_typo": 0.5}}, {"target_joint_set": "nope"},
 ])
 def test_run_rejects_out_of_range_config_before_reading_manifest(tmp_path, capsys, config):
     # each of these used to exit 0 with nothing tracked, or fail only after
@@ -349,6 +355,12 @@ def test_merge_boxes_rejects_malformed_box_file(tmp_path, capsys, box_doc):
     _bad_input(tmp_path, capsys, box_doc, ["merge-boxes", "{path}", "--out", "{out}"])
 
 
+# a config that trains in a moment; each bad case below changes one key of it
+_TINY_TRAIN = {"domains": {"coco": {}}, "train_sizes": {"coco": 2},
+               "heldout_sizes": {"coco": 1}, "net": {"hidden": 2},
+               "schedule": {"preset": "single", "domain": "coco", "steps": 1}}
+
+
 @pytest.mark.parametrize("train_doc", [
     "{not json",
     [],
@@ -363,7 +375,53 @@ def test_merge_boxes_rejects_malformed_box_file(tmp_path, capsys, box_doc):
     {"schedule": {"lr": "x"}},
     {"train_sizes": {"coco": 2}},
     {"heldout_sizes": {"coco": 2, "mpii": 2, "posetrack": "x"}},
+    dict(_TINY_TRAIN, domains={"coco": {"nosie": 9}}),
+    dict(_TINY_TRAIN, domains={"coco": {"height": 40}}),
+    dict(_TINY_TRAIN, net={"hiden": 4}),
+    dict(_TINY_TRAIN, schedule={"stages": [{"domains": ["coco"], "steps": 1, "los": "l2"}]}),
+    dict(_TINY_TRAIN, schedule={"stages": [{"domains": ["coco"], "steps": 1, "ohkm": 4}]}),
 ])
 def test_train_toy_rejects_malformed_config(tmp_path, capsys, train_doc):
     _bad_input(tmp_path, capsys, train_doc, ["train-toy", "--config", "{path}",
                                              "--out", "{out}"])
+
+
+# each key PipelineConfig no longer has, with a value it used to accept
+_REMOVED_CONFIG_KEYS = {
+    "render_sigma": 9.0, "box_merge_iou_threshold": 0.6, "pckh_threshold": 0.5,
+    "head_size_factor": 0.6, "ohkm_k": 8, "use_gaussian_filter": False,
+    "use_box_threshold": False, "use_keypoint_threshold": False,
+    "use_tracklet_pruning": False, "head_bottom_coef": 0.5, "head_top_coef": 1.0,
+}
+
+
+@pytest.mark.parametrize("key", sorted(_REMOVED_CONFIG_KEYS))
+def test_run_rejects_removed_config_key_before_reading_manifest(tmp_path, capsys, key):
+    doc = {key: _REMOVED_CONFIG_KEYS[key]}
+    with pytest.raises(PoseError, match=key):
+        PipelineConfig.from_dict(doc)
+    _bad_input(tmp_path, capsys, doc,
+               ["run", "--config", "{path}", "--manifest", str(tmp_path / "missing.json"),
+                "--out", "{out}"])
+
+
+@pytest.mark.parametrize("sim_thr", ["5", "-1"])
+def test_track_rejects_out_of_range_similarity_threshold(tmp_path, capsys, sim_thr):
+    _bad_input(tmp_path, capsys, {"joint_set": "posetrack", "frames": []},
+               ["track", "{path}", "--sim-thr", sim_thr, "--out", "{out}"])
+
+
+def test_train_toy_takes_domain_geometry_from_net(tmp_path):
+    cfg = {
+        "domains": {"coco": {}},
+        "train_sizes": {"coco": 4},
+        "heldout_sizes": {"coco": 2},
+        "net": {"hidden": 2, "height": 40, "width": 20},
+        "schedule": {"preset": "single", "domain": "coco", "steps": 3},
+    }
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps(cfg))
+    ckpt = tmp_path / "net.pknp"
+    assert main(["train-toy", "--config", str(cfg_path), "--out", str(ckpt)]) == 0
+    net = load_network(ckpt)
+    assert (net.config.height, net.config.width) == (40, 20)

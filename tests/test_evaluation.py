@@ -8,12 +8,12 @@ from posepipe.evaluation import (
     compute_mota,
     format_table,
     match_poses,
-    pckh_distance,
     report_to_dict,
 )
 from posepipe.instances import PersonInstance
 
 from oracles import (
+    pckh_distance,
     reference_compute_map,
     reference_compute_mota,
     reference_match_poses,

@@ -38,8 +38,8 @@ def test_pipeline_is_byte_reproducible(scene):
 
 
 def test_decode_only_pipeline_keeps_everything(scene):
-    cfg = PipelineConfig(use_box_rescore=False, use_box_threshold=False,
-                         use_keypoint_threshold=False, use_oks_nms=False,
+    cfg = PipelineConfig(use_box_rescore=False, box_threshold=0,
+                         keypoint_threshold=0, use_oks_nms=False,
                          use_tracking=False)
     seq = run_pipeline(cfg, scene["frames"])
     for (fidx, instances), (fidx2, entries) in zip(seq.frames, scene["frames"]):
@@ -63,7 +63,7 @@ def test_disabling_oks_nms_doubles_duplicated_instances(scene):
 def test_tracklet_pruning_removes_one_frame_clutter(scene):
     gt = scene["gt"]
     base = run_pipeline(PipelineConfig(), scene["frames"])
-    nopr = run_pipeline(PipelineConfig(use_tracklet_pruning=False), scene["frames"])
+    nopr = run_pipeline(PipelineConfig(min_track_length=1), scene["frames"])
     base_fp = compute_mota(base.frames, gt.frames).counts["fp"]
     nopr_fp = compute_mota(nopr.frames, gt.frames).counts["fp"]
     base_tracks = {p.track_id for _, ii in base.frames for p in ii}
@@ -75,7 +75,7 @@ def test_tracklet_pruning_removes_one_frame_clutter(scene):
 def test_keypoint_threshold_removes_weak_joints(scene):
     gt = scene["gt"]
     base = run_pipeline(PipelineConfig(), scene["frames"])
-    nokp = run_pipeline(PipelineConfig(use_keypoint_threshold=False), scene["frames"])
+    nokp = run_pipeline(PipelineConfig(keypoint_threshold=0), scene["frames"])
     base_fp = compute_mota(base.frames, gt.frames).counts["fp"]
     nokp_fp = compute_mota(nokp.frames, gt.frames).counts["fp"]
     assert nokp_fp > base_fp
@@ -87,7 +87,7 @@ def test_keypoint_threshold_removes_weak_joints(scene):
 def test_box_threshold_removes_low_scored_clutter(scene):
     gt = scene["gt"]
     base = run_pipeline(PipelineConfig(), scene["frames"])
-    nobx = run_pipeline(PipelineConfig(use_box_threshold=False), scene["frames"])
+    nobx = run_pipeline(PipelineConfig(box_threshold=0), scene["frames"])
     base_fp = compute_mota(base.frames, gt.frames).counts["fp"]
     nobx_fp = compute_mota(nobx.frames, gt.frames).counts["fp"]
     assert nobx_fp > base_fp
@@ -133,12 +133,12 @@ def test_manifest_branch_mismatch(tmp_path, scene):
 
 def test_config_round_trip_and_defaults(tmp_path):
     cfg = PipelineConfig()
-    assert cfg.render_sigma == 9.0
+    assert cfg.smooth_sigma == 1.0
     assert cfg.oks_nms_threshold == 0.4
-    assert cfg.box_merge_iou_threshold == 0.6
+    assert cfg.keypoint_threshold == 0.3
     assert cfg.lookback == 8
     assert cfg.min_track_length == 2
-    assert cfg.ohkm_k == 8
+    assert cfg.similarity_threshold == 0.3
     path = tmp_path / "cfg.json"
     cfg.save(path)
     assert PipelineConfig.load(path) == cfg
@@ -158,6 +158,11 @@ def test_config_validation():
         PipelineConfig(matcher="exhaustive")
     with pytest.raises(PoseError):
         PipelineConfig(fusion="blend:coco")
+    # each strategy takes its own number of non-empty branch names
+    for bad in ("vote:coco", "head-swap:coco", "select:", "select:coco,mpii",
+                "head-swap:,mpii", "head-swap:coco,mpii,posetrack"):
+        with pytest.raises(PoseError):
+            PipelineConfig(fusion=bad)
     assert PipelineConfig(use_flow_track=False).propagator == "identity"
     # each field must have its annotated type; an int is a float, a bool is
     # neither
@@ -176,7 +181,9 @@ def test_config_validation():
                 {"smooth_sigma": -1}, {"lookback": 0}, {"min_track_length": 0},
                 {"oks_extra_falloff": 0}, {"oks_falloff_overrides": {"nose": -1}},
                 {"oks_falloff_overrides": {"nose": "x"}},
-                {"oks_falloff_overrides": {"nose": True}}):
+                {"oks_falloff_overrides": {"nose": True}},
+                {"oks_falloff_overrides": {"nose_typo": 0.5}},
+                {"target_joint_set": "nope"}):
         with pytest.raises(PoseError):
             PipelineConfig.from_dict(bad)
     edges = PipelineConfig(box_threshold=1, keypoint_threshold=0, similarity_threshold=1,

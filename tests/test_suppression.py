@@ -300,3 +300,13 @@ def test_apply_thresholds_marks_weak_joints():
     p = make_instance(np.zeros((JS.count, 2)), scores=scores)
     out = apply_thresholds([p], 0.0, 0.3)[0]
     assert not out.annotated[3] and out.annotated.sum() == JS.count - 1
+
+
+def test_falloff_overrides_name_a_joint_by_name_or_alias():
+    # head_bottom (posetrack) and upper_neck (mpii) are one joint
+    mpii = OksConstants.for_joint_set("mpii", overrides={"head_bottom": 0.5})
+    assert mpii.falloff[builtin_joint_set("mpii").index("upper_neck")] == 0.5
+    pt = OksConstants.for_joint_set("posetrack", overrides={"upper_neck": 0.5})
+    assert pt.falloff[JS.index("head_bottom")] == 0.5
+    with pytest.raises(PoseError, match="nose_typo"):
+        OksConstants.for_joint_set("posetrack", overrides={"nose_typo": 0.5})
