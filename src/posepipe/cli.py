@@ -91,13 +91,18 @@ def _object(value, what):
     return value
 
 
-def _fields(doc, cls, what, exclude=()):
-    """doc, each of whose keys must name a field of dataclass cls (less
-    exclude)."""
-    unknown = set(doc) - ({f.name for f in dataclasses.fields(cls)} - set(exclude))
+def _known(doc, keys, what):
+    """doc, each of whose keys must be one of keys."""
+    unknown = set(doc) - set(keys)
     if unknown:
         raise PoseError(f"unknown {what} keys {sorted(unknown)}")
     return doc
+
+
+def _fields(doc, cls, what, exclude=()):
+    """doc, each of whose keys must name a field of dataclass cls (less
+    exclude)."""
+    return _known(doc, {f.name for f in dataclasses.fields(cls)} - set(exclude), what)
 
 
 def _stage_from_dict(doc):
@@ -107,12 +112,26 @@ def _stage_from_dict(doc):
     return Stage(**{"name": "stage", **_fields(doc, Stage, "train stage")})
 
 
+# schedule preset -> the keys it reads besides "preset"
+_PRESET_KEYS = {
+    "staged": ("domains", "primary", "steps", "lr", "batch_size"),
+    "single": ("domain", "steps", "lr", "batch_size"),
+    "multi": ("domains", "steps", "lr", "batch_size"),
+    "mixed": ("domains", "steps", "lr", "batch_size"),
+    "transfer": ("source", "target", "steps", "lr", "batch_size"),
+}
+
+
 def _schedule_from_config(doc):
     if "stages" in doc:
+        _known(doc, ("stages",), "train schedule")
         if not isinstance(doc["stages"], list):
             raise PoseError("train schedule stages must be a list")
         return TrainSchedule([_stage_from_dict(s) for s in doc["stages"]])
     preset = doc.get("preset", "staged")
+    if preset not in _PRESET_KEYS:
+        raise PoseError(f"unknown schedule preset {preset!r}")
+    _known(doc, ("preset",) + _PRESET_KEYS[preset], f"train schedule preset {preset!r}")
     domains = tuple(doc.get("domains", ("coco", "mpii", "posetrack")))
     lr = doc.get("lr", 1.2)
     batch = doc.get("batch_size", 8)
@@ -126,18 +145,19 @@ def _schedule_from_config(doc):
         return multi_domain_schedule(domains, doc.get("steps", 2000), lr, batch)
     if preset == "mixed":
         return mixed_schedule(domains, doc.get("steps", 2000), lr, batch)
-    if preset == "transfer":
-        return transfer_schedule(_require(doc, "source", "preset 'transfer'"),
-                                 _require(doc, "target", "preset 'transfer'"),
-                                 tuple(doc.get("steps", (2000, 400))), lr, batch)
-    raise PoseError(f"unknown schedule preset {preset!r}")
+    return transfer_schedule(_require(doc, "source", "preset 'transfer'"),
+                             _require(doc, "target", "preset 'transfer'"),
+                             tuple(doc.get("steps", (2000, 400))), lr, batch)
 
 
 _GEOMETRY = ("height", "width", "in_channels")   # set by "net", shared by every domain
+_TRAIN_KEYS = ("schedule", "domains", "net", "train_sizes", "heldout_sizes",
+               "data_seed", "heldout_seed", "heldout_reference")
 
 
 def _train_config(doc):
     """(schedule, domain specs, NetConfig) from a train config document."""
+    _known(doc, _TRAIN_KEYS, "train config")
     schedule = _schedule_from_config(_object(doc.get("schedule", {}), "train schedule"))
     domain_docs = _object(doc.get("domains", {n: {} for n in DEFAULT_DOMAINS}),
                           "train config domains")

@@ -4,6 +4,13 @@ Three strategies cover the single-branch, head-swap, and heatmap-voting
 predictions, named by a spec that :func:`parse_fusion_spec` reads; heads
 missing from a single branch can be synthesized from the nose/shoulder
 geometry with :func:`interpolate_head`.
+
+Head-swap and vote first assemble one heatmap laid out on the target set and
+decode it once, so only target channels are smoothed and peak-picked.
+Decoding treats every channel on its own (smoothing, peak, annotated test,
+grid-to-image) and decodes an all-zero channel to the zeros and False that
+:meth:`JointMapping.take` fills in; so decoding the assembled map gives the
+same bits as decoding each branch and projecting the poses.
 """
 
 from __future__ import annotations
@@ -142,47 +149,44 @@ def fuse_select(b: BranchOutputs, branch: str, target_set: str,
 def fuse_head_swap(b: BranchOutputs, body_branch: str, head_branch: str,
                    target_set: str, smooth_sigma: float = 1.0,
                    use_quarter_offset: bool = True) -> DecodedPose:
-    """Body joints from one branch, head_top/head_bottom from another."""
-    head_js = get_joint_set(b[head_branch].joint_set)
-    head_names = [n for n in head_js.joints if canonical_name(n) in _HEAD_JOINTS]
-    if not head_names:
+    """Body joints from one branch, head_top/head_bottom from another.
+
+    The target-set heatmap takes each body channel by anatomical name and
+    each head joint's channel from the head branch, then decodes once: only
+    the target's channels are smoothed.
+    """
+    head = b[head_branch]
+    head_js = get_joint_set(head.joint_set)
+    if not any(canonical_name(n) in _HEAD_JOINTS for n in head_js.joints):
         raise PoseError(f"head branch {head_branch!r} provides no head joints")
 
-    body = decode(b[body_branch], smooth_sigma, use_quarter_offset)
-    head = decode(b[head_branch], smooth_sigma, use_quarter_offset)
-    out = _project_pose(body, target_set)
-
-    target_js = get_joint_set(target_set)
-    for i, name in enumerate(target_js.joints):
+    body = b[body_branch]
+    values = mapping(body.joint_set, target_set).take(body.values)
+    for i, name in enumerate(get_joint_set(target_set).joints):
         cname = canonical_name(name)
-        if cname not in _HEAD_JOINTS:
-            continue
-        try:
-            j = head_js.index(cname)
-        except PoseError:
-            continue
-        out.coords[i] = head.coords[j]
-        out.scores[i] = head.scores[j]
-        out.annotated[i] = head.annotated[j]
-    return out
+        if cname in _HEAD_JOINTS and head_js.has(cname):
+            values[i] = head.values[head_js.index(cname)]
+    return decode(Heatmap(values, target_set, body.crop, body.strides),
+                  smooth_sigma, use_quarter_offset)
 
 
 def fuse_vote(b: BranchOutputs, target_set: str, smooth_sigma: float = 1.0,
               use_quarter_offset: bool = True) -> DecodedPose:
     """Average each target joint's channel over every branch that has it,
     then decode the averaged map. Joints present in no branch decode
-    not-annotated."""
+    not-annotated.
+
+    Branches are summed in sorted name order, one index pass each; a joint
+    set names each joint once, so no target row is hit twice in a pass.
+    """
     (height, width), crop, strides = b.geometry
-    target_js = get_joint_set(target_set)
-    k = target_js.count
+    k = get_joint_set(target_set).count
     votes = np.zeros((k, height, width), dtype=np.float64)
     counts = np.zeros(k, dtype=np.int64)
     for name in sorted(b.branches):
-        h = b.branches[name]
         m = mapping(name, target_set)
-        for i, j in m.index_map:
-            votes[j] += h.values[i].astype(np.float64)
-            counts[j] += 1
+        votes[m.dst] += b.branches[name].values[m.src]   # exact float64 promotion
+        counts[m.dst] += 1
     nonzero = counts > 0
     votes[nonzero] /= counts[nonzero, None, None]
     avg = Heatmap(votes.astype(np.float32), target_set, crop, strides)

@@ -190,14 +190,20 @@ def unmirror(h_flipped: Heatmap, flip_pairs=None) -> Heatmap:
     return Heatmap(out, h_flipped.joint_set, h_flipped.crop, h_flipped.strides)
 
 
-def flip_merge(h: Heatmap, h_flipped_input: Heatmap, flip_pairs=None) -> Heatmap:
-    """Average a prediction with the un-mirrored prediction for the flipped input."""
+def check_flip_pair(h: Heatmap, h_flipped_input: Heatmap) -> None:
+    """Raise unless a prediction and its flipped-input prediction have one
+    shape and one joint set, as :func:`flip_merge` needs."""
     if h.values.shape != h_flipped_input.values.shape:
         raise PoseError(
             f"flip_merge shape mismatch: {h.values.shape} vs {h_flipped_input.values.shape}"
         )
     if h.joint_set != h_flipped_input.joint_set:
         raise PoseError("flip_merge joint-set mismatch")
+
+
+def flip_merge(h: Heatmap, h_flipped_input: Heatmap, flip_pairs=None) -> Heatmap:
+    """Average a prediction with the un-mirrored prediction for the flipped input."""
+    check_flip_pair(h, h_flipped_input)
     un = unmirror(h_flipped_input, flip_pairs)
     merged = (h.values.astype(np.float64) + un.values.astype(np.float64)) / 2.0
     return Heatmap(merged.astype(np.float32), h.joint_set, h.crop, h.strides)

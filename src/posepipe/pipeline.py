@@ -16,7 +16,8 @@ The input manifest is JSON:
             "flipped_heatmaps": {"coco": "f0_p0_coco_flip.pkhm", ...}}]}]}
 
 Heatmap paths are resolved relative to the manifest's directory; the
-"flipped_heatmaps" entry is optional and triggers flip-merging per branch.
+"flipped_heatmaps" entry is optional and triggers flip-merging for each
+branch the fusion strategy reads.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .config import PipelineConfig
 from .errors import PoseError
 from .fusion import BranchOutputs, fuse_head_swap, fuse_select, fuse_vote, parse_fusion_spec
-from .heatmaps import DecodedPose, flip_merge, load_heatmap
+from .heatmaps import DecodedPose, check_flip_pair, flip_merge, load_heatmap
 from .instances import PersonInstance
 from .poseio import PoseSequence, read_frames, read_json_object
 from .suppression import OksConstants, apply_thresholds, oks_nms, rescore
@@ -77,19 +78,27 @@ def fuse(heatmaps, flipped, spec: str, target_set: str, smooth_sigma: float,
          use_quarter_offset: bool) -> DecodedPose:
     """Fuse one crop's branch heatmaps into a pose on ``target_set``.
 
-    heatmaps and flipped map branch name -> .pkhm path; a branch with a
-    flipped entry is flip-merged first. spec is ``select:<branch>``,
-    ``head-swap:<body>,<head>`` or ``vote``, and is checked before any file
-    is read.
+    heatmaps and flipped map branch name -> .pkhm path. spec is
+    ``select:<branch>``, ``head-swap:<body>,<head>`` or ``vote``, and is
+    checked before any file is read. Only the branches the spec reads (every
+    branch for vote) are flip-merged, but every named file is still loaded
+    and checked: each heatmap's own contents, its branch tag, a flipped
+    file's shape and tag against its branch, and the geometry across
+    branches.
     """
     kind, names = parse_fusion_spec(spec)
+    used = names or heatmaps   # vote reads every branch
     branches = {}
     for name in sorted(heatmaps):
         h = load_heatmap(heatmaps[name])
         if h.joint_set != name:
             raise PoseError(f"branch {name!r} points at a {h.joint_set!r} heatmap")
         if name in flipped:
-            h = flip_merge(h, load_heatmap(flipped[name]))
+            h_flipped = load_heatmap(flipped[name])
+            if name in used:
+                h = flip_merge(h, h_flipped)
+            else:
+                check_flip_pair(h, h_flipped)
         branches[name] = h
     b = BranchOutputs(branches)
     if kind == "select":

@@ -85,8 +85,10 @@ class JointSet:
     flip_pairs: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self):
-        if len(set(self.joints)) != len(self.joints):
-            raise PoseError(f"duplicate joint names in set {self.name!r}")
+        # one name per anatomical joint, so a mapping never sends two rows
+        # to one row
+        if len({canonical_name(j) for j in self.joints}) != len(self.joints):
+            raise PoseError(f"duplicate joint names (or aliases) in set {self.name!r}")
         seen = set()
         for a, b in self.flip_pairs:
             if not (0 <= a < self.count and 0 <= b < self.count) or a == b:
@@ -192,8 +194,8 @@ class JointMapping:
         if len(set(froms)) != len(froms):
             raise PoseError("mapping is not injective on from-indices")
         pairs = np.array(self.index_map, dtype=np.intp).reshape(-1, 2)
-        object.__setattr__(self, "_src", pairs[:, 0])
-        object.__setattr__(self, "_dst", pairs[:, 1])
+        object.__setattr__(self, "src", pairs[:, 0])   # from-set rows, as an array
+        object.__setattr__(self, "dst", pairs[:, 1])   # their to-set rows
 
     def __len__(self) -> int:
         return len(self.index_map)
@@ -207,7 +209,7 @@ class JointMapping:
         values = np.asarray(values)
         out = np.zeros((get_joint_set(self.to_set).count,) + values.shape[1:],
                        dtype=values.dtype)
-        out[self._dst] = values[self._src]
+        out[self.dst] = values[self.src]
         return out
 
 

@@ -45,7 +45,7 @@ class OksConstants:
         k = get_joint_set(self.joint_set).count
         if self.falloff.shape != (k,):
             raise PoseError("fall-off constants length does not match joint set")
-        if np.any(self.falloff <= 0):
+        if not np.all(self.falloff > 0):   # NaN fails too
             raise PoseError("fall-off constants must be positive")
 
     @classmethod

@@ -32,6 +32,15 @@ class NetConfig:
     domains: tuple = ("coco", "mpii", "posetrack")
     dilation: int = 1   # dilation of the second 3x3 conv (receptive-field knob)
 
+    def __post_init__(self):
+        for name in ("in_channels", "hidden", "height", "width", "dilation"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                raise PoseError(f"net {name} must be an integer >= 1, got {v!r}")
+        if not isinstance(self.domains, tuple) or not all(
+                isinstance(d, str) for d in self.domains):
+            raise PoseError("net domains must be a tuple of joint-set names")
+
     def head_channels(self, domain: str) -> int:
         return get_joint_set(domain).count
 

@@ -13,7 +13,10 @@ they check the matching-and-judging bookkeeping, not those formulas.
 The one-pair OKS and the pair-by-pair pose matching are the library's
 earlier versions, kept as they were, to check the stacked kernels bit for
 bit. ``pckh_distance`` is the one-joint PCKh distance, the textbook form
-the judgement in ``evaluation`` stacks.
+the judgement in ``evaluation`` stacks. The head-swap and vote fusions are
+the library's earlier versions too (decode each branch, then project; one
+index pair at a time); they reuse its decode and pose projection and check
+that decoding one assembled target-set map gives the same bits.
 """
 
 import functools
@@ -445,3 +448,58 @@ def reference_match_poses(preds, gts, threshold):
         used_g.add(gi)
         matches.append((pi, gi))
     return matches
+
+
+def reference_fuse_head_swap(b, body_branch, head_branch, target_set,
+                             smooth_sigma=1.0, use_quarter_offset=True):
+    """Head-swap as the library first did it: decode the body and head
+    branches whole, project the body pose onto the target set, then write
+    the head branch's decoded head joints over it."""
+    from posepipe.errors import PoseError
+    from posepipe.fusion import _HEAD_JOINTS, _project_pose, decode
+    from posepipe.skeletons import canonical_name, get_joint_set
+    head_js = get_joint_set(b[head_branch].joint_set)
+    head_names = [n for n in head_js.joints if canonical_name(n) in _HEAD_JOINTS]
+    if not head_names:
+        raise PoseError(f"head branch {head_branch!r} provides no head joints")
+
+    body = decode(b[body_branch], smooth_sigma, use_quarter_offset)
+    head = decode(b[head_branch], smooth_sigma, use_quarter_offset)
+    out = _project_pose(body, target_set)
+
+    target_js = get_joint_set(target_set)
+    for i, name in enumerate(target_js.joints):
+        cname = canonical_name(name)
+        if cname not in _HEAD_JOINTS:
+            continue
+        try:
+            j = head_js.index(cname)
+        except PoseError:
+            continue
+        out.coords[i] = head.coords[j]
+        out.scores[i] = head.scores[j]
+        out.annotated[i] = head.annotated[j]
+    return out
+
+
+def reference_fuse_vote(b, target_set, smooth_sigma=1.0, use_quarter_offset=True):
+    """Vote as the library first did it: accumulate each branch's channels
+    into the target rows one index pair at a time, in sorted branch order,
+    then average and decode."""
+    from posepipe.heatmaps import Heatmap, decode
+    from posepipe.skeletons import get_joint_set, mapping
+    (height, width), crop, strides = b.geometry
+    target_js = get_joint_set(target_set)
+    k = target_js.count
+    votes = np.zeros((k, height, width), dtype=np.float64)
+    counts = np.zeros(k, dtype=np.int64)
+    for name in sorted(b.branches):
+        h = b.branches[name]
+        m = mapping(name, target_set)
+        for i, j in m.index_map:
+            votes[j] += h.values[i].astype(np.float64)
+            counts[j] += 1
+    nonzero = counts > 0
+    votes[nonzero] /= counts[nonzero, None, None]
+    avg = Heatmap(votes.astype(np.float32), target_set, crop, strides)
+    return decode(avg, smooth_sigma, use_quarter_offset)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from posepipe import PoseError
 from posepipe.cli import main
 from posepipe.config import PipelineConfig
-from posepipe.heatmaps import render_target, save_heatmap
+from posepipe.heatmaps import Heatmap, load_heatmap, render_target, save_heatmap
 from posepipe.poseio import load_pose_file
+from posepipe.skeletons import JointSet, builtin_joint_set, register_joint_set
 from posepipe.toynet import load_network
 
 from make_golden import GOLDEN_SEED
@@ -109,7 +111,6 @@ def test_decode_subcommand(tmp_path):
 
 def test_fuse_subcommand(tmp_path):
     for name in ("coco", "mpii", "posetrack"):
-        from posepipe.skeletons import builtin_joint_set
         k = builtin_joint_set(name).count
         hm, _ = render_target(np.tile([[5.0, 7.0]], (k, 1)), 2.0, (16, 12),
                               joint_set=name)
@@ -380,8 +381,17 @@ _TINY_TRAIN = {"domains": {"coco": {}}, "train_sizes": {"coco": 2},
     dict(_TINY_TRAIN, net={"hiden": 4}),
     dict(_TINY_TRAIN, schedule={"stages": [{"domains": ["coco"], "steps": 1, "los": "l2"}]}),
     dict(_TINY_TRAIN, schedule={"stages": [{"domains": ["coco"], "steps": 1, "ohkm": 4}]}),
+    dict(_TINY_TRAIN, trian_sizes=3),
+    dict(_TINY_TRAIN, schedule=dict(_TINY_TRAIN["schedule"], stpes=1)),
+    dict(_TINY_TRAIN, net={"hidden": "x"}),
+    dict(_TINY_TRAIN, net={"hidden": 0}),
+    dict(_TINY_TRAIN, schedule={"stages": [{"domains": ["coco"], "steps": 1}], "lr": 2}),
+    dict(_TINY_TRAIN, schedule=dict(_TINY_TRAIN["schedule"], primary="mpii")),
 ])
-def test_train_toy_rejects_malformed_config(tmp_path, capsys, train_doc):
+def test_train_toy_rejects_malformed_config(tmp_path, capsys, monkeypatch, train_doc):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated before the config was checked")
+    monkeypatch.setattr("posepipe.cli.gen_synthetic", no_data)
     _bad_input(tmp_path, capsys, train_doc, ["train-toy", "--config", "{path}",
                                              "--out", "{out}"])
 
@@ -425,3 +435,63 @@ def test_train_toy_takes_domain_geometry_from_net(tmp_path):
     assert main(["train-toy", "--config", str(cfg_path), "--out", str(ckpt)]) == 0
     net = load_network(ckpt)
     assert (net.config.height, net.config.width) == (40, 20)
+
+
+@pytest.fixture(scope="module")
+def tiny_scene_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny_scene")
+    assert main(["synth", "--out", str(out), "--frames", "1", "--persons", "1",
+                 "--seed", "1"]) == 0
+    return out
+
+
+def _break_branch_file(case, path, flip_path):
+    """Spoil a branch's file (or its flipped file) in one way; returns the
+    (exit code, error kind, error text) that reading it must give."""
+    h = load_heatmap(path)
+    if case == "missing":
+        path.unlink()
+        return 1, "io", f"[Errno 2] No such file or directory: '{path}'"
+    if case == "mis-tagged":
+        k = builtin_joint_set("coco").count
+        save_heatmap(Heatmap(np.zeros((k,) + h.shape[1:]), "coco", h.crop, h.strides), path)
+        return 2, "contract", f"branch {h.joint_set!r} points at a 'coco' heatmap"
+    if case == "truncated":
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-4])
+        need = h.values.nbytes
+        return 2, "contract", (f"heatmap payload is {need - 4} bytes, expected {need} "
+                               f"(file={path})")
+    if case == "non-finite":
+        path.write_bytes(path.read_bytes()[:-4] + np.float32(np.nan).tobytes())
+        return 2, "contract", "heatmap values must be finite"
+    if case == "flipped-shape":
+        small = h.values[:, :-1, :-1]
+        save_heatmap(Heatmap(small, h.joint_set, h.crop, h.strides), flip_path)
+        return 2, "contract", f"flip_merge shape mismatch: {h.shape} vs {small.shape}"
+    # flipped-tag: a set of the same size under another name
+    js = builtin_joint_set(h.joint_set)
+    register_joint_set(JointSet(f"{js.name}_twin", js.joints, js.flip_pairs))
+    save_heatmap(Heatmap(h.values, f"{js.name}_twin", h.crop, h.strides), flip_path)
+    return 2, "contract", "flip_merge joint-set mismatch"
+
+
+@pytest.mark.parametrize("case", ["missing", "mis-tagged", "truncated", "non-finite",
+                                  "flipped-shape", "flipped-tag"])
+def test_run_checks_every_branch_file_the_strategy_does_not_read(
+        tiny_scene_dir, tmp_path, capsys, case):
+    # head-swap:coco,mpii decodes no posetrack channel, yet a broken
+    # posetrack file fails the run as it does for a branch in use
+    scene = tmp_path / "scene"
+    shutil.copytree(tiny_scene_dir, scene)
+    manifest = scene / "manifest.json"
+    entry = json.loads(manifest.read_text())["frames"][0]["instances"][0]
+    rc, kind, error = _break_branch_file(case, scene / entry["heatmaps"]["posetrack"],
+                                         scene / entry["flipped_heatmaps"]["posetrack"])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fusion": "head-swap:coco,mpii"}))
+    out = tmp_path / "o.json"
+    assert main(["run", "--config", str(cfg), "--manifest", str(manifest),
+                 "--out", str(out)]) == rc
+    assert _error_doc(capsys) == {"error": error, "kind": kind}
+    assert not out.exists()

@@ -12,6 +12,8 @@ from posepipe.fusion import (
 from posepipe.heatmaps import DecodedPose, Heatmap, decode, render_target
 from posepipe.skeletons import mapping
 
+from oracles import reference_fuse_head_swap, reference_fuse_vote
+
 MERGED = builtin_joint_set("merged")
 GRID = (16, 12)
 
@@ -249,3 +251,69 @@ def test_strategies_are_deterministic():
     a2 = fuse_vote(all_branches(), "posetrack")
     assert np.array_equal(a1.coords, a2.coords)
     assert np.array_equal(a1.scores, a2.scores)
+
+
+def random_branches(rng, names, grid=(7, 6)):
+    """Random branch stack whose channels are random, all-zero, plateaued
+    (values on a coarse step, so peaks and neighbors tie), constant, or
+    spread over 2^-40..2^40 (so a sum's rounding shows its order)."""
+    branches = {}
+    for name in names:
+        k = builtin_joint_set(name).count
+        v = rng.random((k,) + grid).astype(np.float32)
+        kind = rng.integers(0, 5, size=k)
+        v[kind == 1] = 0.0
+        v[kind == 2] = np.round(v[kind == 2] * 2.0) / 2.0
+        v[kind == 3] = 0.5
+        v[kind == 4] *= 2.0 ** rng.integers(-40, 41, size=v[kind == 4].shape)
+        branches[name] = Heatmap(v, name, crop=(3.0, -2.0, 12.0, 14.0),
+                                 strides=(2.0, 2.0))
+    return BranchOutputs(branches)
+
+
+def assert_same_bits(got, want):
+    assert got.joint_set == want.joint_set
+    for field in ("coords", "scores", "annotated"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes(), field
+
+
+SETS = ("coco", "merged", "mpii", "posetrack")
+
+
+@pytest.mark.parametrize("target", ["posetrack", "mpii", "coco", "merged"])
+@pytest.mark.parametrize("sigma, quarter", [(0.0, True), (0.0, False),
+                                            (1.0, True), (1.0, False)])
+def test_fusions_match_branch_by_branch_references(target, sigma, quarter):
+    rng = np.random.default_rng([7, SETS.index(target), int(sigma), int(quarter)])
+    for _ in range(6):
+        b = random_branches(rng, SETS)
+        for body, head in (("coco", "mpii"), ("posetrack", "mpii")):
+            assert_same_bits(
+                fuse_head_swap(b, body, head, target, sigma, quarter),
+                reference_fuse_head_swap(b, body, head, target, sigma, quarter))
+        names = [n for n in SETS if rng.random() < 0.6] or ["coco"]
+        sub = BranchOutputs({n: b[n] for n in names})
+        assert_same_bits(fuse_vote(sub, target, sigma, quarter),
+                         reference_fuse_vote(sub, target, sigma, quarter))
+
+
+def test_fuse_vote_sums_branches_in_sorted_order():
+    # one left_wrist cell per branch. In sorted order (coco, merged, mpii,
+    # posetrack) each 3*2^-55 term is below half an ulp of 1 + 2^-24 and is
+    # lost, so the mean rounds to float32 0.25 on the tie. In reverse order
+    # the two terms add up first and tip it to the next float32. The dict
+    # lists the branches in that reverse order.
+    cell = {"posetrack": 3 * 2.0 ** -55, "mpii": 3 * 2.0 ** -55,
+            "merged": 2.0 ** -24, "coco": 1.0}
+    branches = {}
+    for name, value in cell.items():
+        js = builtin_joint_set(name)
+        v = np.zeros((js.count, 5, 5), dtype=np.float32)
+        v[js.index("left_wrist"), 2, 2] = value
+        branches[name] = Heatmap(v, name)
+    b = BranchOutputs(branches)
+    got = fuse_vote(b, "posetrack", smooth_sigma=0.0)
+    assert got.scores[builtin_joint_set("posetrack").index("left_wrist")] == 0.25
+    assert_same_bits(got, reference_fuse_vote(b, "posetrack", smooth_sigma=0.0))

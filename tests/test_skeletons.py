@@ -136,6 +136,8 @@ def test_register_custom_set():
 def test_joint_set_validation():
     with pytest.raises(PoseError):
         JointSet("bad", ("a", "a"))
+    with pytest.raises(PoseError, match="aliases"):
+        JointSet("bad", ("head_bottom", "upper_neck"))   # one joint, two names
     with pytest.raises(PoseError):
         JointSet("bad", ("a", "b"), flip_pairs=((0, 0),))
     with pytest.raises(PoseError):

@@ -310,3 +310,11 @@ def test_falloff_overrides_name_a_joint_by_name_or_alias():
     assert pt.falloff[JS.index("head_bottom")] == 0.5
     with pytest.raises(PoseError, match="nose_typo"):
         OksConstants.for_joint_set("posetrack", overrides={"nose_typo": 0.5})
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_oks_constants_reject_non_positive_falloff(bad):
+    falloff = np.full(JS.count, 0.1)
+    falloff[2] = bad
+    with pytest.raises(PoseError, match="positive"):
+        OksConstants("posetrack", falloff)
