@@ -9,7 +9,6 @@ one-line JSON report on stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
@@ -20,50 +19,34 @@ from .config import PipelineConfig
 from .errors import PoseError
 from .evaluation import compute_map, compute_mota, format_table, report_to_dict
 from .heatmaps import decode, load_heatmap
-from .instances import PersonInstance
-from .pipeline import fuse, load_manifest, run_pipeline, track_sequence
+from .pipeline import fuse, load_manifest, run_pipeline, to_instance, track_sequence
 from .poseio import (
     BoxSequence,
     PoseSequence,
     load_box_file,
     load_pose_file,
-    read_json_object,
     save_box_file,
     save_pose_file,
 )
 from .suppression import OksConstants, box_nms, oks_nms
 from .scenes import generate_scene
-from .synthetic import DEFAULT_DOMAINS, DomainSpec, gen_synthetic
-from .toynet import NetConfig, save_network
+from .synthetic import gen_synthetic
+from .toynet import save_network
 from .tracking import TrackerConfig
-from .training import (
-    Stage,
-    TrainSchedule,
-    staged_schedule,
-    mixed_schedule,
-    multi_domain_schedule,
-    single_domain_schedule,
-    train,
-    transfer_schedule,
-)
+from .training import TrainConfig, train
 
 
-def _decoded_to_instance(decoded, box_score=1.0):
+def _decoded_to_instance(decoded):
+    """A lone decoded pose as an instance, boxed by its annotated joints with
+    a one-cell margin."""
     ann = decoded.annotated
     if ann.any():
         lo = decoded.coords[ann].min(axis=0) - 1.0
         hi = decoded.coords[ann].max(axis=0) + 1.0
-        box = [float(lo[0]), float(lo[1]), float(hi[0] - lo[0]), float(hi[1] - lo[1])]
+        box = np.concatenate([lo, hi - lo])
     else:
         box = [0.0, 0.0, 1.0, 1.0]
-    return PersonInstance(
-        box=np.asarray(box),
-        box_score=box_score,
-        coords=decoded.coords,
-        scores=np.clip(decoded.scores, 0.0, 1.0),
-        annotated=ann,
-        joint_set=decoded.joint_set,
-    )
+    return to_instance(decoded, box, 1.0)
 
 
 def cmd_synth(args):
@@ -77,137 +60,21 @@ def cmd_synth(args):
     print(json.dumps({"manifest": manifest, "gt": gt}))
 
 
-def _require(doc, key, what):
-    """doc[key]; a missing key is a contract error naming it."""
-    if key not in doc:
-        raise PoseError(f"{what} needs key {key!r}")
-    return doc[key]
-
-
-def _object(value, what):
-    """value, which must be a JSON object."""
-    if not isinstance(value, dict):
-        raise PoseError(f"{what} must be a JSON object")
-    return value
-
-
-def _known(doc, keys, what):
-    """doc, each of whose keys must be one of keys."""
-    unknown = set(doc) - set(keys)
-    if unknown:
-        raise PoseError(f"unknown {what} keys {sorted(unknown)}")
-    return doc
-
-
-def _fields(doc, cls, what, exclude=()):
-    """doc, each of whose keys must name a field of dataclass cls (less
-    exclude)."""
-    return _known(doc, {f.name for f in dataclasses.fields(cls)} - set(exclude), what)
-
-
-def _stage_from_dict(doc):
-    _object(doc, "train stage")
-    _require(doc, "domains", "train stage")
-    _require(doc, "steps", "train stage")
-    return Stage(**{"name": "stage", **_fields(doc, Stage, "train stage")})
-
-
-# schedule preset -> the keys it reads besides "preset"
-_PRESET_KEYS = {
-    "staged": ("domains", "primary", "steps", "lr", "batch_size"),
-    "single": ("domain", "steps", "lr", "batch_size"),
-    "multi": ("domains", "steps", "lr", "batch_size"),
-    "mixed": ("domains", "steps", "lr", "batch_size"),
-    "transfer": ("source", "target", "steps", "lr", "batch_size"),
-}
-
-
-def _schedule_from_config(doc):
-    if "stages" in doc:
-        _known(doc, ("stages",), "train schedule")
-        if not isinstance(doc["stages"], list):
-            raise PoseError("train schedule stages must be a list")
-        return TrainSchedule([_stage_from_dict(s) for s in doc["stages"]])
-    preset = doc.get("preset", "staged")
-    if preset not in _PRESET_KEYS:
-        raise PoseError(f"unknown schedule preset {preset!r}")
-    _known(doc, ("preset",) + _PRESET_KEYS[preset], f"train schedule preset {preset!r}")
-    domains = tuple(doc.get("domains", ("coco", "mpii", "posetrack")))
-    lr = doc.get("lr", 1.2)
-    batch = doc.get("batch_size", 8)
-    if preset == "staged":
-        return staged_schedule(domains, doc.get("primary", "coco"),
-                             tuple(doc.get("steps", (2000, 300, 400))), lr, batch)
-    if preset == "single":
-        return single_domain_schedule(_require(doc, "domain", "preset 'single'"),
-                                      doc.get("steps", 2000), lr, batch)
-    if preset == "multi":
-        return multi_domain_schedule(domains, doc.get("steps", 2000), lr, batch)
-    if preset == "mixed":
-        return mixed_schedule(domains, doc.get("steps", 2000), lr, batch)
-    return transfer_schedule(_require(doc, "source", "preset 'transfer'"),
-                             _require(doc, "target", "preset 'transfer'"),
-                             tuple(doc.get("steps", (2000, 400))), lr, batch)
-
-
-_GEOMETRY = ("height", "width", "in_channels")   # set by "net", shared by every domain
-_TRAIN_KEYS = ("schedule", "domains", "net", "train_sizes", "heldout_sizes",
-               "data_seed", "heldout_seed", "heldout_reference")
-
-
-def _train_config(doc):
-    """(schedule, domain specs, NetConfig) from a train config document."""
-    _known(doc, _TRAIN_KEYS, "train config")
-    schedule = _schedule_from_config(_object(doc.get("schedule", {}), "train schedule"))
-    domain_docs = _object(doc.get("domains", {n: {} for n in DEFAULT_DOMAINS}),
-                          "train config domains")
-    net_doc = _fields(_object(doc.get("net", {}), "train config net"), NetConfig,
-                      "train config net")
-    config = NetConfig(**{**net_doc, "domains": tuple(net_doc.get("domains", domain_docs))})
-    geometry = {k: getattr(config, k) for k in _GEOMETRY}
-    domain_specs = {}
-    for name, d in domain_docs.items():
-        what = f"train config domain {name!r}"
-        d = _fields(_object(d, what), DomainSpec, what, exclude=("name",) + _GEOMETRY)
-        base = DEFAULT_DOMAINS.get(name) or DomainSpec(name)
-        domain_specs[name] = dataclasses.replace(base, **d, **geometry)
-    return schedule, domain_specs, config
-
-
-def _domain_sizes(doc, key, default, domains):
-    """doc[key], a sample count for every domain (default for each when absent)."""
-    sizes = _object(doc.get(key, {n: default for n in domains}), f"train config {key}")
-    for name in domains:
-        size = _require(sizes, name, f"train config {key}")
-        if isinstance(size, bool) or not isinstance(size, int):
-            raise PoseError(f"train config {key}[{name!r}] must be an integer")
-    return sizes
-
-
 def cmd_train_toy(args):
-    doc = read_json_object(args.config, "train config")
-    try:
-        schedule, domain_specs, config = _train_config(doc)
-    except PoseError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise PoseError(f"bad train config: {exc}", path=args.config) from exc
-    sizes = _domain_sizes(doc, "train_sizes", 200, domain_specs)
-    heldout_sizes = _domain_sizes(doc, "heldout_sizes", 50, domain_specs)
-    data_seed = doc.get("data_seed", 5)
-    heldout_seed = doc.get("heldout_seed", 995)
-    datasets = {n: gen_synthetic(domain_specs[n], sizes[n], data_seed)
-                for n in domain_specs}
-    heldout = {n: gen_synthetic(domain_specs[n], heldout_sizes[n], heldout_seed)
-               for n in domain_specs}
+    config = TrainConfig.load(args.config)
+    specs = config.domain_specs
+    datasets = {n: gen_synthetic(specs[n], config.train_sizes[n], config.data_seed)
+                for n in specs}
+    heldout = {n: gen_synthetic(specs[n], config.heldout_sizes[n], config.heldout_seed)
+               for n in specs}
     if args.log:
         open(args.log, "w").close()   # truncate; train appends
-    net, log = train(schedule, datasets, seed=args.seed, config=config,
-                     heldout=heldout, log_path=args.log,
-                     heldout_reference=doc.get("heldout_reference", "annotation"))
+    net, log = train(config.train_schedule, datasets, seed=args.seed,
+                     config=config.net_config, heldout=heldout, log_path=args.log,
+                     heldout_reference=config.heldout_reference)
     if args.out:
         save_network(net, args.out)
-    print(json.dumps({"stages": len(schedule.stages), "final": log[-1]}))
+    print(json.dumps({"stages": len(config.train_schedule.stages), "final": log[-1]}))
 
 
 def cmd_decode(args):

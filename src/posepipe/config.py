@@ -9,10 +9,10 @@ quarter offsets each have a boolean switch, and smoothing, the box and
 keypoint thresholds and track pruning are off at ``smooth_sigma`` 0,
 ``box_threshold`` 0, ``keypoint_threshold`` 0 and ``min_track_length`` 1.
 
-A config is checked when it is made: field types and ranges here, the
-fusion spec by ``fusion.parse_fusion_spec``, and the tracking and OKS values
-by building the ``TrackerConfig`` and ``OksConstants`` that ``run_pipeline``
-uses.
+``from_dict`` checks keys and value types (``errors.checked``). A config
+checks the rest when it is made: ranges here, the fusion spec by
+``fusion.parse_fusion_spec``, and the tracking and OKS values by building
+the ``TrackerConfig`` and ``OksConstants`` that ``run_pipeline`` uses.
 """
 
 from __future__ import annotations
@@ -21,15 +21,11 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from .errors import PoseError
+from .errors import PoseError, checked
 from .fusion import parse_fusion_spec
 from .poseio import read_json_object
 from .suppression import OksConstants
 from .tracking import TrackerConfig
-
-# annotation -> accepted JSON value types; bool is never taken for a number
-_FIELD_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str, "dict": dict}
-
 
 @dataclass
 class PipelineConfig:
@@ -57,12 +53,6 @@ class PipelineConfig:
     min_track_length: int = 2          # 1 = no pruning
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if (not isinstance(value, _FIELD_TYPES[f.type])
-                    or (f.type != "bool" and isinstance(value, bool))):
-                raise PoseError(f"config field {f.name!r} must be {f.type}, "
-                                f"got {type(value).__name__}")
         parse_fusion_spec(self.fusion)
         for name in ("box_threshold", "keypoint_threshold"):
             if not 0 <= getattr(self, name) <= 1:
@@ -92,26 +82,13 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise PoseError(f"unknown config keys {sorted(unknown)}")
-        return cls(**doc)
+        return cls(**checked(cls, doc, "config"))
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        doc = read_json_object(path, "config")
-        try:
-            return cls.from_dict(doc)
-        except PoseError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise PoseError(f"bad config: {exc}", path=path) from exc
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return cls.from_dict(read_json_object(path, "config"))
 
     def save(self, path) -> None:
         with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
+            json.dump(dataclasses.asdict(self), f, indent=2)
             f.write("\n")

@@ -1,3 +1,13 @@
+"""The contract error, and the one check of a JSON config record against the
+signature it feeds."""
+
+from __future__ import annotations
+
+import inspect
+import types
+import typing
+
+
 class PoseError(ValueError):
     """Raised for contract violations: bad joint sets, malformed files, shape
     mismatches, non-monotone frame indices, and similar caller errors.
@@ -17,3 +27,59 @@ class PoseError(ValueError):
         if loc:
             message = f"{message} ({', '.join(loc)})"
         super().__init__(message)
+
+
+def parameters(fn) -> dict:
+    """name -> (annotation, inspect.Parameter) for each keyword fn (a function
+    or a dataclass) takes."""
+    hints = typing.get_type_hints(fn)
+    return {name: (hints[name], p) for name, p in inspect.signature(fn).parameters.items()}
+
+
+def predicate(ann):
+    """value -> whether a JSON value fits annotation ann, where a JSON array
+    fits a tuple and a bool is never a number. Raises TypeError at once for an
+    annotation outside int, float, bool, str, dict, list, tuple[X, ...],
+    tuple[X, Y] and A | B."""
+    origin, args = typing.get_origin(ann), typing.get_args(ann)
+    if origin is types.UnionType:
+        tests = [predicate(a) for a in args]
+        return lambda v: any(t(v) for t in tests)
+    if origin is tuple:
+        if args[1:] == (Ellipsis,):
+            item = predicate(args[0])
+            return lambda v: isinstance(v, (list, tuple)) and all(map(item, v))
+        items = [predicate(a) for a in args]
+        return lambda v: (isinstance(v, (list, tuple)) and len(v) == len(items)
+                          and all(t(x) for t, x in zip(items, v)))
+    if ann in (int, float):
+        kinds = (int,) if ann is int else (int, float)
+        return lambda v: isinstance(v, kinds) and not isinstance(v, bool)
+    if ann in (bool, str, dict, list):
+        return lambda v: isinstance(v, ann)
+    raise TypeError(f"no JSON check for annotation {ann!r}")
+
+
+def checked(fn, doc, what: str, exclude=(), required=None) -> dict:
+    """doc, checked as the keyword arguments of fn (a function or a dataclass)
+    less the parameters named in exclude: a JSON object with no other key,
+    every key in required (by default, each parameter without a default),
+    and values that fit their parameters' annotations. Ranges are left to
+    fn."""
+    if not isinstance(doc, dict):
+        raise PoseError(f"{what} must be a JSON object")
+    params = {k: v for k, v in parameters(fn).items() if k not in exclude}
+    unknown = set(doc) - set(params)
+    if unknown:
+        raise PoseError(f"unknown {what} keys {sorted(unknown)}")
+    if required is None:
+        required = [k for k, (_, p) in params.items() if p.default is p.empty]
+    for key in required:
+        if key not in doc:
+            raise PoseError(f"{what} needs key {key!r}")
+    for key, value in doc.items():
+        ann = params[key][0]
+        if not predicate(ann)(value):
+            name = ann.__name__ if isinstance(ann, type) else ann
+            raise PoseError(f"{what} key {key!r} must be {name}, got {type(value).__name__}")
+    return doc

@@ -122,7 +122,8 @@ def track_sequence(frames, consts: OksConstants, tracker_config: TrackerConfig,
             for fidx, instances in tracked]
 
 
-def _to_instance(decoded: DecodedPose, box, box_score: float) -> PersonInstance:
+def to_instance(decoded: DecodedPose, box, box_score: float) -> PersonInstance:
+    """decoded in an (x, y, w, h) box, its joint scores clipped to [0, 1]."""
     return PersonInstance(
         box=np.asarray(box, dtype=np.float64),
         box_score=box_score,
@@ -153,7 +154,7 @@ def run_pipeline(config: PipelineConfig, manifest_frames) -> PoseSequence:
             decoded = fuse(entry["heatmaps"], entry.get("flipped_heatmaps", {}),
                            config.fusion, config.target_joint_set,
                            config.smooth_sigma, config.use_quarter_offset)
-            instances.append(_to_instance(decoded, entry["box"], entry["box_score"]))
+            instances.append(to_instance(decoded, entry["box"], entry["box_score"]))
         if config.use_box_rescore:
             instances = [rescore(p) for p in instances]
         instances = apply_thresholds(instances, config.box_threshold,

@@ -146,19 +146,20 @@ def oks(a, b, consts: OksConstants):
 
 
 def oks_nms(instances, threshold: float, consts: OksConstants):
-    """Greedy duplicate-pose suppression.
-
-    Instances are visited in descending instance score (input order breaks
-    ties); each kept instance suppresses everything with OKS >= threshold to
-    it. One stacked ``oks`` call gives the whole N x N matrix the visit
-    reads. Returns kept indices in visit order.
-    """
+    """Greedy duplicate-pose suppression by instance score and OKS (see
+    ``_greedy_nms``) over one stacked ``oks`` matrix. Returns kept indices
+    in visit order."""
     if not 0 < threshold <= 1:
         raise PoseError("oks-nms threshold must be in (0, 1]")
     if not instances:
         return []
-    sims = oks(instances, instances, consts)
     scores = np.array([p.score for p in instances], dtype=np.float64)
+    return _greedy_nms(oks(instances, instances, consts), scores, threshold)
+
+
+def _greedy_nms(sims, scores, threshold: float) -> list:
+    """Visit indices by descending score (input order breaks ties); keep each
+    and drop every unvisited one at similarity >= threshold to it."""
     order = np.argsort(-scores, kind="stable")
     keep = []
     while order.size:
@@ -168,33 +169,33 @@ def oks_nms(instances, threshold: float, consts: OksConstants):
     return keep
 
 
+def box_ious(a, b) -> np.ndarray:
+    """(N, M) intersection over union of (N, 4) and (M, 4) (x, y, w, h) box
+    stacks; 0 where the union is not positive."""
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 1, 4)
+    b = np.asarray(b, dtype=np.float64).reshape(1, -1, 4)
+    extent = np.maximum(0.0, np.minimum(a[..., :2] + a[..., 2:], b[..., :2] + b[..., 2:])
+                        - np.maximum(a[..., :2], b[..., :2]))
+    inter = extent[..., 0] * extent[..., 1]
+    union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+
+
 def box_iou(a, b) -> float:
     """Intersection over union of two (x, y, w, h) boxes."""
-    ax, ay, aw, ah = (float(v) for v in a)
-    bx, by, bw, bh = (float(v) for v in b)
-    ix = max(0.0, min(ax + aw, bx + bw) - max(ax, bx))
-    iy = max(0.0, min(ay + ah, by + bh) - max(ay, by))
-    inter = ix * iy
-    union = aw * ah + bw * bh - inter
-    return inter / union if union > 0 else 0.0
+    return float(box_ious(a, b)[0, 0])
 
 
 def box_nms(boxes, scores, threshold: float):
-    """Greedy IoU suppression over (x, y, w, h) boxes, score-descending with
-    input order breaking ties. Returns kept indices in visit order."""
+    """Greedy IoU suppression of (x, y, w, h) boxes (see ``_greedy_nms``).
+    Returns kept indices in visit order."""
     if not 0 < threshold <= 1:
         raise PoseError("box-nms threshold must be in (0, 1]")
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     if boxes.shape[0] != scores.shape[0]:
         raise PoseError("boxes and scores length mismatch")
-    order = list(np.argsort(-scores, kind="stable"))
-    keep = []
-    while order:
-        i = order.pop(0)
-        keep.append(int(i))
-        order = [j for j in order if box_iou(boxes[i], boxes[j]) < threshold]
-    return keep
+    return _greedy_nms(box_ious(boxes, boxes), scores, threshold)
 
 
 def rescore(p: PersonInstance) -> PersonInstance:

@@ -72,7 +72,7 @@ class DomainSpec:
     name: str
     contrast: float = 1.0
     noise: float = 0.05
-    offset: tuple = (0.0, 0.0)    # systematic keypoint annotation offset (cells)
+    offset: tuple[float, float] = (0.0, 0.0)   # systematic annotation offset (cells)
     label_noise: float = 0.0      # std of per-joint annotation jitter (cells)
     occlusion: float = 0.0        # chance each drawn limb segment is hidden
     target_sigma: float = 2.0

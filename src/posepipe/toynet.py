@@ -10,13 +10,14 @@ absent from a batch receive exactly zero gradient.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PoseError
+from .errors import PoseError, checked
 from .skeletons import get_joint_set
 
 _CKPT_MAGIC = b"PKNP"
@@ -29,24 +30,24 @@ class NetConfig:
     hidden: int = 16
     height: int = 32
     width: int = 24
-    domains: tuple = ("coco", "mpii", "posetrack")
+    domains: tuple[str, ...] = ("coco", "mpii", "posetrack")
     dilation: int = 1   # dilation of the second 3x3 conv (receptive-field knob)
 
     def __post_init__(self):
+        object.__setattr__(self, "domains", tuple(self.domains))
         for name in ("in_channels", "hidden", "height", "width", "dilation"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise PoseError(f"net {name} must be an integer >= 1, got {v!r}")
-        if not isinstance(self.domains, tuple) or not all(
-                isinstance(d, str) for d in self.domains):
-            raise PoseError("net domains must be a tuple of joint-set names")
+            if v < 1:
+                raise PoseError(f"net {name} must be >= 1, got {v!r}")
+        for d in self.domains:
+            get_joint_set(d)
 
     def head_channels(self, domain: str) -> int:
         return get_joint_set(domain).count
 
-
-def _block_names(config: NetConfig):
-    return ["backbone.conv1", "backbone.conv2"] + [f"head.{d}" for d in config.domains]
+    def blocks(self) -> list:
+        """Parameter block names: the two backbone convs, then a head per domain."""
+        return ["backbone.conv1", "backbone.conv2"] + [f"head.{d}" for d in self.domains]
 
 
 @dataclass
@@ -56,7 +57,7 @@ class ToyNetwork:
     frozen: set = field(default_factory=set)
 
     def blocks(self):
-        return _block_names(self.config)
+        return self.config.blocks()
 
     def set_frozen(self, blocks) -> None:
         unknown = set(blocks) - set(self.blocks())
@@ -272,14 +273,7 @@ def save_network(net: ToyNetwork, path) -> None:
     """Binary checkpoint: header, JSON manifest, then raw float64 blocks."""
     names = sorted(net.params)
     manifest = json.dumps({
-        "config": {
-            "in_channels": net.config.in_channels,
-            "hidden": net.config.hidden,
-            "height": net.config.height,
-            "width": net.config.width,
-            "domains": list(net.config.domains),
-            "dilation": net.config.dilation,
-        },
+        "config": dataclasses.asdict(net.config),
         "frozen": sorted(net.frozen),
         "params": [{"name": n, "shape": list(net.params[n].shape)} for n in names],
     }).encode("utf-8")
@@ -291,6 +285,7 @@ def save_network(net: ToyNetwork, path) -> None:
 
 
 def load_network(path) -> ToyNetwork:
+    """The network of a ``save_network`` checkpoint; PoseError if malformed."""
     with open(path, "rb") as f:
         blob = f.read()
     head = struct.Struct("<4sII")
@@ -299,28 +294,32 @@ def load_network(path) -> ToyNetwork:
     magic, version, mlen = head.unpack_from(blob, 0)
     if magic != _CKPT_MAGIC or version != _CKPT_VERSION:
         raise PoseError("not a network checkpoint", path=path)
-    off = head.size
-    manifest = json.loads(blob[off:off + mlen].decode("utf-8"))
-    off += mlen
-    config = NetConfig(
-        in_channels=manifest["config"]["in_channels"],
-        hidden=manifest["config"]["hidden"],
-        height=manifest["config"]["height"],
-        width=manifest["config"]["width"],
-        domains=tuple(manifest["config"]["domains"]),
-        dilation=manifest["config"].get("dilation", 1),
-    )
+    off = head.size + mlen
+    if len(blob) < off:
+        raise PoseError("truncated checkpoint manifest", path=path)
+    try:
+        manifest = json.loads(blob[head.size:off].decode("utf-8"))
+    except ValueError as exc:   # not UTF-8, or not JSON
+        raise PoseError(f"checkpoint manifest is not JSON: {exc}", path=path) from exc
+    if not isinstance(manifest, dict):
+        raise PoseError("checkpoint manifest must be a JSON object", path=path)
+    config = NetConfig(**checked(NetConfig, manifest.get("config"), "checkpoint config"))
+    like = init_network(config).params   # the names and shapes the config gives
+    names = sorted(like)
+    if manifest.get("params") != [{"name": n, "shape": list(like[n].shape)} for n in names]:
+        raise PoseError("checkpoint params do not match its config", path=path)
     params = {}
-    for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape))
-        need = n * 8
-        if len(blob) < off + need:
+    for n in names:
+        if len(blob) < off + like[n].nbytes:
             raise PoseError("truncated checkpoint payload", path=path)
-        params[entry["name"]] = np.frombuffer(
-            blob, dtype="<f8", count=n, offset=off).reshape(shape).copy()
-        off += need
+        params[n] = np.frombuffer(blob, dtype="<f8", count=like[n].size,
+                                  offset=off).reshape(like[n].shape).copy()
+        off += like[n].nbytes
     if off != len(blob):
         raise PoseError("trailing bytes in checkpoint", path=path)
-    net = ToyNetwork(config, params, set(manifest.get("frozen", [])))
+    frozen = manifest.get("frozen", [])
+    if not (isinstance(frozen, list) and all(isinstance(b, str) for b in frozen)):
+        raise PoseError("checkpoint frozen must be a list of block names", path=path)
+    net = ToyNetwork(config, params)
+    net.set_frozen(frozen)
     return net

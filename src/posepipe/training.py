@@ -17,31 +17,37 @@ Presets:
   domain, then a frozen-backbone fine-tune of the remaining heads on the
   remaining domains. The joint stage switches to hard-keypoint mining for
   its final sixth, and later stages keep it.
+
+``PRESETS`` names each preset for a ``train-toy`` config, and ``TrainConfig``
+reads such a config whole.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PoseError
+from .errors import PoseError, checked, predicate
 from .heatmaps import peaks
+from .poseio import read_json_object
 from .skeletons import mapping
 from .toynet import NetConfig, ToyNetwork, forward, gradients, init_network, sgd_step
-from .synthetic import project_to_merged
+from .synthetic import DEFAULT_DOMAINS, DomainSpec, project_to_merged
 
 DEFAULT_LR = 1.2
 DEFAULT_BATCH = 8
 DEFAULT_OHKM_K = 8
+HELDOUT_REFERENCES = ("annotation", "truth")
 
 
 @dataclass(frozen=True)
 class Stage:
     name: str
-    domains: tuple
-    trainable: tuple | str = "all"     # "all" or tuple of block names
+    domains: tuple[str, ...]
+    trainable: tuple[str, ...] | str = "all"     # "all" or tuple of block names
     loss: str = "l2"
     ohkm_k: int = DEFAULT_OHKM_K
     steps: int = 100
@@ -50,14 +56,15 @@ class Stage:
 
     def __post_init__(self):
         object.__setattr__(self, "domains", tuple(self.domains))
-        if self.trainable != "all":
+        if not isinstance(self.trainable, str):
             object.__setattr__(self, "trainable", tuple(self.trainable))
+        elif self.trainable != "all":
+            raise PoseError(f"stage trainable must be 'all' or a list of block names, "
+                            f"got {self.trainable!r}")
         if self.steps < 0 or self.batch_size < 1:
             raise PoseError("bad stage configuration")
         if self.loss not in ("l2", "ohkm"):
             raise PoseError(f"unknown loss {self.loss!r}")
-        if isinstance(self.lr, bool) or not isinstance(self.lr, (int, float)):
-            raise PoseError(f"stage lr must be a number, got {type(self.lr).__name__}")
 
 
 @dataclass
@@ -87,13 +94,13 @@ def single_domain_schedule(domain: str, steps: int = 2000, lr: float = DEFAULT_L
     return TrainSchedule(_l2_then_ohkm(domain, (domain,), steps, lr, batch_size))
 
 
-def multi_domain_schedule(domains=("coco", "mpii", "posetrack"), steps: int = 2000,
-                          lr: float = DEFAULT_LR,
+def multi_domain_schedule(domains: tuple[str, ...] = ("coco", "mpii", "posetrack"),
+                          steps: int = 2000, lr: float = DEFAULT_LR,
                           batch_size: int = DEFAULT_BATCH) -> TrainSchedule:
     return TrainSchedule(_l2_then_ohkm("joint", domains, steps, lr, batch_size))
 
 
-def transfer_schedule(source: str, target: str, steps=(2000, 400),
+def transfer_schedule(source: str, target: str, steps: tuple[int, int] = (2000, 400),
                       lr: float = DEFAULT_LR,
                       batch_size: int = DEFAULT_BATCH) -> TrainSchedule:
     return TrainSchedule(_l2_then_ohkm(source, (source,), steps[0], lr, batch_size) + [
@@ -102,15 +109,15 @@ def transfer_schedule(source: str, target: str, steps=(2000, 400),
     ])
 
 
-def mixed_schedule(domains=("coco", "mpii", "posetrack"), steps: int = 2000,
-                   lr: float = DEFAULT_LR,
+def mixed_schedule(domains: tuple[str, ...] = ("coco", "mpii", "posetrack"),
+                   steps: int = 2000, lr: float = DEFAULT_LR,
                    batch_size: int = DEFAULT_BATCH) -> TrainSchedule:
     return TrainSchedule(_l2_then_ohkm("mixed", domains, steps, lr, batch_size))
 
 
-def staged_schedule(domains=("coco", "mpii", "posetrack"), primary: str = "coco",
-                  steps=(2000, 300, 400), lr: float = DEFAULT_LR,
-                  batch_size: int = DEFAULT_BATCH) -> TrainSchedule:
+def staged_schedule(domains: tuple[str, ...] = ("coco", "mpii", "posetrack"),
+                    primary: str = "coco", steps: tuple[int, int, int] = (2000, 300, 400),
+                    lr: float = DEFAULT_LR, batch_size: int = DEFAULT_BATCH) -> TrainSchedule:
     if primary not in domains:
         raise PoseError(f"primary domain {primary!r} not in {domains}")
     others = tuple(d for d in domains if d != primary)
@@ -120,6 +127,84 @@ def staged_schedule(domains=("coco", "mpii", "posetrack"), primary: str = "coco"
         Stage("finetune-heads", others, tuple(f"head.{d}" for d in others),
               "ohkm", steps=steps[2], lr=lr, batch_size=batch_size),
     ])
+
+
+PRESETS = {"staged": staged_schedule, "single": single_domain_schedule,
+           "multi": multi_domain_schedule, "mixed": mixed_schedule,
+           "transfer": transfer_schedule}
+
+
+def _schedule_from_dict(doc: dict) -> TrainSchedule:
+    """A config's ``schedule``: ``stages`` alone (``name`` "stage" by default,
+    ``steps`` required), or a ``preset`` ("staged") and its arguments."""
+    if "stages" in doc:
+        stages = checked(TrainSchedule, doc, "train schedule")["stages"]
+        return TrainSchedule([
+            Stage(**{"name": "stage",
+                     **checked(Stage, s, "train stage", required=("domains", "steps"))})
+            for s in stages])
+    args = dict(doc)
+    preset = args.pop("preset", "staged")
+    if not isinstance(preset, str) or preset not in PRESETS:
+        raise PoseError(f"unknown schedule preset {preset!r}")
+    fn = PRESETS[preset]
+    return fn(**checked(fn, args, f"train schedule preset {preset!r}"))
+
+
+@dataclass
+class TrainConfig:
+    """A ``train-toy`` config document's eight keys. ``load`` checks the keys
+    and value types; building makes ``net_config``, ``domain_specs`` (in
+    document order) and ``train_schedule`` and checks every range and every
+    name the schedule uses. All of it happens before any data is made."""
+
+    schedule: dict = field(default_factory=dict)
+    domains: dict = field(default_factory=lambda: {n: {} for n in DEFAULT_DOMAINS})
+    net: dict = field(default_factory=dict)   # NetConfig fields; domains: those above
+    train_sizes: dict = None                  # domain -> sample count; 200 each
+    heldout_sizes: dict = None                # domain -> sample count; 50 each
+    data_seed: int = 5
+    heldout_seed: int = 995
+    heldout_reference: str = "annotation"
+
+    def __post_init__(self):
+        net = self.net_config = NetConfig(**{"domains": tuple(self.domains),
+                                             **checked(NetConfig, self.net, "train config net")})
+        # the grid geometry comes from net, the same for every domain
+        geometry = {k: getattr(net, k) for k in ("height", "width", "in_channels")}
+        self.domain_specs = {}
+        for name, doc in self.domains.items():
+            doc = checked(DomainSpec, doc, f"train config domain {name!r}",
+                          exclude=("name", *geometry))
+            base = DEFAULT_DOMAINS.get(name) or DomainSpec(name)
+            self.domain_specs[name] = dataclasses.replace(base, **doc, **geometry)
+            if name not in net.domains and net.domains != ("merged",):
+                raise PoseError(f"network has no head for domain {name!r}")
+        for key, default in (("train_sizes", 200), ("heldout_sizes", 50)):
+            if getattr(self, key) is None:
+                setattr(self, key, dict.fromkeys(self.domain_specs, default))
+            for name in self.domain_specs:
+                size = getattr(self, key).get(name)
+                if not predicate(int)(size) or size < 1:
+                    raise PoseError(f"train config {key}[{name!r}] must be an integer >= 1")
+        if self.data_seed < 0 or self.heldout_seed < 0:
+            raise PoseError("train config seeds must be >= 0")
+        if self.heldout_reference not in HELDOUT_REFERENCES:
+            raise PoseError(f"unknown reference {self.heldout_reference!r}")
+        self.train_schedule = _schedule_from_dict(self.schedule)
+        for stage in self.train_schedule.stages:
+            missing = [d for d in stage.domains if d not in self.domain_specs]
+            if missing:
+                raise PoseError(f"stage {stage.name!r} needs domains {missing} that "
+                                f"train config domains does not give")
+            unknown = set(stage.trainable) - set(net.blocks()) if stage.trainable != "all" else ()
+            if unknown:
+                raise PoseError(f"stage {stage.name!r} trains unknown parameter blocks "
+                                f"{sorted(unknown)}")
+
+    @classmethod
+    def load(cls, path) -> "TrainConfig":
+        return cls(**checked(cls, read_json_object(path, "train config"), "train config"))
 
 
 def heldout_error(net: ToyNetwork, samples, reference: str = "annotation") -> float:
@@ -133,7 +218,7 @@ def heldout_error(net: ToyNetwork, samples, reference: str = "annotation") -> fl
     """
     if not samples:
         raise PoseError("no held-out samples")
-    if reference not in ("annotation", "truth"):
+    if reference not in HELDOUT_REFERENCES:
         raise PoseError(f"unknown reference {reference!r}")
     errs = []
     merged_only = tuple(net.config.domains) == ("merged",)

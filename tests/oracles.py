@@ -10,9 +10,9 @@ they were (about O(n^5) and O(n^3) Python steps) to check the faster ones on
 matrices too large to enumerate. The mAP/MOTA references keep the
 per-joint loops and reuse only the library's AP integration and mean, so
 they check the matching-and-judging bookkeeping, not those formulas.
-The one-pair OKS and the pair-by-pair pose matching are the library's
-earlier versions, kept as they were, to check the stacked kernels bit for
-bit. ``pckh_distance`` is the one-joint PCKh distance, the textbook form
+The one-pair OKS, the pair-by-pair pose matching and the one-pair box IoU
+with its pop-and-filter box NMS are the library's earlier versions, kept as
+they were, to check the stacked kernels bit for bit. ``pckh_distance`` is the one-joint PCKh distance, the textbook form
 the judgement in ``evaluation`` stacks. The head-swap and vote fusions are
 the library's earlier versions too (decode each branch, then project; one
 index pair at a time); they reuse its decode and pose projection and check
@@ -197,6 +197,31 @@ def reference_greedy_nms(similarity_matrix, scores, threshold):
     for i in order:
         if all(sims[k, i] < threshold for k in keep):
             keep.append(int(i))
+    return keep
+
+
+def reference_box_iou(a, b) -> float:
+    """Intersection over union of two (x, y, w, h) boxes, in Python floats."""
+    ax, ay, aw, ah = (float(v) for v in a)
+    bx, by, bw, bh = (float(v) for v in b)
+    ix = max(0.0, min(ax + aw, bx + bw) - max(ax, bx))
+    iy = max(0.0, min(ay + ah, by + bh) - max(ay, by))
+    inter = ix * iy
+    union = aw * ah + bw * bh - inter
+    return inter / union if union > 0 else 0.0
+
+
+def reference_box_nms(boxes, scores, threshold):
+    """Greedy IoU suppression, score-descending with input order breaking
+    ties: pop the best remaining box, keep it, and drop every remaining box
+    whose IoU to it is >= threshold, one pair at a time."""
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    order = list(np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable"))
+    keep = []
+    while order:
+        i = order.pop(0)
+        keep.append(int(i))
+        order = [j for j in order if reference_box_iou(boxes[i], boxes[j]) < threshold]
     return keep
 
 

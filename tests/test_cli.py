@@ -387,6 +387,27 @@ _TINY_TRAIN = {"domains": {"coco": {}}, "train_sizes": {"coco": 2},
     dict(_TINY_TRAIN, net={"hidden": 0}),
     dict(_TINY_TRAIN, schedule={"stages": [{"domains": ["coco"], "steps": 1}], "lr": 2}),
     dict(_TINY_TRAIN, schedule=dict(_TINY_TRAIN["schedule"], primary="mpii")),
+    # each of these used to end in a traceback, exit 0, misread a value or
+    # fail only after the data was generated
+    dict(_TINY_TRAIN, data_seed="x"),
+    dict(_TINY_TRAIN, data_seed=1.5),
+    dict(_TINY_TRAIN, data_seed=-1),
+    dict(_TINY_TRAIN, heldout_reference="bogus"),
+    dict(_TINY_TRAIN, domains={"coco": {"offset": "ab"}}),
+    dict(_TINY_TRAIN, domains={"coco": {"contrast": "x"}}),
+    dict(_TINY_TRAIN, schedule={"stages": [{"domains": ["coco"], "steps": 1.5}]}),
+    dict(_TINY_TRAIN, schedule={"preset": "staged", "domains": ["coco"], "steps": [1]}),
+    dict(_TINY_TRAIN, schedule={"stages": [{"domains": "coco", "steps": 1}]}),
+    dict(_TINY_TRAIN, schedule={"preset": "multi", "domains": "coco", "steps": 1}),
+    dict(_TINY_TRAIN, schedule={"stages": [{"domains": ["coco"], "steps": 1,
+                                            "trainable": ["head.nope"]}]}),
+    dict(_TINY_TRAIN, schedule={"stages": [{"domains": ["mpii"], "steps": 1}]}),
+    dict(_TINY_TRAIN, schedule={"preset": "single", "domain": "mpii", "steps": 1}),
+    dict(_TINY_TRAIN, domains={"coco": {}, "mpii": {}}, train_sizes={"coco": 2, "mpii": 2},
+         heldout_sizes={"coco": 1, "mpii": 1}, net={"hidden": 2, "domains": ["coco"]},
+         schedule={"stages": [{"domains": ["mpii"], "steps": 1}]}),
+    dict(_TINY_TRAIN, train_sizes={"coco": 0}),
+    dict(_TINY_TRAIN, heldout_sizes={"coco": 0}),
 ])
 def test_train_toy_rejects_malformed_config(tmp_path, capsys, monkeypatch, train_doc):
     def no_data(*args, **kwargs):

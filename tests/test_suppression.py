@@ -9,13 +9,19 @@ from posepipe.suppression import (
     OksConstants,
     apply_thresholds,
     box_iou,
+    box_ious,
     box_nms,
     oks,
     oks_nms,
     rescore,
 )
 
-from oracles import reference_greedy_nms, reference_oks
+from oracles import (
+    reference_box_iou,
+    reference_box_nms,
+    reference_greedy_nms,
+    reference_oks,
+)
 
 JS = builtin_joint_set("posetrack")
 CONSTS = OksConstants.for_joint_set("posetrack")
@@ -251,6 +257,25 @@ def test_box_nms_matches_reference_on_random_inputs():
                          for i in range(n)])
         want = reference_greedy_nms(sims, scores, thr)
         assert box_nms(boxes, scores, thr) == want
+
+
+def test_box_ious_and_box_nms_equal_the_pair_loop_bit_for_bit():
+    # integer boxes give touching edges, empty boxes, repeated boxes, tied
+    # scores and IoUs that land exactly on the threshold
+    rng = np.random.default_rng(23)
+    for case in range(300):
+        n = int(rng.integers(1, 12))
+        if case % 2:
+            boxes = rng.integers(0, 6, (n, 4)).astype(np.float64)
+            scores = rng.integers(0, 3, n) / 2.0
+            thr = float(rng.choice([0.25, 1 / 3, 0.5, 1.0]))
+        else:
+            boxes = np.column_stack([rng.uniform(-5, 10, (n, 2)), rng.uniform(0, 6, (n, 2))])
+            scores = rng.random(n)
+            thr = float(rng.uniform(0.05, 1.0))
+        want = np.array([[reference_box_iou(a, b) for b in boxes] for a in boxes])
+        assert box_ious(boxes, boxes).tobytes() == want.tobytes()
+        assert box_nms(boxes, scores, thr) == reference_box_nms(boxes, scores, thr)
 
 
 def test_rescore_examples():

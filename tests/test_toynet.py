@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -223,6 +226,38 @@ def test_checkpoint_truncation(tmp_path):
     (tmp_path / "bad.pknp").write_bytes(blob[:-16])
     with pytest.raises(PoseError):
         load_network(tmp_path / "bad.pknp")
+
+
+def _spoil_manifest(case, manifest: bytes) -> bytes:
+    doc = json.loads(manifest)
+    if case == "not JSON":
+        return b"{" + manifest
+    if case == "not UTF-8":
+        return b"\xff" + manifest[1:]
+    if case == "no config":
+        del doc["config"]
+    else:   # params not a list
+        doc["params"] = {"backbone.conv1.w": [3, 1, 3, 3]}
+    return json.dumps(doc).encode("utf-8")
+
+
+@pytest.mark.parametrize("case", ["not JSON", "not UTF-8", "length past the end",
+                                  "no config", "params not a list"])
+def test_load_network_rejects_malformed_manifest(tmp_path, case):
+    path = tmp_path / "net.pknp"
+    save_network(init_network(SMALL, seed=19), path)
+    blob = path.read_bytes()
+    head = struct.Struct("<4sII")
+    magic, version, mlen = head.unpack_from(blob)
+    manifest, payload = blob[head.size:head.size + mlen], blob[head.size + mlen:]
+    if case == "length past the end":
+        mlen = len(blob)
+    else:
+        manifest = _spoil_manifest(case, manifest)
+        mlen = len(manifest)
+    path.write_bytes(head.pack(magic, version, mlen) + manifest + payload)
+    with pytest.raises(PoseError):
+        load_network(path)
 
 
 def test_dilated_conv_gradients():
