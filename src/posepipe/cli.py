@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .errors import PoseError
-from .evaluation import compute_map, compute_mota, format_table, report_to_dict
+from .evaluation import PCKH_THRESHOLD, compute_map, compute_mota, format_table, report_to_dict
 from .heatmaps import decode, load_heatmap
 from .pipeline import fuse, load_manifest, run_pipeline, to_instance, track_sequence
 from .poseio import (
@@ -168,6 +168,7 @@ def cmd_run(args):
 
 
 def build_parser():
+    defaults = PipelineConfig()
     p = argparse.ArgumentParser(prog="posepipe",
                                 description="multi-domain pose pipeline tools")
     p.add_argument("-v", "--verbose", action="store_true")
@@ -195,7 +196,7 @@ def build_parser():
     s = sub.add_parser("decode", help="decode one heatmap file to a pose")
     s.add_argument("--heatmap", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--smooth-sigma", type=float, default=1.0)
+    s.add_argument("--smooth-sigma", type=float, default=defaults.smooth_sigma)
     s.add_argument("--no-quarter-offset", action="store_true")
     s.set_defaults(fn=cmd_decode)
 
@@ -205,7 +206,7 @@ def build_parser():
     s.add_argument("--target", required=True)
     s.add_argument("--branch", action="append", metavar="NAME=PATH")
     s.add_argument("--flipped", action="append", metavar="NAME=PATH")
-    s.add_argument("--smooth-sigma", type=float, default=1.0)
+    s.add_argument("--smooth-sigma", type=float, default=defaults.smooth_sigma)
     s.add_argument("--no-quarter-offset", action="store_true")
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_fuse)
@@ -218,17 +219,17 @@ def build_parser():
 
     s = sub.add_parser("nms", help="OKS-NMS over a pose file")
     s.add_argument("input")
-    s.add_argument("--oks-thr", type=float, default=0.4)
+    s.add_argument("--oks-thr", type=float, default=defaults.oks_nms_threshold)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_nms)
 
     s = sub.add_parser("track", help="associate identities across frames")
     s.add_argument("input")
-    s.add_argument("--matcher", choices=("hungarian", "greedy"), default="hungarian")
-    s.add_argument("--propagator", choices=("identity", "velocity"), default="velocity")
-    s.add_argument("--sim-thr", type=float, default=0.3)
-    s.add_argument("--lookback", type=int, default=8)
-    s.add_argument("--min-len", type=int, default=2)
+    s.add_argument("--matcher", choices=("hungarian", "greedy"), default=defaults.matcher)
+    s.add_argument("--propagator", choices=("identity", "velocity"), default=defaults.propagator)
+    s.add_argument("--sim-thr", type=float, default=defaults.similarity_threshold)
+    s.add_argument("--lookback", type=int, default=defaults.lookback)
+    s.add_argument("--min-len", type=int, default=defaults.min_track_length)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_track)
 
@@ -236,7 +237,7 @@ def build_parser():
         s = sub.add_parser(name, help=f"{name} over prediction and ground truth")
         s.add_argument("--pred", required=True)
         s.add_argument("--gt", required=True)
-        s.add_argument("--pckh-thr", type=float, default=0.5)
+        s.add_argument("--pckh-thr", type=float, default=PCKH_THRESHOLD)
         s.add_argument("--json", help="also write a machine-readable report")
         s.set_defaults(fn=fn)
 

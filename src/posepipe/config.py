@@ -10,9 +10,11 @@ keypoint thresholds and track pruning are off at ``smooth_sigma`` 0,
 ``box_threshold`` 0, ``keypoint_threshold`` 0 and ``min_track_length`` 1.
 
 ``from_dict`` checks keys and value types (``errors.checked``). A config
-checks the rest when it is made: ranges here, the fusion spec by
-``fusion.parse_fusion_spec``, and the tracking and OKS values by building
-the ``TrackerConfig`` and ``OksConstants`` that ``run_pipeline`` uses.
+checks the rest when it is made, through the check of the code that uses
+each value: ``parse_fusion_spec``, ``check_smooth_sigma``, the
+``OksConstants`` and ``TrackerConfig`` that ``run_pipeline`` builds, and
+``oks_nms`` and ``finalize`` called on no input. Only the box and keypoint
+thresholds are checked here, in [0, 1] (``apply_thresholds`` takes any >= 0).
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from dataclasses import dataclass, field
 
 from .errors import PoseError, checked
 from .fusion import parse_fusion_spec
+from .heatmaps import check_smooth_sigma
 from .poseio import read_json_object
-from .suppression import OksConstants
-from .tracking import TrackerConfig
+from .suppression import OksConstants, oks_nms
+from .tracking import TrackerConfig, TrackerState, finalize
 
 @dataclass
 class PipelineConfig:
@@ -54,17 +57,13 @@ class PipelineConfig:
 
     def __post_init__(self):
         parse_fusion_spec(self.fusion)
+        check_smooth_sigma(self.smooth_sigma)
         for name in ("box_threshold", "keypoint_threshold"):
             if not 0 <= getattr(self, name) <= 1:
                 raise PoseError(f"config field {name!r} must be in [0, 1]")
-        if not 0 < self.oks_nms_threshold <= 1:
-            raise PoseError("config field 'oks_nms_threshold' must be in (0, 1]")
-        if not self.smooth_sigma >= 0:
-            raise PoseError("config field 'smooth_sigma' must be >= 0")
-        if self.min_track_length < 1:
-            raise PoseError("config field 'min_track_length' must be >= 1")
-        self.oks_constants()
-        self.tracker_config()
+        consts = self.oks_constants()
+        oks_nms([], self.oks_nms_threshold, consts)
+        finalize(TrackerState(consts, self.tracker_config()), self.min_track_length)
 
     @property
     def propagator(self) -> str:

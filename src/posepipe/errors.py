@@ -4,6 +4,7 @@ signature it feeds."""
 from __future__ import annotations
 
 import inspect
+import sys
 import types
 import typing
 
@@ -38,7 +39,8 @@ def parameters(fn) -> dict:
 
 def predicate(ann):
     """value -> whether a JSON value fits annotation ann, where a JSON array
-    fits a tuple and a bool is never a number. Raises TypeError at once for an
+    fits a tuple, a bool is never a number and an integer fits a float only if
+    it converts to one (NaN and +-inf do fit). Raises TypeError at once for an
     annotation outside int, float, bool, str, dict, list, tuple[X, ...],
     tuple[X, Y] and A | B."""
     origin, args = typing.get_origin(ann), typing.get_args(ann)
@@ -52,9 +54,11 @@ def predicate(ann):
         items = [predicate(a) for a in args]
         return lambda v: (isinstance(v, (list, tuple)) and len(v) == len(items)
                           and all(t(x) for t, x in zip(items, v)))
-    if ann in (int, float):
-        kinds = (int,) if ann is int else (int, float)
-        return lambda v: isinstance(v, kinds) and not isinstance(v, bool)
+    if ann is int:
+        return lambda v: isinstance(v, int) and not isinstance(v, bool)
+    if ann is float:
+        is_int = predicate(int)
+        return lambda v: isinstance(v, float) or is_int(v) and abs(v) <= sys.float_info.max
     if ann in (bool, str, dict, list):
         return lambda v: isinstance(v, ann)
     raise TypeError(f"no JSON check for annotation {ann!r}")

@@ -1,6 +1,7 @@
 """Per-joint average precision and per-joint tracking accuracy.
 
-Protocol (the threshold is the CLI's ``--pckh-thr`` argument, default 0.5):
+Protocol (the threshold is the CLI's ``--pckh-thr`` argument, a finite
+number > 0, default 0.5):
 
 * A predicted joint is correct when both poses annotate it and its distance
   to the ground-truth joint is at most threshold x the person's head
@@ -25,6 +26,7 @@ Joints with no annotated ground truth are excluded from every mean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,29 +48,6 @@ _JOINT_GROUPS = (
     ("Knee", ("left_knee", "right_knee")),
     ("Ankle", ("left_ankle", "right_ankle")),
 )
-
-
-@dataclass
-class GroundTruthFrame:
-    """Annotated people of one frame; every instance carries person_id and
-    head_size."""
-
-    frame_index: int
-    instances: list
-
-    def __post_init__(self):
-        ids = []
-        for g in self.instances:
-            if g.person_id is None:
-                raise PoseError(f"ground-truth instance missing person_id", frame=self.frame_index)
-            if g.head_size is None or g.head_size <= 0:
-                raise PoseError(
-                    f"ground-truth person {g.person_id} needs a positive head_size",
-                    frame=self.frame_index,
-                )
-            ids.append(g.person_id)
-        if len(set(ids)) != len(ids):
-            raise PoseError("duplicate person ids in frame", frame=self.frame_index)
 
 
 @dataclass
@@ -122,11 +101,17 @@ def _judge(preds, gts, threshold: float, every_pair: bool = False):
     ground-truth pair; without it preds and gts are paired up in order and
     the results are (P, K). Returns the correct mask (annotated in both
     poses and within threshold), the distances normalized by the ground
-    truth's head size and the annotated-in-both mask.
+    truth's head size and the annotated-in-both mask; None if either stack
+    is empty. The one check of the threshold and of head sizes (each a
+    finite number > 0) runs first, so a call on no input checks the threshold.
     """
+    if not 0 < threshold < math.inf:
+        raise PoseError(f"PCKh threshold must be a finite number > 0, got {threshold!r}")
     heads = [g.head_size for g in gts]
-    if any(h is None or h <= 0 for h in heads):
-        raise PoseError("ground-truth instances need a positive head_size")
+    if any(h is None or not 0 < h < math.inf for h in heads):
+        raise PoseError("ground-truth instances need a finite head_size > 0")
+    if not preds or not gts:
+        return None
     pc = np.stack([p.coords for p in preds])
     pa = np.stack([p.annotated for p in preds])
     if every_pair:
@@ -145,9 +130,10 @@ def match_poses(preds, gts, threshold: float = PCKH_THRESHOLD):
     over joints annotated in both keeps ``np.mean``'s float order. Returns a
     list of (pred_index, gt_index) pairs.
     """
-    if not preds or not gts:
+    judged = _judge(preds, gts, threshold, every_pair=True)
+    if judged is None:
         return []
-    correct, d, both = _judge(preds, gts, threshold, every_pair=True)
+    correct, d, both = judged
     count = correct.sum(axis=-1)
     meandist = _masked_mean(d, both)
     pi, gi = np.nonzero(count > 0)
@@ -183,11 +169,7 @@ def _average_precision(scored, npos: int) -> float:
 
 def _index_frames(frames):
     seen = {}
-    for item in frames:
-        if isinstance(item, GroundTruthFrame):
-            frame_index, instances = item.frame_index, item.instances
-        else:
-            frame_index, instances = item
+    for frame_index, instances in frames:
         if frame_index in seen:
             raise PoseError(f"duplicate frame index {frame_index}")
         seen[frame_index] = instances
@@ -211,6 +193,7 @@ def _matched_frames(preds, gts, joint_set: str, threshold: float):
     are the matched (pred_index, gt_index) in ground-truth order, and
     correct/dist are their (P, K) ``_judge`` results, row for row.
     """
+    _judge((), (), threshold)   # checked even when there is no frame to judge
     k = get_joint_set(joint_set).count
     pred_by_frame = _index_frames(preds)
     gt_by_frame = _index_frames(gts)
@@ -233,8 +216,9 @@ def compute_map(preds, gts, joint_set: str = "posetrack",
     """Per-joint AP over score-ranked keypoint detections.
 
     preds: iterable of (frame_index, [PersonInstance]) with keypoint scores.
-    gts: iterable of (frame_index, [PersonInstance]) or GroundTruthFrame,
-    every instance carrying head_size.
+    gts: iterable of (frame_index, [PersonInstance]), every instance carrying
+    a finite head_size > 0. threshold: the PCKh threshold, a finite number > 0.
+    Both are checked by ``_judge``; a bad value raises PoseError.
     """
     js = get_joint_set(joint_set)
     k = js.count
@@ -266,7 +250,8 @@ def compute_mota(preds, gts, joint_set: str = "posetrack",
                  threshold: float = PCKH_THRESHOLD) -> EvalReport:
     """Per-joint MOTA/MOTP/precision/recall for tracked predictions.
 
-    Predictions must carry track ids; ground truth must carry person ids.
+    preds, gts and threshold are as for :func:`compute_map`; predictions
+    must carry track ids, and ground truth person ids unique within a frame.
     Every annotated ground-truth joint not judged correct is a miss and every
     reported prediction joint not judged correct is a false positive.
     """
@@ -286,10 +271,13 @@ def compute_mota(preds, gts, joint_set: str = "posetrack",
                 raise PoseError("compute_mota needs track ids on predictions",
                                 frame=frame_index)
             reported += p.annotated
+        ids = [g.person_id for g in frame_gts]
+        if None in ids:
+            raise PoseError("compute_mota needs person ids on ground truth",
+                            frame=frame_index)
+        if len(set(ids)) != len(ids):
+            raise PoseError("duplicate person ids in frame", frame=frame_index)
         for g in frame_gts:
-            if g.person_id is None:
-                raise PoseError("compute_mota needs person ids on ground truth",
-                                frame=frame_index)
             gt_total += g.annotated
         tp += correct.sum(axis=0)
         for (pi, gi), ok, d in zip(pairs, correct, dist):

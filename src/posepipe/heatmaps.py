@@ -147,13 +147,18 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
+def check_smooth_sigma(sigma_filter: float) -> None:
+    """Raise unless sigma_filter is a finite number >= 0, as :func:`smooth` needs."""
+    if not 0 <= sigma_filter < math.inf:
+        raise PoseError(f"smoothing sigma must be a finite number >= 0, got {sigma_filter!r}")
+
+
 def smooth(h: Heatmap, sigma_filter: float) -> Heatmap:
     """Per-channel convolution with a normalized truncated Gaussian
     (radius = ceil(3 sigma)), symmetric-reflect padding. sigma_filter = 0 is
     the identity. Channel mass is preserved.
     """
-    if sigma_filter < 0:
-        raise PoseError("smoothing sigma must be >= 0")
+    check_smooth_sigma(sigma_filter)
     if sigma_filter == 0:
         return h
     kernel = _gaussian_kernel(sigma_filter)

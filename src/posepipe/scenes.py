@@ -115,6 +115,24 @@ def _clutter_heatmap(noise_rng, crop, strides, grid, joint_set, peak):
     return Heatmap((hm.values * peak).astype(np.float32), joint_set, crop, strides)
 
 
+def _write_crop(outdir, stem, box, box_score, heatmaps, with_flipped):
+    """Save one crop's branch heatmaps as heatmaps/<stem>_<branch>.pkhm and,
+    with_flipped, each one's mirrored-input prediction as ..._flip.pkhm.
+    Returns the crop's manifest entry."""
+    entry = {"box": list(box), "box_score": box_score, "heatmaps": {}}
+    if with_flipped:
+        entry["flipped_heatmaps"] = {}
+    for branch, hm in heatmaps.items():
+        name = f"heatmaps/{stem}_{branch}.pkhm"
+        save_heatmap(hm, os.path.join(outdir, name))
+        entry["heatmaps"][branch] = name
+        if with_flipped:
+            fname = f"heatmaps/{stem}_{branch}_flip.pkhm"
+            save_heatmap(_mirror_output(hm), os.path.join(outdir, fname))
+            entry["flipped_heatmaps"][branch] = fname
+    return entry
+
+
 def generate_scene(outdir, num_frames: int = 5, num_persons: int = 2, seed: int = 0,
                    grid=(24, 18), sigma: float = 2.5, branch_noise: float = 0.002,
                    img_size=(640, 480), with_flipped: bool = True,
@@ -153,28 +171,15 @@ def generate_scene(outdir, num_frames: int = 5, num_persons: int = 2, seed: int 
                     disp = rng_weak.uniform(3.0, 5.0, size=2) * rng_weak.choice([-1, 1], 2)
                     weak[mi] = (disp, 0.2)
 
-            entry = {"box": [crop[0], crop[1], crop[2], crop[3]],
-                     "box_score": 0.93, "heatmaps": {}}
-            if with_flipped:
-                entry["flipped_heatmaps"] = {}
-            for branch in BRANCHES:
-                noise_rng = np.random.default_rng([seed, 41, t, p, BRANCHES.index(branch)])
-                bweak = {}
+            heatmaps = {}
+            for b, branch in enumerate(BRANCHES):
+                noise_rng = np.random.default_rng([seed, 41, t, p, b])
                 bm = dict(mapping("merged", branch).index_map)
-                for mi, wk in weak.items():
-                    if mi in bm:
-                        bweak[bm[mi]] = wk
-                hm = _render_instance(pts, crop, strides, grid, sigma, branch,
-                                      bweak, noise_rng, branch_noise)
-                name = f"heatmaps/f{t}_p{p}_{branch}.pkhm"
-                save_heatmap(hm, os.path.join(outdir, name))
-                entry["heatmaps"][branch] = name
-                if with_flipped:
-                    flipped = _mirror_output(hm)
-                    fname = f"heatmaps/f{t}_p{p}_{branch}_flip.pkhm"
-                    save_heatmap(flipped, os.path.join(outdir, fname))
-                    entry["flipped_heatmaps"][branch] = fname
-            entries.append(entry)
+                bweak = {bm[mi]: wk for mi, wk in weak.items() if mi in bm}
+                heatmaps[branch] = _render_instance(pts, crop, strides, grid, sigma, branch,
+                                                    bweak, noise_rng, branch_noise)
+            entries.append(_write_crop(outdir, f"f{t}_p{p}", crop, 0.93, heatmaps,
+                                       with_flipped))
 
             k = posetrack.count
             gt_instances.append(PersonInstance(
@@ -206,20 +211,11 @@ def generate_scene(outdir, num_frames: int = 5, num_persons: int = 2, seed: int 
                 cy = rng_cl.uniform(40, img_h - 160)
                 crop = (cx, cy, 70.0, 110.0)
                 strides = (crop[2] / grid[1], crop[3] / grid[0])
-                entry = {"box": list(crop), "box_score": box_score, "heatmaps": {}}
-                if with_flipped:
-                    entry["flipped_heatmaps"] = {}
-                for branch in BRANCHES:
-                    hm = _clutter_heatmap(np.random.default_rng([seed, 52, ord(tag)]),
-                                          crop, strides, grid, branch, peak)
-                    name = f"heatmaps/f{t}_clutter{tag}_{branch}.pkhm"
-                    save_heatmap(hm, os.path.join(outdir, name))
-                    entry["heatmaps"][branch] = name
-                    if with_flipped:
-                        fname = f"heatmaps/f{t}_clutter{tag}_{branch}_flip.pkhm"
-                        save_heatmap(_mirror_output(hm), os.path.join(outdir, fname))
-                        entry["flipped_heatmaps"][branch] = fname
-                entries.append(entry)
+                heatmaps = {branch: _clutter_heatmap(np.random.default_rng([seed, 52, ord(tag)]),
+                                                     crop, strides, grid, branch, peak)
+                            for branch in BRANCHES}
+                entries.append(_write_crop(outdir, f"f{t}_clutter{tag}", crop, box_score,
+                                           heatmaps, with_flipped))
 
         manifest_frames.append({"frame_index": t, "instances": entries})
         gt_frames.append((t, gt_instances))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoseError
+from .errors import PoseError, predicate
 from .instances import PersonInstance
 from .skeletons import canonical_name, get_joint_set
 
@@ -62,8 +62,7 @@ class OksConstants:
         if unknown:
             raise PoseError(f"fall-off overrides {sorted(unknown)} name no joint "
                             f"of set {name!r}")
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
-                   for v in (extra_falloff, *overrides.values())):
+        if not all(predicate(float)(v) and v > 0 for v in (extra_falloff, *overrides.values())):
             raise PoseError("fall-off constants must be numbers > 0")
         by_alias = {canonical_name(key): v for key, v in overrides.items()}
         values = []

@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -76,11 +77,24 @@ class TrainSchedule:
             raise PoseError("schedule needs at least one stage")
 
 
+def check_stages(schedule: TrainSchedule, data, blocks) -> None:
+    """Raise unless every stage's domains have a non-empty entry in data
+    and its ``trainable`` names only blocks."""
+    for stage in schedule.stages:
+        missing = [d for d in stage.domains if not data.get(d)]
+        if missing:
+            raise PoseError(f"stage {stage.name!r} has no data for domains {missing}")
+        unknown = set(stage.trainable) - set(blocks) if stage.trainable != "all" else ()
+        if unknown:
+            raise PoseError(f"stage {stage.name!r} trains unknown parameter blocks "
+                            f"{sorted(unknown)}")
+
+
 def _l2_then_ohkm(prefix: str, domains, steps: int, lr: float,
                   batch_size: int) -> list:
     """``<prefix>-l2`` then ``<prefix>-ohkm`` over all blocks; the mining
-    stage takes the final sixth of the steps."""
-    ohkm_steps = round(steps / 6)
+    stage takes the final sixth of the steps, rounded exactly (half to even)."""
+    ohkm_steps = round(Fraction(steps, 6))
     return [
         Stage(f"{prefix}-l2", tuple(domains), "all", "l2", steps=steps - ohkm_steps,
               lr=lr, batch_size=batch_size),
@@ -192,15 +206,7 @@ class TrainConfig:
         if self.heldout_reference not in HELDOUT_REFERENCES:
             raise PoseError(f"unknown reference {self.heldout_reference!r}")
         self.train_schedule = _schedule_from_dict(self.schedule)
-        for stage in self.train_schedule.stages:
-            missing = [d for d in stage.domains if d not in self.domain_specs]
-            if missing:
-                raise PoseError(f"stage {stage.name!r} needs domains {missing} that "
-                                f"train config domains does not give")
-            unknown = set(stage.trainable) - set(net.blocks()) if stage.trainable != "all" else ()
-            if unknown:
-                raise PoseError(f"stage {stage.name!r} trains unknown parameter blocks "
-                                f"{sorted(unknown)}")
+        check_stages(self.train_schedule, self.domain_specs, net.blocks())
 
     @classmethod
     def load(cls, path) -> "TrainConfig":
@@ -244,9 +250,10 @@ def train(schedule: TrainSchedule, datasets: dict, seed: int,
           heldout_reference: str = "annotation"):
     """Run the schedule with SGD; bit-reproducible for a given seed.
 
-    datasets/heldout map domain name -> list of Samples. Returns
-    (network, log) where log is a list of dicts; each stage boundary logs the
-    per-domain held-out error when held-out data is provided.
+    datasets/heldout map domain name -> list of Samples; every stage is
+    checked (``check_stages``) before the first step. Returns (network, log)
+    where log is a list of dicts; each stage boundary logs the per-domain
+    held-out error when held-out data is provided.
     """
     if config is None:
         config = NetConfig()
@@ -269,16 +276,10 @@ def train(schedule: TrainSchedule, datasets: dict, seed: int,
                                 for d, ss in sorted(heldout.items())}
         emit(entry)
 
+    check_stages(schedule, datasets, net.blocks())
     for stage_index, stage in enumerate(schedule.stages):
-        missing = [d for d in stage.domains if d not in datasets]
-        if missing:
-            raise PoseError(f"stage {stage.name!r} needs missing datasets {missing}")
-        pools = []
-        for d in stage.domains:
-            pool = [project_to_merged(s) if merged_only else s for s in datasets[d]]
-            if not pool:
-                raise PoseError(f"stage {stage.name!r} has an empty dataset {d!r}")
-            pools.append(pool)
+        pools = [[project_to_merged(s) if merged_only else s for s in datasets[d]]
+                 for d in stage.domains]
         if stage.trainable == "all":
             net.set_frozen(())
         else:

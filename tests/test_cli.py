@@ -326,6 +326,7 @@ def test_run_rejects_mistyped_config_before_reading_manifest(tmp_path, capsys, c
     {"fusion": "vote:coco"}, {"fusion": "head-swap:coco"}, {"fusion": "select:"},
     {"fusion": "head-swap:,mpii"}, {"fusion": "head-swap:coco,mpii,posetrack"},
     {"oks_falloff_overrides": {"nose_typo": 0.5}}, {"target_joint_set": "nope"},
+    {"smooth_sigma": float("inf")}, {"smooth_sigma": float("nan")},
 ])
 def test_run_rejects_out_of_range_config_before_reading_manifest(tmp_path, capsys, config):
     # each of these used to exit 0 with nothing tracked, or fail only after
@@ -516,3 +517,68 @@ def test_run_checks_every_branch_file_the_strategy_does_not_read(
                  "--out", str(out)]) == rc
     assert _error_doc(capsys) == {"error": error, "kind": kind}
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["decode", "fuse"])
+def test_decode_and_fuse_reject_non_finite_smooth_sigma(tmp_path, capsys, command, sigma):
+    hm, _ = render_target(np.tile([[5.0, 7.0]], (15, 1)), 2.0, (16, 12),
+                          joint_set="posetrack")
+    save_heatmap(hm, tmp_path / "h.pkhm")
+    out = tmp_path / "pose.json"
+    if command == "decode":
+        argv = ["decode", "--heatmap", str(tmp_path / "h.pkhm")]
+    else:
+        argv = ["fuse", "--strategy", "select:posetrack", "--target", "posetrack",
+                "--branch", f"posetrack={tmp_path / 'h.pkhm'}"]
+    assert main(argv + ["--smooth-sigma", sigma, "--out", str(out)]) == 2
+    assert _error_doc(capsys)["kind"] == "contract"
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def scene_pred(scene_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("scene_pred") / "pred.json"
+    assert main(["run", "--manifest", str(scene_dir / "manifest.json"),
+                 "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("thr", ["0", "-1", "nan"])
+@pytest.mark.parametrize("command", ["eval-map", "eval-mota"])
+def test_eval_rejects_pckh_threshold_out_of_range(scene_dir, scene_pred, tmp_path, capsys,
+                                                  command, thr):
+    report = tmp_path / "report.json"
+    assert main([command, "--pred", str(scene_pred), "--gt", str(scene_dir / "gt.json"),
+                 "--pckh-thr", thr, "--json", str(report)]) == 2
+    assert _error_doc(capsys)["kind"] == "contract"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("head_size", [float("nan"), float("inf")])
+def test_eval_rejects_non_finite_head_size(scene_dir, scene_pred, tmp_path, capsys,
+                                           head_size):
+    gt = json.loads((scene_dir / "gt.json").read_text())
+    gt["frames"][0]["instances"][0]["head_size"] = head_size
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps(gt))
+    report = tmp_path / "report.json"
+    assert main(["eval-map", "--pred", str(scene_pred), "--gt", str(path),
+                 "--json", str(report)]) == 2
+    assert _error_doc(capsys)["kind"] == "contract"
+    assert not report.exists()
+
+
+def test_eval_mota_rejects_repeated_person_id_in_a_frame(scene_dir, scene_pred, tmp_path,
+                                                         capsys):
+    gt = json.loads((scene_dir / "gt.json").read_text())
+    first, second = gt["frames"][0]["instances"][:2]
+    second["person_id"] = first["person_id"]
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps(gt))
+    report = tmp_path / "report.json"
+    assert main(["eval-mota", "--pred", str(scene_pred), "--gt", str(path),
+                 "--json", str(report)]) == 2
+    doc = _error_doc(capsys)
+    assert doc["kind"] == "contract" and "duplicate person ids" in doc["error"]
+    assert not report.exists()

@@ -3,7 +3,6 @@ import pytest
 
 from posepipe import PoseError, builtin_joint_set
 from posepipe.evaluation import (
-    GroundTruthFrame,
     compute_map,
     compute_mota,
     format_table,
@@ -266,13 +265,14 @@ def test_mota_requires_ids():
 
 def test_ground_truth_frame_validation():
     g = gt_person((0, 0), 0)
-    with pytest.raises(PoseError):
-        GroundTruthFrame(0, [g, gt_person((5, 5), 0)])   # duplicate ids
+    with pytest.raises(PoseError, match="duplicate person ids"):
+        compute_mota([(0, [pred_from(g, track_id=1)])],
+                     [(0, [g, gt_person((5, 5), 0)])])
     bad = gt_person((0, 0), 1)
     bad.head_size = None
-    with pytest.raises(PoseError):
-        GroundTruthFrame(0, [bad])
-    frames = [GroundTruthFrame(0, [g])]
+    with pytest.raises(PoseError, match="head_size"):
+        compute_map([(0, [pred_from(bad, score=1.0)])], [(0, [bad])])
+    frames = [(0, [g])]
     rep = compute_map([(0, [pred_from(g, score=1.0)])], frames)
     assert rep.map_total == 100.0
 

@@ -5,7 +5,7 @@ import pytest
 
 from posepipe import PoseError
 from posepipe.synthetic import DEFAULT_DOMAINS, gen_synthetic
-from posepipe.toynet import NetConfig
+from posepipe.toynet import NetConfig, init_network
 from posepipe.training import (
     Stage,
     TrainSchedule,
@@ -80,6 +80,27 @@ def test_staged_freeze_contract(tiny_data):
 def test_missing_dataset_rejected(tiny_data):
     sched = multi_domain_schedule(("coco", "mpii", "posetrack"), steps=4)
     with pytest.raises(PoseError):
+        train(sched, {"coco": tiny_data["coco"]}, seed=0, config=CFG)
+
+
+def test_unknown_trainable_block_rejected_before_any_step(tiny_data):
+    net = init_network(CFG, seed=0)
+    before = {n: v.copy() for n, v in net.params.items()}
+    sched = TrainSchedule([Stage("s", ("coco",), ("head.nope",), steps=3)])
+    with pytest.raises(PoseError, match="head.nope"):
+        train(sched, tiny_data, seed=0, net=net)
+    for name, value in before.items():
+        assert np.array_equal(net.params[name], value), name
+
+
+def test_missing_dataset_for_a_later_stage_reported_before_training(tiny_data,
+                                                                    monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran before every stage was checked")
+    monkeypatch.setattr("posepipe.training.gradients", no_step)
+    sched = TrainSchedule([Stage("first", ("coco",), steps=2),
+                           Stage("second", ("mpii",), steps=2)])
+    with pytest.raises(PoseError, match="mpii"):
         train(sched, {"coco": tiny_data["coco"]}, seed=0, config=CFG)
 
 
