@@ -36,9 +36,9 @@ from .tracking import TrackerConfig
 from .training import TrainConfig, train
 
 
-def _decoded_to_instance(decoded):
-    """A lone decoded pose as an instance, boxed by its annotated joints with
-    a one-cell margin."""
+def _save_decoded(decoded, path) -> None:
+    """Save a lone decoded pose as a one-frame pose file, its box bounding
+    the annotated joints with a one-cell margin."""
     ann = decoded.annotated
     if ann.any():
         lo = decoded.coords[ann].min(axis=0) - 1.0
@@ -46,7 +46,8 @@ def _decoded_to_instance(decoded):
         box = np.concatenate([lo, hi - lo])
     else:
         box = [0.0, 0.0, 1.0, 1.0]
-    return to_instance(decoded, box, 1.0)
+    instance = to_instance(decoded, box, 1.0)
+    save_pose_file(PoseSequence(decoded.joint_set, [(0, [instance])]), path)
 
 
 def cmd_synth(args):
@@ -79,9 +80,7 @@ def cmd_train_toy(args):
 
 def cmd_decode(args):
     h = load_heatmap(args.heatmap)
-    d = decode(h, args.smooth_sigma, not args.no_quarter_offset)
-    seq = PoseSequence(d.joint_set, [(0, [_decoded_to_instance(d)])])
-    save_pose_file(seq, args.out)
+    _save_decoded(decode(h, args.smooth_sigma, not args.no_quarter_offset), args.out)
 
 
 def _parse_branch_args(pairs):
@@ -95,10 +94,9 @@ def _parse_branch_args(pairs):
 
 
 def cmd_fuse(args):
-    d = fuse(_parse_branch_args(args.branch), _parse_branch_args(args.flipped),
-             args.strategy, args.target, args.smooth_sigma, not args.no_quarter_offset)
-    seq = PoseSequence(d.joint_set, [(0, [_decoded_to_instance(d)])])
-    save_pose_file(seq, args.out)
+    _save_decoded(fuse(_parse_branch_args(args.branch), _parse_branch_args(args.flipped),
+                       args.strategy, args.target, args.smooth_sigma,
+                       not args.no_quarter_offset), args.out)
 
 
 def cmd_merge_boxes(args):

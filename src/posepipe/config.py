@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from .errors import PoseError, checked
 from .fusion import parse_fusion_spec
 from .heatmaps import check_smooth_sigma
-from .poseio import read_json_object
+from .poseio import read_document
 from .suppression import OksConstants, oks_nms
 from .tracking import TrackerConfig, TrackerState, finalize
 
@@ -85,7 +85,7 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        return cls.from_dict(read_json_object(path, "config"))
+        return read_document(path, "config", cls.from_dict)
 
     def save(self, path) -> None:
         with open(path, "w") as f:

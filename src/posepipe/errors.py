@@ -1,8 +1,9 @@
-"""The contract error, and the one check of a JSON config record against the
+"""The contract error, and the one check of a JSON record against the
 signature it feeds."""
 
 from __future__ import annotations
 
+import functools
 import inspect
 import sys
 import types
@@ -18,6 +19,7 @@ class PoseError(ValueError):
     """
 
     def __init__(self, message, *, path=None, frame=None):
+        self.message = message
         self.path = path
         self.frame = frame
         loc = []
@@ -41,19 +43,21 @@ def predicate(ann):
     """value -> whether a JSON value fits annotation ann, where a JSON array
     fits a tuple, a bool is never a number and an integer fits a float only if
     it converts to one (NaN and +-inf do fit). Raises TypeError at once for an
-    annotation outside int, float, bool, str, dict, list, tuple[X, ...],
-    tuple[X, Y] and A | B."""
+    annotation outside int, float, bool, str, dict, dict[str, X], list,
+    tuple[X, ...], tuple[X, X, ...] and A | B. A tuple's items are checked in
+    one pass over their types, one by one only when some item is not an X."""
     origin, args = typing.get_origin(ann), typing.get_args(ann)
     if origin is types.UnionType:
         tests = [predicate(a) for a in args]
         return lambda v: any(t(v) for t in tests)
-    if origin is tuple:
-        if args[1:] == (Ellipsis,):
-            item = predicate(args[0])
-            return lambda v: isinstance(v, (list, tuple)) and all(map(item, v))
-        items = [predicate(a) for a in args]
-        return lambda v: (isinstance(v, (list, tuple)) and len(v) == len(items)
-                          and all(t(x) for t, x in zip(items, v)))
+    if origin is dict and args[0] is str:
+        item = predicate(args[1])
+        return lambda v: isinstance(v, dict) and all(map(item, v.values()))
+    if origin is tuple and len(set(args) - {Ellipsis}) == 1:
+        size = None if args[1:] == (Ellipsis,) else len(args)
+        item, exact = predicate(args[0]), {args[0]}
+        return lambda v: (isinstance(v, (list, tuple)) and (size is None or len(v) == size)
+                          and (set(map(type, v)) <= exact or all(map(item, v))))
     if ann is int:
         return lambda v: isinstance(v, int) and not isinstance(v, bool)
     if ann is float:
@@ -64,7 +68,15 @@ def predicate(ann):
     raise TypeError(f"no JSON check for annotation {ann!r}")
 
 
-def checked(fn, doc, what: str, exclude=(), required=None) -> dict:
+@functools.cache   # one entry per record signature in the package
+def _fields(fn, exclude: tuple) -> tuple:
+    """({name: predicate}, required names) for the keywords of fn less exclude."""
+    params = {k: v for k, v in parameters(fn).items() if k not in exclude}
+    return ({k: predicate(ann) for k, (ann, _) in params.items()},
+            tuple(k for k, (_, p) in params.items() if p.default is p.empty))
+
+
+def checked(fn, doc, what: str, exclude: tuple = (), required=None) -> dict:
     """doc, checked as the keyword arguments of fn (a function or a dataclass)
     less the parameters named in exclude: a JSON object with no other key,
     every key in required (by default, each parameter without a default),
@@ -72,18 +84,15 @@ def checked(fn, doc, what: str, exclude=(), required=None) -> dict:
     fn."""
     if not isinstance(doc, dict):
         raise PoseError(f"{what} must be a JSON object")
-    params = {k: v for k, v in parameters(fn).items() if k not in exclude}
-    unknown = set(doc) - set(params)
-    if unknown:
-        raise PoseError(f"unknown {what} keys {sorted(unknown)}")
-    if required is None:
-        required = [k for k, (_, p) in params.items() if p.default is p.empty]
-    for key in required:
+    fits, needed = _fields(fn, exclude)
+    if not doc.keys() <= fits.keys():
+        raise PoseError(f"unknown {what} keys {sorted(doc.keys() - fits.keys())}")
+    for key in needed if required is None else required:
         if key not in doc:
             raise PoseError(f"{what} needs key {key!r}")
     for key, value in doc.items():
-        ann = params[key][0]
-        if not predicate(ann)(value):
+        if not fits[key](value):
+            ann = parameters(fn)[key][0]
             name = ann.__name__ if isinstance(ann, type) else ann
             raise PoseError(f"{what} key {key!r} must be {name}, got {type(value).__name__}")
     return doc

@@ -78,13 +78,6 @@ class Heatmap:
         out[..., 1] = (xy[..., 1] - self.crop[1]) / self.strides[1] - 0.5
         return out
 
-    def save(self, path) -> None:
-        save_heatmap(self, path)
-
-    @classmethod
-    def load(cls, path) -> "Heatmap":
-        return load_heatmap(path)
-
 
 @dataclass
 class DecodedPose:
@@ -282,7 +275,10 @@ def load_heatmap(path) -> Heatmap:
     off = _HEADER.size
     if len(blob) < off + name_len:
         raise PoseError("truncated heatmap joint-set name", path=path)
-    name = blob[off:off + name_len].decode("utf-8")
+    try:
+        name = blob[off:off + name_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PoseError(f"heatmap joint-set name is not UTF-8: {exc}", path=path) from None
     off += name_len
     need = k * height * width * 4
     if len(blob) != off + need:

@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PoseError
 from .skeletons import JointMapping, get_joint_set
+
+
+def check_box(box) -> None:
+    """Raise unless box (x, y, w, h) is finite, with w, h > 0 and w * h finite."""
+    x, y, w, h = map(float, box)
+    if not (w > 0 and h > 0 and math.isfinite(x + y + w * h)):
+        raise PoseError(f"box must be finite with positive width and height, got {box}")
 
 
 @dataclass
@@ -48,9 +56,8 @@ class PersonInstance:
             )
         if self.scores.shape != (k,) or self.annotated.shape != (k,):
             raise PoseError("scores/annotated length does not match joint set")
-        if not (self.box[2] > 0 and self.box[3] > 0):
-            raise PoseError(f"box must have positive width and height, got {self.box}")
-        if np.any(self.scores < 0) or np.any(self.scores > 1):
+        check_box(self.box.tolist())
+        if not ((self.scores >= 0) & (self.scores <= 1)).all():
             raise PoseError("keypoint scores must lie in [0, 1]")
         if not 0 <= self.box_score <= 1:
             raise PoseError("box score must lie in [0, 1]")

@@ -15,9 +15,12 @@ The input manifest is JSON:
             "heatmaps":         {"coco": "f0_p0_coco.pkhm", ...},
             "flipped_heatmaps": {"coco": "f0_p0_coco_flip.pkhm", ...}}]}]}
 
-Heatmap paths are resolved relative to the manifest's directory; the
-"flipped_heatmaps" entry is optional and triggers flip-merging for each
-branch the fusion strategy reads.
+Each instance is a record that the signature of ``manifest_instance``
+describes (read by ``errors.checked``, like every record in ``poseio``), so
+an unknown key or a value of the wrong type is a PoseError. Heatmap paths are
+resolved relative to the manifest's directory; the "flipped_heatmaps" entry
+is optional and triggers flip-merging for each branch the fusion strategy
+reads.
 """
 
 from __future__ import annotations
@@ -28,50 +31,50 @@ import os
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import PoseError
+from .errors import PoseError, checked
 from .fusion import BranchOutputs, fuse_head_swap, fuse_select, fuse_vote, parse_fusion_spec
 from .heatmaps import DecodedPose, check_flip_pair, flip_merge, load_heatmap
-from .instances import PersonInstance
-from .poseio import PoseSequence, read_frames, read_json_object
+from .instances import PersonInstance, check_box
+from .poseio import (
+    PoseSequence,
+    check_frame_order,
+    document,
+    instance_frame,
+    read_document,
+    read_frames,
+)
 from .suppression import OksConstants, apply_thresholds, oks_nms, rescore
 from .tracking import TrackerConfig, TrackerState, finalize
 
 log = logging.getLogger("posepipe.pipeline")
 
 
+def manifest_instance(base: str, box: tuple[float, float, float, float],
+                      heatmaps: dict[str, str], box_score: float = 1.0,
+                      flipped_heatmaps: dict[str, str] = None) -> dict:
+    """The entry a manifest instance record describes, its heatmap paths
+    resolved against the directory base."""
+    check_box(box)
+    entry = {"box": box, "box_score": box_score}
+    for key, paths in (("heatmaps", heatmaps), ("flipped_heatmaps", flipped_heatmaps)):
+        if paths is None:
+            continue
+        if any("\0" in p for p in paths.values()):
+            raise PoseError(f"{key} paths must not contain a NUL character")
+        entry[key] = {name: os.path.join(base, p) for name, p in paths.items()}
+    return entry
+
+
 def load_manifest(path) -> list:
-    """[(frame_index, [instance entries])], paths resolved, ordering checked."""
-    doc = read_json_object(path, "manifest")
+    """[(frame_index, [manifest_instance entries])] of the manifest at path."""
     base = os.path.dirname(os.path.abspath(path))
-    frames = []
-    for fidx, inst_docs in read_frames(doc, "instances", "manifest", path):
-        entries = []
-        for n, inst in enumerate(inst_docs):
-            if not isinstance(inst, dict):
-                raise PoseError(f"manifest instance {n} must be an object",
-                                path=path, frame=fidx)
-            if "box" not in inst or "heatmaps" not in inst:
-                raise PoseError(f"manifest instance {n} needs box and heatmaps",
-                                path=path, frame=fidx)
-            for key in ("heatmaps", "flipped_heatmaps"):
-                if not isinstance(inst.get(key, {}), dict):
-                    raise PoseError(f"manifest instance {n}: {key} must be an object",
-                                    path=path, frame=fidx)
-            try:
-                entry = {
-                    "box": [float(v) for v in inst["box"]],
-                    "box_score": float(inst.get("box_score", 1.0)),
-                }
-                for key in ("heatmaps", "flipped_heatmaps"):
-                    if key in inst:
-                        entry[key] = {k: os.path.join(base, v)
-                                      for k, v in inst[key].items()}
-            except (TypeError, ValueError) as exc:
-                raise PoseError(f"manifest instance {n}: {exc}",
-                                path=path, frame=fidx) from exc
-            entries.append(entry)
-        frames.append((fidx, entries))
-    return frames
+
+    def parse(doc):
+        frames = read_frames(document(**checked(document, doc, "manifest", ("joint_set",))),
+                             instance_frame, manifest_instance, base=base)
+        check_frame_order([fidx for fidx, _ in frames])
+        return frames
+    return read_document(path, "manifest", parse)
 
 
 def fuse(heatmaps, flipped, spec: str, target_set: str, smooth_sigma: float,

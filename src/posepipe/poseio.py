@@ -11,20 +11,24 @@ Pose documents are JSON shaped like per-sequence keypoint annotations:
              "track_id": 3,                       # optional
              "person_id": 1, "head_size": 12.5,   # ground-truth files
              "head_box": [x, y, w, h],            # alternative to head_size
-             "keypoints": [x, y, score, ...],     # 3K floats
-             "annotated": [1, 0, ...]}            # K bits
+             "keypoints": [x, y, score, ...],     # 3K numbers
+             "annotated": [1, 0, ...]}            # K integers, 0 = not annotated
          ]}
       ]
     }
 
-Frame indices must be strictly increasing and keypoints length must be 3K of
-the declared joint set. head_size may be given directly or derived from
-head_box as diagonal x 0.6. Emission is canonical: fixed key order, repr
-floats, two-space indentation, so emit(parse(f)) == f byte-wise for files in
-canonical form.
-
 Box documents (detector outputs, for box merging) are
 {"frames": [{"frame_index": 0, "boxes": [{"box": [...], "score": s}]}]}.
+
+Each JSON object in these files is a record described once, by the signature
+of the function that builds its value (``document``, ``instance_frame``,
+``box_frame``, ``pose_instance``, ``box_entry``, and the manifest's
+``pipeline.manifest_instance``), which ``errors.checked`` reads: an unknown
+key, a missing key or a value of the wrong type is a PoseError. Ranges are
+checked where the values are used. Frame indices strictly increase; head_size
+may be derived from head_box as diagonal x 0.6. Emission is canonical (fixed
+key order, repr floats, two-space indentation), so emit(parse(f)) == f
+byte-wise for files in canonical form.
 """
 
 from __future__ import annotations
@@ -35,11 +39,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoseError
-from .instances import PersonInstance
-from .skeletons import get_joint_set
+from .errors import PoseError, checked
+from .instances import PersonInstance, check_box
+from .skeletons import JointSet, get_joint_set
 
-DEFAULT_HEAD_SIZE_FACTOR = 0.6
+HEAD_SIZE_FACTOR = 0.6
+
+
+def check_frame_order(indices) -> None:
+    """Raise unless the frame indices strictly increase."""
+    for last, fidx in zip(indices, indices[1:]):
+        if fidx <= last:
+            raise PoseError(f"frame indices must be strictly increasing, "
+                            f"got {fidx} after {last}", frame=fidx)
 
 
 @dataclass
@@ -49,133 +61,110 @@ class PoseSequence:
 
     def __post_init__(self):
         get_joint_set(self.joint_set)
-        last = None
-        for frame_index, _ in self.frames:
-            if last is not None and frame_index <= last:
-                raise PoseError(
-                    f"frame indices must be strictly increasing, got {frame_index} after {last}"
-                )
-            last = frame_index
+        check_frame_order([fidx for fidx, _ in self.frames])
 
 
-def _require(cond, message, path, frame=None):
-    if not cond:
-        raise PoseError(message, path=path, frame=frame)
-
-
-def read_json_object(path, what: str) -> dict:
-    """The JSON object stored at path. Text that is not JSON, or a document
-    whose top level is not an object, is a PoseError naming ``what``."""
+def read_document(path, what: str, parse):
+    """parse(doc) for the JSON value doc at path, which parse checks with
+    ``errors.checked``; every PoseError raised names the file."""
     with open(path) as f:
         try:
             doc = json.load(f)
         except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
             raise PoseError(f"{what} is not valid JSON: {exc}", path=path) from exc
-    _require(isinstance(doc, dict), f"{what} must be a JSON object", path)
-    return doc
+    try:
+        return parse(doc)
+    except PoseError as exc:
+        raise PoseError(exc.message, path=path, frame=exc.frame) from None
 
 
-def read_frames(doc: dict, items: str, what: str, path):
-    """Yield (frame_index, entries) for each object in doc["frames"].
+def read_frames(frames: list, frame, record, **context) -> list:
+    """[(frame_index, [record(**entry, **context), ...])] for frames, a list of
+    frame records that the signature of ``frame`` describes and that frame
+    turns into (frame_index, entries); each entry is checked against record's
+    signature less the context keywords. A PoseError names its frame, and an
+    entry's error names the entry by record's name and its index."""
+    exclude, name = tuple(context), record.__name__.replace("_", " ")
+    out = []
+    for doc in frames:
+        fidx = None
+        try:
+            fidx, entries = frame(**checked(frame, doc, "frame"))
+            items = []
+            for n, entry in enumerate(entries):
+                where = f"{name} {n}"
+                args = checked(record, entry, where, exclude)
+                try:
+                    items.append(record(**args, **context))
+                except PoseError as exc:
+                    raise PoseError(f"{where}: {exc.message}") from None
+            out.append((fidx, items))
+        except PoseError as exc:
+            raise PoseError(exc.message, frame=fidx) from None
+    return out
 
-    Frames need strictly increasing integer frame indices; each frame's
-    ``items`` key (default empty) must hold a list, returned as entries.
-    """
-    frames = doc.get("frames", [])
-    _require(isinstance(frames, list), f"{what} frames must be a list", path)
-    last = None
-    for frame in frames:
-        _require(isinstance(frame, dict), f"{what} frame must be an object", path)
-        _require("frame_index" in frame, f"{what} frame missing frame_index", path)
-        fidx = frame["frame_index"]
-        _require(isinstance(fidx, int), "frame_index must be an integer", path)
-        _require(last is None or fidx > last,
-                 f"frame indices must be strictly increasing ({fidx} after {last})",
-                 path, fidx)
-        last = fidx
-        entries = frame.get(items, [])
-        _require(isinstance(entries, list), f"{what} {items} must be a list", path, fidx)
-        yield fidx, entries
+
+def document(joint_set: str = None, frames: list = None) -> list:
+    """The top level of a pose document (with a joint_set), a box document or
+    a manifest: its frame records."""
+    return frames or []
 
 
-def parse_pose_document(doc: dict, path=None,
-                        head_factor: float = DEFAULT_HEAD_SIZE_FACTOR) -> PoseSequence:
-    _require(isinstance(doc, dict), "pose document must be a JSON object", path)
-    _require("joint_set" in doc, "pose document missing joint_set", path)
+def instance_frame(frame_index: int, instances: list = None) -> tuple:
+    """A pose-document or manifest frame: (frame_index, instance records)."""
+    return frame_index, instances or []
+
+
+def box_frame(frame_index: int, boxes: list = None) -> tuple:
+    """A box-document frame: (frame_index, box records)."""
+    return frame_index, boxes or []
+
+
+def pose_instance(joint_set: JointSet, box: tuple[float, float, float, float],
+                  keypoints: tuple[float, ...], annotated: tuple[int, ...] = None,
+                  box_score: float = 1.0, score: float = None, track_id: int = None,
+                  person_id: int = None, head_size: float = None,
+                  head_box: tuple[float, float, float, float] = None) -> PersonInstance:
+    """The instance a pose-document record describes, on joint_set."""
+    k = joint_set.count
+    if len(keypoints) != 3 * k:
+        raise PoseError(f"keypoints length {len(keypoints)} != 3*{k}")
+    kps = np.array(keypoints, dtype=np.float64).reshape(k, 3)
+    if annotated is None:
+        annotated = kps[:, 2] > 0
+    if head_size is None and head_box is not None:
+        head_size = HEAD_SIZE_FACTOR * math.hypot(head_box[2], head_box[3])
+    return PersonInstance(box=box, box_score=box_score, coords=kps[:, :2], scores=kps[:, 2],
+                          annotated=annotated, joint_set=joint_set.name, score=score,
+                          track_id=track_id, person_id=person_id, head_size=head_size)
+
+
+def parse_pose_document(doc: dict) -> PoseSequence:
+    frames = document(**checked(document, doc, "pose document", required=("joint_set",)))
     js = get_joint_set(doc["joint_set"])
-    k = js.count
-    frames = []
-    for fidx, inst_docs in read_frames(doc, "instances", "pose document", path):
-        instances = []
-        for n, inst in enumerate(inst_docs):
-            try:
-                kps = inst["keypoints"]
-                _require(len(kps) == 3 * k,
-                         f"instance {n}: keypoints length {len(kps)} != 3*{k}",
-                         path, fidx)
-                arr = np.asarray(kps, dtype=np.float64).reshape(k, 3)
-                annotated = inst.get("annotated")
-                if annotated is None:
-                    annotated = arr[:, 2] > 0
-                else:
-                    _require(len(annotated) == k,
-                             f"instance {n}: annotated length != {k}", path, fidx)
-                    annotated = np.asarray(annotated, dtype=bool)
-                head_size = inst.get("head_size")
-                if head_size is None and "head_box" in inst:
-                    hb = inst["head_box"]
-                    head_size = head_factor * math.hypot(float(hb[2]), float(hb[3]))
-                instances.append(PersonInstance(
-                    box=np.asarray(inst["box"], dtype=np.float64),
-                    box_score=float(inst.get("box_score", 1.0)),
-                    coords=arr[:, :2],
-                    scores=arr[:, 2],
-                    annotated=annotated,
-                    joint_set=js.name,
-                    area=inst.get("area"),
-                    score=inst.get("score"),
-                    track_id=inst.get("track_id"),
-                    person_id=inst.get("person_id"),
-                    head_size=head_size,
-                ))
-            except PoseError:
-                raise
-            except (KeyError, TypeError, ValueError) as exc:
-                raise PoseError(f"instance {n}: {exc}", path=path, frame=fidx) from exc
-        frames.append((fidx, instances))
-    return PoseSequence(js.name, frames)
+    return PoseSequence(js.name, read_frames(frames, instance_frame, pose_instance,
+                                             joint_set=js))
 
 
-def load_pose_file(path, head_factor: float = DEFAULT_HEAD_SIZE_FACTOR) -> PoseSequence:
-    return parse_pose_document(read_json_object(path, "pose document"), path=path,
-                               head_factor=head_factor)
+def load_pose_file(path) -> PoseSequence:
+    return read_document(path, "pose document", parse_pose_document)
+
+
+def _instance_record(p: PersonInstance) -> dict:
+    entry = {"box": p.box.tolist(), "box_score": float(p.box_score), "score": float(p.score)}
+    for key, value, kind in (("track_id", p.track_id, int), ("person_id", p.person_id, int),
+                             ("head_size", p.head_size, float)):
+        if value is not None:
+            entry[key] = kind(value)
+    entry["keypoints"] = np.column_stack([p.coords, p.scores]).ravel().tolist()
+    entry["annotated"] = p.annotated.astype(int).tolist()
+    return entry
 
 
 def pose_document(seq: PoseSequence) -> dict:
-    frames = []
-    for frame_index, instances in seq.frames:
-        out = []
-        for p in instances:
-            kps = []
-            for i in range(p.coords.shape[0]):
-                kps.extend([float(p.coords[i, 0]), float(p.coords[i, 1]),
-                            float(p.scores[i])])
-            entry = {
-                "box": [float(v) for v in p.box],
-                "box_score": float(p.box_score),
-                "score": float(p.score),
-            }
-            if p.track_id is not None:
-                entry["track_id"] = int(p.track_id)
-            if p.person_id is not None:
-                entry["person_id"] = int(p.person_id)
-            if p.head_size is not None:
-                entry["head_size"] = float(p.head_size)
-            entry["keypoints"] = kps
-            entry["annotated"] = [int(b) for b in p.annotated]
-            out.append(entry)
-        frames.append({"frame_index": int(frame_index), "instances": out})
-    return {"joint_set": seq.joint_set, "frames": frames}
+    return {"joint_set": seq.joint_set, "frames": [
+        {"frame_index": int(fidx), "instances": [_instance_record(p) for p in instances]}
+        for fidx, instances in seq.frames]}
 
 
 def emit_pose_file(seq: PoseSequence) -> str:
@@ -191,23 +180,20 @@ def save_pose_file(seq: PoseSequence, path) -> None:
 class BoxSequence:
     frames: list   # [(frame_index, [(box, score), ...])]
 
+    def __post_init__(self):
+        check_frame_order([fidx for fidx, _ in self.frames])
+
+
+def box_entry(box: tuple[float, float, float, float], score: float = 1.0) -> tuple:
+    """The (box, score) a box-document record describes."""
+    check_box(box)
+    return box, score
+
 
 def load_box_file(path) -> BoxSequence:
-    doc = read_json_object(path, "box document")
-    frames = []
-    for fidx, box_docs in read_frames(doc, "boxes", "box document", path):
-        boxes = []
-        for n, b in enumerate(box_docs):
-            try:
-                box = [float(v) for v in b["box"]]
-                score = float(b.get("score", 1.0))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise PoseError(f"box {n}: {exc}", path=path, frame=fidx) from exc
-            _require(len(box) == 4 and box[2] > 0 and box[3] > 0,
-                     "boxes need positive width/height", path, fidx)
-            boxes.append((box, score))
-        frames.append((fidx, boxes))
-    return BoxSequence(frames)
+    return read_document(path, "box document", lambda doc: BoxSequence(read_frames(
+        document(**checked(document, doc, "box document", ("joint_set",))), box_frame,
+        box_entry)))
 
 
 def emit_box_file(seq: BoxSequence) -> str:

@@ -24,11 +24,11 @@ each other across sets.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import PoseError
+from .errors import PoseError, checked
 
 # head_bottom (posetrack naming) and upper_neck (mpii naming) are one joint
 _ALIASES = {"head_bottom": "upper_neck"}
@@ -85,6 +85,8 @@ class JointSet:
     flip_pairs: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self):
+        object.__setattr__(self, "joints", tuple(self.joints))
+        object.__setattr__(self, "flip_pairs", tuple(map(tuple, self.flip_pairs)))
         # one name per anatomical joint, so a mapping never sends two rows
         # to one row
         if len({canonical_name(j) for j in self.joints}) != len(self.joints):
@@ -121,26 +123,15 @@ class JointSet:
             return False
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "joints": list(self.joints),
-                "flip_pairs": [list(p) for p in self.flip_pairs],
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "JointSet":
         try:
             doc = json.loads(text)
-            return cls(
-                name=doc["name"],
-                joints=tuple(doc["joints"]),
-                flip_pairs=tuple((int(a), int(b)) for a, b in doc.get("flip_pairs", [])),
-            )
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
             raise PoseError(f"bad joint-set description: {exc}") from exc
+        return cls(**checked(cls, doc, "joint-set description"))
 
 
 _BUILTINS = {

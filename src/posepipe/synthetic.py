@@ -11,6 +11,7 @@ datasets generated for different domains from one seed share their figures.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -83,8 +84,10 @@ class DomainSpec:
     def __post_init__(self):
         object.__setattr__(self, "offset", tuple(self.offset))
         get_joint_set(self.name)   # domain name doubles as joint-set tag
-        if self.target_sigma <= 0 or self.noise < 0 or self.label_noise < 0:
-            raise PoseError("bad domain spec")
+        numbers = (self.contrast, *self.offset, self.target_sigma, self.noise, self.label_noise)
+        if (not all(map(math.isfinite, numbers)) or self.target_sigma <= 0
+                or min(self.noise, self.label_noise) < 0):
+            raise PoseError(f"bad domain spec {self!r}")
         if not 0 <= self.occlusion < 1:
             raise PoseError("occlusion must be in [0, 1)")
 

@@ -21,6 +21,7 @@ import numpy as np
 from .assignment import solve_greedy, solve_hungarian
 from .errors import PoseError
 from .instances import PersonInstance
+from .poseio import check_frame_order
 from .suppression import OksConstants, oks
 
 
@@ -136,10 +137,8 @@ class TrackerState:
     def step(self, frame: int, detections) -> list:
         """Associate one frame of detections; returns their track ids in
         detection order."""
-        if self.last_frame is not None and frame <= self.last_frame:
-            raise PoseError(
-                f"frame indices must be strictly increasing ({frame} after {self.last_frame})"
-            )
+        if self.last_frame is not None:
+            check_frame_order((self.last_frame, frame))
         self.last_frame = frame
         cfg = self.config
 

@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import PoseError, checked, predicate
+from .errors import PoseError, checked
 from .heatmaps import peaks
-from .poseio import read_json_object
+from .poseio import read_document
 from .skeletons import mapping
 from .toynet import NetConfig, ToyNetwork, forward, gradients, init_network, sgd_step
 from .synthetic import DEFAULT_DOMAINS, DomainSpec, project_to_merged
@@ -62,8 +63,8 @@ class Stage:
         elif self.trainable != "all":
             raise PoseError(f"stage trainable must be 'all' or a list of block names, "
                             f"got {self.trainable!r}")
-        if self.steps < 0 or self.batch_size < 1:
-            raise PoseError("bad stage configuration")
+        if self.steps < 0 or self.batch_size < 1 or not 0 < self.lr < math.inf:
+            raise PoseError(f"bad stage configuration {self!r}")
         if self.loss not in ("l2", "ohkm"):
             raise PoseError(f"unknown loss {self.loss!r}")
 
@@ -175,8 +176,8 @@ class TrainConfig:
     schedule: dict = field(default_factory=dict)
     domains: dict = field(default_factory=lambda: {n: {} for n in DEFAULT_DOMAINS})
     net: dict = field(default_factory=dict)   # NetConfig fields; domains: those above
-    train_sizes: dict = None                  # domain -> sample count; 200 each
-    heldout_sizes: dict = None                # domain -> sample count; 50 each
+    train_sizes: dict[str, int] = None        # domain -> sample count; 200 each
+    heldout_sizes: dict[str, int] = None      # domain -> sample count; 50 each
     data_seed: int = 5
     heldout_seed: int = 995
     heldout_reference: str = "annotation"
@@ -198,19 +199,24 @@ class TrainConfig:
             if getattr(self, key) is None:
                 setattr(self, key, dict.fromkeys(self.domain_specs, default))
             for name in self.domain_specs:
-                size = getattr(self, key).get(name)
-                if not predicate(int)(size) or size < 1:
+                if not getattr(self, key).get(name, 0) >= 1:
                     raise PoseError(f"train config {key}[{name!r}] must be an integer >= 1")
         if self.data_seed < 0 or self.heldout_seed < 0:
             raise PoseError("train config seeds must be >= 0")
-        if self.heldout_reference not in HELDOUT_REFERENCES:
-            raise PoseError(f"unknown reference {self.heldout_reference!r}")
+        check_heldout_reference(self.heldout_reference)
         self.train_schedule = _schedule_from_dict(self.schedule)
         check_stages(self.train_schedule, self.domain_specs, net.blocks())
 
     @classmethod
     def load(cls, path) -> "TrainConfig":
-        return cls(**checked(cls, read_json_object(path, "train config"), "train config"))
+        return read_document(path, "train config",
+                             lambda doc: cls(**checked(cls, doc, "train config")))
+
+
+def check_heldout_reference(reference: str) -> None:
+    """Raise unless :func:`heldout_error` can score against reference."""
+    if reference not in HELDOUT_REFERENCES:
+        raise PoseError(f"unknown reference {reference!r}")
 
 
 def heldout_error(net: ToyNetwork, samples, reference: str = "annotation") -> float:
@@ -222,10 +228,9 @@ def heldout_error(net: ToyNetwork, samples, reference: str = "annotation") -> fl
     counts against models that learned to reproduce it. The multi-domain
     benchmark (``run_benchmark``) defaults to "annotation".
     """
+    check_heldout_reference(reference)
     if not samples:
         raise PoseError("no held-out samples")
-    if reference not in HELDOUT_REFERENCES:
-        raise PoseError(f"unknown reference {reference!r}")
     errs = []
     merged_only = tuple(net.config.domains) == ("merged",)
     for s in samples:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -9,11 +10,11 @@ from posepipe import PoseError
 from posepipe.cli import main
 from posepipe.config import PipelineConfig
 from posepipe.heatmaps import Heatmap, load_heatmap, render_target, save_heatmap
-from posepipe.poseio import load_pose_file
+from posepipe.poseio import emit_pose_file, load_pose_file
 from posepipe.skeletons import JointSet, builtin_joint_set, register_joint_set
 from posepipe.toynet import load_network
 
-from make_golden import GOLDEN_SEED
+from make_golden import GOLDEN_PATH, GOLDEN_SEED
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +306,11 @@ _INSTANCE = {"box": [0, 0, 10, 10], "heatmaps": {"coco": "c.pkhm"}}
                  "instances": [dict(_INSTANCE, flipped_heatmaps="c.pkhm")]}]},
     {"frames": [{"frame_index": 0}, {"frame_index": "1"}]},
     {"frames": [{"frame_index": 0.5}]},
+    {"frames": [{"frame_index": 0, "instances": [dict(_INSTANCE, box=["1", "2", "3", "4"])]}]},
+    {"frames": [{"frame_index": 0, "instances": [dict(_INSTANCE, box_score="0.5")]}]},
+    {"frames": [{"frame_index": 0, "instances": [dict(_INSTANCE, box=[0, 0, 0, 1])]}]},
+    {"frames": [{"frame_index": 0, "instances": [dict(_INSTANCE, heatmap={})]}]},
+    {"frames": [{"frame_index": 1}, {"frame_index": 0}]},
 ])
 def test_run_rejects_malformed_manifest_values(tmp_path, capsys, manifest):
     _bad_input(tmp_path, capsys, manifest, ["run", "--manifest", "{path}", "--out", "{out}"])
@@ -336,10 +342,42 @@ def test_run_rejects_out_of_range_config_before_reading_manifest(tmp_path, capsy
                 "--out", "{out}"])
 
 
+# a one-instance coco pose file whose every value has the right type; each
+# case below changes one value to a wrong type, or adds a key
+_COCO = builtin_joint_set("coco").count
+_POSE = {"box": [0, 0, 10, 10], "box_score": 0.9, "score": 0.8, "track_id": 1,
+         "person_id": 1, "head_size": 5.0, "keypoints": [1.0, 2.0, 0.5] * _COCO,
+         "annotated": [1] * _COCO}
+
+
+def _pose_file(**changes):
+    return {"joint_set": "coco", "frames": [{"frame_index": 0,
+                                             "instances": [dict(_POSE, **changes)]}]}
+
+
 @pytest.mark.parametrize("pose_doc", [
     {"joint_set": "posetrack", "frames": 5},
     {"joint_set": "posetrack", "frames": [3]},
     {"joint_set": "posetrack", "frames": [{"frame_index": 0, "instances": 5}]},
+    # each of these used to exit 0 with a misread value, or end in a traceback
+    _pose_file(box=["1", "2", "3", "4"]),
+    _pose_file(keypoints=["1"] * 3 * _COCO),
+    _pose_file(keypoints=[True] * 3 * _COCO),
+    _pose_file(annotated=["a"] * _COCO),
+    _pose_file(box_score="0.5"),
+    _pose_file(person_id=1.5),
+    _pose_file(person_id=True),
+    _pose_file(track_id="x"),
+    _pose_file(score="hi"),
+    _pose_file(head_size="12"),
+    _pose_file(track_id=None),
+    _pose_file(area=100.0),
+    _pose_file(keypoints=[1.0, 2.0, float("nan")] * _COCO),
+    _pose_file(box=[0, 0, float("inf"), 10]),
+    _pose_file(box=[float("nan"), 0, 10, 10]),
+    {"joint_set": ["coco"], "frames": []},
+    {"joint_set": "coco", "frames": [], "sequence": "a"},
+    {"joint_set": "coco", "frames": [{"frame_index": 0, "instance": []}]},
 ])
 def test_nms_rejects_malformed_pose_file(tmp_path, capsys, pose_doc):
     _bad_input(tmp_path, capsys, pose_doc, ["nms", "{path}", "--out", "{out}"])
@@ -352,6 +390,12 @@ def test_nms_rejects_malformed_pose_file(tmp_path, capsys, pose_doc):
     {"frames": [{"frame_index": 0, "boxes": [{"score": 1.0}]}]},
     {"frames": [{"frame_index": 0, "boxes": [[0, 0, 1, 1]]}]},
     {"frames": [{"frame_index": 0}, {"frame_index": "1"}]},
+    {"frames": [{"frame_index": 0, "boxes": [{"box": ["1", "2", "3", "4"]}]}]},
+    {"frames": [{"frame_index": 0, "boxes": [{"box": [0, 0, 1, 1], "score": "0.5"}]}]},
+    {"frames": [{"frame_index": 0, "boxes": [{"box": [0, 0, 1, 1], "scroe": 0.5}]}]},
+    {"frames": [{"frame_index": 0, "boxes": [{"box": [0, 0, 1, 1, 1]}]}]},
+    {"frames": [{"frame_index": 0, "boxes": [{"box": [0, 0, 1e200, 1e200]}]}]},
+    {"frames": [{"frame_index": 1}, {"frame_index": 1}]},
 ])
 def test_merge_boxes_rejects_malformed_box_file(tmp_path, capsys, box_doc):
     _bad_input(tmp_path, capsys, box_doc, ["merge-boxes", "{path}", "--out", "{out}"])
@@ -409,6 +453,16 @@ _TINY_TRAIN = {"domains": {"coco": {}}, "train_sizes": {"coco": 2},
          schedule={"stages": [{"domains": ["mpii"], "steps": 1}]}),
     dict(_TINY_TRAIN, train_sizes={"coco": 0}),
     dict(_TINY_TRAIN, heldout_sizes={"coco": 0}),
+    # each of these used to train and exit 0
+    dict(_TINY_TRAIN, schedule=dict(_TINY_TRAIN["schedule"], lr=float("nan"))),
+    dict(_TINY_TRAIN, schedule={"stages": [{"domains": ["coco"], "steps": 1,
+                                            "lr": float("nan")}]}),
+    dict(_TINY_TRAIN, schedule={"stages": [{"domains": ["coco"], "steps": 1, "lr": 0}]}),
+    dict(_TINY_TRAIN, domains={"coco": {"noise": float("nan")}}),
+    dict(_TINY_TRAIN, domains={"coco": {"contrast": float("nan")}}),
+    dict(_TINY_TRAIN, domains={"coco": {"offset": [float("nan"), 0]}}),
+    dict(_TINY_TRAIN, domains={"coco": {"target_sigma": float("nan")}}),
+    dict(_TINY_TRAIN, domains={"coco": {"label_noise": float("inf")}}),
 ])
 def test_train_toy_rejects_malformed_config(tmp_path, capsys, monkeypatch, train_doc):
     def no_data(*args, **kwargs):
@@ -569,6 +623,38 @@ def test_eval_rejects_non_finite_head_size(scene_dir, scene_pred, tmp_path, caps
     assert not report.exists()
 
 
+@pytest.mark.parametrize("command", ["eval-map", "eval-mota"])
+@pytest.mark.parametrize("key, value", [("head_size", "12"), ("person_id", True),
+                                        ("person_id", 1.5)])
+def test_eval_rejects_mistyped_ground_truth(scene_dir, scene_pred, tmp_path, capsys,
+                                            command, key, value):
+    gt = json.loads((scene_dir / "gt.json").read_text())
+    gt["frames"][-1]["instances"][0][key] = value
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps(gt))
+    report = tmp_path / "report.json"
+    assert main([command, "--pred", str(scene_pred), "--gt", str(path),
+                 "--json", str(report)]) == 2
+    assert _error_doc(capsys)["kind"] == "contract"
+    assert not report.exists()
+
+
+def test_decode_rejects_heatmap_with_non_utf8_name(tmp_path, capsys):
+    hm, _ = render_target(np.tile([[5.0, 7.0]], (15, 1)), 2.0, (16, 12),
+                          joint_set="posetrack")
+    path = tmp_path / "h.pkhm"
+    save_heatmap(hm, path)
+    blob = bytearray(path.read_bytes())
+    name_end = len(blob) - hm.values.nbytes
+    blob[name_end - len("posetrack"):name_end] = b"\xff" * len("posetrack")
+    path.write_bytes(bytes(blob))
+    out = tmp_path / "pose.json"
+    assert main(["decode", "--heatmap", str(path), "--out", str(out)]) == 2
+    doc = _error_doc(capsys)
+    assert doc["kind"] == "contract" and "UTF-8" in doc["error"]
+    assert not out.exists()
+
+
 def test_eval_mota_rejects_repeated_person_id_in_a_frame(scene_dir, scene_pred, tmp_path,
                                                          capsys):
     gt = json.loads((scene_dir / "gt.json").read_text())
@@ -582,3 +668,29 @@ def test_eval_mota_rejects_repeated_person_id_in_a_frame(scene_dir, scene_pred, 
     doc = _error_doc(capsys)
     assert doc["kind"] == "contract" and "duplicate person ids" in doc["error"]
     assert not report.exists()
+
+
+# sha256 of the --json report of each eval command on the golden output
+# against the golden scene's ground truth, per PCKh threshold
+_EVAL_JSON_SHA256 = {
+    ("eval-map", "0.2"): "f923c8dfe5a0be2d958c6c9380134a777895a717e651809f1bbf57a76e5ce387",
+    ("eval-map", "0.5"): "f923c8dfe5a0be2d958c6c9380134a777895a717e651809f1bbf57a76e5ce387",
+    ("eval-map", "1.0"): "f923c8dfe5a0be2d958c6c9380134a777895a717e651809f1bbf57a76e5ce387",
+    ("eval-mota", "0.2"): "3e69bace36aea43ab2eaa14cb4cd8488eefb3b688d65c1f9fe6db1d4b4a3a606",
+    ("eval-mota", "0.5"): "983b7b50a884c4bf779bde9fe19b1bccfcfd4fd5f38dd8380db7d43f1a4d1d58",
+    ("eval-mota", "1.0"): "1d6b73fbc5bc236fa8777990821a9bfdf4fae5b6ec1f94f983c435aac11a8c81",
+}
+
+
+@pytest.mark.parametrize("command, thr", sorted(_EVAL_JSON_SHA256))
+def test_eval_json_bytes_are_pinned(golden_scene_dir, tmp_path, command, thr):
+    report = tmp_path / "report.json"
+    assert main([command, "--pred", GOLDEN_PATH, "--gt", str(golden_scene_dir / "gt.json"),
+                 "--pckh-thr", thr, "--json", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == _EVAL_JSON_SHA256[command, thr]
+
+
+def test_golden_file_is_canonical():
+    with open(GOLDEN_PATH) as f:
+        golden = f.read()
+    assert emit_pose_file(load_pose_file(GOLDEN_PATH)) == golden

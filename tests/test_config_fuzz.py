@@ -38,6 +38,8 @@ def _typed(ann):
         if args[1:] == (Ellipsis,):
             return st.lists(_typed(args[0]), max_size=3)
         return st.tuples(*map(_typed, args)).map(list)
+    if origin is dict:
+        return st.dictionaries(_NAMES, _typed(args[1]), max_size=2)
     return {int: _INTS, float: _NUMBERS, bool: st.booleans(), str: _NAMES,
             dict: st.dictionaries(_NAMES, _NUMBERS, max_size=2),
             list: st.lists(_ANY, max_size=3)}[ann]

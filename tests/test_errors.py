@@ -5,13 +5,25 @@ import pytest
 from posepipe import PoseError
 from posepipe.config import PipelineConfig
 from posepipe.errors import checked, parameters, predicate
+from posepipe.pipeline import manifest_instance
+from posepipe.poseio import (
+    box_entry,
+    box_frame,
+    document,
+    instance_frame,
+    pose_instance,
+)
+from posepipe.skeletons import JointSet
 from posepipe.synthetic import DomainSpec
 from posepipe.toynet import NetConfig
 from posepipe.training import PRESETS, Stage, TrainConfig, TrainSchedule
 
-# every record and function a JSON config is checked against
+# every record and function a JSON config or file record is checked against
 JSON_RECORDS = [PipelineConfig, TrainConfig, NetConfig, DomainSpec, Stage, TrainSchedule,
-                *PRESETS.values()]
+                *PRESETS.values(), document, instance_frame, box_frame,
+                pose_instance, box_entry, manifest_instance, JointSet]
+# the parameters a reader passes itself, which no JSON value gives
+CONTEXT = {pose_instance: "joint_set", manifest_instance: "base"}
 
 
 @pytest.mark.parametrize("fn", JSON_RECORDS, ids=lambda fn: fn.__name__)
@@ -20,6 +32,8 @@ def test_every_json_record_has_checkable_annotations_and_fitting_defaults(fn):
                  if f.default_factory is not dataclasses.MISSING
                  } if dataclasses.is_dataclass(fn) else {}
     for name, (ann, p) in parameters(fn).items():
+        if name == CONTEXT.get(fn):
+            continue
         default = factories[name]() if name in factories else p.default
         ok = predicate(ann)(default)   # TypeError: an annotation it cannot read
         if default is not None and default is not p.empty:
@@ -36,6 +50,10 @@ def test_every_json_record_has_checkable_annotations_and_fitting_defaults(fn):
     (tuple[str, ...], [[], ["coco", "mpii"]], ["coco", [1], {}]),
     (tuple[float, float], [[0, 0.5]], [[0.5], [0.5, 0.5, 0.5], ["a", "b"], "ab", [True, 0]]),
     (tuple[str, ...] | str, ["all", ["head.coco"]], [5, [5]]),
+    (tuple[float, ...], [[], [1.5, 2, -0.0], (1e308, float("nan"))],
+     [[1.5, "2"], [True], [10**400], [None]]),
+    (tuple[int, ...], [[0, 1, 2**70]], [[1.0], [False, 1]]),
+    (dict[str, str], [{}, {"coco": "c.pkhm"}], [{"coco": 5}, ["c.pkhm"], "c.pkhm"]),
 ])
 def test_predicate_reads_each_annotation(ann, good, bad):
     fit = predicate(ann)
@@ -46,6 +64,8 @@ def test_predicate_reads_each_annotation(ann, good, bad):
 def test_predicate_rejects_an_annotation_it_cannot_read():
     with pytest.raises(TypeError):
         predicate(tuple)
+    with pytest.raises(TypeError):
+        predicate(tuple[int, str])
 
 
 def _record(name: str, count: int = 1, offset: tuple[float, float] = (0.0, 0.0)):

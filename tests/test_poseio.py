@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -116,8 +115,6 @@ def test_head_box_converts_to_head_size(tmp_path):
     path.write_text(json.dumps(doc))
     seq = load_pose_file(path)
     assert seq.frames[0][1][0].head_size == pytest.approx(0.6 * 5.0)
-    seq = load_pose_file(path, head_factor=1.0)
-    assert seq.frames[0][1][0].head_size == pytest.approx(math.hypot(3, 4))
 
 
 def test_not_json_rejected(tmp_path):

@@ -124,6 +124,19 @@ def test_joint_set_json_round_trip():
     assert again == js
 
 
+@pytest.mark.parametrize("doc", [
+    '{"name": "x", "joints": "ab"}',
+    '{"name": "x", "joints": ["a", "b"], "flip_pairs": [["0", 1]]}',
+    '{"name": "x", "joints": ["a", "b"], "flip_pairs": [[0, 1, 1]]}',
+    '{"name": "x", "joints": ["a", "b"], "flips": [[0, 1]]}',
+    '{"name": 5, "joints": ["a", "b"]}',
+])
+def test_joint_set_json_rejects_mistyped_description(doc):
+    # each of these used to build a set from a misread value, or ignore a key
+    with pytest.raises(PoseError):
+        JointSet.from_json(doc)
+
+
 def test_register_custom_set():
     custom = JointSet("hands3", ("left_hand", "right_hand", "nose"),
                       flip_pairs=((0, 1),))

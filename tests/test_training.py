@@ -126,6 +126,8 @@ def test_heldout_error_references(tiny_data, tiny_heldout):
         heldout_error(net, tiny_heldout["posetrack"], "oracle")
     with pytest.raises(PoseError):
         heldout_error(net, [])
+    with pytest.raises(PoseError, match="unknown reference 'oracle'"):
+        heldout_error(net, [], "oracle")
 
 
 def test_mixed_training_with_merged_head(tiny_data):
