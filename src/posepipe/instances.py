@@ -19,6 +19,12 @@ def check_box(box) -> None:
         raise PoseError(f"box must be finite with positive width and height, got {box}")
 
 
+def check_score(score) -> None:
+    """Raise unless the box score lies in [0, 1] (NaN does not)."""
+    if not 0 <= score <= 1:
+        raise PoseError(f"box score must lie in [0, 1], got {score!r}")
+
+
 @dataclass
 class PersonInstance:
     """One detected (or ground-truth) person.
@@ -59,8 +65,7 @@ class PersonInstance:
         check_box(self.box.tolist())
         if not ((self.scores >= 0) & (self.scores <= 1)).all():
             raise PoseError("keypoint scores must lie in [0, 1]")
-        if not 0 <= self.box_score <= 1:
-            raise PoseError("box score must lie in [0, 1]")
+        check_score(self.box_score)
         if np.any(~np.isfinite(self.coords[self.annotated])):
             raise PoseError("annotated joints must have finite coordinates")
         if self.area is None:

@@ -34,7 +34,7 @@ from .config import PipelineConfig
 from .errors import PoseError, checked
 from .fusion import BranchOutputs, fuse_head_swap, fuse_select, fuse_vote, parse_fusion_spec
 from .heatmaps import DecodedPose, check_flip_pair, flip_merge, load_heatmap
-from .instances import PersonInstance, check_box
+from .instances import PersonInstance, check_box, check_score
 from .poseio import (
     PoseSequence,
     check_frame_order,
@@ -55,6 +55,7 @@ def manifest_instance(base: str, box: tuple[float, float, float, float],
     """The entry a manifest instance record describes, its heatmap paths
     resolved against the directory base."""
     check_box(box)
+    check_score(box_score)
     entry = {"box": box, "box_score": box_score}
     for key, paths in (("heatmaps", heatmaps), ("flipped_heatmaps", flipped_heatmaps)):
         if paths is None:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoseError, checked
-from .instances import PersonInstance, check_box
+from .instances import PersonInstance, check_box, check_score
 from .skeletons import JointSet, get_joint_set
 
 HEAD_SIZE_FACTOR = 0.6
@@ -187,6 +187,7 @@ class BoxSequence:
 def box_entry(box: tuple[float, float, float, float], score: float = 1.0) -> tuple:
     """The (box, score) a box-document record describes."""
     check_box(box)
+    check_score(score)
     return box, score
 
 

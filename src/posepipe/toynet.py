@@ -16,6 +16,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PoseError, checked
 from .skeletons import get_joint_set
@@ -91,14 +92,10 @@ def _im2col(x, dilation: int = 1):
     """(B, C, H, W) -> (B, C*9, H*W) patch matrix for a same-padded 3x3 conv."""
     bsz, c, h, w = x.shape
     d = dilation
-    xp = np.pad(x, ((0, 0), (0, 0), (d, d), (d, d)))
-    cols = np.empty((bsz, c, 9, h * w))
-    i = 0
-    for dy in (0, d, 2 * d):
-        for dx in (0, d, 2 * d):
-            cols[:, :, i] = xp[:, :, dy:dy + h, dx:dx + w].reshape(bsz, c, -1)
-            i += 1
-    return cols.reshape(bsz, c * 9, h * w)
+    xp = np.zeros((bsz, c, h + 2 * d, w + 2 * d))
+    xp[:, :, d:d + h, d:d + w] = x
+    win = sliding_window_view(xp, (2 * d + 1, 2 * d + 1), axis=(2, 3))[..., ::d, ::d]
+    return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(bsz, c * 9, h * w)
 
 
 def _conv3x3(cols, w, b, shape):
@@ -108,22 +105,28 @@ def _conv3x3(cols, w, b, shape):
     return out.reshape(bsz, w.shape[0], h, wd) + b[None, :, None, None]
 
 
-def _conv3x3_backward(cols, w, gout, dilation: int = 1):
-    """Gradients (dw, db, dx) of _conv3x3 given upstream gout."""
+def _conv3x3_backward(cols, w, gout, dilation: int = 1, weights: bool = True,
+                      inputs: bool = True):
+    """Gradients (dw, db, dx) of _conv3x3 given upstream gout; dw and db are
+    None unless weights is set, dx is None unless inputs is set."""
     bsz, _, h, wd = gout.shape
     c = w.shape[1]
     d = dilation
     gm = gout.reshape(bsz, w.shape[0], h * wd)
-    dw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-    db = gout.sum(axis=(0, 2, 3))
-    dcols = np.matmul(w.reshape(w.shape[0], -1).T, gm).reshape(bsz, c, 9, h * wd)
-    dxp = np.zeros((bsz, c, h + 2 * d, wd + 2 * d))
-    i = 0
-    for dy in (0, d, 2 * d):
-        for dx in (0, d, 2 * d):
-            dxp[:, :, dy:dy + h, dx:dx + wd] += dcols[:, :, i].reshape(bsz, c, h, wd)
-            i += 1
-    return dw, db, dxp[:, :, d:-d, d:-d]
+    dw = db = dx = None
+    if weights:
+        dw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        db = gout.sum(axis=(0, 2, 3))
+    if inputs:
+        dcols = np.matmul(w.reshape(w.shape[0], -1).T, gm).reshape(bsz, c, 9, h * wd)
+        dxp = np.zeros((bsz, c, h + 2 * d, wd + 2 * d))
+        i = 0
+        for oy in (0, d, 2 * d):
+            for ox in (0, d, 2 * d):
+                dxp[:, :, oy:oy + h, ox:ox + wd] += dcols[:, :, i].reshape(bsz, c, h, wd)
+                i += 1
+        dx = dxp[:, :, d:-d, d:-d]
+    return dw, db, dx
 
 
 def forward(net: ToyNetwork, x, domains=None):
@@ -210,23 +213,29 @@ def gradients(net: ToyNetwork, batch, loss: str = "l2", ohkm_k: int = 8):
 
     batch items need .domain, .input (C, H, W), .target (K, H, W), .mask (K,).
     Returns (grads, loss_value); frozen blocks and heads of domains absent
-    from the batch come back as exact zeros.
+    from the batch come back as exact zeros. Only the heads of the batch's
+    domains run, and the backward pass stops at the shallowest trainable
+    backbone block.
     """
     if not batch:
         raise PoseError("batch must be non-empty")
     cfg = net.config
+    present = {s.domain for s in batch}
+    unknown = sorted(present - set(cfg.domains))
+    if unknown:
+        raise PoseError(f"network has no head for domain {unknown[0]!r}")
     x = np.stack([np.asarray(s.input, dtype=np.float64) for s in batch])
-    outputs, cache = forward(net, x)
+    outputs, cache = forward(net, x, [d for d in cfg.domains if d in present])
     bsz = len(batch)
     hw = cfg.height * cfg.width
+    train1 = "backbone.conv1" not in net.frozen
+    train2 = "backbone.conv2" not in net.frozen
 
     grads = {name: np.zeros_like(p) for name, p in net.params.items()}
-    dfeat = np.zeros_like(cache["feat"])
+    dfeat = np.zeros_like(cache["feat"]) if train1 or train2 else None
     total_loss = 0.0
     for i, sample in enumerate(batch):
         d = sample.domain
-        if d not in cfg.domains:
-            raise PoseError(f"network has no head for domain {d!r}")
         pred = outputs[d][i]
         target = np.asarray(_values(sample.target), dtype=np.float64)
         per_joint = np.mean((pred - target) ** 2, axis=(1, 2))
@@ -236,26 +245,25 @@ def gradients(net: ToyNetwork, batch, loss: str = "l2", ohkm_k: int = 8):
         total_loss += per_joint[sel].sum() * wgt
         dout = np.zeros_like(pred)
         dout[sel] = (2.0 * wgt / (hw * bsz)) * (pred[sel] - target[sel])
-        w_head = net.params[f"head.{d}.w"]
         dout_flat = dout.reshape(dout.shape[0], -1)
-        feat_flat = cache["feat"][i].reshape(cfg.hidden, -1)
-        grads[f"head.{d}.w"] += dout_flat @ feat_flat.T
-        grads[f"head.{d}.b"] += dout.sum(axis=(1, 2))
-        dfeat[i] = (w_head.T @ dout_flat).reshape(cfg.hidden, cfg.height, cfg.width)
+        if f"head.{d}" not in net.frozen:
+            feat_flat = cache["feat"][i].reshape(cfg.hidden, -1)
+            grads[f"head.{d}.w"] += dout_flat @ feat_flat.T
+            grads[f"head.{d}.b"] += dout.sum(axis=(1, 2))
+        if dfeat is not None:
+            dfeat[i] = (net.params[f"head.{d}.w"].T @ dout_flat).reshape(
+                cfg.hidden, cfg.height, cfg.width)
 
-    p = net.params
-    dw2, db2, da1 = _conv3x3_backward(cache["cols_a1"], p["backbone.conv2.w"], dfeat,
-                                      cfg.dilation)
-    dz1 = da1 * (1.0 - cache["a1"] ** 2)
-    dw1, db1, _ = _conv3x3_backward(cache["cols_x"], p["backbone.conv1.w"], dz1)
-    grads["backbone.conv1.w"] = dw1
-    grads["backbone.conv1.b"] = db1
-    grads["backbone.conv2.w"] = dw2
-    grads["backbone.conv2.b"] = db2
-
-    for block in net.frozen:
-        grads[f"{block}.w"] = np.zeros_like(grads[f"{block}.w"])
-        grads[f"{block}.b"] = np.zeros_like(grads[f"{block}.b"])
+    if dfeat is not None:
+        p = net.params
+        dw2, db2, da1 = _conv3x3_backward(cache["cols_a1"], p["backbone.conv2.w"], dfeat,
+                                          cfg.dilation, weights=train2, inputs=train1)
+        if train2:
+            grads["backbone.conv2.w"], grads["backbone.conv2.b"] = dw2, db2
+        if train1:
+            dz1 = da1 * (1.0 - cache["a1"] ** 2)
+            grads["backbone.conv1.w"], grads["backbone.conv1.b"], _ = _conv3x3_backward(
+                cache["cols_x"], p["backbone.conv1.w"], dz1, inputs=False)
     return grads, float(total_loss / bsz)
 
 
@@ -284,6 +292,12 @@ def save_network(net: ToyNetwork, path) -> None:
             f.write(np.ascontiguousarray(net.params[n], dtype="<f8").tobytes())
 
 
+def checkpoint_manifest(config: dict, frozen: tuple[str, ...], params: list) -> tuple:
+    """A checkpoint manifest record: (NetConfig, parameter records, frozen
+    block names)."""
+    return NetConfig(**checked(NetConfig, config, "checkpoint config")), params, frozen
+
+
 def load_network(path) -> ToyNetwork:
     """The network of a ``save_network`` checkpoint; PoseError if malformed."""
     with open(path, "rb") as f:
@@ -301,12 +315,11 @@ def load_network(path) -> ToyNetwork:
         manifest = json.loads(blob[head.size:off].decode("utf-8"))
     except ValueError as exc:   # not UTF-8, or not JSON
         raise PoseError(f"checkpoint manifest is not JSON: {exc}", path=path) from exc
-    if not isinstance(manifest, dict):
-        raise PoseError("checkpoint manifest must be a JSON object", path=path)
-    config = NetConfig(**checked(NetConfig, manifest.get("config"), "checkpoint config"))
+    config, records, frozen = checkpoint_manifest(
+        **checked(checkpoint_manifest, manifest, "checkpoint manifest"))
     like = init_network(config).params   # the names and shapes the config gives
     names = sorted(like)
-    if manifest.get("params") != [{"name": n, "shape": list(like[n].shape)} for n in names]:
+    if records != [{"name": n, "shape": list(like[n].shape)} for n in names]:
         raise PoseError("checkpoint params do not match its config", path=path)
     params = {}
     for n in names:
@@ -317,9 +330,6 @@ def load_network(path) -> ToyNetwork:
         off += like[n].nbytes
     if off != len(blob):
         raise PoseError("trailing bytes in checkpoint", path=path)
-    frozen = manifest.get("frozen", [])
-    if not (isinstance(frozen, list) and all(isinstance(b, str) for b in frozen)):
-        raise PoseError("checkpoint frozen must be a list of block names", path=path)
     net = ToyNetwork(config, params)
     net.set_frozen(frozen)
     return net

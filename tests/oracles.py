@@ -16,13 +16,22 @@ they were, to check the stacked kernels bit for bit. ``pckh_distance`` is the on
 the judgement in ``evaluation`` stacks. The head-swap and vote fusions are
 the library's earlier versions too (decode each branch, then project; one
 index pair at a time); they reuse its decode and pose projection and check
-that decoding one assembled target-set map gives the same bits.
+that decoding one assembled target-set map gives the same bits. The toy
+network's ``np.pad`` im2col, its conv backward that always returns every
+gradient, its all-heads full-depth ``gradients`` and the one-sample
+held-out error are the library's earlier versions, kept as they were, to
+check that the trainer's shortcuts give the same bits.
 """
 
 import functools
 import itertools
 
 import numpy as np
+
+from posepipe.heatmaps import peaks
+from posepipe.skeletons import mapping
+from posepipe.synthetic import project_to_merged
+from posepipe.toynet import _select_joints, _values, forward
 
 
 @functools.lru_cache(maxsize=None)
@@ -528,3 +537,101 @@ def reference_fuse_vote(b, target_set, smooth_sigma=1.0, use_quarter_offset=True
     votes[nonzero] /= counts[nonzero, None, None]
     avg = Heatmap(votes.astype(np.float32), target_set, crop, strides)
     return decode(avg, smooth_sigma, use_quarter_offset)
+
+
+def reference_im2col(x, dilation: int = 1):
+    """(B, C, H, W) -> (B, C*9, H*W) patch matrix for a same-padded 3x3 conv."""
+    bsz, c, h, w = x.shape
+    d = dilation
+    xp = np.pad(x, ((0, 0), (0, 0), (d, d), (d, d)))
+    cols = np.empty((bsz, c, 9, h * w))
+    i = 0
+    for dy in (0, d, 2 * d):
+        for dx in (0, d, 2 * d):
+            cols[:, :, i] = xp[:, :, dy:dy + h, dx:dx + w].reshape(bsz, c, -1)
+            i += 1
+    return cols.reshape(bsz, c * 9, h * w)
+
+
+def reference_conv3x3_backward(cols, w, gout, dilation: int = 1):
+    """Gradients (dw, db, dx) of a same-padded 3x3 conv given upstream gout."""
+    bsz, _, h, wd = gout.shape
+    c = w.shape[1]
+    d = dilation
+    gm = gout.reshape(bsz, w.shape[0], h * wd)
+    dw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    db = gout.sum(axis=(0, 2, 3))
+    dcols = np.matmul(w.reshape(w.shape[0], -1).T, gm).reshape(bsz, c, 9, h * wd)
+    dxp = np.zeros((bsz, c, h + 2 * d, wd + 2 * d))
+    i = 0
+    for dy in (0, d, 2 * d):
+        for dx in (0, d, 2 * d):
+            dxp[:, :, dy:dy + h, dx:dx + wd] += dcols[:, :, i].reshape(bsz, c, h, wd)
+            i += 1
+    return dw, db, dxp[:, :, d:-d, d:-d]
+
+
+def reference_gradients(net, batch, loss: str = "l2", ohkm_k: int = 8):
+    """toynet.gradients the long way: every head runs, the backward pass
+    always reaches conv1's input, and frozen blocks are zeroed at the end."""
+    cfg = net.config
+    x = np.stack([np.asarray(s.input, dtype=np.float64) for s in batch])
+    outputs, cache = forward(net, x)
+    bsz = len(batch)
+    hw = cfg.height * cfg.width
+
+    grads = {name: np.zeros_like(p) for name, p in net.params.items()}
+    dfeat = np.zeros_like(cache["feat"])
+    total_loss = 0.0
+    for i, sample in enumerate(batch):
+        d = sample.domain
+        pred = outputs[d][i]
+        target = np.asarray(_values(sample.target), dtype=np.float64)
+        per_joint = np.mean((pred - target) ** 2, axis=(1, 2))
+        sel, wgt = _select_joints(per_joint, sample.mask, loss, ohkm_k)
+        if sel.size == 0:
+            continue
+        total_loss += per_joint[sel].sum() * wgt
+        dout = np.zeros_like(pred)
+        dout[sel] = (2.0 * wgt / (hw * bsz)) * (pred[sel] - target[sel])
+        w_head = net.params[f"head.{d}.w"]
+        dout_flat = dout.reshape(dout.shape[0], -1)
+        feat_flat = cache["feat"][i].reshape(cfg.hidden, -1)
+        grads[f"head.{d}.w"] += dout_flat @ feat_flat.T
+        grads[f"head.{d}.b"] += dout.sum(axis=(1, 2))
+        dfeat[i] = (w_head.T @ dout_flat).reshape(cfg.hidden, cfg.height, cfg.width)
+
+    p = net.params
+    dw2, db2, da1 = reference_conv3x3_backward(cache["cols_a1"], p["backbone.conv2.w"],
+                                               dfeat, cfg.dilation)
+    dz1 = da1 * (1.0 - cache["a1"] ** 2)
+    dw1, db1, _ = reference_conv3x3_backward(cache["cols_x"], p["backbone.conv1.w"], dz1)
+    grads["backbone.conv1.w"] = dw1
+    grads["backbone.conv1.b"] = db1
+    grads["backbone.conv2.w"] = dw2
+    grads["backbone.conv2.b"] = db2
+
+    for block in net.frozen:
+        grads[f"{block}.w"] = np.zeros_like(grads[f"{block}.w"])
+        grads[f"{block}.b"] = np.zeros_like(grads[f"{block}.b"])
+    return grads, float(total_loss / bsz)
+
+
+def reference_heldout_error(net, samples, reference: str = "annotation") -> float:
+    """training.heldout_error with one forward call per sample."""
+    errs = []
+    merged_only = tuple(net.config.domains) == ("merged",)
+    for s in samples:
+        if merged_only:
+            s = project_to_merged(s)
+        if reference == "truth":
+            target = mapping("merged", s.domain).take(s.latent)
+        else:
+            target = s.keypoints
+        outputs, _ = forward(net, np.asarray(s.input, dtype=np.float64),
+                             domains=(s.domain,))
+        decoded, _ = peaks(outputs[s.domain])
+        if s.mask.any():
+            d = np.linalg.norm(decoded[s.mask] - target[s.mask], axis=1)
+            errs.append(d.mean())
+    return float(np.mean(errs))

@@ -309,6 +309,7 @@ _INSTANCE = {"box": [0, 0, 10, 10], "heatmaps": {"coco": "c.pkhm"}}
     {"frames": [{"frame_index": 0, "instances": [dict(_INSTANCE, box=["1", "2", "3", "4"])]}]},
     {"frames": [{"frame_index": 0, "instances": [dict(_INSTANCE, box_score="0.5")]}]},
     {"frames": [{"frame_index": 0, "instances": [dict(_INSTANCE, box=[0, 0, 0, 1])]}]},
+    {"frames": [{"frame_index": 0, "instances": [dict(_INSTANCE, box_score=float("nan"))]}]},
     {"frames": [{"frame_index": 0, "instances": [dict(_INSTANCE, heatmap={})]}]},
     {"frames": [{"frame_index": 1}, {"frame_index": 0}]},
 ])
@@ -395,6 +396,10 @@ def test_nms_rejects_malformed_pose_file(tmp_path, capsys, pose_doc):
     {"frames": [{"frame_index": 0, "boxes": [{"box": [0, 0, 1, 1], "scroe": 0.5}]}]},
     {"frames": [{"frame_index": 0, "boxes": [{"box": [0, 0, 1, 1, 1]}]}]},
     {"frames": [{"frame_index": 0, "boxes": [{"box": [0, 0, 1e200, 1e200]}]}]},
+    # a score outside [0, 1]; a NaN-scored box used to be dropped silently
+    {"frames": [{"frame_index": 0, "boxes": [{"box": [0, 0, 1, 1], "score": float("nan")}]}]},
+    {"frames": [{"frame_index": 0, "boxes": [{"box": [0, 0, 1, 1], "score": -5}]}]},
+    {"frames": [{"frame_index": 0, "boxes": [{"box": [0, 0, 1, 1], "score": 7}]}]},
     {"frames": [{"frame_index": 1}, {"frame_index": 1}]},
 ])
 def test_merge_boxes_rejects_malformed_box_file(tmp_path, capsys, box_doc):

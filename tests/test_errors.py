@@ -15,13 +15,13 @@ from posepipe.poseio import (
 )
 from posepipe.skeletons import JointSet
 from posepipe.synthetic import DomainSpec
-from posepipe.toynet import NetConfig
+from posepipe.toynet import NetConfig, checkpoint_manifest
 from posepipe.training import PRESETS, Stage, TrainConfig, TrainSchedule
 
 # every record and function a JSON config or file record is checked against
 JSON_RECORDS = [PipelineConfig, TrainConfig, NetConfig, DomainSpec, Stage, TrainSchedule,
                 *PRESETS.values(), document, instance_frame, box_frame,
-                pose_instance, box_entry, manifest_instance, JointSet]
+                pose_instance, box_entry, manifest_instance, JointSet, checkpoint_manifest]
 # the parameters a reader passes itself, which no JSON value gives
 CONTEXT = {pose_instance: "joint_set", manifest_instance: "base"}
 

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from posepipe import PoseError
+from posepipe.skeletons import get_joint_set
 from posepipe.toynet import (
     NetConfig,
+    _conv3x3_backward,
+    _im2col,
     forward,
     gradients,
     init_network,
@@ -17,7 +20,12 @@ from posepipe.toynet import (
     sgd_step,
 )
 
-from oracles import numeric_gradient
+from oracles import (
+    numeric_gradient,
+    reference_conv3x3_backward,
+    reference_gradients,
+    reference_im2col,
+)
 
 SMALL = NetConfig(in_channels=1, hidden=3, height=8, width=6,
                   domains=("coco", "mpii"))
@@ -236,13 +244,20 @@ def _spoil_manifest(case, manifest: bytes) -> bytes:
         return b"\xff" + manifest[1:]
     if case == "no config":
         del doc["config"]
+    elif case == "misspelt frozen":
+        doc["frozn"] = doc.pop("frozen")
+    elif case == "frozen not a list of strings":
+        doc["frozen"] = ["backbone.conv1", 2]
+    elif case == "not an object":
+        doc = [doc]
     else:   # params not a list
         doc["params"] = {"backbone.conv1.w": [3, 1, 3, 3]}
     return json.dumps(doc).encode("utf-8")
 
 
 @pytest.mark.parametrize("case", ["not JSON", "not UTF-8", "length past the end",
-                                  "no config", "params not a list"])
+                                  "no config", "params not a list", "misspelt frozen",
+                                  "frozen not a list of strings", "not an object"])
 def test_load_network_rejects_malformed_manifest(tmp_path, case):
     path = tmp_path / "net.pknp"
     save_network(init_network(SMALL, seed=19), path)
@@ -283,3 +298,66 @@ def test_dilated_conv_gradients():
     for name, g in grads.items():
         scale = max(np.abs(numeric[name]).max(), 1e-8)
         assert np.abs(numeric[name] - g).max() / scale <= 1e-4
+
+
+# The shortcuts of the fast paths must give the reference's bits exactly.
+_SHAPES = [(dilation, c, bsz) for dilation in (1, 2) for c in (1, 2) for bsz in (1, 3, 8)]
+
+
+@pytest.mark.parametrize("dilation, in_channels, bsz", _SHAPES)
+def test_im2col_is_bit_equal_to_reference(dilation, in_channels, bsz):
+    x = np.random.default_rng(bsz).normal(size=(bsz, in_channels, 8, 6))
+    assert _im2col(x, dilation).tobytes() == reference_im2col(x, dilation).tobytes()
+
+
+@pytest.mark.parametrize("dilation, in_channels, bsz", _SHAPES)
+def test_conv3x3_backward_is_bit_equal_to_reference(dilation, in_channels, bsz):
+    rng = np.random.default_rng(bsz)
+    cols = reference_im2col(rng.normal(size=(bsz, in_channels, 8, 6)), dilation)
+    w = rng.normal(size=(4, in_channels, 3, 3))
+    gout = rng.normal(size=(bsz, 4, 8, 6))
+    want = reference_conv3x3_backward(cols, w, gout, dilation)
+    for weights in (True, False):
+        for inputs in (True, False):
+            got = _conv3x3_backward(cols, w, gout, dilation, weights, inputs)
+            for g, ref, needed in zip(got, want, (weights, weights, inputs)):
+                assert g.tobytes() == ref.tobytes() if needed else g is None
+
+
+_FROZEN = [(), ("backbone.conv1",), ("backbone.conv2",),
+           ("backbone.conv1", "backbone.conv2"),
+           ("backbone.conv1", "backbone.conv2", "head.{first}")]
+
+
+def _oracle_batch(kind, bsz, in_channels, seed):
+    """(domains of the net, batch) for a single-domain, mixed or merged-only
+    batch with random masks."""
+    rng = np.random.default_rng(seed)
+    domains = {"single": ("coco", "mpii"), "mixed": ("coco", "mpii", "posetrack"),
+               "merged": ("merged",)}[kind]
+    batch = []
+    for i in range(bsz):
+        d = domains[i % len(domains)] if kind == "mixed" else domains[0]
+        k = get_joint_set(d).count
+        s = FakeSample(rng, d, k, mask=rng.random(k) > 0.2)
+        s.input = rng.normal(size=(in_channels, 8, 6))
+        batch.append(s)
+    return domains, batch
+
+
+@pytest.mark.parametrize("loss", ["l2", "ohkm"])
+@pytest.mark.parametrize("kind", ["single", "mixed", "merged"])
+@pytest.mark.parametrize("frozen", _FROZEN, ids=lambda f: "+".join(f) or "none")
+def test_gradients_are_bit_equal_to_reference(frozen, kind, loss):
+    for dilation, in_channels, bsz in ((1, 1, 8), (2, 2, 3), (1, 2, 1)):
+        domains, batch = _oracle_batch(kind, bsz, in_channels, seed=bsz)
+        cfg = NetConfig(in_channels=in_channels, hidden=3, height=8, width=6,
+                        domains=domains, dilation=dilation)
+        net = init_network(cfg, seed=bsz)
+        net.set_frozen({b.format(first=domains[0]) for b in frozen})
+        grads, value = gradients(net, batch, loss, 4)
+        want, want_value = reference_gradients(net, batch, loss, 4)
+        assert value == want_value
+        assert grads.keys() == want.keys()
+        for name, g in grads.items():
+            assert g.tobytes() == want[name].tobytes(), name

@@ -5,7 +5,7 @@ import pytest
 
 from posepipe import PoseError
 from posepipe.synthetic import DEFAULT_DOMAINS, gen_synthetic
-from posepipe.toynet import NetConfig, init_network
+from posepipe.toynet import NetConfig, init_network, save_network
 from posepipe.training import (
     Stage,
     TrainSchedule,
@@ -17,6 +17,8 @@ from posepipe.training import (
     train,
     transfer_schedule,
 )
+
+from oracles import reference_gradients, reference_heldout_error, reference_im2col
 
 CFG = NetConfig(in_channels=1, hidden=4, height=32, width=24)
 
@@ -159,3 +161,42 @@ def test_mixed_training_zero_gradient_to_unannotated_joints(tiny_data):
         else:
             assert not row.any()
             assert grads["head.merged.b"][j] == 0.0
+
+
+@pytest.fixture(scope="module")
+def mixed_heldout():
+    """17 held-out samples, the three domains interleaved."""
+    per_domain = [gen_synthetic(DEFAULT_DOMAINS[d], 6, seed=77)
+                  for d in ("coco", "mpii", "posetrack")]
+    return [s for trio in zip(*per_domain) for s in trio][:17]
+
+
+@pytest.mark.parametrize("reference", ["annotation", "truth"])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17])
+def test_chunked_heldout_error_is_bit_equal_to_reference(mixed_heldout, n, reference):
+    samples = mixed_heldout[:n]
+    for net in (init_network(NetConfig(), seed=n),
+                init_network(NetConfig(domains=("merged",)), seed=n)):
+        assert heldout_error(net, samples, reference) == \
+            reference_heldout_error(net, samples, reference)
+
+
+def test_staged_checkpoint_bytes_match_reference_gradients(monkeypatch, tmp_path,
+                                                           mixed_heldout):
+    # the fast gradients (fewer heads, shallower backward, window im2col)
+    # against the reference ones patched in: the same checkpoint, byte for byte
+    data = {d: gen_synthetic(DEFAULT_DOMAINS[d], 16, seed=5)
+            for d in ("coco", "mpii", "posetrack")}
+
+    def run(name):
+        net, _ = train(staged_schedule(steps=(16, 4, 4)), data, seed=0)
+        save_network(net, tmp_path / name)
+        return net, (tmp_path / name).read_bytes()
+
+    fast_net, fast = run("fast.pknp")
+    monkeypatch.setattr("posepipe.training.gradients", reference_gradients)
+    monkeypatch.setattr("posepipe.toynet._im2col", reference_im2col)
+    _, slow = run("reference.pknp")
+    assert fast == slow
+    assert heldout_error(fast_net, mixed_heldout) == \
+        reference_heldout_error(fast_net, mixed_heldout)
