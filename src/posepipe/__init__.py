@@ -22,7 +22,6 @@ from .fusion import BranchOutputs, fuse_head_swap, fuse_select, fuse_vote, inter
 from .suppression import (
     OksConstants,
     apply_thresholds,
-    box_iou,
     box_nms,
     oks,
     oks_nms,

@@ -5,7 +5,8 @@ The setup follows the canonical small-target-domain story: two large clean
 domains (2000 samples each) and one small noisy domain (200 samples), with
 every schedule given the same per-stage learning rate and the step budgets
 kept in the presets' proportions. Reported numbers are the mean held-out
-keypoint error of the small domain over a set of seeds.
+keypoint error of the small domain over a set of seeds. ``run_benchmark``
+takes no arguments: the constants below fix every size, seed and budget.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .synthetic import DEFAULT_DOMAINS, gen_synthetic
-from .toynet import NetConfig
 from .training import (
     staged_schedule,
     multi_domain_schedule,
@@ -23,13 +23,21 @@ from .training import (
     train,
 )
 
+SEEDS = (0, 1, 2, 3, 4)   # training seeds; each result averages over them
+TARGET = "posetrack"      # the small noisy domain whose held-out error is reported
+TRAIN_SIZES = {"coco": 2000, "mpii": 2000, "posetrack": 200}
+HELDOUT_SIZE = 100
+JOINT_STEPS = 500         # S, the joint stage of the multi-stage schedule
+LR = 1.2
+DATA_SEED = 5
+HELDOUT_SEED = 995
+
 
 @dataclass
 class BenchmarkResult:
     """Per-schedule held-out errors (small domain), one entry per seed."""
 
     errors: dict = field(default_factory=dict)
-    seeds: tuple = ()
 
     def mean(self, name: str) -> float:
         return float(np.mean(self.errors[name]))
@@ -38,42 +46,32 @@ class BenchmarkResult:
         return {name: self.mean(name) for name in self.errors}
 
 
-def run_benchmark(seeds=(0, 1, 2, 3, 4), target: str = "posetrack",
-                  train_sizes=None, heldout_size: int = 100,
-                  joint_steps: int = 500, lr: float = 1.2,
-                  config: NetConfig = None, data_seed: int = 5,
-                  heldout_seed: int = 995,
-                  heldout_reference: str = "annotation") -> BenchmarkResult:
+def run_benchmark() -> BenchmarkResult:
     """Compare the full multi-stage schedule against train-on-target-only and
-    joint-training-without-fine-tune.
+    joint-training-without-fine-tune, at the module's constants.
 
     Budgets keep the presets' stage proportions: the multi-stage schedule
     runs (S, 0.15 S, 0.2 S) steps and the two baselines get the same total.
     """
-    if config is None:
-        config = NetConfig()
-    if train_sizes is None:
-        train_sizes = {"coco": 2000, "mpii": 2000, "posetrack": 200}
     specs = DEFAULT_DOMAINS
     domains = tuple(specs)
-    data = {d: gen_synthetic(specs[d], train_sizes[d], seed=data_seed) for d in domains}
-    heldout = {target: gen_synthetic(specs[target], heldout_size, seed=heldout_seed)}
+    data = {d: gen_synthetic(specs[d], TRAIN_SIZES[d], seed=DATA_SEED) for d in domains}
+    heldout = {TARGET: gen_synthetic(specs[TARGET], HELDOUT_SIZE, seed=HELDOUT_SEED)}
 
-    s1, s2, s3 = joint_steps, round(0.15 * joint_steps), round(0.2 * joint_steps)
+    s1, s2, s3 = JOINT_STEPS, round(0.15 * JOINT_STEPS), round(0.2 * JOINT_STEPS)
     total = s1 + s2 + s3
     schedules = {
         "staged": staged_schedule(domains=domains, primary="coco",
-                              steps=(s1, s2, s3), lr=lr),
-        "target-only": single_domain_schedule(target, steps=total, lr=lr),
+                                  steps=(s1, s2, s3), lr=LR),
+        "target-only": single_domain_schedule(TARGET, steps=total, lr=LR),
         "multi-domain-no-ft": multi_domain_schedule(domains=domains,
-                                                    steps=total, lr=lr),
+                                                    steps=total, lr=LR),
     }
-    result = BenchmarkResult(seeds=tuple(seeds))
+    result = BenchmarkResult()
     for name, schedule in schedules.items():
         errs = []
-        for seed in seeds:
-            _, log = train(schedule, data, seed=seed, config=config,
-                           heldout=heldout, heldout_reference=heldout_reference)
-            errs.append(log[-1]["heldout"][target])
+        for seed in SEEDS:
+            _, log = train(schedule, data, seed=seed, heldout=heldout)
+            errs.append(log[-1]["heldout"][TARGET])
         result.errors[name] = errs
     return result

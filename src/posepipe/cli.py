@@ -133,29 +133,21 @@ def cmd_track(args):
     save_pose_file(PoseSequence(seq.joint_set, frames), args.out)
 
 
-def _eval_common(args, kind):
+def _eval_common(args):
     pred = load_pose_file(args.pred)
     gt = load_pose_file(args.gt)
     if pred.joint_set != gt.joint_set:
         raise PoseError(
             f"prediction joint set {pred.joint_set!r} != ground truth {gt.joint_set!r}"
         )
-    fn = compute_map if kind == "map" else compute_mota
+    fn = compute_map if args.kind == "map" else compute_mota
     report = fn(pred.frames, gt.frames, joint_set=gt.joint_set,
                 threshold=args.pckh_thr)
-    print(format_table(report, kind))
+    print(format_table(report, args.kind))
     if args.json:
         with open(args.json, "w") as f:
-            json.dump(report_to_dict(report, kind), f, indent=2)
+            json.dump(report_to_dict(report, args.kind), f, indent=2)
             f.write("\n")
-
-
-def cmd_eval_map(args):
-    _eval_common(args, "map")
-
-
-def cmd_eval_mota(args):
-    _eval_common(args, "mota")
 
 
 def cmd_run(args):
@@ -231,13 +223,14 @@ def build_parser():
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_track)
 
-    for name, fn in (("eval-map", cmd_eval_map), ("eval-mota", cmd_eval_mota)):
-        s = sub.add_parser(name, help=f"{name} over prediction and ground truth")
+    for kind in ("map", "mota"):
+        s = sub.add_parser(f"eval-{kind}",
+                           help=f"eval-{kind} over prediction and ground truth")
         s.add_argument("--pred", required=True)
         s.add_argument("--gt", required=True)
         s.add_argument("--pckh-thr", type=float, default=PCKH_THRESHOLD)
         s.add_argument("--json", help="also write a machine-readable report")
-        s.set_defaults(fn=fn)
+        s.set_defaults(fn=_eval_common, kind=kind)
 
     s = sub.add_parser("run", help="full pipeline over a heatmap manifest")
     s.add_argument("--config")

@@ -70,12 +70,6 @@ class EvalReport:
     recall_total: float = None
     counts: dict = field(default_factory=dict)
 
-    def merged_ap(self) -> dict:
-        return _group_columns(self.joint_set, self.ap)
-
-    def merged_mota(self) -> dict:
-        return _group_columns(self.joint_set, self.mota)
-
 
 def _mean_defined(values) -> float:
     vals = [v for v in values if v is not None]
@@ -329,10 +323,10 @@ def _fmt(v) -> str:
 def format_table(report: EvalReport, kind: str) -> str:
     """Aligned text table, one row, Head..Ankle plus the totals."""
     if kind == "map":
-        groups = report.merged_ap()
+        groups = _group_columns(report.joint_set, report.ap)
         cols = list(groups.items()) + [("Total", report.map_total)]
     elif kind == "mota":
-        groups = report.merged_mota()
+        groups = _group_columns(report.joint_set, report.mota)
         cols = list(groups.items()) + [
             ("Total", report.mota_total),
             ("MOTP", report.motp_total),
@@ -352,14 +346,14 @@ def report_to_dict(report: EvalReport, kind: str) -> dict:
         return {
             "joint_set": report.joint_set,
             "per_joint_ap": report.ap,
-            "groups": report.merged_ap(),
+            "groups": _group_columns(report.joint_set, report.ap),
             "total_map": report.map_total,
         }
     if kind == "mota":
         return {
             "joint_set": report.joint_set,
             "per_joint_mota": report.mota,
-            "groups": report.merged_mota(),
+            "groups": _group_columns(report.joint_set, report.mota),
             "total_mota": report.mota_total,
             "total_motp": report.motp_total,
             "total_precision": report.precision_total,

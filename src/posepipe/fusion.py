@@ -66,9 +66,6 @@ class BranchOutputs:
         if len(geos) != 1:
             raise PoseError("branch geometries differ")
 
-    def __contains__(self, name):
-        return name in self.branches
-
     def __getitem__(self, name) -> Heatmap:
         try:
             return self.branches[name]
@@ -81,15 +78,14 @@ class BranchOutputs:
         return h.values.shape[1:], h.crop, h.strides
 
 
-def interpolate_head(pose: DecodedPose, bottom_coef: float = HEAD_BOTTOM_COEF,
-                     top_coef: float = HEAD_TOP_COEF):
+def interpolate_head(pose: DecodedPose):
     """(head_top, head_bottom) interpolated from nose and shoulders.
 
-    head_bottom sits bottom_coef of the way from the shoulder midpoint to the
-    nose, head_top a top_coef multiple of that vector beyond the nose; both
-    carry the mean score of the three contributing joints. Returns
-    (xy, score, ok) per joint with ok False when nose or a shoulder is
-    missing.
+    head_bottom sits HEAD_BOTTOM_COEF of the way from the shoulder midpoint
+    to the nose, head_top a HEAD_TOP_COEF multiple of that vector beyond the
+    nose; both carry the mean score of the three contributing joints.
+    Returns (xy, score, ok) per joint with ok False when nose or a shoulder
+    is missing.
     """
     js = get_joint_set(pose.joint_set)
     try:
@@ -104,8 +100,8 @@ def interpolate_head(pose: DecodedPose, bottom_coef: float = HEAD_BOTTOM_COEF,
     mid = (pose.coords[li] + pose.coords[ri]) / 2.0
     axis = nose - mid
     score = float((pose.scores[ni] + pose.scores[li] + pose.scores[ri]) / 3.0)
-    head_top = nose + top_coef * axis
-    head_bottom = mid + bottom_coef * axis
+    head_top = nose + HEAD_TOP_COEF * axis
+    head_bottom = mid + HEAD_BOTTOM_COEF * axis
     return ((head_top, score, True), (head_bottom, score, True))
 
 

@@ -59,23 +59,12 @@ class Heatmap:
         if self.strides[0] <= 0 or self.strides[1] <= 0:
             raise PoseError("heatmap strides must be positive")
 
-    @property
-    def shape(self):
-        return self.values.shape
-
     def grid_to_image(self, gxy: np.ndarray) -> np.ndarray:
         """Map (..., 2) grid xy to image pixels, cell-center convention."""
         gxy = np.asarray(gxy, dtype=np.float64)
         out = np.empty_like(gxy)
         out[..., 0] = self.crop[0] + (gxy[..., 0] + 0.5) * self.strides[0]
         out[..., 1] = self.crop[1] + (gxy[..., 1] + 0.5) * self.strides[1]
-        return out
-
-    def image_to_grid(self, xy: np.ndarray) -> np.ndarray:
-        xy = np.asarray(xy, dtype=np.float64)
-        out = np.empty_like(xy)
-        out[..., 0] = (xy[..., 0] - self.crop[0]) / self.strides[0] - 0.5
-        out[..., 1] = (xy[..., 1] - self.crop[1]) / self.strides[1] - 0.5
         return out
 
 
@@ -172,17 +161,16 @@ def smooth(h: Heatmap, sigma_filter: float) -> Heatmap:
     return Heatmap(out.astype(np.float32), h.joint_set, h.crop, h.strides)
 
 
-def unmirror(h_flipped: Heatmap, flip_pairs=None) -> Heatmap:
+def unmirror(h_flipped: Heatmap) -> Heatmap:
     """Undo a horizontal input flip on a network output: reverse W, shift one
-    cell toward +x (duplicating column 0), swap left/right paired channels.
+    cell toward +x (duplicating column 0), swap the joint set's left/right
+    paired channels.
     """
-    if flip_pairs is None:
-        flip_pairs = get_joint_set(h_flipped.joint_set).flip_pairs
     rev = h_flipped.values[:, :, ::-1]
     shifted = rev.copy()
     shifted[:, :, 1:] = rev[:, :, :-1]
     out = shifted.copy()
-    for a, b in flip_pairs:
+    for a, b in get_joint_set(h_flipped.joint_set).flip_pairs:
         out[a] = shifted[b]
         out[b] = shifted[a]
     return Heatmap(out, h_flipped.joint_set, h_flipped.crop, h_flipped.strides)
@@ -199,10 +187,10 @@ def check_flip_pair(h: Heatmap, h_flipped_input: Heatmap) -> None:
         raise PoseError("flip_merge joint-set mismatch")
 
 
-def flip_merge(h: Heatmap, h_flipped_input: Heatmap, flip_pairs=None) -> Heatmap:
+def flip_merge(h: Heatmap, h_flipped_input: Heatmap) -> Heatmap:
     """Average a prediction with the un-mirrored prediction for the flipped input."""
     check_flip_pair(h, h_flipped_input)
-    un = unmirror(h_flipped_input, flip_pairs)
+    un = unmirror(h_flipped_input)
     merged = (h.values.astype(np.float64) + un.values.astype(np.float64)) / 2.0
     return Heatmap(merged.astype(np.float32), h.joint_set, h.crop, h.strides)
 

@@ -20,9 +20,9 @@ def check_box(box) -> None:
 
 
 def check_score(score) -> None:
-    """Raise unless the box score lies in [0, 1] (NaN does not)."""
+    """Raise unless a box or instance score lies in [0, 1] (NaN does not)."""
     if not 0 <= score <= 1:
-        raise PoseError(f"box score must lie in [0, 1], got {score!r}")
+        raise PoseError(f"score must lie in [0, 1], got {score!r}")
 
 
 @dataclass
@@ -31,8 +31,8 @@ class PersonInstance:
 
     coords is (K, 2) image-pixel xy, scores is (K,) in [0, 1], annotated is a
     (K,) bool mask of joints that carry a valid location. ``score`` is the
-    instance confidence used for ranking/suppression; it starts as the box
-    score and is replaced by :func:`posepipe.suppression.rescore`.
+    instance confidence used for ranking/suppression, in [0, 1]; it starts
+    as the box score and is replaced by :func:`posepipe.suppression.rescore`.
 
     person_id and head_size are only populated on ground-truth instances.
     """
@@ -74,6 +74,7 @@ class PersonInstance:
             raise PoseError("instance area must be positive")
         if self.score is None:
             self.score = float(self.box_score)
+        check_score(self.score)
 
     @property
     def num_annotated(self) -> int:

@@ -34,6 +34,9 @@ BRANCHES = ("coco", "mpii", "posetrack")
 
 # joints whose channel goes weak on designated frames (merged-set names)
 _WEAK_JOINTS = ("left_wrist", "right_ankle")
+GRID = (24, 18)          # heatmap (H, W) of every crop
+BRANCH_NOISE = 0.002     # std of the per-branch heatmap noise
+IMG_W, IMG_H = 640, 480
 
 
 def _head_size(points_by_name) -> float:
@@ -43,21 +46,21 @@ def _head_size(points_by_name) -> float:
     return 0.6 * float(np.hypot(h, 0.75 * h))
 
 
-def _person_track(rng, img_w, img_h, num_frames):
+def _person_track(rng, num_frames):
     """Image-space merged-joint positions per frame for one moving figure."""
     base = figure_points(rng, 24, 18)            # in a virtual 18x24 grid
     center = base.mean(axis=0)
     scale = rng.uniform(3.6, 4.4)
     pts = (base - center) * scale
     margin = 80.0
-    start = np.array([rng.uniform(margin, img_w - margin),
-                      rng.uniform(margin, img_h - margin)])
+    start = np.array([rng.uniform(margin, IMG_W - margin),
+                      rng.uniform(margin, IMG_H - margin)])
     vel = rng.uniform(-5.0, 5.0, size=2)
     return [pts + start + vel * t for t in range(num_frames)]
 
 
-def _crop_for(points, pad: float, grid):
-    gh, gw = grid
+def _crop_for(points, pad: float):
+    gh, gw = GRID
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     size = hi - lo
@@ -83,8 +86,7 @@ def _mirror_output(h: Heatmap) -> Heatmap:
     return Heatmap(shifted[:, :, ::-1].copy(), h.joint_set, h.crop, h.strides)
 
 
-def _render_instance(points_img, crop, strides, grid, sigma, joint_set,
-                     weak: dict, noise_rng, branch_noise):
+def _render_instance(points_img, crop, strides, sigma, joint_set, weak: dict, noise_rng):
     """One branch heatmap for one person crop; weak maps joint index ->
     (displacement xy in cells, peak gain)."""
     k = get_joint_set(joint_set).count
@@ -96,21 +98,20 @@ def _render_instance(points_img, crop, strides, grid, sigma, joint_set,
     for di, (disp, gain) in weak.items():
         grid_pts[di] = grid_pts[di] + disp
         gains[di] = gain
-    hm, _ = render_target(grid_pts, sigma, grid, joint_set=joint_set,
+    hm, _ = render_target(grid_pts, sigma, GRID, joint_set=joint_set,
                           crop=crop, strides=strides)
     values = hm.values * gains[:, None, None].astype(np.float32)
-    if branch_noise > 0:
-        values = values + branch_noise * noise_rng.standard_normal(values.shape)
+    values = values + BRANCH_NOISE * noise_rng.standard_normal(values.shape)
     values = np.clip(values, 0.0, 1.0)
     return Heatmap(values.astype(np.float32), joint_set, crop, strides)
 
 
-def _clutter_heatmap(noise_rng, crop, strides, grid, joint_set, peak):
-    gh, gw = grid
+def _clutter_heatmap(noise_rng, crop, strides, joint_set, peak):
+    gh, gw = GRID
     k = get_joint_set(joint_set).count
     pts = np.column_stack([noise_rng.uniform(2, gw - 3, size=k),
                            noise_rng.uniform(2, gh - 3, size=k)])
-    hm, _ = render_target(pts, 1.5, grid, joint_set=joint_set,
+    hm, _ = render_target(pts, 1.5, GRID, joint_set=joint_set,
                           crop=crop, strides=strides)
     return Heatmap((hm.values * peak).astype(np.float32), joint_set, crop, strides)
 
@@ -134,8 +135,7 @@ def _write_crop(outdir, stem, box, box_score, heatmaps, with_flipped):
 
 
 def generate_scene(outdir, num_frames: int = 5, num_persons: int = 2, seed: int = 0,
-                   grid=(24, 18), sigma: float = 2.5, branch_noise: float = 0.002,
-                   img_size=(640, 480), with_flipped: bool = True,
+                   sigma: float = 2.5, with_flipped: bool = True,
                    with_weak_joints: bool = True, with_clutter: bool = True):
     """Write heatmaps/, manifest.json and gt.json under outdir.
 
@@ -143,12 +143,10 @@ def generate_scene(outdir, num_frames: int = 5, num_persons: int = 2, seed: int 
     """
     if num_frames < 1 or num_persons < 1:
         raise PoseError("scene needs at least one frame and one person")
-    img_w, img_h = img_size
     os.makedirs(os.path.join(outdir, "heatmaps"), exist_ok=True)
 
     weak_idx = [_MERGED.index(n) for n in _WEAK_JOINTS]
-    tracks = [_person_track(np.random.default_rng([seed, 21, p]), img_w, img_h,
-                            num_frames)
+    tracks = [_person_track(np.random.default_rng([seed, 21, p]), num_frames)
               for p in range(num_persons)]
 
     manifest_frames = []
@@ -162,7 +160,7 @@ def generate_scene(outdir, num_frames: int = 5, num_persons: int = 2, seed: int 
         for p in range(num_persons):
             pts = tracks[p][t]
             by_name = {n: pts[i] for i, n in enumerate(_MERGED.joints)}
-            crop, strides = _crop_for(pts, 0.18, grid)
+            crop, strides = _crop_for(pts, 0.18)
 
             weak = {}
             if with_weak_joints and (t + p) % 2 == 1:
@@ -176,8 +174,8 @@ def generate_scene(outdir, num_frames: int = 5, num_persons: int = 2, seed: int 
                 noise_rng = np.random.default_rng([seed, 41, t, p, b])
                 bm = dict(mapping("merged", branch).index_map)
                 bweak = {bm[mi]: wk for mi, wk in weak.items() if mi in bm}
-                heatmaps[branch] = _render_instance(pts, crop, strides, grid, sigma, branch,
-                                                    bweak, noise_rng, branch_noise)
+                heatmaps[branch] = _render_instance(pts, crop, strides, sigma, branch,
+                                                    bweak, noise_rng)
             entries.append(_write_crop(outdir, f"f{t}_p{p}", crop, 0.93, heatmaps,
                                        with_flipped))
 
@@ -207,12 +205,12 @@ def generate_scene(outdir, num_frames: int = 5, num_persons: int = 2, seed: int 
                 spurious.append(("b", 0.5, 0.6, 1))
             for tag, box_score, peak, step in spurious:
                 rng_cl = np.random.default_rng([seed, 51, ord(tag)])
-                cx = rng_cl.uniform(40, img_w - 120) + 4.0 * step
-                cy = rng_cl.uniform(40, img_h - 160)
+                cx = rng_cl.uniform(40, IMG_W - 120) + 4.0 * step
+                cy = rng_cl.uniform(40, IMG_H - 160)
                 crop = (cx, cy, 70.0, 110.0)
-                strides = (crop[2] / grid[1], crop[3] / grid[0])
+                strides = (crop[2] / GRID[1], crop[3] / GRID[0])
                 heatmaps = {branch: _clutter_heatmap(np.random.default_rng([seed, 52, ord(tag)]),
-                                                     crop, strides, grid, branch, peak)
+                                                     crop, strides, branch, peak)
                             for branch in BRANCHES}
                 entries.append(_write_crop(outdir, f"f{t}_clutter{tag}", crop, box_score,
                                            heatmaps, with_flipped))

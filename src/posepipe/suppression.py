@@ -75,13 +75,6 @@ class OksConstants:
         return cls(name, np.array(values))
 
 
-def _stack(instances):
-    """(list, was_single) for one PersonInstance or a sequence of them."""
-    if isinstance(instances, PersonInstance):
-        return [instances], True
-    return list(instances), False
-
-
 def _masked_mean(values, mask):
     """Mean of each row's ``values[mask]`` over the last axis; 0.0 for a row
     with no masked entry.
@@ -109,18 +102,15 @@ def oks(a, b, consts: OksConstants):
     """Keypoint similarity of candidates b to references a, normalized by
     each reference's area.
 
-    a and b are each a PersonInstance or a sequence of them. The result is
-    the (len(a), len(b)) float64 matrix whose row i holds every candidate's
-    OKS to reference i; two single instances give a Python float. Each
-    entry is the mean over jointly annotated joints of
+    a and b are sequences of PersonInstances. The result is the
+    (len(a), len(b)) float64 matrix whose row i holds every candidate's OKS
+    to reference i. Each entry is the mean over jointly annotated joints of
     exp(-d^2 / (2 area k^2)), 0.0 when no joint is annotated in both, with
     the float order of the one-pair formula (see ``_masked_mean``).
     """
-    refs, single_a = _stack(a)
-    cands, single_b = _stack(b)
-    sims = np.zeros((len(refs), len(cands)))
+    refs, cands = list(a), list(b)
     if not refs or not cands:
-        return sims
+        return np.zeros((len(refs), len(cands)))
     sets = {p.joint_set for p in refs} | {p.joint_set for p in cands}
     if sets != {consts.joint_set}:
         first_a = next((p for p in refs if p.joint_set != consts.joint_set), refs[0])
@@ -140,8 +130,7 @@ def oks(a, b, consts: OksConstants):
     delta = rc[:, None] - cc[None]                      # (R, C, K, 2)
     d2 = delta[..., 0] ** 2 + delta[..., 1] ** 2
     e = np.exp(-d2 / ((2.0 * area)[:, None, None] * consts.falloff ** 2))
-    sims = _masked_mean(e, ra[:, None] & ca[None])
-    return float(sims[0, 0]) if single_a and single_b else sims
+    return _masked_mean(e, ra[:, None] & ca[None])
 
 
 def oks_nms(instances, threshold: float, consts: OksConstants):
@@ -178,11 +167,6 @@ def box_ious(a, b) -> np.ndarray:
     inter = extent[..., 0] * extent[..., 1]
     union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
-
-
-def box_iou(a, b) -> float:
-    """Intersection over union of two (x, y, w, h) boxes."""
-    return float(box_ious(a, b)[0, 0])
 
 
 def box_nms(boxes, scores, threshold: float):

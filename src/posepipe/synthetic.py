@@ -137,15 +137,13 @@ def figure_points(rng, height: int, width: int) -> np.ndarray:
 
 
 def render_figure(points: np.ndarray, height: int, width: int,
-                  stroke_sigma: float = 0.7, bone_gains=None) -> np.ndarray:
+                  stroke_sigma: float, bone_gains) -> np.ndarray:
     """Stick-figure intensity image from merged-order joint positions.
 
     bone_gains (one per drawn segment) modulates each stroke's brightness,
     standing in for clothing/lighting variation.
     """
     by_name = {name: points[i] for i, name in enumerate(_MERGED.joints)}
-    if bone_gains is None:
-        bone_gains = np.ones(len(_DRAWN_SEGMENTS))
     xs = np.arange(width, dtype=np.float64)[None, :]
     ys = np.arange(height, dtype=np.float64)[:, None]
     img = np.zeros((height, width), dtype=np.float64)

@@ -132,19 +132,14 @@ def _conv3x3_backward(cols, w, gout, dilation: int = 1, weights: bool = True,
 def forward(net: ToyNetwork, x, domains=None):
     """Run every (or the selected) head from the shared backbone feature.
 
-    x is (B, C, H, W) or a single (C, H, W) sample. Returns (outputs, cache)
-    where outputs maps domain -> (B, K_d, H, W).
+    x is a (B, C, H, W) batch. Returns (outputs, cache) where outputs maps
+    domain -> (B, K_d, H, W).
     """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 3
-    if single:
-        x = x[None]
     cfg = net.config
-    if x.shape[1:] != (cfg.in_channels, cfg.height, cfg.width):
-        raise PoseError(
-            f"input shape {x.shape[1:]} does not match configured "
-            f"({cfg.in_channels}, {cfg.height}, {cfg.width})"
-        )
+    if x.ndim != 4 or x.shape[1:] != (cfg.in_channels, cfg.height, cfg.width):
+        raise PoseError(f"input shape {x.shape} is not a (B, {cfg.in_channels}, "
+                        f"{cfg.height}, {cfg.width}) batch")
     p = net.params
     shape = (x.shape[0], cfg.height, cfg.width)
     cols_x = _im2col(x)
@@ -160,8 +155,6 @@ def forward(net: ToyNetwork, x, domains=None):
         out = np.matmul(p[f"head.{d}.w"], feat_flat).reshape(
             x.shape[0], -1, cfg.height, cfg.width)
         outputs[d] = out + p[f"head.{d}.b"][None, :, None, None]
-    if single:
-        outputs = {d: o[0] for d, o in outputs.items()}
     cache = {"cols_x": cols_x, "cols_a1": cols_a1, "a1": a1, "feat": feat}
     return outputs, cache
 

@@ -99,20 +99,16 @@ class TrackerConfig:
 
 
 def similarity(tracks, candidates, frame: int, prop, consts: OksConstants,
-               lookback: int = 8):
+               lookback: int):
     """OKS of each candidate to each propagated track; 0 beyond lookback.
 
-    tracks is a Track or a sequence of them, candidates a PersonInstance or
-    a sequence of them; the result is the (len(tracks), len(candidates))
-    matrix, or a Python float for one track and one candidate. Every track
+    tracks is a sequence of Tracks and candidates one of PersonInstances;
+    the result is the (len(tracks), len(candidates)) matrix. Every track
     within lookback is propagated once, by ``prop(track, gap)``, and all of
     them go through one stacked ``oks`` call; a track more than lookback
     frames back gets a zero row. Nothing is propagated when there is no
     candidate.
     """
-    single = isinstance(tracks, Track) and isinstance(candidates, PersonInstance)
-    tracks = [tracks] if isinstance(tracks, Track) else list(tracks)
-    candidates = [candidates] if isinstance(candidates, PersonInstance) else list(candidates)
     gaps = [frame - t.last_active for t in tracks]
     if any(gap < 1 for gap in gaps):
         raise PoseError("similarity requires frame > track.last_active")
@@ -120,7 +116,7 @@ def similarity(tracks, candidates, frame: int, prop, consts: OksConstants,
     live = [i for i, gap in enumerate(gaps) if gap <= lookback]
     if live and candidates:
         sims[live] = oks([prop(tracks[i], gaps[i]) for i in live], candidates, consts)
-    return float(sims[0, 0]) if single else sims
+    return sims
 
 
 @dataclass

@@ -227,15 +227,15 @@ def heldout_error(net: ToyNetwork, samples, reference: str = "annotation") -> fl
     labels; "truth" scores against the underlying figure, which the synthetic
     world knows exactly, so that a domain's systematic annotation offset
     counts against models that learned to reproduce it. The multi-domain
-    benchmark (``run_benchmark``) defaults to "annotation". The forward pass
-    runs on chunks of ``HELDOUT_CHUNK`` samples; peaks and errors are per
-    sample.
+    benchmark (``run_benchmark``) scores against "annotation". The forward
+    pass runs on chunks of ``HELDOUT_CHUNK`` samples; peaks and errors are
+    per sample. PoseError if no sample annotates a joint.
     """
     check_heldout_reference(reference)
-    if not samples:
-        raise PoseError("no held-out samples")
     if tuple(net.config.domains) == ("merged",):
         samples = [project_to_merged(s) for s in samples]
+    if not any(s.mask.any() for s in samples):
+        raise PoseError("no held-out sample has an annotated joint")
     errs = []
     for start in range(0, len(samples), HELDOUT_CHUNK):
         chunk = samples[start:start + HELDOUT_CHUNK]
@@ -254,37 +254,20 @@ def heldout_error(net: ToyNetwork, samples, reference: str = "annotation") -> fl
 
 
 def train(schedule: TrainSchedule, datasets: dict, seed: int,
-          config: NetConfig = None, heldout: dict = None,
-          net: ToyNetwork = None, log_path=None, eval_every: int = 0,
+          config: NetConfig = None, heldout: dict = None, log_path=None,
           heldout_reference: str = "annotation"):
-    """Run the schedule with SGD; bit-reproducible for a given seed.
+    """Run the schedule with SGD from ``init_network(config, seed)``;
+    bit-reproducible for a given seed.
 
     datasets/heldout map domain name -> list of Samples; every stage is
     checked (``check_stages``) before the first step. Returns (network, log)
-    where log is a list of dicts; each stage boundary logs the per-domain
-    held-out error when held-out data is provided.
+    where log is a list of dicts, one per stage, each with the per-domain
+    held-out error when held-out data is provided; with log_path each entry
+    is also appended there as a JSON line.
     """
-    if config is None:
-        config = NetConfig()
-    if net is None:
-        net = init_network(config, seed)
+    net = init_network(config or NetConfig(), seed)
     merged_only = tuple(net.config.domains) == ("merged",)
-    heldout = heldout or {}
     log = []
-
-    def emit(entry):
-        log.append(entry)
-        if log_path is not None:
-            with open(log_path, "a") as f:
-                f.write(json.dumps(entry) + "\n")
-
-    def evaluate(stage_index, stage, step):
-        entry = {"stage": stage_index, "name": stage.name, "step": step}
-        if heldout:
-            entry["heldout"] = {d: heldout_error(net, ss, heldout_reference)
-                                for d, ss in sorted(heldout.items())}
-        emit(entry)
-
     check_stages(schedule, datasets, net.blocks())
     for stage_index, stage in enumerate(schedule.stages):
         pools = [[project_to_merged(s) if merged_only else s for s in datasets[d]]
@@ -294,13 +277,18 @@ def train(schedule: TrainSchedule, datasets: dict, seed: int,
         else:
             net.set_frozen(set(net.blocks()) - set(stage.trainable))
         rng = np.random.default_rng([seed, 101, stage_index])
-        for step in range(stage.steps):
+        for _ in range(stage.steps):
             # batches balance domains: slot -> uniform domain -> uniform sample
             doms = rng.integers(0, len(pools), size=stage.batch_size)
             batch = [pools[d][rng.integers(0, len(pools[d]))] for d in doms]
             grads, _ = gradients(net, batch, stage.loss, stage.ohkm_k)
             sgd_step(net, grads, stage.lr)
-            if eval_every and (step + 1) % eval_every == 0 and step + 1 < stage.steps:
-                evaluate(stage_index, stage, step + 1)
-        evaluate(stage_index, stage, stage.steps)
+        entry = {"stage": stage_index, "name": stage.name, "step": stage.steps}
+        if heldout:
+            entry["heldout"] = {d: heldout_error(net, ss, heldout_reference)
+                                for d, ss in sorted(heldout.items())}
+        log.append(entry)
+        if log_path is not None:
+            with open(log_path, "a") as f:
+                f.write(json.dumps(entry) + "\n")
     return net, log

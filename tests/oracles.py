@@ -628,9 +628,9 @@ def reference_heldout_error(net, samples, reference: str = "annotation") -> floa
             target = mapping("merged", s.domain).take(s.latent)
         else:
             target = s.keypoints
-        outputs, _ = forward(net, np.asarray(s.input, dtype=np.float64),
+        outputs, _ = forward(net, np.asarray(s.input, dtype=np.float64)[None],
                              domains=(s.domain,))
-        decoded, _ = peaks(outputs[s.domain])
+        decoded, _ = peaks(outputs[s.domain][0])
         if s.mask.any():
             d = np.linalg.norm(decoded[s.mask] - target[s.mask], axis=1)
             errs.append(d.mean())

@@ -376,6 +376,9 @@ def _pose_file(**changes):
     _pose_file(keypoints=[1.0, 2.0, float("nan")] * _COCO),
     _pose_file(box=[0, 0, float("inf"), 10]),
     _pose_file(box=[float("nan"), 0, 10, 10]),
+    _pose_file(score=float("nan")),
+    _pose_file(score=-5),
+    _pose_file(score=7),
     {"joint_set": ["coco"], "frames": []},
     {"joint_set": "coco", "frames": [], "sequence": "a"},
     {"joint_set": "coco", "frames": [{"frame_index": 0, "instance": []}]},
@@ -477,6 +480,17 @@ def test_train_toy_rejects_malformed_config(tmp_path, capsys, monkeypatch, train
                                              "--out", "{out}"])
 
 
+def test_train_toy_with_no_annotated_heldout_joint_exits_2(tmp_path, capsys):
+    # an offset that moves every joint off the grid masks them all; this
+    # used to print a NaN held-out error, which is not JSON, and exit 0
+    path, out = tmp_path / "train.json", tmp_path / "net.pknp"
+    path.write_text(json.dumps(dict(_TINY_TRAIN, domains={"coco": {"offset": [1000, 0]}})))
+    assert main(["train-toy", "--config", str(path), "--out", str(out)]) == 2
+    assert _error_doc(capsys) == {"error": "no held-out sample has an annotated joint",
+                                  "kind": "contract"}
+    assert not out.exists()
+
+
 # each key PipelineConfig no longer has, with a value it used to accept
 _REMOVED_CONFIG_KEYS = {
     "render_sigma": 9.0, "box_merge_iou_threshold": 0.6, "pckh_threshold": 0.5,
@@ -535,7 +549,8 @@ def _break_branch_file(case, path, flip_path):
         return 1, "io", f"[Errno 2] No such file or directory: '{path}'"
     if case == "mis-tagged":
         k = builtin_joint_set("coco").count
-        save_heatmap(Heatmap(np.zeros((k,) + h.shape[1:]), "coco", h.crop, h.strides), path)
+        save_heatmap(Heatmap(np.zeros((k,) + h.values.shape[1:]), "coco", h.crop, h.strides),
+                     path)
         return 2, "contract", f"branch {h.joint_set!r} points at a 'coco' heatmap"
     if case == "truncated":
         blob = path.read_bytes()
@@ -549,7 +564,7 @@ def _break_branch_file(case, path, flip_path):
     if case == "flipped-shape":
         small = h.values[:, :-1, :-1]
         save_heatmap(Heatmap(small, h.joint_set, h.crop, h.strides), flip_path)
-        return 2, "contract", f"flip_merge shape mismatch: {h.shape} vs {small.shape}"
+        return 2, "contract", f"flip_merge shape mismatch: {h.values.shape} vs {small.shape}"
     # flipped-tag: a set of the same size under another name
     js = builtin_joint_set(h.joint_set)
     register_joint_set(JointSet(f"{js.name}_twin", js.joints, js.flip_pairs))

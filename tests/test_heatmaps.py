@@ -279,11 +279,3 @@ def test_heatmap_truncated_payload(tmp_path):
     (tmp_path / "bad2.pkhm").write_bytes(b"NOPE" + blob[4:])
     with pytest.raises(PoseError):
         load_heatmap(tmp_path / "bad2.pkhm")
-
-
-def test_geometry_round_trip():
-    _single_joint_set()
-    hm = Heatmap(np.zeros((1, 10, 10), dtype=np.float32), "single",
-                 crop=(5.0, 7.0, 40.0, 30.0), strides=(4.0, 3.0))
-    pts = np.array([[2.0, 3.0], [0.0, 0.0]])
-    assert np.allclose(hm.image_to_grid(hm.grid_to_image(pts)), pts)

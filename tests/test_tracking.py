@@ -35,28 +35,33 @@ def pose_at(x, y, box_wh=(25.0, 40.0)):
     )
 
 
+def similarity1(track, candidate, frame, prop, lookback=8):
+    """One track's similarity to one candidate, as a 1 x 1 stack."""
+    return similarity([track], [candidate], frame, prop, CONSTS, lookback)[0, 0]
+
+
 def test_identity_propagator_same_pose_similarity_one():
     t = Track(0, {3: pose_at(10, 10)})
-    assert similarity(t, pose_at(10, 10), 4, identity, CONSTS) == 1.0
+    assert similarity1(t, pose_at(10, 10), 4, identity) == 1.0
 
 
 def test_similarity_requires_future_frame():
     t = Track(0, {3: pose_at(10, 10)})
     with pytest.raises(PoseError):
-        similarity(t, pose_at(10, 10), 3, identity, CONSTS)
+        similarity1(t, pose_at(10, 10), 3, identity)
 
 
 def test_similarity_beyond_lookback_is_zero():
     t = Track(0, {0: pose_at(10, 10)})
-    assert similarity(t, pose_at(10, 10), 9, identity, CONSTS, lookback=8) == 0.0
-    assert similarity(t, pose_at(10, 10), 8, identity, CONSTS, lookback=8) == 1.0
+    assert similarity1(t, pose_at(10, 10), 9, identity, lookback=8) == 0.0
+    assert similarity1(t, pose_at(10, 10), 8, identity, lookback=8) == 1.0
 
 
 def test_velocity_propagator_tracks_linear_motion_exactly():
     t = Track(0, {0: pose_at(0, 0), 1: pose_at(6, 2)})
     for gap in range(1, 9):
         cand = pose_at(6 + 6 * gap, 2 + 2 * gap)
-        s = similarity(t, cand, 1 + gap, constant_velocity, CONSTS, lookback=8)
+        s = similarity1(t, cand, 1 + gap, constant_velocity, lookback=8)
         assert s == pytest.approx(1.0)
 
 
@@ -239,7 +244,7 @@ def test_similarity_matrix_matches_pair_loop():
 def test_similarity_matrix_rejects_a_past_track():
     tracks = [Track(0, {3: pose_at(10, 10)}), Track(1, {5: pose_at(10, 10)})]
     with pytest.raises(PoseError):
-        similarity(tracks, [pose_at(10, 10)], 5, identity, CONSTS)
+        similarity(tracks, [pose_at(10, 10)], 5, identity, CONSTS, 8)
 
 
 def test_custom_propagator_runs_once_per_live_track_per_frame():
