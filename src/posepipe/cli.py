@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .errors import PoseError
-from .evaluation import PCKH_THRESHOLD, compute_map, compute_mota, format_table, report_to_dict
+from .evaluation import PCKH_THRESHOLD, compute_map, compute_mota, format_table
 from .heatmaps import decode, load_heatmap
 from .pipeline import fuse, load_manifest, run_pipeline, to_instance, track_sequence
 from .poseio import (
@@ -143,10 +143,10 @@ def _eval_common(args):
     fn = compute_map if args.kind == "map" else compute_mota
     report = fn(pred.frames, gt.frames, joint_set=gt.joint_set,
                 threshold=args.pckh_thr)
-    print(format_table(report, args.kind))
+    print(format_table(report))
     if args.json:
         with open(args.json, "w") as f:
-            json.dump(report_to_dict(report, args.kind), f, indent=2)
+            json.dump(report, f, indent=2)
             f.write("\n")
 
 

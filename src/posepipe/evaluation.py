@@ -8,8 +8,8 @@ number > 0, default 0.5):
   reference size (head-box diagonal x 0.6, computed upstream). ``_judge``
   is the one place this rule and its distance are computed, over stacked
   poses: matching judges a frame's P x G pairs in one call, and both
-  metrics read one paired call over the frame's matched pairs. The
-  distances are bit-equal to judging one pair at a time.
+  metrics read the matched pairs' rows of that judgement. The distances
+  are bit-equal to judging one pair at a time.
 * Poses are matched per frame, greedily, by descending count of correct
   joints; ties prefer the smaller mean normalized distance (over joints
   annotated in both, in ``np.mean``'s float order, by the same masked-mean
@@ -27,7 +27,6 @@ Joints with no annotated ground truth are excluded from every mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,25 +49,10 @@ _JOINT_GROUPS = (
 )
 
 
-@dataclass
-class EvalReport:
-    """Per-joint AP and/or MOT numbers plus their joint-mean totals.
-
-    Per-joint entries are None for joints with no annotated ground truth.
-    All values are percentages; MOTA may be negative.
-    """
-
-    joint_set: str
-    ap: dict = None
-    map_total: float = None
-    mota: dict = None
-    mota_total: float = None
-    motp_total: float = None
-    precision: dict = None
-    precision_total: float = None
-    recall: dict = None
-    recall_total: float = None
-    counts: dict = field(default_factory=dict)
+# Table columns after the groups: (header, report key), each shown when the
+# report has the key.
+_TOTALS = (("Total", "total_map"), ("Total", "total_mota"), ("MOTP", "total_motp"),
+           ("Prec", "total_precision"), ("Rec", "total_recall"))
 
 
 def _mean_defined(values) -> float:
@@ -77,8 +61,6 @@ def _mean_defined(values) -> float:
 
 
 def _group_columns(joint_set, per_joint):
-    if per_joint is None:
-        return None
     js = get_joint_set(joint_set)
     out = {}
     for group, members in _JOINT_GROUPS:
@@ -88,12 +70,10 @@ def _group_columns(joint_set, per_joint):
     return out
 
 
-def _judge(preds, gts, threshold: float, every_pair: bool = False):
-    """PCKh judgement of a stack of predictions against ground truth.
+def _judge(preds, gts, threshold: float):
+    """PCKh judgement of every prediction x ground-truth pair.
 
-    With ``every_pair`` the results are (P, G, K), one row per prediction x
-    ground-truth pair; without it preds and gts are paired up in order and
-    the results are (P, K). Returns the correct mask (annotated in both
+    Returns three (P, G, K) arrays: the correct mask (annotated in both
     poses and within threshold), the distances normalized by the ground
     truth's head size and the annotated-in-both mask; None if either stack
     is empty. The one check of the threshold and of head sizes (each a
@@ -106,10 +86,8 @@ def _judge(preds, gts, threshold: float, every_pair: bool = False):
         raise PoseError("ground-truth instances need a finite head_size > 0")
     if not preds or not gts:
         return None
-    pc = np.stack([p.coords for p in preds])
-    pa = np.stack([p.annotated for p in preds])
-    if every_pair:
-        pc, pa = pc[:, None], pa[:, None]
+    pc = np.stack([p.coords for p in preds])[:, None]
+    pa = np.stack([p.annotated for p in preds])[:, None]
     gc = np.stack([g.coords for g in gts])
     d = np.linalg.norm(pc - gc, axis=-1) / np.array(heads, dtype=np.float64)[:, None]
     both = pa & np.stack([g.annotated for g in gts])
@@ -121,12 +99,14 @@ def match_poses(preds, gts, threshold: float = PCKH_THRESHOLD):
 
     preds/gts are PersonInstance lists in the same joint set; every gt must
     carry head_size. All P x G pairs are judged at once; the mean distance
-    over joints annotated in both keeps ``np.mean``'s float order. Returns a
-    list of (pred_index, gt_index) pairs.
+    over joints annotated in both keeps ``np.mean``'s float order. Returns
+    (pairs, correct, dist): the matched (pred_index, gt_index) pairs in
+    ground-truth order and their (len(pairs), K) rows of the correct mask and
+    of the distances; ``[], None, None`` if either side is empty.
     """
-    judged = _judge(preds, gts, threshold, every_pair=True)
+    judged = _judge(preds, gts, threshold)
     if judged is None:
-        return []
+        return [], None, None
     correct, d, both = judged
     count = correct.sum(axis=-1)
     meandist = _masked_mean(d, both)
@@ -139,7 +119,9 @@ def match_poses(preds, gts, threshold: float = PCKH_THRESHOLD):
         used_p.add(p)
         used_g.add(g)
         matches.append((p, g))
-    return matches
+    matches.sort(key=lambda pair: pair[1])
+    pi, gi = [p for p, _ in matches], [g for _, g in matches]
+    return matches, correct[pi, gi], d[pi, gi]
 
 
 def _average_precision(scored, npos: int) -> float:
@@ -161,23 +143,18 @@ def _average_precision(scored, npos: int) -> float:
     return 100.0 * ap
 
 
-def _index_frames(frames):
+def _index_frames(frames, joint_set):
     seen = {}
     for frame_index, instances in frames:
         if frame_index in seen:
             raise PoseError(f"duplicate frame index {frame_index}")
+        for p in instances:
+            if p.joint_set != joint_set:
+                raise PoseError(
+                    f"instance joint set {p.joint_set!r} does not match {joint_set!r}"
+                )
         seen[frame_index] = instances
     return seen
-
-
-def _check_sets(frame_maps, joint_set):
-    for frames in frame_maps:
-        for instances in frames.values():
-            for p in instances:
-                if p.joint_set != joint_set:
-                    raise PoseError(
-                        f"instance joint set {p.joint_set!r} does not match {joint_set!r}"
-                    )
 
 
 def _matched_frames(preds, gts, joint_set: str, threshold: float):
@@ -185,34 +162,32 @@ def _matched_frames(preds, gts, joint_set: str, threshold: float):
 
     Yields (frame_index, frame_preds, frame_gts, pairs, correct, dist): pairs
     are the matched (pred_index, gt_index) in ground-truth order, and
-    correct/dist are their (P, K) ``_judge`` results, row for row.
+    correct/dist are their (len(pairs), K) rows of ``match_poses``'s
+    judgement.
     """
     _judge((), (), threshold)   # checked even when there is no frame to judge
     k = get_joint_set(joint_set).count
-    pred_by_frame = _index_frames(preds)
-    gt_by_frame = _index_frames(gts)
-    _check_sets((pred_by_frame, gt_by_frame), joint_set)
+    pred_by_frame = _index_frames(preds, joint_set)
+    gt_by_frame = _index_frames(gts, joint_set)
     for frame_index in sorted(set(pred_by_frame) | set(gt_by_frame)):
         frame_preds = pred_by_frame.get(frame_index, [])
         frame_gts = gt_by_frame.get(frame_index, [])
-        pairs = sorted(match_poses(frame_preds, frame_gts, threshold),
-                       key=lambda pair: pair[1])
-        if pairs:
-            correct, dist, _ = _judge([frame_preds[pi] for pi, _ in pairs],
-                                      [frame_gts[gi] for _, gi in pairs], threshold)
-        else:
+        pairs, correct, dist = match_poses(frame_preds, frame_gts, threshold)
+        if correct is None:   # no prediction or no ground truth in this frame
             correct, dist = np.zeros((0, k), dtype=bool), np.zeros((0, k))
         yield frame_index, frame_preds, frame_gts, pairs, correct, dist
 
 
 def compute_map(preds, gts, joint_set: str = "posetrack",
-                threshold: float = PCKH_THRESHOLD) -> EvalReport:
+                threshold: float = PCKH_THRESHOLD) -> dict:
     """Per-joint AP over score-ranked keypoint detections.
 
     preds: iterable of (frame_index, [PersonInstance]) with keypoint scores.
     gts: iterable of (frame_index, [PersonInstance]), every instance carrying
     a finite head_size > 0. threshold: the PCKh threshold, a finite number > 0.
-    Both are checked by ``_judge``; a bad value raises PoseError.
+    Both are checked by ``_judge``; a bad value raises PoseError. Returns the
+    document ``eval-map --json`` writes; AP is None for a joint no ground
+    truth annotates.
     """
     js = get_joint_set(joint_set)
     k = js.count
@@ -229,25 +204,25 @@ def compute_map(preds, gts, joint_set: str = "posetrack",
             for j in np.flatnonzero(p.annotated).tolist():
                 records[j].append((float(p.scores[j]), bool(hit[j])))
 
-    ap = {}
-    for j, name in enumerate(js.joints):
-        ap[name] = _average_precision(records[j], int(npos[j]))
-    return EvalReport(
-        joint_set=joint_set,
-        ap=ap,
-        map_total=_mean_defined(ap.values()),
-        counts={"gt_joints": {n: int(npos[j]) for j, n in enumerate(js.joints)}},
-    )
+    ap = {name: _average_precision(records[j], int(npos[j]))
+          for j, name in enumerate(js.joints)}
+    return {
+        "joint_set": joint_set,
+        "per_joint_ap": ap,
+        "groups": _group_columns(joint_set, ap),
+        "total_map": _mean_defined(ap.values()),
+    }
 
 
 def compute_mota(preds, gts, joint_set: str = "posetrack",
-                 threshold: float = PCKH_THRESHOLD) -> EvalReport:
-    """Per-joint MOTA/MOTP/precision/recall for tracked predictions.
+                 threshold: float = PCKH_THRESHOLD) -> dict:
+    """Per-joint MOTA, and MOTP/precision/recall means, for tracked predictions.
 
     preds, gts and threshold are as for :func:`compute_map`; predictions
     must carry track ids, and ground truth person ids unique within a frame.
     Every annotated ground-truth joint not judged correct is a miss and every
     reported prediction joint not judged correct is a false positive.
+    Returns the document ``eval-mota --json`` writes.
     """
     js = get_joint_set(joint_set)
     k = js.count
@@ -287,77 +262,43 @@ def compute_mota(preds, gts, joint_set: str = "posetrack",
     fn = gt_total - tp
     fp = reported - tp
 
-    mota, precision, recall, motp = {}, {}, {}, {}
+    mota, precision, recall, motp = {}, [], [], []
     for j, name in enumerate(js.joints):
         if gt_total[j] == 0:
-            mota[name] = precision[name] = recall[name] = None
+            mota[name] = None
             continue
         mota[name] = 100.0 * (1.0 - (fn[j] + fp[j] + idsw[j]) / gt_total[j])
         denom = tp[j] + fp[j]
-        precision[name] = 100.0 * tp[j] / denom if denom else 0.0
-        recall[name] = 100.0 * tp[j] / gt_total[j]
+        precision.append(100.0 * tp[j] / denom if denom else 0.0)
+        recall.append(100.0 * tp[j] / gt_total[j])
         if tp[j]:
-            motp[name] = 100.0 * (dist_sum[j] / tp[j]) / threshold
+            motp.append(100.0 * (dist_sum[j] / tp[j]) / threshold)
 
-    return EvalReport(
-        joint_set=joint_set,
-        mota=mota,
-        mota_total=_mean_defined(mota.values()),
-        motp_total=_mean_defined(motp.values()) if motp else None,
-        precision=precision,
-        precision_total=_mean_defined(precision.values()),
-        recall=recall,
-        recall_total=_mean_defined(recall.values()),
-        counts={
+    return {
+        "joint_set": joint_set,
+        "per_joint_mota": mota,
+        "groups": _group_columns(joint_set, mota),
+        "total_mota": _mean_defined(mota.values()),
+        "total_motp": _mean_defined(motp),
+        "total_precision": _mean_defined(precision),
+        "total_recall": _mean_defined(recall),
+        "counts": {
             "gt_joints": {n: int(gt_total[j]) for j, n in enumerate(js.joints)},
             "fn": int(fn.sum()), "fp": int(fp.sum()), "idsw": int(idsw.sum()),
             "fp_per_joint": {n: int(fp[j]) for j, n in enumerate(js.joints)},
         },
-    )
+    }
 
 
 def _fmt(v) -> str:
     return "  -" if v is None else f"{v:5.1f}"
 
 
-def format_table(report: EvalReport, kind: str) -> str:
-    """Aligned text table, one row, Head..Ankle plus the totals."""
-    if kind == "map":
-        groups = _group_columns(report.joint_set, report.ap)
-        cols = list(groups.items()) + [("Total", report.map_total)]
-    elif kind == "mota":
-        groups = _group_columns(report.joint_set, report.mota)
-        cols = list(groups.items()) + [
-            ("Total", report.mota_total),
-            ("MOTP", report.motp_total),
-            ("Prec", report.precision_total),
-            ("Rec", report.recall_total),
-        ]
-    else:
-        raise PoseError(f"unknown table kind {kind!r}")
+def format_table(report: dict) -> str:
+    """Aligned text table of a ``compute_map`` or ``compute_mota`` report:
+    one row, Head..Ankle plus the totals the report has."""
+    cols = list(report["groups"].items()) + [
+        (name, report[key]) for name, key in _TOTALS if key in report]
     header = " | ".join(f"{name:>8}" for name, _ in cols)
     row = " | ".join(f"{_fmt(v):>8}" for _, v in cols)
     return header + "\n" + row
-
-
-def report_to_dict(report: EvalReport, kind: str) -> dict:
-    """Machine-readable form of the table plus the per-joint values."""
-    if kind == "map":
-        return {
-            "joint_set": report.joint_set,
-            "per_joint_ap": report.ap,
-            "groups": _group_columns(report.joint_set, report.ap),
-            "total_map": report.map_total,
-        }
-    if kind == "mota":
-        return {
-            "joint_set": report.joint_set,
-            "per_joint_mota": report.mota,
-            "groups": _group_columns(report.joint_set, report.mota),
-            "total_mota": report.mota_total,
-            "total_motp": report.motp_total,
-            "total_precision": report.precision_total,
-            "total_recall": report.recall_total,
-            "counts": report.counts,
-        }
-    raise PoseError(f"unknown report kind {kind!r}")

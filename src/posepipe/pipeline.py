@@ -117,13 +117,10 @@ def track_sequence(frames, consts: OksConstants, tracker_config: TrackerConfig,
     """Give every instance of [(frame_index, instances)] its track id, then
     drop the instances of tracks with fewer than ``min_len`` frames."""
     tracker = TrackerState(consts, tracker_config)
-    tracked = []
-    for fidx, instances in frames:
-        ids = tracker.step(fidx, instances)
-        tracked.append((fidx, [p.replace(track_id=t) for p, t in zip(instances, ids)]))
-    kept = {t.id for t in finalize(tracker, min_len)}
-    return [(fidx, [p for p in instances if p.track_id in kept])
-            for fidx, instances in tracked]
+    ids = [(fidx, tracker.step(fidx, instances)) for fidx, instances in frames]
+    kept = {t.id: t for t in finalize(tracker, min_len)}
+    return [(fidx, [kept[t].history[fidx] for t in frame_ids if t in kept])
+            for fidx, frame_ids in ids]
 
 
 def to_instance(decoded: DecodedPose, box, box_score: float) -> PersonInstance:

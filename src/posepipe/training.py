@@ -220,6 +220,16 @@ def check_heldout_reference(reference: str) -> None:
         raise PoseError(f"unknown reference {reference!r}")
 
 
+def scored_samples(net: ToyNetwork, samples) -> list:
+    """samples as :func:`heldout_error` scores them on net (in the merged
+    vocabulary for a merged-only net); PoseError if none annotates a joint."""
+    if tuple(net.config.domains) == ("merged",):
+        samples = [project_to_merged(s) for s in samples]
+    if not any(s.mask.any() for s in samples):
+        raise PoseError("no held-out sample has an annotated joint")
+    return samples
+
+
 def heldout_error(net: ToyNetwork, samples, reference: str = "annotation") -> float:
     """Mean keypoint localization error (grid cells) over annotated joints.
 
@@ -232,10 +242,7 @@ def heldout_error(net: ToyNetwork, samples, reference: str = "annotation") -> fl
     per sample. PoseError if no sample annotates a joint.
     """
     check_heldout_reference(reference)
-    if tuple(net.config.domains) == ("merged",):
-        samples = [project_to_merged(s) for s in samples]
-    if not any(s.mask.any() for s in samples):
-        raise PoseError("no held-out sample has an annotated joint")
+    samples = scored_samples(net, samples)
     errs = []
     for start in range(0, len(samples), HELDOUT_CHUNK):
         chunk = samples[start:start + HELDOUT_CHUNK]
@@ -260,7 +267,8 @@ def train(schedule: TrainSchedule, datasets: dict, seed: int,
     bit-reproducible for a given seed.
 
     datasets/heldout map domain name -> list of Samples; every stage is
-    checked (``check_stages``) before the first step. Returns (network, log)
+    checked (``check_stages``), and every held-out set (``scored_samples``),
+    before the first step. Returns (network, log)
     where log is a list of dicts, one per stage, each with the per-domain
     held-out error when held-out data is provided; with log_path each entry
     is also appended there as a JSON line.
@@ -269,6 +277,8 @@ def train(schedule: TrainSchedule, datasets: dict, seed: int,
     merged_only = tuple(net.config.domains) == ("merged",)
     log = []
     check_stages(schedule, datasets, net.blocks())
+    for samples in (heldout or {}).values():
+        scored_samples(net, samples)
     for stage_index, stage in enumerate(schedule.stages):
         pools = [[project_to_merged(s) if merged_only else s for s in datasets[d]]
                  for d in stage.domains]

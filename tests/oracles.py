@@ -354,8 +354,8 @@ def _reference_frames(preds, gts):
 
 
 def reference_compute_map(preds, gts, k, threshold):
-    """Per-joint AP with one loop per prediction joint: {"ap", "map_total",
-    "gt_joints"} with ap and gt_joints as per-joint lists."""
+    """Per-joint AP with one loop per prediction joint: {"ap", "map_total"}
+    with ap as a per-joint list."""
     from posepipe.evaluation import _average_precision, _mean_defined
     npos = [0] * k
     records = [[] for _ in range(k)]
@@ -374,7 +374,7 @@ def reference_compute_map(preds, gts, k, threshold):
                        and dist[pi, gi][j] <= threshold)
                 records[j].append((float(p.scores[j]), hit))
     ap = [_average_precision(records[j], npos[j]) for j in range(k)]
-    return {"ap": ap, "map_total": _mean_defined(ap), "gt_joints": npos}
+    return {"ap": ap, "map_total": _mean_defined(ap)}
 
 
 def reference_compute_mota(preds, gts, k, threshold):

@@ -301,9 +301,9 @@ def test_criterion_8_metrics_sanity():
     perfect = [(t, [pred(g[0], score=1.0, tid=1), pred(g[1], score=1.0, tid=2)])
                for t, g in gts]
     rep = compute_map(perfect, gts)
-    assert rep.map_total == 100.0 and all(v == 100.0 for v in rep.ap.values())
+    assert rep["total_map"] == 100.0 and all(v == 100.0 for v in rep["per_joint_ap"].values())
     rep = compute_mota(perfect, gts)
-    assert rep.mota_total == 100.0 and all(v == 100.0 for v in rep.mota.values())
+    assert rep["total_mota"] == 100.0 and all(v == 100.0 for v in rep["per_joint_mota"].values())
 
     # swap scenario: per joint GT = 20, IDSW = 2, MOTA = 90 exactly
     swapped = []
@@ -312,20 +312,20 @@ def test_criterion_8_metrics_sanity():
         swapped.append((t, [pred(g[0], score=1.0, tid=ids[0]),
                             pred(g[1], score=1.0, tid=ids[1])]))
     rep = compute_mota(swapped, gts)
-    assert all(v == 90.0 for v in rep.mota.values()), rep.mota
-    assert rep.mota_total == 90.0
+    assert all(v == 90.0 for v in rep["per_joint_mota"].values()), rep["per_joint_mota"]
+    assert rep["total_mota"] == 90.0
 
     # injected false positives / negatives reduce both metrics monotonically
     base = [(t, [pred(g[0], score=0.9, tid=1), pred(g[1], score=0.9, tid=2)])
             for t, g in gts]
-    base_map = compute_map(base, gts).map_total
-    base_mota = compute_mota(base, gts).mota_total
+    base_map = compute_map(base, gts)["total_map"]
+    base_mota = compute_mota(base, gts)["total_mota"]
     fp = [(t, p + [pred(gt_person(600, 9), score=0.95, tid=3)]) for t, p in base]
     fn = [(t, p[:1]) for t, p in base]
-    assert compute_map(fp, gts).map_total < base_map
-    assert compute_mota(fp, gts).mota_total < base_mota
-    assert compute_map(fn, gts).map_total < base_map
-    assert compute_mota(fn, gts).mota_total < base_mota
+    assert compute_map(fp, gts)["total_map"] < base_map
+    assert compute_mota(fp, gts)["total_mota"] < base_mota
+    assert compute_map(fn, gts)["total_map"] < base_map
+    assert compute_mota(fn, gts)["total_mota"] < base_mota
     return "perfect 100 / swap 90.0 exactly / injections reduce"
 
 
@@ -347,7 +347,7 @@ def test_criterion_9_tracking_ablations(tmp_path_factory):
         seq = run_pipeline(config, frames)
         rep = compute_mota(seq.frames, gt.frames)
         tracks = {p.track_id for _, ii in seq.frames for p in ii}
-        return rep.counts["fp"], tracks
+        return rep["counts"]["fp"], tracks
 
     base_fp, base_tracks = run(cfg)
     noprune_fp, noprune_tracks = run(dataclasses.replace(cfg, min_track_length=1))

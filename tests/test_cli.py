@@ -9,6 +9,7 @@ import pytest
 from posepipe import PoseError
 from posepipe.cli import main
 from posepipe.config import PipelineConfig
+from posepipe.evaluation import compute_map, compute_mota, format_table
 from posepipe.heatmaps import Heatmap, load_heatmap, render_target, save_heatmap
 from posepipe.poseio import emit_pose_file, load_pose_file
 from posepipe.skeletons import JointSet, builtin_joint_set, register_joint_set
@@ -480,15 +481,19 @@ def test_train_toy_rejects_malformed_config(tmp_path, capsys, monkeypatch, train
                                              "--out", "{out}"])
 
 
-def test_train_toy_with_no_annotated_heldout_joint_exits_2(tmp_path, capsys):
+def test_train_toy_with_no_annotated_heldout_joint_exits_2(tmp_path, capsys, monkeypatch):
     # an offset that moves every joint off the grid masks them all; this
-    # used to print a NaN held-out error, which is not JSON, and exit 0
+    # used to print a NaN held-out error, which is not JSON, and exit 0.
+    # The held-out set is checked before the first training step.
+    steps = []
+    monkeypatch.setattr("posepipe.training.gradients", lambda *a: steps.append(a))
     path, out = tmp_path / "train.json", tmp_path / "net.pknp"
     path.write_text(json.dumps(dict(_TINY_TRAIN, domains={"coco": {"offset": [1000, 0]}})))
     assert main(["train-toy", "--config", str(path), "--out", str(out)]) == 2
     assert _error_doc(capsys) == {"error": "no held-out sample has an annotated joint",
                                   "kind": "contract"}
     assert not out.exists()
+    assert steps == []
 
 
 # each key PipelineConfig no longer has, with a value it used to accept
@@ -708,6 +713,29 @@ def test_eval_json_bytes_are_pinned(golden_scene_dir, tmp_path, command, thr):
     assert main([command, "--pred", GOLDEN_PATH, "--gt", str(golden_scene_dir / "gt.json"),
                  "--pckh-thr", thr, "--json", str(report)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == _EVAL_JSON_SHA256[command, thr]
+
+
+_HEADER = "    Head | Shoulder |    Elbow |    Wrist |      Hip |     Knee |    Ankle |    Total"
+_GROUPS = "   100.0 |    100.0 |    100.0 |     75.0 |    100.0 |    100.0 |     75.0 |     93.3"
+# the stdout table of each eval command on the golden output at PCKh 0.2
+_EVAL_TABLE = {
+    "eval-map": f"{_HEADER}\n{_GROUPS}\n",
+    "eval-mota": f"{_HEADER} |     MOTP |     Prec |      Rec\n"
+                 f"{_GROUPS} |     40.8 |    100.0 |     93.3\n",
+}
+
+
+@pytest.mark.parametrize("command, fn", [("eval-map", compute_map), ("eval-mota", compute_mota)])
+def test_eval_report_is_the_json_document(golden_scene_dir, tmp_path, capsys, command, fn):
+    # compute_map/compute_mota return the document --json writes, key for
+    # key, and the table on stdout is format_table of that same document
+    gt_path, report = golden_scene_dir / "gt.json", tmp_path / "report.json"
+    assert main([command, "--pred", GOLDEN_PATH, "--gt", str(gt_path), "--pckh-thr", "0.2",
+                 "--json", str(report)]) == 0
+    doc = fn(load_pose_file(GOLDEN_PATH).frames, load_pose_file(gt_path).frames,
+             threshold=0.2)
+    assert report.read_text() == json.dumps(doc, indent=2) + "\n"
+    assert capsys.readouterr().out == format_table(doc) + "\n" == _EVAL_TABLE[command]
 
 
 def test_golden_file_is_canonical():

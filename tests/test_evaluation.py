@@ -2,16 +2,11 @@ import numpy as np
 import pytest
 
 from posepipe import PoseError, builtin_joint_set
-from posepipe.evaluation import (
-    compute_map,
-    compute_mota,
-    format_table,
-    match_poses,
-    report_to_dict,
-)
+from posepipe.evaluation import compute_map, compute_mota, format_table, match_poses
 from posepipe.instances import PersonInstance
 
 from oracles import (
+    _reference_judge,
     pckh_distance,
     reference_compute_map,
     reference_compute_mota,
@@ -70,21 +65,21 @@ def test_perfect_predictions_score_100():
         gts.append((t, g))
         preds.append((t, p))
     rep = compute_map(preds, gts)
-    assert rep.map_total == 100.0
-    assert all(v == 100.0 for v in rep.ap.values())
+    assert rep["total_map"] == 100.0
+    assert all(v == 100.0 for v in rep["per_joint_ap"].values())
     rep = compute_mota(preds, gts)
-    assert rep.mota_total == 100.0
-    assert all(v == 100.0 for v in rep.mota.values())
-    assert rep.precision_total == 100.0
-    assert rep.recall_total == 100.0
-    assert rep.motp_total == 0.0
+    assert rep["total_mota"] == 100.0
+    assert all(v == 100.0 for v in rep["per_joint_mota"].values())
+    assert rep["total_precision"] == 100.0
+    assert rep["total_recall"] == 100.0
+    assert rep["total_motp"] == 0.0
 
 
 def test_all_far_predictions_score_zero_map():
     g = [gt_person((0, 0), 0)]
     p = [pred_from(g[0], displacement=(50.0, 50.0))]   # 0.5*head 5 px << 70 px
     rep = compute_map([(0, p)], [(0, g)])
-    assert rep.map_total == 0.0
+    assert rep["total_map"] == 0.0
 
 
 def test_hand_built_precision_recall_curve():
@@ -96,8 +91,8 @@ def test_hand_built_precision_recall_curve():
          pred_from(g[1], displacement=(20.0, 0.0), score=0.8),
          pred_from(gt_person((600, 0), 2), score=0.7)]
     rep = compute_map([(0, p)], [(0, g)])
-    assert all(v == pytest.approx(50.0) for v in rep.ap.values())
-    assert rep.map_total == pytest.approx(50.0)
+    assert all(v == pytest.approx(50.0) for v in rep["per_joint_ap"].values())
+    assert rep["total_map"] == pytest.approx(50.0)
 
 
 def test_mota_id_swap_scenario():
@@ -112,18 +107,18 @@ def test_mota_id_swap_scenario():
         gts.append((t, g))
         preds.append((t, p))
     rep = compute_mota(preds, gts)
-    assert all(v == pytest.approx(90.0) for v in rep.mota.values())
-    assert rep.mota_total == pytest.approx(90.0)
-    assert rep.counts["idsw"] == 2 * K
+    assert all(v == pytest.approx(90.0) for v in rep["per_joint_mota"].values())
+    assert rep["total_mota"] == pytest.approx(90.0)
+    assert rep["counts"]["idsw"] == 2 * K
 
 
 def test_mota_all_predictions_dropped():
     gts = [(t, [gt_person((0, 0), 0)]) for t in range(4)]
     preds = [(t, []) for t in range(4)]
     rep = compute_mota(preds, gts)
-    assert rep.mota_total == pytest.approx(0.0)   # FN == GT
-    assert rep.precision_total == 0.0
-    assert rep.recall_total == 0.0
+    assert rep["total_mota"] == pytest.approx(0.0)   # FN == GT
+    assert rep["total_precision"] == 0.0
+    assert rep["total_recall"] == 0.0
 
 
 def test_map_empty_gt_joint_excluded():
@@ -132,9 +127,9 @@ def test_map_empty_gt_joint_excluded():
     gts = [(0, [gt_person((0, 0), 0, annotated=ann)])]
     preds = [(0, [pred_from(gts[0][1][0])])]
     rep = compute_map(preds, gts)
-    assert rep.ap[JS.joints[0]] is None
-    assert rep.map_total == pytest.approx(
-        np.mean([v for v in rep.ap.values() if v is not None]))
+    assert rep["per_joint_ap"][JS.joints[0]] is None
+    assert rep["total_map"] == pytest.approx(
+        np.mean([v for v in rep["per_joint_ap"].values() if v is not None]))
 
 
 def test_frame_order_permutation_invariance():
@@ -146,11 +141,11 @@ def test_frame_order_permutation_invariance():
                        score=float(rng.random()), track_id=3)]
         gts.append((t, g))
         preds.append((t, p))
-    a_map = compute_map(preds, gts).map_total
-    a_mota = compute_mota(preds, gts).mota_total
+    a_map = compute_map(preds, gts)["total_map"]
+    a_mota = compute_mota(preds, gts)["total_mota"]
     order = [3, 0, 5, 1, 4, 2]
-    b_map = compute_map([preds[i] for i in order], [gts[i] for i in order]).map_total
-    b_mota = compute_mota([preds[i] for i in order], [gts[i] for i in order]).mota_total
+    b_map = compute_map([preds[i] for i in order], [gts[i] for i in order])["total_map"]
+    b_mota = compute_mota([preds[i] for i in order], [gts[i] for i in order])["total_mota"]
     assert a_map == b_map
     assert a_mota == b_mota
 
@@ -164,10 +159,10 @@ def test_duplicate_low_score_prediction_never_increases_ap():
         p = [pred_from(g[i], displacement=(rng.uniform(0, 4), 0),
                        score=float(rng.uniform(0.5, 1.0)))
              for i in range(n_gt)]
-        base = compute_map([(0, p)], [(0, g)]).map_total
+        base = compute_map([(0, p)], [(0, g)])["total_map"]
         # duplicating a correct prediction at a lower score must not help
         dup = pred_from(g[0], displacement=(rng.uniform(0, 4), 0), score=0.3)
-        worse = compute_map([(0, p + [dup])], [(0, g)]).map_total
+        worse = compute_map([(0, p + [dup])], [(0, g)])["total_map"]
         assert worse <= base + 1e-9
 
 
@@ -179,18 +174,18 @@ def test_injected_fp_and_fn_reduce_scores():
              pred_from(g[1], score=0.9, track_id=2)]
         gts.append((t, g))
         preds.append((t, p))
-    base_map = compute_map(preds, gts).map_total
-    base_mota = compute_mota(preds, gts).mota_total
+    base_map = compute_map(preds, gts)["total_map"]
+    base_mota = compute_mota(preds, gts)["total_mota"]
 
     # a false positive that outranks the true detections
     fp = pred_from(gt_person((500, 0), 9), score=0.95, track_id=3)
     preds_fp = [(t, p + [fp]) for t, p in preds]
-    assert compute_map(preds_fp, gts).map_total < base_map
-    assert compute_mota(preds_fp, gts).mota_total < base_mota
+    assert compute_map(preds_fp, gts)["total_map"] < base_map
+    assert compute_mota(preds_fp, gts)["total_mota"] < base_mota
 
     preds_fn = [(t, p[:1]) for t, p in preds]
-    assert compute_map(preds_fn, gts).map_total < base_map
-    assert compute_mota(preds_fn, gts).mota_total < base_mota
+    assert compute_map(preds_fn, gts)["total_map"] < base_map
+    assert compute_mota(preds_fn, gts)["total_mota"] < base_mota
 
 
 def test_mota_decreases_with_injected_id_switch():
@@ -201,9 +196,13 @@ def test_mota_decreases_with_injected_id_switch():
         gts.append((t, g))
         preds.append((t, p))
     rep = compute_mota(preds, gts)
-    assert rep.mota_total < 100.0
+    assert rep["total_mota"] < 100.0
     # the injected flip costs two switches per joint (4 -> 5 -> 4)
-    assert rep.counts["idsw"] == 2 * K
+    assert rep["counts"]["idsw"] == 2 * K
+
+
+def by_gt(pair):
+    return pair[1]
 
 
 def test_greedy_matching_agrees_with_reference():
@@ -216,7 +215,7 @@ def test_greedy_matching_agrees_with_reference():
                        displacement=(rng.uniform(0, 30), rng.uniform(0, 10)),
                        score=float(rng.random()))
              for _ in range(n_p)]
-        got = match_poses(p, g)
+        got, _, _ = match_poses(p, g)
         count = np.zeros((n_p, n_g), int)
         meandist = np.full((n_p, n_g), np.inf)
         for pi in range(n_p):
@@ -228,7 +227,7 @@ def test_greedy_matching_agrees_with_reference():
                                    axis=1) / g[gi].head_size
                 count[pi, gi] = int((d <= 0.5).sum())
                 meandist[pi, gi] = float(d.mean())
-        assert got == reference_pose_matching(count, meandist)
+        assert got == sorted(reference_pose_matching(count, meandist), key=by_gt)
 
 
 @pytest.mark.parametrize("threshold", [0.2, 0.5, 1.0])
@@ -249,7 +248,12 @@ def test_match_poses_matches_pair_by_pair_reference(threshold):
             p.append(pred)
             if rng.random() < 0.3:
                 p.append(pred.replace())
-        assert match_poses(p, g, threshold) == reference_match_poses(p, g, threshold)
+        pairs, correct, dist = match_poses(p, g, threshold)
+        assert pairs == sorted(reference_match_poses(p, g, threshold), key=by_gt)
+        # each matched pair's rows are its own judgement, bit for bit
+        for r, (pi, gi) in enumerate(pairs):
+            want_ok, want_d = _reference_judge(p[pi], g[gi], threshold)
+            assert np.array_equal(correct[r], want_ok) and np.array_equal(dist[r], want_d)
 
 
 def test_mota_requires_ids():
@@ -274,20 +278,20 @@ def test_ground_truth_frame_validation():
         compute_map([(0, [pred_from(bad, score=1.0)])], [(0, [bad])])
     frames = [(0, [g])]
     rep = compute_map([(0, [pred_from(g, score=1.0)])], frames)
-    assert rep.map_total == 100.0
+    assert rep["total_map"] == 100.0
 
 
 def test_table_formatting_layout():
     gts = [(0, [gt_person((0, 0), 0)])]
     preds = [(0, [pred_from(gts[0][1][0], score=1.0, track_id=1)])]
-    t_map = format_table(compute_map(preds, gts), "map")
+    t_map = format_table(compute_map(preds, gts))
     header = t_map.splitlines()[0]
     for col in ("Head", "Shoulder", "Elbow", "Wrist", "Hip", "Knee", "Ankle", "Total"):
         assert col in header
-    t_mota = format_table(compute_mota(preds, gts), "mota")
+    t_mota = format_table(compute_mota(preds, gts))
     for col in ("MOTP", "Prec", "Rec"):
         assert col in t_mota.splitlines()[0]
-    doc = report_to_dict(compute_mota(preds, gts), "mota")
+    doc = compute_mota(preds, gts)
     assert doc["total_mota"] == 100.0
     assert set(doc["groups"]) == {"Head", "Shoulder", "Elbow", "Wrist",
                                   "Hip", "Knee", "Ankle"}
@@ -351,22 +355,21 @@ def test_metrics_match_per_joint_reference_loops(threshold):
 
         rep = compute_map(preds, gts, threshold=threshold)
         want = reference_compute_map(preds, gts, K, threshold)
-        assert [rep.ap[n] for n in JS.joints] == want["ap"]
-        assert rep.map_total == want["map_total"]
-        assert [rep.counts["gt_joints"][n] for n in JS.joints] == want["gt_joints"]
+        assert [rep["per_joint_ap"][n] for n in JS.joints] == want["ap"]
+        assert rep["total_map"] == want["map_total"]
 
         rep = compute_mota(preds, gts, threshold=threshold)
         want = reference_compute_mota(preds, gts, K, threshold)
+        assert [rep["per_joint_mota"][n] for n in JS.joints] == want["mota"]
         for key in ("mota", "precision", "recall"):
-            assert [getattr(rep, key)[n] for n in JS.joints] == want[key], key
-            assert getattr(rep, f"{key}_total") == want[f"{key}_total"], key
-        assert [rep.counts["gt_joints"][n] for n in JS.joints] == want["gt_joints"]
-        assert [rep.counts["fp_per_joint"][n] for n in JS.joints] == want["fp"]
-        assert rep.counts["fp"] == sum(want["fp"])
-        assert (rep.counts["fn"], rep.counts["idsw"]) == (want["fn"], want["idsw"])
+            assert rep[f"total_{key}"] == want[f"{key}_total"], key
+        assert [rep["counts"]["gt_joints"][n] for n in JS.joints] == want["gt_joints"]
+        assert [rep["counts"]["fp_per_joint"][n] for n in JS.joints] == want["fp"]
+        assert rep["counts"]["fp"] == sum(want["fp"])
+        assert (rep["counts"]["fn"], rep["counts"]["idsw"]) == (want["fn"], want["idsw"])
         if want["motp_total"] is None:
-            assert rep.motp_total is None
+            assert rep["total_motp"] is None
         else:
-            assert rep.motp_total == pytest.approx(want["motp_total"], rel=1e-12, abs=0)
+            assert rep["total_motp"] == pytest.approx(want["motp_total"], rel=1e-12, abs=0)
         idsw += want["idsw"]
     assert on_threshold > 0 and idsw > 0

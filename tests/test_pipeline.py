@@ -64,8 +64,8 @@ def test_tracklet_pruning_removes_one_frame_clutter(scene):
     gt = scene["gt"]
     base = run_pipeline(PipelineConfig(), scene["frames"])
     nopr = run_pipeline(PipelineConfig(min_track_length=1), scene["frames"])
-    base_fp = compute_mota(base.frames, gt.frames).counts["fp"]
-    nopr_fp = compute_mota(nopr.frames, gt.frames).counts["fp"]
+    base_fp = compute_mota(base.frames, gt.frames)["counts"]["fp"]
+    nopr_fp = compute_mota(nopr.frames, gt.frames)["counts"]["fp"]
     base_tracks = {p.track_id for _, ii in base.frames for p in ii}
     nopr_tracks = {p.track_id for _, ii in nopr.frames for p in ii}
     assert len(nopr_tracks) > len(base_tracks)
@@ -76,8 +76,8 @@ def test_keypoint_threshold_removes_weak_joints(scene):
     gt = scene["gt"]
     base = run_pipeline(PipelineConfig(), scene["frames"])
     nokp = run_pipeline(PipelineConfig(keypoint_threshold=0), scene["frames"])
-    base_fp = compute_mota(base.frames, gt.frames).counts["fp"]
-    nokp_fp = compute_mota(nokp.frames, gt.frames).counts["fp"]
+    base_fp = compute_mota(base.frames, gt.frames)["counts"]["fp"]
+    nokp_fp = compute_mota(nokp.frames, gt.frames)["counts"]["fp"]
     assert nokp_fp > base_fp
     base_joints = sum(p.num_annotated for _, ii in base.frames for p in ii)
     nokp_joints = sum(p.num_annotated for _, ii in nokp.frames for p in ii)
@@ -88,18 +88,18 @@ def test_box_threshold_removes_low_scored_clutter(scene):
     gt = scene["gt"]
     base = run_pipeline(PipelineConfig(), scene["frames"])
     nobx = run_pipeline(PipelineConfig(box_threshold=0), scene["frames"])
-    base_fp = compute_mota(base.frames, gt.frames).counts["fp"]
-    nobx_fp = compute_mota(nobx.frames, gt.frames).counts["fp"]
+    base_fp = compute_mota(base.frames, gt.frames)["counts"]["fp"]
+    nobx_fp = compute_mota(nobx.frames, gt.frames)["counts"]["fp"]
     assert nobx_fp > base_fp
 
 
 def test_pipeline_quality_on_clean_scene(scene):
     seq = run_pipeline(PipelineConfig(), scene["frames"])
     rep = compute_mota(seq.frames, scene["gt"].frames)
-    assert rep.mota_total > 80.0
-    assert rep.precision_total == 100.0
+    assert rep["total_mota"] > 80.0
+    assert rep["total_precision"] == 100.0
     # two true persons tracked without identity switches
-    assert rep.counts["idsw"] == 0
+    assert rep["counts"]["idsw"] == 0
     ids = {p.track_id for _, ii in seq.frames for p in ii}
     assert len(ids) == 2
 
