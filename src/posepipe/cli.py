@@ -27,6 +27,7 @@ from .poseio import (
     load_pose_file,
     save_box_file,
     save_pose_file,
+    write_document,
 )
 from .suppression import OksConstants, box_nms, oks_nms
 from .scenes import generate_scene
@@ -145,9 +146,7 @@ def _eval_common(args):
                 threshold=args.pckh_thr)
     print(format_table(report))
     if args.json:
-        with open(args.json, "w") as f:
-            json.dump(report, f, indent=2)
-            f.write("\n")
+        write_document(args.json, report)
 
 
 def cmd_run(args):

@@ -20,13 +20,12 @@ thresholds are checked here, in [0, 1] (``apply_thresholds`` takes any >= 0).
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 
 from .errors import PoseError, checked
 from .fusion import parse_fusion_spec
 from .heatmaps import check_smooth_sigma
-from .poseio import read_document
+from .poseio import read_document, write_document
 from .suppression import OksConstants, oks_nms
 from .tracking import TrackerConfig, TrackerState, finalize
 
@@ -88,6 +87,4 @@ class PipelineConfig:
         return read_document(path, "config", cls.from_dict)
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(dataclasses.asdict(self), f, indent=2)
-            f.write("\n")
+        write_document(path, dataclasses.asdict(self))

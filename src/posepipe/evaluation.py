@@ -62,12 +62,9 @@ def _mean_defined(values) -> float:
 
 def _group_columns(joint_set, per_joint):
     js = get_joint_set(joint_set)
-    out = {}
-    for group, members in _JOINT_GROUPS:
-        vals = [per_joint[n] for n in js.joints
-                if canonical_name(n) in members and per_joint.get(n) is not None]
-        out[group] = float(np.mean(vals)) if vals else None
-    return out
+    return {group: _mean_defined(per_joint.get(n) for n in js.joints
+                                 if canonical_name(n) in members)
+            for group, members in _JOINT_GROUPS}
 
 
 def _judge(preds, gts, threshold: float):

@@ -8,7 +8,8 @@ Coordinate conventions (part of the golden-file contract):
 * A grid point maps to image pixels as ``x_img = crop_x + (gx + 0.5) * stride_x``
   (cell-center convention), so decoded cell p lands mid-cell in the image.
 * Un-mirroring a flipped-input prediction reverses the W axis, then shifts one
-  cell toward +x (column 0 duplicated), then swaps paired channels.
+  cell toward +x (column 0 duplicated), then swaps paired channels. The
+  transform undoes itself on every column but 0.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class DecodedPose:
 
 
 def render_target(joints, sigma: float, size, joint_set: str = "merged",
-                  annotated=None, crop=None, strides=(1.0, 1.0)):
+                  annotated=None, crop=(0.0, 0.0, None, None), strides=(1.0, 1.0)):
     """Render one Gaussian bump per joint on an (H, W) grid.
 
     joints: (K, 2) keypoints in grid coordinates (x, y). Channel k holds
@@ -116,8 +117,6 @@ def render_target(joints, sigma: float, size, joint_set: str = "merged",
         dy2 = (ys - gy) ** 2
         values[i] = np.exp(-(dy2[:, None] + dx2[None, :]) * inv)
         mask[i] = True
-    if crop is None:
-        crop = (0.0, 0.0, w * strides[0], h * strides[1])
     hm = Heatmap(values.astype(np.float32), joint_set, crop, strides)
     return hm, mask
 

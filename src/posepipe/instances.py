@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoseError
-from .skeletons import JointMapping, get_joint_set
+from .skeletons import get_joint_set
 
 
 def check_box(box) -> None:
@@ -88,28 +88,3 @@ class PersonInstance:
                 setattr(out, name, getattr(self, name).copy())
         return out
 
-
-def project(instance: PersonInstance, m: JointMapping) -> PersonInstance:
-    """Re-index keypoints into the mapping's target set.
-
-    Mapped joints keep their coordinates and scores untouched; target joints
-    with no source counterpart come out not-annotated with zeroed
-    coordinates and scores.
-    """
-    if instance.joint_set != m.from_set:
-        raise PoseError(
-            f"instance tagged {instance.joint_set!r} but mapping is from {m.from_set!r}"
-        )
-    return PersonInstance(
-        box=instance.box.copy(),
-        box_score=instance.box_score,
-        coords=m.take(instance.coords),
-        scores=m.take(instance.scores),
-        annotated=m.take(instance.annotated),
-        joint_set=m.to_set,
-        area=instance.area,
-        score=instance.score,
-        track_id=instance.track_id,
-        person_id=instance.person_id,
-        head_size=instance.head_size,
-    )

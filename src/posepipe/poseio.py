@@ -28,7 +28,9 @@ key, a missing key or a value of the wrong type is a PoseError. Ranges are
 checked where the values are used. Frame indices strictly increase; head_size
 may be derived from head_box as diagonal x 0.6. Emission is canonical (fixed
 key order, repr floats, two-space indentation), so emit(parse(f)) == f
-byte-wise for files in canonical form.
+byte-wise for files in canonical form. ``write_document`` is the one writer
+of that text form, for every JSON file the package writes: pose and box
+files, configs, scene manifests and evaluation reports.
 """
 
 from __future__ import annotations
@@ -76,6 +78,18 @@ def read_document(path, what: str, parse):
         return parse(doc)
     except PoseError as exc:
         raise PoseError(exc.message, path=path, frame=exc.frame) from None
+
+
+def document_text(doc) -> str:
+    """The canonical text of a JSON value: two-space indentation, then a newline."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def write_document(path, doc) -> None:
+    """Write doc at path as :func:`document_text`; the counterpart of
+    :func:`read_document`."""
+    with open(path, "w") as f:
+        f.write(document_text(doc))
 
 
 def read_frames(frames: list, frame, record, **context) -> list:
@@ -168,12 +182,11 @@ def pose_document(seq: PoseSequence) -> dict:
 
 
 def emit_pose_file(seq: PoseSequence) -> str:
-    return json.dumps(pose_document(seq), indent=2) + "\n"
+    return document_text(pose_document(seq))
 
 
 def save_pose_file(seq: PoseSequence, path) -> None:
-    with open(path, "w") as f:
-        f.write(emit_pose_file(seq))
+    write_document(path, pose_document(seq))
 
 
 @dataclass
@@ -197,16 +210,18 @@ def load_box_file(path) -> BoxSequence:
         box_entry)))
 
 
-def emit_box_file(seq: BoxSequence) -> str:
-    doc = {"frames": [
+def box_document(seq: BoxSequence) -> dict:
+    return {"frames": [
         {"frame_index": int(fidx),
          "boxes": [{"box": [float(v) for v in box], "score": float(score)}
                    for box, score in boxes]}
         for fidx, boxes in seq.frames
     ]}
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def emit_box_file(seq: BoxSequence) -> str:
+    return document_text(box_document(seq))
 
 
 def save_box_file(seq: BoxSequence, path) -> None:
-    with open(path, "w") as f:
-        f.write(emit_box_file(seq))
+    write_document(path, box_document(seq))

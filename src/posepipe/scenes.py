@@ -1,10 +1,11 @@
 """Synthetic multi-person sequences at pipeline scale.
 
 Generates everything the end-to-end pipeline consumes for one sequence:
-per-instance branch heatmap files (optionally with flipped-input variants),
-the input manifest, and a ground-truth pose file. Figures translate with
-constant velocity across frames. The scene deliberately contains the
-failure cases the post-processing stages exist for:
+per-instance branch heatmap files (optionally with flipped-input variants,
+each the ``heatmaps.unmirror`` of its branch map), the input manifest, and a
+ground-truth pose file. Figures translate with constant velocity across
+frames. The scene deliberately contains the failure cases the
+post-processing stages exist for:
 
 * per-person "weak" joints on some frames: dim, displaced peaks whose decoded
   score falls below the keypoint threshold (and which land wrong if kept);
@@ -17,15 +18,14 @@ Everything is deterministic in the seed.
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 
 from .errors import PoseError
-from .heatmaps import Heatmap, render_target, save_heatmap
+from .heatmaps import Heatmap, render_target, save_heatmap, unmirror
 from .instances import PersonInstance
-from .poseio import PoseSequence, save_pose_file
+from .poseio import PoseSequence, save_pose_file, write_document
 from .skeletons import builtin_joint_set, get_joint_set, mapping
 from .synthetic import figure_points
 
@@ -71,21 +71,6 @@ def _crop_for(points, pad: float):
     return (float(x0), float(y0), float(w), float(h)), (w / gw, h / gh)
 
 
-def _mirror_output(h: Heatmap) -> Heatmap:
-    """The prediction a perfect network would emit for the mirrored input:
-    constructed as a right-inverse of the un-mirroring transform (exact away
-    from the left border column)."""
-    flip_pairs = get_joint_set(h.joint_set).flip_pairs
-    v = h.values.copy()
-    swapped = v.copy()
-    for a, b in flip_pairs:
-        swapped[a] = v[b]
-        swapped[b] = v[a]
-    shifted = swapped.copy()
-    shifted[:, :, :-1] = swapped[:, :, 1:]
-    return Heatmap(shifted[:, :, ::-1].copy(), h.joint_set, h.crop, h.strides)
-
-
 def _render_instance(points_img, crop, strides, sigma, joint_set, weak: dict, noise_rng):
     """One branch heatmap for one person crop; weak maps joint index ->
     (displacement xy in cells, peak gain)."""
@@ -118,8 +103,8 @@ def _clutter_heatmap(noise_rng, crop, strides, joint_set, peak):
 
 def _write_crop(outdir, stem, box, box_score, heatmaps, with_flipped):
     """Save one crop's branch heatmaps as heatmaps/<stem>_<branch>.pkhm and,
-    with_flipped, each one's mirrored-input prediction as ..._flip.pkhm.
-    Returns the crop's manifest entry."""
+    with_flipped, each one's mirrored-input prediction, its ``unmirror``, as
+    ..._flip.pkhm. Returns the crop's manifest entry."""
     entry = {"box": list(box), "box_score": box_score, "heatmaps": {}}
     if with_flipped:
         entry["flipped_heatmaps"] = {}
@@ -129,7 +114,7 @@ def _write_crop(outdir, stem, box, box_score, heatmaps, with_flipped):
         entry["heatmaps"][branch] = name
         if with_flipped:
             fname = f"heatmaps/{stem}_{branch}_flip.pkhm"
-            save_heatmap(_mirror_output(hm), os.path.join(outdir, fname))
+            save_heatmap(unmirror(hm), os.path.join(outdir, fname))
             entry["flipped_heatmaps"][branch] = fname
     return entry
 
@@ -219,9 +204,7 @@ def generate_scene(outdir, num_frames: int = 5, num_persons: int = 2, seed: int 
         gt_frames.append((t, gt_instances))
 
     manifest_path = os.path.join(outdir, "manifest.json")
-    with open(manifest_path, "w") as f:
-        json.dump({"frames": manifest_frames}, f, indent=2)
-        f.write("\n")
+    write_document(manifest_path, {"frames": manifest_frames})
     gt_path = os.path.join(outdir, "gt.json")
     save_pose_file(PoseSequence("posetrack", gt_frames), gt_path)
     return manifest_path, gt_path

@@ -78,7 +78,7 @@ def _paired_indices(joints):
 
 @dataclass(frozen=True)
 class JointSet:
-    """A named, ordered keypoint vocabulary with its left/right flip pairs."""
+    """A named, ordered keypoint vocabulary with its disjoint left/right flip pairs."""
 
     name: str
     joints: tuple[str, ...]
@@ -91,13 +91,14 @@ class JointSet:
         # to one row
         if len({canonical_name(j) for j in self.joints}) != len(self.joints):
             raise PoseError(f"duplicate joint names (or aliases) in set {self.name!r}")
+        # disjoint pairs, so un-mirroring swaps channels and drops none
         seen = set()
         for a, b in self.flip_pairs:
             if not (0 <= a < self.count and 0 <= b < self.count) or a == b:
                 raise PoseError(f"invalid flip pair ({a}, {b}) in set {self.name!r}")
-            if (b, a) in seen or (a, b) in seen:
-                raise PoseError(f"flip pair ({a}, {b}) duplicated or mirrored in set {self.name!r}")
-            seen.add((a, b))
+            if a in seen or b in seen:
+                raise PoseError(f"flip pair ({a}, {b}) overlaps another in set {self.name!r}")
+            seen.update((a, b))
 
     @property
     def count(self) -> int:

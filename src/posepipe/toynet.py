@@ -66,10 +66,6 @@ class ToyNetwork:
             raise PoseError(f"unknown parameter blocks {sorted(unknown)}")
         self.frozen = set(blocks)
 
-    def copy(self) -> "ToyNetwork":
-        return ToyNetwork(self.config, {k: v.copy() for k, v in self.params.items()},
-                          set(self.frozen))
-
 
 def init_network(config: NetConfig = NetConfig(), seed: int = 0) -> ToyNetwork:
     """Xavier-style initialization, deterministic in the seed."""
@@ -159,13 +155,9 @@ def forward(net: ToyNetwork, x, domains=None):
     return outputs, cache
 
 
-def _values(arr):
-    return arr.values if hasattr(arr, "values") else np.asarray(arr, dtype=np.float64)
-
-
 def _per_joint_mse(pred, target):
-    pred = _values(pred).astype(np.float64)
-    target = _values(target).astype(np.float64)
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise PoseError(f"pred/target shape mismatch: {pred.shape} vs {target.shape}")
     return np.mean((pred - target) ** 2, axis=(1, 2))
@@ -230,7 +222,7 @@ def gradients(net: ToyNetwork, batch, loss: str = "l2", ohkm_k: int = 8):
     for i, sample in enumerate(batch):
         d = sample.domain
         pred = outputs[d][i]
-        target = np.asarray(_values(sample.target), dtype=np.float64)
+        target = np.asarray(sample.target, dtype=np.float64)
         per_joint = np.mean((pred - target) ** 2, axis=(1, 2))
         sel, wgt = _select_joints(per_joint, sample.mask, loss, ohkm_k)
         if sel.size == 0:

@@ -3,13 +3,13 @@
 Tracks extend by OKS similarity between each new detection and a propagated
 copy of the track's last instance. Matching runs the Hungarian solver by
 default (greedy available for comparison); a track may sit out up to
-``lookback`` frames before it is finalized, with the propagator bridging the
-gap. Optical flow is out of scope: the propagation slot accepts any callable
-``(track, gap) -> PersonInstance``; ``identity`` and ``constant_velocity``
-ship with the package. Each frame with detections propagates every live
-track exactly once (a stateful callable sees one call per live track per
-frame) and scores all track x detection pairs with one stacked ``oks``
-call.
+``lookback`` frames, with the propagator bridging the gap, before
+``TrackerState.step`` retires it. Optical flow is out of scope: the
+propagation slot accepts any callable ``(track, gap) -> PersonInstance``;
+``identity`` and ``constant_velocity`` ship with the package. Each frame
+with detections propagates every live track exactly once (a stateful
+callable sees one call per live track per frame) and scores all track x
+detection pairs with one stacked ``oks`` call.
 """
 
 from __future__ import annotations
@@ -98,25 +98,22 @@ class TrackerConfig:
         return PROPAGATORS.get(self.propagator, self.propagator)
 
 
-def similarity(tracks, candidates, frame: int, prop, consts: OksConstants,
-               lookback: int):
-    """OKS of each candidate to each propagated track; 0 beyond lookback.
+def similarity(tracks, candidates, frame: int, prop, consts: OksConstants):
+    """OKS of each candidate to each propagated track.
 
     tracks is a sequence of Tracks and candidates one of PersonInstances;
-    the result is the (len(tracks), len(candidates)) matrix. Every track
-    within lookback is propagated once, by ``prop(track, gap)``, and all of
-    them go through one stacked ``oks`` call; a track more than lookback
-    frames back gets a zero row. Nothing is propagated when there is no
-    candidate.
+    the result is the (len(tracks), len(candidates)) matrix. Every track is
+    propagated once, by ``prop(track, gap)``, and all of them go through one
+    stacked ``oks`` call. Nothing is propagated when there is no track or no
+    candidate. Lookback is not applied here: ``TrackerState.step`` retires
+    old tracks before it calls this.
     """
     gaps = [frame - t.last_active for t in tracks]
     if any(gap < 1 for gap in gaps):
         raise PoseError("similarity requires frame > track.last_active")
-    sims = np.zeros((len(tracks), len(candidates)))
-    live = [i for i, gap in enumerate(gaps) if gap <= lookback]
-    if live and candidates:
-        sims[live] = oks([prop(tracks[i], gaps[i]) for i in live], candidates, consts)
-    return sims
+    if not (tracks and candidates):
+        return np.zeros((len(tracks), len(candidates)))
+    return oks([prop(t, gap) for t, gap in zip(tracks, gaps)], candidates, consts)
 
 
 @dataclass
@@ -144,8 +141,7 @@ class TrackerState:
         self.active = still
         self.finished.extend(retired)
 
-        sims = similarity(self.active, detections, frame, cfg.propagate,
-                          self.consts, cfg.lookback)
+        sims = similarity(self.active, detections, frame, cfg.propagate, self.consts)
 
         matched_dets = {}
         if sims.size:

@@ -20,7 +20,9 @@ that decoding one assembled target-set map gives the same bits. The toy
 network's ``np.pad`` im2col, its conv backward that always returns every
 gradient, its all-heads full-depth ``gradients`` and the one-sample
 held-out error are the library's earlier versions, kept as they were, to
-check that the trainer's shortcuts give the same bits.
+check that the trainer's shortcuts give the same bits. ``reference_unmirror``
+is the loop the synthetic scenes once used to build a flipped-input
+prediction, kept as it was, to check that it is ``heatmaps.unmirror``.
 """
 
 import functools
@@ -28,10 +30,10 @@ import itertools
 
 import numpy as np
 
-from posepipe.heatmaps import peaks
-from posepipe.skeletons import mapping
+from posepipe.heatmaps import Heatmap, peaks
+from posepipe.skeletons import get_joint_set, mapping
 from posepipe.synthetic import project_to_merged
-from posepipe.toynet import _select_joints, _values, forward
+from posepipe.toynet import _select_joints, forward
 
 
 @functools.lru_cache(maxsize=None)
@@ -283,6 +285,21 @@ def reference_pose_matching(count, meandist):
         used_p.add(p)
         used_g.add(g)
         matches.append((p, g))
+
+
+def reference_unmirror(h):
+    """The prediction a perfect network would emit for the mirrored input:
+    swap the joint set's paired channels, shift one cell toward -x, then
+    reverse the W axis."""
+    flip_pairs = get_joint_set(h.joint_set).flip_pairs
+    v = h.values.copy()
+    swapped = v.copy()
+    for a, b in flip_pairs:
+        swapped[a] = v[b]
+        swapped[b] = v[a]
+    shifted = swapped.copy()
+    shifted[:, :, :-1] = swapped[:, :, 1:]
+    return Heatmap(shifted[:, :, ::-1].copy(), h.joint_set, h.crop, h.strides)
 
 
 def reference_take(m, values, k_to):
@@ -586,7 +603,7 @@ def reference_gradients(net, batch, loss: str = "l2", ohkm_k: int = 8):
     for i, sample in enumerate(batch):
         d = sample.domain
         pred = outputs[d][i]
-        target = np.asarray(_values(sample.target), dtype=np.float64)
+        target = np.asarray(sample.target, dtype=np.float64)
         per_joint = np.mean((pred - target) ** 2, axis=(1, 2))
         sel, wgt = _select_joints(per_joint, sample.mask, loss, ohkm_k)
         if sel.size == 0:

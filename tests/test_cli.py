@@ -1,11 +1,15 @@
 import hashlib
 import json
 import os
+import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import posepipe
 from posepipe import PoseError
 from posepipe.cli import main
 from posepipe.config import PipelineConfig
@@ -713,6 +717,73 @@ def test_eval_json_bytes_are_pinned(golden_scene_dir, tmp_path, command, thr):
     assert main([command, "--pred", GOLDEN_PATH, "--gt", str(golden_scene_dir / "gt.json"),
                  "--pckh-thr", thr, "--json", str(report)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == _EVAL_JSON_SHA256[command, thr]
+
+
+# sha256 of the golden scene's input files: manifest.json, gt.json, and the
+# 78 heatmaps/* files, each name then its bytes, in sorted-name order
+_GOLDEN_SCENE_SHA256 = {
+    "manifest.json": "4ec22b1a5e5c0c098225191ac791a9eaad23f6b031f9d1c5a9e034814b0dd9b0",
+    "gt.json": "e792b6ad2e576509c01fead743d1f4493eba1c217ca9458d936eaa2b579036c4",
+    "heatmaps": "d351aee579bd1ea86eb418a92aac8531da32cd19f8b9bd65fa7ebf2b1b89aaa2",
+}
+
+
+def test_golden_scene_inputs_are_pinned(golden_scene_dir):
+    got = {name: hashlib.sha256((golden_scene_dir / name).read_bytes()).hexdigest()
+           for name in ("manifest.json", "gt.json")}
+    names = sorted(os.listdir(golden_scene_dir / "heatmaps"))
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update(name.encode("utf-8"))
+        digest.update((golden_scene_dir / "heatmaps" / name).read_bytes())
+    got["heatmaps"] = digest.hexdigest()
+    assert len(names) == 78
+    assert got == _GOLDEN_SCENE_SHA256
+
+
+def _blas_core(coretype=None):
+    """The ``Core:`` OpenBLAS reports when numpy loads in a fresh interpreter,
+    with OPENBLAS_CORETYPE set to coretype (unset for None); None if none."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["OPENBLAS_VERBOSE"] = "2"
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    proc = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                          capture_output=True, text=True)
+    cores = re.findall(r"^Core: (\S+)", proc.stdout + proc.stderr, re.MULTILINE)
+    return cores[-1] if cores else None
+
+
+# synth --seed 0, run, and both evals at PCKh 0.5, all in one interpreter
+_GOLDEN_SCRIPT = """
+import sys
+from posepipe.cli import main
+out = sys.argv[1]
+steps = [["synth", "--out", out, "--seed", "0"],
+         ["run", "--manifest", out + "/manifest.json", "--out", out + "/pred.json"]]
+steps += [[cmd, "--pred", out + "/pred.json", "--gt", out + "/gt.json",
+           "--pckh-thr", "0.5", "--json", out + "/" + cmd + ".json"]
+          for cmd in ("eval-map", "eval-mota")]
+sys.exit(max(main(step) for step in steps))
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_golden_and_eval_bytes_hold_under_a_forced_blas_kernel(tmp_path, coretype):
+    default, forced = _blas_core(), _blas_core(coretype)
+    if forced is None or forced == default:
+        pytest.skip(f"OPENBLAS_CORETYPE={coretype} selects no kernel other than the "
+                    f"default (OpenBLAS reports {forced!r}, default {default!r})")
+    src = os.path.dirname(os.path.dirname(posepipe.__file__))
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", _GOLDEN_SCRIPT, str(tmp_path)], env=env,
+                   check=True, stdout=subprocess.DEVNULL)
+    with open(GOLDEN_PATH, "rb") as f:
+        assert (tmp_path / "pred.json").read_bytes() == f.read()
+    for command in ("eval-map", "eval-mota"):
+        report = (tmp_path / f"{command}.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == _EVAL_JSON_SHA256[command, "0.5"]
 
 
 _HEADER = "    Head | Shoulder |    Elbow |    Wrist |      Hip |     Knee |    Ankle |    Total"

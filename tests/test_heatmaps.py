@@ -16,7 +16,7 @@ from posepipe.heatmaps import (
     unmirror,
 )
 
-from oracles import reference_grid_peaks
+from oracles import reference_grid_peaks, reference_unmirror
 
 
 def _single_joint_set():
@@ -118,21 +118,27 @@ def test_flip_merge_definition():
 
 
 def test_flip_merge_fixed_point_on_symmetric_heatmap():
-    # construct h_flipped as the exact right-inverse of unmirror applied to h,
-    # so that flip_merge(h, h_flipped) must reproduce h bit for bit
+    # h_flipped is what a perfect network emits for the mirrored input, so
+    # flip_merge(h, h_flipped) must reproduce h bit for bit away from column 0
     rng = np.random.default_rng(6)
     h = _coco_random_heatmap(rng)
-    js = builtin_joint_set("coco")
-    v = h.values.copy()
-    swapped = v.copy()
-    for a, b in js.flip_pairs:
-        swapped[a] = v[b]
-        swapped[b] = v[a]
-    shifted = swapped.copy()
-    shifted[:, :, :-1] = swapped[:, :, 1:]
-    hf = Heatmap(shifted[:, :, ::-1].copy(), "coco", h.crop, h.strides)
-    merged = flip_merge(h, hf)
+    merged = flip_merge(h, reference_unmirror(h))
     assert np.array_equal(merged.values[:, :, 1:], h.values[:, :, 1:])
+
+
+@pytest.mark.parametrize("name", ["merged", "coco", "mpii", "posetrack"])
+@pytest.mark.parametrize("width", [3, 4, 18, 24])
+def test_unmirror_is_the_reference_mirror_and_undoes_itself(name, width):
+    # the scenes write unmirror(h) as h's flipped-input prediction: it must be
+    # the mirror the reference loop builds, bit for bit, crop and strides too
+    js = builtin_joint_set(name)
+    rng = np.random.default_rng([width, js.count])
+    h = Heatmap(rng.random((js.count, 5, width)).astype(np.float32), name,
+                (1.5, -2.0, 30.0, 40.0), (2.0, 3.0))
+    got, want = unmirror(h), reference_unmirror(h)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert (got.crop, got.strides) == (want.crop, want.strides)
+    assert np.array_equal(unmirror(got).values[:, :, 1:], h.values[:, :, 1:])
 
 
 def test_flip_merge_swaps_paired_channels():

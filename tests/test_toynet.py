@@ -61,7 +61,7 @@ def test_forward_head_independence():
     net = init_network(SMALL, seed=1)
     x = np.random.default_rng(2).normal(size=(1, 1, 8, 6))
     base, _ = forward(net, x)
-    net2 = net.copy()
+    net2 = init_network(SMALL, seed=1)
     net2.params["head.mpii.w"] += 0.5
     net2.params["head.mpii.b"] += 0.1
     out, _ = forward(net2, x)

@@ -35,9 +35,9 @@ def pose_at(x, y, box_wh=(25.0, 40.0)):
     )
 
 
-def similarity1(track, candidate, frame, prop, lookback=8):
+def similarity1(track, candidate, frame, prop):
     """One track's similarity to one candidate, as a 1 x 1 stack."""
-    return similarity([track], [candidate], frame, prop, CONSTS, lookback)[0, 0]
+    return similarity([track], [candidate], frame, prop, CONSTS)[0, 0]
 
 
 def test_identity_propagator_same_pose_similarity_one():
@@ -51,17 +51,11 @@ def test_similarity_requires_future_frame():
         similarity1(t, pose_at(10, 10), 3, identity)
 
 
-def test_similarity_beyond_lookback_is_zero():
-    t = Track(0, {0: pose_at(10, 10)})
-    assert similarity1(t, pose_at(10, 10), 9, identity, lookback=8) == 0.0
-    assert similarity1(t, pose_at(10, 10), 8, identity, lookback=8) == 1.0
-
-
 def test_velocity_propagator_tracks_linear_motion_exactly():
     t = Track(0, {0: pose_at(0, 0), 1: pose_at(6, 2)})
     for gap in range(1, 9):
         cand = pose_at(6 + 6 * gap, 2 + 2 * gap)
-        s = similarity1(t, cand, 1 + gap, constant_velocity, lookback=8)
+        s = similarity1(t, cand, 1 + gap, constant_velocity)
         assert s == pytest.approx(1.0)
 
 
@@ -222,7 +216,7 @@ def test_similarity_matrix_matches_pair_loop():
     for _ in range(30):
         tracks = []
         for i in range(int(rng.integers(0, 7))):
-            # last seen 1 to 10 frames back, some beyond a lookback of 8
+            # last seen 1 to 10 frames back
             first = frame - int(rng.integers(1, 11)) - int(rng.integers(1, 3))
             history = {f: pose_at(rng.uniform(0, 40), rng.uniform(0, 40))
                        for f in sorted({first, frame - int(rng.integers(1, 11))})}
@@ -230,13 +224,12 @@ def test_similarity_matrix_matches_pair_loop():
         dets = [pose_at(rng.uniform(0, 40), rng.uniform(0, 40))
                 for _ in range(int(rng.integers(0, 7)))]
         for prop in (identity, constant_velocity):
-            got = similarity(tracks, dets, frame, prop, CONSTS, lookback=8)
+            got = similarity(tracks, dets, frame, prop, CONSTS)
             want = np.zeros((len(tracks), len(dets)))
             for i, t in enumerate(tracks):
                 gap = frame - t.last_active
                 for j, det in enumerate(dets):
-                    if gap <= 8:
-                        want[i, j] = reference_oks(prop(t, gap), det, CONSTS)
+                    want[i, j] = reference_oks(prop(t, gap), det, CONSTS)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -244,7 +237,7 @@ def test_similarity_matrix_matches_pair_loop():
 def test_similarity_matrix_rejects_a_past_track():
     tracks = [Track(0, {3: pose_at(10, 10)}), Track(1, {5: pose_at(10, 10)})]
     with pytest.raises(PoseError):
-        similarity(tracks, [pose_at(10, 10)], 5, identity, CONSTS, 8)
+        similarity(tracks, [pose_at(10, 10)], 5, identity, CONSTS)
 
 
 def test_custom_propagator_runs_once_per_live_track_per_frame():
