@@ -172,8 +172,3 @@ def solve_greedy(cost) -> dict:
             if len(out) == min(r, c):
                 break
     return dict(sorted(out.items()))
-
-
-def assignment_total(cost, assignment: dict) -> float:
-    a = _validate(cost)
-    return float(sum(a[i, j] for i, j in assignment.items()))

@@ -33,7 +33,7 @@ from .suppression import OksConstants, box_nms, oks_nms
 from .scenes import generate_scene
 from .synthetic import gen_synthetic
 from .toynet import save_network
-from .tracking import TrackerConfig
+from .tracking import MATCHERS, PROPAGATORS, TrackerState
 from .training import TrainConfig, train
 
 
@@ -126,11 +126,10 @@ def cmd_nms(args):
 
 def cmd_track(args):
     seq = load_pose_file(args.input)
-    frames = track_sequence(seq.frames, OksConstants.for_joint_set(seq.joint_set),
-                            TrackerConfig(sim_threshold=args.sim_thr,
-                                          lookback=args.lookback, matcher=args.matcher,
-                                          propagator=args.propagator),
-                            args.min_len)
+    tracker = TrackerState(OksConstants.for_joint_set(seq.joint_set),
+                           sim_threshold=args.sim_thr, lookback=args.lookback,
+                           matcher=args.matcher, propagator=args.propagator)
+    frames = track_sequence(seq.frames, tracker, args.min_len)
     save_pose_file(PoseSequence(seq.joint_set, frames), args.out)
 
 
@@ -214,10 +213,11 @@ def build_parser():
 
     s = sub.add_parser("track", help="associate identities across frames")
     s.add_argument("input")
-    s.add_argument("--matcher", choices=("hungarian", "greedy"), default=defaults.matcher)
-    s.add_argument("--propagator", choices=("identity", "velocity"), default=defaults.propagator)
-    s.add_argument("--sim-thr", type=float, default=defaults.similarity_threshold)
-    s.add_argument("--lookback", type=int, default=defaults.lookback)
+    tracker = defaults.tracker()
+    s.add_argument("--matcher", choices=tuple(MATCHERS), default=tracker.matcher)
+    s.add_argument("--propagator", choices=tuple(PROPAGATORS), default=tracker.propagator)
+    s.add_argument("--sim-thr", type=float, default=tracker.sim_threshold)
+    s.add_argument("--lookback", type=int, default=tracker.lookback)
     s.add_argument("--min-len", type=int, default=defaults.min_track_length)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_track)

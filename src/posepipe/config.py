@@ -12,22 +12,23 @@ keypoint thresholds and track pruning are off at ``smooth_sigma`` 0,
 ``from_dict`` checks keys and value types (``errors.checked``). A config
 checks the rest when it is made, through the check of the code that uses
 each value: ``parse_fusion_spec``, ``check_smooth_sigma``, the
-``OksConstants`` and ``TrackerConfig`` that ``run_pipeline`` builds, and
+``OksConstants`` and ``TrackerState`` that ``run_pipeline`` builds, and
 ``oks_nms`` and ``finalize`` called on no input. Only the box and keypoint
 thresholds are checked here, in [0, 1] (``apply_thresholds`` takes any >= 0).
+These are the only tracking defaults: ``tracker`` alone maps the tracking
+fields, ``use_flow_track`` included, onto a ``TrackerState``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from .errors import PoseError, checked
 from .fusion import parse_fusion_spec
 from .heatmaps import check_smooth_sigma
-from .poseio import read_document, write_document
+from .poseio import read_document
 from .suppression import OksConstants, oks_nms
-from .tracking import TrackerConfig, TrackerState, finalize
+from .tracking import TrackerState, finalize
 
 @dataclass
 class PipelineConfig:
@@ -60,23 +61,19 @@ class PipelineConfig:
         for name in ("box_threshold", "keypoint_threshold"):
             if not 0 <= getattr(self, name) <= 1:
                 raise PoseError(f"config field {name!r} must be in [0, 1]")
-        consts = self.oks_constants()
-        oks_nms([], self.oks_nms_threshold, consts)
-        finalize(TrackerState(consts, self.tracker_config()), self.min_track_length)
-
-    @property
-    def propagator(self) -> str:
-        return "velocity" if self.use_flow_track else "identity"
+        oks_nms([], self.oks_nms_threshold, self.oks_constants())
+        finalize(self.tracker(), self.min_track_length)
 
     def oks_constants(self) -> OksConstants:
         return OksConstants.for_joint_set(self.target_joint_set,
                                           overrides=self.oks_falloff_overrides,
                                           extra_falloff=self.oks_extra_falloff)
 
-    def tracker_config(self) -> TrackerConfig:
-        return TrackerConfig(sim_threshold=self.similarity_threshold,
-                             lookback=self.lookback, matcher=self.matcher,
-                             propagator=self.propagator)
+    def tracker(self) -> TrackerState:
+        """A fresh tracker at this config's tracking settings."""
+        return TrackerState(self.oks_constants(), sim_threshold=self.similarity_threshold,
+                            lookback=self.lookback, matcher=self.matcher,
+                            propagator="velocity" if self.use_flow_track else "identity")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
@@ -86,5 +83,3 @@ class PipelineConfig:
     def load(cls, path) -> "PipelineConfig":
         return read_document(path, "config", cls.from_dict)
 
-    def save(self, path) -> None:
-        write_document(path, dataclasses.asdict(self))

@@ -43,7 +43,6 @@ class PersonInstance:
     scores: np.ndarray         # (K,)
     annotated: np.ndarray      # (K,) bool
     joint_set: str
-    area: float = None
     score: float = None
     track_id: int = None
     person_id: int = None
@@ -68,13 +67,15 @@ class PersonInstance:
         check_score(self.box_score)
         if np.any(~np.isfinite(self.coords[self.annotated])):
             raise PoseError("annotated joints must have finite coordinates")
-        if self.area is None:
-            self.area = float(self.box[2] * self.box[3])
-        if self.area <= 0:
+        if self.area <= 0:   # w * h can underflow to 0.0, which check_box passes
             raise PoseError("instance area must be positive")
         if self.score is None:
             self.score = float(self.box_score)
         check_score(self.score)
+
+    @property
+    def area(self) -> float:
+        return float(self.box[2] * self.box[3])
 
     @property
     def num_annotated(self) -> int:

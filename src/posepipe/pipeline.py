@@ -43,8 +43,8 @@ from .poseio import (
     read_document,
     read_frames,
 )
-from .suppression import OksConstants, apply_thresholds, oks_nms, rescore
-from .tracking import TrackerConfig, TrackerState, finalize
+from .suppression import apply_thresholds, oks_nms, rescore
+from .tracking import TrackerState, finalize
 
 log = logging.getLogger("posepipe.pipeline")
 
@@ -112,11 +112,10 @@ def fuse(heatmaps, flipped, spec: str, target_set: str, smooth_sigma: float,
     return fuse_vote(b, target_set, smooth_sigma, use_quarter_offset)
 
 
-def track_sequence(frames, consts: OksConstants, tracker_config: TrackerConfig,
-                   min_len: int) -> list:
-    """Give every instance of [(frame_index, instances)] its track id, then
-    drop the instances of tracks with fewer than ``min_len`` frames."""
-    tracker = TrackerState(consts, tracker_config)
+def track_sequence(frames, tracker: TrackerState, min_len: int) -> list:
+    """Give every instance of [(frame_index, instances)] its track id from a
+    fresh tracker, then drop the instances of tracks with fewer than
+    ``min_len`` frames."""
     ids = [(fidx, tracker.step(fidx, instances)) for fidx, instances in frames]
     kept = {t.id: t for t in finalize(tracker, min_len)}
     return [(fidx, [kept[t].history[fidx] for t in frame_ids if t in kept])
@@ -166,7 +165,6 @@ def run_pipeline(config: PipelineConfig, manifest_frames) -> PoseSequence:
         frames.append((fidx, instances))
 
     if config.use_tracking:
-        frames = track_sequence(frames, consts, config.tracker_config(),
-                                config.min_track_length)
+        frames = track_sequence(frames, config.tracker(), config.min_track_length)
 
     return PoseSequence(config.target_joint_set, frames)

@@ -181,10 +181,6 @@ def pose_document(seq: PoseSequence) -> dict:
         for fidx, instances in seq.frames]}
 
 
-def emit_pose_file(seq: PoseSequence) -> str:
-    return document_text(pose_document(seq))
-
-
 def save_pose_file(seq: PoseSequence, path) -> None:
     write_document(path, pose_document(seq))
 
@@ -217,10 +213,6 @@ def box_document(seq: BoxSequence) -> dict:
                    for box, score in boxes]}
         for fidx, boxes in seq.frames
     ]}
-
-
-def emit_box_file(seq: BoxSequence) -> str:
-    return document_text(box_document(seq))
 
 
 def save_box_file(seq: BoxSequence, path) -> None:

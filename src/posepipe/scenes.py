@@ -128,6 +128,8 @@ def generate_scene(outdir, num_frames: int = 5, num_persons: int = 2, seed: int 
     """
     if num_frames < 1 or num_persons < 1:
         raise PoseError("scene needs at least one frame and one person")
+    if seed < 0:
+        raise PoseError(f"scene seed must be >= 0, got {seed}")
     os.makedirs(os.path.join(outdir, "heatmaps"), exist_ok=True)
 
     weak_idx = [_MERGED.index(n) for n in _WEAK_JOINTS]

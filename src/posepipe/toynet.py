@@ -69,6 +69,8 @@ class ToyNetwork:
 
 def init_network(config: NetConfig = NetConfig(), seed: int = 0) -> ToyNetwork:
     """Xavier-style initialization, deterministic in the seed."""
+    if seed < 0:
+        raise PoseError(f"network seed must be >= 0, got {seed}")
     rng = np.random.default_rng([seed, 0x706b])
     c_in, c_h = config.in_channels, config.hidden
     params = {

@@ -4,12 +4,11 @@ Tracks extend by OKS similarity between each new detection and a propagated
 copy of the track's last instance. Matching runs the Hungarian solver by
 default (greedy available for comparison); a track may sit out up to
 ``lookback`` frames, with the propagator bridging the gap, before
-``TrackerState.step`` retires it. Optical flow is out of scope: the
-propagation slot accepts any callable ``(track, gap) -> PersonInstance``;
-``identity`` and ``constant_velocity`` ship with the package. Each frame
-with detections propagates every live track exactly once (a stateful
-callable sees one call per live track per frame) and scores all track x
-detection pairs with one stacked ``oks`` call.
+``TrackerState.step`` retires it. Optical flow is out of scope: a propagator
+is named by its key in ``PROPAGATORS``, ``identity`` or ``velocity``
+(``constant_velocity``), and the matcher by its key in ``MATCHERS``. Each
+frame with detections propagates every live track exactly once and scores
+all track x detection pairs with one stacked ``oks`` call.
 """
 
 from __future__ import annotations
@@ -76,28 +75,6 @@ PROPAGATORS = {"identity": identity, "velocity": constant_velocity}
 MATCHERS = {"hungarian": solve_hungarian, "greedy": solve_greedy}
 
 
-@dataclass
-class TrackerConfig:
-    sim_threshold: float = 0.3
-    lookback: int = 8
-    matcher: str = "hungarian"
-    propagator: str = "velocity"
-
-    def __post_init__(self):
-        if not 0 <= self.sim_threshold <= 1:
-            raise PoseError("similarity threshold must be in [0, 1]")
-        if self.matcher not in MATCHERS:
-            raise PoseError(f"unknown matcher {self.matcher!r}")
-        if self.propagator not in PROPAGATORS and not callable(self.propagator):
-            raise PoseError(f"unknown propagator {self.propagator!r}")
-        if self.lookback < 1:
-            raise PoseError("lookback must be >= 1")
-
-    @property
-    def propagate(self):
-        return PROPAGATORS.get(self.propagator, self.propagator)
-
-
 def similarity(tracks, candidates, frame: int, prop, consts: OksConstants):
     """OKS of each candidate to each propagated track.
 
@@ -118,14 +95,33 @@ def similarity(tracks, candidates, frame: int, prop, consts: OksConstants):
 
 @dataclass
 class TrackerState:
-    """Single-writer association state for one sequence."""
+    """Single-writer association state for one sequence.
+
+    ``matcher`` and ``propagator`` are keys of ``MATCHERS`` and
+    ``PROPAGATORS``; ``tracks`` holds every track opened so far, in id order.
+    """
 
     consts: OksConstants
-    config: TrackerConfig = field(default_factory=TrackerConfig)
-    active: list = field(default_factory=list)
-    finished: list = field(default_factory=list)
-    next_id: int = 0
+    sim_threshold: float
+    lookback: int
+    matcher: str
+    propagator: str
+    tracks: list = field(default_factory=list)
     last_frame: int = None
+
+    def __post_init__(self):
+        if not 0 <= self.sim_threshold <= 1:
+            raise PoseError("similarity threshold must be in [0, 1]")
+        if self.matcher not in MATCHERS:
+            raise PoseError(f"unknown matcher {self.matcher!r}")
+        if self.propagator not in PROPAGATORS:
+            raise PoseError(f"unknown propagator {self.propagator!r}")
+        if self.lookback < 1:
+            raise PoseError("lookback must be >= 1")
+
+    @property
+    def next_id(self) -> int:
+        return len(self.tracks)
 
     def step(self, frame: int, detections) -> list:
         """Associate one frame of detections; returns their track ids in
@@ -133,22 +129,17 @@ class TrackerState:
         if self.last_frame is not None:
             check_frame_order((self.last_frame, frame))
         self.last_frame = frame
-        cfg = self.config
 
-        still, retired = [], []
-        for t in self.active:
-            (still if frame - t.last_active <= cfg.lookback else retired).append(t)
-        self.active = still
-        self.finished.extend(retired)
-
-        sims = similarity(self.active, detections, frame, cfg.propagate, self.consts)
+        live = [t for t in self.tracks if frame - t.last_active <= self.lookback]
+        sims = similarity(live, detections, frame, PROPAGATORS[self.propagator],
+                          self.consts)
 
         matched_dets = {}
         if sims.size:
-            assign = MATCHERS[cfg.matcher](1.0 - sims)
+            assign = MATCHERS[self.matcher](1.0 - sims)
             for i, j in assign.items():
-                if sims[i, j] >= cfg.sim_threshold:
-                    matched_dets[j] = self.active[i]
+                if sims[i, j] >= self.sim_threshold:
+                    matched_dets[j] = live[i]
 
         ids = []
         for j, det in enumerate(detections):
@@ -157,16 +148,15 @@ class TrackerState:
                 track.history[frame] = det.replace(track_id=track.id)
             else:
                 track = Track(self.next_id, {frame: det.replace(track_id=self.next_id)})
-                self.next_id += 1
-                self.active.append(track)
+                self.tracks.append(track)
             ids.append(track.id)
         return ids
 
     def all_tracks(self) -> list:
-        return sorted(self.finished + self.active, key=lambda t: t.id)
+        return self.tracks
 
 
-def finalize(state: TrackerState, min_len: int = 2) -> list:
+def finalize(state: TrackerState, min_len: int) -> list:
     """All tracks with at least ``min_len`` stored frames, id order."""
     if min_len < 1:
         raise PoseError("min_len must be >= 1")

@@ -16,7 +16,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from posepipe.config import PipelineConfig
 from posepipe.pipeline import load_manifest, run_pipeline
-from posepipe.poseio import emit_pose_file
+from posepipe.poseio import document_text, pose_document
 from posepipe.scenes import generate_scene
 
 GOLDEN_SEED = 0
@@ -27,7 +27,7 @@ def build_golden_text() -> str:
     with tempfile.TemporaryDirectory() as tmp:
         manifest_path, _ = generate_scene(tmp, seed=GOLDEN_SEED)
         seq = run_pipeline(PipelineConfig(), load_manifest(manifest_path))
-    return emit_pose_file(seq)
+    return document_text(pose_document(seq))
 
 
 if __name__ == "__main__":

@@ -196,6 +196,12 @@ def reference_greedy_assignment(cost) -> dict:
     return dict(sorted(out.items()))
 
 
+def assignment_total(cost, assignment: dict) -> float:
+    """Sum of the cost cells an assignment picks."""
+    a = np.asarray(cost, dtype=np.float64)
+    return float(sum(a[i, j] for i, j in assignment.items()))
+
+
 def reference_greedy_nms(similarity_matrix, scores, threshold):
     """Greedy NMS simulated on a precomputed full pairwise matrix.
 

@@ -14,7 +14,12 @@ import time
 import numpy as np
 import pytest
 
-from oracles import brute_force_assignment, numeric_gradient, reference_greedy_nms
+from oracles import (
+    assignment_total,
+    brute_force_assignment,
+    numeric_gradient,
+    reference_greedy_nms,
+)
 
 
 def criterion(number, title):
@@ -34,7 +39,7 @@ def criterion(number, title):
 
 @criterion(1, "Hungarian matches the permutation brute force on 1000 matrices, < 5 s")
 def test_criterion_1_assignment_optimality():
-    from posepipe.assignment import assignment_total, solve_hungarian
+    from posepipe.assignment import solve_hungarian
 
     rng = np.random.default_rng(101)
     start = time.perf_counter()

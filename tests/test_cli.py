@@ -15,7 +15,7 @@ from posepipe.cli import main
 from posepipe.config import PipelineConfig
 from posepipe.evaluation import compute_map, compute_mota, format_table
 from posepipe.heatmaps import Heatmap, load_heatmap, render_target, save_heatmap
-from posepipe.poseio import emit_pose_file, load_pose_file
+from posepipe.poseio import document_text, load_pose_file, pose_document
 from posepipe.skeletons import JointSet, builtin_joint_set, register_joint_set
 from posepipe.toynet import load_network
 
@@ -420,6 +420,15 @@ _TINY_TRAIN = {"domains": {"coco": {}}, "train_sizes": {"coco": 2},
                "schedule": {"preset": "single", "domain": "coco", "steps": 1}}
 
 
+@pytest.mark.parametrize("argv", [["synth", "--out", "{out}"],
+                                  ["train-toy", "--config", "{path}", "--out", "{out}"]],
+                         ids=["synth", "train-toy"])
+def test_negative_seed_is_a_contract_error(tmp_path, capsys, argv):
+    # the seed's owners, generate_scene and init_network, reject it; numpy
+    # used to raise a ValueError traceback
+    _bad_input(tmp_path, capsys, _TINY_TRAIN, argv + ["--seed", "-1"])
+
+
 @pytest.mark.parametrize("train_doc", [
     "{not json",
     [],
@@ -812,4 +821,4 @@ def test_eval_report_is_the_json_document(golden_scene_dir, tmp_path, capsys, co
 def test_golden_file_is_canonical():
     with open(GOLDEN_PATH) as f:
         golden = f.read()
-    assert emit_pose_file(load_pose_file(GOLDEN_PATH)) == golden
+    assert document_text(pose_document(load_pose_file(GOLDEN_PATH))) == golden

@@ -7,7 +7,7 @@ from posepipe import PoseError
 from posepipe.config import PipelineConfig
 from posepipe.evaluation import compute_mota
 from posepipe.pipeline import load_manifest, run_pipeline
-from posepipe.poseio import emit_pose_file, load_pose_file
+from posepipe.poseio import document_text, load_pose_file, pose_document, write_document
 from posepipe.scenes import generate_scene
 
 from make_golden import GOLDEN_PATH, GOLDEN_SEED
@@ -28,12 +28,12 @@ def test_default_pipeline_matches_golden_file(scene):
     seq = run_pipeline(PipelineConfig(), scene["frames"])
     with open(GOLDEN_PATH) as f:
         golden = f.read()
-    assert emit_pose_file(seq) == golden
+    assert document_text(pose_document(seq)) == golden
 
 
 def test_pipeline_is_byte_reproducible(scene):
-    a = emit_pose_file(run_pipeline(PipelineConfig(), scene["frames"]))
-    b = emit_pose_file(run_pipeline(PipelineConfig(), scene["frames"]))
+    a = document_text(pose_document(run_pipeline(PipelineConfig(), scene["frames"])))
+    b = document_text(pose_document(run_pipeline(PipelineConfig(), scene["frames"])))
     assert a == b
 
 
@@ -140,7 +140,7 @@ def test_config_round_trip_and_defaults(tmp_path):
     assert cfg.min_track_length == 2
     assert cfg.similarity_threshold == 0.3
     path = tmp_path / "cfg.json"
-    cfg.save(path)
+    write_document(path, dataclasses.asdict(cfg))
     assert PipelineConfig.load(path) == cfg
     # omitted knobs get defaults
     path.write_text(json.dumps({"oks_nms_threshold": 0.5}))
@@ -163,7 +163,7 @@ def test_config_validation():
                 "head-swap:,mpii", "head-swap:coco,mpii,posetrack"):
         with pytest.raises(PoseError):
             PipelineConfig(fusion=bad)
-    assert PipelineConfig(use_flow_track=False).propagator == "identity"
+    assert PipelineConfig(use_flow_track=False).tracker().propagator == "identity"
     # each field must have its annotated type; an int is a float, a bool is
     # neither
     for bad in ({"use_tracking": "no"}, {"use_tracking": 0},

@@ -8,10 +8,11 @@ from posepipe.instances import PersonInstance
 from posepipe.poseio import (
     BoxSequence,
     PoseSequence,
-    emit_box_file,
-    emit_pose_file,
+    box_document,
+    document_text,
     load_box_file,
     load_pose_file,
+    pose_document,
     save_box_file,
     save_pose_file,
 )
@@ -64,10 +65,10 @@ def test_round_trip_preserves_everything(tmp_path):
 
 def test_canonical_emission_is_stable(tmp_path):
     seq = make_sequence()
-    text = emit_pose_file(seq)
+    text = document_text(pose_document(seq))
     path = tmp_path / "poses.json"
     path.write_text(text)
-    assert emit_pose_file(load_pose_file(path)) == text
+    assert document_text(pose_document(load_pose_file(path))) == text
 
 
 def test_strictly_increasing_frames_enforced():
@@ -145,7 +146,7 @@ def test_box_file_round_trip(tmp_path):
     save_box_file(seq, path)
     again = load_box_file(path)
     assert again.frames == seq.frames
-    assert emit_box_file(again) == emit_box_file(seq)
+    assert box_document(again) == box_document(seq)
 
 
 def test_box_file_validation(tmp_path):

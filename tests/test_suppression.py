@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from posepipe import PoseError, builtin_joint_set
-from posepipe.instances import PersonInstance
+from posepipe.instances import PersonInstance, check_box
 from posepipe.suppression import (
     OksConstants,
     apply_thresholds,
@@ -27,7 +27,7 @@ CONSTS = OksConstants.for_joint_set("posetrack")
 
 
 def make_instance(coords, scores=None, annotated=None, box=(0, 0, 10, 20),
-                  box_score=0.9, score=None, area=None):
+                  box_score=0.9, score=None):
     coords = np.asarray(coords, dtype=float)
     k = coords.shape[0]
     return PersonInstance(
@@ -38,7 +38,6 @@ def make_instance(coords, scores=None, annotated=None, box=(0, 0, 10, 20),
         annotated=np.ones(k, dtype=bool) if annotated is None else np.asarray(annotated, bool),
         joint_set="posetrack",
         score=score,
-        area=area,
     )
 
 
@@ -87,6 +86,22 @@ def test_oks_uses_reference_area():
     a = make_instance(np.zeros((JS.count, 2)), box=(0, 0, 10, 10))
     b = make_instance(np.full((JS.count, 2), 2.0), box=(0, 0, 40, 40))
     assert oks1(a, b) != oks1(b, a)
+
+
+def test_replaced_box_gives_the_reference_area_of_a_fresh_instance():
+    a = make_instance(np.zeros((JS.count, 2)), box=(0, 0, 10, 20))
+    moved = a.replace(box=np.array([0.0, 0.0, 40.0, 40.0]))
+    fresh = make_instance(np.zeros((JS.count, 2)), box=(0, 0, 40, 40))
+    neighbour = make_instance(np.full((JS.count, 2), 2.0))
+    assert moved.area == fresh.area == 1600.0
+    assert oks1(moved, neighbour) == oks1(fresh, neighbour) > 0.5
+
+
+def test_box_whose_area_underflows_is_rejected():
+    # w * h underflows to 0.0, which is finite, so check_box alone passes it
+    check_box([0, 0, 1e-200, 1e-200])
+    with pytest.raises(PoseError, match="area"):
+        make_instance(np.zeros((JS.count, 2)), box=(0, 0, 1e-200, 1e-200))
 
 
 def test_oks_set_mismatch():

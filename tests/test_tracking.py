@@ -1,13 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from posepipe import PoseError, builtin_joint_set
+from posepipe.config import PipelineConfig
 from posepipe.instances import PersonInstance
 from posepipe.suppression import OksConstants
 from posepipe.tracking import (
+    PROPAGATORS,
     Track,
-    TrackerConfig,
-    TrackerState,
     constant_velocity,
     finalize,
     identity,
@@ -33,6 +35,12 @@ def pose_at(x, y, box_wh=(25.0, 40.0)):
         annotated=np.ones(JS.count, bool),
         joint_set="posetrack",
     )
+
+
+def tracker(**settings):
+    """A fresh TrackerState on CONSTS at the pipeline's default settings but
+    for the ones given."""
+    return dataclasses.replace(PipelineConfig().tracker(), consts=CONSTS, **settings)
 
 
 def similarity1(track, candidate, frame, prop):
@@ -72,21 +80,29 @@ def test_velocity_falls_back_with_single_observation():
 
 
 def test_step_opens_tracks_with_fresh_ids():
-    state = TrackerState(CONSTS)
+    state = tracker()
     ids = state.step(0, [pose_at(0, 0), pose_at(100, 100)])
     assert ids == [0, 1]
     assert state.next_id == 2
 
 
 def test_step_preserves_ids_on_repeat():
-    state = TrackerState(CONSTS, TrackerConfig(propagator="identity"))
+    state = tracker(propagator="identity")
     state.step(0, [pose_at(0, 0), pose_at(100, 100)])
     ids = state.step(1, [pose_at(0, 0), pose_at(100, 100)])
     assert ids == [0, 1]
 
 
+def test_tracker_takes_only_named_settings_in_range():
+    # a propagator is a key of PROPAGATORS; the function itself is not
+    for bad in ({"propagator": identity}, {"propagator": "flow"},
+                {"matcher": "exhaustive"}, {"sim_threshold": 1.5}, {"lookback": 0}):
+        with pytest.raises(PoseError):
+            tracker(**bad)
+
+
 def test_step_rejects_non_monotone_frames():
-    state = TrackerState(CONSTS)
+    state = tracker()
     state.step(2, [pose_at(0, 0)])
     with pytest.raises(PoseError):
         state.step(2, [pose_at(0, 0)])
@@ -97,8 +113,7 @@ def test_step_rejects_non_monotone_frames():
 def _run_two_lane_scenario(propagator, sim_threshold):
     """Two persons in separate lanes; one slow first step (2 px) then fast
     constant motion (6 px/frame) for 10 frames. Returns ids per frame."""
-    cfg = TrackerConfig(sim_threshold=sim_threshold, propagator=propagator)
-    state = TrackerState(CONSTS, cfg)
+    state = tracker(sim_threshold=sim_threshold, propagator=propagator)
     per_frame = []
     xs = [0.0, 2.0] + [2.0 + 6.0 * k for k in range(1, 9)]
     for t in range(10):
@@ -136,7 +151,7 @@ def test_identity_propagator_documented_switch_count():
 
 
 def test_ground_truth_identity_motion_never_switches_or_prunes():
-    state = TrackerState(CONSTS, TrackerConfig(propagator="identity"))
+    state = tracker(propagator="identity")
     dets = [pose_at(10, 10), pose_at(120, 40), pose_at(60, 150)]
     ids_per_frame = [state.step(t, dets) for t in range(6)]
     assert all(ids == ids_per_frame[0] for ids in ids_per_frame)
@@ -147,7 +162,7 @@ def test_ground_truth_identity_motion_never_switches_or_prunes():
 def test_step_is_deterministic():
     runs = []
     for _ in range(2):
-        state = TrackerState(CONSTS, TrackerConfig(propagator="identity"))
+        state = tracker(propagator="identity")
         out = []
         rng = np.random.default_rng(0)
         for t in range(6):
@@ -159,8 +174,7 @@ def test_step_is_deterministic():
 
 
 def test_tracks_retire_after_lookback():
-    cfg = TrackerConfig(propagator="identity", lookback=2)
-    state = TrackerState(CONSTS, cfg)
+    state = tracker(propagator="identity", lookback=2)
     state.step(0, [pose_at(0, 0)])
     state.step(1, [])
     state.step(2, [])
@@ -170,8 +184,7 @@ def test_tracks_retire_after_lookback():
 
 
 def test_track_rematch_within_lookback():
-    cfg = TrackerConfig(propagator="identity", lookback=8)
-    state = TrackerState(CONSTS, cfg)
+    state = tracker(propagator="identity", lookback=8)
     state.step(0, [pose_at(0, 0)])
     state.step(1, [])
     state.step(2, [])
@@ -180,7 +193,7 @@ def test_track_rematch_within_lookback():
 
 
 def test_finalize_prunes_short_tracks():
-    state = TrackerState(CONSTS, TrackerConfig(propagator="identity"))
+    state = tracker(propagator="identity")
     state.step(0, [pose_at(0, 0), pose_at(100, 100)])
     state.step(1, [pose_at(0, 0)])
     assert [t.id for t in finalize(state, 2)] == [0]
@@ -191,7 +204,7 @@ def test_finalize_prunes_short_tracks():
 
 def test_finalize_counts_stored_frames_not_span():
     # 3 observations with a 1-frame hole still count as length 3
-    state = TrackerState(CONSTS, TrackerConfig(propagator="identity"))
+    state = tracker(propagator="identity")
     state.step(0, [pose_at(0, 0)])
     state.step(1, [])
     state.step(2, [pose_at(0, 0)])
@@ -240,14 +253,15 @@ def test_similarity_matrix_rejects_a_past_track():
         similarity(tracks, [pose_at(10, 10)], 5, identity, CONSTS)
 
 
-def test_custom_propagator_runs_once_per_live_track_per_frame():
+def test_custom_propagator_runs_once_per_live_track_per_frame(monkeypatch):
     calls = []
 
     def counting(track, gap):
         calls.append((track.id, gap))
         return track.last_instance
 
-    state = TrackerState(CONSTS, TrackerConfig(propagator=counting, lookback=3))
+    monkeypatch.setitem(PROPAGATORS, "counting", counting)
+    state = tracker(propagator="counting", lookback=3)
     lanes = [pose_at(0, 0), pose_at(100, 100), pose_at(200, 0)]
     state.step(0, lanes)
     assert calls == []                        # no track yet
