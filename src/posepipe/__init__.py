@@ -28,7 +28,7 @@ from .suppression import (
     rescore,
 )
 from .assignment import solve_greedy, solve_hungarian
-from .tracking import Track, TrackerState, finalize, similarity
+from .tracking import TrackerState, finalize, similarity
 from .evaluation import compute_map, compute_mota
 from .toynet import NetConfig, ToyNetwork, forward, gradients, init_network, loss_l2_masked, loss_ohkm
 from .synthetic import DomainSpec, Sample, gen_synthetic

@@ -90,6 +90,8 @@ def _parse_branch_args(pairs):
         name, _, path = spec.partition("=")
         if not path:
             raise PoseError(f"expected NAME=PATH, got {spec!r}")
+        if name in out:
+            raise PoseError(f"branch {name!r} is named twice")
         out[name] = path
     return out
 

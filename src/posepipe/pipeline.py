@@ -84,13 +84,16 @@ def fuse(heatmaps, flipped, spec: str, target_set: str, smooth_sigma: float,
 
     heatmaps and flipped map branch name -> .pkhm path. spec is
     ``select:<branch>``, ``head-swap:<body>,<head>`` or ``vote``, and is
-    checked before any file is read. Only the branches the spec reads (every
-    branch for vote) are flip-merged, but every named file is still loaded
-    and checked: each heatmap's own contents, its branch tag, a flipped
-    file's shape and tag against its branch, and the geometry across
-    branches.
+    checked before any file is read, as is that every flipped file belongs
+    to a branch in heatmaps. Only the branches the spec reads (every branch
+    for vote) are flip-merged, but every named file is still loaded and
+    checked: each heatmap's own contents, its branch tag, a flipped file's
+    shape and tag against its branch, and the geometry across branches.
     """
     kind, names = parse_fusion_spec(spec)
+    stray = sorted(set(flipped) - set(heatmaps))
+    if stray:
+        raise PoseError(f"flipped heatmap for branch {stray[0]!r}, which has no heatmap")
     used = names or heatmaps   # vote reads every branch
     branches = {}
     for name in sorted(heatmaps):
@@ -117,8 +120,8 @@ def track_sequence(frames, tracker: TrackerState, min_len: int) -> list:
     fresh tracker, then drop the instances of tracks with fewer than
     ``min_len`` frames."""
     ids = [(fidx, tracker.step(fidx, instances)) for fidx, instances in frames]
-    kept = {t.id: t for t in finalize(tracker, min_len)}
-    return [(fidx, [kept[t].history[fidx] for t in frame_ids if t in kept])
+    kept = set(finalize(tracker, min_len))
+    return [(fidx, [tracker.tracks[t][fidx] for t in frame_ids if t in kept])
             for fidx, frame_ids in ids]
 
 

@@ -120,8 +120,6 @@ def oks(a, b, consts: OksConstants):
             f"{consts.joint_set!r}"
         )
     area = np.array([p.area for p in refs], dtype=np.float64)
-    if np.any(area <= 0):
-        raise PoseError("reference instance area must be positive")
     ra = np.stack([p.annotated for p in refs])
     ca = np.stack([p.annotated for p in cands])
     # unannotated coordinates may be anything; zero them so they stay finite

@@ -165,20 +165,25 @@ def _per_joint_mse(pred, target):
     return np.mean((pred - target) ** 2, axis=(1, 2))
 
 
+def check_loss(loss: str, ohkm_k: int) -> None:
+    """Raise unless loss is "l2" or "ohkm" and ohkm_k is >= 1."""
+    if loss not in ("l2", "ohkm"):
+        raise PoseError(f"unknown loss {loss!r}")
+    if ohkm_k < 1:
+        raise PoseError("ohkm k must be >= 1")
+
+
 def _select_joints(per_joint, mask, loss: str, ohkm_k: int):
-    """Indices entering the loss and their common averaging weight."""
+    """Indices entering the loss and their common averaging weight, for a
+    loss that ``check_loss`` passes."""
     ann = np.flatnonzero(np.asarray(mask, dtype=bool))
     if ann.size == 0:
         return ann, 0.0
     if loss == "l2":
         return ann, 1.0 / ann.size
-    if loss == "ohkm":
-        if ohkm_k < 1:
-            raise PoseError("ohkm k must be >= 1")
-        kk = min(ohkm_k, ann.size)
-        order = ann[np.argsort(-per_joint[ann], kind="stable")]
-        return order[:kk], 1.0 / kk
-    raise PoseError(f"unknown loss {loss!r}")
+    kk = min(ohkm_k, ann.size)
+    order = ann[np.argsort(-per_joint[ann], kind="stable")]
+    return order[:kk], 1.0 / kk
 
 
 def loss_l2_masked(pred, target, mask) -> float:
@@ -190,6 +195,7 @@ def loss_l2_masked(pred, target, mask) -> float:
 
 def loss_ohkm(pred, target, mask, k: int = 8) -> float:
     """Mean of the min(k, #annotated) largest per-joint squared errors."""
+    check_loss("ohkm", k)
     per_joint = _per_joint_mse(pred, target)
     sel, wgt = _select_joints(per_joint, mask, "ohkm", k)
     return float(per_joint[sel].sum() * wgt) if sel.size else 0.0
@@ -204,15 +210,12 @@ def gradients(net: ToyNetwork, batch, loss: str = "l2", ohkm_k: int = 8):
     domains run, and the backward pass stops at the shallowest trainable
     backbone block.
     """
+    check_loss(loss, ohkm_k)
     if not batch:
         raise PoseError("batch must be non-empty")
     cfg = net.config
-    present = {s.domain for s in batch}
-    unknown = sorted(present - set(cfg.domains))
-    if unknown:
-        raise PoseError(f"network has no head for domain {unknown[0]!r}")
     x = np.stack([np.asarray(s.input, dtype=np.float64) for s in batch])
-    outputs, cache = forward(net, x, [d for d in cfg.domains if d in present])
+    outputs, cache = forward(net, x, tuple(dict.fromkeys(s.domain for s in batch)))
     bsz = len(batch)
     hw = cfg.height * cfg.width
     train1 = "backbone.conv1" not in net.frozen

@@ -1,14 +1,16 @@
 """Frame-to-frame identity association over detected poses.
 
-Tracks extend by OKS similarity between each new detection and a propagated
-copy of the track's last instance. Matching runs the Hungarian solver by
-default (greedy available for comparison); a track may sit out up to
-``lookback`` frames, with the propagator bridging the gap, before
-``TrackerState.step`` retires it. Optical flow is out of scope: a propagator
-is named by its key in ``PROPAGATORS``, ``identity`` or ``velocity``
-(``constant_velocity``), and the matcher by its key in ``MATCHERS``. Each
-frame with detections propagates every live track exactly once and scores
-all track x detection pairs with one stacked ``oks`` call.
+A track is its history, a dict of frame index -> PersonInstance, and its id
+is its index in ``TrackerState.tracks``. Tracks extend by OKS similarity
+between each new detection and a propagated copy of the track's last
+instance. Matching runs the Hungarian solver by default (greedy available
+for comparison); a track may sit out up to ``lookback`` frames, with the
+propagator bridging the gap, before ``TrackerState.step`` retires it.
+Optical flow is out of scope: a propagator, called as
+``prop(history, gap)``, is named by its key in ``PROPAGATORS``, ``identity``
+or ``velocity`` (``constant_velocity``), and the matcher by its key in
+``MATCHERS``. Each frame with detections propagates every live track exactly
+once and scores all track x detection pairs with one stacked ``oks`` call.
 """
 
 from __future__ import annotations
@@ -24,45 +26,22 @@ from .poseio import check_frame_order
 from .suppression import OksConstants, oks
 
 
-@dataclass
-class Track:
-    """One identity: per-frame history of instances."""
-
-    id: int
-    history: dict   # frame index -> PersonInstance
-
-    def __post_init__(self):
-        if not self.history:
-            raise PoseError("track history must be non-empty")
-
-    @property
-    def last_active(self) -> int:
-        return max(self.history)
-
-    @property
-    def last_instance(self) -> PersonInstance:
-        return self.history[self.last_active]
-
-    def __len__(self) -> int:
-        return len(self.history)
-
-
-def identity(track: Track, gap: int) -> PersonInstance:
+def identity(history: dict, gap: int) -> PersonInstance:
     """Predict no motion: the track's last instance as-is."""
-    return track.last_instance
+    return history[max(history)]
 
 
-def constant_velocity(track: Track, gap: int) -> PersonInstance:
+def constant_velocity(history: dict, gap: int) -> PersonInstance:
     """Extrapolate keypoints and box linearly from the last two observations.
 
     Falls back to identity with fewer than two observations; gap 0 is always
     the identity.
     """
-    if gap == 0 or len(track.history) < 2:
-        return track.last_instance
-    frames = sorted(track.history)
+    if gap == 0 or len(history) < 2:
+        return identity(history, gap)
+    frames = sorted(history)
     t1, t0 = frames[-1], frames[-2]
-    cur, prev = track.history[t1], track.history[t0]
+    cur, prev = history[t1], history[t0]
     dt = t1 - t0
     vel_kp = (cur.coords - prev.coords) / dt
     vel_box = (cur.box[:2] - prev.box[:2]) / dt
@@ -78,19 +57,22 @@ MATCHERS = {"hungarian": solve_hungarian, "greedy": solve_greedy}
 def similarity(tracks, candidates, frame: int, prop, consts: OksConstants):
     """OKS of each candidate to each propagated track.
 
-    tracks is a sequence of Tracks and candidates one of PersonInstances;
-    the result is the (len(tracks), len(candidates)) matrix. Every track is
-    propagated once, by ``prop(track, gap)``, and all of them go through one
-    stacked ``oks`` call. Nothing is propagated when there is no track or no
+    tracks is a sequence of histories (frame index -> PersonInstance, never
+    empty) and candidates one of PersonInstances; the result is the
+    (len(tracks), len(candidates)) matrix. Every track is propagated once,
+    by ``prop(history, gap)``, and all of them go through one stacked
+    ``oks`` call. Nothing is propagated when there is no track or no
     candidate. Lookback is not applied here: ``TrackerState.step`` retires
     old tracks before it calls this.
     """
-    gaps = [frame - t.last_active for t in tracks]
+    if not all(tracks):
+        raise PoseError("track history must be non-empty")
+    gaps = [frame - max(history) for history in tracks]
     if any(gap < 1 for gap in gaps):
-        raise PoseError("similarity requires frame > track.last_active")
+        raise PoseError("similarity requires frame > a track's last frame")
     if not (tracks and candidates):
         return np.zeros((len(tracks), len(candidates)))
-    return oks([prop(t, gap) for t, gap in zip(tracks, gaps)], candidates, consts)
+    return oks([prop(h, gap) for h, gap in zip(tracks, gaps)], candidates, consts)
 
 
 @dataclass
@@ -98,7 +80,7 @@ class TrackerState:
     """Single-writer association state for one sequence.
 
     ``matcher`` and ``propagator`` are keys of ``MATCHERS`` and
-    ``PROPAGATORS``; ``tracks`` holds every track opened so far, in id order.
+    ``PROPAGATORS``; ``tracks`` holds every track's history, indexed by id.
     """
 
     consts: OksConstants
@@ -130,9 +112,9 @@ class TrackerState:
             check_frame_order((self.last_frame, frame))
         self.last_frame = frame
 
-        live = [t for t in self.tracks if frame - t.last_active <= self.lookback]
-        sims = similarity(live, detections, frame, PROPAGATORS[self.propagator],
-                          self.consts)
+        live = [tid for tid, h in enumerate(self.tracks) if frame - max(h) <= self.lookback]
+        sims = similarity([self.tracks[tid] for tid in live], detections, frame,
+                          PROPAGATORS[self.propagator], self.consts)
 
         matched_dets = {}
         if sims.size:
@@ -143,13 +125,11 @@ class TrackerState:
 
         ids = []
         for j, det in enumerate(detections):
-            if j in matched_dets:
-                track = matched_dets[j]
-                track.history[frame] = det.replace(track_id=track.id)
-            else:
-                track = Track(self.next_id, {frame: det.replace(track_id=self.next_id)})
-                self.tracks.append(track)
-            ids.append(track.id)
+            tid = matched_dets.get(j, self.next_id)
+            if tid == self.next_id:
+                self.tracks.append({})
+            self.tracks[tid][frame] = det.replace(track_id=tid)
+            ids.append(tid)
         return ids
 
     def all_tracks(self) -> list:
@@ -157,7 +137,8 @@ class TrackerState:
 
 
 def finalize(state: TrackerState, min_len: int) -> list:
-    """All tracks with at least ``min_len`` stored frames, id order."""
+    """The ids of all tracks with at least ``min_len`` stored frames, in
+    order."""
     if min_len < 1:
         raise PoseError("min_len must be >= 1")
-    return [t for t in state.all_tracks() if len(t) >= min_len]
+    return [tid for tid, history in enumerate(state.all_tracks()) if len(history) >= min_len]

@@ -36,7 +36,7 @@ from .errors import PoseError, checked
 from .heatmaps import peaks
 from .poseio import read_document
 from .skeletons import mapping
-from .toynet import NetConfig, ToyNetwork, forward, gradients, init_network, sgd_step
+from .toynet import NetConfig, ToyNetwork, check_loss, forward, gradients, init_network, sgd_step
 from .synthetic import DEFAULT_DOMAINS, DomainSpec, project_to_merged
 
 DEFAULT_LR = 1.2
@@ -64,10 +64,10 @@ class Stage:
         elif self.trainable != "all":
             raise PoseError(f"stage trainable must be 'all' or a list of block names, "
                             f"got {self.trainable!r}")
-        if self.steps < 0 or self.batch_size < 1 or not 0 < self.lr < math.inf:
+        if (not self.domains or self.steps < 0 or self.batch_size < 1
+                or not 0 < self.lr < math.inf):
             raise PoseError(f"bad stage configuration {self!r}")
-        if self.loss not in ("l2", "ohkm"):
-            raise PoseError(f"unknown loss {self.loss!r}")
+        check_loss(self.loss, self.ohkm_k)
 
 
 @dataclass

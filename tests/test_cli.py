@@ -248,6 +248,40 @@ def test_track_subcommand_matches_run_with_tracking(golden_scene_dir, tmp_path):
     assert any(p.track_id is not None for _, ii in ran.frames for p in ii)
 
 
+def _coco_heatmap(path):
+    """Write a coco heatmap with every joint at one spot to path."""
+    k = builtin_joint_set("coco").count
+    save_heatmap(render_target(np.tile([[5.0, 7.0]], (k, 1)), 2.0, (16, 12),
+                               joint_set="coco")[0], path)
+    return path
+
+
+def test_fuse_rejects_a_flipped_file_for_a_branch_with_no_heatmap(tmp_path, capsys):
+    # the stray file used to be skipped, never read, and fuse exited 0
+    coco = _coco_heatmap(tmp_path / "coco.pkhm")
+    out = tmp_path / "o.json"
+    assert main(["fuse", "--strategy", "vote", "--target", "posetrack",
+                 "--branch", f"coco={coco}", "--flipped", "mpii=/nonexistent.pkhm",
+                 "--out", str(out)]) == 2
+    assert _error_doc(capsys) == {
+        "error": "flipped heatmap for branch 'mpii', which has no heatmap",
+        "kind": "contract"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--branch", "--flipped"])
+def test_fuse_rejects_a_branch_named_twice(tmp_path, capsys, flag):
+    # the last path used to win silently
+    coco = _coco_heatmap(tmp_path / "coco.pkhm")
+    out = tmp_path / "o.json"
+    assert main(["fuse", "--strategy", "select:coco", "--target", "posetrack",
+                 "--branch", f"coco={coco}", flag, f"coco={coco}", flag, f"coco={coco}",
+                 "--out", str(out)]) == 2
+    assert _error_doc(capsys) == {"error": "branch 'coco' is named twice",
+                                  "kind": "contract"}
+    assert not out.exists()
+
+
 def test_fuse_rejects_unknown_strategy_before_reading(tmp_path, capsys):
     rc = main(["fuse", "--strategy", "median", "--target", "posetrack",
                "--branch", f"coco={tmp_path / 'missing.pkhm'}",
@@ -485,6 +519,12 @@ def test_negative_seed_is_a_contract_error(tmp_path, capsys, argv):
     dict(_TINY_TRAIN, domains={"coco": {"offset": [float("nan"), 0]}}),
     dict(_TINY_TRAIN, domains={"coco": {"target_sigma": float("nan")}}),
     dict(_TINY_TRAIN, domains={"coco": {"label_noise": float("inf")}}),
+    # these used to fail only after the data was made: the first after
+    # stage 0 trained and logged, the second with numpy's traceback
+    dict(_TINY_TRAIN, schedule={"stages": [{"domains": ["coco"], "steps": 1},
+                                           {"domains": ["coco"], "steps": 1,
+                                            "loss": "ohkm", "ohkm_k": 0}]}),
+    dict(_TINY_TRAIN, schedule={"stages": [{"domains": [], "steps": 1}]}),
 ])
 def test_train_toy_rejects_malformed_config(tmp_path, capsys, monkeypatch, train_doc):
     def no_data(*args, **kwargs):
@@ -608,6 +648,24 @@ def test_run_checks_every_branch_file_the_strategy_does_not_read(
     assert main(["run", "--config", str(cfg), "--manifest", str(manifest),
                  "--out", str(out)]) == rc
     assert _error_doc(capsys) == {"error": error, "kind": kind}
+    assert not out.exists()
+
+
+def test_run_rejects_a_flipped_file_for_a_branch_with_no_heatmap(tiny_scene_dir, tmp_path,
+                                                                capsys):
+    # head-swap:coco,mpii reads no posetrack channel; the stray flipped file
+    # used to be skipped, never read, and run exited 0
+    manifest = tmp_path / "manifest.json"
+    doc = json.loads((tiny_scene_dir / "manifest.json").read_text())
+    entry = doc["frames"][0]["instances"][0]
+    entry["heatmaps"] = {b: str(tiny_scene_dir / entry["heatmaps"][b]) for b in ("coco", "mpii")}
+    entry["flipped_heatmaps"] = {"posetrack": "/nonexistent/x.pkhm"}
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "o.json"
+    assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert _error_doc(capsys) == {
+        "error": "flipped heatmap for branch 'posetrack', which has no heatmap",
+        "kind": "contract"}
     assert not out.exists()
 
 

@@ -193,6 +193,26 @@ def test_gradients_empty_batch_rejected():
         gradients(net, [], "l2")
 
 
+@pytest.mark.parametrize("loss, k, error", [("bogus", 8, "unknown loss 'bogus'"),
+                                            ("ohkm", 0, "ohkm k must be >= 1")],
+                         ids=["unknown-loss", "ohkm-k-0"])
+def test_gradients_check_the_loss_before_any_joint(loss, k, error):
+    # with no annotated joint no loss is ever selected; these used to
+    # return 0.0 and raise only on a batch that annotates a joint
+    net = init_network(SMALL, seed=0)
+    masks = [np.zeros(17, bool), np.zeros(16, bool), np.zeros(17, bool)]
+    with pytest.raises(PoseError, match=error):
+        gradients(net, small_batch(15, masks), loss, k)
+
+
+def test_gradients_name_an_unknown_domain():
+    net = init_network(SMALL, seed=0)
+    batch = small_batch(3)
+    batch[1].domain = "posetrack"
+    with pytest.raises(PoseError, match="no head for domain 'posetrack'"):
+        gradients(net, batch, "l2")
+
+
 def test_sgd_step_respects_freeze():
     net = init_network(SMALL, seed=16)
     net.set_frozen({"backbone.conv1"})

@@ -9,7 +9,6 @@ from posepipe.instances import PersonInstance
 from posepipe.suppression import OksConstants
 from posepipe.tracking import (
     PROPAGATORS,
-    Track,
     constant_velocity,
     finalize,
     identity,
@@ -43,24 +42,24 @@ def tracker(**settings):
     return dataclasses.replace(PipelineConfig().tracker(), consts=CONSTS, **settings)
 
 
-def similarity1(track, candidate, frame, prop):
+def similarity1(history, candidate, frame, prop):
     """One track's similarity to one candidate, as a 1 x 1 stack."""
-    return similarity([track], [candidate], frame, prop, CONSTS)[0, 0]
+    return similarity([history], [candidate], frame, prop, CONSTS)[0, 0]
 
 
 def test_identity_propagator_same_pose_similarity_one():
-    t = Track(0, {3: pose_at(10, 10)})
+    t = {3: pose_at(10, 10)}
     assert similarity1(t, pose_at(10, 10), 4, identity) == 1.0
 
 
 def test_similarity_requires_future_frame():
-    t = Track(0, {3: pose_at(10, 10)})
+    t = {3: pose_at(10, 10)}
     with pytest.raises(PoseError):
         similarity1(t, pose_at(10, 10), 3, identity)
 
 
 def test_velocity_propagator_tracks_linear_motion_exactly():
-    t = Track(0, {0: pose_at(0, 0), 1: pose_at(6, 2)})
+    t = {0: pose_at(0, 0), 1: pose_at(6, 2)}
     for gap in range(1, 9):
         cand = pose_at(6 + 6 * gap, 2 + 2 * gap)
         s = similarity1(t, cand, 1 + gap, constant_velocity)
@@ -68,13 +67,13 @@ def test_velocity_propagator_tracks_linear_motion_exactly():
 
 
 def test_velocity_propagator_gap_zero_is_identity():
-    t = Track(0, {0: pose_at(0, 0), 1: pose_at(6, 2)})
+    t = {0: pose_at(0, 0), 1: pose_at(6, 2)}
     p = constant_velocity(t, 0)
-    assert np.array_equal(p.coords, t.last_instance.coords)
+    assert np.array_equal(p.coords, t[1].coords)
 
 
 def test_velocity_falls_back_with_single_observation():
-    t = Track(0, {0: pose_at(4, 4)})
+    t = {0: pose_at(4, 4)}
     p = constant_velocity(t, 3)
     assert np.array_equal(p.coords, pose_at(4, 4).coords)
 
@@ -156,7 +155,7 @@ def test_ground_truth_identity_motion_never_switches_or_prunes():
     ids_per_frame = [state.step(t, dets) for t in range(6)]
     assert all(ids == ids_per_frame[0] for ids in ids_per_frame)
     kept = finalize(state, 2)
-    assert len(kept) == 3 and all(len(t) == 6 for t in kept)
+    assert kept == [0, 1, 2] and all(len(state.tracks[t]) == 6 for t in kept)
 
 
 def test_step_is_deterministic():
@@ -196,8 +195,8 @@ def test_finalize_prunes_short_tracks():
     state = tracker(propagator="identity")
     state.step(0, [pose_at(0, 0), pose_at(100, 100)])
     state.step(1, [pose_at(0, 0)])
-    assert [t.id for t in finalize(state, 2)] == [0]
-    assert [t.id for t in finalize(state, 1)] == [0, 1]
+    assert finalize(state, 2) == [0]
+    assert finalize(state, 1) == [0, 1]
     with pytest.raises(PoseError):
         finalize(state, 0)
 
@@ -209,8 +208,7 @@ def test_finalize_counts_stored_frames_not_span():
     state.step(1, [])
     state.step(2, [pose_at(0, 0)])
     state.step(3, [pose_at(0, 0)])
-    tracks = finalize(state, 3)
-    assert len(tracks) == 1 and len(tracks[0]) == 3
+    assert finalize(state, 3) == [0] and len(state.tracks[0]) == 3
 
 
 def test_hungarian_resolves_crossing_better_than_greedy():
@@ -233,14 +231,14 @@ def test_similarity_matrix_matches_pair_loop():
             first = frame - int(rng.integers(1, 11)) - int(rng.integers(1, 3))
             history = {f: pose_at(rng.uniform(0, 40), rng.uniform(0, 40))
                        for f in sorted({first, frame - int(rng.integers(1, 11))})}
-            tracks.append(Track(i, history))
+            tracks.append(history)
         dets = [pose_at(rng.uniform(0, 40), rng.uniform(0, 40))
                 for _ in range(int(rng.integers(0, 7)))]
         for prop in (identity, constant_velocity):
             got = similarity(tracks, dets, frame, prop, CONSTS)
             want = np.zeros((len(tracks), len(dets)))
             for i, t in enumerate(tracks):
-                gap = frame - t.last_active
+                gap = frame - max(t)
                 for j, det in enumerate(dets):
                     want[i, j] = reference_oks(prop(t, gap), det, CONSTS)
             assert got.shape == want.shape
@@ -248,7 +246,7 @@ def test_similarity_matrix_matches_pair_loop():
 
 
 def test_similarity_matrix_rejects_a_past_track():
-    tracks = [Track(0, {3: pose_at(10, 10)}), Track(1, {5: pose_at(10, 10)})]
+    tracks = [{3: pose_at(10, 10)}, {5: pose_at(10, 10)}]
     with pytest.raises(PoseError):
         similarity(tracks, [pose_at(10, 10)], 5, identity, CONSTS)
 
@@ -256,9 +254,9 @@ def test_similarity_matrix_rejects_a_past_track():
 def test_custom_propagator_runs_once_per_live_track_per_frame(monkeypatch):
     calls = []
 
-    def counting(track, gap):
-        calls.append((track.id, gap))
-        return track.last_instance
+    def counting(history, gap):
+        calls.append((next(i for i, h in enumerate(state.tracks) if h is history), gap))
+        return identity(history, gap)
 
     monkeypatch.setitem(PROPAGATORS, "counting", counting)
     state = tracker(propagator="counting", lookback=3)
@@ -272,3 +270,8 @@ def test_custom_propagator_runs_once_per_live_track_per_frame(monkeypatch):
     assert calls == []                        # nothing to score
     state.step(4, lanes)                      # track 2 is 4 frames back: retired
     assert calls == [(0, 3), (1, 3)]
+
+
+def test_similarity_rejects_an_empty_history():
+    with pytest.raises(PoseError, match="non-empty"):
+        similarity([{3: pose_at(10, 10)}, {}], [pose_at(10, 10)], 5, identity, CONSTS)
