@@ -1,8 +1,14 @@
-"""Detected-person records: box, scores, per-joint keypoints, joint-set tag."""
+"""Detected-person records: box, scores, per-joint keypoints, joint-set tag.
+
+Each instance rule is written once, over a stack of N instances: a dict with
+joint_set (one name) and its joint count k, box (N, 4), coords (N, K, 2),
+scores and annotated (N, K), and a sequence of N values for every other field.
+"""
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -12,17 +18,71 @@ from .errors import PoseError
 from .skeletons import get_joint_set
 
 
-def check_box(box) -> None:
-    """Raise unless box (x, y, w, h) is finite, with w, h > 0 and w * h finite."""
+def _unit(v):
+    """Whether a number, or each entry of an array, lies in [0, 1] (NaN does not)."""
+    return (v >= 0) & (v <= 1)
+
+
+def _box_ok(box) -> bool:
+    """Whether an x, y, w, h box is finite, with w, h > 0 and w * h finite."""
     x, y, w, h = map(float, box)
-    if not (w > 0 and h > 0 and math.isfinite(x + y + w * h)):
-        raise PoseError(f"box must be finite with positive width and height, got {box}")
+    return w > 0 and h > 0 and math.isfinite(x + y + w * h)
+
+
+def check_box(box, what: str = "box") -> None:
+    """Raise unless box passes :func:`_box_ok`; what names it in the message."""
+    if not _box_ok(box):
+        raise PoseError(f"{what} must be finite with positive width and height, got {box}")
 
 
 def check_score(score) -> None:
     """Raise unless a box or instance score lies in [0, 1] (NaN does not)."""
-    if not 0 <= score <= 1:
+    if not _unit(score):
         raise PoseError(f"score must lie in [0, 1], got {score!r}")
+
+
+# Each instance rule in the order it is checked: (the fields it reads, which
+# instances of a stack pass it, the message for instance i, or the check that
+# raises it). A rule may assume that every rule before it passed.
+_RULES = (
+    (("joint_set", "coords"), lambda s: [s["coords"].shape[1:] == (s["k"], 2)],
+     lambda s, i: f"coords shape {s['coords'].shape[1:]} does not match joint set "
+                  f"{s['joint_set']!r} (expected ({s['k']}, 2))"),
+    (("joint_set", "scores", "annotated"),
+     lambda s: [s["scores"].shape[1:] == s["annotated"].shape[1:] == (s["k"],)],
+     lambda s, i: "scores/annotated length does not match joint set"),
+    (("box",), lambda s: map(_box_ok, s["box"].tolist()),
+     lambda s, i: check_box(s["box"][i].tolist())),
+    (("scores",), lambda s: _unit(s["scores"]).all(axis=1),
+     lambda s, i: "keypoint scores must lie in [0, 1]"),
+    (("box_score",), lambda s: map(_unit, s["box_score"]),
+     lambda s, i: check_score(s["box_score"][i])),
+    (("coords", "annotated"),
+     lambda s: (np.isfinite(s["coords"]) | ~s["annotated"][..., None]).all(axis=(1, 2)),
+     lambda s, i: "annotated joints must have finite coordinates"),
+    # w * h can underflow to 0.0, which _box_ok passes
+    (("box",), lambda s: [w * h > 0 for _, _, w, h in s["box"].tolist()],
+     lambda s, i: "instance area must be positive"),
+    (("score",), lambda s: map(_unit, s["score"]), lambda s, i: check_score(s["score"][i])),
+)
+_ARRAYS = {"box": np.float64, "coords": np.float64, "scores": np.float64, "annotated": bool}
+
+
+def _check(stack: dict, fields=None) -> None:
+    """Raise, for its first failing instance, the first rule that reads one of
+    fields (by default any) and that some instance of stack breaks."""
+    for reads, passes, fault in _RULES:
+        if fields is None or not fields.isdisjoint(reads):
+            ok = list(passes(stack))
+            if not all(ok):
+                raise PoseError(fault(stack, ok.index(False)))
+
+
+def _one(f: dict) -> dict:
+    """The checked fields of one instance as a stack of one."""
+    return {"joint_set": f["joint_set"], "k": get_joint_set(f["joint_set"]).count,
+            "box": f["box"][None], "box_score": [f["box_score"]], "coords": f["coords"][None],
+            "scores": f["scores"][None], "annotated": f["annotated"][None], "score": [f["score"]]}
 
 
 @dataclass
@@ -49,29 +109,12 @@ class PersonInstance:
     head_size: float = None
 
     def __post_init__(self):
-        self.box = np.asarray(self.box, dtype=np.float64).reshape(4)
-        self.coords = np.asarray(self.coords, dtype=np.float64)
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        self.annotated = np.asarray(self.annotated, dtype=bool)
-        k = get_joint_set(self.joint_set).count
-        if self.coords.shape != (k, 2):
-            raise PoseError(
-                f"coords shape {self.coords.shape} does not match joint set "
-                f"{self.joint_set!r} (expected ({k}, 2))"
-            )
-        if self.scores.shape != (k,) or self.annotated.shape != (k,):
-            raise PoseError("scores/annotated length does not match joint set")
-        check_box(self.box.tolist())
-        if not ((self.scores >= 0) & (self.scores <= 1)).all():
-            raise PoseError("keypoint scores must lie in [0, 1]")
-        check_score(self.box_score)
-        if np.any(~np.isfinite(self.coords[self.annotated])):
-            raise PoseError("annotated joints must have finite coordinates")
-        if self.area <= 0:   # w * h can underflow to 0.0, which check_box passes
-            raise PoseError("instance area must be positive")
+        for name, dtype in _ARRAYS.items():
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        self.box = self.box.reshape(4)
         if self.score is None:
             self.score = float(self.box_score)
-        check_score(self.score)
+        _check(_one(vars(self)))
 
     @property
     def area(self) -> float:
@@ -82,10 +125,31 @@ class PersonInstance:
         return int(self.annotated.sum())
 
     def replace(self, **changes) -> "PersonInstance":
-        """Copy with fields replaced; arrays are copied so instances stay independent."""
-        out = dataclasses.replace(self, **changes)
-        for name in ("box", "coords", "scores", "annotated"):
-            if name not in changes:
-                setattr(out, name, getattr(self, name).copy())
+        """Copy with fields replaced, running only the rules that read a
+        replaced field; arrays are copied so instances stay independent."""
+        if not changes.keys() <= vars(self).keys():
+            raise TypeError(f"PersonInstance has no fields {sorted(changes.keys() - vars(self))}")
+        fields = vars(self) | changes
+        for name, dtype in _ARRAYS.items():
+            fields[name] = (np.asarray(changes[name], dtype=dtype) if name in changes
+                            else fields[name].copy())
+        fields["box"] = fields["box"].reshape(4)
+        _check(_one(fields), changes.keys())
+        out = object.__new__(PersonInstance)
+        out.__dict__ = fields
         return out
 
+
+_FIELDS = tuple(f.name for f in dataclasses.fields(PersonInstance))
+
+
+def stacked_instances(stack: dict) -> list:
+    """The N instances of stack, which holds a column for each field, after
+    one pass of every rule over them (raising as ``_check`` does)."""
+    _check(stack)
+    columns = [itertools.repeat(stack["joint_set"]) if name == "joint_set" else stack[name]
+               for name in _FIELDS]
+    out = [object.__new__(PersonInstance) for _ in range(len(stack["box"]))]
+    for p, row in zip(out, zip(*columns)):
+        p.__dict__ = dict(zip(_FIELDS, row))
+    return out

@@ -25,24 +25,31 @@ of the function that builds its value (``document``, ``instance_frame``,
 ``box_frame``, ``pose_instance``, ``box_entry``, and the manifest's
 ``pipeline.manifest_instance``), which ``errors.checked`` reads: an unknown
 key, a missing key or a value of the wrong type is a PoseError. Ranges are
-checked where the values are used. Frame indices strictly increase; head_size
-may be derived from head_box as diagonal x 0.6. Emission is canonical (fixed
-key order, repr floats, two-space indentation), so emit(parse(f)) == f
-byte-wise for files in canonical form. ``write_document`` is the one writer
-of that text form, for every JSON file the package writes: pose and box
-files, configs, scene manifests and evaluation reports.
+checked where the values are used: a pose document's instances all at once,
+by the instance rules run over their stack (``instances``), and a document
+that fails is read again record by record to name its first error. Frame
+indices strictly increase; head_size may be derived from a head_box (which
+must pass ``check_box``) as diagonal x 0.6. Emission is canonical (fixed key
+order, repr floats, two-space indentation), so emit(parse(f)) == f byte-wise
+for files in canonical form. ``write_document`` is the one writer of that
+text form, for every JSON file the package writes: pose and box files,
+configs, scene manifests and evaluation reports; ``document_text`` writes
+each list of numbers with the C encoder.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .errors import PoseError, checked
-from .instances import PersonInstance, check_box, check_score
+from .instances import PersonInstance, check_box, check_score, stacked_instances
 from .skeletons import JointSet, get_joint_set
 
 HEAD_SIZE_FACTOR = 0.6
@@ -80,9 +87,30 @@ def read_document(path, what: str, parse):
         raise PoseError(exc.message, path=path, frame=exc.frame) from None
 
 
+@functools.cache
+def _encoder(depth: int):
+    """The C encoder's encode, writing a list's items one per line at depth."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
+
+
+def _text(doc, depth: int) -> str:
+    """doc as ``json.dumps(doc, indent=2)`` writes it at depth."""
+    if not (doc and isinstance(doc, (dict, list, tuple))):
+        return _encoder(0)(doc)
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    if isinstance(doc, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_text(v, depth + 1)}" for k, v in doc.items()]
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    if any(isinstance(v, (dict, list, tuple)) for v in doc):
+        return "[" + inner + ("," + inner).join(_text(v, depth + 1) for v in doc) + outer + "]"
+    return "[" + inner + _encoder(depth + 1)(doc)[1:-1] + outer + "]"
+
+
 def document_text(doc) -> str:
-    """The canonical text of a JSON value: two-space indentation, then a newline."""
-    return json.dumps(doc, indent=2) + "\n"
+    """The canonical text of a JSON value, ``json.dumps(doc, indent=2)`` and a
+    newline: containers are joined here, and each list of scalars is written
+    by one call of the C encoder, which ``json.dumps`` skips given an indent."""
+    return _text(doc, 0) + "\n"
 
 
 def write_document(path, doc) -> None:
@@ -139,25 +167,69 @@ def pose_instance(joint_set: JointSet, box: tuple[float, float, float, float],
                   box_score: float = 1.0, score: float = None, track_id: int = None,
                   person_id: int = None, head_size: float = None,
                   head_box: tuple[float, float, float, float] = None) -> PersonInstance:
-    """The instance a pose-document record describes, on joint_set."""
-    k = joint_set.count
-    if len(keypoints) != 3 * k:
-        raise PoseError(f"keypoints length {len(keypoints)} != 3*{k}")
-    kps = np.array(keypoints, dtype=np.float64).reshape(k, 3)
-    if annotated is None:
-        annotated = kps[:, 2] > 0
-    if head_size is None and head_box is not None:
-        head_size = HEAD_SIZE_FACTOR * math.hypot(head_box[2], head_box[3])
-    return PersonInstance(box=box, box_score=box_score, coords=kps[:, :2], scores=kps[:, 2],
-                          annotated=annotated, joint_set=joint_set.name, score=score,
-                          track_id=track_id, person_id=person_id, head_size=head_size)
+    """The instance a pose-document record describes, on joint_set: the
+    ``_pose_instances`` of the one record its keywords make."""
+    return _pose_instances(joint_set, [locals()])[0]
+
+
+def _head_size(head_size=None, head_box=None):
+    """head_size, or else 0.6 x the diagonal of head_box; a head_box must pass
+    check_box."""
+    if head_box is not None:
+        check_box(head_box, "head_box")
+        if head_size is None:
+            return HEAD_SIZE_FACTOR * math.hypot(head_box[2], head_box[3])
+    return head_size
+
+
+def _pose_instances(js: JointSet, records: list) -> list:
+    """The instances of pose-document records (pose_instance keywords) on js,
+    each instance rule run once over the stack of all of them. A failing
+    record raises its first error when it is the only one, and else some
+    record's error."""
+    if not records:
+        return []
+    k = js.count
+
+    def column(key, default=None):
+        return [r.get(key, default) for r in records]
+
+    for v in column("keypoints"):
+        if len(v) != 3 * k:
+            raise PoseError(f"keypoints length {len(v)} != 3*{k}")
+    kps = np.array(column("keypoints"), dtype=np.float64).reshape(-1, k, 3)
+    annotated = [d if a is None else a for a, d in zip(column("annotated"), kps[:, :, 2] > 0)]
+    if len(set(map(len, annotated))) > 1:
+        raise PoseError("annotated lists of different lengths do not stack")
+    box_score = column("box_score", 1.0)
+    return stacked_instances({
+        "box": np.array(column("box"), dtype=np.float64).reshape(-1, 4), "box_score": box_score,
+        "coords": kps[:, :, :2], "scores": kps[:, :, 2], "joint_set": js.name, "k": k,
+        "annotated": np.array(annotated, dtype=bool),
+        "score": [float(b) if v is None else v for v, b in zip(column("score"), box_score)],
+        "track_id": column("track_id"), "person_id": column("person_id"),
+        "head_size": list(map(_head_size, column("head_size"), column("head_box")))})
 
 
 def parse_pose_document(doc: dict) -> PoseSequence:
+    """The sequence a pose document describes. Every record is checked
+    (``errors.checked``), then the instance rules run once over the stack of
+    all instances; only a document that fails is read again, record by
+    record (``read_frames``), to raise its first error in file order."""
     frames = document(**checked(document, doc, "pose document", required=("joint_set",)))
     js = get_joint_set(doc["joint_set"])
-    return PoseSequence(js.name, read_frames(frames, instance_frame, pose_instance,
-                                             joint_set=js))
+    counts, records = [], []
+    try:
+        for frame in frames:
+            fidx, entries = instance_frame(**checked(instance_frame, frame, "frame"))
+            counts.append((fidx, len(entries)))
+            records += [checked(pose_instance, e, "pose instance", ("joint_set",))
+                        for e in entries]
+        instances = iter(_pose_instances(js, records))
+        read = [(fidx, list(itertools.islice(instances, n))) for fidx, n in counts]
+    except PoseError:
+        read = read_frames(frames, instance_frame, pose_instance, joint_set=js)
+    return PoseSequence(js.name, read)
 
 
 def load_pose_file(path) -> PoseSequence:

@@ -11,10 +11,16 @@ Optical flow is out of scope: a propagator, called as
 or ``velocity`` (``constant_velocity``), and the matcher by its key in
 ``MATCHERS``. Each frame with detections propagates every live track exactly
 once and scores all track x detection pairs with one stacked ``oks`` call.
+
+``TrackerState.step`` is the only writer of histories: it checks frame order
+and only appends, so a history's keys increase in insertion order. Its last
+frames are read from the end (``reversed(history)``), and a step costs the
+same however long the sequence has run.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +34,7 @@ from .suppression import OksConstants, oks
 
 def identity(history: dict, gap: int) -> PersonInstance:
     """Predict no motion: the track's last instance as-is."""
-    return history[max(history)]
+    return history[next(reversed(history))]
 
 
 def constant_velocity(history: dict, gap: int) -> PersonInstance:
@@ -39,8 +45,7 @@ def constant_velocity(history: dict, gap: int) -> PersonInstance:
     """
     if gap == 0 or len(history) < 2:
         return identity(history, gap)
-    frames = sorted(history)
-    t1, t0 = frames[-1], frames[-2]
+    t1, t0 = itertools.islice(reversed(history), 2)
     cur, prev = history[t1], history[t0]
     dt = t1 - t0
     vel_kp = (cur.coords - prev.coords) / dt
@@ -67,7 +72,7 @@ def similarity(tracks, candidates, frame: int, prop, consts: OksConstants):
     """
     if not all(tracks):
         raise PoseError("track history must be non-empty")
-    gaps = [frame - max(history) for history in tracks]
+    gaps = [frame - next(reversed(history)) for history in tracks]
     if any(gap < 1 for gap in gaps):
         raise PoseError("similarity requires frame > a track's last frame")
     if not (tracks and candidates):
@@ -112,7 +117,8 @@ class TrackerState:
             check_frame_order((self.last_frame, frame))
         self.last_frame = frame
 
-        live = [tid for tid, h in enumerate(self.tracks) if frame - max(h) <= self.lookback]
+        live = [tid for tid, h in enumerate(self.tracks)
+                if frame - next(reversed(h)) <= self.lookback]
         sims = similarity([self.tracks[tid] for tid in live], detections, frame,
                           PROPAGATORS[self.propagator], self.consts)
 

@@ -23,15 +23,24 @@ held-out error are the library's earlier versions, kept as they were, to
 check that the trainer's shortcuts give the same bits. ``reference_unmirror``
 is the loop the synthetic scenes once used to build a flipped-input
 prediction, kept as it was, to check that it is ``heatmaps.unmirror``.
+``reference_load_pose_file`` is the library's earlier pose reader, which
+builds each record on its own into a ``PersonInstance`` (through
+``poseio.read_frames``), kept as it was but for the head_box check, to
+check that the stacked reader gives the same instances bit for bit, or the
+same error.
 """
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
+from posepipe.errors import PoseError, checked
 from posepipe.heatmaps import Heatmap, peaks
-from posepipe.skeletons import get_joint_set, mapping
+from posepipe.instances import PersonInstance, check_box
+from posepipe.poseio import PoseSequence, document, instance_frame, read_document, read_frames
+from posepipe.skeletons import JointSet, get_joint_set, mapping
 from posepipe.synthetic import project_to_merged
 from posepipe.toynet import _select_joints, forward
 
@@ -544,7 +553,7 @@ def reference_fuse_vote(b, target_set, smooth_sigma=1.0, use_quarter_offset=True
     into the target rows one index pair at a time, in sorted branch order,
     then average and decode."""
     from posepipe.heatmaps import Heatmap, decode
-    from posepipe.skeletons import get_joint_set, mapping
+    from posepipe.skeletons import JointSet, get_joint_set, mapping
     (height, width), crop, strides = b.geometry
     target_js = get_joint_set(target_set)
     k = target_js.count
@@ -658,3 +667,33 @@ def reference_heldout_error(net, samples, reference: str = "annotation") -> floa
             d = np.linalg.norm(decoded[s.mask] - target[s.mask], axis=1)
             errs.append(d.mean())
     return float(np.mean(errs))
+
+
+def reference_load_pose_file(path) -> PoseSequence:
+    """The pose file at path, each record read, built and checked on its own."""
+    def pose_instance(joint_set: JointSet, box: tuple[float, float, float, float],
+                      keypoints: tuple[float, ...], annotated: tuple[int, ...] = None,
+                      box_score: float = 1.0, score: float = None, track_id: int = None,
+                      person_id: int = None, head_size: float = None,
+                      head_box: tuple[float, float, float, float] = None) -> PersonInstance:
+        k = joint_set.count
+        if len(keypoints) != 3 * k:
+            raise PoseError(f"keypoints length {len(keypoints)} != 3*{k}")
+        if head_box is not None:
+            check_box(head_box, "head_box")
+        kps = np.array(keypoints, dtype=np.float64).reshape(k, 3)
+        if annotated is None:
+            annotated = kps[:, 2] > 0
+        if head_size is None and head_box is not None:
+            head_size = 0.6 * math.hypot(head_box[2], head_box[3])
+        return PersonInstance(box=box, box_score=box_score, coords=kps[:, :2],
+                              scores=kps[:, 2], annotated=annotated, joint_set=joint_set.name,
+                              score=score, track_id=track_id, person_id=person_id,
+                              head_size=head_size)
+
+    def parse(doc):
+        frames = document(**checked(document, doc, "pose document", required=("joint_set",)))
+        js = get_joint_set(doc["joint_set"])
+        return PoseSequence(js.name, read_frames(frames, instance_frame, pose_instance,
+                                                 joint_set=js))
+    return read_document(path, "pose document", parse)

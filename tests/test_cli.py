@@ -720,6 +720,25 @@ def test_eval_rejects_non_finite_head_size(scene_dir, scene_pred, tmp_path, caps
 
 
 @pytest.mark.parametrize("command", ["eval-map", "eval-mota"])
+def test_eval_rejects_a_ground_truth_head_box_of_negative_size(scene_dir, scene_pred, tmp_path,
+                                                              capsys, command):
+    gt = json.loads((scene_dir / "gt.json").read_text())
+    record = gt["frames"][1]["instances"][0]
+    del record["head_size"]
+    record["head_box"] = [0, 0, -10, -10]
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps(gt))
+    report = tmp_path / "report.json"
+    assert main([command, "--pred", str(scene_pred), "--gt", str(path),
+                 "--json", str(report)]) == 2
+    doc = _error_doc(capsys)
+    assert doc["kind"] == "contract"
+    assert "pose instance 0: head_box must be finite with positive width and height" in doc["error"]
+    assert "frame=1" in doc["error"] and str(path) in doc["error"]
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["eval-map", "eval-mota"])
 @pytest.mark.parametrize("key, value", [("head_size", "12"), ("person_id", True),
                                         ("person_id", 1.5)])
 def test_eval_rejects_mistyped_ground_truth(scene_dir, scene_pred, tmp_path, capsys,

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from posepipe import PoseError, builtin_joint_set
 from posepipe.instances import PersonInstance
@@ -155,3 +156,26 @@ def test_box_file_validation(tmp_path):
         {"frame_index": 0, "boxes": [{"box": [0, 0, -1, 5], "score": 1.0}]}]}))
     with pytest.raises(PoseError):
         load_box_file(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(), inner, max_size=4), max_leaves=12)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_JSON)
+@example({})
+@example([])
+@example({"a": {}, "b": [], "c": [[]], "d": [{}], "e": {"f": []}})
+@example([[], {}, [[[]]]])
+@example({"ключ": 1, "\u00e9\t\"": [True, False, None], "🙂": "é"})
+@example([0, -1, 10**30, True, False, None, -0.0, 0.0, 1e16, 1e-7, float("nan"),
+          float("inf"), float("-inf"), 2.5])
+@example({"x": -0.0, "y": 1e16, "z": float("nan"), "n": None, "t": True, "i": 7})
+@example([1, [2, [3, [4, {"k": [5, "s"]}]]], "end"])
+@example("plain")
+@example(1e16)
+def test_document_text_is_json_dumps_with_indent_two(value):
+    assert document_text(value) == json.dumps(value, indent=2) + "\n"

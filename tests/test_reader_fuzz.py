@@ -10,6 +10,7 @@ import json
 import os
 import tempfile
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from posepipe import PoseError, builtin_joint_set
@@ -17,9 +18,10 @@ from posepipe.cli import main
 from posepipe.errors import parameters
 from posepipe.heatmaps import render_target, save_heatmap
 from posepipe.pipeline import manifest_instance
-from posepipe.poseio import box_entry, pose_instance
+from posepipe.poseio import box_entry, load_pose_file, pose_instance
 from posepipe.toynet import NetConfig, init_network, load_network, save_network
 
+from oracles import reference_load_pose_file
 from test_config_fuzz import _ANY, _INTS, _NAMES, _record, _typed
 
 _K = builtin_joint_set("coco").count
@@ -106,6 +108,63 @@ def _json(doc) -> bytes:
     {"box": [0, 0, 1e308, 1e308], "keypoints": [1e308, -1e308, 1] * _K}]}]})
 def test_nms_answers_any_pose_document(doc):
     _main_answers(["nms", "{path}", "--out", "{out}"], _json(doc))
+
+
+def _read(load, path):
+    """load(path), or the PoseError it raises."""
+    try:
+        return load(path)
+    except PoseError as exc:
+        return exc
+
+
+def _same_field(a, b) -> bool:
+    """a and b are the same type and, for arrays, the same dtype, shape and bytes."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    return a == b or a != a and b != b   # NaN is its own value here
+
+
+_VALID = {"box": [0, 0, 5, 5], "keypoints": [1.0, 2.0, 0.5] * _K}
+
+
+@_FUZZ
+@given(_POSE_DOCS)
+@example({"joint_set": "coco", "frames": [{"frame_index": 0, "instances": [
+    dict(_VALID, box_score=1.5), _VALID, dict(_VALID, track_id="3")]}]})
+@example({"joint_set": "coco", "frames": [
+    {"frame_index": 0, "instances": [_VALID, dict(_VALID, box_score=1)]},
+    {"frame_index": 4, "instances": [_VALID, dict(_VALID, keypoints=[0.0, 0.0, 2.0] * _K)]}]})
+@example({"joint_set": "coco", "frames": [
+    {"frame_index": 0, "instances": [dict(_VALID, annotated=[1] * (_K - 1))]},
+    {"frame_index": 1, "instances": [dict(_VALID, head_box=[0, 0, 1, -1]), {"box": 1}]}]})
+@example({"joint_set": "coco", "frames": [
+    {"frame_index": 0, "instances": [dict(_VALID, head_box=[0, 0, 3, 4], score=0, track_id=2)]},
+    {"frame_index": 3, "instances": [dict(_VALID, box_score=1, person_id=7, head_size=2,
+                                          annotated=[0, 2] * (_K // 2) + [10**30])]}]})
+@example({"joint_set": "coco", "frames": [
+    {"frame_index": 0, "instances": [_VALID]}, {"frame_index": 0, "instances": [_VALID]}]})
+def test_stacked_pose_reader_matches_the_record_by_record_reader(doc):
+    """The same instances, field by field in type, dtype, shape and bytes,
+    or the same PoseError (message, file and frame)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "poses.json")
+        with open(path, "wb") as f:
+            f.write(_json(doc))
+        got, want = _read(load_pose_file, path), _read(reference_load_pose_file, path)
+    assert type(got) is type(want)
+    if isinstance(want, PoseError):
+        assert (got.message, got.path, got.frame) == (want.message, want.path, want.frame)
+        return
+    assert got.joint_set == want.joint_set
+    assert [f for f, _ in got.frames] == [f for f, _ in want.frames]
+    for (_, a), (_, b) in zip(got.frames, want.frames):
+        assert len(a) == len(b)
+        for p, q in zip(a, b):
+            assert list(vars(p)) == list(vars(q))
+            assert all(_same_field(vars(p)[k], v) for k, v in vars(q).items()), (vars(p), vars(q))
 
 
 @_FUZZ

@@ -104,6 +104,71 @@ def test_box_whose_area_underflows_is_rejected():
         make_instance(np.zeros((JS.count, 2)), box=(0, 0, 1e-200, 1e-200))
 
 
+_K = JS.count
+_NAN_JOINT = np.where(np.arange(_K)[:, None] == 3, np.nan, 1.0) * np.ones((_K, 2))
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(coords=np.zeros((_K, 3))),
+     f"coords shape ({_K}, 3) does not match joint set 'posetrack' (expected ({_K}, 2))"),
+    (dict(scores=np.ones(_K - 1)), "scores/annotated length does not match joint set"),
+    (dict(annotated=np.ones(_K + 1, bool)), "scores/annotated length does not match joint set"),
+    (dict(box=(0, 0, -1, 5)), "box must be finite with positive width and height, "
+                              "got [0.0, 0.0, -1.0, 5.0]"),
+    (dict(box=(0, 0, 1e200, 1e200)), "box must be finite with positive width and height, "
+                                     "got [0.0, 0.0, 1e+200, 1e+200]"),
+    (dict(scores=np.full(_K, 1.5)), "keypoint scores must lie in [0, 1]"),
+    (dict(box_score=2), "score must lie in [0, 1], got 2"),
+    (dict(box_score=float("nan")), "score must lie in [0, 1], got nan"),
+    (dict(coords=_NAN_JOINT), "annotated joints must have finite coordinates"),
+    (dict(box=(0, 0, 1e-200, 1e-200)), "instance area must be positive"),
+    (dict(score=-0.5), "score must lie in [0, 1], got -0.5"),
+    # the first rule broken is the one raised
+    (dict(box=(0, 0, -1, 5), score=2.0, coords=_NAN_JOINT), "box must be finite"),
+    (dict(scores=np.full(_K, -1.0), box_score=3), "keypoint scores must lie in [0, 1]"),
+])
+def test_each_instance_rule_raises_its_message(fields, message):
+    with pytest.raises(PoseError) as err:
+        make_instance(**{"coords": np.zeros((_K, 2)), **fields})
+    assert err.value.message.startswith(message)
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(score=1.5), "score must lie in [0, 1], got 1.5"),
+    (dict(score=float("nan")), "score must lie in [0, 1], got nan"),
+    (dict(box=np.array([0.0, 0.0, -1.0, 5.0])), "box must be finite with positive"),
+    (dict(box=np.array([0.0, 0.0, 1e-200, 1e-200])), "instance area must be positive"),
+    (dict(coords=_NAN_JOINT), "annotated joints must have finite coordinates"),
+    (dict(box=np.array([1.0, 1.0, 4.0, 4.0]), coords=np.zeros((_K - 1, 2))), "coords shape"),
+    (dict(annotated=np.ones(_K - 1, bool)), "scores/annotated length does not match"),
+])
+def test_replace_runs_the_rules_of_the_fields_it_changes(changes, message):
+    p = make_instance(np.zeros((_K, 2)))
+    with pytest.raises(PoseError) as err:
+        p.replace(**changes)
+    assert err.value.message.startswith(message)
+
+
+def test_replace_checks_an_annotated_mask_against_the_coordinates():
+    # the NaN joint is allowed while it is not annotated, and not once it is
+    hidden = make_instance(_NAN_JOINT, annotated=np.arange(_K) != 3)
+    assert hidden.replace(track_id=5, score=0.5).track_id == 5
+    with pytest.raises(PoseError, match="annotated joints must have finite coordinates"):
+        hidden.replace(annotated=np.ones(_K, bool))
+
+
+def test_replace_copies_arrays_and_converts_the_replaced_ones():
+    p = make_instance(np.zeros((_K, 2)))
+    q = p.replace(box=[1, 2, 3, 4], annotated=[1] * _K, track_id=3)
+    assert q.box.dtype == np.float64 and q.box.tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert q.annotated.dtype == bool and q.annotated.all() and q.area == 12.0
+    for name in ("box", "coords", "scores", "annotated"):
+        assert not np.shares_memory(getattr(p, name), getattr(q, name))
+    assert (p.track_id, q.track_id, q.score) == (None, 3, p.score)
+    with pytest.raises(TypeError, match="scroe"):
+        p.replace(scroe=0.5)
+
+
 def test_oks_set_mismatch():
     a = make_instance(np.zeros((JS.count, 2)))
     coco = builtin_joint_set("coco")
