@@ -3,16 +3,16 @@
 Defaults bake in the standard operating point: 1-cell smoothing before
 decode, quarter offsets on, box re-scoring on, box/keypoint thresholds
 0.4/0.3, OKS-NMS at 0.4, Hungarian matching with the constant-velocity
-propagator, an 8-frame lookback and 2-frame track pruning. Any single stage
-can be ablated: re-scoring, OKS-NMS, tracking, velocity propagation and
-quarter offsets each have a boolean switch, and smoothing, the box and
+propagator, an 8-frame lookback and 2-frame track pruning. ``pipeline.steps``
+gives the stage order. Re-scoring, OKS-NMS, tracking, velocity propagation
+and quarter offsets each have a boolean switch, and smoothing, the box and
 keypoint thresholds and track pruning are off at ``smooth_sigma`` 0,
 ``box_threshold`` 0, ``keypoint_threshold`` 0 and ``min_track_length`` 1.
 
 ``from_dict`` checks keys and value types (``errors.checked``). A config
 checks the rest when it is made, through the check of the code that uses
 each value: ``parse_fusion_spec``, ``check_smooth_sigma``, the
-``OksConstants`` and ``TrackerState`` that ``run_pipeline`` builds, and
+``OksConstants`` and ``TrackerState`` that ``steps`` and ``tracker`` build, and
 ``oks_nms`` and ``finalize`` called on no input. Only the box and keypoint
 thresholds are checked here, in [0, 1] (``apply_thresholds`` takes any >= 0).
 These are the only tracking defaults: ``tracker`` alone maps the tracking

@@ -50,15 +50,17 @@ class Heatmap:
             )
         if not np.all(np.isfinite(self.values)):
             raise PoseError("heatmap values must be finite")
+        self.strides = (float(self.strides[0]), float(self.strides[1]))
+        if not all(0 < s < math.inf for s in self.strides):
+            raise PoseError(f"heatmap strides must be finite and positive, got {self.strides}")
         x, y, cw, ch = self.crop
         if cw is None:
             cw = float(w) * self.strides[0]
         if ch is None:
             ch = float(h) * self.strides[1]
         self.crop = (float(x), float(y), float(cw), float(ch))
-        self.strides = (float(self.strides[0]), float(self.strides[1]))
-        if self.strides[0] <= 0 or self.strides[1] <= 0:
-            raise PoseError("heatmap strides must be positive")
+        if not all(map(math.isfinite, self.crop)):
+            raise PoseError(f"heatmap crop must be finite, got {self.crop}")
 
     def grid_to_image(self, gxy: np.ndarray) -> np.ndarray:
         """Map (..., 2) grid xy to image pixels, cell-center convention."""
@@ -274,4 +276,7 @@ def load_heatmap(path) -> Heatmap:
             path=path,
         )
     values = np.frombuffer(blob, dtype="<f4", count=k * height * width, offset=off)
-    return Heatmap(values.reshape(k, height, width).copy(), name, (cx, cy, cw, ch), (sx, sy))
+    try:
+        return Heatmap(values.reshape(k, height, width).copy(), name, (cx, cy, cw, ch), (sx, sy))
+    except PoseError as exc:
+        raise PoseError(exc.message, path=path) from None

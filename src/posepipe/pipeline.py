@@ -1,9 +1,7 @@
 """End-to-end pose pipeline over heatmap files.
 
-Stage order is fixed: decode/fuse -> re-score -> thresholds -> OKS-NMS ->
-tracking. Each stage can be ablated through PipelineConfig, by its switch or
-by the off value of its number; a disabled stage is skipped, nothing is
-reordered. Given identical config, inputs and seeds the output file is
+``steps`` states the stage order and what PipelineConfig's switches leave
+out. Given identical config, inputs and seeds the output file is
 byte-identical.
 
 The input manifest is JSON:
@@ -137,37 +135,39 @@ def to_instance(decoded: DecodedPose, box, box_score: float) -> PersonInstance:
     )
 
 
-def run_pipeline(config: PipelineConfig, manifest_frames) -> PoseSequence:
-    """Run the fixed stage order over manifest frames (see load_manifest)."""
-    enabled = [
-        "decode+fuse",
-        "rescore" if config.use_box_rescore else None,
-        "thresholds",
-        "oks-nms" if config.use_oks_nms else None,
-        "track" if config.use_tracking else None,
-    ]
-    log.info("pipeline stages: %s", " -> ".join(s for s in enabled if s))
-
+def steps(config: PipelineConfig) -> list:
+    """(name, step) for each per-frame stage config enables, in the fixed
+    order decode+fuse -> rescore -> thresholds -> oks-nms; tracking follows
+    over the whole sequence (``track_sequence``). A step maps one frame's
+    list to the next: manifest entries (see load_manifest) to instances, then
+    instances to instances. A switch leaves its stage out; a number at its
+    off value leaves the stage in, doing nothing. Nothing is reordered."""
     consts = config.oks_constants()
+    chain = [
+        ("decode+fuse", True, lambda entries: [to_instance(
+            fuse(e["heatmaps"], e.get("flipped_heatmaps", {}), config.fusion,
+                 config.target_joint_set, config.smooth_sigma, config.use_quarter_offset),
+            e["box"], e["box_score"]) for e in entries]),
+        ("rescore", config.use_box_rescore, lambda instances: [rescore(p) for p in instances]),
+        ("thresholds", True, lambda instances: apply_thresholds(
+            instances, config.box_threshold, config.keypoint_threshold)),
+        ("oks-nms", config.use_oks_nms, lambda instances: [
+            instances[i] for i in oks_nms(instances, config.oks_nms_threshold, consts)]),
+    ]
+    return [(name, step) for name, on, step in chain if on]
 
+
+def run_pipeline(config: PipelineConfig, manifest_frames) -> PoseSequence:
+    """Walk the steps of config over each of manifest frames (see
+    load_manifest), then track the sequence if config tracks."""
+    chain = steps(config)
+    log.info("pipeline stages: %s", " -> ".join(
+        [name for name, _ in chain] + ["track"] * config.use_tracking))
     frames = []
-    for fidx, entries in manifest_frames:
-        instances = []
-        for entry in entries:
-            decoded = fuse(entry["heatmaps"], entry.get("flipped_heatmaps", {}),
-                           config.fusion, config.target_joint_set,
-                           config.smooth_sigma, config.use_quarter_offset)
-            instances.append(to_instance(decoded, entry["box"], entry["box_score"]))
-        if config.use_box_rescore:
-            instances = [rescore(p) for p in instances]
-        instances = apply_thresholds(instances, config.box_threshold,
-                                     config.keypoint_threshold)
-        if config.use_oks_nms:
-            keep = oks_nms(instances, config.oks_nms_threshold, consts)
-            instances = [instances[i] for i in keep]
-        frames.append((fidx, instances))
-
+    for fidx, frame in manifest_frames:
+        for _, step in chain:
+            frame = step(frame)
+        frames.append((fidx, frame))
     if config.use_tracking:
         frames = track_sequence(frames, config.tracker(), config.min_track_length)
-
     return PoseSequence(config.target_joint_set, frames)

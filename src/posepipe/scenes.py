@@ -25,7 +25,7 @@ import numpy as np
 from .errors import PoseError
 from .heatmaps import Heatmap, render_target, save_heatmap, unmirror
 from .instances import PersonInstance
-from .poseio import PoseSequence, save_pose_file, write_document
+from .poseio import HEAD_SIZE_FACTOR, PoseSequence, save_pose_file, write_document
 from .skeletons import builtin_joint_set, get_joint_set, mapping
 from .synthetic import figure_points
 
@@ -43,7 +43,7 @@ def _head_size(points_by_name) -> float:
     top = points_by_name["head_top"]
     neck = points_by_name["upper_neck"]
     h = float(np.linalg.norm(top - neck))
-    return 0.6 * float(np.hypot(h, 0.75 * h))
+    return HEAD_SIZE_FACTOR * float(np.hypot(h, 0.75 * h))
 
 
 def _person_track(rng, num_frames):

@@ -85,7 +85,8 @@ class TrackerState:
     """Single-writer association state for one sequence.
 
     ``matcher`` and ``propagator`` are keys of ``MATCHERS`` and
-    ``PROPAGATORS``; ``tracks`` holds every track's history, indexed by id.
+    ``PROPAGATORS``; ``tracks`` holds every track's history, indexed by id,
+    and ``live`` the ids, in order, that ``step`` has not yet retired.
     """
 
     consts: OksConstants
@@ -94,6 +95,7 @@ class TrackerState:
     matcher: str
     propagator: str
     tracks: list = field(default_factory=list)
+    live: list = field(default_factory=list, init=False)
     last_frame: int = None
 
     def __post_init__(self):
@@ -117,9 +119,9 @@ class TrackerState:
             check_frame_order((self.last_frame, frame))
         self.last_frame = frame
 
-        live = [tid for tid, h in enumerate(self.tracks)
-                if frame - next(reversed(h)) <= self.lookback]
-        sims = similarity([self.tracks[tid] for tid in live], detections, frame,
+        self.live = [tid for tid in self.live
+                     if frame - next(reversed(self.tracks[tid])) <= self.lookback]
+        sims = similarity([self.tracks[tid] for tid in self.live], detections, frame,
                           PROPAGATORS[self.propagator], self.consts)
 
         matched_dets = {}
@@ -127,12 +129,13 @@ class TrackerState:
             assign = MATCHERS[self.matcher](1.0 - sims)
             for i, j in assign.items():
                 if sims[i, j] >= self.sim_threshold:
-                    matched_dets[j] = live[i]
+                    matched_dets[j] = self.live[i]
 
         ids = []
         for j, det in enumerate(detections):
             tid = matched_dets.get(j, self.next_id)
             if tid == self.next_id:
+                self.live.append(tid)
                 self.tracks.append({})
             self.tracks[tid][frame] = det.replace(track_id=tid)
             ids.append(tid)

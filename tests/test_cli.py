@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -618,7 +620,14 @@ def _break_branch_file(case, path, flip_path):
                                f"(file={path})")
     if case == "non-finite":
         path.write_bytes(path.read_bytes()[:-4] + np.float32(np.nan).tobytes())
-        return 2, "contract", "heatmap values must be finite"
+        return 2, "contract", f"heatmap values must be finite (file={path})"
+    if case == "non-finite-stride":
+        # the .pkhm header holds magic, 4 counts and the crop before stride x
+        at = struct.calcsize("<4sIIII4d")
+        blob = path.read_bytes()
+        path.write_bytes(blob[:at] + struct.pack("<d", math.nan) + blob[at + 8:])
+        return 2, "contract", (f"heatmap strides must be finite and positive, "
+                               f"got (nan, {h.strides[1]}) (file={path})")
     if case == "flipped-shape":
         small = h.values[:, :-1, :-1]
         save_heatmap(Heatmap(small, h.joint_set, h.crop, h.strides), flip_path)
@@ -631,7 +640,7 @@ def _break_branch_file(case, path, flip_path):
 
 
 @pytest.mark.parametrize("case", ["missing", "mis-tagged", "truncated", "non-finite",
-                                  "flipped-shape", "flipped-tag"])
+                                  "non-finite-stride", "flipped-shape", "flipped-tag"])
 def test_run_checks_every_branch_file_the_strategy_does_not_read(
         tiny_scene_dir, tmp_path, capsys, case):
     # head-swap:coco,mpii decodes no posetrack channel, yet a broken

@@ -285,3 +285,28 @@ def test_heatmap_truncated_payload(tmp_path):
     (tmp_path / "bad2.pkhm").write_bytes(b"NOPE" + blob[4:])
     with pytest.raises(PoseError):
         load_heatmap(tmp_path / "bad2.pkhm")
+
+
+@pytest.mark.parametrize("geometry", [
+    dict(crop=(math.nan, 0.0, 8.0, 8.0)),
+    dict(crop=(0.0, 0.0, 8.0, math.nan)),
+    dict(crop=(0.0, math.inf, 8.0, 8.0)),
+    dict(strides=(math.nan, 1.0)),
+    dict(strides=(1.0, math.inf)),
+    dict(strides=(0.0, 1.0)),
+])
+def test_heatmap_rejects_non_finite_geometry(geometry):
+    _single_joint_set()
+    with pytest.raises(PoseError, match="heatmap (crop|strides) must be finite"):
+        Heatmap(np.zeros((1, 8, 8), dtype=np.float32), "single", **geometry)
+
+
+def test_load_heatmap_names_the_file_of_a_bad_heatmap(tmp_path):
+    _single_joint_set()
+    path = tmp_path / "x.pkhm"
+    save_heatmap(Heatmap(np.zeros((1, 8, 8), dtype=np.float32), "single"), path)
+    path.write_bytes(path.read_bytes().replace(b"single", b"nosuch"))
+    with pytest.raises(PoseError) as err:
+        load_heatmap(path)
+    assert str(err.value) == f"unknown joint set 'nosuch' (file={path})"
+    assert err.value.path == path

@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import logging
 
 import pytest
 
 from posepipe import PoseError
 from posepipe.config import PipelineConfig
 from posepipe.evaluation import compute_mota
-from posepipe.pipeline import load_manifest, run_pipeline
+from posepipe.pipeline import load_manifest, run_pipeline, steps
 from posepipe.poseio import document_text, load_pose_file, pose_document, write_document
 from posepipe.scenes import generate_scene
 
@@ -190,3 +191,40 @@ def test_config_validation():
                            oks_nms_threshold=1, smooth_sigma=0, lookback=1,
                            min_track_length=1, oks_falloff_overrides={"nose": 0.5})
     assert edges.oks_nms_threshold == 1 and edges.smooth_sigma == 0
+
+
+STAGES = ["decode+fuse", "rescore", "thresholds", "oks-nms"]
+
+
+def step_names(config):
+    return [name for name, _ in steps(config)]
+
+
+def test_steps_walk_the_fixed_stage_order():
+    assert step_names(PipelineConfig()) == STAGES
+    # a number at its off value and tracking off leave every per-frame step in
+    assert step_names(PipelineConfig(box_threshold=0, keypoint_threshold=0,
+                                     use_tracking=False)) == STAGES
+
+
+@pytest.mark.parametrize("switch, stage", [("use_box_rescore", "rescore"),
+                                           ("use_oks_nms", "oks-nms")])
+def test_a_stage_switch_removes_exactly_its_step(switch, stage):
+    assert step_names(PipelineConfig(**{switch: False})) == [s for s in STAGES if s != stage]
+
+
+@pytest.mark.parametrize("use_tracking", [True, False])
+@pytest.mark.parametrize("switches", [{}, {"use_box_rescore": False}, {"use_oks_nms": False}])
+def test_logged_stages_are_the_step_names(scene, caplog, switches, use_tracking):
+    cfg = PipelineConfig(use_tracking=use_tracking, **switches)
+    with caplog.at_level(logging.INFO, logger="posepipe.pipeline"):
+        run_pipeline(cfg, scene["frames"][:1])
+    names = step_names(cfg) + ["track"] * use_tracking
+    assert caplog.messages == ["pipeline stages: " + " -> ".join(names)]
+
+
+def test_default_run_logs_every_stage(scene, caplog):
+    with caplog.at_level(logging.INFO, logger="posepipe.pipeline"):
+        run_pipeline(PipelineConfig(), scene["frames"][:1])
+    assert caplog.messages == [
+        "pipeline stages: decode+fuse -> rescore -> thresholds -> oks-nms -> track"]

@@ -1,3 +1,4 @@
+import collections.abc
 import dataclasses
 
 import numpy as np
@@ -180,6 +181,28 @@ def test_tracks_retire_after_lookback():
     state.step(3, [])   # gap 3 > lookback 2: track retires
     ids = state.step(4, [pose_at(0, 0)])
     assert ids == [1]
+
+
+class _Unreadable(collections.abc.Mapping):
+    """A history that fails the test on any read."""
+
+    def _read(self, *args):
+        raise AssertionError("a retired history was read")
+
+    __getitem__ = __iter__ = __len__ = __reversed__ = __contains__ = _read
+
+
+def test_a_retired_history_is_never_read_again():
+    state = tracker(propagator="identity", lookback=2)
+    state.step(0, [pose_at(0, 0)])
+    state.step(1, [pose_at(100, 100)])
+    state.step(3, [pose_at(100, 100)])   # track 0's gap 3 > lookback 2: it retires
+    assert state.live == [1]
+    state.tracks[0] = _Unreadable()
+    for t in range(4, 20):
+        # a person back at track 0's place opens a new track
+        assert state.step(t, [pose_at(100, 100), pose_at(0, 0)]) == [1, 2]
+    assert state.live == [1, 2]
 
 
 def test_track_rematch_within_lookback():
