@@ -6,7 +6,9 @@ missing from a single branch can be synthesized from the nose/shoulder
 geometry with :func:`interpolate_head`.
 
 Head-swap and vote first assemble one heatmap laid out on the target set and
-decode it once, so only target channels are smoothed and peak-picked.
+decode it once, so only target channels are smoothed and peak-picked;
+:func:`rows_read` states which rows of each branch a strategy reads, so that
+only those are flip-merged.
 Decoding treats every channel on its own (smoothing, peak, annotated test,
 grid-to-image) and decodes an all-zero channel to the zeros and False that
 :meth:`JointMapping.take` fills in; so decoding the assembled map gives the
@@ -45,6 +47,23 @@ def parse_fusion_spec(spec: str):
         raise PoseError(f"fusion strategy {kind!r} takes {_SPEC_BRANCHES[kind]} "
                         f"branch name(s), got {spec!r}")
     return kind, names
+
+
+def rows_read(kind: str, names, branch: str, target_set: str) -> np.ndarray:
+    """Rows of ``branch``'s heatmap that the strategy (``kind``, ``names``) of
+    :func:`parse_fusion_spec` reads for ``target_set``, as an index array.
+
+    select reads every row of its branch. head-swap reads the body branch's
+    rows that the target set has, and the head branch's head-joint rows that
+    it has. vote reads each branch's rows that the target set has.
+    """
+    if kind == "select":
+        return np.arange(get_joint_set(branch).count)
+    src = mapping(branch, target_set).src
+    if kind == "vote" or branch == names[0]:
+        return src
+    joints = get_joint_set(branch).joints
+    return src[[canonical_name(joints[i]) in _HEAD_JOINTS for i in src]]
 
 
 @dataclass

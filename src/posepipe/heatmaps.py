@@ -14,6 +14,7 @@ Coordinate conventions (part of the golden-file contract):
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoseError
-from .skeletons import get_joint_set
+from .skeletons import JointSet, get_joint_set
 
 _MAGIC = b"PKHM"
 _VERSION = 1
@@ -123,43 +124,83 @@ def render_target(joints, sigma: float, size, joint_set: str = "merged",
     return hm, mask
 
 
+@functools.lru_cache(maxsize=16)
 def _gaussian_kernel(sigma: float) -> np.ndarray:
     radius = int(math.ceil(3.0 * sigma))
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-(t * t) / (2.0 * sigma * sigma))
-    return k / k.sum()
+    k /= k.sum()
+    k.flags.writeable = False
+    return k
+
+
+@functools.lru_cache(maxsize=64)
+def _reflect_index(n: int, r: int) -> np.ndarray:
+    """Source cell of each cell of an axis of n cells padded by r on both
+    sides, symmetric-reflect (also for r > n, where np.pad reflects again)."""
+    idx = np.pad(np.arange(n), r, mode="symmetric")
+    idx.flags.writeable = False
+    return idx
 
 
 def check_smooth_sigma(sigma_filter: float) -> None:
-    """Raise unless sigma_filter is a finite number >= 0, as :func:`smooth` needs."""
-    if not 0 <= sigma_filter < math.inf:
-        raise PoseError(f"smoothing sigma must be a finite number >= 0, got {sigma_filter!r}")
+    """Raise unless sigma_filter is 0, or finite and positive with a
+    2 sigma^2 that is a normal float: :func:`smooth`'s kernel then divides
+    by no zero and overflows nowhere."""
+    tiny = float(np.finfo(float).tiny)
+    if sigma_filter != 0 and not (0 < sigma_filter < math.inf
+                                  and 2.0 * sigma_filter * sigma_filter >= tiny):
+        raise PoseError(f"smoothing sigma must be 0, or finite and positive with "
+                        f"2 sigma^2 >= {tiny!r}, got {sigma_filter!r}")
 
 
 def smooth(h: Heatmap, sigma_filter: float) -> Heatmap:
     """Per-channel convolution with a normalized truncated Gaussian
     (radius = ceil(3 sigma)), symmetric-reflect padding. sigma_filter = 0 is
     the identity. Channel mass is preserved.
+
+    Each axis is padded by one cached index gather and summed tap by tap,
+    from zero, in float64: the bits of an ``np.pad`` and ``out += k * window``
+    loop (``0.0 + (-0.0)`` is ``0.0``, so the zero start is kept).
     """
     check_smooth_sigma(sigma_filter)
     if sigma_filter == 0:
         return h
     kernel = _gaussian_kernel(sigma_filter)
     r = len(kernel) // 2
-    v = h.values.astype(np.float64)
-    _, height, width = v.shape
+    _, height, width = h.values.shape
+    tmp = np.empty(h.values.shape)
 
-    padded = np.pad(v, ((0, 0), (r, r), (0, 0)), mode="symmetric")
-    out = np.zeros_like(v)
+    padded = h.values[:, _reflect_index(height, r), :].astype(np.float64)
+    out = np.zeros(h.values.shape)
     for t, kt in enumerate(kernel):
-        out += kt * padded[:, t:t + height, :]
+        out += np.multiply(kt, padded[:, t:t + height, :], out=tmp)
 
-    padded = np.pad(out, ((0, 0), (0, 0), (r, r)), mode="symmetric")
-    out = np.zeros_like(v)
+    padded = out[:, :, _reflect_index(width, r)]
+    out = np.zeros(h.values.shape)
     for t, kt in enumerate(kernel):
-        out += kt * padded[:, :, t:t + width]
+        out += np.multiply(kt, padded[:, :, t:t + width], out=tmp)
 
     return Heatmap(out.astype(np.float32), h.joint_set, h.crop, h.strides)
+
+
+@functools.lru_cache(maxsize=64)
+def _unmirror_source(js: JointSet, height: int, width: int) -> np.ndarray:
+    """Flat index into a (K, H, W) array of the cell each un-mirrored cell
+    copies: the flip-pair channel swap composed with the column index
+    [W-1, W-1, W-2, ..., 1] (W reversed, then shifted one cell toward +x)."""
+    channel = np.arange(js.count)
+    for a, b in js.flip_pairs:
+        channel[a], channel[b] = b, a
+    column = np.r_[width - 1, width - 1:0:-1]
+    src = (channel[:, None, None] * height + np.arange(height)[:, None]) * width + column
+    src.flags.writeable = False
+    return src
+
+
+def _unmirrored(h: Heatmap, rows) -> np.ndarray:
+    """Rows (channels) of ``unmirror(h).values``, in one gather."""
+    return h.values.take(_unmirror_source(get_joint_set(h.joint_set), *h.values.shape[1:])[rows])
 
 
 def unmirror(h_flipped: Heatmap) -> Heatmap:
@@ -167,14 +208,8 @@ def unmirror(h_flipped: Heatmap) -> Heatmap:
     cell toward +x (duplicating column 0), swap the joint set's left/right
     paired channels.
     """
-    rev = h_flipped.values[:, :, ::-1]
-    shifted = rev.copy()
-    shifted[:, :, 1:] = rev[:, :, :-1]
-    out = shifted.copy()
-    for a, b in get_joint_set(h_flipped.joint_set).flip_pairs:
-        out[a] = shifted[b]
-        out[b] = shifted[a]
-    return Heatmap(out, h_flipped.joint_set, h_flipped.crop, h_flipped.strides)
+    return Heatmap(_unmirrored(h_flipped, slice(None)), h_flipped.joint_set,
+                   h_flipped.crop, h_flipped.strides)
 
 
 def check_flip_pair(h: Heatmap, h_flipped_input: Heatmap) -> None:
@@ -188,12 +223,17 @@ def check_flip_pair(h: Heatmap, h_flipped_input: Heatmap) -> None:
         raise PoseError("flip_merge joint-set mismatch")
 
 
-def flip_merge(h: Heatmap, h_flipped_input: Heatmap) -> Heatmap:
-    """Average a prediction with the un-mirrored prediction for the flipped input."""
+def flip_merge(h: Heatmap, h_flipped_input: Heatmap, rows) -> Heatmap:
+    """``h`` with its channels ``rows`` averaged with the un-mirrored
+    prediction for the flipped input (in float64, cast once to float32);
+    every other channel is ``h``'s own. Only ``rows`` are un-mirrored."""
     check_flip_pair(h, h_flipped_input)
-    un = unmirror(h_flipped_input)
-    merged = (h.values.astype(np.float64) + un.values.astype(np.float64)) / 2.0
-    return Heatmap(merged.astype(np.float32), h.joint_set, h.crop, h.strides)
+    merged = h.values[rows].astype(np.float64)
+    merged += _unmirrored(h_flipped_input, rows)
+    merged /= 2.0
+    values = h.values.copy()
+    values[rows] = merged
+    return Heatmap(values, h.joint_set, h.crop, h.strides)
 
 
 def peaks(channels: np.ndarray, use_quarter_offset: bool = True):

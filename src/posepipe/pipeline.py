@@ -17,8 +17,7 @@ Each instance is a record that the signature of ``manifest_instance``
 describes (read by ``errors.checked``, like every record in ``poseio``), so
 an unknown key or a value of the wrong type is a PoseError. Heatmap paths are
 resolved relative to the manifest's directory; the "flipped_heatmaps" entry
-is optional and triggers flip-merging for each branch the fusion strategy
-reads.
+is optional and triggers flip-merging of the rows the fusion strategy reads.
 """
 
 from __future__ import annotations
@@ -30,7 +29,14 @@ import numpy as np
 
 from .config import PipelineConfig
 from .errors import PoseError, checked
-from .fusion import BranchOutputs, fuse_head_swap, fuse_select, fuse_vote, parse_fusion_spec
+from .fusion import (
+    BranchOutputs,
+    fuse_head_swap,
+    fuse_select,
+    fuse_vote,
+    parse_fusion_spec,
+    rows_read,
+)
 from .heatmaps import DecodedPose, check_flip_pair, flip_merge, load_heatmap
 from .instances import PersonInstance, check_box, check_score
 from .poseio import (
@@ -84,9 +90,11 @@ def fuse(heatmaps, flipped, spec: str, target_set: str, smooth_sigma: float,
     ``select:<branch>``, ``head-swap:<body>,<head>`` or ``vote``, and is
     checked before any file is read, as is that every flipped file belongs
     to a branch in heatmaps. Only the branches the spec reads (every branch
-    for vote) are flip-merged, but every named file is still loaded and
-    checked: each heatmap's own contents, its branch tag, a flipped file's
-    shape and tag against its branch, and the geometry across branches.
+    for vote) are flip-merged, and of those only the rows it reads
+    (``fusion.rows_read``); every other row keeps the unflipped values, which
+    no strategy reads. Every named file is still loaded and checked: each
+    heatmap's own contents, its branch tag, a flipped file's shape and tag
+    against its branch, and the geometry across branches.
     """
     kind, names = parse_fusion_spec(spec)
     stray = sorted(set(flipped) - set(heatmaps))
@@ -101,7 +109,7 @@ def fuse(heatmaps, flipped, spec: str, target_set: str, smooth_sigma: float,
         if name in flipped:
             h_flipped = load_heatmap(flipped[name])
             if name in used:
-                h = flip_merge(h, h_flipped)
+                h = flip_merge(h, h_flipped, rows_read(kind, names, name, target_set))
             else:
                 check_flip_pair(h, h_flipped)
         branches[name] = h

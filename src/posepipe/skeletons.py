@@ -23,6 +23,7 @@ each other across sets.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -186,6 +187,7 @@ class JointMapping:
         if len(set(froms)) != len(froms):
             raise PoseError("mapping is not injective on from-indices")
         pairs = np.array(self.index_map, dtype=np.intp).reshape(-1, 2)
+        pairs.flags.writeable = False   # mapping() hands one instance to every caller
         object.__setattr__(self, "src", pairs[:, 0])   # from-set rows, as an array
         object.__setattr__(self, "dst", pairs[:, 1])   # their to-set rows
 
@@ -206,13 +208,21 @@ class JointMapping:
 
 
 def mapping(from_name: str, to_name: str) -> JointMapping:
-    """Pair every joint of ``from_name`` with its anatomical twin in ``to_name``."""
-    src = get_joint_set(from_name)
-    dst = get_joint_set(to_name)
+    """Pair every joint of ``from_name`` with its anatomical twin in ``to_name``.
+
+    Built once per pair of sets and shared: the cache is keyed by the
+    registered ``JointSet`` objects, so re-registering a custom name with
+    other joints gives a fresh mapping.
+    """
+    return _mapping(get_joint_set(from_name), get_joint_set(to_name))
+
+
+@functools.lru_cache(maxsize=256)
+def _mapping(src: JointSet, dst: JointSet) -> JointMapping:
     dst_index = {canonical_name(n): i for i, n in enumerate(dst.joints)}
     pairs = []
     for i, name in enumerate(src.joints):
         j = dst_index.get(canonical_name(name))
         if j is not None:
             pairs.append((i, j))
-    return JointMapping(from_name, to_name, tuple(pairs))
+    return JointMapping(src.name, dst.name, tuple(pairs))

@@ -23,6 +23,11 @@ held-out error are the library's earlier versions, kept as they were, to
 check that the trainer's shortcuts give the same bits. ``reference_unmirror``
 is the loop the synthetic scenes once used to build a flipped-input
 prediction, kept as it was, to check that it is ``heatmaps.unmirror``.
+``reference_flip_merge`` (un-mirror and average every channel) and
+``reference_smooth`` (``np.pad`` each axis, then sum the taps) are the
+library's earlier versions, kept as they were, to check that merging only
+the rows a fusion reads and smoothing through a cached index gather give the
+same bits.
 ``reference_load_pose_file`` is the library's earlier pose reader, which
 builds each record on its own into a ``PersonInstance`` (through
 ``poseio.read_frames``), kept as it was but for the head_box check, to
@@ -315,6 +320,49 @@ def reference_unmirror(h):
     shifted = swapped.copy()
     shifted[:, :, :-1] = swapped[:, :, 1:]
     return Heatmap(shifted[:, :, ::-1].copy(), h.joint_set, h.crop, h.strides)
+
+
+def reference_flip_merge(h, h_flipped_input):
+    """Flip-merge as the library first did it: un-mirror every channel of the
+    flipped-input prediction (reverse W, shift one cell toward +x, swap the
+    paired channels), then average the whole branch in float64."""
+    from posepipe.heatmaps import check_flip_pair
+    check_flip_pair(h, h_flipped_input)
+    rev = h_flipped_input.values[:, :, ::-1]
+    shifted = rev.copy()
+    shifted[:, :, 1:] = rev[:, :, :-1]
+    un = shifted.copy()
+    for a, b in get_joint_set(h_flipped_input.joint_set).flip_pairs:
+        un[a] = shifted[b]
+        un[b] = shifted[a]
+    merged = (h.values.astype(np.float64) + un.astype(np.float64)) / 2.0
+    return Heatmap(merged.astype(np.float32), h.joint_set, h.crop, h.strides)
+
+
+def reference_smooth(h, sigma_filter):
+    """Smoothing as the library first did it: ``np.pad`` each axis
+    symmetric-reflect, then sum the kernel's taps over shifted windows."""
+    if sigma_filter == 0:
+        return h
+    radius = int(math.ceil(3.0 * sigma_filter))
+    t = np.arange(-radius, radius + 1, dtype=np.float64)
+    kernel = np.exp(-(t * t) / (2.0 * sigma_filter * sigma_filter))
+    kernel = kernel / kernel.sum()
+    r = len(kernel) // 2
+    v = h.values.astype(np.float64)
+    _, height, width = v.shape
+
+    padded = np.pad(v, ((0, 0), (r, r), (0, 0)), mode="symmetric")
+    out = np.zeros_like(v)
+    for t, kt in enumerate(kernel):
+        out += kt * padded[:, t:t + height, :]
+
+    padded = np.pad(out, ((0, 0), (0, 0), (r, r)), mode="symmetric")
+    out = np.zeros_like(v)
+    for t, kt in enumerate(kernel):
+        out += kt * padded[:, :, t:t + width]
+
+    return Heatmap(out.astype(np.float32), h.joint_set, h.crop, h.strides)
 
 
 def reference_take(m, values, k_to):

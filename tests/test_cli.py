@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -628,6 +629,12 @@ def _break_branch_file(case, path, flip_path):
         path.write_bytes(blob[:at] + struct.pack("<d", math.nan) + blob[at + 8:])
         return 2, "contract", (f"heatmap strides must be finite and positive, "
                                f"got (nan, {h.strides[1]}) (file={path})")
+    if case == "flipped-truncated":
+        blob = flip_path.read_bytes()
+        flip_path.write_bytes(blob[:-4])
+        need = h.values.nbytes
+        return 2, "contract", (f"heatmap payload is {need - 4} bytes, expected {need} "
+                               f"(file={flip_path})")
     if case == "flipped-shape":
         small = h.values[:, :-1, :-1]
         save_heatmap(Heatmap(small, h.joint_set, h.crop, h.strides), flip_path)
@@ -639,12 +646,17 @@ def _break_branch_file(case, path, flip_path):
     return 2, "contract", "flip_merge joint-set mismatch"
 
 
-@pytest.mark.parametrize("case", ["missing", "mis-tagged", "truncated", "non-finite",
-                                  "non-finite-stride", "flipped-shape", "flipped-tag"])
+_BROKEN_FILE_CASES = ("missing", "mis-tagged", "truncated", "non-finite", "non-finite-stride",
+                      "flipped-truncated", "flipped-shape", "flipped-tag")
+
+
+@pytest.mark.parametrize("case, fusion", [
+    *(pytest.param(case, "head-swap:coco,mpii", id=case) for case in _BROKEN_FILE_CASES),
+    *(pytest.param(case, "select:mpii", id=f"{case}-select") for case in _BROKEN_FILE_CASES)])
 def test_run_checks_every_branch_file_the_strategy_does_not_read(
-        tiny_scene_dir, tmp_path, capsys, case):
-    # head-swap:coco,mpii decodes no posetrack channel, yet a broken
-    # posetrack file fails the run as it does for a branch in use
+        tiny_scene_dir, tmp_path, capsys, case, fusion):
+    # neither strategy reads a posetrack row, yet a broken posetrack file
+    # fails the run as it does for a branch in use
     scene = tmp_path / "scene"
     shutil.copytree(tiny_scene_dir, scene)
     manifest = scene / "manifest.json"
@@ -652,7 +664,7 @@ def test_run_checks_every_branch_file_the_strategy_does_not_read(
     rc, kind, error = _break_branch_file(case, scene / entry["heatmaps"]["posetrack"],
                                          scene / entry["flipped_heatmaps"]["posetrack"])
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"fusion": "head-swap:coco,mpii"}))
+    cfg.write_text(json.dumps({"fusion": fusion}))
     out = tmp_path / "o.json"
     assert main(["run", "--config", str(cfg), "--manifest", str(manifest),
                  "--out", str(out)]) == rc
@@ -692,6 +704,28 @@ def test_decode_and_fuse_reject_non_finite_smooth_sigma(tmp_path, capsys, comman
                 "--branch", f"posetrack={tmp_path / 'h.pkhm'}"]
     assert main(argv + ["--smooth-sigma", sigma, "--out", str(out)]) == 2
     assert _error_doc(capsys)["kind"] == "contract"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", [1e-200, 1e-160])
+def test_run_rejects_a_smooth_sigma_whose_kernel_underflows(golden_scene_dir, tmp_path, capsys,
+                                                             sigma):
+    # 2 sigma^2 is 0 (1e-200) or subnormal (1e-160): the kernel's centre tap
+    # was exp(0/0), blamed on the heatmap files, or its other taps overflowed
+    # on the way to 0 with a warning
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"smooth_sigma": sigma}))
+    out = tmp_path / "o.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["run", "--config", str(cfg), "--manifest",
+                   str(golden_scene_dir / "manifest.json"), "--out", str(out)])
+    assert [str(w.message) for w in caught] == []
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["kind"] == "contract" and doc["error"].startswith("smoothing sigma")
     assert not out.exists()
 
 

@@ -8,11 +8,13 @@ from posepipe.fusion import (
     fuse_select,
     fuse_vote,
     interpolate_head,
+    parse_fusion_spec,
 )
-from posepipe.heatmaps import DecodedPose, Heatmap, decode, render_target
-from posepipe.skeletons import mapping
+from posepipe.heatmaps import DecodedPose, Heatmap, decode, render_target, save_heatmap
+from posepipe.pipeline import fuse
+from posepipe.skeletons import JointSet, get_joint_set, mapping, register_joint_set
 
-from oracles import reference_fuse_head_swap, reference_fuse_vote
+from oracles import reference_flip_merge, reference_fuse_head_swap, reference_fuse_vote
 
 MERGED = builtin_joint_set("merged")
 GRID = (16, 12)
@@ -259,7 +261,7 @@ def random_branches(rng, names, grid=(7, 6)):
     spread over 2^-40..2^40 (so a sum's rounding shows its order)."""
     branches = {}
     for name in names:
-        k = builtin_joint_set(name).count
+        k = get_joint_set(name).count
         v = rng.random((k,) + grid).astype(np.float32)
         kind = rng.integers(0, 5, size=k)
         v[kind == 1] = 0.0
@@ -317,3 +319,44 @@ def test_fuse_vote_sums_branches_in_sorted_order():
     got = fuse_vote(b, "posetrack", smooth_sigma=0.0)
     assert got.scores[builtin_joint_set("posetrack").index("left_wrist")] == 0.25
     assert_same_bits(got, reference_fuse_vote(b, "posetrack", smooth_sigma=0.0))
+
+
+# a registered set beside the builtins: a head joint, wrists and joints no
+# builtin has
+THUMBS = JointSet("thumbs", ("nose", "head_top", "left_wrist", "right_wrist",
+                             "left_thumb", "right_thumb"), flip_pairs=((2, 3), (4, 5)))
+FUSE_SPECS = ("select:coco", "select:thumbs", "head-swap:coco,mpii", "head-swap:posetrack,mpii",
+              "head-swap:thumbs,mpii", "head-swap:coco,thumbs", "head-swap:mpii,mpii", "vote")
+
+
+@pytest.mark.parametrize("target", ["posetrack", "merged", "mpii", "coco", "thumbs"])
+@pytest.mark.parametrize("sigma, quarter", [(0.0, True), (1.0, True), (1.0, False)])
+def test_fuse_merging_only_read_rows_matches_whole_branch_merges(tmp_path, target, sigma,
+                                                                  quarter):
+    # pipeline.fuse flip-merges only the rows its strategy reads; the
+    # references fuse branches whose every row was merged
+    register_joint_set(THUMBS)
+    rng = np.random.default_rng([13, len(target), int(sigma), int(quarter)])
+    names = ("coco", "mpii", "posetrack", "thumbs")
+    for trial in range(4):
+        b, bf = random_branches(rng, names), random_branches(rng, names)
+        flipped_names = [n for n in names if rng.random() < 0.75]
+        paths, flipped = {}, {}
+        for name in names:
+            paths[name] = str(tmp_path / f"{trial}_{name}.pkhm")
+            save_heatmap(b[name], paths[name])
+            if name in flipped_names:
+                flipped[name] = str(tmp_path / f"{trial}_{name}_flip.pkhm")
+                save_heatmap(bf[name], flipped[name])
+        whole = BranchOutputs({n: reference_flip_merge(b[n], bf[n]) if n in flipped else b[n]
+                               for n in names})
+        for spec in FUSE_SPECS:
+            kind, spec_names = parse_fusion_spec(spec)
+            got = fuse(paths, flipped, spec, target, sigma, quarter)
+            if kind == "select":
+                want = fuse_select(whole, *spec_names, target, sigma, quarter)
+            elif kind == "head-swap":
+                want = reference_fuse_head_swap(whole, *spec_names, target, sigma, quarter)
+            else:
+                want = reference_fuse_vote(whole, target, sigma, quarter)
+            assert_same_bits(got, want)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from posepipe import PoseError, builtin_joint_set
 from posepipe.heatmaps import (
@@ -16,7 +17,12 @@ from posepipe.heatmaps import (
     unmirror,
 )
 
-from oracles import reference_grid_peaks, reference_unmirror
+from oracles import (
+    reference_flip_merge,
+    reference_grid_peaks,
+    reference_smooth,
+    reference_unmirror,
+)
 
 
 def _single_joint_set():
@@ -102,19 +108,60 @@ def test_smooth_preserves_channel_mass():
         assert after == pytest.approx(before, rel=1e-6)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(height=st.integers(3, 30), width=st.integers(3, 30),
+       sigma=st.sampled_from([0.4, 1.0, 2.3]), seed=st.integers(0, 2 ** 16))
+@example(height=3, width=3, sigma=2.3, seed=0)   # radius 7 reflects past a 3-cell grid
+def test_smooth_is_the_np_pad_reference_bit_for_bit(height, width, sigma, seed):
+    # channels: random of either sign, all-zero, all -0.0, -0.0 mixed into
+    # random, coarse steps (exact ties), constant
+    rng = np.random.default_rng(seed)
+    k = builtin_joint_set("coco").count
+    v = rng.standard_normal((k, height, width)).astype(np.float32)
+    kind = np.arange(k) % 6
+    v[kind == 1] = 0.0
+    v[kind == 2] = -0.0
+    v[(kind == 3)[:, None, None] & (rng.random(v.shape) < 0.5)] = -0.0
+    v[kind == 4] = np.round(v[kind == 4] * 2.0) / 2.0
+    v[kind == 5] = 0.25
+    h = Heatmap(v, "coco", (1.0, 2.0, 3.0 * width, 3.0 * height), (3.0, 3.0))
+    got, want = smooth(h, sigma), reference_smooth(h, sigma)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert (got.crop, got.strides) == (want.crop, want.strides)
+
+
 def _coco_random_heatmap(rng):
     js = builtin_joint_set("coco")
     v = rng.random((js.count, 12, 10)).astype(np.float32)
     return Heatmap(v, "coco")
 
 
+ALL_COCO = np.arange(builtin_joint_set("coco").count)
+
+
 def test_flip_merge_definition():
     rng = np.random.default_rng(5)
     h = _coco_random_heatmap(rng)
     hf = _coco_random_heatmap(rng)
-    merged = flip_merge(h, hf)
+    merged = flip_merge(h, hf, ALL_COCO)
     manual = (h.values.astype(np.float64) + unmirror(hf).values.astype(np.float64)) / 2
     assert np.array_equal(merged.values, manual.astype(np.float32))
+
+
+@pytest.mark.parametrize("rows", [ALL_COCO, [], [9], [16, 0, 5, 6], np.arange(5, 17)])
+def test_flip_merge_merges_exactly_its_rows_as_the_whole_branch_merge(rows):
+    # rows is what a fusion strategy reads: those channels carry the bits of
+    # the earlier whole-branch merge, every other channel is h's own
+    rng = np.random.default_rng(8)
+    h = Heatmap(rng.random((17, 7, 9)).astype(np.float32), "coco", (2.0, 1.0, 18.0, 14.0),
+                (2.0, 2.0))
+    hf = Heatmap(rng.random((17, 7, 9)).astype(np.float32), "coco", h.crop, h.strides)
+    got = flip_merge(h, hf, np.asarray(rows, dtype=np.intp))
+    want = reference_flip_merge(h, hf).values.copy()
+    rest = np.setdiff1d(ALL_COCO, rows)
+    want[rest] = h.values[rest]
+    assert got.values.tobytes() == want.tobytes()
+    assert (got.joint_set, got.crop, got.strides) == (h.joint_set, h.crop, h.strides)
 
 
 def test_flip_merge_fixed_point_on_symmetric_heatmap():
@@ -122,7 +169,7 @@ def test_flip_merge_fixed_point_on_symmetric_heatmap():
     # flip_merge(h, h_flipped) must reproduce h bit for bit away from column 0
     rng = np.random.default_rng(6)
     h = _coco_random_heatmap(rng)
-    merged = flip_merge(h, reference_unmirror(h))
+    merged = flip_merge(h, reference_unmirror(h), ALL_COCO)
     assert np.array_equal(merged.values[:, :, 1:], h.values[:, :, 1:])
 
 
@@ -150,7 +197,7 @@ def test_flip_merge_swaps_paired_channels():
     hf = np.zeros((k, height, width), dtype=np.float32)
     hf[rw, 4, 2] = 1.0
     merged = flip_merge(Heatmap(np.zeros_like(hf), "coco"),
-                        Heatmap(hf, "coco"))
+                        Heatmap(hf, "coco"), ALL_COCO)
     # track the spike by hand: reverse W (2 -> 7), shift +1 (7 -> 8), swap
     assert merged.values[lw, 4, 8] == 0.5
     assert merged.values[lw].sum() == 0.5
@@ -162,7 +209,7 @@ def test_flip_merge_shape_mismatch():
     a = Heatmap(np.zeros((1, 8, 8), dtype=np.float32), "single")
     b = Heatmap(np.zeros((1, 8, 9), dtype=np.float32), "single")
     with pytest.raises(PoseError):
-        flip_merge(a, b)
+        flip_merge(a, b, [0])
 
 
 def test_decode_quarter_offset_worked_example():

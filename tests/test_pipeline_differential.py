@@ -2,7 +2,8 @@
 
 Hypothesis draws a small generated scene and a config. ``run_pipeline``'s
 bytes must equal those of the same run with its step list rewritten: the
-``decode+fuse`` step fuses through ``reference_fuse_head_swap`` or
+``decode+fuse`` step flip-merges each branch whole through
+``reference_flip_merge`` and fuses through ``reference_fuse_head_swap`` or
 ``reference_fuse_vote``, the ``oks-nms`` step suppresses through
 ``reference_oks`` and ``reference_greedy_nms``, and tracking assigns through
 ``reference_lex_hungarian`` in place of the Hungarian solver.
@@ -16,12 +17,13 @@ from hypothesis import given, settings, strategies as st
 from posepipe import pipeline, tracking
 from posepipe.config import PipelineConfig
 from posepipe.fusion import BranchOutputs, parse_fusion_spec
-from posepipe.heatmaps import flip_merge, load_heatmap
+from posepipe.heatmaps import load_heatmap
 from posepipe.pipeline import load_manifest, run_pipeline, steps, to_instance
 from posepipe.poseio import document_text, pose_document
 from posepipe.scenes import generate_scene
 
 from oracles import (
+    reference_flip_merge,
     reference_fuse_head_swap,
     reference_fuse_vote,
     reference_greedy_nms,
@@ -39,7 +41,7 @@ def reference_steps(config):
     def branch(entry, name):
         h = load_heatmap(entry["heatmaps"][name])
         flipped = entry.get("flipped_heatmaps", {})
-        return flip_merge(h, load_heatmap(flipped[name])) if name in flipped else h
+        return reference_flip_merge(h, load_heatmap(flipped[name])) if name in flipped else h
 
     def decode_fuse(entries):
         out = []

@@ -111,6 +111,26 @@ def test_take_matches_index_pair_loop():
                 assert got.tobytes() == want.tobytes()
 
 
+def test_mapping_is_built_once_and_cannot_be_written():
+    m = mapping("coco", "mpii")
+    assert mapping("coco", "mpii") is m
+    for rows in (m.src, m.dst):
+        with pytest.raises(ValueError):
+            rows[0] = 3
+    assert m.take(np.arange(17.0)).tolist() == reference_take(m, np.arange(17.0), 16).tolist()
+
+
+def test_mapping_follows_a_re_registered_custom_name():
+    # the cache is keyed by the set, not by its name
+    register_joint_set(JointSet("rebound", ("nose", "left_wrist")))
+    assert mapping("rebound", "coco").index_map == ((0, 0), (1, 9))
+    assert mapping("coco", "rebound").index_map == ((0, 0), (9, 1))
+    register_joint_set(JointSet("rebound", ("left_wrist", "left_ankle", "head_top")))
+    assert mapping("rebound", "coco").index_map == ((0, 9), (1, 15))
+    assert mapping("coco", "rebound").index_map == ((9, 0), (15, 1))
+    assert mapping("rebound", "mpii").index_map == ((0, 15), (1, 5), (2, 9))
+
+
 def test_head_bottom_aliases_upper_neck():
     m = dict(mapping("posetrack", "mpii").index_map)
     pt = builtin_joint_set("posetrack")
