@@ -181,6 +181,7 @@ class JointMapping:
     from_set: str
     to_set: str
     index_map: tuple[tuple[int, int], ...]
+    to_count: int   # joints in the to-set the mapping was built for
 
     def __post_init__(self):
         froms = [a for a, _ in self.index_map]
@@ -201,8 +202,7 @@ class JointMapping:
         zero (False for bool). The result keeps the input's dtype.
         """
         values = np.asarray(values)
-        out = np.zeros((get_joint_set(self.to_set).count,) + values.shape[1:],
-                       dtype=values.dtype)
+        out = np.zeros((self.to_count,) + values.shape[1:], dtype=values.dtype)
         out[self.dst] = values[self.src]
         return out
 
@@ -225,4 +225,4 @@ def _mapping(src: JointSet, dst: JointSet) -> JointMapping:
         j = dst_index.get(canonical_name(name))
         if j is not None:
             pairs.append((i, j))
-    return JointMapping(src.name, dst.name, tuple(pairs))
+    return JointMapping(src.name, dst.name, tuple(pairs), dst.count)

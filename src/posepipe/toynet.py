@@ -11,12 +11,13 @@ absent from a batch receive exactly zero gradient.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PoseError, checked
 from .skeletons import get_joint_set
@@ -67,40 +68,77 @@ class ToyNetwork:
         self.frozen = set(blocks)
 
 
+def param_shapes(config: NetConfig) -> dict:
+    """Name -> shape of every parameter of a ``config`` network, in the order
+    ``init_network`` draws them; nothing is allocated."""
+    c_in, c_h = config.in_channels, config.hidden
+    shapes = {"backbone.conv1.w": (c_h, c_in, 3, 3), "backbone.conv1.b": (c_h,),
+              "backbone.conv2.w": (c_h, c_h, 3, 3), "backbone.conv2.b": (c_h,)}
+    for d in config.domains:
+        k = config.head_channels(d)
+        shapes[f"head.{d}.w"], shapes[f"head.{d}.b"] = (k, c_h), (k,)
+    return shapes
+
+
 def init_network(config: NetConfig = NetConfig(), seed: int = 0) -> ToyNetwork:
-    """Xavier-style initialization, deterministic in the seed."""
+    """Xavier-style initialization, deterministic in the seed: each weight is
+    drawn with standard deviation sqrt(1 / fan-in), each bias is zero."""
     if seed < 0:
         raise PoseError(f"network seed must be >= 0, got {seed}")
     rng = np.random.default_rng([seed, 0x706b])
-    c_in, c_h = config.in_channels, config.hidden
-    params = {
-        "backbone.conv1.w": rng.normal(0, (1.0 / (c_in * 9)) ** 0.5, (c_h, c_in, 3, 3)),
-        "backbone.conv1.b": np.zeros(c_h),
-        "backbone.conv2.w": rng.normal(0, (1.0 / (c_h * 9)) ** 0.5, (c_h, c_h, 3, 3)),
-        "backbone.conv2.b": np.zeros(c_h),
-    }
-    for d in config.domains:
-        k = config.head_channels(d)
-        params[f"head.{d}.w"] = rng.normal(0, (1.0 / c_h) ** 0.5, (k, c_h))
-        params[f"head.{d}.b"] = np.zeros(k)
+    params = {}
+    for name, shape in param_shapes(config).items():
+        if name.endswith(".b"):
+            params[name] = np.zeros(shape)
+        else:
+            params[name] = rng.normal(0, (1.0 / math.prod(shape[1:])) ** 0.5, shape)
     return ToyNetwork(config, params)
 
 
+@functools.lru_cache(maxsize=64)
+def _taps(h: int, w: int, d: int) -> tuple:
+    """The 9 taps of a same-padded 3x3 conv of dilation d on an h x w grid, in
+    im2col order, as (lo, hi, s, wrap) over the flattened grid.
+
+    Output cell p in [lo, hi) reads input cell p + s. Cells outside [lo, hi)
+    and the grid columns ``wrap``, whose flat shift wraps into a neighbouring
+    row, read the zero padding. A tap whose shift leaves the grid has
+    lo == hi == 0.
+    """
+    taps = []
+    for dy in (-d, 0, d):
+        for dx in (-d, 0, d):
+            if abs(dy) >= h or abs(dx) >= w:
+                taps.append((0, 0, 0, slice(0, 0)))
+                continue
+            s = dy * w + dx
+            wrap = slice(w - dx, w) if dx > 0 else slice(0, -dx)
+            taps.append((max(-s, 0), min(h * w - s, h * w), s, wrap))
+    return tuple(taps)
+
+
 def _im2col(x, dilation: int = 1):
-    """(B, C, H, W) -> (B, C*9, H*W) patch matrix for a same-padded 3x3 conv."""
+    """(B, C, H, W) -> (B, C*9, H*W) patch matrix for a same-padded 3x3 conv:
+    each tap's row is one flat shifted copy of the unpadded input."""
     bsz, c, h, w = x.shape
-    d = dilation
-    xp = np.zeros((bsz, c, h + 2 * d, w + 2 * d))
-    xp[:, :, d:d + h, d:d + w] = x
-    win = sliding_window_view(xp, (2 * d + 1, 2 * d + 1), axis=(2, 3))[..., ::d, ::d]
-    return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(bsz, c * 9, h * w)
+    hw = h * w
+    xf = x.reshape(bsz, c, hw)
+    cols = np.empty((bsz, c, 9, h, w))
+    flat = cols.reshape(bsz, c, 9, hw)
+    for i, (lo, hi, s, wrap) in enumerate(_taps(h, w, dilation)):
+        flat[:, :, i, :lo] = 0.0
+        flat[:, :, i, lo:hi] = xf[:, :, lo + s:hi + s]
+        flat[:, :, i, hi:] = 0.0
+        cols[:, :, i, :, wrap] = 0.0
+    return flat.reshape(bsz, c * 9, hw)
 
 
 def _conv3x3(cols, w, b, shape):
     """Same-padding 3x3 convolution from an _im2col matrix."""
     bsz, h, wd = shape
     out = np.matmul(w.reshape(w.shape[0], -1), cols)
-    return out.reshape(bsz, w.shape[0], h, wd) + b[None, :, None, None]
+    out += b[:, None]
+    return out.reshape(bsz, w.shape[0], h, wd)
 
 
 def _conv3x3_backward(cols, w, gout, dilation: int = 1, weights: bool = True,
@@ -109,22 +147,40 @@ def _conv3x3_backward(cols, w, gout, dilation: int = 1, weights: bool = True,
     None unless weights is set, dx is None unless inputs is set."""
     bsz, _, h, wd = gout.shape
     c = w.shape[1]
-    d = dilation
     gm = gout.reshape(bsz, w.shape[0], h * wd)
     dw = db = dx = None
     if weights:
         dw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         db = gout.sum(axis=(0, 2, 3))
+    del cols   # when this was the last reference, dcols can reuse its memory
     if inputs:
-        dcols = np.matmul(w.reshape(w.shape[0], -1).T, gm).reshape(bsz, c, 9, h * wd)
-        dxp = np.zeros((bsz, c, h + 2 * d, wd + 2 * d))
-        i = 0
-        for oy in (0, d, 2 * d):
-            for ox in (0, d, 2 * d):
-                dxp[:, :, oy:oy + h, ox:ox + wd] += dcols[:, :, i].reshape(bsz, c, h, wd)
-                i += 1
-        dx = dxp[:, :, d:-d, d:-d]
+        # col2im: 9 flat shifted adds, in im2col's tap order, over the whole
+        # flattened batch, into an accumulator that starts at +0.0. Each cell
+        # that im2col fills from padding is zeroed first, since its shifted
+        # add lands in a neighbouring row or plane or in the margin; adding
+        # +0.0 to a sum that starts at +0.0 changes no bit.
+        dcols = np.matmul(w.reshape(w.shape[0], -1).T, gm).reshape(bsz * c, 9, h, wd)
+        flat = dcols.reshape(bsz * c, 9, h * wd)
+        taps = _taps(h, wd, dilation)
+        n, m = bsz * c * h * wd, max(abs(s) for _, _, s, _ in taps)
+        acc = np.zeros(n + 2 * m)
+        for i, (lo, hi, s, wrap) in enumerate(taps):
+            if lo == hi:
+                continue
+            flat[:, i, :lo] = 0.0
+            flat[:, i, hi:] = 0.0
+            dcols[:, i, :, wrap] = 0.0
+            shifted = acc[m + s:m + s + n].reshape(bsz * c, h * wd)
+            shifted += flat[:, i]
+        dx = acc[m:m + n].reshape(bsz, c, h, wd)
     return dw, db, dx
+
+
+def _head(net: ToyNetwork, domain: str):
+    """The (w, b) of ``domain``'s head; PoseError if the net has none."""
+    if domain not in net.config.domains:
+        raise PoseError(f"network has no head for domain {domain!r}")
+    return net.params[f"head.{domain}.w"], net.params[f"head.{domain}.b"]
 
 
 def forward(net: ToyNetwork, x, domains=None):
@@ -142,17 +198,16 @@ def forward(net: ToyNetwork, x, domains=None):
     shape = (x.shape[0], cfg.height, cfg.width)
     cols_x = _im2col(x)
     z1 = _conv3x3(cols_x, p["backbone.conv1.w"], p["backbone.conv1.b"], shape)
-    a1 = np.tanh(z1)
+    a1 = np.tanh(z1, out=z1)
     cols_a1 = _im2col(a1, cfg.dilation)
     feat = _conv3x3(cols_a1, p["backbone.conv2.w"], p["backbone.conv2.b"], shape)
     feat_flat = feat.reshape(x.shape[0], cfg.hidden, -1)
     outputs = {}
     for d in (domains if domains is not None else cfg.domains):
-        if d not in cfg.domains:
-            raise PoseError(f"network has no head for domain {d!r}")
-        out = np.matmul(p[f"head.{d}.w"], feat_flat).reshape(
-            x.shape[0], -1, cfg.height, cfg.width)
-        outputs[d] = out + p[f"head.{d}.b"][None, :, None, None]
+        w, b = _head(net, d)
+        out = np.matmul(w, feat_flat)
+        out += b[:, None]
+        outputs[d] = out.reshape(x.shape[0], -1, cfg.height, cfg.width)
     cache = {"cols_x": cols_x, "cols_a1": cols_a1, "a1": a1, "feat": feat}
     return outputs, cache
 
@@ -206,54 +261,73 @@ def gradients(net: ToyNetwork, batch, loss: str = "l2", ohkm_k: int = 8):
 
     batch items need .domain, .input (C, H, W), .target (K, H, W), .mask (K,).
     Returns (grads, loss_value); frozen blocks and heads of domains absent
-    from the batch come back as exact zeros. Only the heads of the batch's
-    domains run, and the backward pass stops at the shallowest trainable
-    backbone block.
+    from the batch come back as exact zeros. Each head runs only on its own
+    domain's samples, and the backward pass stops at the shallowest
+    trainable backbone block.
     """
     check_loss(loss, ohkm_k)
     if not batch:
         raise PoseError("batch must be non-empty")
     cfg = net.config
     x = np.stack([np.asarray(s.input, dtype=np.float64) for s in batch])
-    outputs, cache = forward(net, x, tuple(dict.fromkeys(s.domain for s in batch)))
+    _, cache = forward(net, x, ())
     bsz = len(batch)
     hw = cfg.height * cfg.width
+    feat = cache["feat"].reshape(bsz, cfg.hidden, hw)
     train1 = "backbone.conv1" not in net.frozen
     train2 = "backbone.conv2" not in net.frozen
 
     grads = {name: np.zeros_like(p) for name, p in net.params.items()}
-    dfeat = np.zeros_like(cache["feat"]) if train1 or train2 else None
-    total_loss = 0.0
-    for i, sample in enumerate(batch):
-        d = sample.domain
-        pred = outputs[d][i]
-        target = np.asarray(sample.target, dtype=np.float64)
-        per_joint = np.mean((pred - target) ** 2, axis=(1, 2))
-        sel, wgt = _select_joints(per_joint, sample.mask, loss, ohkm_k)
-        if sel.size == 0:
+    dfeat = np.zeros_like(feat) if train1 or train2 else None
+    terms = [None] * bsz   # each sample's loss, summed in batch order at the end
+    for d in dict.fromkeys(s.domain for s in batch):
+        w, b = _head(net, d)
+        rows = [i for i, s in enumerate(batch) if s.domain == d]
+        pred = np.matmul(w, feat[rows])
+        pred += b[:, None]
+        target = np.stack([np.asarray(batch[i].target, dtype=np.float64) for i in rows])
+        diff = pred.reshape(len(rows), -1, cfg.height, cfg.width) - target
+        per_joint = np.mean(diff ** 2, axis=(2, 3))
+        dout = np.zeros_like(diff)
+        kept = []   # rows of the group whose sample has a selected joint
+        for j, i in enumerate(rows):
+            sel, wgt = _select_joints(per_joint[j], batch[i].mask, loss, ohkm_k)
+            if sel.size:
+                terms[i] = per_joint[j][sel].sum() * wgt
+                dout[j, sel] = (2.0 * wgt / (hw * bsz)) * diff[j, sel]
+                kept.append(j)
+        if not kept:
             continue
-        total_loss += per_joint[sel].sum() * wgt
-        dout = np.zeros_like(pred)
-        dout[sel] = (2.0 * wgt / (hw * bsz)) * (pred[sel] - target[sel])
-        dout_flat = dout.reshape(dout.shape[0], -1)
+        at = [rows[j] for j in kept]
+        dout = dout[kept].reshape(len(kept), -1, hw)
         if f"head.{d}" not in net.frozen:
-            feat_flat = cache["feat"][i].reshape(cfg.hidden, -1)
-            grads[f"head.{d}.w"] += dout_flat @ feat_flat.T
-            grads[f"head.{d}.b"] += dout.sum(axis=(1, 2))
+            for g in np.matmul(dout, feat[at].transpose(0, 2, 1)):
+                grads[f"head.{d}.w"] += g
+            for g in dout.sum(axis=2):
+                grads[f"head.{d}.b"] += g
         if dfeat is not None:
-            dfeat[i] = (net.params[f"head.{d}.w"].T @ dout_flat).reshape(
-                cfg.hidden, cfg.height, cfg.width)
+            dfeat[at] = np.matmul(w.T, dout)
 
     if dfeat is not None:
         p = net.params
-        dw2, db2, da1 = _conv3x3_backward(cache["cols_a1"], p["backbone.conv2.w"], dfeat,
-                                          cfg.dilation, weights=train2, inputs=train1)
+        # cols_a1 is handed over, not kept: the backward pass frees it before
+        # it allocates the same-sized dcols, which lowers the step's peak
+        # memory by one im2col matrix (7 MB at batch 8).
+        dw2, db2, da1 = _conv3x3_backward(
+            cache.pop("cols_a1"), p["backbone.conv2.w"], dfeat.reshape(cache["feat"].shape),
+            cfg.dilation, weights=train2, inputs=train1)
         if train2:
             grads["backbone.conv2.w"], grads["backbone.conv2.b"] = dw2, db2
         if train1:
-            dz1 = da1 * (1.0 - cache["a1"] ** 2)
+            dz1 = np.square(cache["a1"])   # da1 * (1 - a1**2), in one buffer
+            np.subtract(1.0, dz1, out=dz1)
+            np.multiply(da1, dz1, out=dz1)
             grads["backbone.conv1.w"], grads["backbone.conv1.b"], _ = _conv3x3_backward(
                 cache["cols_x"], p["backbone.conv1.w"], dz1, inputs=False)
+    total_loss = 0.0
+    for t in terms:
+        if t is not None:
+            total_loss += t
     return grads, float(total_loss / bsz)
 
 
@@ -307,19 +381,20 @@ def load_network(path) -> ToyNetwork:
         raise PoseError(f"checkpoint manifest is not JSON: {exc}", path=path) from exc
     config, records, frozen = checkpoint_manifest(
         **checked(checkpoint_manifest, manifest, "checkpoint manifest"))
-    like = init_network(config).params   # the names and shapes the config gives
-    names = sorted(like)
-    if records != [{"name": n, "shape": list(like[n].shape)} for n in names]:
+    shapes = param_shapes(config)
+    names = sorted(shapes)
+    if records != [{"name": n, "shape": list(shapes[n])} for n in names]:
         raise PoseError("checkpoint params do not match its config", path=path)
-    params = {}
-    for n in names:
-        if len(blob) < off + like[n].nbytes:
-            raise PoseError("truncated checkpoint payload", path=path)
-        params[n] = np.frombuffer(blob, dtype="<f8", count=like[n].size,
-                                  offset=off).reshape(like[n].shape).copy()
-        off += like[n].nbytes
-    if off != len(blob):
+    sizes = [math.prod(shapes[n]) for n in names]
+    if len(blob) < off + 8 * sum(sizes):   # sized before anything is allocated
+        raise PoseError("truncated checkpoint payload", path=path)
+    if len(blob) > off + 8 * sum(sizes):
         raise PoseError("trailing bytes in checkpoint", path=path)
+    params = {}
+    for n, size in zip(names, sizes):
+        params[n] = np.frombuffer(blob, dtype="<f8", count=size,
+                                  offset=off).reshape(shapes[n]).copy()
+        off += 8 * size
     net = ToyNetwork(config, params)
     net.set_frozen(frozen)
     return net

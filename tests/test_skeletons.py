@@ -131,6 +131,14 @@ def test_mapping_follows_a_re_registered_custom_name():
     assert mapping("rebound", "mpii").index_map == ((0, 15), (1, 5), (2, 9))
 
 
+def test_take_sizes_by_the_set_the_mapping_was_built_for():
+    register_joint_set(JointSet("kept-size", ("left_wrist", "left_ankle", "head_top")))
+    m = mapping("coco", "kept-size")
+    register_joint_set(JointSet("kept-size", ("left_wrist",)))
+    values = np.arange(17.0)
+    assert m.take(values).tolist() == reference_take(m, values, 3).tolist() == [9, 15, 0]
+
+
 def test_head_bottom_aliases_upper_neck():
     m = dict(mapping("posetrack", "mpii").index_map)
     pt = builtin_joint_set("posetrack")

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from posepipe import PoseError
+from posepipe import PoseError, toynet
 from posepipe.skeletons import get_joint_set
 from posepipe.toynet import (
     NetConfig,
@@ -16,6 +17,7 @@ from posepipe.toynet import (
     load_network,
     loss_l2_masked,
     loss_ohkm,
+    param_shapes,
     save_network,
     sgd_step,
 )
@@ -295,6 +297,23 @@ def test_load_network_rejects_malformed_manifest(tmp_path, case):
         load_network(path)
 
 
+def test_load_network_sizes_the_payload_before_drawing_any_weight(tmp_path, monkeypatch):
+    # A checkpoint of a few hundred bytes whose manifest asks for a 100000-wide
+    # net: drawing its weights would take 720 GB for one conv alone.
+    cfg = NetConfig(hidden=100000, domains=("posetrack",))
+    manifest = json.dumps({
+        "config": dataclasses.asdict(cfg), "frozen": [],
+        "params": [{"name": n, "shape": list(s)} for n, s in sorted(param_shapes(cfg).items())],
+    }).encode("utf-8")
+    path = tmp_path / "huge.pknp"
+    path.write_bytes(struct.pack("<4sII", b"PKNP", 1, len(manifest)) + manifest + bytes(16))
+    drawn = []
+    monkeypatch.setattr(toynet, "init_network", lambda *args, **kwargs: drawn.append(args))
+    with pytest.raises(PoseError, match="truncated checkpoint payload"):
+        load_network(path)
+    assert drawn == []
+
+
 def test_dilated_conv_gradients():
     cfg = NetConfig(in_channels=1, hidden=2, height=9, width=7,
                     domains=("posetrack",), dilation=2)
@@ -320,22 +339,47 @@ def test_dilated_conv_gradients():
         assert np.abs(numeric[name] - g).max() / scale <= 1e-4
 
 
-# The shortcuts of the fast paths must give the reference's bits exactly.
-_SHAPES = [(dilation, c, bsz) for dilation in (1, 2) for c in (1, 2) for bsz in (1, 3, 8)]
+# The shortcuts of the fast paths must give the reference's bits exactly:
+# (dilation, in_channels, bsz, height, width) on the 8x6 grid, at dilations
+# whose taps reach past the grid (d >= width or d >= height), and at the
+# trainer's own shape.
+_SHAPES = [pytest.param(dilation, c, bsz, 8, 6, id=f"{dilation}-{c}-{bsz}")
+           for dilation in (1, 2) for c in (1, 2) for bsz in (1, 3, 8)] + [
+    pytest.param(3, 2, 3, 3, 3, id="3x3-dilation-3"),
+    pytest.param(5, 2, 3, 3, 3, id="3x3-dilation-5"),
+    pytest.param(6, 2, 3, 8, 6, id="8x6-dilation-6"),
+    pytest.param(7, 2, 3, 8, 6, id="8x6-dilation-7"),
+    pytest.param(8, 2, 3, 8, 6, id="8x6-dilation-8"),
+    pytest.param(1, 16, 8, 32, 24, id="trainer-shape"),
+]
 
 
-@pytest.mark.parametrize("dilation, in_channels, bsz", _SHAPES)
-def test_im2col_is_bit_equal_to_reference(dilation, in_channels, bsz):
-    x = np.random.default_rng(bsz).normal(size=(bsz, in_channels, 8, 6))
+def _with_signed_zeros(rng, a):
+    """a with about a fifth of its values, and every channel of a few grid
+    cells, set to -0.0; a few other values set to +0.0."""
+    a = a.copy()
+    a[rng.random(a.shape) < 0.2] = -0.0
+    a[rng.random(a.shape) < 0.05] = 0.0
+    cells = rng.random(a.shape[2:]) < 0.1
+    a[:, :, cells] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("dilation, in_channels, bsz, height, width", _SHAPES)
+def test_im2col_is_bit_equal_to_reference(dilation, in_channels, bsz, height, width):
+    rng = np.random.default_rng(bsz)
+    x = _with_signed_zeros(rng, rng.normal(size=(bsz, in_channels, height, width)))
     assert _im2col(x, dilation).tobytes() == reference_im2col(x, dilation).tobytes()
 
 
-@pytest.mark.parametrize("dilation, in_channels, bsz", _SHAPES)
-def test_conv3x3_backward_is_bit_equal_to_reference(dilation, in_channels, bsz):
+@pytest.mark.parametrize("dilation, in_channels, bsz, height, width", _SHAPES)
+def test_conv3x3_backward_is_bit_equal_to_reference(dilation, in_channels, bsz, height,
+                                                    width):
     rng = np.random.default_rng(bsz)
-    cols = reference_im2col(rng.normal(size=(bsz, in_channels, 8, 6)), dilation)
+    x = _with_signed_zeros(rng, rng.normal(size=(bsz, in_channels, height, width)))
+    cols = reference_im2col(x, dilation)
     w = rng.normal(size=(4, in_channels, 3, 3))
-    gout = rng.normal(size=(bsz, 4, 8, 6))
+    gout = _with_signed_zeros(rng, rng.normal(size=(bsz, 4, height, width)))
     want = reference_conv3x3_backward(cols, w, gout, dilation)
     for weights in (True, False):
         for inputs in (True, False):
@@ -349,24 +393,37 @@ _FROZEN = [(), ("backbone.conv1",), ("backbone.conv2",),
            ("backbone.conv1", "backbone.conv2", "head.{first}")]
 
 
+# kind -> (domains of the net, domain of each batch position, cycled). In
+# "masked-domain" every mpii sample is fully masked; "reordered" meets the
+# net's domains in another order than net.config.domains.
+_KINDS = {
+    "single": (("coco", "mpii"), ("coco",)),
+    "mixed": (("coco", "mpii", "posetrack"), ("coco", "mpii", "posetrack")),
+    "merged": (("merged",), ("merged",)),
+    "masked-domain": (("coco", "mpii", "posetrack"), ("mpii", "coco", "posetrack")),
+    "reordered": (("coco", "mpii", "posetrack"), ("posetrack", "mpii", "posetrack", "coco")),
+}
+
+
 def _oracle_batch(kind, bsz, in_channels, seed):
-    """(domains of the net, batch) for a single-domain, mixed or merged-only
-    batch with random masks."""
+    """(domains of the net, batch) for a ``_KINDS`` batch with random masks."""
     rng = np.random.default_rng(seed)
-    domains = {"single": ("coco", "mpii"), "mixed": ("coco", "mpii", "posetrack"),
-               "merged": ("merged",)}[kind]
+    domains, order = _KINDS[kind]
     batch = []
     for i in range(bsz):
-        d = domains[i % len(domains)] if kind == "mixed" else domains[0]
+        d = order[i % len(order)]
         k = get_joint_set(d).count
-        s = FakeSample(rng, d, k, mask=rng.random(k) > 0.2)
+        mask = rng.random(k) > 0.2
+        if kind == "masked-domain" and d == "mpii":
+            mask[:] = False
+        s = FakeSample(rng, d, k, mask=mask)
         s.input = rng.normal(size=(in_channels, 8, 6))
         batch.append(s)
     return domains, batch
 
 
 @pytest.mark.parametrize("loss", ["l2", "ohkm"])
-@pytest.mark.parametrize("kind", ["single", "mixed", "merged"])
+@pytest.mark.parametrize("kind", list(_KINDS))
 @pytest.mark.parametrize("frozen", _FROZEN, ids=lambda f: "+".join(f) or "none")
 def test_gradients_are_bit_equal_to_reference(frozen, kind, loss):
     for dilation, in_channels, bsz in ((1, 1, 8), (2, 2, 3), (1, 2, 1)):
