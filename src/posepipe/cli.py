@@ -9,6 +9,7 @@ one-line JSON report on stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -157,7 +158,10 @@ def cmd_run(args):
     save_pose_file(seq, args.out)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process. A subcommand names its
+    function, which ``main`` looks up when it runs."""
     defaults = PipelineConfig()
     p = argparse.ArgumentParser(prog="posepipe",
                                 description="multi-domain pose pipeline tools")
@@ -174,21 +178,21 @@ def build_parser():
     s.add_argument("--no-flipped", action="store_true")
     s.add_argument("--no-weak-joints", action="store_true")
     s.add_argument("--no-clutter", action="store_true")
-    s.set_defaults(fn=cmd_synth)
+    s.set_defaults(fn="cmd_synth")
 
     s = sub.add_parser("train-toy", help="train the toy multi-domain network")
     s.add_argument("--config", required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", help="checkpoint path")
     s.add_argument("--log", help="JSON-lines metrics log path")
-    s.set_defaults(fn=cmd_train_toy)
+    s.set_defaults(fn="cmd_train_toy")
 
     s = sub.add_parser("decode", help="decode one heatmap file to a pose")
     s.add_argument("--heatmap", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--smooth-sigma", type=float, default=defaults.smooth_sigma)
     s.add_argument("--no-quarter-offset", action="store_true")
-    s.set_defaults(fn=cmd_decode)
+    s.set_defaults(fn="cmd_decode")
 
     s = sub.add_parser("fuse", help="fuse branch heatmaps into one pose")
     s.add_argument("--strategy", required=True,
@@ -199,19 +203,19 @@ def build_parser():
     s.add_argument("--smooth-sigma", type=float, default=defaults.smooth_sigma)
     s.add_argument("--no-quarter-offset", action="store_true")
     s.add_argument("--out", required=True)
-    s.set_defaults(fn=cmd_fuse)
+    s.set_defaults(fn="cmd_fuse")
 
     s = sub.add_parser("merge-boxes", help="merge detector box files with IoU NMS")
     s.add_argument("inputs", nargs="+")
     s.add_argument("--iou-thr", type=float, default=0.6)
     s.add_argument("--out", required=True)
-    s.set_defaults(fn=cmd_merge_boxes)
+    s.set_defaults(fn="cmd_merge_boxes")
 
     s = sub.add_parser("nms", help="OKS-NMS over a pose file")
     s.add_argument("input")
     s.add_argument("--oks-thr", type=float, default=defaults.oks_nms_threshold)
     s.add_argument("--out", required=True)
-    s.set_defaults(fn=cmd_nms)
+    s.set_defaults(fn="cmd_nms")
 
     s = sub.add_parser("track", help="associate identities across frames")
     s.add_argument("input")
@@ -222,7 +226,7 @@ def build_parser():
     s.add_argument("--lookback", type=int, default=tracker.lookback)
     s.add_argument("--min-len", type=int, default=defaults.min_track_length)
     s.add_argument("--out", required=True)
-    s.set_defaults(fn=cmd_track)
+    s.set_defaults(fn="cmd_track")
 
     for kind in ("map", "mota"):
         s = sub.add_parser(f"eval-{kind}",
@@ -231,13 +235,13 @@ def build_parser():
         s.add_argument("--gt", required=True)
         s.add_argument("--pckh-thr", type=float, default=PCKH_THRESHOLD)
         s.add_argument("--json", help="also write a machine-readable report")
-        s.set_defaults(fn=_eval_common, kind=kind)
+        s.set_defaults(fn="_eval_common", kind=kind)
 
     s = sub.add_parser("run", help="full pipeline over a heatmap manifest")
     s.add_argument("--config")
     s.add_argument("--manifest", required=True)
     s.add_argument("--out", required=True)
-    s.set_defaults(fn=cmd_run)
+    s.set_defaults(fn="cmd_run")
     return p
 
 
@@ -247,7 +251,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(name)s: %(message)s")
     try:
-        args.fn(args)
+        globals()[args.fn](args)
     except PoseError as exc:
         print(json.dumps({"error": str(exc), "kind": "contract"}), file=sys.stderr)
         return 2

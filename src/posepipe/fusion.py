@@ -91,11 +91,6 @@ class BranchOutputs:
         except KeyError:
             raise PoseError(f"branch {name!r} not present") from None
 
-    @property
-    def geometry(self):
-        h = next(iter(self.branches.values()))
-        return h.values.shape[1:], h.crop, h.strides
-
 
 def interpolate_head(pose: DecodedPose):
     """(head_top, head_bottom) interpolated from nose and shoulders.
@@ -181,8 +176,7 @@ def fuse_head_swap(b: BranchOutputs, body_branch: str, head_branch: str,
         cname = canonical_name(name)
         if cname in _HEAD_JOINTS and head_js.has(cname):
             values[i] = head.values[head_js.index(cname)]
-    return decode(Heatmap(values, target_set, body.crop, body.strides),
-                  smooth_sigma, use_quarter_offset)
+    return decode(body._derive(values, target_set), smooth_sigma, use_quarter_offset)
 
 
 def fuse_vote(b: BranchOutputs, target_set: str, smooth_sigma: float = 1.0,
@@ -194,9 +188,9 @@ def fuse_vote(b: BranchOutputs, target_set: str, smooth_sigma: float = 1.0,
     Branches are summed in sorted name order, one index pass each; a joint
     set names each joint once, so no target row is hit twice in a pass.
     """
-    (height, width), crop, strides = b.geometry
+    first = next(iter(b.branches.values()))
     k = get_joint_set(target_set).count
-    votes = np.zeros((k, height, width), dtype=np.float64)
+    votes = np.zeros((k,) + first.values.shape[1:], dtype=np.float64)
     counts = np.zeros(k, dtype=np.int64)
     for name in sorted(b.branches):
         m = mapping(name, target_set)
@@ -204,5 +198,5 @@ def fuse_vote(b: BranchOutputs, target_set: str, smooth_sigma: float = 1.0,
         counts[m.dst] += 1
     nonzero = counts > 0
     votes[nonzero] /= counts[nonzero, None, None]
-    avg = Heatmap(votes.astype(np.float32), target_set, crop, strides)
-    return decode(avg, smooth_sigma, use_quarter_offset)
+    return decode(first._derive(votes.astype(np.float32), target_set),
+                  smooth_sigma, use_quarter_offset)

@@ -63,6 +63,16 @@ class Heatmap:
         if not all(map(math.isfinite, self.crop)):
             raise PoseError(f"heatmap crop must be finite, got {self.crop}")
 
+    def _derive(self, values: np.ndarray, joint_set: str = None) -> "Heatmap":
+        """A map on this map's crop and strides, built without the check:
+        values is float32, C-contiguous, (K, H, W) for joint_set (by default
+        this map's), and comes from checked finite maps through averages,
+        convex combinations and gathers, so every rule already holds."""
+        out = object.__new__(Heatmap)
+        out.__dict__ = {"values": values, "joint_set": joint_set or self.joint_set,
+                        "crop": self.crop, "strides": self.strides}
+        return out
+
     def grid_to_image(self, gxy: np.ndarray) -> np.ndarray:
         """Map (..., 2) grid xy to image pixels, cell-center convention."""
         gxy = np.asarray(gxy, dtype=np.float64)
@@ -144,14 +154,14 @@ def _reflect_index(n: int, r: int) -> np.ndarray:
 
 
 def check_smooth_sigma(sigma_filter: float) -> None:
-    """Raise unless sigma_filter is 0, or finite and positive with a
-    2 sigma^2 that is a normal float: :func:`smooth`'s kernel then divides
-    by no zero and overflows nowhere."""
+    """Raise unless sigma_filter is 0, or at most 100 and positive with a
+    2 sigma^2 that is a normal float: :func:`smooth`'s kernel then divides by
+    no zero, overflows nowhere and has at most 601 taps (radius 300)."""
     tiny = float(np.finfo(float).tiny)
-    if sigma_filter != 0 and not (0 < sigma_filter < math.inf
+    if sigma_filter != 0 and not (0 < sigma_filter <= 100
                                   and 2.0 * sigma_filter * sigma_filter >= tiny):
-        raise PoseError(f"smoothing sigma must be 0, or finite and positive with "
-                        f"2 sigma^2 >= {tiny!r}, got {sigma_filter!r}")
+        raise PoseError(f"smoothing sigma must be 0, or at most 100 and "
+                        f"positive with 2 sigma^2 >= {tiny!r}, got {sigma_filter!r}")
 
 
 def smooth(h: Heatmap, sigma_filter: float) -> Heatmap:
@@ -159,29 +169,28 @@ def smooth(h: Heatmap, sigma_filter: float) -> Heatmap:
     (radius = ceil(3 sigma)), symmetric-reflect padding. sigma_filter = 0 is
     the identity. Channel mass is preserved.
 
-    Each axis is padded by one cached index gather and summed tap by tap,
-    from zero, in float64: the bits of an ``np.pad`` and ``out += k * window``
-    loop (``0.0 + (-0.0)`` is ``0.0``, so the zero start is kept).
+    Each axis is padded by one cached index gather, with that axis outermost,
+    so each tap is one contiguous block, and summed tap by tap, from zero, in
+    float64: the bits of an ``np.pad`` and ``out += k * window`` loop
+    (``0.0 + (-0.0)`` is ``0.0``, so the zero start is kept).
     """
     check_smooth_sigma(sigma_filter)
     if sigma_filter == 0:
         return h
     kernel = _gaussian_kernel(sigma_filter)
     r = len(kernel) // 2
-    _, height, width = h.values.shape
-    tmp = np.empty(h.values.shape)
 
-    padded = h.values[:, _reflect_index(height, r), :].astype(np.float64)
-    out = np.zeros(h.values.shape)
-    for t, kt in enumerate(kernel):
-        out += np.multiply(kt, padded[:, t:t + height, :], out=tmp)
+    def taps(values):   # the kernel along axis 0
+        n = len(values)
+        padded = values[_reflect_index(n, r)].astype(np.float64, copy=False)
+        out, tmp = np.zeros(values.shape), np.empty(values.shape)
+        for t, kt in enumerate(kernel):
+            out += np.multiply(kt, padded[t:t + n], out=tmp)
+        return out
 
-    padded = out[:, :, _reflect_index(width, r)]
-    out = np.zeros(h.values.shape)
-    for t, kt in enumerate(kernel):
-        out += np.multiply(kt, padded[:, :, t:t + width], out=tmp)
-
-    return Heatmap(out.astype(np.float32), h.joint_set, h.crop, h.strides)
+    out = taps(h.values.transpose(1, 0, 2))    # (H, K, W)
+    out = taps(out.transpose(2, 0, 1))         # (W, H, K)
+    return h._derive(np.ascontiguousarray(out.transpose(2, 1, 0), dtype=np.float32))
 
 
 @functools.lru_cache(maxsize=64)
@@ -208,8 +217,7 @@ def unmirror(h_flipped: Heatmap) -> Heatmap:
     cell toward +x (duplicating column 0), swap the joint set's left/right
     paired channels.
     """
-    return Heatmap(_unmirrored(h_flipped, slice(None)), h_flipped.joint_set,
-                   h_flipped.crop, h_flipped.strides)
+    return h_flipped._derive(_unmirrored(h_flipped, slice(None)))
 
 
 def check_flip_pair(h: Heatmap, h_flipped_input: Heatmap) -> None:
@@ -233,7 +241,7 @@ def flip_merge(h: Heatmap, h_flipped_input: Heatmap, rows) -> Heatmap:
     merged /= 2.0
     values = h.values.copy()
     values[rows] = merged
-    return Heatmap(values, h.joint_set, h.crop, h.strides)
+    return h._derive(values)
 
 
 def peaks(channels: np.ndarray, use_quarter_offset: bool = True):

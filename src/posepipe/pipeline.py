@@ -38,7 +38,7 @@ from .fusion import (
     rows_read,
 )
 from .heatmaps import DecodedPose, check_flip_pair, flip_merge, load_heatmap
-from .instances import PersonInstance, check_box, check_score
+from .instances import PersonInstance, check_box, check_score, stacked_instances
 from .poseio import (
     PoseSequence,
     check_frame_order,
@@ -47,6 +47,7 @@ from .poseio import (
     read_document,
     read_frames,
 )
+from .skeletons import get_joint_set
 from .suppression import apply_thresholds, oks_nms, rescore
 from .tracking import TrackerState, finalize
 
@@ -131,16 +132,26 @@ def track_sequence(frames, tracker: TrackerState, min_len: int) -> list:
             for fidx, frame_ids in ids]
 
 
+def to_instances(decoded: list, boxes: list, box_scores: list) -> list:
+    """Each of decoded in its (x, y, w, h) box of boxes, its joint scores
+    clipped to [0, 1], after one pass of the instance rules over the stack
+    (``instances.stacked_instances``)."""
+    if not decoded:
+        return []
+    joint_set, n = decoded[0].joint_set, len(decoded)
+    return stacked_instances({
+        "joint_set": joint_set, "k": get_joint_set(joint_set).count,
+        "box": np.array(boxes, dtype=np.float64).reshape(n, 4), "box_score": box_scores,
+        "coords": np.stack([d.coords for d in decoded]),
+        "scores": np.clip(np.stack([d.scores for d in decoded]), 0.0, 1.0),
+        "annotated": np.stack([d.annotated for d in decoded]),
+        "score": [float(s) for s in box_scores],
+        **dict.fromkeys(("track_id", "person_id", "head_size"), [None] * n)})
+
+
 def to_instance(decoded: DecodedPose, box, box_score: float) -> PersonInstance:
-    """decoded in an (x, y, w, h) box, its joint scores clipped to [0, 1]."""
-    return PersonInstance(
-        box=np.asarray(box, dtype=np.float64),
-        box_score=box_score,
-        coords=decoded.coords,
-        scores=np.clip(decoded.scores, 0.0, 1.0),
-        annotated=decoded.annotated,
-        joint_set=decoded.joint_set,
-    )
+    """decoded in an (x, y, w, h) box: ``to_instances`` of a stack of one."""
+    return to_instances([decoded], [box], [box_score])[0]
 
 
 def steps(config: PipelineConfig) -> list:
@@ -152,10 +163,10 @@ def steps(config: PipelineConfig) -> list:
     off value leaves the stage in, doing nothing. Nothing is reordered."""
     consts = config.oks_constants()
     chain = [
-        ("decode+fuse", True, lambda entries: [to_instance(
-            fuse(e["heatmaps"], e.get("flipped_heatmaps", {}), config.fusion,
-                 config.target_joint_set, config.smooth_sigma, config.use_quarter_offset),
-            e["box"], e["box_score"]) for e in entries]),
+        ("decode+fuse", True, lambda entries: to_instances(
+            [fuse(e["heatmaps"], e.get("flipped_heatmaps", {}), config.fusion,
+                  config.target_joint_set, config.smooth_sigma, config.use_quarter_offset)
+             for e in entries], [e["box"] for e in entries], [e["box_score"] for e in entries])),
         ("rescore", config.use_box_rescore, lambda instances: [rescore(p) for p in instances]),
         ("thresholds", True, lambda instances: apply_thresholds(
             instances, config.box_threshold, config.keypoint_threshold)),

@@ -602,7 +602,8 @@ def reference_fuse_vote(b, target_set, smooth_sigma=1.0, use_quarter_offset=True
     then average and decode."""
     from posepipe.heatmaps import Heatmap, decode
     from posepipe.skeletons import JointSet, get_joint_set, mapping
-    (height, width), crop, strides = b.geometry
+    first = next(iter(b.branches.values()))
+    (height, width), crop, strides = first.values.shape[1:], first.crop, first.strides
     target_js = get_joint_set(target_set)
     k = target_js.count
     votes = np.zeros((k, height, width), dtype=np.float64)

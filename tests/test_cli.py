@@ -942,3 +942,78 @@ def test_golden_file_is_canonical():
     with open(GOLDEN_PATH) as f:
         golden = f.read()
     assert document_text(pose_document(load_pose_file(GOLDEN_PATH))) == golden
+
+
+def _never(*args):
+    # stands in for the kernel and index builders: raising, not building,
+    # keeps a broken bound from allocating what sigma 1e6 asks for (~15 GB)
+    raise AssertionError(f"smoothing built a kernel or index for {args}")
+
+
+@pytest.mark.parametrize("sigma", ["100.000001", "1e6"])
+@pytest.mark.parametrize("command", ["decode", "fuse", "run"])
+def test_a_smooth_sigma_above_100_is_rejected_before_smoothing(golden_scene_dir, tmp_path,
+                                                              capsys, monkeypatch, command,
+                                                              sigma):
+    monkeypatch.setattr("posepipe.heatmaps._gaussian_kernel", _never)
+    monkeypatch.setattr("posepipe.heatmaps._reflect_index", _never)
+    hm, _ = render_target(np.tile([[5.0, 7.0]], (15, 1)), 2.0, (16, 12),
+                          joint_set="posetrack")
+    save_heatmap(hm, tmp_path / "h.pkhm")
+    out = tmp_path / "pose.json"
+    if command == "run":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"smooth_sigma": {sigma}}}')
+        argv = ["run", "--config", str(cfg),
+                "--manifest", str(golden_scene_dir / "manifest.json")]
+    elif command == "decode":
+        argv = ["decode", "--heatmap", str(tmp_path / "h.pkhm"), "--smooth-sigma", sigma]
+    else:
+        argv = ["fuse", "--strategy", "select:posetrack", "--target", "posetrack",
+                "--branch", f"posetrack={tmp_path / 'h.pkhm'}", "--smooth-sigma", sigma]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["kind"] == "contract" and doc["error"].startswith("smoothing sigma")
+    assert not out.exists()
+
+
+def test_the_parser_is_built_once_and_dispatches_by_name(monkeypatch):
+    from posepipe import cli
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_run", lambda args: seen.append(args.manifest))
+    assert main(["run", "--manifest", "m.json", "--out", "o.json"]) == 0
+    assert seen == ["m.json"]
+
+
+@pytest.mark.parametrize("command", [[], ["synth"], ["train-toy"], ["decode"], ["fuse"],
+                                     ["merge-boxes"], ["nms"], ["track"], ["eval-map"],
+                                     ["eval-mota"], ["run"]])
+def test_help_is_the_help_of_a_freshly_built_parser(capsys, command):
+    from posepipe import cli
+    with pytest.raises(SystemExit):
+        cli.build_parser.__wrapped__().parse_args(command + ["--help"])
+    fresh = capsys.readouterr().out
+    for _ in range(2):
+        with pytest.raises(SystemExit):
+            main(command + ["--help"])
+        assert capsys.readouterr().out == fresh
+
+
+def test_run_rejects_a_box_whose_area_underflows(golden_scene_dir, tmp_path, capsys):
+    # w * h = 1e-400 is 0.0; the stacked instance check of the decoded frame
+    # reports it as each crop's own check did
+    doc = json.loads((golden_scene_dir / "manifest.json").read_text())
+    for frame in doc["frames"]:
+        for entry in frame["instances"]:
+            for key in ("heatmaps", "flipped_heatmaps"):
+                entry[key] = {b: str(golden_scene_dir / p) for b, p in entry[key].items()}
+    doc["frames"][1]["instances"][1]["box"][2:] = [1e-200, 1e-200]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "o.json"
+    assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert _error_doc(capsys) == {"error": "instance area must be positive", "kind": "contract"}
+    assert not out.exists()

@@ -16,6 +16,7 @@ from posepipe.heatmaps import (
     smooth,
     unmirror,
 )
+from posepipe.skeletons import get_joint_set
 
 from oracles import (
     reference_flip_merge,
@@ -110,13 +111,22 @@ def test_smooth_preserves_channel_mass():
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(height=st.integers(3, 30), width=st.integers(3, 30),
-       sigma=st.sampled_from([0.4, 1.0, 2.3]), seed=st.integers(0, 2 ** 16))
-@example(height=3, width=3, sigma=2.3, seed=0)   # radius 7 reflects past a 3-cell grid
-def test_smooth_is_the_np_pad_reference_bit_for_bit(height, width, sigma, seed):
+       sigma=st.sampled_from([0.4, 1.0, 2.3, 3.4]), seed=st.integers(0, 2 ** 16),
+       name=st.sampled_from(["coco", "single", "mpii"]))
+@example(height=3, width=3, sigma=2.3, seed=0, name="coco")   # radius 7 reflects past a 3-cell grid
+@example(height=3, width=5, sigma=3.4, seed=1, name="coco")   # radius 11 past both axes
+@example(height=17, width=9, sigma=1.0, seed=2, name="coco")  # K == H: a transposition mix-up
+@example(height=9, width=17, sigma=1.0, seed=3, name="coco")  # K == W   cannot hide
+@example(height=16, width=7, sigma=2.3, seed=4, name="mpii")  # K == H, H != W
+@example(height=4, width=11, sigma=1.0, seed=5, name="single")
+@example(height=3, width=5, sigma=100.0, seed=6, name="coco")  # the largest sigma, radius 300
+def test_smooth_is_the_np_pad_reference_bit_for_bit(height, width, sigma, seed, name):
     # channels: random of either sign, all-zero, all -0.0, -0.0 mixed into
     # random, coarse steps (exact ties), constant
     rng = np.random.default_rng(seed)
-    k = builtin_joint_set("coco").count
+    if name == "single":
+        _single_joint_set()
+    k = get_joint_set(name).count
     v = rng.standard_normal((k, height, width)).astype(np.float32)
     kind = np.arange(k) % 6
     v[kind == 1] = 0.0
@@ -124,10 +134,11 @@ def test_smooth_is_the_np_pad_reference_bit_for_bit(height, width, sigma, seed):
     v[(kind == 3)[:, None, None] & (rng.random(v.shape) < 0.5)] = -0.0
     v[kind == 4] = np.round(v[kind == 4] * 2.0) / 2.0
     v[kind == 5] = 0.25
-    h = Heatmap(v, "coco", (1.0, 2.0, 3.0 * width, 3.0 * height), (3.0, 3.0))
+    h = Heatmap(v, name, (1.0, 2.0, 3.0 * width, 3.0 * height), (3.0, 3.0))
     got, want = smooth(h, sigma), reference_smooth(h, sigma)
     assert got.values.tobytes() == want.values.tobytes()
-    assert (got.crop, got.strides) == (want.crop, want.strides)
+    assert got.values.flags.c_contiguous and got.values.dtype == np.float32
+    assert (got.crop, got.strides, got.joint_set) == (want.crop, want.strides, name)
 
 
 def _coco_random_heatmap(rng):

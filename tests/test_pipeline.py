@@ -2,12 +2,15 @@ import dataclasses
 import json
 import logging
 
+import numpy as np
 import pytest
 
 from posepipe import PoseError
 from posepipe.config import PipelineConfig
 from posepipe.evaluation import compute_mota
-from posepipe.pipeline import load_manifest, run_pipeline, steps
+from posepipe.heatmaps import Heatmap
+from posepipe.instances import PersonInstance
+from posepipe.pipeline import fuse, load_manifest, run_pipeline, steps, to_instances
 from posepipe.poseio import document_text, load_pose_file, pose_document, write_document
 from posepipe.scenes import generate_scene
 
@@ -179,7 +182,8 @@ def test_config_validation():
                 {"keypoint_threshold": 2}, {"similarity_threshold": -1},
                 {"similarity_threshold": float("nan")},
                 {"oks_nms_threshold": 0}, {"oks_nms_threshold": 2},
-                {"smooth_sigma": -1}, {"lookback": 0}, {"min_track_length": 0},
+                {"smooth_sigma": -1}, {"smooth_sigma": 100.000001},
+                {"lookback": 0}, {"min_track_length": 0},
                 {"oks_extra_falloff": 0}, {"oks_falloff_overrides": {"nose": -1}},
                 {"oks_falloff_overrides": {"nose": "x"}},
                 {"oks_falloff_overrides": {"nose": True}},
@@ -191,6 +195,7 @@ def test_config_validation():
                            oks_nms_threshold=1, smooth_sigma=0, lookback=1,
                            min_track_length=1, oks_falloff_overrides={"nose": 0.5})
     assert edges.oks_nms_threshold == 1 and edges.smooth_sigma == 0
+    assert PipelineConfig(smooth_sigma=100).smooth_sigma == 100
 
 
 STAGES = ["decode+fuse", "rescore", "thresholds", "oks-nms"]
@@ -228,3 +233,67 @@ def test_default_run_logs_every_stage(scene, caplog):
         run_pipeline(PipelineConfig(), scene["frames"][:1])
     assert caplog.messages == [
         "pipeline stages: decode+fuse -> rescore -> thresholds -> oks-nms -> track"]
+
+
+def _recheck(h):
+    """The full Heatmap check, run again on a copy of h; h must come out of
+    it unchanged."""
+    again = Heatmap(h.values.copy(), h.joint_set, h.crop, h.strides)
+    assert h.values.dtype == np.float32 and h.values.flags.c_contiguous
+    assert again.values.tobytes() == h.values.tobytes()
+    assert (again.crop, again.strides) == (h.crop, h.strides)
+
+
+@pytest.mark.parametrize("fusion", ["head-swap:coco,mpii", "vote", "select:coco"])
+def test_every_map_built_without_the_check_passes_it(scene, monkeypatch, fusion):
+    derive, built = Heatmap._derive, []
+
+    def rechecked(self, values, joint_set=None):
+        out = derive(self, values, joint_set)
+        _recheck(out)
+        built.append(out.joint_set)
+        return out
+
+    monkeypatch.setattr(Heatmap, "_derive", rechecked)
+    seq = run_pipeline(PipelineConfig(fusion=fusion), scene["frames"])
+    # per crop: flip-merges of the branches read, then the assembled map
+    # (head-swap, vote) and its smoothed copy
+    crops = sum(len(entries) for _, entries in scene["frames"])
+    assert len(built) == crops * {"head-swap:coco,mpii": 4, "vote": 5, "select:coco": 2}[fusion]
+    if fusion == PipelineConfig().fusion:
+        with open(GOLDEN_PATH) as f:
+            assert document_text(pose_document(seq)) == f.read()
+
+
+def test_a_vote_crop_runs_the_full_heatmap_check_once_per_file(scene, monkeypatch):
+    post_init, checked = Heatmap.__post_init__, []
+    monkeypatch.setattr(Heatmap, "__post_init__",
+                        lambda self: (checked.append(self.joint_set), post_init(self)))
+    entry = scene["frames"][0][1][0]
+    assert len(entry["heatmaps"]) == len(entry["flipped_heatmaps"]) == 3
+    fuse(entry["heatmaps"], entry["flipped_heatmaps"], "vote", "posetrack", 1.0, True)
+    assert sorted(checked) == sorted(list(entry["heatmaps"]) * 2)
+
+
+def test_a_frame_s_instances_are_each_crop_s_instance(scene):
+    # one stacked check over a frame gives the instances that checking each
+    # crop alone gives, field by field
+    entries = scene["frames"][0][1]
+    decoded = [fuse(e["heatmaps"], e["flipped_heatmaps"], "vote", "posetrack", 1.0, True)
+               for e in entries]
+    stacked = to_instances(decoded, [e["box"] for e in entries],
+                           [e["box_score"] for e in entries])
+    assert len(stacked) == len(entries) > 1
+    for p, d, e in zip(stacked, decoded, entries):
+        one = PersonInstance(box=np.asarray(e["box"], dtype=np.float64),
+                             box_score=e["box_score"], coords=d.coords,
+                             scores=np.clip(d.scores, 0.0, 1.0), annotated=d.annotated,
+                             joint_set=d.joint_set)
+        assert vars(p).keys() == vars(one).keys()
+        for name, value in vars(one).items():
+            got = vars(p)[name]
+            if isinstance(value, np.ndarray):
+                assert got.dtype == value.dtype and got.tobytes() == value.tobytes()
+            else:
+                assert type(got) is type(value) and got == value
+    assert to_instances([], [], []) == []
