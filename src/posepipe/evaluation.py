@@ -60,8 +60,7 @@ def _mean_defined(values) -> float:
     return float(np.mean(vals)) if vals else None
 
 
-def _group_columns(joint_set, per_joint):
-    js = get_joint_set(joint_set)
+def _group_columns(js, per_joint):
     return {group: _mean_defined(per_joint.get(n) for n in js.joints
                                  if canonical_name(n) in members)
             for group, members in _JOINT_GROUPS}
@@ -140,21 +139,20 @@ def _average_precision(scored, npos: int) -> float:
     return 100.0 * ap
 
 
-def _index_frames(frames, joint_set):
+def _index_frames(frames, js):
     seen = {}
     for frame_index, instances in frames:
         if frame_index in seen:
             raise PoseError(f"duplicate frame index {frame_index}")
         for p in instances:
-            if p.joint_set != joint_set:
-                raise PoseError(
-                    f"instance joint set {p.joint_set!r} does not match {joint_set!r}"
-                )
+            if p.joint_set != js:
+                raise PoseError(f"instance joint set {p.joint_set.name!r} does not "
+                                f"match {js.name!r}")
         seen[frame_index] = instances
     return seen
 
 
-def _matched_frames(preds, gts, joint_set: str, threshold: float):
+def _matched_frames(preds, gts, js, threshold: float):
     """Match and judge every frame, in frame-index order.
 
     Yields (frame_index, frame_preds, frame_gts, pairs, correct, dist): pairs
@@ -163,9 +161,9 @@ def _matched_frames(preds, gts, joint_set: str, threshold: float):
     judgement.
     """
     _judge((), (), threshold)   # checked even when there is no frame to judge
-    k = get_joint_set(joint_set).count
-    pred_by_frame = _index_frames(preds, joint_set)
-    gt_by_frame = _index_frames(gts, joint_set)
+    k = js.count
+    pred_by_frame = _index_frames(preds, js)
+    gt_by_frame = _index_frames(gts, js)
     for frame_index in sorted(set(pred_by_frame) | set(gt_by_frame)):
         frame_preds = pred_by_frame.get(frame_index, [])
         frame_gts = gt_by_frame.get(frame_index, [])
@@ -175,16 +173,16 @@ def _matched_frames(preds, gts, joint_set: str, threshold: float):
         yield frame_index, frame_preds, frame_gts, pairs, correct, dist
 
 
-def compute_map(preds, gts, joint_set: str = "posetrack",
+def compute_map(preds, gts, joint_set="posetrack",
                 threshold: float = PCKH_THRESHOLD) -> dict:
     """Per-joint AP over score-ranked keypoint detections.
 
     preds: iterable of (frame_index, [PersonInstance]) with keypoint scores.
     gts: iterable of (frame_index, [PersonInstance]), every instance carrying
     a finite head_size > 0. threshold: the PCKh threshold, a finite number > 0.
-    Both are checked by ``_judge``; a bad value raises PoseError. Returns the
-    document ``eval-map --json`` writes; AP is None for a joint no ground
-    truth annotates.
+    Both are checked by ``_judge``; a bad value raises PoseError. joint_set is
+    a JointSet or a registered name. Returns the document ``eval-map --json``
+    writes; AP is None for a joint no ground truth annotates.
     """
     js = get_joint_set(joint_set)
     k = js.count
@@ -192,7 +190,7 @@ def compute_map(preds, gts, joint_set: str = "posetrack",
     records = [[] for _ in range(k)]   # (score, is_tp) per joint
 
     for _, frame_preds, frame_gts, pairs, correct, _ in _matched_frames(
-            preds, gts, joint_set, threshold):
+            preds, gts, js, threshold):
         for g in frame_gts:
             npos += g.annotated
         hits = np.zeros((len(frame_preds), k), dtype=bool)
@@ -204,14 +202,14 @@ def compute_map(preds, gts, joint_set: str = "posetrack",
     ap = {name: _average_precision(records[j], int(npos[j]))
           for j, name in enumerate(js.joints)}
     return {
-        "joint_set": joint_set,
+        "joint_set": js.name,
         "per_joint_ap": ap,
-        "groups": _group_columns(joint_set, ap),
+        "groups": _group_columns(js, ap),
         "total_map": _mean_defined(ap.values()),
     }
 
 
-def compute_mota(preds, gts, joint_set: str = "posetrack",
+def compute_mota(preds, gts, joint_set="posetrack",
                  threshold: float = PCKH_THRESHOLD) -> dict:
     """Per-joint MOTA, and MOTP/precision/recall means, for tracked predictions.
 
@@ -231,7 +229,7 @@ def compute_mota(preds, gts, joint_set: str = "posetrack",
     last_id = {}   # (person_id, joint) -> last matched track id
 
     for frame_index, frame_preds, frame_gts, pairs, correct, dist in _matched_frames(
-            preds, gts, joint_set, threshold):
+            preds, gts, js, threshold):
         for p in frame_preds:
             if p.track_id is None:
                 raise PoseError("compute_mota needs track ids on predictions",
@@ -272,9 +270,9 @@ def compute_mota(preds, gts, joint_set: str = "posetrack",
             motp.append(100.0 * (dist_sum[j] / tp[j]) / threshold)
 
     return {
-        "joint_set": joint_set,
+        "joint_set": js.name,
         "per_joint_mota": mota,
-        "groups": _group_columns(joint_set, mota),
+        "groups": _group_columns(js, mota),
         "total_mota": _mean_defined(mota.values()),
         "total_motp": _mean_defined(motp),
         "total_precision": _mean_defined(precision),

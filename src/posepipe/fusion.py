@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import PoseError
 from .heatmaps import DecodedPose, Heatmap, decode
-from .skeletons import canonical_name, get_joint_set, mapping
+from .skeletons import JointMapping, JointSet, canonical_name, mapping
 
 # Head-segment interpolation coefficients along the shoulder-midpoint -> nose
 # axis (neck sits halfway up, the crown a full unit beyond the nose).
@@ -49,21 +49,26 @@ def parse_fusion_spec(spec: str):
     return kind, names
 
 
-def rows_read(kind: str, names, branch: str, target_set: str) -> np.ndarray:
-    """Rows of ``branch``'s heatmap that the strategy (``kind``, ``names``) of
-    :func:`parse_fusion_spec` reads for ``target_set``, as an index array.
+def _head_pairs(m: JointMapping) -> np.ndarray:
+    """Which pairs of m carry a head joint: the rows head-swap takes from its
+    head branch."""
+    return np.array([canonical_name(n) in _HEAD_JOINTS for n in m.from_set.joints], bool)[m.src]
+
+
+def rows_read(kind: str, names, branch: JointSet, target_set: JointSet) -> np.ndarray:
+    """Rows of a heatmap on ``branch`` that the strategy (``kind``, ``names``)
+    of :func:`parse_fusion_spec` reads for ``target_set``, as an index array.
 
     select reads every row of its branch. head-swap reads the body branch's
     rows that the target set has, and the head branch's head-joint rows that
     it has. vote reads each branch's rows that the target set has.
     """
     if kind == "select":
-        return np.arange(get_joint_set(branch).count)
-    src = mapping(branch, target_set).src
-    if kind == "vote" or branch == names[0]:
-        return src
-    joints = get_joint_set(branch).joints
-    return src[[canonical_name(joints[i]) in _HEAD_JOINTS for i in src]]
+        return np.arange(branch.count)
+    m = mapping(branch, target_set)
+    if kind == "vote" or branch.name == names[0]:
+        return m.src
+    return m.src[_head_pairs(m)]
 
 
 @dataclass
@@ -77,10 +82,8 @@ class BranchOutputs:
             raise PoseError("at least one branch required")
         geos = set()
         for name, h in self.branches.items():
-            if h.joint_set != name:
-                raise PoseError(
-                    f"branch {name!r} holds a heatmap tagged {h.joint_set!r}"
-                )
+            if h.joint_set.name != name:
+                raise PoseError(f"branch {name!r} holds a heatmap tagged {h.joint_set.name!r}")
             geos.add((h.values.shape[1:], h.crop, h.strides))
         if len(geos) != 1:
             raise PoseError("branch geometries differ")
@@ -101,11 +104,8 @@ def interpolate_head(pose: DecodedPose):
     Returns (xy, score, ok) per joint with ok False when nose or a shoulder
     is missing.
     """
-    js = get_joint_set(pose.joint_set)
     try:
-        ni = js.index("nose")
-        li = js.index("left_shoulder")
-        ri = js.index("right_shoulder")
+        ni, li, ri = map(pose.joint_set.index, ("nose", "left_shoulder", "right_shoulder"))
     except PoseError:
         return ((np.zeros(2), 0.0, False), (np.zeros(2), 0.0, False))
     if not (pose.annotated[ni] and pose.annotated[li] and pose.annotated[ri]):
@@ -119,67 +119,58 @@ def interpolate_head(pose: DecodedPose):
     return ((head_top, score, True), (head_bottom, score, True))
 
 
-def _project_pose(pose: DecodedPose, target_set: str) -> DecodedPose:
+def _project_pose(pose: DecodedPose, target_set) -> DecodedPose:
     m = mapping(pose.joint_set, target_set)
-    return DecodedPose(target_set, m.take(pose.coords), m.take(pose.scores),
+    return DecodedPose(m.to_set, m.take(pose.coords), m.take(pose.scores),
                        m.take(pose.annotated))
 
 
 def _fill_head(pose: DecodedPose, source: DecodedPose) -> DecodedPose:
-    """Fill missing head_top/head_bottom of ``pose`` by interpolation on ``source``."""
-    js = get_joint_set(pose.joint_set)
-    slots = {}
-    for i, name in enumerate(js.joints):
-        if canonical_name(name) in _HEAD_JOINTS and not pose.annotated[i]:
-            slots[canonical_name(name)] = i
-    if not slots:
-        return pose
-    (top_xy, top_s, top_ok), (bot_xy, bot_s, bot_ok) = interpolate_head(source)
-    for name, i in slots.items():
-        if name == "head_top" and top_ok:
-            pose.coords[i] = top_xy
-            pose.scores[i] = top_s
-            pose.annotated[i] = True
-        elif name == "upper_neck" and bot_ok:
-            pose.coords[i] = bot_xy
-            pose.scores[i] = bot_s
-            pose.annotated[i] = True
+    """Fill missing head_top/head_bottom of ``pose`` by interpolation on
+    ``source``; ``interpolate_head`` gives them in ``_HEAD_JOINTS`` order."""
+    slots = {canonical_name(n): i for i, n in enumerate(pose.joint_set.joints)
+             if canonical_name(n) in _HEAD_JOINTS and not pose.annotated[i]}
+    if slots:
+        for name, (xy, score, ok) in zip(_HEAD_JOINTS, interpolate_head(source)):
+            if ok and name in slots:
+                i = slots[name]
+                pose.coords[i], pose.scores[i], pose.annotated[i] = xy, score, True
     return pose
 
 
-def fuse_select(b: BranchOutputs, branch: str, target_set: str,
+def fuse_select(b: BranchOutputs, branch: str, target_set,
                 smooth_sigma: float = 1.0, use_quarter_offset: bool = True) -> DecodedPose:
     """Decode one branch and project it onto the target set; head joints the
-    branch cannot supply are interpolated from its nose/shoulders."""
+    branch cannot supply are interpolated from its nose/shoulders. Here and
+    in the other strategies target_set is a JointSet or a registered name."""
     decoded = decode(b[branch], smooth_sigma, use_quarter_offset)
-    out = _project_pose(decoded, target_set)
-    return _fill_head(out, decoded)
+    return _fill_head(_project_pose(decoded, target_set), decoded)
 
 
 def fuse_head_swap(b: BranchOutputs, body_branch: str, head_branch: str,
-                   target_set: str, smooth_sigma: float = 1.0,
+                   target_set, smooth_sigma: float = 1.0,
                    use_quarter_offset: bool = True) -> DecodedPose:
     """Body joints from one branch, head_top/head_bottom from another.
 
     The target-set heatmap takes each body channel by anatomical name and
-    each head joint's channel from the head branch, then decodes once: only
-    the target's channels are smoothed.
+    each head joint's channel from the head branch (the head rows
+    :func:`rows_read` names), then decodes once: only the target's channels
+    are smoothed.
     """
     head = b[head_branch]
-    head_js = get_joint_set(head.joint_set)
-    if not any(canonical_name(n) in _HEAD_JOINTS for n in head_js.joints):
+    if not any(canonical_name(n) in _HEAD_JOINTS for n in head.joint_set.joints):
         raise PoseError(f"head branch {head_branch!r} provides no head joints")
 
     body = b[body_branch]
-    values = mapping(body.joint_set, target_set).take(body.values)
-    for i, name in enumerate(get_joint_set(target_set).joints):
-        cname = canonical_name(name)
-        if cname in _HEAD_JOINTS and head_js.has(cname):
-            values[i] = head.values[head_js.index(cname)]
-    return decode(body._derive(values, target_set), smooth_sigma, use_quarter_offset)
+    m = mapping(body.joint_set, target_set)
+    values = m.take(body.values)
+    heads = mapping(head.joint_set, m.to_set)
+    rows = _head_pairs(heads)
+    values[heads.dst[rows]] = head.values[heads.src[rows]]
+    return decode(body._derive(values, m.to_set), smooth_sigma, use_quarter_offset)
 
 
-def fuse_vote(b: BranchOutputs, target_set: str, smooth_sigma: float = 1.0,
+def fuse_vote(b: BranchOutputs, target_set, smooth_sigma: float = 1.0,
               use_quarter_offset: bool = True) -> DecodedPose:
     """Average each target joint's channel over every branch that has it,
     then decode the averaged map. Joints present in no branch decode
@@ -189,14 +180,14 @@ def fuse_vote(b: BranchOutputs, target_set: str, smooth_sigma: float = 1.0,
     set names each joint once, so no target row is hit twice in a pass.
     """
     first = next(iter(b.branches.values()))
-    k = get_joint_set(target_set).count
-    votes = np.zeros((k,) + first.values.shape[1:], dtype=np.float64)
-    counts = np.zeros(k, dtype=np.int64)
-    for name in sorted(b.branches):
-        m = mapping(name, target_set)
-        votes[m.dst] += b.branches[name].values[m.src]   # exact float64 promotion
+    target = mapping(first.joint_set, target_set).to_set
+    votes = np.zeros((target.count,) + first.values.shape[1:], dtype=np.float64)
+    counts = np.zeros(target.count, dtype=np.int64)
+    for _, h in sorted(b.branches.items()):   # branch names are unique
+        m = mapping(h.joint_set, target)
+        votes[m.dst] += h.values[m.src]   # exact float64 promotion
         counts[m.dst] += 1
     nonzero = counts > 0
     votes[nonzero] /= counts[nonzero, None, None]
-    return decode(first._derive(votes.astype(np.float32), target_set),
+    return decode(first._derive(votes.astype(np.float32), target),
                   smooth_sigma, use_quarter_offset)

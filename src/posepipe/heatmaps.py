@@ -26,6 +26,7 @@ from .skeletons import JointSet, get_joint_set
 
 _MAGIC = b"PKHM"
 _VERSION = 1
+_TINY = float(np.finfo(float).tiny)   # the smallest normal float
 
 
 @dataclass
@@ -33,7 +34,7 @@ class Heatmap:
     """K per-joint score grids plus the geometry linking grid to image space."""
 
     values: np.ndarray          # (K, H, W) float32
-    joint_set: str
+    joint_set: JointSet         # a registered name is resolved when made
     crop: tuple = (0.0, 0.0, None, None)   # (x, y, w, h) in image pixels
     strides: tuple = (1.0, 1.0)            # (stride_x, stride_y)
 
@@ -44,11 +45,10 @@ class Heatmap:
         k, h, w = self.values.shape
         if h < 3 or w < 3:
             raise PoseError("heatmap grid must be at least 3x3")
-        if k != get_joint_set(self.joint_set).count:
-            raise PoseError(
-                f"heatmap has {k} channels but joint set {self.joint_set!r} "
-                f"has {get_joint_set(self.joint_set).count}"
-            )
+        self.joint_set = get_joint_set(self.joint_set)
+        if k != self.joint_set.count:
+            raise PoseError(f"heatmap has {k} channels but joint set "
+                            f"{self.joint_set.name!r} has {self.joint_set.count}")
         if not np.all(np.isfinite(self.values)):
             raise PoseError("heatmap values must be finite")
         self.strides = (float(self.strides[0]), float(self.strides[1]))
@@ -63,7 +63,7 @@ class Heatmap:
         if not all(map(math.isfinite, self.crop)):
             raise PoseError(f"heatmap crop must be finite, got {self.crop}")
 
-    def _derive(self, values: np.ndarray, joint_set: str = None) -> "Heatmap":
+    def _derive(self, values: np.ndarray, joint_set: JointSet = None) -> "Heatmap":
         """A map on this map's crop and strides, built without the check:
         values is float32, C-contiguous, (K, H, W) for joint_set (by default
         this map's), and comes from checked finite maps through averages,
@@ -86,17 +86,29 @@ class Heatmap:
 class DecodedPose:
     """Per-joint image-pixel locations with peak scores."""
 
-    joint_set: str
+    joint_set: JointSet     # a registered name is resolved when made
     coords: np.ndarray      # (K, 2) image xy
     scores: np.ndarray      # (K,)
     annotated: np.ndarray   # (K,) bool
 
+    def __post_init__(self):
+        self.joint_set = get_joint_set(self.joint_set)
 
-def render_target(joints, sigma: float, size, joint_set: str = "merged",
+
+def check_render_sigma(sigma: float) -> None:
+    """Raise unless sigma is finite and positive with a normal finite 2 sigma^2,
+    so :func:`render_target` divides by no zero and draws no flat bump."""
+    if not (0 < sigma < math.inf and _TINY <= 2.0 * sigma * sigma < math.inf):
+        raise PoseError(f"render sigma must be finite and positive with a finite "
+                        f"2 sigma^2 >= {_TINY!r}, got {sigma!r}")
+
+
+def render_target(joints, sigma: float, size, joint_set="merged",
                   annotated=None, crop=(0.0, 0.0, None, None), strides=(1.0, 1.0)):
     """Render one Gaussian bump per joint on an (H, W) grid.
 
-    joints: (K, 2) keypoints in grid coordinates (x, y). Channel k holds
+    joints: (K, 2) keypoints in grid coordinates (x, y) of joint_set (a
+    JointSet or a registered name). Channel k holds
     exp(-((x - x_k)^2 + (y - y_k)^2) / (2 sigma^2)) per cell; a keypoint on a
     cell center peaks at exactly 1.0 there. Joints outside the grid (nearest
     cell out of bounds) and joints already masked out get an all-zero channel
@@ -104,13 +116,13 @@ def render_target(joints, sigma: float, size, joint_set: str = "merged",
 
     Returns (Heatmap, mask) where mask is the (K,) bool annotation mask.
     """
-    if sigma <= 0:
-        raise PoseError("render sigma must be positive")
+    check_render_sigma(sigma)
     h, w = int(size[0]), int(size[1])
     joints = np.asarray(joints, dtype=np.float64).reshape(-1, 2)
     k = joints.shape[0]
-    if k != get_joint_set(joint_set).count:
-        raise PoseError(f"{k} keypoints given for joint set {joint_set!r}")
+    joint_set = get_joint_set(joint_set)
+    if k != joint_set.count:
+        raise PoseError(f"{k} keypoints given for joint set {joint_set.name!r}")
     if annotated is None:
         annotated = np.ones(k, dtype=bool)
     else:
@@ -157,11 +169,10 @@ def check_smooth_sigma(sigma_filter: float) -> None:
     """Raise unless sigma_filter is 0, or at most 100 and positive with a
     2 sigma^2 that is a normal float: :func:`smooth`'s kernel then divides by
     no zero, overflows nowhere and has at most 601 taps (radius 300)."""
-    tiny = float(np.finfo(float).tiny)
     if sigma_filter != 0 and not (0 < sigma_filter <= 100
-                                  and 2.0 * sigma_filter * sigma_filter >= tiny):
+                                  and 2.0 * sigma_filter * sigma_filter >= _TINY):
         raise PoseError(f"smoothing sigma must be 0, or at most 100 and "
-                        f"positive with 2 sigma^2 >= {tiny!r}, got {sigma_filter!r}")
+                        f"positive with 2 sigma^2 >= {_TINY!r}, got {sigma_filter!r}")
 
 
 def smooth(h: Heatmap, sigma_filter: float) -> Heatmap:
@@ -209,7 +220,7 @@ def _unmirror_source(js: JointSet, height: int, width: int) -> np.ndarray:
 
 def _unmirrored(h: Heatmap, rows) -> np.ndarray:
     """Rows (channels) of ``unmirror(h).values``, in one gather."""
-    return h.values.take(_unmirror_source(get_joint_set(h.joint_set), *h.values.shape[1:])[rows])
+    return h.values.take(_unmirror_source(h.joint_set, *h.values.shape[1:])[rows])
 
 
 def unmirror(h_flipped: Heatmap) -> Heatmap:
@@ -287,7 +298,7 @@ _HEADER = struct.Struct("<4sIIII4d2dI")
 
 def save_heatmap(h: Heatmap, path) -> None:
     k, height, width = h.values.shape
-    name = h.joint_set.encode("utf-8")
+    name = h.joint_set.name.encode("utf-8")
     header = _HEADER.pack(
         _MAGIC, _VERSION, k, height, width,
         *h.crop, *h.strides, len(name),

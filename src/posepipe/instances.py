@@ -1,8 +1,8 @@
 """Detected-person records: box, scores, per-joint keypoints, joint-set tag.
 
 Each instance rule is written once, over a stack of N instances: a dict with
-joint_set (one name) and its joint count k, box (N, 4), coords (N, K, 2),
-scores and annotated (N, K), and a sequence of N values for every other field.
+joint_set (one JointSet), box (N, 4), coords (N, K, 2), scores and annotated
+(N, K), and a sequence of N values for every other field.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoseError
-from .skeletons import get_joint_set
+from .skeletons import JointSet, get_joint_set
 
 
 def _unit(v):
@@ -45,11 +45,11 @@ def check_score(score) -> None:
 # instances of a stack pass it, the message for instance i, or the check that
 # raises it). A rule may assume that every rule before it passed.
 _RULES = (
-    (("joint_set", "coords"), lambda s: [s["coords"].shape[1:] == (s["k"], 2)],
+    (("joint_set", "coords"), lambda s: [s["coords"].shape[1:] == (s["joint_set"].count, 2)],
      lambda s, i: f"coords shape {s['coords'].shape[1:]} does not match joint set "
-                  f"{s['joint_set']!r} (expected ({s['k']}, 2))"),
+                  f"{s['joint_set'].name!r} (expected ({s['joint_set'].count}, 2))"),
     (("joint_set", "scores", "annotated"),
-     lambda s: [s["scores"].shape[1:] == s["annotated"].shape[1:] == (s["k"],)],
+     lambda s: [s["scores"].shape[1:] == s["annotated"].shape[1:] == (s["joint_set"].count,)],
      lambda s, i: "scores/annotated length does not match joint set"),
     (("box",), lambda s: map(_box_ok, s["box"].tolist()),
      lambda s, i: check_box(s["box"][i].tolist())),
@@ -80,9 +80,9 @@ def _check(stack: dict, fields=None) -> None:
 
 def _one(f: dict) -> dict:
     """The checked fields of one instance as a stack of one."""
-    return {"joint_set": f["joint_set"], "k": get_joint_set(f["joint_set"]).count,
-            "box": f["box"][None], "box_score": [f["box_score"]], "coords": f["coords"][None],
-            "scores": f["scores"][None], "annotated": f["annotated"][None], "score": [f["score"]]}
+    return {"joint_set": f["joint_set"], "box": f["box"][None], "box_score": [f["box_score"]],
+            "coords": f["coords"][None], "scores": f["scores"][None],
+            "annotated": f["annotated"][None], "score": [f["score"]]}
 
 
 @dataclass
@@ -102,7 +102,7 @@ class PersonInstance:
     coords: np.ndarray         # (K, 2)
     scores: np.ndarray         # (K,)
     annotated: np.ndarray      # (K,) bool
-    joint_set: str
+    joint_set: JointSet        # a registered name is resolved when made
     score: float = None
     track_id: int = None
     person_id: int = None
@@ -114,6 +114,7 @@ class PersonInstance:
         self.box = self.box.reshape(4)
         if self.score is None:
             self.score = float(self.box_score)
+        self.joint_set = get_joint_set(self.joint_set)
         _check(_one(vars(self)))
 
     @property
@@ -134,6 +135,7 @@ class PersonInstance:
             fields[name] = (np.asarray(changes[name], dtype=dtype) if name in changes
                             else fields[name].copy())
         fields["box"] = fields["box"].reshape(4)
+        fields["joint_set"] = get_joint_set(fields["joint_set"])
         _check(_one(fields), changes.keys())
         out = object.__new__(PersonInstance)
         out.__dict__ = fields

@@ -83,34 +83,36 @@ def load_manifest(path) -> list:
     return read_document(path, "manifest", parse)
 
 
-def fuse(heatmaps, flipped, spec: str, target_set: str, smooth_sigma: float,
+def fuse(heatmaps, flipped, spec: str, target_set, smooth_sigma: float,
          use_quarter_offset: bool) -> DecodedPose:
     """Fuse one crop's branch heatmaps into a pose on ``target_set``.
 
     heatmaps and flipped map branch name -> .pkhm path. spec is
     ``select:<branch>``, ``head-swap:<body>,<head>`` or ``vote``, and is
-    checked before any file is read, as is that every flipped file belongs
-    to a branch in heatmaps. Only the branches the spec reads (every branch
-    for vote) are flip-merged, and of those only the rows it reads
-    (``fusion.rows_read``); every other row keeps the unflipped values, which
-    no strategy reads. Every named file is still loaded and checked: each
-    heatmap's own contents, its branch tag, a flipped file's shape and tag
-    against its branch, and the geometry across branches.
+    checked before any file is read, as are that every flipped file belongs
+    to a branch in heatmaps and target_set (a JointSet or a registered
+    name). Only the branches the spec reads (every branch for vote) are
+    flip-merged, and of those only the rows it reads (``fusion.rows_read``);
+    every other row keeps the unflipped values, which no strategy reads.
+    Every named file is still loaded and checked: each heatmap's own
+    contents, its branch tag, a flipped file's shape and tag against its
+    branch, and the geometry across branches.
     """
     kind, names = parse_fusion_spec(spec)
     stray = sorted(set(flipped) - set(heatmaps))
     if stray:
         raise PoseError(f"flipped heatmap for branch {stray[0]!r}, which has no heatmap")
+    target_set = get_joint_set(target_set)
     used = names or heatmaps   # vote reads every branch
     branches = {}
     for name in sorted(heatmaps):
         h = load_heatmap(heatmaps[name])
-        if h.joint_set != name:
-            raise PoseError(f"branch {name!r} points at a {h.joint_set!r} heatmap")
+        if h.joint_set.name != name:
+            raise PoseError(f"branch {name!r} points at a {h.joint_set.name!r} heatmap")
         if name in flipped:
             h_flipped = load_heatmap(flipped[name])
             if name in used:
-                h = flip_merge(h, h_flipped, rows_read(kind, names, name, target_set))
+                h = flip_merge(h, h_flipped, rows_read(kind, names, h.joint_set, target_set))
             else:
                 check_flip_pair(h, h_flipped)
         branches[name] = h
@@ -138,9 +140,9 @@ def to_instances(decoded: list, boxes: list, box_scores: list) -> list:
     (``instances.stacked_instances``)."""
     if not decoded:
         return []
-    joint_set, n = decoded[0].joint_set, len(decoded)
+    n = len(decoded)
     return stacked_instances({
-        "joint_set": joint_set, "k": get_joint_set(joint_set).count,
+        "joint_set": decoded[0].joint_set,
         "box": np.array(boxes, dtype=np.float64).reshape(n, 4), "box_score": box_scores,
         "coords": np.stack([d.coords for d in decoded]),
         "scores": np.clip(np.stack([d.scores for d in decoded]), 0.0, 1.0),
@@ -161,11 +163,11 @@ def steps(config: PipelineConfig) -> list:
     list to the next: manifest entries (see load_manifest) to instances, then
     instances to instances. A switch leaves its stage out; a number at its
     off value leaves the stage in, doing nothing. Nothing is reordered."""
-    consts = config.oks_constants()
+    consts = config.oks_constants()   # resolves the target set's name once
     chain = [
         ("decode+fuse", True, lambda entries: to_instances(
             [fuse(e["heatmaps"], e.get("flipped_heatmaps", {}), config.fusion,
-                  config.target_joint_set, config.smooth_sigma, config.use_quarter_offset)
+                  consts.joint_set, config.smooth_sigma, config.use_quarter_offset)
              for e in entries], [e["box"] for e in entries], [e["box_score"] for e in entries])),
         ("rescore", config.use_box_rescore, lambda instances: [rescore(p) for p in instances]),
         ("thresholds", True, lambda instances: apply_thresholds(

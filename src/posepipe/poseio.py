@@ -65,12 +65,17 @@ def check_frame_order(indices) -> None:
 
 @dataclass
 class PoseSequence:
-    joint_set: str
-    frames: list   # [(frame_index, [PersonInstance, ...]), ...]
+    joint_set: JointSet   # a registered name is resolved when made
+    frames: list          # [(frame_index, [PersonInstance on joint_set, ...]), ...]
 
     def __post_init__(self):
-        get_joint_set(self.joint_set)
+        self.joint_set = js = get_joint_set(self.joint_set)
         check_frame_order([fidx for fidx, _ in self.frames])
+        for fidx, instances in self.frames:
+            for p in instances:
+                if p.joint_set != js:
+                    raise PoseError(f"instance joint set {p.joint_set.name!r} does not "
+                                    f"match the sequence's {js.name!r}", frame=fidx)
 
 
 def read_document(path, what: str, parse):
@@ -204,7 +209,7 @@ def _pose_instances(js: JointSet, records: list) -> list:
     box_score = column("box_score", 1.0)
     return stacked_instances({
         "box": np.array(column("box"), dtype=np.float64).reshape(-1, 4), "box_score": box_score,
-        "coords": kps[:, :, :2], "scores": kps[:, :, 2], "joint_set": js.name, "k": k,
+        "coords": kps[:, :, :2], "scores": kps[:, :, 2], "joint_set": js,
         "annotated": np.array(annotated, dtype=bool),
         "score": [float(b) if v is None else v for v, b in zip(column("score"), box_score)],
         "track_id": column("track_id"), "person_id": column("person_id"),
@@ -229,7 +234,7 @@ def parse_pose_document(doc: dict) -> PoseSequence:
         read = [(fidx, list(itertools.islice(instances, n))) for fidx, n in counts]
     except PoseError:
         read = read_frames(frames, instance_frame, pose_instance, joint_set=js)
-    return PoseSequence(js.name, read)
+    return PoseSequence(js, read)
 
 
 def load_pose_file(path) -> PoseSequence:
@@ -248,7 +253,7 @@ def _instance_record(p: PersonInstance) -> dict:
 
 
 def pose_document(seq: PoseSequence) -> dict:
-    return {"joint_set": seq.joint_set, "frames": [
+    return {"joint_set": seq.joint_set.name, "frames": [
         {"frame_index": int(fidx), "instances": [_instance_record(p) for p in instances]}
         for fidx, instances in seq.frames]}
 

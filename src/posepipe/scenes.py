@@ -23,10 +23,10 @@ import os
 import numpy as np
 
 from .errors import PoseError
-from .heatmaps import Heatmap, render_target, save_heatmap, unmirror
+from .heatmaps import Heatmap, check_render_sigma, render_target, save_heatmap, unmirror
 from .instances import PersonInstance
 from .poseio import HEAD_SIZE_FACTOR, PoseSequence, save_pose_file, write_document
-from .skeletons import builtin_joint_set, get_joint_set, mapping
+from .skeletons import builtin_joint_set, mapping
 from .synthetic import figure_points
 
 _MERGED = builtin_joint_set("merged")
@@ -72,10 +72,12 @@ def _crop_for(points, pad: float):
 
 
 def _render_instance(points_img, crop, strides, sigma, joint_set, weak: dict, noise_rng):
-    """One branch heatmap for one person crop; weak maps joint index ->
-    (displacement xy in cells, peak gain)."""
-    k = get_joint_set(joint_set).count
-    grid_pts = mapping("merged", joint_set).take(np.column_stack([
+    """One branch heatmap on joint_set (a JointSet or a registered name) for
+    one person crop; weak maps joint index -> (displacement xy in cells, peak
+    gain)."""
+    m = mapping(_MERGED, joint_set)
+    joint_set, k = m.to_set, m.to_set.count
+    grid_pts = m.take(np.column_stack([
         (points_img[:, 0] - crop[0]) / strides[0] - 0.5,
         (points_img[:, 1] - crop[1]) / strides[1] - 0.5,
     ]))
@@ -93,7 +95,7 @@ def _render_instance(points_img, crop, strides, sigma, joint_set, weak: dict, no
 
 def _clutter_heatmap(noise_rng, crop, strides, joint_set, peak):
     gh, gw = GRID
-    k = get_joint_set(joint_set).count
+    k = joint_set.count
     pts = np.column_stack([noise_rng.uniform(2, gw - 3, size=k),
                            noise_rng.uniform(2, gh - 3, size=k)])
     hm, _ = render_target(pts, 1.5, GRID, joint_set=joint_set,
@@ -130,6 +132,7 @@ def generate_scene(outdir, num_frames: int = 5, num_persons: int = 2, seed: int 
         raise PoseError("scene needs at least one frame and one person")
     if seed < 0:
         raise PoseError(f"scene seed must be >= 0, got {seed}")
+    check_render_sigma(sigma)
     os.makedirs(os.path.join(outdir, "heatmaps"), exist_ok=True)
 
     weak_idx = [_MERGED.index(n) for n in _WEAK_JOINTS]
@@ -139,7 +142,8 @@ def generate_scene(outdir, num_frames: int = 5, num_persons: int = 2, seed: int 
     manifest_frames = []
     gt_frames = []
     posetrack = builtin_joint_set("posetrack")
-    to_pt = mapping("merged", "posetrack")
+    to_pt = mapping(_MERGED, posetrack)
+    branches = [builtin_joint_set(b) for b in BRANCHES]
 
     for t in range(num_frames):
         entries = []
@@ -157,12 +161,12 @@ def generate_scene(outdir, num_frames: int = 5, num_persons: int = 2, seed: int 
                     weak[mi] = (disp, 0.2)
 
             heatmaps = {}
-            for b, branch in enumerate(BRANCHES):
+            for b, branch in enumerate(branches):
                 noise_rng = np.random.default_rng([seed, 41, t, p, b])
-                bm = dict(mapping("merged", branch).index_map)
+                bm = dict(mapping(_MERGED, branch).index_map)
                 bweak = {bm[mi]: wk for mi, wk in weak.items() if mi in bm}
-                heatmaps[branch] = _render_instance(pts, crop, strides, sigma, branch,
-                                                    bweak, noise_rng)
+                heatmaps[branch.name] = _render_instance(pts, crop, strides, sigma, branch,
+                                                         bweak, noise_rng)
             entries.append(_write_crop(outdir, f"f{t}_p{p}", crop, 0.93, heatmaps,
                                        with_flipped))
 
@@ -173,7 +177,7 @@ def generate_scene(outdir, num_frames: int = 5, num_persons: int = 2, seed: int 
                 coords=to_pt.take(pts),
                 scores=np.ones(k),
                 annotated=np.ones(k, dtype=bool),
-                joint_set="posetrack",
+                joint_set=posetrack,
                 person_id=p,
                 head_size=_head_size(by_name),
             ))
@@ -196,9 +200,9 @@ def generate_scene(outdir, num_frames: int = 5, num_persons: int = 2, seed: int 
                 cy = rng_cl.uniform(40, IMG_H - 160)
                 crop = (cx, cy, 70.0, 110.0)
                 strides = (crop[2] / GRID[1], crop[3] / GRID[0])
-                heatmaps = {branch: _clutter_heatmap(np.random.default_rng([seed, 52, ord(tag)]),
-                                                     crop, strides, branch, peak)
-                            for branch in BRANCHES}
+                heatmaps = {b.name: _clutter_heatmap(np.random.default_rng([seed, 52, ord(tag)]),
+                                                     crop, strides, b, peak)
+                            for b in branches}
                 entries.append(_write_crop(outdir, f"f{t}_clutter{tag}", crop, box_score,
                                            heatmaps, with_flipped))
 
@@ -208,5 +212,5 @@ def generate_scene(outdir, num_frames: int = 5, num_persons: int = 2, seed: int 
     manifest_path = os.path.join(outdir, "manifest.json")
     write_document(manifest_path, {"frames": manifest_frames})
     gt_path = os.path.join(outdir, "gt.json")
-    save_pose_file(PoseSequence("posetrack", gt_frames), gt_path)
+    save_pose_file(PoseSequence(posetrack, gt_frames), gt_path)
     return manifest_path, gt_path

@@ -106,11 +106,8 @@ class JointSet:
         return len(self.joints)
 
     def index(self, joint: str) -> int:
-        """Index of ``joint`` in this set, resolving aliases both ways."""
-        try:
-            return self.joints.index(joint)
-        except ValueError:
-            pass
+        """Index of ``joint`` in this set, resolving aliases both ways (a set
+        names each anatomical joint once)."""
         want = canonical_name(joint)
         for i, name in enumerate(self.joints):
             if canonical_name(name) == want:
@@ -118,11 +115,7 @@ class JointSet:
         raise PoseError(f"joint {joint!r} not in set {self.name!r}")
 
     def has(self, joint: str) -> bool:
-        try:
-            self.index(joint)
-            return True
-        except PoseError:
-            return False
+        return canonical_name(joint) in map(canonical_name, self.joints)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -166,8 +159,10 @@ def register_joint_set(js: JointSet) -> None:
     _registry[js.name] = js
 
 
-def get_joint_set(name: str) -> JointSet:
-    """Builtin or previously registered set by name."""
+def get_joint_set(name) -> JointSet:
+    """Builtin or registered set by name; a JointSet is returned unchanged."""
+    if isinstance(name, JointSet):
+        return name
     try:
         return _registry[name]
     except KeyError:
@@ -178,10 +173,9 @@ def get_joint_set(name: str) -> JointSet:
 class JointMapping:
     """Index pairs carrying joints of one set into another by anatomical name."""
 
-    from_set: str
-    to_set: str
+    from_set: JointSet
+    to_set: JointSet
     index_map: tuple[tuple[int, int], ...]
-    to_count: int   # joints in the to-set the mapping was built for
 
     def __post_init__(self):
         froms = [a for a, _ in self.index_map]
@@ -202,19 +196,20 @@ class JointMapping:
         zero (False for bool). The result keeps the input's dtype.
         """
         values = np.asarray(values)
-        out = np.zeros((self.to_count,) + values.shape[1:], dtype=values.dtype)
+        out = np.zeros((self.to_set.count,) + values.shape[1:], dtype=values.dtype)
         out[self.dst] = values[self.src]
         return out
 
 
-def mapping(from_name: str, to_name: str) -> JointMapping:
-    """Pair every joint of ``from_name`` with its anatomical twin in ``to_name``.
+def mapping(from_set, to_set) -> JointMapping:
+    """Pair every joint of ``from_set`` with its anatomical twin in ``to_set``
+    (each a JointSet or a registered name).
 
     Built once per pair of sets and shared: the cache is keyed by the
-    registered ``JointSet`` objects, so re-registering a custom name with
-    other joints gives a fresh mapping.
+    ``JointSet`` objects, so re-registering a custom name with other joints
+    gives a fresh mapping, and a held one keeps the sets it was built for.
     """
-    return _mapping(get_joint_set(from_name), get_joint_set(to_name))
+    return _mapping(get_joint_set(from_set), get_joint_set(to_set))
 
 
 @functools.lru_cache(maxsize=256)
@@ -225,4 +220,4 @@ def _mapping(src: JointSet, dst: JointSet) -> JointMapping:
         j = dst_index.get(canonical_name(name))
         if j is not None:
             pairs.append((i, j))
-    return JointMapping(src.name, dst.name, tuple(pairs), dst.count)
+    return JointMapping(src, dst, tuple(pairs))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import PoseError, predicate
 from .instances import PersonInstance
-from .skeletons import canonical_name, get_joint_set
+from .skeletons import JointSet, canonical_name, get_joint_set
 
 # Per-joint fall-off constants for the COCO vocabulary (the familiar
 # keypoint-similarity sigmas). Joints outside COCO default to 0.079.
@@ -37,42 +37,38 @@ DEFAULT_EXTRA_FALLOFF = 0.079
 class OksConstants:
     """Per-joint fall-off constants k_i for one joint set."""
 
-    joint_set: str
+    joint_set: JointSet   # a registered name is resolved when made
     falloff: np.ndarray   # (K,) > 0
 
     def __post_init__(self):
         object.__setattr__(self, "falloff", np.asarray(self.falloff, dtype=np.float64))
-        k = get_joint_set(self.joint_set).count
-        if self.falloff.shape != (k,):
+        object.__setattr__(self, "joint_set", get_joint_set(self.joint_set))
+        if self.falloff.shape != (self.joint_set.count,):
             raise PoseError("fall-off constants length does not match joint set")
         if not np.all(self.falloff > 0):   # NaN fails too
             raise PoseError("fall-off constants must be positive")
 
     @classmethod
-    def for_joint_set(cls, name: str, overrides=None,
+    def for_joint_set(cls, joint_set, overrides=None,
                       extra_falloff: float = DEFAULT_EXTRA_FALLOFF) -> "OksConstants":
-        """COCO-standard constants where the joint exists in COCO, otherwise
+        """Constants for joint_set (a JointSet or a registered name):
+        COCO-standard ones where the joint exists in COCO, otherwise
         ``extra_falloff``; ``overrides`` maps a joint of the set, by its name
         or its alias, to a replacement value (the exact name wins over the
         alias). Every value must be a number > 0.
         """
-        js = get_joint_set(name)
+        js = get_joint_set(joint_set)
         overrides = overrides or {}
         unknown = [key for key in overrides if not js.has(key)]
         if unknown:
             raise PoseError(f"fall-off overrides {sorted(unknown)} name no joint "
-                            f"of set {name!r}")
+                            f"of set {js.name!r}")
         if not all(predicate(float)(v) and v > 0 for v in (extra_falloff, *overrides.values())):
             raise PoseError("fall-off constants must be numbers > 0")
         by_alias = {canonical_name(key): v for key, v in overrides.items()}
-        values = []
-        for joint in js.joints:
-            key = canonical_name(joint)
-            v = overrides.get(joint, by_alias.get(key))
-            if v is None:
-                v = _COCO_FALLOFF.get(key, extra_falloff)
-            values.append(float(v))
-        return cls(name, np.array(values))
+        values = [overrides.get(j, by_alias.get(key, _COCO_FALLOFF.get(key, extra_falloff)))
+                  for j, key in zip(js.joints, map(canonical_name, js.joints))]
+        return cls(js, np.array(values, dtype=np.float64))
 
 
 def _masked_mean(values, mask):
@@ -111,14 +107,11 @@ def oks(a, b, consts: OksConstants):
     refs, cands = list(a), list(b)
     if not refs or not cands:
         return np.zeros((len(refs), len(cands)))
-    sets = {p.joint_set for p in refs} | {p.joint_set for p in cands}
-    if sets != {consts.joint_set}:
+    if any(p.joint_set != consts.joint_set for p in refs + cands):
         first_a = next((p for p in refs if p.joint_set != consts.joint_set), refs[0])
         first_b = next((p for p in cands if p.joint_set != consts.joint_set), cands[0])
-        raise PoseError(
-            f"oks joint-set mismatch: {first_a.joint_set!r}, {first_b.joint_set!r}, "
-            f"{consts.joint_set!r}"
-        )
+        raise PoseError(f"oks joint-set mismatch: {first_a.joint_set.name!r}, "
+                        f"{first_b.joint_set.name!r}, {consts.joint_set.name!r}")
     area = np.array([p.area for p in refs], dtype=np.float64)
     ra = np.stack([p.annotated for p in refs])
     ca = np.stack([p.annotated for p in cands])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoseError
-from .heatmaps import render_target
+from .heatmaps import check_render_sigma, render_target
 from .skeletons import builtin_joint_set, get_joint_set, mapping
 
 _MERGED = builtin_joint_set("merged")
@@ -84,9 +84,9 @@ class DomainSpec:
     def __post_init__(self):
         object.__setattr__(self, "offset", tuple(self.offset))
         get_joint_set(self.name)   # domain name doubles as joint-set tag
-        numbers = (self.contrast, *self.offset, self.target_sigma, self.noise, self.label_noise)
-        if (not all(map(math.isfinite, numbers)) or self.target_sigma <= 0
-                or min(self.noise, self.label_noise) < 0):
+        check_render_sigma(self.target_sigma)
+        numbers = (self.contrast, *self.offset, self.noise, self.label_noise)
+        if not all(map(math.isfinite, numbers)) or min(self.noise, self.label_noise) < 0:
             raise PoseError(f"bad domain spec {self!r}")
         if not 0 <= self.occlusion < 1:
             raise PoseError("occlusion must be in [0, 1)")
@@ -193,7 +193,7 @@ def gen_synthetic(spec: DomainSpec, n: int, seed: int):
         if spec.label_noise > 0:
             keypoints += noise_rng.normal(0.0, spec.label_noise, keypoints.shape)
         hm, mask = render_target(keypoints, spec.target_sigma,
-                                 (spec.height, spec.width), joint_set=spec.name)
+                                 (spec.height, spec.width), joint_set=m.to_set)
         samples.append(Sample(
             domain=spec.name,
             input=inp,

@@ -64,7 +64,7 @@ def test_run_and_eval_round_trip(scene_dir, tmp_path, capsys):
                "--out", str(out)])
     assert rc == 0
     seq = load_pose_file(out)
-    assert seq.joint_set == "posetrack"
+    assert seq.joint_set.name == "posetrack"
     assert all(p.track_id is not None for _, ii in seq.frames for p in ii)
 
     report = tmp_path / "map.json"
@@ -131,7 +131,7 @@ def test_fuse_subcommand(tmp_path):
                "--out", str(out)])
     assert rc == 0
     seq = load_pose_file(out)
-    assert seq.joint_set == "posetrack"
+    assert seq.joint_set.name == "posetrack"
     assert seq.frames[0][1][0].annotated.all()
 
 
@@ -466,6 +466,20 @@ def test_negative_seed_is_a_contract_error(tmp_path, capsys, argv):
     _bad_input(tmp_path, capsys, _TINY_TRAIN, argv + ["--seed", "-1"])
 
 
+@pytest.mark.parametrize("sigma", ["1e-200", "inf", "1e300", "nan", "0", "-1"])
+def test_synth_rejects_a_degenerate_render_sigma_before_writing(tmp_path, capsys, sigma):
+    # 1e-200 used to end in a ZeroDivisionError traceback (exit 1), inf and
+    # 1e300 wrote flat all-1 maps and exited 0
+    out = tmp_path / "scene"
+    assert main(["synth", "--out", str(out), "--sigma", sigma]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert json.loads(err) == {"kind": "contract", "error": (
+        f"render sigma must be finite and positive with a finite 2 sigma^2 >= "
+        f"{float(np.finfo(float).tiny)!r}, got {float(sigma)!r}")}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("train_doc", [
     "{not json",
     [],
@@ -521,6 +535,10 @@ def test_negative_seed_is_a_contract_error(tmp_path, capsys, argv):
     dict(_TINY_TRAIN, domains={"coco": {"contrast": float("nan")}}),
     dict(_TINY_TRAIN, domains={"coco": {"offset": [float("nan"), 0]}}),
     dict(_TINY_TRAIN, domains={"coco": {"target_sigma": float("nan")}}),
+    # 2 sigma^2 underflows (a ZeroDivisionError traceback, exit 1) or
+    # overflows (flat all-1 targets, exit 0)
+    dict(_TINY_TRAIN, domains={"coco": {"target_sigma": 1e-200}}),
+    dict(_TINY_TRAIN, domains={"coco": {"target_sigma": 1e300}}),
     dict(_TINY_TRAIN, domains={"coco": {"label_noise": float("inf")}}),
     # these used to fail only after the data was made: the first after
     # stage 0 trained and logged, the second with numpy's traceback
@@ -612,7 +630,7 @@ def _break_branch_file(case, path, flip_path):
         k = builtin_joint_set("coco").count
         save_heatmap(Heatmap(np.zeros((k,) + h.values.shape[1:]), "coco", h.crop, h.strides),
                      path)
-        return 2, "contract", f"branch {h.joint_set!r} points at a 'coco' heatmap"
+        return 2, "contract", f"branch {h.joint_set.name!r} points at a 'coco' heatmap"
     if case == "truncated":
         blob = path.read_bytes()
         path.write_bytes(blob[:-4])
@@ -640,7 +658,7 @@ def _break_branch_file(case, path, flip_path):
         save_heatmap(Heatmap(small, h.joint_set, h.crop, h.strides), flip_path)
         return 2, "contract", f"flip_merge shape mismatch: {h.values.shape} vs {small.shape}"
     # flipped-tag: a set of the same size under another name
-    js = builtin_joint_set(h.joint_set)
+    js = h.joint_set
     register_joint_set(JointSet(f"{js.name}_twin", js.joints, js.flip_pairs))
     save_heatmap(Heatmap(h.values, f"{js.name}_twin", h.crop, h.strides), flip_path)
     return 2, "contract", "flip_merge joint-set mismatch"

@@ -9,6 +9,7 @@ from posepipe.fusion import (
     fuse_vote,
     interpolate_head,
     parse_fusion_spec,
+    rows_read,
 )
 from posepipe.heatmaps import DecodedPose, Heatmap, decode, render_target, save_heatmap
 from posepipe.pipeline import fuse
@@ -360,3 +361,20 @@ def test_fuse_merging_only_read_rows_matches_whole_branch_merges(tmp_path, targe
             else:
                 want = reference_fuse_vote(whole, target, sigma, quarter)
             assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("target", SETS)
+@pytest.mark.parametrize("head", ["mpii", "posetrack", "merged"])
+def test_head_swap_reads_only_the_head_rows_rows_read_names(target, head):
+    # the rows head-swap copies from its head branch are stated once, by
+    # rows_read: spoiling every other row of that branch changes nothing
+    rng = np.random.default_rng([11, SETS.index(target), SETS.index(head)])
+    b = random_branches(rng, SETS)
+    target_set = builtin_joint_set(target)
+    want = fuse_head_swap(b, "coco", head, target_set)
+    rows = rows_read("head-swap", ("coco", head), b[head].joint_set, target_set)
+    assert [b[head].joint_set.joints[i] for i in rows] == [
+        n for n in b[head].joint_set.joints if n in ("head_top", "upper_neck", "head_bottom")
+        and target_set.has(n)]
+    b[head].values[np.setdiff1d(np.arange(len(b[head].values)), rows)] = np.nan
+    assert_same_bits(fuse_head_swap(b, "coco", head, target_set), want)

@@ -138,7 +138,7 @@ def test_smooth_is_the_np_pad_reference_bit_for_bit(height, width, sigma, seed, 
     got, want = smooth(h, sigma), reference_smooth(h, sigma)
     assert got.values.tobytes() == want.values.tobytes()
     assert got.values.flags.c_contiguous and got.values.dtype == np.float32
-    assert (got.crop, got.strides, got.joint_set) == (want.crop, want.strides, name)
+    assert (got.crop, got.strides, got.joint_set.name) == (want.crop, want.strides, name)
 
 
 def _coco_random_heatmap(rng):
@@ -368,3 +368,23 @@ def test_load_heatmap_names_the_file_of_a_bad_heatmap(tmp_path):
         load_heatmap(path)
     assert str(err.value) == f"unknown joint set 'nosuch' (file={path})"
     assert err.value.path == path
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, 1e-200, 1e300])
+def test_every_renderer_rejects_a_degenerate_render_sigma(sigma, tmp_path):
+    # 1e-200 divided by zero; inf and 1e300 drew flat all-1 bumps
+    from posepipe.scenes import generate_scene
+    from posepipe.synthetic import DomainSpec
+    with pytest.raises(PoseError, match="render sigma must be finite and positive"):
+        render_target(np.zeros((17, 2)), sigma, (5, 5), joint_set="coco")
+    with pytest.raises(PoseError):
+        DomainSpec("coco", target_sigma=sigma)
+    with pytest.raises(PoseError, match="render sigma must be finite and positive"):
+        generate_scene(str(tmp_path / "scene"), sigma=sigma)
+    assert not (tmp_path / "scene").exists()
+
+
+def test_the_smallest_render_sigma_draws_a_one_cell_bump():
+    hm, mask = render_target([[1.0, 1.0]], 1.1e-154, (3, 3), joint_set=_single_joint_set())
+    assert mask.tolist() == [True]
+    assert hm.values[0].tolist() == [[0, 0, 0], [0, 1, 0], [0, 0, 0]]

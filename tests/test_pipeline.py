@@ -297,3 +297,29 @@ def test_a_frame_s_instances_are_each_crop_s_instance(scene):
             else:
                 assert type(got) is type(value) and got == value
     assert to_instances([], [], []) == []
+
+
+@pytest.mark.parametrize("fusion", ["head-swap:coco,mpii", "vote"])
+def test_a_joint_set_name_is_resolved_where_it_comes_in(scene, monkeypatch, fusion):
+    # a run resolves each heatmap file's set name once, and the config's
+    # target set a few times; 276 (head-swap) and 339 (vote) lookups when
+    # every layer looked its set up by name
+    from collections import Counter
+    from posepipe import skeletons
+
+    # a file's set name is its branch name
+    files = Counter(branch for _, entries in scene["frames"] for e in entries
+                    for key in ("heatmaps", "flipped_heatmaps") for branch in e[key])
+    assert files.total() == 78
+    names = []
+
+    class Counting(dict):
+        def __getitem__(self, name):
+            names.append(name)
+            return super().__getitem__(name)
+
+    monkeypatch.setattr(skeletons, "_registry", Counting(skeletons._registry))
+    seq = run_pipeline(PipelineConfig(fusion=fusion), scene["frames"])
+    assert seq.frames and not files - Counter(names)
+    rest = Counter(names) - files
+    assert set(rest) == {"posetrack"} and rest.total() <= 5

@@ -179,3 +179,17 @@ _JSON = st.recursive(
 @example(1e16)
 def test_document_text_is_json_dumps_with_indent_two(value):
     assert document_text(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_a_sequence_rejects_an_instance_of_another_set(tmp_path):
+    # such a sequence used to be written, and its file then failed to load
+    # (keypoints length 48 != 3*17)
+    mpii = builtin_joint_set("mpii")
+    p = PersonInstance(box=[0, 0, 10, 10], box_score=0.9, coords=np.zeros((mpii.count, 2)),
+                       scores=np.ones(mpii.count), annotated=np.ones(mpii.count, dtype=bool),
+                       joint_set="mpii")
+    with pytest.raises(PoseError) as err:
+        PoseSequence("coco", [(0, []), (3, [p])])
+    assert str(err.value) == ("instance joint set 'mpii' does not match the sequence's "
+                              "'coco' (frame=3)")
+    assert PoseSequence(mpii, [(3, [p])]).joint_set is mpii

@@ -239,3 +239,60 @@ def test_project_all_unannotated_stays_unannotated():
     p.annotated[:] = False
     _, _, annotated = _take(p, mapping("coco", "merged"))
     assert not annotated.any()
+
+
+def test_records_hold_their_joint_set_and_a_name_is_resolved_when_made():
+    coco = builtin_joint_set("coco")
+    assert get_joint_set(coco) is coco
+    m = mapping("coco", "mpii")
+    assert m.from_set is coco and m.to_set is builtin_joint_set("mpii")
+    assert not hasattr(m, "to_count")
+    p = _instance("coco")
+    assert p.joint_set is coco and p.replace(score=0.5).joint_set is coco
+    assert _instance("posetrack").replace(joint_set="coco", coords=p.coords, scores=p.scores,
+                                          annotated=p.annotated).joint_set is coco
+
+
+_HELD = JointSet("held", ("left_wrist", "right_wrist", "nose"), ((0, 1),))
+
+
+@pytest.mark.parametrize("joints", [
+    ("nose", "left_wrist", "right_wrist", "left_ankle", "right_ankle"),
+    ("nose",)], ids=["larger", "smaller"])
+def test_held_records_keep_their_set_across_a_re_registration(tmp_path, joints):
+    # unmirror used to look the set up by name: a larger set raised
+    # IndexError, a smaller one made a one-channel map from three channels
+    from posepipe.heatmaps import Heatmap, decode, flip_merge, unmirror
+    from posepipe.poseio import PoseSequence, load_pose_file, save_pose_file
+    from posepipe.suppression import OksConstants, oks
+    from oracles import reference_flip_merge, reference_unmirror
+
+    register_joint_set(_HELD)
+    values = np.zeros((3, 5, 5), dtype=np.float32)
+    values[0, 1, 3] = values[1, 2, 1] = values[2, 3, 2] = 1.0
+    h = Heatmap(values, "held", (10.0, 20.0, 5.0, 5.0))
+    p = PersonInstance(box=[0, 0, 10, 10], box_score=0.9, coords=[[1, 2], [3, 4], [5, 6]],
+                       scores=[0.5, 0.6, 0.7], annotated=[True, True, False],
+                       joint_set="held")
+    consts = OksConstants.for_joint_set("held")
+    seq = PoseSequence("held", [(0, [p])])
+    register_joint_set(JointSet("held", joints))
+    try:
+        assert get_joint_set("held").joints == joints
+        flipped = unmirror(h)
+        assert flipped.values.tobytes() == reference_unmirror(h).values.tobytes()
+        for record in (h, flipped, p, consts, seq):
+            assert record.joint_set is _HELD
+        merged = flip_merge(h, flipped, np.arange(3))
+        assert merged.values.tobytes() == reference_flip_merge(h, flipped).values.tobytes()
+        decoded = decode(h, 0.0)
+        assert decoded.joint_set is _HELD and decoded.annotated.tolist() == [True] * 3
+        assert decoded.coords.tolist() == [[13.5, 21.5], [11.5, 22.5], [12.5, 23.5]]
+        assert oks([p], [p], consts).tolist() == [[1.0]]
+        save_pose_file(seq, tmp_path / "held.json")
+        register_joint_set(_HELD)
+        again = load_pose_file(tmp_path / "held.json")
+        assert again.joint_set is _HELD
+        assert again.frames[0][1][0].coords.tolist() == p.coords.tolist()
+    finally:
+        register_joint_set(_HELD)
