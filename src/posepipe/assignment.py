@@ -84,16 +84,18 @@ def solve_hungarian(cost) -> dict:
     dropped from the result. Ties between optimal assignments break toward the
     lexicographically smallest (row, col) choice.
 
-    One solve gives an optimal matching and its potentials. Rows are then
-    fixed in order: a Dijkstra over the reduced costs of the rows and columns
-    not yet fixed, backward from the row's column along alternating paths,
-    gives for each column how much the remaining optimum rises if the row is
-    forced to it. The search stops once every column before the row's own is
-    settled or no column left can rise by at most the tolerance. A column
-    qualifies when its rise is at most the tolerance; the row takes the
-    smallest qualifying column, the matching is rotated along the path to it
-    and the potentials are shifted by the path lengths, so they stay feasible
-    and tight. Each row costs O(n^2), O(n^3) in all.
+    One solve gives an optimal matching and its potentials. Real rows are then
+    fixed in order until every real column is fixed (the rows left can then
+    only trade padding columns, which are never reported): a Dijkstra over the
+    reduced costs of the rows and columns not yet fixed, backward from the
+    row's column along alternating paths, gives for each column how much the
+    remaining optimum rises if the row is forced to it. The search stops once
+    every column before the row's own is settled or no column left can rise by
+    at most the tolerance. A column qualifies when its rise is at most the
+    tolerance; the row takes the smallest qualifying column, the matching is
+    rotated along the path to it and the potentials are shifted by the path
+    lengths, so they stay feasible and tight. Each row costs O(n^2), O(n^3) in
+    all.
     """
     a = _validate(cost)
     r, c = a.shape
@@ -112,7 +114,7 @@ def solve_hungarian(cost) -> dict:
     row_of = np.empty(n, dtype=np.int64)
     row_of[col_of] = np.arange(n)
     live = np.ones(n, dtype=bool)   # columns not yet fixed to a row
-    for r0 in range(n):
+    for r0 in range(r):   # padding rows are never reported
         cols = np.flatnonzero(live)
         m = int(np.searchsorted(cols, col_of[r0]))
         if m:   # some smaller column may also admit an optimal completion
@@ -146,6 +148,8 @@ def solve_hungarian(cost) -> dict:
                     break
                 row, b = owners[b], nxt[b]
         live[col_of[r0]] = False
+        if not live[:c].any():   # the rows left only trade padding columns
+            break
 
     return {i: int(col_of[i]) for i in range(r) if col_of[i] < c}
 

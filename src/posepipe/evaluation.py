@@ -7,19 +7,24 @@ number > 0, default 0.5):
   to the ground-truth joint is at most threshold x the person's head
   reference size (head-box diagonal x 0.6, computed upstream). ``_judge``
   is the one place this rule and its distance are computed, over stacked
-  poses: matching judges a frame's P x G pairs in one call, and both
-  metrics read the matched pairs' rows of that judgement. The distances
-  are bit-equal to judging one pair at a time.
+  pairs: a sequence is cut into blocks of consecutive frames of at most
+  ``BLOCK_PAIRS`` within-frame (prediction, ground-truth) pairs (a larger
+  frame is a block of its own), matching judges a block's pairs in one
+  call, and both metrics read the matched pairs' rows of that judgement.
+  The distances are bit-equal to judging one pair at a time.
 * Poses are matched per frame, greedily, by descending count of correct
   joints; ties prefer the smaller mean normalized distance (over joints
   annotated in both, in ``np.mean``'s float order, by the same masked-mean
   helper as OKS), then the smaller (prediction, ground-truth) index pair.
-  Pairs with zero correct joints stay unmatched.
+  Pairs with zero correct joints stay unmatched. A block's frames are
+  matched by one sort, frame first, and one walk.
 * AP ranks every reported prediction joint by its keypoint score over the
-  whole dataset and integrates the interpolated precision-recall curve.
+  whole dataset (ties in frame, then prediction, order) and integrates the
+  interpolated precision-recall curve.
 * MOTA counts per-joint misses, false positives and identity switches against
   the per-joint ground-truth total; MOTP averages the matched distances as a
-  percentage of the correctness threshold (lower is better).
+  percentage of the correctness threshold (lower is better). Both are read
+  from the matched rows of the whole sequence at once.
 
 Joints with no annotated ground truth are excluded from every mean.
 """
@@ -35,6 +40,7 @@ from .skeletons import canonical_name, get_joint_set
 from .suppression import _masked_mean
 
 PCKH_THRESHOLD = 0.5
+BLOCK_PAIRS = 16384   # (prediction, ground truth) pairs judged per match_poses call
 
 # Column grouping used by the report tables.
 _JOINT_GROUPS = (
@@ -66,75 +72,95 @@ def _group_columns(js, per_joint):
             for group, members in _JOINT_GROUPS}
 
 
-def _judge(preds, gts, threshold: float):
-    """PCKh judgement of every prediction x ground-truth pair.
+def _judge(preds, gts, pi, gi, threshold: float):
+    """PCKh judgement of the (prediction, ground-truth) pairs
+    ``(preds[pi[n]], gts[gi[n]])``.
 
-    Returns three (P, G, K) arrays: the correct mask (annotated in both
-    poses and within threshold), the distances normalized by the ground
-    truth's head size and the annotated-in-both mask; None if either stack
-    is empty. The one check of the threshold and of head sizes (each a
-    finite number > 0) runs first, so a call on no input checks the threshold.
+    Returns three (N, K) arrays: the correct mask (annotated in both poses
+    and within threshold), the distances normalized by the ground truth's
+    head size and the annotated-in-both mask; None if no pair is given. The
+    one check of the threshold and of head sizes (each a finite number > 0,
+    for every ground truth given, paired or not) runs first, so a call on no
+    input checks the threshold.
     """
     if not 0 < threshold < math.inf:
         raise PoseError(f"PCKh threshold must be a finite number > 0, got {threshold!r}")
     heads = [g.head_size for g in gts]
     if any(h is None or not 0 < h < math.inf for h in heads):
         raise PoseError("ground-truth instances need a finite head_size > 0")
-    if not preds or not gts:
+    if not len(pi):
         return None
-    pc = np.stack([p.coords for p in preds])[:, None]
-    pa = np.stack([p.annotated for p in preds])[:, None]
-    gc = np.stack([g.coords for g in gts])
-    d = np.linalg.norm(pc - gc, axis=-1) / np.array(heads, dtype=np.float64)[:, None]
-    both = pa & np.stack([g.annotated for g in gts])
+    sq = (np.take(np.array([p.coords for p in preds]), pi, axis=0)
+          - np.take(np.array([g.coords for g in gts]), gi, axis=0))
+    sq *= sq
+    # the Euclidean norm as np.linalg.norm computes it: sqrt(x * x + y * y)
+    d = np.sqrt(sq[..., 0] + sq[..., 1]) / np.array(heads, dtype=np.float64)[gi, None]
+    both = (np.take(np.array([p.annotated for p in preds]), pi, axis=0)
+            & np.take(np.array([g.annotated for g in gts]), gi, axis=0))
     return both & (d <= threshold), d, both
 
 
-def match_poses(preds, gts, threshold: float = PCKH_THRESHOLD):
-    """Greedy one-to-one pose assignment for a single frame.
+def match_poses(frames, threshold: float = PCKH_THRESHOLD):
+    """Greedy one-to-one pose assignment within each frame of a block of
+    frames.
 
-    preds/gts are PersonInstance lists in the same joint set; every gt must
-    carry head_size. All P x G pairs are judged at once; the mean distance
-    over joints annotated in both keeps ``np.mean``'s float order. Returns
-    (pairs, correct, dist): the matched (pred_index, gt_index) pairs in
-    ground-truth order and their (len(pairs), K) rows of the correct mask and
-    of the distances; ``[], None, None`` if either side is empty.
+    frames is a sequence of (preds, gts) PersonInstance lists, one pair per
+    frame, all in one joint set; every gt must carry head_size. Every
+    within-frame pair of the block is judged in one ``_judge`` call; one
+    sort, by frame first, and one walk over it match them, so no pose is
+    matched across frames. The mean distance over joints annotated in both
+    keeps ``np.mean``'s float order. Returns (pairs, correct, dist): pairs
+    is an (M, 2) array of the matched (pred, gt) indices into the block's
+    predictions and ground truths, each concatenated in frame order, sorted
+    by ground truth; correct and dist are the pairs' (M, K) rows of the
+    correct mask and of the distances, or None when the block has no pair
+    to judge.
     """
-    judged = _judge(preds, gts, threshold)
+    preds = [p for frame_preds, _ in frames for p in frame_preds]
+    gts = [g for _, frame_gts in frames for g in frame_gts]
+    n_p = np.array([len(frame_preds) for frame_preds, _ in frames], dtype=np.intp)
+    n_g = np.array([len(frame_gts) for _, frame_gts in frames], dtype=np.intp)
+    # each frame's pairs in (pred, gt) row-major order
+    n_pairs = n_p * n_g
+    frame = np.repeat(np.arange(len(n_pairs)), n_pairs)
+    at = np.arange(len(frame)) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
+    pi = np.repeat(np.cumsum(n_p) - n_p, n_pairs) + at // n_g[frame]
+    gi = np.repeat(np.cumsum(n_g) - n_g, n_pairs) + at % n_g[frame]
+    judged = _judge(preds, gts, pi, gi, threshold)
     if judged is None:
-        return [], None, None
+        return np.zeros((0, 2), dtype=np.intp), None, None
     correct, d, both = judged
-    count = correct.sum(axis=-1)
-    meandist = _masked_mean(d, both)
-    pi, gi = np.nonzero(count > 0)
-    order = np.lexsort((gi, pi, meandist[pi, gi], -count[pi, gi]))
-    used_p, used_g, matches = set(), set(), []
-    for p, g in zip(pi[order].tolist(), gi[order].tolist()):
+    count = correct.sum(axis=1)
+    cand = np.flatnonzero(count)   # pairs with zero correct joints never match
+    meandist = _masked_mean(d[cand], both[cand])
+    cand = cand[np.lexsort((gi[cand], pi[cand], meandist, -count[cand], frame[cand]))]
+    used_p, used_g, taken = set(), set(), []
+    for n, p, g in zip(cand.tolist(), pi[cand].tolist(), gi[cand].tolist()):
         if p in used_p or g in used_g:
             continue
         used_p.add(p)
         used_g.add(g)
-        matches.append((p, g))
-    matches.sort(key=lambda pair: pair[1])
-    pi, gi = [p for p, _ in matches], [g for _, g in matches]
-    return matches, correct[pi, gi], d[pi, gi]
+        taken.append(n)
+    taken = np.array(taken, dtype=np.intp)
+    taken = taken[np.argsort(gi[taken])]
+    return np.column_stack([pi[taken], gi[taken]]), correct[taken], d[taken]
 
 
-def _average_precision(scored, npos: int) -> float:
-    """All-point interpolated AP (in percent) from (score, is_tp) records."""
+def _average_precision(scores, hits, npos: int) -> float:
+    """All-point interpolated AP (in percent) of records given as score and
+    is-true-positive arrays, ranked by descending score (ties keep record
+    order)."""
     if npos == 0:
         return None
-    if not scored:
+    if not len(scores):
         return 0.0
-    scored = sorted(scored, key=lambda r: -r[0])
-    tp = np.cumsum([1 if hit else 0 for _, hit in scored])
-    fp = np.cumsum([0 if hit else 1 for _, hit in scored])
+    hits = hits[np.argsort(-scores, kind="stable")]
+    tp = np.cumsum(hits)
+    fp = np.cumsum(~hits)
     recall = tp / npos
     precision = tp / np.maximum(tp + fp, 1)
     mrec = np.concatenate([[0.0], recall])
-    mpre = np.concatenate([[1.0], precision])
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(np.concatenate([[1.0], precision])[::-1])[::-1]
     ap = float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))
     return 100.0 * ap
 
@@ -152,25 +178,49 @@ def _index_frames(frames, js):
     return seen
 
 
-def _matched_frames(preds, gts, js, threshold: float):
-    """Match and judge every frame, in frame-index order.
+def _rows(instances, field: str, k: int, dtype):
+    """The instances' (K,) arrays of field stacked into an (N, K) array."""
+    if not instances:
+        return np.zeros((0, k), dtype=dtype)
+    return np.array([getattr(p, field) for p in instances])
 
-    Yields (frame_index, frame_preds, frame_gts, pairs, correct, dist): pairs
-    are the matched (pred_index, gt_index) in ground-truth order, and
-    correct/dist are their (len(pairs), K) rows of ``match_poses``'s
-    judgement.
+
+def _matched_sequence(preds, gts, js, threshold: float):
+    """Match every frame, in frame-index order, one block of frames per
+    ``match_poses`` call.
+
+    A block is a run of consecutive frames with at most ``BLOCK_PAIRS``
+    (prediction, ground-truth) pairs in all; a frame with more is a block of
+    its own. Returns (frames, preds, gts, pairs, correct, dist): frames lists
+    (frame_index, frame_preds, frame_gts) in order, preds and gts are all
+    frames' predictions and ground truths, each concatenated in frame order,
+    pairs is an (M, 2) array of matched indices into them, sorted by ground
+    truth, and correct/dist are the pairs' (M, K) rows of the judgement.
     """
-    _judge((), (), threshold)   # checked even when there is no frame to judge
+    _judge((), (), (), (), threshold)   # checked even when there is no frame to judge
     k = js.count
     pred_by_frame = _index_frames(preds, js)
     gt_by_frame = _index_frames(gts, js)
-    for frame_index in sorted(set(pred_by_frame) | set(gt_by_frame)):
-        frame_preds = pred_by_frame.get(frame_index, [])
-        frame_gts = gt_by_frame.get(frame_index, [])
-        pairs, correct, dist = match_poses(frame_preds, frame_gts, threshold)
-        if correct is None:   # no prediction or no ground truth in this frame
-            correct, dist = np.zeros((0, k), dtype=bool), np.zeros((0, k))
-        yield frame_index, frame_preds, frame_gts, pairs, correct, dist
+    frames = [(f, pred_by_frame.get(f, []), gt_by_frame.get(f, []))
+              for f in sorted(set(pred_by_frame) | set(gt_by_frame))]
+    p_at = np.cumsum([0] + [len(frame_preds) for _, frame_preds, _ in frames])
+    g_at = np.cumsum([0] + [len(frame_gts) for _, _, frame_gts in frames])
+    pairs_at = np.cumsum([0] + [len(frame_preds) * len(frame_gts)
+                                for _, frame_preds, frame_gts in frames])
+    matched = [(np.zeros((0, 2), dtype=np.intp), np.zeros((0, k), dtype=bool), np.zeros((0, k)))]
+    start = 0
+    while start < len(frames):
+        stop = max(start + 1, int(np.searchsorted(pairs_at, pairs_at[start] + BLOCK_PAIRS,
+                                                  side="right")) - 1)
+        pairs, correct, dist = match_poses(
+            [(frame_preds, frame_gts) for _, frame_preds, frame_gts in frames[start:stop]],
+            threshold)
+        if correct is not None:
+            matched.append((pairs + (p_at[start], g_at[start]), correct, dist))
+        start = stop
+    pairs, correct, dist = (np.concatenate(part) for part in zip(*matched))
+    return (frames, [p for _, frame_preds, _ in frames for p in frame_preds],
+            [g for _, _, frame_gts in frames for g in frame_gts], pairs, correct, dist)
 
 
 def compute_map(preds, gts, joint_set="posetrack",
@@ -186,20 +236,15 @@ def compute_map(preds, gts, joint_set="posetrack",
     """
     js = get_joint_set(joint_set)
     k = js.count
-    npos = np.zeros(k, dtype=np.int64)
-    records = [[] for _ in range(k)]   # (score, is_tp) per joint
-
-    for _, frame_preds, frame_gts, pairs, correct, _ in _matched_frames(
-            preds, gts, js, threshold):
-        for g in frame_gts:
-            npos += g.annotated
-        hits = np.zeros((len(frame_preds), k), dtype=bool)
-        hits[[pi for pi, _ in pairs]] = correct
-        for p, hit in zip(frame_preds, hits):
-            for j in np.flatnonzero(p.annotated).tolist():
-                records[j].append((float(p.scores[j]), bool(hit[j])))
-
-    ap = {name: _average_precision(records[j], int(npos[j]))
+    _, preds, gts, pairs, correct, _ = _matched_sequence(preds, gts, js, threshold)
+    annotated = _rows(preds, "annotated", k, bool)
+    scores = _rows(preds, "scores", k, np.float64)
+    hits = np.zeros_like(annotated)
+    hits[pairs[:, 0]] = correct
+    npos = _rows(gts, "annotated", k, bool).sum(axis=0)
+    # each joint's records: every prediction that reports it, in frame order
+    ap = {name: _average_precision(scores[annotated[:, j], j], hits[annotated[:, j], j],
+                                   int(npos[j]))
           for j, name in enumerate(js.joints)}
     return {
         "joint_set": js.name,
@@ -209,6 +254,24 @@ def compute_map(preds, gts, joint_set="posetrack",
     }
 
 
+def _codes(values) -> np.ndarray:
+    """Equal values (as dict keys are equal) get equal integer codes."""
+    seen = {}
+    return np.array([seen.setdefault(v, len(seen)) for v in values], dtype=np.intp)
+
+
+def _raise_id_fault(frames):
+    """Raise the first id fault of frames, in frame order."""
+    for frame_index, frame_preds, frame_gts in frames:
+        if any(p.track_id is None for p in frame_preds):
+            raise PoseError("compute_mota needs track ids on predictions", frame=frame_index)
+        ids = [g.person_id for g in frame_gts]
+        if None in ids:
+            raise PoseError("compute_mota needs person ids on ground truth", frame=frame_index)
+        if len(set(ids)) != len(ids):
+            raise PoseError("duplicate person ids in frame", frame=frame_index)
+
+
 def compute_mota(preds, gts, joint_set="posetrack",
                  threshold: float = PCKH_THRESHOLD) -> dict:
     """Per-joint MOTA, and MOTP/precision/recall means, for tracked predictions.
@@ -216,44 +279,36 @@ def compute_mota(preds, gts, joint_set="posetrack",
     preds, gts and threshold are as for :func:`compute_map`; predictions
     must carry track ids, and ground truth person ids unique within a frame.
     Every annotated ground-truth joint not judged correct is a miss and every
-    reported prediction joint not judged correct is a false positive.
-    Returns the document ``eval-mota --json`` writes.
+    reported prediction joint not judged correct is a false positive. Head
+    sizes are checked in every frame before ids are, and the first id fault
+    in frame order is raised. Returns the document ``eval-mota --json``
+    writes.
     """
     js = get_joint_set(joint_set)
     k = js.count
-    gt_total = np.zeros(k, dtype=np.int64)
-    reported = np.zeros(k, dtype=np.int64)
-    tp = np.zeros(k, dtype=np.int64)
-    idsw = np.zeros(k, dtype=np.int64)
-    dist_sum = np.zeros(k, dtype=np.float64)
-    last_id = {}   # (person_id, joint) -> last matched track id
+    frames, preds, gts, pairs, correct, dist = _matched_sequence(preds, gts, js, threshold)
+    track_ids = [p.track_id for p in preds]
+    person_ids = [g.person_id for g in gts]
+    person = _codes(person_ids)
+    gt_frame = np.repeat(np.arange(len(frames)), [len(fg) for _, _, fg in frames])
+    if (None in track_ids or None in person_ids
+            or len(np.unique(gt_frame * len(person) + person)) < len(person)):
+        _raise_id_fault(frames)
 
-    for frame_index, frame_preds, frame_gts, pairs, correct, dist in _matched_frames(
-            preds, gts, js, threshold):
-        for p in frame_preds:
-            if p.track_id is None:
-                raise PoseError("compute_mota needs track ids on predictions",
-                                frame=frame_index)
-            reported += p.annotated
-        ids = [g.person_id for g in frame_gts]
-        if None in ids:
-            raise PoseError("compute_mota needs person ids on ground truth",
-                            frame=frame_index)
-        if len(set(ids)) != len(ids):
-            raise PoseError("duplicate person ids in frame", frame=frame_index)
-        for g in frame_gts:
-            gt_total += g.annotated
-        tp += correct.sum(axis=0)
-        for (pi, gi), ok, d in zip(pairs, correct, dist):
-            # summed pair by pair in ground-truth order, one fixed float
-            # order per joint
-            dist_sum += np.where(ok, d, 0.0)
-            track_id, person_id = frame_preds[pi].track_id, frame_gts[gi].person_id
-            for j in np.flatnonzero(ok).tolist():
-                prev = last_id.get((person_id, j))
-                if prev is not None and prev != track_id:
-                    idsw[j] += 1
-                last_id[(person_id, j)] = track_id
+    gt_total = _rows(gts, "annotated", k, bool).sum(axis=0)
+    reported = _rows(preds, "annotated", k, bool).sum(axis=0)
+    tp = correct.sum(axis=0)
+    # summed pair by pair in ground-truth order, one fixed float order per
+    # joint
+    dist_sum = np.cumsum(np.vstack([np.zeros(k), np.where(correct, dist, 0.0)]), axis=0)[-1]
+    # an identity switch: a (person, joint) judged correct whose track id
+    # differs from its previous correct match's
+    m, j = np.nonzero(correct)
+    person, track = person[pairs[m, 1]], _codes(track_ids)[pairs[m, 0]]
+    order = np.lexsort((j, person))   # stable: pair order within a (person, joint)
+    person, j, track = person[order], j[order], track[order]
+    switch = (person[1:] == person[:-1]) & (j[1:] == j[:-1]) & (track[1:] != track[:-1])
+    idsw = np.bincount(j[1:][switch], minlength=k)
     fn = gt_total - tp
     fp = reported - tp
 

@@ -101,6 +101,17 @@ class JointSet:
                 raise PoseError(f"flip pair ({a}, {b}) overlaps another in set {self.name!r}")
             seen.update((a, b))
 
+    def __eq__(self, other):
+        # the same object first: records hold the set they were made with,
+        # so most checks compare a set with itself; the hash stays the
+        # dataclass's field hash
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.joints, self.flip_pairs) == (
+            other.name, other.joints, other.flip_pairs)
+
     @property
     def count(self) -> int:
         return len(self.joints)

@@ -8,8 +8,10 @@ instead of looping over them in Python. The re-solving Hungarian and the
 cell-scanning greedy assignment are the library's earlier solvers, kept as
 they were (about O(n^5) and O(n^3) Python steps) to check the faster ones on
 matrices too large to enumerate. The mAP/MOTA references keep the
-per-joint loops and reuse only the library's AP integration and mean, so
-they check the matching-and-judging bookkeeping, not those formulas.
+per-joint loops, with the library's earlier AP integration
+(``reference_average_precision``: a ``sorted`` ranking and a backward max
+loop) kept as it was, and reuse only the library's mean, so they check the
+matching-and-judging bookkeeping and the AP arithmetic, not that formula.
 The one-pair OKS, the pair-by-pair pose matching and the one-pair box IoU
 with its pop-and-filter box NMS are the library's earlier versions, kept as
 they were, to check the stacked kernels bit for bit. ``pckh_distance`` is the one-joint PCKh distance, the textbook form
@@ -433,10 +435,31 @@ def _reference_frames(preds, gts):
         yield frame_index, pred_by_frame.get(frame_index, []), gt_by_frame.get(frame_index, [])
 
 
+def reference_average_precision(scored, npos: int) -> float:
+    """All-point interpolated AP (in percent) from (score, is_tp) records:
+    ``sorted`` by descending score, cumulative sums, then a backward loop
+    for the interpolated precision."""
+    if npos == 0:
+        return None
+    if not scored:
+        return 0.0
+    scored = sorted(scored, key=lambda r: -r[0])
+    tp = np.cumsum([1 if hit else 0 for _, hit in scored])
+    fp = np.cumsum([0 if hit else 1 for _, hit in scored])
+    recall = tp / npos
+    precision = tp / np.maximum(tp + fp, 1)
+    mrec = np.concatenate([[0.0], recall])
+    mpre = np.concatenate([[1.0], precision])
+    for i in range(len(mpre) - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    ap = float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))
+    return 100.0 * ap
+
+
 def reference_compute_map(preds, gts, k, threshold):
     """Per-joint AP with one loop per prediction joint: {"ap", "map_total"}
     with ap as a per-joint list."""
-    from posepipe.evaluation import _average_precision, _mean_defined
+    from posepipe.evaluation import _mean_defined
     npos = [0] * k
     records = [[] for _ in range(k)]
     for _, frame_preds, frame_gts in _reference_frames(preds, gts):
@@ -453,7 +476,7 @@ def reference_compute_map(preds, gts, k, threshold):
                 hit = (gi is not None and frame_gts[gi].annotated[j]
                        and dist[pi, gi][j] <= threshold)
                 records[j].append((float(p.scores[j]), hit))
-    ap = [_average_precision(records[j], npos[j]) for j in range(k)]
+    ap = [reference_average_precision(records[j], npos[j]) for j in range(k)]
     return {"ap": ap, "map_total": _mean_defined(ap)}
 
 

@@ -144,19 +144,24 @@ def test_greedy_tie_break_by_row_col():
     assert solve_greedy(cost) == {0: 0, 1: 1}
 
 
-_KINDS = ["int", "oks", "negative", "near-tie"]
+_KINDS = ["int", "oks", "negative", "near-tie", "oks-tall"]
 
 
 def _tie_heavy_matrix(rng, kind, r, c):
     """One of the cost shapes the solvers see: small integers, 1 - OKS as
-    tracking builds it (most cells exactly 1.0), negative entries, or
-    integers with near-ties of k * 1e-13."""
+    tracking builds it (most cells exactly 1.0), negative entries, integers
+    with near-ties of k * 1e-13, or 1 - OKS of more live tracks than
+    detections, where tracks that reach no detection are whole rows of 1.0."""
     if kind == "int":
         return rng.integers(0, 3, (r, c)).astype(float)
-    if kind == "oks":
+    if kind in ("oks", "oks-tall"):
+        if kind == "oks-tall":
+            r, c = max(r, c), min(r, c)
         cost = np.ones((r, c))
         near = rng.random((r, c)) < 2.0 / max(r, c)
         cost[near] = 1.0 - rng.choice([0.25, 0.5, 0.75, 0.9, rng.random()], near.sum())
+        if kind == "oks-tall":
+            cost[rng.random(r) < 0.5] = 1.0
         return cost
     if kind == "negative":
         return rng.integers(-3, 3, (r, c)).astype(float)

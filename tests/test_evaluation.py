@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from posepipe import PoseError, builtin_joint_set
+from posepipe import PoseError, builtin_joint_set, evaluation
 from posepipe.evaluation import compute_map, compute_mota, format_table, match_poses
 from posepipe.instances import PersonInstance
 
@@ -215,7 +217,8 @@ def test_greedy_matching_agrees_with_reference():
                        displacement=(rng.uniform(0, 30), rng.uniform(0, 10)),
                        score=float(rng.random()))
              for _ in range(n_p)]
-        got, _, _ = match_poses(p, g)
+        got, _, _ = match_poses([(p, g)])
+        got = list(map(tuple, got.tolist()))
         count = np.zeros((n_p, n_g), int)
         meandist = np.full((n_p, n_g), np.inf)
         for pi in range(n_p):
@@ -248,7 +251,8 @@ def test_match_poses_matches_pair_by_pair_reference(threshold):
             p.append(pred)
             if rng.random() < 0.3:
                 p.append(pred.replace())
-        pairs, correct, dist = match_poses(p, g, threshold)
+        pairs, correct, dist = match_poses([(p, g)], threshold)
+        pairs = list(map(tuple, pairs.tolist()))
         assert pairs == sorted(reference_match_poses(p, g, threshold), key=by_gt)
         # each matched pair's rows are its own judgement, bit for bit
         for r, (pi, gi) in enumerate(pairs):
@@ -342,34 +346,143 @@ def _random_sequence(rng, num_frames):
     return preds, gts
 
 
+def _assert_reports_match_reference_loops(preds, gts, threshold):
+    """Both reports equal the per-joint reference loops; returns the
+    reference's identity-switch count."""
+    rep = compute_map(preds, gts, threshold=threshold)
+    want = reference_compute_map(preds, gts, K, threshold)
+    assert [rep["per_joint_ap"][n] for n in JS.joints] == want["ap"]
+    assert rep["total_map"] == want["map_total"]
+
+    rep = compute_mota(preds, gts, threshold=threshold)
+    want = reference_compute_mota(preds, gts, K, threshold)
+    assert [rep["per_joint_mota"][n] for n in JS.joints] == want["mota"]
+    for key in ("mota", "precision", "recall"):
+        assert rep[f"total_{key}"] == want[f"{key}_total"], key
+    assert [rep["counts"]["gt_joints"][n] for n in JS.joints] == want["gt_joints"]
+    assert [rep["counts"]["fp_per_joint"][n] for n in JS.joints] == want["fp"]
+    assert rep["counts"]["fp"] == sum(want["fp"])
+    assert (rep["counts"]["fn"], rep["counts"]["idsw"]) == (want["fn"], want["idsw"])
+    if want["motp_total"] is None:
+        assert rep["total_motp"] is None
+    else:
+        assert rep["total_motp"] == pytest.approx(want["motp_total"], rel=1e-12, abs=0)
+    return want["idsw"]
+
+
 @pytest.mark.parametrize("threshold", [0.2, 0.5, 1.0])
-def test_metrics_match_per_joint_reference_loops(threshold):
+def test_metrics_match_per_joint_reference_loops(threshold, monkeypatch):
+    # every other sequence is matched in blocks of a few frames, so the
+    # ranking, the distance sums and the identity switches span blocks
     rng = np.random.default_rng(7)
     on_threshold = idsw = 0
-    for _ in range(40):
-        preds, gts = _random_sequence(rng, int(rng.integers(1, 12)))
+    caps = (evaluation.BLOCK_PAIRS, 40)
+    for i in range(40):
+        monkeypatch.setattr(evaluation, "BLOCK_PAIRS", caps[i % 2])
+        preds, gts = _random_sequence(rng, int(rng.integers(1, 61)))
         gt_by_frame = dict(gts)
         on_threshold += sum(
             int(np.sum(np.linalg.norm(p.coords - g.coords, axis=1) == 10.0 * threshold))
             for t, pp in preds for p in pp for g in gt_by_frame.get(t, []))
-
-        rep = compute_map(preds, gts, threshold=threshold)
-        want = reference_compute_map(preds, gts, K, threshold)
-        assert [rep["per_joint_ap"][n] for n in JS.joints] == want["ap"]
-        assert rep["total_map"] == want["map_total"]
-
-        rep = compute_mota(preds, gts, threshold=threshold)
-        want = reference_compute_mota(preds, gts, K, threshold)
-        assert [rep["per_joint_mota"][n] for n in JS.joints] == want["mota"]
-        for key in ("mota", "precision", "recall"):
-            assert rep[f"total_{key}"] == want[f"{key}_total"], key
-        assert [rep["counts"]["gt_joints"][n] for n in JS.joints] == want["gt_joints"]
-        assert [rep["counts"]["fp_per_joint"][n] for n in JS.joints] == want["fp"]
-        assert rep["counts"]["fp"] == sum(want["fp"])
-        assert (rep["counts"]["fn"], rep["counts"]["idsw"]) == (want["fn"], want["idsw"])
-        if want["motp_total"] is None:
-            assert rep["total_motp"] is None
-        else:
-            assert rep["total_motp"] == pytest.approx(want["motp_total"], rel=1e-12, abs=0)
-        idsw += want["idsw"]
+        idsw += _assert_reports_match_reference_loops(preds, gts, threshold)
     assert on_threshold > 0 and idsw > 0
+
+
+def _spy(monkeypatch, name):
+    """Replace evaluation.<name> by a wrapper that records each call's
+    arguments; returns the list of recorded argument tuples."""
+    calls, original = [], getattr(evaluation, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(evaluation, name, spy)
+    return calls
+
+
+def _reports(preds, gts):
+    return [json.dumps(fn(preds, gts, threshold=threshold))
+            for threshold in (0.2, 0.5, 1.0) for fn in (compute_map, compute_mota)]
+
+
+def test_no_pose_is_matched_across_frames():
+    # the persons swap places: each frame-0 prediction sits exactly on a
+    # frame-1 ground truth, a better match than its own (0.4 head sizes off)
+    g0 = [gt_person((0, 0), 0), gt_person((60, 0), 1)]
+    p0 = [pred_from(g, displacement=(4.0, 0.0), score=0.8, track_id=10 + g.person_id)
+          for g in g0]
+    g1 = [gt_person((64, 0), 0), gt_person((4, 0), 1)]
+    p1 = [pred_from(g, displacement=(4.0, 0.0), score=0.6, track_id=10 + g.person_id)
+          for g in g1]
+    pairs, correct, _ = match_poses([(p0, g0), (p1, g1)])
+    assert pairs.tolist() == [[0, 0], [1, 1], [2, 2], [3, 3]] and correct.all()
+    preds, gts = [(0, p0), (1, p1)], [(0, g0), (1, g1)]
+    for threshold in (0.2, 0.5, 1.0):
+        _assert_reports_match_reference_loops(preds, gts, threshold)
+    rep = compute_mota(preds, gts)
+    assert rep["total_mota"] == 100.0 and rep["counts"]["idsw"] == 0
+    assert compute_map(preds, gts)["total_map"] == 100.0
+
+
+@pytest.mark.parametrize("cap", [1, 100])
+def test_blocks_of_frames_give_the_bytes_of_one_block(monkeypatch, cap):
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        preds, gts = _random_sequence(rng, 40)
+        calls = _spy(monkeypatch, "match_poses")
+        whole = _reports(preds, gts)
+        assert len(calls) == 6   # one block per report
+        calls.clear()
+        monkeypatch.setattr(evaluation, "BLOCK_PAIRS", cap)
+        assert _reports(preds, gts) == whole
+        # a cap of 1 gives each frame with pairs a block of its own; 100
+        # cuts the sequence mid-way into blocks of several such frames
+        judged = [sum(len(p) * len(g) > 0 for p, g in frames) for frames, _ in calls]
+        assert len(calls) > 6
+        assert max(judged) == 1 if cap == 1 else max(judged) > 1
+        monkeypatch.undo()
+
+
+def test_judged_pairs_stay_within_the_block_cap(monkeypatch):
+    cap = 10   # below the largest frames, which are then blocks of their own
+    monkeypatch.setattr(evaluation, "BLOCK_PAIRS", cap)
+    blocks = _spy(monkeypatch, "match_poses")
+    judged = _spy(monkeypatch, "_judge")
+    preds, gts = _random_sequence(np.random.default_rng(5), 200)
+    pred_by_frame, gt_by_frame = dict(preds), dict(gts)
+    per_frame = [len(pred_by_frame.get(t, [])) * len(gt_by_frame.get(t, []))
+                 for t in sorted(set(pred_by_frame) | set(gt_by_frame))]
+    compute_map(preds, gts)
+    compute_mota(preds, gts)
+    sizes = [len(args[2]) for args in judged]   # the pair index arrays
+    assert max(sizes) <= max(cap, max(per_frame)) and max(per_frame) > cap
+    assert sum(sizes) == 2 * sum(per_frame)   # every pair judged once per report
+    for (frames, _) in blocks:
+        assert len(frames) == 1 or sum(len(p) * len(g) for p, g in frames) <= cap
+
+
+def test_id_faults_name_their_frame_and_head_sizes_come_first():
+    def sequence():
+        gts = [(t, [gt_person((0, 0), 0), gt_person((100, 0), 1)]) for t in range(10)]
+        preds = [(t, [pred_from(g, track_id=g.person_id) for g in frame])
+                 for t, frame in gts]
+        return preds, gts
+
+    for fault, message in (("track", "needs track ids"), ("person", "needs person ids"),
+                           ("duplicate", "duplicate person ids")):
+        preds, gts = sequence()
+        if fault == "track":
+            preds[7][1][1].track_id = None
+        else:
+            gts[7][1][1].person_id = None if fault == "person" else 0
+        with pytest.raises(PoseError, match=message) as err:
+            compute_mota(preds, gts)
+        assert err.value.frame == 7
+    # a missing track id in frame 3 and a bad head size in frame 7: every
+    # head size is checked before any id
+    preds, gts = sequence()
+    preds[3][1][0].track_id = None
+    gts[7][1][0].head_size = 0.0
+    with pytest.raises(PoseError, match="head_size"):
+        compute_mota(preds, gts)

@@ -253,6 +253,24 @@ def test_records_hold_their_joint_set_and_a_name_is_resolved_when_made():
                                           annotated=p.annotated).joint_set is coco
 
 
+def test_joint_set_equality_is_by_value_with_an_identity_shortcut():
+    coco = builtin_joint_set("coco")
+    copy = JointSet(coco.name, coco.joints, coco.flip_pairs)
+    assert copy is not coco and copy == coco and not copy != coco
+    assert hash(copy) == hash(coco)
+    assert coco == coco and not coco != coco
+    assert JointSet("coco", coco.joints) != coco   # flip pairs differ
+    assert coco != "coco" and coco.__eq__("coco") is NotImplemented
+    # a re-registered custom name is a different set from the one held before
+    held = JointSet("re-equal", ("left_wrist", "left_ankle"))
+    register_joint_set(held)
+    assert get_joint_set("re-equal") is held
+    register_joint_set(JointSet("re-equal", ("left_wrist",)))
+    assert get_joint_set("re-equal") != held and not get_joint_set("re-equal") == held
+    register_joint_set(JointSet("re-equal", held.joints))
+    assert get_joint_set("re-equal") is not held and get_joint_set("re-equal") == held
+
+
 _HELD = JointSet("held", ("left_wrist", "right_wrist", "nose"), ((0, 1),))
 
 
