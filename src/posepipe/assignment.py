@@ -85,8 +85,7 @@ def solve_hungarian(cost) -> dict:
     lexicographically smallest (row, col) choice.
 
     One solve gives an optimal matching and its potentials. Real rows are then
-    fixed in order until every real column is fixed (the rows left can then
-    only trade padding columns, which are never reported): a Dijkstra over the
+    fixed in order (padding rows are never reported): a Dijkstra over the
     reduced costs of the rows and columns not yet fixed, backward from the
     row's column along alternating paths, gives for each column how much the
     remaining optimum rises if the row is forced to it. The search stops once
@@ -148,8 +147,6 @@ def solve_hungarian(cost) -> dict:
                     break
                 row, b = owners[b], nxt[b]
         live[col_of[r0]] = False
-        if not live[:c].any():   # the rows left only trade padding columns
-            break
 
     return {i: int(col_of[i]) for i in range(r) if col_of[i] < c}
 

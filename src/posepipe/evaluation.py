@@ -195,7 +195,9 @@ def _matched_sequence(preds, gts, js, threshold: float):
     (frame_index, frame_preds, frame_gts) in order, preds and gts are all
     frames' predictions and ground truths, each concatenated in frame order,
     pairs is an (M, 2) array of matched indices into them, sorted by ground
-    truth, and correct/dist are the pairs' (M, K) rows of the judgement.
+    truth, and correct/dist are the pairs' (M, K) rows of the judgement. The
+    judgement's temporaries are bounded by the block; the returned rows grow
+    with the sequence.
     """
     _judge((), (), (), (), threshold)   # checked even when there is no frame to judge
     k = js.count
@@ -260,8 +262,8 @@ def _codes(values) -> np.ndarray:
     return np.array([seen.setdefault(v, len(seen)) for v in values], dtype=np.intp)
 
 
-def _raise_id_fault(frames):
-    """Raise the first id fault of frames, in frame order."""
+def _check_ids(frames):
+    """Raise the first id fault of frames, in frame order, if there is one."""
     for frame_index, frame_preds, frame_gts in frames:
         if any(p.track_id is None for p in frame_preds):
             raise PoseError("compute_mota needs track ids on predictions", frame=frame_index)
@@ -287,13 +289,7 @@ def compute_mota(preds, gts, joint_set="posetrack",
     js = get_joint_set(joint_set)
     k = js.count
     frames, preds, gts, pairs, correct, dist = _matched_sequence(preds, gts, js, threshold)
-    track_ids = [p.track_id for p in preds]
-    person_ids = [g.person_id for g in gts]
-    person = _codes(person_ids)
-    gt_frame = np.repeat(np.arange(len(frames)), [len(fg) for _, _, fg in frames])
-    if (None in track_ids or None in person_ids
-            or len(np.unique(gt_frame * len(person) + person)) < len(person)):
-        _raise_id_fault(frames)
+    _check_ids(frames)
 
     gt_total = _rows(gts, "annotated", k, bool).sum(axis=0)
     reported = _rows(preds, "annotated", k, bool).sum(axis=0)
@@ -304,7 +300,8 @@ def compute_mota(preds, gts, joint_set="posetrack",
     # an identity switch: a (person, joint) judged correct whose track id
     # differs from its previous correct match's
     m, j = np.nonzero(correct)
-    person, track = person[pairs[m, 1]], _codes(track_ids)[pairs[m, 0]]
+    person = _codes([g.person_id for g in gts])[pairs[m, 1]]
+    track = _codes([p.track_id for p in preds])[pairs[m, 0]]
     order = np.lexsort((j, person))   # stable: pair order within a (person, joint)
     person, j, track = person[order], j[order], track[order]
     switch = (person[1:] == person[:-1]) & (j[1:] == j[:-1]) & (track[1:] != track[:-1])
