@@ -12,7 +12,8 @@ O(n^2) shortest-path pass over the reduced costs, O(n^3) in all. A column
 qualifies for a row when forcing the row to it raises the optimum of the rows
 and columns not yet fixed by at most a tolerance of
 1e-9 * max(1, max |cost|) * n; the row takes the smallest qualifying column.
-The greedy solver is one stable sort of the cells and a walk over them.
+The greedy solver is one stable sort of the cells and a walk over them
+(``greedy_walk``, which ``evaluation.match_poses`` shares).
 """
 
 from __future__ import annotations
@@ -151,25 +152,30 @@ def solve_hungarian(cost) -> dict:
     return {i: int(col_of[i]) for i in range(r) if col_of[i] < c}
 
 
+def greedy_walk(rows, cols, limit=None) -> np.ndarray:
+    """Walk the pairs ``(rows[n], cols[n])`` in order and take each whose row
+    and column are both still free, stopping once limit pairs are taken;
+    returns the taken pairs' positions n."""
+    used_rows, used_cols, taken = set(), set(), []
+    for n, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+        if i not in used_rows and j not in used_cols:
+            used_rows.add(i)
+            used_cols.add(j)
+            taken.append(n)
+            if len(taken) == limit:
+                break
+    return np.array(taken, dtype=np.intp)
+
+
 def solve_greedy(cost) -> dict:
     """Repeatedly take the globally cheapest remaining cell, ties by (row, col).
 
     One stable sort of the cells by cost keeps row-major order among equal
-    costs; the walk then takes each cell whose row and column are both free.
+    costs; ``greedy_walk`` then takes each cell whose row and column are both
+    free, until min(rows, cols) are taken.
     """
     a = _validate(cost)
     r, c = a.shape
-    if r == 0 or c == 0:
-        return {}
-    rows_left = np.ones(r, dtype=bool)
-    cols_left = np.ones(c, dtype=bool)
-    out = {}
-    for cell in np.argsort(a, axis=None, kind="stable"):
-        i, j = divmod(int(cell), c)
-        if rows_left[i] and cols_left[j]:
-            out[i] = j
-            rows_left[i] = False
-            cols_left[j] = False
-            if len(out) == min(r, c):
-                break
-    return dict(sorted(out.items()))
+    rows, cols = np.divmod(np.argsort(a, axis=None, kind="stable"), c)
+    taken = greedy_walk(rows, cols, min(r, c))
+    return dict(sorted(zip(rows[taken].tolist(), cols[taken].tolist())))

@@ -20,7 +20,7 @@ from .config import PipelineConfig
 from .errors import PoseError
 from .evaluation import PCKH_THRESHOLD, compute_map, compute_mota, format_table
 from .heatmaps import decode, load_heatmap
-from .pipeline import fuse, load_manifest, run_pipeline, to_instance, track_sequence
+from .pipeline import fuse, load_manifest, run_pipeline, to_instances, track_sequence
 from .poseio import (
     BoxSequence,
     PoseSequence,
@@ -48,8 +48,8 @@ def _save_decoded(decoded, path) -> None:
         box = np.concatenate([lo, hi - lo])
     else:
         box = [0.0, 0.0, 1.0, 1.0]
-    instance = to_instance(decoded, box, 1.0)
-    save_pose_file(PoseSequence(decoded.joint_set, [(0, [instance])]), path)
+    save_pose_file(PoseSequence(decoded.joint_set, [(0, to_instances([decoded], [box], [1.0]))]),
+                   path)
 
 
 def cmd_synth(args):

@@ -6,18 +6,21 @@ number > 0, default 0.5):
 * A predicted joint is correct when both poses annotate it and its distance
   to the ground-truth joint is at most threshold x the person's head
   reference size (head-box diagonal x 0.6, computed upstream). ``_judge``
-  is the one place this rule and its distance are computed, over stacked
-  pairs: a sequence is cut into blocks of consecutive frames of at most
-  ``BLOCK_PAIRS`` within-frame (prediction, ground-truth) pairs (a larger
-  frame is a block of its own), matching judges a block's pairs in one
-  call, and both metrics read the matched pairs' rows of that judgement.
-  The distances are bit-equal to judging one pair at a time.
+  is the one place this rule and its distance are computed, over the
+  sequence's stacked poses: the within-frame (prediction, ground-truth)
+  pairs are numbered across the whole sequence and judged ``BLOCK_PAIRS``
+  at a time, so a slice may start or end mid-frame and no input judges
+  more pairs at once. The matched pairs are judged again, in slices of the
+  same size, for the rows both metrics read. The distances are bit-equal
+  to judging one pair at a time.
 * Poses are matched per frame, greedily, by descending count of correct
   joints; ties prefer the smaller mean normalized distance (over joints
   annotated in both, in ``np.mean``'s float order, by the same masked-mean
   helper as OKS), then the smaller (prediction, ground-truth) index pair.
-  Pairs with zero correct joints stay unmatched. A block's frames are
-  matched by one sort, frame first, and one walk.
+  Pairs with zero correct joints stay unmatched, and only the sort keys of
+  the others are kept. The whole sequence is matched by one sort and one
+  walk (``assignment.greedy_walk``): each pose is in one frame, so the
+  frames' matchings do not interact and need no frame key.
 * AP ranks every reported prediction joint by its keypoint score over the
   whole dataset (ties in frame, then prediction, order) and integrates the
   interpolated precision-recall curve.
@@ -35,12 +38,13 @@ import math
 
 import numpy as np
 
+from .assignment import greedy_walk
 from .errors import PoseError
 from .skeletons import canonical_name, get_joint_set
 from .suppression import _masked_mean
 
 PCKH_THRESHOLD = 0.5
-BLOCK_PAIRS = 16384   # (prediction, ground truth) pairs judged per match_poses call
+BLOCK_PAIRS = 16384   # (prediction, ground truth) pairs judged per _judge call
 
 # Column grouping used by the report tables.
 _JOINT_GROUPS = (
@@ -72,78 +76,87 @@ def _group_columns(js, per_joint):
             for group, members in _JOINT_GROUPS}
 
 
-def _judge(preds, gts, pi, gi, threshold: float):
-    """PCKh judgement of the (prediction, ground-truth) pairs
-    ``(preds[pi[n]], gts[gi[n]])``.
+def _judge(pred, gt, pi, gi, threshold: float):
+    """PCKh judgement of the (prediction, ground-truth) pairs ``(pi[n], gi[n])``.
 
-    Returns three (N, K) arrays: the correct mask (annotated in both poses
-    and within threshold), the distances normalized by the ground truth's
-    head size and the annotated-in-both mask; None if no pair is given. The
-    one check of the threshold and of head sizes (each a finite number > 0,
-    for every ground truth given, paired or not) runs first, so a call on no
-    input checks the threshold.
+    pred holds the predictions' stacked (coords, annotated) arrays, gt the
+    ground truths' (coords, annotated, head sizes). Returns three (N, K)
+    arrays: the correct mask (annotated in both poses and within threshold),
+    the distances normalized by the ground truth's head size and the
+    annotated-in-both mask.
     """
-    if not 0 < threshold < math.inf:
-        raise PoseError(f"PCKh threshold must be a finite number > 0, got {threshold!r}")
-    heads = [g.head_size for g in gts]
-    if any(h is None or not 0 < h < math.inf for h in heads):
-        raise PoseError("ground-truth instances need a finite head_size > 0")
-    if not len(pi):
-        return None
-    sq = (np.take(np.array([p.coords for p in preds]), pi, axis=0)
-          - np.take(np.array([g.coords for g in gts]), gi, axis=0))
+    (p_xy, p_ann), (g_xy, g_ann, head) = pred, gt
+    sq = p_xy[pi] - g_xy[gi]
     sq *= sq
     # the Euclidean norm as np.linalg.norm computes it: sqrt(x * x + y * y)
-    d = np.sqrt(sq[..., 0] + sq[..., 1]) / np.array(heads, dtype=np.float64)[gi, None]
-    both = (np.take(np.array([p.annotated for p in preds]), pi, axis=0)
-            & np.take(np.array([g.annotated for g in gts]), gi, axis=0))
+    d = np.sqrt(sq[..., 0] + sq[..., 1]) / head[gi, None]
+    both = p_ann[pi] & g_ann[gi]
     return both & (d <= threshold), d, both
 
 
-def match_poses(frames, threshold: float = PCKH_THRESHOLD):
-    """Greedy one-to-one pose assignment within each frame of a block of
-    frames.
+def _slices(total: int) -> range:
+    """Starts of the ``BLOCK_PAIRS``-long slices of ``range(total)``; one
+    empty slice when total is 0, so that the slices' results concatenate."""
+    return range(0, max(total, 1), BLOCK_PAIRS)
+
+
+def match_poses(frames, js, threshold: float = PCKH_THRESHOLD):
+    """Greedy one-to-one pose assignment within each frame of a sequence.
 
     frames is a sequence of (preds, gts) PersonInstance lists, one pair per
-    frame, all in one joint set; every gt must carry head_size. Every
-    within-frame pair of the block is judged in one ``_judge`` call; one
-    sort, by frame first, and one walk over it match them, so no pose is
-    matched across frames. The mean distance over joints annotated in both
-    keeps ``np.mean``'s float order. Returns (pairs, correct, dist): pairs
-    is an (M, 2) array of the matched (pred, gt) indices into the block's
-    predictions and ground truths, each concatenated in frame order, sorted
-    by ground truth; correct and dist are the pairs' (M, K) rows of the
-    correct mask and of the distances, or None when the block has no pair
-    to judge.
+    frame, all in joint set js. The threshold and every gt's head_size (each
+    a finite number > 0) are checked first. The within-frame pairs are
+    numbered frame by frame, (pred, gt) row-major within a frame, and judged
+    ``BLOCK_PAIRS`` at a time; only the sort keys of pairs with a correct
+    joint are kept. One sort and one greedy walk over the whole sequence
+    match them, and no pose is matched across frames. The mean distance
+    over joints annotated in both keeps ``np.mean``'s float order. Returns
+    (pairs, correct, dist): pairs is an (M, 2) array of the matched (pred,
+    gt) indices into the sequence's predictions and ground truths, each
+    concatenated in frame order, sorted by ground truth; correct and dist
+    are the pairs' (M, K) rows of the correct mask and of the distances.
     """
+    if not 0 < threshold < math.inf:
+        raise PoseError(f"PCKh threshold must be a finite number > 0, got {threshold!r}")
     preds = [p for frame_preds, _ in frames for p in frame_preds]
     gts = [g for _, frame_gts in frames for g in frame_gts]
+    heads = [g.head_size for g in gts]
+    if any(h is None or not 0 < h < math.inf for h in heads):
+        raise PoseError("ground-truth instances need a finite head_size > 0")
+    k = js.count
+    pred = _rows(preds, "coords", np.float64, k, 2), _rows(preds, "annotated", bool, k)
+    gt = (_rows(gts, "coords", np.float64, k, 2), _rows(gts, "annotated", bool, k),
+          np.array(heads, dtype=np.float64))
     n_p = np.array([len(frame_preds) for frame_preds, _ in frames], dtype=np.intp)
     n_g = np.array([len(frame_gts) for _, frame_gts in frames], dtype=np.intp)
-    # each frame's pairs in (pred, gt) row-major order
     n_pairs = n_p * n_g
-    frame = np.repeat(np.arange(len(n_pairs)), n_pairs)
-    at = np.arange(len(frame)) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
-    pi = np.repeat(np.cumsum(n_p) - n_p, n_pairs) + at // n_g[frame]
-    gi = np.repeat(np.cumsum(n_g) - n_g, n_pairs) + at % n_g[frame]
-    judged = _judge(preds, gts, pi, gi, threshold)
-    if judged is None:
-        return np.zeros((0, 2), dtype=np.intp), None, None
-    correct, d, both = judged
-    count = correct.sum(axis=1)
-    cand = np.flatnonzero(count)   # pairs with zero correct joints never match
-    meandist = _masked_mean(d[cand], both[cand])
-    cand = cand[np.lexsort((gi[cand], pi[cand], meandist, -count[cand], frame[cand]))]
-    used_p, used_g, taken = set(), set(), []
-    for n, p, g in zip(cand.tolist(), pi[cand].tolist(), gi[cand].tolist()):
-        if p in used_p or g in used_g:
-            continue
-        used_p.add(p)
-        used_g.add(g)
-        taken.append(n)
-    taken = np.array(taken, dtype=np.intp)
+    p_at, g_at = np.cumsum(n_p) - n_p, np.cumsum(n_g) - n_g
+    first = np.cumsum(n_pairs) - n_pairs   # each frame's first pair number
+    total = int(n_pairs.sum())
+
+    def located(n):   # the pred and gt of pair numbers n
+        f = np.searchsorted(first, n, side="right") - 1
+        at = n - first[f]
+        return p_at[f] + at // n_g[f], g_at[f] + at % n_g[f]
+
+    kept = []
+    for start in _slices(total):
+        n = np.arange(start, min(start + BLOCK_PAIRS, total))
+        pi, gi = located(n)
+        correct, d, both = _judge(pred, gt, pi, gi, threshold)
+        count = correct.sum(axis=1)
+        c = np.flatnonzero(count)   # pairs with zero correct joints never match
+        kept.append((n[c], -count[c], _masked_mean(d[c], both[c])))
+    n, neg_count, meandist = (np.concatenate(key) for key in zip(*kept))
+    # ties by pair number, (pred, gt) order; each pose is in one frame, so no frame key
+    pi, gi = located(n[np.lexsort((n, meandist, neg_count))])
+    taken = greedy_walk(pi, gi)
     taken = taken[np.argsort(gi[taken])]
-    return np.column_stack([pi[taken], gi[taken]]), correct[taken], d[taken]
+    pi, gi = pi[taken], gi[taken]
+    rows = [_judge(pred, gt, pi[start:start + BLOCK_PAIRS], gi[start:start + BLOCK_PAIRS],
+                   threshold) for start in _slices(len(taken))]
+    return (np.column_stack([pi, gi]), np.concatenate([correct for correct, _, _ in rows]),
+            np.concatenate([d for _, d, _ in rows]))
 
 
 def _average_precision(scores, hits, npos: int) -> float:
@@ -178,51 +191,29 @@ def _index_frames(frames, js):
     return seen
 
 
-def _rows(instances, field: str, k: int, dtype):
-    """The instances' (K,) arrays of field stacked into an (N, K) array."""
-    if not instances:
-        return np.zeros((0, k), dtype=dtype)
-    return np.array([getattr(p, field) for p in instances])
+def _rows(instances, field: str, dtype, *shape):
+    """The instances' field arrays, each of the given shape, stacked into an
+    (N, *shape) array."""
+    return np.array([getattr(p, field) for p in instances], dtype=dtype).reshape(
+        len(instances), *shape)
 
 
 def _matched_sequence(preds, gts, js, threshold: float):
-    """Match every frame, in frame-index order, one block of frames per
-    ``match_poses`` call.
+    """Every frame, in frame-index order, matched by one ``match_poses`` call.
 
-    A block is a run of consecutive frames with at most ``BLOCK_PAIRS``
-    (prediction, ground-truth) pairs in all; a frame with more is a block of
-    its own. Returns (frames, preds, gts, pairs, correct, dist): frames lists
+    Returns (frames, preds, gts, pairs, correct, dist): frames lists
     (frame_index, frame_preds, frame_gts) in order, preds and gts are all
     frames' predictions and ground truths, each concatenated in frame order,
-    pairs is an (M, 2) array of matched indices into them, sorted by ground
-    truth, and correct/dist are the pairs' (M, K) rows of the judgement. The
-    judgement's temporaries are bounded by the block; the returned rows grow
-    with the sequence.
+    and pairs, correct and dist are what ``match_poses`` returns for them.
     """
-    _judge((), (), (), (), threshold)   # checked even when there is no frame to judge
-    k = js.count
     pred_by_frame = _index_frames(preds, js)
     gt_by_frame = _index_frames(gts, js)
     frames = [(f, pred_by_frame.get(f, []), gt_by_frame.get(f, []))
               for f in sorted(set(pred_by_frame) | set(gt_by_frame))]
-    p_at = np.cumsum([0] + [len(frame_preds) for _, frame_preds, _ in frames])
-    g_at = np.cumsum([0] + [len(frame_gts) for _, _, frame_gts in frames])
-    pairs_at = np.cumsum([0] + [len(frame_preds) * len(frame_gts)
-                                for _, frame_preds, frame_gts in frames])
-    matched = [(np.zeros((0, 2), dtype=np.intp), np.zeros((0, k), dtype=bool), np.zeros((0, k)))]
-    start = 0
-    while start < len(frames):
-        stop = max(start + 1, int(np.searchsorted(pairs_at, pairs_at[start] + BLOCK_PAIRS,
-                                                  side="right")) - 1)
-        pairs, correct, dist = match_poses(
-            [(frame_preds, frame_gts) for _, frame_preds, frame_gts in frames[start:stop]],
-            threshold)
-        if correct is not None:
-            matched.append((pairs + (p_at[start], g_at[start]), correct, dist))
-        start = stop
-    pairs, correct, dist = (np.concatenate(part) for part in zip(*matched))
+    matched = match_poses([(frame_preds, frame_gts) for _, frame_preds, frame_gts in frames],
+                          js, threshold)
     return (frames, [p for _, frame_preds, _ in frames for p in frame_preds],
-            [g for _, _, frame_gts in frames for g in frame_gts], pairs, correct, dist)
+            [g for _, _, frame_gts in frames for g in frame_gts], *matched)
 
 
 def compute_map(preds, gts, joint_set="posetrack",
@@ -232,18 +223,18 @@ def compute_map(preds, gts, joint_set="posetrack",
     preds: iterable of (frame_index, [PersonInstance]) with keypoint scores.
     gts: iterable of (frame_index, [PersonInstance]), every instance carrying
     a finite head_size > 0. threshold: the PCKh threshold, a finite number > 0.
-    Both are checked by ``_judge``; a bad value raises PoseError. joint_set is
+    Both are checked by ``match_poses``; a bad value raises PoseError. joint_set is
     a JointSet or a registered name. Returns the document ``eval-map --json``
     writes; AP is None for a joint no ground truth annotates.
     """
     js = get_joint_set(joint_set)
     k = js.count
     _, preds, gts, pairs, correct, _ = _matched_sequence(preds, gts, js, threshold)
-    annotated = _rows(preds, "annotated", k, bool)
-    scores = _rows(preds, "scores", k, np.float64)
+    annotated = _rows(preds, "annotated", bool, k)
+    scores = _rows(preds, "scores", np.float64, k)
     hits = np.zeros_like(annotated)
     hits[pairs[:, 0]] = correct
-    npos = _rows(gts, "annotated", k, bool).sum(axis=0)
+    npos = _rows(gts, "annotated", bool, k).sum(axis=0)
     # each joint's records: every prediction that reports it, in frame order
     ap = {name: _average_precision(scores[annotated[:, j], j], hits[annotated[:, j], j],
                                    int(npos[j]))
@@ -291,8 +282,8 @@ def compute_mota(preds, gts, joint_set="posetrack",
     frames, preds, gts, pairs, correct, dist = _matched_sequence(preds, gts, js, threshold)
     _check_ids(frames)
 
-    gt_total = _rows(gts, "annotated", k, bool).sum(axis=0)
-    reported = _rows(preds, "annotated", k, bool).sum(axis=0)
+    gt_total = _rows(gts, "annotated", bool, k).sum(axis=0)
+    reported = _rows(preds, "annotated", bool, k).sum(axis=0)
     tp = correct.sum(axis=0)
     # summed pair by pair in ground-truth order, one fixed float order per
     # joint

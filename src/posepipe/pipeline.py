@@ -38,7 +38,7 @@ from .fusion import (
     rows_read,
 )
 from .heatmaps import DecodedPose, check_flip_pair, flip_merge, load_heatmap
-from .instances import PersonInstance, check_box, check_score, stacked_instances
+from .instances import check_box, check_score, stacked_instances
 from .poseio import (
     PoseSequence,
     check_frame_order,
@@ -149,11 +149,6 @@ def to_instances(decoded: list, boxes: list, box_scores: list) -> list:
         "annotated": np.stack([d.annotated for d in decoded]),
         "score": [float(s) for s in box_scores],
         **dict.fromkeys(("track_id", "person_id", "head_size"), [None] * n)})
-
-
-def to_instance(decoded: DecodedPose, box, box_score: float) -> PersonInstance:
-    """decoded in an (x, y, w, h) box: ``to_instances`` of a stack of one."""
-    return to_instances([decoded], [box], [box_score])[0]
 
 
 def steps(config: PipelineConfig) -> list:

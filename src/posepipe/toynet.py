@@ -44,9 +44,6 @@ class NetConfig:
         for d in self.domains:
             get_joint_set(d)
 
-    def head_channels(self, domain: str) -> int:
-        return get_joint_set(domain).count
-
     def blocks(self) -> list:
         """Parameter block names: the two backbone convs, then a head per domain."""
         return ["backbone.conv1", "backbone.conv2"] + [f"head.{d}" for d in self.domains]
@@ -75,7 +72,7 @@ def param_shapes(config: NetConfig) -> dict:
     shapes = {"backbone.conv1.w": (c_h, c_in, 3, 3), "backbone.conv1.b": (c_h,),
               "backbone.conv2.w": (c_h, c_h, 3, 3), "backbone.conv2.b": (c_h,)}
     for d in config.domains:
-        k = config.head_channels(d)
+        k = get_joint_set(d).count
         shapes[f"head.{d}.w"], shapes[f"head.{d}.b"] = (k, c_h), (k,)
     return shapes
 

@@ -35,8 +35,9 @@ import numpy as np
 from .errors import PoseError, checked
 from .heatmaps import peaks
 from .poseio import read_document
-from .skeletons import mapping
-from .toynet import NetConfig, ToyNetwork, check_loss, forward, gradients, init_network, sgd_step
+from .skeletons import get_joint_set, mapping
+from .toynet import (NetConfig, ToyNetwork, check_loss, forward, gradients, init_network,
+                     param_shapes, sgd_step)
 from .synthetic import DEFAULT_DOMAINS, DomainSpec, project_to_merged
 
 DEFAULT_LR = 1.2
@@ -44,6 +45,9 @@ DEFAULT_BATCH = 8
 DEFAULT_OHKM_K = 8
 HELDOUT_REFERENCES = ("annotation", "truth")
 HELDOUT_CHUNK = 8   # held-out samples per forward call
+# bytes a train-toy config may ask for: its parameters, its generated samples
+# and its largest batch's conv2 im2col matrix (see TrainConfig.footprint)
+TRAIN_BYTES_LIMIT = 2**30
 
 
 @dataclass(frozen=True)
@@ -171,8 +175,9 @@ def _schedule_from_dict(doc: dict) -> TrainSchedule:
 class TrainConfig:
     """A ``train-toy`` config document's eight keys. ``load`` checks the keys
     and value types; building makes ``net_config``, ``domain_specs`` (in
-    document order) and ``train_schedule`` and checks every range and every
-    name the schedule uses. All of it happens before any data is made."""
+    document order) and ``train_schedule`` and checks every range, every
+    name the schedule uses and that the ``footprint`` is within
+    ``TRAIN_BYTES_LIMIT``. All of it happens before any data is made."""
 
     schedule: dict = field(default_factory=dict)
     domains: dict = field(default_factory=lambda: {n: {} for n in DEFAULT_DOMAINS})
@@ -207,6 +212,21 @@ class TrainConfig:
         check_heldout_reference(self.heldout_reference)
         self.train_schedule = _schedule_from_dict(self.schedule)
         check_stages(self.train_schedule, self.domain_specs, net.blocks())
+        if self.footprint() > TRAIN_BYTES_LIMIT:
+            raise PoseError(f"train config asks for more than {TRAIN_BYTES_LIMIT} bytes of "
+                            f"parameters, samples and conv2 im2col matrix")
+
+    def footprint(self) -> int:
+        """Bytes of float64 the config asks for, computed without allocating:
+        the parameters, every generated training and held-out sample (input
+        and target planes) and the conv2 im2col matrix of the largest batch
+        (a stage's or a held-out chunk)."""
+        net = self.net_config
+        params = sum(math.prod(shape) for shape in param_shapes(net).values())
+        planes = sum((self.train_sizes[n] + self.heldout_sizes[n])
+                     * (net.in_channels + get_joint_set(n).count) for n in self.domain_specs)
+        batch = max([HELDOUT_CHUNK] + [s.batch_size for s in self.train_schedule.stages])
+        return 8 * (params + net.height * net.width * (planes + batch * net.hidden * 9))
 
     @classmethod
     def load(cls, path) -> "TrainConfig":

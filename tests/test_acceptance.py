@@ -132,6 +132,7 @@ def test_criterion_3_decode_fidelity():
 
 @criterion(4, "analytic gradients match finite differences to 1e-4, < 30 s")
 def test_criterion_4_gradient_correctness():
+    from posepipe.skeletons import get_joint_set
     from posepipe.toynet import (
         NetConfig, forward, gradients, init_network, loss_l2_masked, loss_ohkm,
     )
@@ -160,7 +161,7 @@ def test_criterion_4_gradient_correctness():
             s = S()
             s.domain = domains[int(rng.integers(0, len(domains)))]
             s.input = rng.normal(size=(cfg.in_channels, cfg.height, cfg.width))
-            k = cfg.head_channels(s.domain)
+            k = get_joint_set(s.domain).count
             s.target = rng.random((k, cfg.height, cfg.width))
             s.mask = rng.random(k) > 0.25
             batch.append(s)

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from posepipe.heatmaps import Heatmap, load_heatmap, render_target, save_heatmap
 from posepipe.poseio import document_text, load_pose_file, pose_document
 from posepipe.skeletons import JointSet, builtin_joint_set, register_joint_set
 from posepipe.toynet import load_network
+from posepipe.training import TRAIN_BYTES_LIMIT, TrainConfig
 
 from make_golden import GOLDEN_PATH, GOLDEN_SEED
 
@@ -568,6 +570,36 @@ def test_train_toy_with_no_annotated_heldout_joint_exits_2(tmp_path, capsys, mon
                                   "kind": "contract"}
     assert not out.exists()
     assert steps == []
+
+
+@pytest.mark.parametrize("train_doc", [
+    dict(_TINY_TRAIN, net={"hidden": 100_000}),   # 720 GB of conv2 weights
+    dict(_TINY_TRAIN, net={"hidden": 2, "height": 1_000_000}),
+    dict(_TINY_TRAIN, train_sizes={"coco": 10_000_000}),
+    dict(_TINY_TRAIN, schedule={"preset": "single", "domain": "coco", "steps": 1,
+                                "batch_size": 10_000_000}),
+], ids=["hidden", "height", "train_sizes", "batch_size"])
+def test_train_toy_rejects_a_config_over_the_byte_limit(tmp_path, capsys, monkeypatch,
+                                                        train_doc):
+    # the hidden case used to end in a MemoryError traceback; the limit is
+    # checked from the config's sizes alone, before any data or network
+    made = []
+    monkeypatch.setattr("posepipe.cli.gen_synthetic", lambda *a: made.append(a))
+    monkeypatch.setattr("posepipe.training.init_network", lambda *a: made.append(a))
+    path, out = tmp_path / "train.json", tmp_path / "net.pknp"
+    path.write_text(json.dumps(train_doc))
+    assert main(["train-toy", "--config", str(path), "--out", str(out)]) == 2
+    doc = _error_doc(capsys)
+    assert doc["kind"] == "contract" and doc["error"].startswith(
+        f"train config asks for more than {TRAIN_BYTES_LIMIT} bytes of parameters, samples")
+    assert made == [] and not out.exists()
+
+
+def test_readme_train_config_is_within_the_byte_limit():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("### train-toy config", 1)[1].split("```json", 1)[1].split("```")[0]
+    config = TrainConfig(**json.loads(block))
+    assert config.footprint() <= TRAIN_BYTES_LIMIT
 
 
 # each key PipelineConfig no longer has, with a value it used to accept

@@ -217,7 +217,7 @@ def test_greedy_matching_agrees_with_reference():
                        displacement=(rng.uniform(0, 30), rng.uniform(0, 10)),
                        score=float(rng.random()))
              for _ in range(n_p)]
-        got, _, _ = match_poses([(p, g)])
+        got, _, _ = match_poses([(p, g)], JS)
         got = list(map(tuple, got.tolist()))
         count = np.zeros((n_p, n_g), int)
         meandist = np.full((n_p, n_g), np.inf)
@@ -251,7 +251,7 @@ def test_match_poses_matches_pair_by_pair_reference(threshold):
             p.append(pred)
             if rng.random() < 0.3:
                 p.append(pred.replace())
-        pairs, correct, dist = match_poses([(p, g)], threshold)
+        pairs, correct, dist = match_poses([(p, g)], JS, threshold)
         pairs = list(map(tuple, pairs.tolist()))
         assert pairs == sorted(reference_match_poses(p, g, threshold), key=by_gt)
         # each matched pair's rows are its own judgement, bit for bit
@@ -372,8 +372,9 @@ def _assert_reports_match_reference_loops(preds, gts, threshold):
 
 @pytest.mark.parametrize("threshold", [0.2, 0.5, 1.0])
 def test_metrics_match_per_joint_reference_loops(threshold, monkeypatch):
-    # every other sequence is matched in blocks of a few frames, so the
-    # ranking, the distance sums and the identity switches span blocks
+    # every other sequence is judged in slices of 40 pairs, which split
+    # frames, so the ranking, the distance sums and the identity switches
+    # span slices
     rng = np.random.default_rng(7)
     on_threshold = idsw = 0
     caps = (evaluation.BLOCK_PAIRS, 40)
@@ -415,7 +416,7 @@ def test_no_pose_is_matched_across_frames():
     g1 = [gt_person((64, 0), 0), gt_person((4, 0), 1)]
     p1 = [pred_from(g, displacement=(4.0, 0.0), score=0.6, track_id=10 + g.person_id)
           for g in g1]
-    pairs, correct, _ = match_poses([(p0, g0), (p1, g1)])
+    pairs, correct, _ = match_poses([(p0, g0), (p1, g1)], JS)
     assert pairs.tolist() == [[0, 0], [1, 1], [2, 2], [3, 3]] and correct.all()
     preds, gts = [(0, p0), (1, p1)], [(0, g0), (1, g1)]
     for threshold in (0.2, 0.5, 1.0):
@@ -425,41 +426,43 @@ def test_no_pose_is_matched_across_frames():
     assert compute_map(preds, gts)["total_map"] == 100.0
 
 
-@pytest.mark.parametrize("cap", [1, 100])
-def test_blocks_of_frames_give_the_bytes_of_one_block(monkeypatch, cap):
+@pytest.mark.parametrize("cap", [1, 7, 100])
+def test_slices_of_pairs_give_the_bytes_of_one_slice(monkeypatch, cap):
+    # a cap of 1 judges pair by pair; 7 and 100 cut slices mid-frame
     rng = np.random.default_rng(11)
     for _ in range(8):
         preds, gts = _random_sequence(rng, 40)
-        calls = _spy(monkeypatch, "match_poses")
         whole = _reports(preds, gts)
-        assert len(calls) == 6   # one block per report
-        calls.clear()
         monkeypatch.setattr(evaluation, "BLOCK_PAIRS", cap)
         assert _reports(preds, gts) == whole
-        # a cap of 1 gives each frame with pairs a block of its own; 100
-        # cuts the sequence mid-way into blocks of several such frames
-        judged = [sum(len(p) * len(g) > 0 for p, g in frames) for frames, _ in calls]
-        assert len(calls) > 6
-        assert max(judged) == 1 if cap == 1 else max(judged) > 1
         monkeypatch.undo()
 
 
-def test_judged_pairs_stay_within_the_block_cap(monkeypatch):
-    cap = 10   # below the largest frames, which are then blocks of their own
+def test_judged_pairs_stay_within_the_slice_cap(monkeypatch):
+    cap = 10   # below the largest frames, which are split between slices
     monkeypatch.setattr(evaluation, "BLOCK_PAIRS", cap)
-    blocks = _spy(monkeypatch, "match_poses")
     judged = _spy(monkeypatch, "_judge")
     preds, gts = _random_sequence(np.random.default_rng(5), 200)
     pred_by_frame, gt_by_frame = dict(preds), dict(gts)
-    per_frame = [len(pred_by_frame.get(t, [])) * len(gt_by_frame.get(t, []))
-                 for t in sorted(set(pred_by_frame) | set(gt_by_frame))]
+    frames = [(pred_by_frame.get(t, []), gt_by_frame.get(t, []))
+              for t in sorted(set(pred_by_frame) | set(gt_by_frame))]
+    per_frame = [len(p) * len(g) for p, g in frames]
     compute_map(preds, gts)
     compute_mota(preds, gts)
     sizes = [len(args[2]) for args in judged]   # the pair index arrays
-    assert max(sizes) <= max(cap, max(per_frame)) and max(per_frame) > cap
-    assert sum(sizes) == 2 * sum(per_frame)   # every pair judged once per report
-    for (frames, _) in blocks:
-        assert len(frames) == 1 or sum(len(p) * len(g) for p, g in frames) <= cap
+    assert max(per_frame) > cap and max(sizes) == cap
+    # each report judges every pair once, then its matched pairs once more
+    assert sum(sizes) == 2 * (sum(per_frame) + len(match_poses(frames, JS)[0]))
+
+
+def test_match_poses_runs_once_per_report(monkeypatch):
+    preds, gts = _random_sequence(np.random.default_rng(3), 60)
+    calls = _spy(monkeypatch, "match_poses")
+    _reports(preds, gts)
+    monkeypatch.setattr(evaluation, "BLOCK_PAIRS", 7)
+    _reports(preds, gts)
+    assert len(calls) == 12   # one call per report, whatever the slice cap
+    assert len(calls[0][0]) == len(set(dict(preds)) | set(dict(gts)))   # every frame
 
 
 def test_id_faults_name_their_frame_and_head_sizes_come_first():

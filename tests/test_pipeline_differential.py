@@ -18,7 +18,7 @@ from posepipe import pipeline, tracking
 from posepipe.config import PipelineConfig
 from posepipe.fusion import BranchOutputs, parse_fusion_spec
 from posepipe.heatmaps import load_heatmap
-from posepipe.pipeline import load_manifest, run_pipeline, steps, to_instance
+from posepipe.pipeline import load_manifest, run_pipeline, steps, to_instances
 from posepipe.poseio import document_text, pose_document
 from posepipe.scenes import generate_scene
 
@@ -49,7 +49,7 @@ def reference_steps(config):
             b = BranchOutputs({name: branch(e, name) for name in e["heatmaps"]})
             decoded = (reference_fuse_head_swap(b, *names, *decode_args) if kind == "head-swap"
                        else reference_fuse_vote(b, *decode_args))
-            out.append(to_instance(decoded, e["box"], e["box_score"]))
+            out.append(to_instances([decoded], [e["box"]], [e["box_score"]])[0])
         return out
 
     def nms(instances):
