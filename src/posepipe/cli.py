@@ -137,14 +137,8 @@ def cmd_track(args):
 
 
 def _eval_common(args):
-    pred = load_pose_file(args.pred)
-    gt = load_pose_file(args.gt)
-    if pred.joint_set != gt.joint_set:
-        raise PoseError(f"prediction joint set {pred.joint_set.name!r} != "
-                        f"ground truth {gt.joint_set.name!r}")
     fn = compute_map if args.kind == "map" else compute_mota
-    report = fn(pred.frames, gt.frames, joint_set=gt.joint_set,
-                threshold=args.pckh_thr)
+    report = fn(load_pose_file(args.pred), load_pose_file(args.gt), args.pckh_thr)
     print(format_table(report))
     if args.json:
         write_document(args.json, report)

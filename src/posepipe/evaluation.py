@@ -1,7 +1,9 @@
 """Per-joint average precision and per-joint tracking accuracy.
 
-Protocol (the threshold is the CLI's ``--pckh-thr`` argument, a finite
-number > 0, default 0.5):
+Both metrics score a prediction ``PoseSequence`` against a ground-truth one
+on the same joint set, matched by one ``match_poses`` call. Protocol (the
+threshold is the CLI's ``--pckh-thr`` argument, a finite number > 0, default
+0.5):
 
 * A predicted joint is correct when both poses annotate it and its distance
   to the ground-truth joint is at most threshold x the person's head
@@ -10,9 +12,10 @@ number > 0, default 0.5):
   sequence's stacked poses: the within-frame (prediction, ground-truth)
   pairs are numbered across the whole sequence and judged ``BLOCK_PAIRS``
   at a time, so a slice may start or end mid-frame and no input judges
-  more pairs at once. The matched pairs are judged again, in slices of the
-  same size, for the rows both metrics read. The distances are bit-equal
-  to judging one pair at a time.
+  more pairs at once; no frame may hold more than ``FRAME_PAIRS_LIMIT``.
+  The matched pairs are judged again, in slices of the same size, for the
+  rows both metrics read. The distances are bit-equal to judging one pair
+  at a time.
 * Poses are matched per frame, greedily, by descending count of correct
   joints; ties prefer the smaller mean normalized distance (over joints
   annotated in both, in ``np.mean``'s float order, by the same masked-mean
@@ -40,11 +43,14 @@ import numpy as np
 
 from .assignment import greedy_walk
 from .errors import PoseError
-from .skeletons import canonical_name, get_joint_set
+from .skeletons import canonical_name
 from .suppression import _masked_mean
 
 PCKH_THRESHOLD = 0.5
 BLOCK_PAIRS = 16384   # (prediction, ground truth) pairs judged per _judge call
+# most (prediction, ground truth) pairs one frame may hold: match_poses keeps
+# about 130 B per pair with a correct joint, so one frame peaks below 150 MB
+FRAME_PAIRS_LIMIT = 2**20
 
 # Column grouping used by the report tables.
 _JOINT_GROUPS = (
@@ -100,35 +106,46 @@ def _slices(total: int) -> range:
     return range(0, max(total, 1), BLOCK_PAIRS)
 
 
-def match_poses(frames, js, threshold: float = PCKH_THRESHOLD):
-    """Greedy one-to-one pose assignment within each frame of a sequence.
+def match_poses(pred, gt, threshold: float = PCKH_THRESHOLD):
+    """Greedy one-to-one pose assignment within each frame of two PoseSequences.
 
-    frames is a sequence of (preds, gts) PersonInstance lists, one pair per
-    frame, all in joint set js. The threshold and every gt's head_size (each
-    a finite number > 0) are checked first. The within-frame pairs are
-    numbered frame by frame, (pred, gt) row-major within a frame, and judged
-    ``BLOCK_PAIRS`` at a time; only the sort keys of pairs with a correct
-    joint are kept. One sort and one greedy walk over the whole sequence
-    match them, and no pose is matched across frames. The mean distance
-    over joints annotated in both keeps ``np.mean``'s float order. Returns
-    (pairs, correct, dist): pairs is an (M, 2) array of the matched (pred,
-    gt) indices into the sequence's predictions and ground truths, each
-    concatenated in frame order, sorted by ground truth; correct and dist
-    are the pairs' (M, K) rows of the correct mask and of the distances.
+    Checked first, in order: pred and gt share a joint set, the threshold and
+    every gt's head_size are finite numbers > 0, and no frame holds more than
+    ``FRAME_PAIRS_LIMIT`` (pred, gt) pairs. The frames are merged by index;
+    the within-frame pairs are numbered frame by frame, (pred, gt) row-major
+    within a frame, and judged ``BLOCK_PAIRS`` at a time; only the sort keys
+    of pairs with a correct joint are kept. One sort and one greedy walk over
+    the whole sequence match them, and no pose is matched across frames. The
+    mean distance over joints annotated in both keeps ``np.mean``'s float
+    order. Returns (frames, preds, gts, pairs, correct, dist): frames lists
+    (frame_index, frame_preds, frame_gts) in order; preds and gts concatenate
+    the frames' instances; pairs is an (M, 2) array of the matched (pred, gt)
+    indices into them, sorted by gt; correct and dist are the pairs' (M, K)
+    rows of the correct mask and of the distances.
     """
+    if pred.joint_set != gt.joint_set:
+        raise PoseError(f"prediction joint set {pred.joint_set.name!r} != "
+                        f"ground truth {gt.joint_set.name!r}")
     if not 0 < threshold < math.inf:
         raise PoseError(f"PCKh threshold must be a finite number > 0, got {threshold!r}")
-    preds = [p for frame_preds, _ in frames for p in frame_preds]
-    gts = [g for _, frame_gts in frames for g in frame_gts]
+    pred_by_frame, gt_by_frame = dict(pred.frames), dict(gt.frames)
+    frames = [(f, pred_by_frame.get(f, []), gt_by_frame.get(f, []))
+              for f in sorted(pred_by_frame.keys() | gt_by_frame.keys())]
+    preds = [p for _, frame_preds, _ in frames for p in frame_preds]
+    gts = [g for _, _, frame_gts in frames for g in frame_gts]
     heads = [g.head_size for g in gts]
     if any(h is None or not 0 < h < math.inf for h in heads):
         raise PoseError("ground-truth instances need a finite head_size > 0")
-    k = js.count
-    pred = _rows(preds, "coords", np.float64, k, 2), _rows(preds, "annotated", bool, k)
-    gt = (_rows(gts, "coords", np.float64, k, 2), _rows(gts, "annotated", bool, k),
-          np.array(heads, dtype=np.float64))
-    n_p = np.array([len(frame_preds) for frame_preds, _ in frames], dtype=np.intp)
-    n_g = np.array([len(frame_gts) for _, frame_gts in frames], dtype=np.intp)
+    for f, frame_preds, frame_gts in frames:
+        if len(frame_preds) * len(frame_gts) > FRAME_PAIRS_LIMIT:
+            raise PoseError(f"{len(frame_preds)} predictions x {len(frame_gts)} ground "
+                            f"truths exceed {FRAME_PAIRS_LIMIT} pairs in a frame", frame=f)
+    k = gt.joint_set.count
+    p_rows = _rows(preds, "coords", np.float64, k, 2), _rows(preds, "annotated", bool, k)
+    g_rows = (_rows(gts, "coords", np.float64, k, 2), _rows(gts, "annotated", bool, k),
+              np.array(heads, dtype=np.float64))
+    n_p = np.array([len(frame_preds) for _, frame_preds, _ in frames], dtype=np.intp)
+    n_g = np.array([len(frame_gts) for _, _, frame_gts in frames], dtype=np.intp)
     n_pairs = n_p * n_g
     p_at, g_at = np.cumsum(n_p) - n_p, np.cumsum(n_g) - n_g
     first = np.cumsum(n_pairs) - n_pairs   # each frame's first pair number
@@ -143,7 +160,7 @@ def match_poses(frames, js, threshold: float = PCKH_THRESHOLD):
     for start in _slices(total):
         n = np.arange(start, min(start + BLOCK_PAIRS, total))
         pi, gi = located(n)
-        correct, d, both = _judge(pred, gt, pi, gi, threshold)
+        correct, d, both = _judge(p_rows, g_rows, pi, gi, threshold)
         count = correct.sum(axis=1)
         c = np.flatnonzero(count)   # pairs with zero correct joints never match
         kept.append((n[c], -count[c], _masked_mean(d[c], both[c])))
@@ -153,9 +170,10 @@ def match_poses(frames, js, threshold: float = PCKH_THRESHOLD):
     taken = greedy_walk(pi, gi)
     taken = taken[np.argsort(gi[taken])]
     pi, gi = pi[taken], gi[taken]
-    rows = [_judge(pred, gt, pi[start:start + BLOCK_PAIRS], gi[start:start + BLOCK_PAIRS],
+    rows = [_judge(p_rows, g_rows, pi[start:start + BLOCK_PAIRS], gi[start:start + BLOCK_PAIRS],
                    threshold) for start in _slices(len(taken))]
-    return (np.column_stack([pi, gi]), np.concatenate([correct for correct, _, _ in rows]),
+    return (frames, preds, gts, np.column_stack([pi, gi]),
+            np.concatenate([correct for correct, _, _ in rows]),
             np.concatenate([d for _, d, _ in rows]))
 
 
@@ -165,8 +183,6 @@ def _average_precision(scores, hits, npos: int) -> float:
     order)."""
     if npos == 0:
         return None
-    if not len(scores):
-        return 0.0
     hits = hits[np.argsort(-scores, kind="stable")]
     tp = np.cumsum(hits)
     fp = np.cumsum(~hits)
@@ -178,19 +194,6 @@ def _average_precision(scores, hits, npos: int) -> float:
     return 100.0 * ap
 
 
-def _index_frames(frames, js):
-    seen = {}
-    for frame_index, instances in frames:
-        if frame_index in seen:
-            raise PoseError(f"duplicate frame index {frame_index}")
-        for p in instances:
-            if p.joint_set != js:
-                raise PoseError(f"instance joint set {p.joint_set.name!r} does not "
-                                f"match {js.name!r}")
-        seen[frame_index] = instances
-    return seen
-
-
 def _rows(instances, field: str, dtype, *shape):
     """The instances' field arrays, each of the given shape, stacked into an
     (N, *shape) array."""
@@ -198,38 +201,19 @@ def _rows(instances, field: str, dtype, *shape):
         len(instances), *shape)
 
 
-def _matched_sequence(preds, gts, js, threshold: float):
-    """Every frame, in frame-index order, matched by one ``match_poses`` call.
-
-    Returns (frames, preds, gts, pairs, correct, dist): frames lists
-    (frame_index, frame_preds, frame_gts) in order, preds and gts are all
-    frames' predictions and ground truths, each concatenated in frame order,
-    and pairs, correct and dist are what ``match_poses`` returns for them.
-    """
-    pred_by_frame = _index_frames(preds, js)
-    gt_by_frame = _index_frames(gts, js)
-    frames = [(f, pred_by_frame.get(f, []), gt_by_frame.get(f, []))
-              for f in sorted(set(pred_by_frame) | set(gt_by_frame))]
-    matched = match_poses([(frame_preds, frame_gts) for _, frame_preds, frame_gts in frames],
-                          js, threshold)
-    return (frames, [p for _, frame_preds, _ in frames for p in frame_preds],
-            [g for _, _, frame_gts in frames for g in frame_gts], *matched)
-
-
-def compute_map(preds, gts, joint_set="posetrack",
-                threshold: float = PCKH_THRESHOLD) -> dict:
+def compute_map(pred, gt, threshold: float = PCKH_THRESHOLD) -> dict:
     """Per-joint AP over score-ranked keypoint detections.
 
-    preds: iterable of (frame_index, [PersonInstance]) with keypoint scores.
-    gts: iterable of (frame_index, [PersonInstance]), every instance carrying
-    a finite head_size > 0. threshold: the PCKh threshold, a finite number > 0.
-    Both are checked by ``match_poses``; a bad value raises PoseError. joint_set is
-    a JointSet or a registered name. Returns the document ``eval-map --json``
-    writes; AP is None for a joint no ground truth annotates.
+    pred and gt are PoseSequences on one joint set: the predictions carry
+    keypoint scores, and every ground-truth instance a finite head_size > 0.
+    threshold: the PCKh threshold, a finite number > 0. All are checked by
+    ``match_poses``; a bad value raises PoseError. Returns the document
+    ``eval-map --json`` writes; AP is None for a joint no ground truth
+    annotates.
     """
-    js = get_joint_set(joint_set)
+    js = gt.joint_set
     k = js.count
-    _, preds, gts, pairs, correct, _ = _matched_sequence(preds, gts, js, threshold)
+    _, preds, gts, pairs, correct, _ = match_poses(pred, gt, threshold)
     annotated = _rows(preds, "annotated", bool, k)
     scores = _rows(preds, "scores", np.float64, k)
     hits = np.zeros_like(annotated)
@@ -265,11 +249,10 @@ def _check_ids(frames):
             raise PoseError("duplicate person ids in frame", frame=frame_index)
 
 
-def compute_mota(preds, gts, joint_set="posetrack",
-                 threshold: float = PCKH_THRESHOLD) -> dict:
+def compute_mota(pred, gt, threshold: float = PCKH_THRESHOLD) -> dict:
     """Per-joint MOTA, and MOTP/precision/recall means, for tracked predictions.
 
-    preds, gts and threshold are as for :func:`compute_map`; predictions
+    pred, gt and threshold are as for :func:`compute_map`; predictions
     must carry track ids, and ground truth person ids unique within a frame.
     Every annotated ground-truth joint not judged correct is a miss and every
     reported prediction joint not judged correct is a false positive. Head
@@ -277,9 +260,9 @@ def compute_mota(preds, gts, joint_set="posetrack",
     in frame order is raised. Returns the document ``eval-mota --json``
     writes.
     """
-    js = get_joint_set(joint_set)
+    js = gt.joint_set
     k = js.count
-    frames, preds, gts, pairs, correct, dist = _matched_sequence(preds, gts, js, threshold)
+    frames, preds, gts, pairs, correct, dist = match_poses(pred, gt, threshold)
     _check_ids(frames)
 
     gt_total = _rows(gts, "annotated", bool, k).sum(axis=0)

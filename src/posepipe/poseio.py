@@ -84,7 +84,7 @@ def read_document(path, what: str, parse):
     with open(path) as f:
         try:
             doc = json.load(f)
-        except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:   # malformed, not UTF-8, too deep
             raise PoseError(f"{what} is not valid JSON: {exc}", path=path) from exc
     try:
         return parse(doc)

@@ -135,7 +135,7 @@ class JointSet:
     def from_json(cls, text: str) -> "JointSet":
         try:
             doc = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:   # malformed or too deep
             raise PoseError(f"bad joint-set description: {exc}") from exc
         return cls(**checked(cls, doc, "joint-set description"))
 

@@ -360,33 +360,42 @@ def checkpoint_manifest(config: dict, frozen: tuple[str, ...], params: list) -> 
 
 
 def load_network(path) -> ToyNetwork:
-    """The network of a ``save_network`` checkpoint; PoseError if malformed."""
+    """The network of a ``save_network`` checkpoint; PoseError if malformed,
+    every one naming the file."""
     with open(path, "rb") as f:
         blob = f.read()
+    try:
+        return _parse_checkpoint(blob)
+    except PoseError as exc:
+        raise PoseError(exc.message, path=path) from None
+
+
+def _parse_checkpoint(blob: bytes) -> ToyNetwork:
+    """The network a checkpoint's bytes hold."""
     head = struct.Struct("<4sII")
     if len(blob) < head.size:
-        raise PoseError("truncated checkpoint", path=path)
+        raise PoseError("truncated checkpoint")
     magic, version, mlen = head.unpack_from(blob, 0)
     if magic != _CKPT_MAGIC or version != _CKPT_VERSION:
-        raise PoseError("not a network checkpoint", path=path)
+        raise PoseError("not a network checkpoint")
     off = head.size + mlen
     if len(blob) < off:
-        raise PoseError("truncated checkpoint manifest", path=path)
+        raise PoseError("truncated checkpoint manifest")
     try:
         manifest = json.loads(blob[head.size:off].decode("utf-8"))
-    except ValueError as exc:   # not UTF-8, or not JSON
-        raise PoseError(f"checkpoint manifest is not JSON: {exc}", path=path) from exc
+    except (ValueError, RecursionError) as exc:   # not UTF-8, not JSON, or too deep
+        raise PoseError(f"checkpoint manifest is not JSON: {exc}") from exc
     config, records, frozen = checkpoint_manifest(
         **checked(checkpoint_manifest, manifest, "checkpoint manifest"))
     shapes = param_shapes(config)
     names = sorted(shapes)
     if records != [{"name": n, "shape": list(shapes[n])} for n in names]:
-        raise PoseError("checkpoint params do not match its config", path=path)
+        raise PoseError("checkpoint params do not match its config")
     sizes = [math.prod(shapes[n]) for n in names]
     if len(blob) < off + 8 * sum(sizes):   # sized before anything is allocated
-        raise PoseError("truncated checkpoint payload", path=path)
+        raise PoseError("truncated checkpoint payload")
     if len(blob) > off + 8 * sum(sizes):
-        raise PoseError("trailing bytes in checkpoint", path=path)
+        raise PoseError("trailing bytes in checkpoint")
     params = {}
     for n, size in zip(names, sizes):
         params[n] = np.frombuffer(blob, dtype="<f8", count=size,

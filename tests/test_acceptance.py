@@ -284,6 +284,7 @@ def test_criterion_8_metrics_sanity():
     from posepipe import builtin_joint_set
     from posepipe.evaluation import compute_map, compute_mota
     from posepipe.instances import PersonInstance
+    from posepipe.poseio import PoseSequence
 
     js = builtin_joint_set("posetrack")
     k = js.count
@@ -303,9 +304,10 @@ def test_criterion_8_metrics_sanity():
                               score=score, track_id=tid)
 
     # perfect predictions
-    gts = [(t, [gt_person(0, 0), gt_person(200, 1)]) for t in range(10)]
-    perfect = [(t, [pred(g[0], score=1.0, tid=1), pred(g[1], score=1.0, tid=2)])
-               for t, g in gts]
+    gt_frames = [(t, [gt_person(0, 0), gt_person(200, 1)]) for t in range(10)]
+    gts = PoseSequence(js, gt_frames)
+    perfect = PoseSequence(js, [(t, [pred(g[0], score=1.0, tid=1),
+                                     pred(g[1], score=1.0, tid=2)]) for t, g in gt_frames])
     rep = compute_map(perfect, gts)
     assert rep["total_map"] == 100.0 and all(v == 100.0 for v in rep["per_joint_ap"].values())
     rep = compute_mota(perfect, gts)
@@ -313,21 +315,22 @@ def test_criterion_8_metrics_sanity():
 
     # swap scenario: per joint GT = 20, IDSW = 2, MOTA = 90 exactly
     swapped = []
-    for t, g in gts:
+    for t, g in gt_frames:
         ids = (1, 2) if t < 5 else (2, 1)
         swapped.append((t, [pred(g[0], score=1.0, tid=ids[0]),
                             pred(g[1], score=1.0, tid=ids[1])]))
-    rep = compute_mota(swapped, gts)
+    rep = compute_mota(PoseSequence(js, swapped), gts)
     assert all(v == 90.0 for v in rep["per_joint_mota"].values()), rep["per_joint_mota"]
     assert rep["total_mota"] == 90.0
 
     # injected false positives / negatives reduce both metrics monotonically
     base = [(t, [pred(g[0], score=0.9, tid=1), pred(g[1], score=0.9, tid=2)])
-            for t, g in gts]
-    base_map = compute_map(base, gts)["total_map"]
-    base_mota = compute_mota(base, gts)["total_mota"]
-    fp = [(t, p + [pred(gt_person(600, 9), score=0.95, tid=3)]) for t, p in base]
-    fn = [(t, p[:1]) for t, p in base]
+            for t, g in gt_frames]
+    base_map = compute_map(PoseSequence(js, base), gts)["total_map"]
+    base_mota = compute_mota(PoseSequence(js, base), gts)["total_mota"]
+    fp = PoseSequence(js, [(t, p + [pred(gt_person(600, 9), score=0.95, tid=3)])
+                           for t, p in base])
+    fn = PoseSequence(js, [(t, p[:1]) for t, p in base])
     assert compute_map(fp, gts)["total_map"] < base_map
     assert compute_mota(fp, gts)["total_mota"] < base_mota
     assert compute_map(fn, gts)["total_map"] < base_map
@@ -351,7 +354,7 @@ def test_criterion_9_tracking_ablations(tmp_path_factory):
 
     def run(config):
         seq = run_pipeline(config, frames)
-        rep = compute_mota(seq.frames, gt.frames)
+        rep = compute_mota(seq, gt)
         tracks = {p.track_id for _, ii in seq.frames for p in ii}
         return rep["counts"]["fp"], tracks
 

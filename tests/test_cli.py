@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import posepipe
-from posepipe import PoseError
+from posepipe import PoseError, heatmaps
 from posepipe.cli import main
 from posepipe.config import PipelineConfig
 from posepipe.evaluation import compute_map, compute_mota, format_table
@@ -284,6 +284,14 @@ def test_fuse_rejects_a_branch_named_twice(tmp_path, capsys, flag):
                  "--out", str(out)]) == 2
     assert _error_doc(capsys) == {"error": "branch 'coco' is named twice",
                                   "kind": "contract"}
+    assert not out.exists()
+
+
+def test_fuse_rejects_a_branch_with_no_path(tmp_path, capsys):
+    out = tmp_path / "o.json"
+    assert main(["fuse", "--strategy", "select:coco", "--target", "posetrack",
+                 "--branch", "coco", "--out", str(out)]) == 2
+    assert _error_doc(capsys) == {"error": "expected NAME=PATH, got 'coco'", "kind": "contract"}
     assert not out.exists()
 
 
@@ -847,6 +855,72 @@ def test_eval_rejects_mistyped_ground_truth(scene_dir, scene_pred, tmp_path, cap
     assert not report.exists()
 
 
+_KEYPOINTS = [v for j in range(15) for v in (10.0 + j, 20.0, 0.9)]
+
+
+def _pose_file(path, frames, joint_set="posetrack"):
+    """Write a pose file whose instances all sit on _KEYPOINTS; frames maps
+    each frame index to its instances' further keys."""
+    path.write_text(json.dumps({"joint_set": joint_set, "frames": [
+        {"frame_index": t, "instances": [
+            {"box": [0.0, 0.0, 40.0, 60.0], "keypoints": _KEYPOINTS, **keys} for keys in instances]}
+        for t, instances in frames.items()]}))
+    return path
+
+
+@pytest.mark.parametrize("command", ["eval-map", "eval-mota"])
+def test_eval_rejects_a_frame_over_the_pair_limit_before_judging(tmp_path, capsys, monkeypatch,
+                                                                 command):
+    # 1025 x 1024 co-located poses in frame 3: 2**20 + 1024 pairs, each with a
+    # correct joint, which matching would keep at about 130 B a pair
+    monkeypatch.setattr("posepipe.evaluation._judge", _never)
+    pred = _pose_file(tmp_path / "pred.json", {0: [], 3: [{"track_id": i} for i in range(1025)]})
+    gt = _pose_file(tmp_path / "gt.json",
+                    {0: [], 3: [{"person_id": i, "head_size": 10.0} for i in range(1024)]})
+    report = tmp_path / "report.json"
+    assert main([command, "--pred", str(pred), "--gt", str(gt), "--json", str(report)]) == 2
+    assert _error_doc(capsys) == {
+        "error": "1025 predictions x 1024 ground truths exceed 1048576 pairs in a frame "
+                 "(frame=3)", "kind": "contract"}
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["eval-map", "eval-mota"])
+def test_eval_rejects_files_of_different_joint_sets(scene_pred, tmp_path, capsys, command):
+    gt = _pose_file(tmp_path / "gt.json", {}, joint_set="coco")
+    report = tmp_path / "report.json"
+    assert main([command, "--pred", str(scene_pred), "--gt", str(gt), "--json", str(report)]) == 2
+    assert _error_doc(capsys) == {
+        "error": "prediction joint set 'posetrack' != ground truth 'coco'", "kind": "contract"}
+    assert not report.exists()
+
+
+def test_eval_map_scores_0_for_a_joint_no_prediction_reports(tmp_path, capsys):
+    pred = _pose_file(tmp_path / "pred.json", {0: [{"annotated": [0] + [1] * 14}]})
+    gt = _pose_file(tmp_path / "gt.json", {0: [{"person_id": 0, "head_size": 10.0}]})
+    report = tmp_path / "report.json"
+    assert main(["eval-map", "--pred", str(pred), "--gt", str(gt), "--json", str(report)]) == 0
+    ap = json.loads(report.read_text())["per_joint_ap"]
+    assert ap.pop("nose") == 0.0 and set(ap.values()) == {100.0}
+
+
+@pytest.mark.parametrize("k, height, width, message", [
+    (14, 16, 12, "heatmap has 14 channels but joint set 'posetrack' has 15"),
+    (15, 2, 12, "heatmap grid must be at least 3x3"),
+    (15, 16, 2, "heatmap grid must be at least 3x3"),
+])
+def test_decode_rejects_a_heatmap_header_that_breaks_a_heatmap_rule(tmp_path, capsys, k, height,
+                                                                   width, message):
+    path = tmp_path / "h.pkhm"
+    path.write_bytes(heatmaps._HEADER.pack(
+        heatmaps._MAGIC, heatmaps._VERSION, k, height, width, 0.0, 0.0, float(width),
+        float(height), 1.0, 1.0, len(b"posetrack")) + b"posetrack" + bytes(4 * k * height * width))
+    out = tmp_path / "pose.json"
+    assert main(["decode", "--heatmap", str(path), "--out", str(out)]) == 2
+    assert _error_doc(capsys) == {"error": f"{message} (file={path})", "kind": "contract"}
+    assert not out.exists()
+
+
 def test_decode_rejects_heatmap_with_non_utf8_name(tmp_path, capsys):
     hm, _ = render_target(np.tile([[5.0, 7.0]], (15, 1)), 2.0, (16, 12),
                           joint_set="posetrack")
@@ -982,8 +1056,7 @@ def test_eval_report_is_the_json_document(golden_scene_dir, tmp_path, capsys, co
     gt_path, report = golden_scene_dir / "gt.json", tmp_path / "report.json"
     assert main([command, "--pred", GOLDEN_PATH, "--gt", str(gt_path), "--pckh-thr", "0.2",
                  "--json", str(report)]) == 0
-    doc = fn(load_pose_file(GOLDEN_PATH).frames, load_pose_file(gt_path).frames,
-             threshold=0.2)
+    doc = fn(load_pose_file(GOLDEN_PATH), load_pose_file(gt_path), threshold=0.2)
     assert report.read_text() == json.dumps(doc, indent=2) + "\n"
     assert capsys.readouterr().out == format_table(doc) + "\n" == _EVAL_TABLE[command]
 
@@ -1026,6 +1099,31 @@ def test_a_smooth_sigma_above_100_is_rejected_before_smoothing(golden_scene_dir,
     assert len(err.strip().splitlines()) == 1
     doc = json.loads(err)
     assert doc["kind"] == "contract" and doc["error"].startswith("smoothing sigma")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["nms", "{deep}"],
+    ["track", "{deep}"],
+    ["merge-boxes", "{deep}"],
+    ["run", "--manifest", "{deep}"],
+    ["run", "--config", "{deep}", "--manifest", "{deep}"],
+    ["train-toy", "--config", "{deep}"],
+    ["eval-map", "--pred", "{deep}", "--gt", GOLDEN_PATH],
+    ["eval-mota", "--pred", GOLDEN_PATH, "--gt", "{deep}"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_a_1000_deep_document_is_a_one_line_contract_error(tmp_path, capsys, argv):
+    # 2 KB of nesting used to end in a RecursionError traceback and exit 1
+    deep, out = tmp_path / "deep.json", tmp_path / "out.json"
+    deep.write_text("[" * 1000 + "]" * 1000)
+    flag = "--json" if argv[0].startswith("eval") else "--out"
+    assert main([a.format(deep=deep) for a in argv] + [flag, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["kind"] == "contract"
+    assert re.fullmatch(r"[a-z ]+ is not valid JSON: maximum recursion depth exceeded .* "
+                        rf"\(file={re.escape(str(deep))}\)", doc["error"])
     assert not out.exists()
 
 

@@ -6,6 +6,7 @@ import pytest
 from posepipe import PoseError, builtin_joint_set, evaluation
 from posepipe.evaluation import compute_map, compute_mota, format_table, match_poses
 from posepipe.instances import PersonInstance
+from posepipe.poseio import PoseSequence
 
 from oracles import (
     _reference_judge,
@@ -18,6 +19,10 @@ from oracles import (
 
 JS = builtin_joint_set("posetrack")
 K = JS.count
+
+
+def seq(frames):
+    return PoseSequence(JS, frames)
 
 
 def gt_person(center, person_id, head_size=10.0, annotated=None):
@@ -66,10 +71,10 @@ def test_perfect_predictions_score_100():
              pred_from(g[1], score=1.0, track_id=6)]
         gts.append((t, g))
         preds.append((t, p))
-    rep = compute_map(preds, gts)
+    rep = compute_map(seq(preds), seq(gts))
     assert rep["total_map"] == 100.0
     assert all(v == 100.0 for v in rep["per_joint_ap"].values())
-    rep = compute_mota(preds, gts)
+    rep = compute_mota(seq(preds), seq(gts))
     assert rep["total_mota"] == 100.0
     assert all(v == 100.0 for v in rep["per_joint_mota"].values())
     assert rep["total_precision"] == 100.0
@@ -80,7 +85,7 @@ def test_perfect_predictions_score_100():
 def test_all_far_predictions_score_zero_map():
     g = [gt_person((0, 0), 0)]
     p = [pred_from(g[0], displacement=(50.0, 50.0))]   # 0.5*head 5 px << 70 px
-    rep = compute_map([(0, p)], [(0, g)])
+    rep = compute_map(seq([(0, p)]), seq([(0, g)]))
     assert rep["total_map"] == 0.0
 
 
@@ -92,7 +97,7 @@ def test_hand_built_precision_recall_curve():
     p = [pred_from(g[0], score=0.9),
          pred_from(g[1], displacement=(20.0, 0.0), score=0.8),
          pred_from(gt_person((600, 0), 2), score=0.7)]
-    rep = compute_map([(0, p)], [(0, g)])
+    rep = compute_map(seq([(0, p)]), seq([(0, g)]))
     assert all(v == pytest.approx(50.0) for v in rep["per_joint_ap"].values())
     assert rep["total_map"] == pytest.approx(50.0)
 
@@ -108,7 +113,7 @@ def test_mota_id_swap_scenario():
              pred_from(g[1], score=1.0, track_id=ids[1])]
         gts.append((t, g))
         preds.append((t, p))
-    rep = compute_mota(preds, gts)
+    rep = compute_mota(seq(preds), seq(gts))
     assert all(v == pytest.approx(90.0) for v in rep["per_joint_mota"].values())
     assert rep["total_mota"] == pytest.approx(90.0)
     assert rep["counts"]["idsw"] == 2 * K
@@ -117,7 +122,7 @@ def test_mota_id_swap_scenario():
 def test_mota_all_predictions_dropped():
     gts = [(t, [gt_person((0, 0), 0)]) for t in range(4)]
     preds = [(t, []) for t in range(4)]
-    rep = compute_mota(preds, gts)
+    rep = compute_mota(seq(preds), seq(gts))
     assert rep["total_mota"] == pytest.approx(0.0)   # FN == GT
     assert rep["total_precision"] == 0.0
     assert rep["total_recall"] == 0.0
@@ -128,28 +133,10 @@ def test_map_empty_gt_joint_excluded():
     ann[0] = False   # nose never annotated
     gts = [(0, [gt_person((0, 0), 0, annotated=ann)])]
     preds = [(0, [pred_from(gts[0][1][0])])]
-    rep = compute_map(preds, gts)
+    rep = compute_map(seq(preds), seq(gts))
     assert rep["per_joint_ap"][JS.joints[0]] is None
     assert rep["total_map"] == pytest.approx(
         np.mean([v for v in rep["per_joint_ap"].values() if v is not None]))
-
-
-def test_frame_order_permutation_invariance():
-    rng = np.random.default_rng(0)
-    gts, preds = [], []
-    for t in range(6):
-        g = [gt_person((rng.uniform(0, 50), 0), 0)]
-        p = [pred_from(g[0], displacement=(rng.uniform(0, 8), 0),
-                       score=float(rng.random()), track_id=3)]
-        gts.append((t, g))
-        preds.append((t, p))
-    a_map = compute_map(preds, gts)["total_map"]
-    a_mota = compute_mota(preds, gts)["total_mota"]
-    order = [3, 0, 5, 1, 4, 2]
-    b_map = compute_map([preds[i] for i in order], [gts[i] for i in order])["total_map"]
-    b_mota = compute_mota([preds[i] for i in order], [gts[i] for i in order])["total_mota"]
-    assert a_map == b_map
-    assert a_mota == b_mota
 
 
 def test_duplicate_low_score_prediction_never_increases_ap():
@@ -161,10 +148,10 @@ def test_duplicate_low_score_prediction_never_increases_ap():
         p = [pred_from(g[i], displacement=(rng.uniform(0, 4), 0),
                        score=float(rng.uniform(0.5, 1.0)))
              for i in range(n_gt)]
-        base = compute_map([(0, p)], [(0, g)])["total_map"]
+        base = compute_map(seq([(0, p)]), seq([(0, g)]))["total_map"]
         # duplicating a correct prediction at a lower score must not help
         dup = pred_from(g[0], displacement=(rng.uniform(0, 4), 0), score=0.3)
-        worse = compute_map([(0, p + [dup])], [(0, g)])["total_map"]
+        worse = compute_map(seq([(0, p + [dup])]), seq([(0, g)]))["total_map"]
         assert worse <= base + 1e-9
 
 
@@ -176,18 +163,18 @@ def test_injected_fp_and_fn_reduce_scores():
              pred_from(g[1], score=0.9, track_id=2)]
         gts.append((t, g))
         preds.append((t, p))
-    base_map = compute_map(preds, gts)["total_map"]
-    base_mota = compute_mota(preds, gts)["total_mota"]
+    base_map = compute_map(seq(preds), seq(gts))["total_map"]
+    base_mota = compute_mota(seq(preds), seq(gts))["total_mota"]
 
     # a false positive that outranks the true detections
     fp = pred_from(gt_person((500, 0), 9), score=0.95, track_id=3)
     preds_fp = [(t, p + [fp]) for t, p in preds]
-    assert compute_map(preds_fp, gts)["total_map"] < base_map
-    assert compute_mota(preds_fp, gts)["total_mota"] < base_mota
+    assert compute_map(seq(preds_fp), seq(gts))["total_map"] < base_map
+    assert compute_mota(seq(preds_fp), seq(gts))["total_mota"] < base_mota
 
     preds_fn = [(t, p[:1]) for t, p in preds]
-    assert compute_map(preds_fn, gts)["total_map"] < base_map
-    assert compute_mota(preds_fn, gts)["total_mota"] < base_mota
+    assert compute_map(seq(preds_fn), seq(gts))["total_map"] < base_map
+    assert compute_mota(seq(preds_fn), seq(gts))["total_mota"] < base_mota
 
 
 def test_mota_decreases_with_injected_id_switch():
@@ -197,7 +184,7 @@ def test_mota_decreases_with_injected_id_switch():
         p = [pred_from(g[0], score=1.0, track_id=4 if t != 3 else 5)]
         gts.append((t, g))
         preds.append((t, p))
-    rep = compute_mota(preds, gts)
+    rep = compute_mota(seq(preds), seq(gts))
     assert rep["total_mota"] < 100.0
     # the injected flip costs two switches per joint (4 -> 5 -> 4)
     assert rep["counts"]["idsw"] == 2 * K
@@ -217,7 +204,7 @@ def test_greedy_matching_agrees_with_reference():
                        displacement=(rng.uniform(0, 30), rng.uniform(0, 10)),
                        score=float(rng.random()))
              for _ in range(n_p)]
-        got, _, _ = match_poses([(p, g)], JS)
+        got = match_poses(seq([(0, p)]), seq([(0, g)]))[3]
         got = list(map(tuple, got.tolist()))
         count = np.zeros((n_p, n_g), int)
         meandist = np.full((n_p, n_g), np.inf)
@@ -251,7 +238,7 @@ def test_match_poses_matches_pair_by_pair_reference(threshold):
             p.append(pred)
             if rng.random() < 0.3:
                 p.append(pred.replace())
-        pairs, correct, dist = match_poses([(p, g)], JS, threshold)
+        *_, pairs, correct, dist = match_poses(seq([(0, p)]), seq([(0, g)]), threshold)
         pairs = list(map(tuple, pairs.tolist()))
         assert pairs == sorted(reference_match_poses(p, g, threshold), key=by_gt)
         # each matched pair's rows are its own judgement, bit for bit
@@ -264,38 +251,38 @@ def test_mota_requires_ids():
     g = [gt_person((0, 0), 0)]
     p = [pred_from(g[0])]
     with pytest.raises(PoseError):
-        compute_mota([(0, p)], [(0, g)])
+        compute_mota(seq([(0, p)]), seq([(0, g)]))
     bad_gt = gt_person((0, 0), 0)
     bad_gt.person_id = None
     with pytest.raises(PoseError):
-        compute_mota([(0, [pred_from(g[0], track_id=1)])], [(0, [bad_gt])])
+        compute_mota(seq([(0, [pred_from(g[0], track_id=1)])]), seq([(0, [bad_gt])]))
 
 
 def test_ground_truth_frame_validation():
     g = gt_person((0, 0), 0)
     with pytest.raises(PoseError, match="duplicate person ids"):
-        compute_mota([(0, [pred_from(g, track_id=1)])],
-                     [(0, [g, gt_person((5, 5), 0)])])
+        compute_mota(seq([(0, [pred_from(g, track_id=1)])]),
+                     seq([(0, [g, gt_person((5, 5), 0)])]))
     bad = gt_person((0, 0), 1)
     bad.head_size = None
     with pytest.raises(PoseError, match="head_size"):
-        compute_map([(0, [pred_from(bad, score=1.0)])], [(0, [bad])])
+        compute_map(seq([(0, [pred_from(bad, score=1.0)])]), seq([(0, [bad])]))
     frames = [(0, [g])]
-    rep = compute_map([(0, [pred_from(g, score=1.0)])], frames)
+    rep = compute_map(seq([(0, [pred_from(g, score=1.0)])]), seq(frames))
     assert rep["total_map"] == 100.0
 
 
 def test_table_formatting_layout():
     gts = [(0, [gt_person((0, 0), 0)])]
     preds = [(0, [pred_from(gts[0][1][0], score=1.0, track_id=1)])]
-    t_map = format_table(compute_map(preds, gts))
+    t_map = format_table(compute_map(seq(preds), seq(gts)))
     header = t_map.splitlines()[0]
     for col in ("Head", "Shoulder", "Elbow", "Wrist", "Hip", "Knee", "Ankle", "Total"):
         assert col in header
-    t_mota = format_table(compute_mota(preds, gts))
+    t_mota = format_table(compute_mota(seq(preds), seq(gts)))
     for col in ("MOTP", "Prec", "Rec"):
         assert col in t_mota.splitlines()[0]
-    doc = compute_mota(preds, gts)
+    doc = compute_mota(seq(preds), seq(gts))
     assert doc["total_mota"] == 100.0
     assert set(doc["groups"]) == {"Head", "Shoulder", "Elbow", "Wrist",
                                   "Hip", "Knee", "Ankle"}
@@ -349,12 +336,12 @@ def _random_sequence(rng, num_frames):
 def _assert_reports_match_reference_loops(preds, gts, threshold):
     """Both reports equal the per-joint reference loops; returns the
     reference's identity-switch count."""
-    rep = compute_map(preds, gts, threshold=threshold)
+    rep = compute_map(seq(preds), seq(gts), threshold=threshold)
     want = reference_compute_map(preds, gts, K, threshold)
     assert [rep["per_joint_ap"][n] for n in JS.joints] == want["ap"]
     assert rep["total_map"] == want["map_total"]
 
-    rep = compute_mota(preds, gts, threshold=threshold)
+    rep = compute_mota(seq(preds), seq(gts), threshold=threshold)
     want = reference_compute_mota(preds, gts, K, threshold)
     assert [rep["per_joint_mota"][n] for n in JS.joints] == want["mota"]
     for key in ("mota", "precision", "recall"):
@@ -403,7 +390,7 @@ def _spy(monkeypatch, name):
 
 
 def _reports(preds, gts):
-    return [json.dumps(fn(preds, gts, threshold=threshold))
+    return [json.dumps(fn(seq(preds), seq(gts), threshold=threshold))
             for threshold in (0.2, 0.5, 1.0) for fn in (compute_map, compute_mota)]
 
 
@@ -416,14 +403,14 @@ def test_no_pose_is_matched_across_frames():
     g1 = [gt_person((64, 0), 0), gt_person((4, 0), 1)]
     p1 = [pred_from(g, displacement=(4.0, 0.0), score=0.6, track_id=10 + g.person_id)
           for g in g1]
-    pairs, correct, _ = match_poses([(p0, g0), (p1, g1)], JS)
-    assert pairs.tolist() == [[0, 0], [1, 1], [2, 2], [3, 3]] and correct.all()
     preds, gts = [(0, p0), (1, p1)], [(0, g0), (1, g1)]
+    *_, pairs, correct, _ = match_poses(seq(preds), seq(gts))
+    assert pairs.tolist() == [[0, 0], [1, 1], [2, 2], [3, 3]] and correct.all()
     for threshold in (0.2, 0.5, 1.0):
         _assert_reports_match_reference_loops(preds, gts, threshold)
-    rep = compute_mota(preds, gts)
+    rep = compute_mota(seq(preds), seq(gts))
     assert rep["total_mota"] == 100.0 and rep["counts"]["idsw"] == 0
-    assert compute_map(preds, gts)["total_map"] == 100.0
+    assert compute_map(seq(preds), seq(gts))["total_map"] == 100.0
 
 
 @pytest.mark.parametrize("cap", [1, 7, 100])
@@ -447,12 +434,12 @@ def test_judged_pairs_stay_within_the_slice_cap(monkeypatch):
     frames = [(pred_by_frame.get(t, []), gt_by_frame.get(t, []))
               for t in sorted(set(pred_by_frame) | set(gt_by_frame))]
     per_frame = [len(p) * len(g) for p, g in frames]
-    compute_map(preds, gts)
-    compute_mota(preds, gts)
+    compute_map(seq(preds), seq(gts))
+    compute_mota(seq(preds), seq(gts))
     sizes = [len(args[2]) for args in judged]   # the pair index arrays
     assert max(per_frame) > cap and max(sizes) == cap
     # each report judges every pair once, then its matched pairs once more
-    assert sum(sizes) == 2 * (sum(per_frame) + len(match_poses(frames, JS)[0]))
+    assert sum(sizes) == 2 * (sum(per_frame) + len(match_poses(seq(preds), seq(gts))[3]))
 
 
 def test_match_poses_runs_once_per_report(monkeypatch):
@@ -462,7 +449,24 @@ def test_match_poses_runs_once_per_report(monkeypatch):
     monkeypatch.setattr(evaluation, "BLOCK_PAIRS", 7)
     _reports(preds, gts)
     assert len(calls) == 12   # one call per report, whatever the slice cap
-    assert len(calls[0][0]) == len(set(dict(preds)) | set(dict(gts)))   # every frame
+    assert calls[0][0].frames is preds and calls[0][1].frames is gts   # whole sequences
+
+
+def test_a_frame_over_the_pair_limit_is_rejected_before_any_pair_is_judged(monkeypatch):
+    monkeypatch.setattr(evaluation, "FRAME_PAIRS_LIMIT", 6)
+    judged = _spy(monkeypatch, "_judge")
+    g = [gt_person((40.0 * i, 0), i) for i in range(3)]
+    gts = [(t, g) for t in range(5)]
+    preds = [(t, [pred_from(x, track_id=x.person_id) for x in g[:2]]) for t in range(5)]
+    preds[4] = (4, preds[4][1] + [pred_from(g[2], track_id=2)])   # 3 x 3 = 9 pairs
+    for fn in (compute_map, compute_mota):
+        with pytest.raises(PoseError, match=r"^3 predictions x 3 ground truths exceed 6 "
+                                            r"pairs in a frame \(frame=4\)$"):
+            fn(seq(preds), seq(gts))
+    assert judged == []
+    # 2 x 3 = 6 pairs in every frame: at the limit, not over it
+    assert compute_map(seq(preds[:4]), seq(gts[:4]))["total_map"] == pytest.approx(100.0 * 2 / 3)
+    assert judged
 
 
 def test_id_faults_name_their_frame_and_head_sizes_come_first():
@@ -480,7 +484,7 @@ def test_id_faults_name_their_frame_and_head_sizes_come_first():
         else:
             gts[7][1][1].person_id = None if fault == "person" else 0
         with pytest.raises(PoseError, match=message) as err:
-            compute_mota(preds, gts)
+            compute_mota(seq(preds), seq(gts))
         assert err.value.frame == 7
     # a missing track id in frame 3 and a bad head size in frame 7: every
     # head size is checked before any id
@@ -488,4 +492,4 @@ def test_id_faults_name_their_frame_and_head_sizes_come_first():
     preds[3][1][0].track_id = None
     gts[7][1][0].head_size = 0.0
     with pytest.raises(PoseError, match="head_size"):
-        compute_mota(preds, gts)
+        compute_mota(seq(preds), seq(gts))

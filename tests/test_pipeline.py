@@ -68,8 +68,8 @@ def test_tracklet_pruning_removes_one_frame_clutter(scene):
     gt = scene["gt"]
     base = run_pipeline(PipelineConfig(), scene["frames"])
     nopr = run_pipeline(PipelineConfig(min_track_length=1), scene["frames"])
-    base_fp = compute_mota(base.frames, gt.frames)["counts"]["fp"]
-    nopr_fp = compute_mota(nopr.frames, gt.frames)["counts"]["fp"]
+    base_fp = compute_mota(base, gt)["counts"]["fp"]
+    nopr_fp = compute_mota(nopr, gt)["counts"]["fp"]
     base_tracks = {p.track_id for _, ii in base.frames for p in ii}
     nopr_tracks = {p.track_id for _, ii in nopr.frames for p in ii}
     assert len(nopr_tracks) > len(base_tracks)
@@ -80,8 +80,8 @@ def test_keypoint_threshold_removes_weak_joints(scene):
     gt = scene["gt"]
     base = run_pipeline(PipelineConfig(), scene["frames"])
     nokp = run_pipeline(PipelineConfig(keypoint_threshold=0), scene["frames"])
-    base_fp = compute_mota(base.frames, gt.frames)["counts"]["fp"]
-    nokp_fp = compute_mota(nokp.frames, gt.frames)["counts"]["fp"]
+    base_fp = compute_mota(base, gt)["counts"]["fp"]
+    nokp_fp = compute_mota(nokp, gt)["counts"]["fp"]
     assert nokp_fp > base_fp
     base_joints = sum(p.num_annotated for _, ii in base.frames for p in ii)
     nokp_joints = sum(p.num_annotated for _, ii in nokp.frames for p in ii)
@@ -92,14 +92,14 @@ def test_box_threshold_removes_low_scored_clutter(scene):
     gt = scene["gt"]
     base = run_pipeline(PipelineConfig(), scene["frames"])
     nobx = run_pipeline(PipelineConfig(box_threshold=0), scene["frames"])
-    base_fp = compute_mota(base.frames, gt.frames)["counts"]["fp"]
-    nobx_fp = compute_mota(nobx.frames, gt.frames)["counts"]["fp"]
+    base_fp = compute_mota(base, gt)["counts"]["fp"]
+    nobx_fp = compute_mota(nobx, gt)["counts"]["fp"]
     assert nobx_fp > base_fp
 
 
 def test_pipeline_quality_on_clean_scene(scene):
     seq = run_pipeline(PipelineConfig(), scene["frames"])
-    rep = compute_mota(seq.frames, scene["gt"].frames)
+    rep = compute_mota(seq, scene["gt"])
     assert rep["total_mota"] > 80.0
     assert rep["total_precision"] == 100.0
     # two true persons tracked without identity switches

@@ -168,6 +168,12 @@ def test_joint_set_json_rejects_mistyped_description(doc):
         JointSet.from_json(doc)
 
 
+def test_joint_set_json_rejects_a_1000_deep_description():
+    # the decoder's RecursionError used to escape as a traceback
+    with pytest.raises(PoseError, match="^bad joint-set description: maximum recursion depth"):
+        JointSet.from_json("[" * 1000 + "]" * 1000)
+
+
 def test_register_custom_set():
     custom = JointSet("hands3", ("left_hand", "right_hand", "nose"),
                       flip_pairs=((0, 1),))

@@ -314,6 +314,40 @@ def test_load_network_sizes_the_payload_before_drawing_any_weight(tmp_path, monk
     assert drawn == []
 
 
+def _rewritten(path, spoil, tail=b""):
+    """Rewrite the checkpoint at path with spoil(manifest doc) as its manifest
+    (bytes are written as they are) and tail appended to its payload."""
+    blob = path.read_bytes()
+    head = struct.Struct("<4sII")
+    magic, version, mlen = head.unpack_from(blob)
+    manifest = spoil(json.loads(blob[head.size:head.size + mlen]))
+    if not isinstance(manifest, bytes):
+        manifest = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(head.pack(magic, version, len(manifest)) + manifest
+                     + blob[head.size + mlen:] + tail)
+
+
+@pytest.mark.parametrize("spoil, tail, message", [
+    (lambda doc: {**doc, "extra": 1}, b"", "unknown checkpoint manifest keys ['extra']"),
+    (lambda doc: {**doc, "config": {**doc["config"], "hidden": "3"}}, b"",
+     "checkpoint config key 'hidden' must be int, got str"),
+    (lambda doc: {**doc, "frozen": ["nope"]}, b"", "unknown parameter blocks ['nope']"),
+    (lambda doc: {**doc, "params": doc["params"][1:]}, b"",
+     "checkpoint params do not match its config"),
+    (lambda doc: doc, b"\0", "trailing bytes in checkpoint"),
+    (lambda doc: b"[" * 1000, b"", "checkpoint manifest is not JSON: maximum recursion depth"),
+], ids=["extra key", "mistyped config", "unknown frozen block", "params mismatch",
+        "trailing bytes", "1000-deep manifest"])
+def test_every_checkpoint_error_names_its_file(tmp_path, spoil, tail, message):
+    path = tmp_path / "net.pknp"
+    save_network(init_network(SMALL, seed=19), path)
+    _rewritten(path, spoil, tail)
+    with pytest.raises(PoseError) as err:
+        load_network(path)
+    assert err.value.message.startswith(message)
+    assert str(err.value).endswith(f" (file={path})")
+
+
 def test_dilated_conv_gradients():
     cfg = NetConfig(in_channels=1, hidden=2, height=9, width=7,
                     domains=("posetrack",), dilation=2)
