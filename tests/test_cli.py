@@ -171,6 +171,43 @@ def test_nms_and_track_subcommands(scene_dir, tmp_path):
     assert all(p.track_id is not None for _, ii in seq.frames for p in ii)
 
 
+# sha256 of the nms output and of the track output (default settings, then
+# identity propagation, greedy matching and no pruning) on the golden scene
+# with a suppressible copy added
+_NMS_TRACK_SHA256 = {
+    "nms": "0011526ce3062bffea5d4ee828c089a7b551c13fce9885a29f199b6b12fac3e5",
+    "track": "f937574f2ca1e1279cf6a29f3bfb3b54c5be7ebd7664e76042d74937f79b2386",
+    "track-identity-greedy": "d42e8ee5acb2da72a3c838822fbf4f6dfb9e8f8b4ea1103b0cf4723e804dd054",
+}
+
+
+def test_nms_and_track_outputs_are_pinned(golden_scene_dir, tmp_path):
+    raw = tmp_path / "raw.json"
+    _run(golden_scene_dir / "manifest.json", raw, tmp_path, use_tracking=False,
+         use_oks_nms=False)
+    # a copy of frame 0's first instance, one pixel to the right at half its
+    # score: OKS-NMS drops it again
+    doc = json.loads(raw.read_text())
+    copy = dict(doc["frames"][0]["instances"][0])
+    copy["score"] /= 2
+    copy["keypoints"] = [v + 1.0 if i % 3 == 0 else v for i, v in enumerate(copy["keypoints"])]
+    doc["frames"][0]["instances"].append(copy)
+    raw.write_text(json.dumps(doc))
+    out = {name: tmp_path / f"{name}.json" for name in _NMS_TRACK_SHA256}
+    assert main(["nms", str(raw), "--out", str(out["nms"])]) == 0
+    assert main(["track", str(out["nms"]), "--out", str(out["track"])]) == 0
+    assert main(["track", str(out["nms"]), "--propagator", "identity", "--matcher", "greedy",
+                 "--min-len", "1", "--out", str(out["track-identity-greedy"])]) == 0
+    counts = {name: [len(ii) for _, ii in load_pose_file(path).frames]
+              for name, path in out.items()}
+    # NMS drops the copy; pruning drops frame 2's one-frame track
+    assert counts == {"nms": [2, 2, 3, 2, 2], "track": [2, 2, 2, 2, 2],
+                      "track-identity-greedy": [2, 2, 3, 2, 2]}
+    assert len(doc["frames"][0]["instances"]) == 3
+    assert {name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in out.items()} == _NMS_TRACK_SHA256
+
+
 def test_train_toy_subcommand(tmp_path):
     cfg = {
         "domains": {"coco": {"noise": 0.05}, "posetrack": {"noise": 0.1}},

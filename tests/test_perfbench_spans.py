@@ -5,7 +5,9 @@
 that is deleted or renamed in ``src/`` therefore fails every benchmark run.
 This test loads the span module, traces ``run``, ``eval-map`` and
 ``eval-mota`` on the golden scene, and checks that every pipeline and eval
-span fired and that no wrapper is left behind.
+span fired and that no wrapper is left behind. The counters the tracer
+derives from call arguments (``len`` of what ``oks_nms`` is given,
+``TrackerState.next_id`` and ``all_tracks()``) are pinned on the same run.
 """
 
 import contextlib
@@ -39,6 +41,11 @@ def spans():
     del sys.modules[spec.name]
 
 
+# counters read from call arguments on the golden scene's traced run
+_GOLDEN_COUNTS = {"suppression.oks_nms.instances_in": 11, "suppression.oks_nms.kept": 11,
+                  "tracking.matched": 8, "tracking.pruned": 1}
+
+
 def test_every_pipeline_and_eval_span_fires_on_the_golden_scene(spans, tmp_path):
     scene, pred = tmp_path / "scene", tmp_path / "pred.json"
     with contextlib.redirect_stdout(io.StringIO()):
@@ -60,3 +67,4 @@ def test_every_pipeline_and_eval_span_fires_on_the_golden_scene(spans, tmp_path)
     assert "evaluation.match_poses" in names and "tracking.step" in names
     assert [n for n in names if not summary.get(n, {}).get("calls")] == []
     assert tracer.counts["suppression.oks"] > 0
+    assert {name: tracer.counts[name] for name in _GOLDEN_COUNTS} == _GOLDEN_COUNTS
