@@ -7,7 +7,7 @@ a small multi-domain trainer on synthetic data. See the README for the CLI.
 
 from .errors import PoseError
 from .skeletons import JointMapping, JointSet, builtin_joint_set, get_joint_set, mapping
-from .instances import PersonInstance
+from .instances import InstanceStack, PersonInstance
 from .heatmaps import (
     DecodedPose,
     Heatmap,

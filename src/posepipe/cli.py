@@ -20,6 +20,7 @@ from .config import PipelineConfig
 from .errors import PoseError
 from .evaluation import PCKH_THRESHOLD, compute_map, compute_mota, format_table
 from .heatmaps import decode, load_heatmap
+from .instances import InstanceStack
 from .pipeline import fuse, load_manifest, run_pipeline, to_instances, track_sequence
 from .poseio import (
     BoxSequence,
@@ -48,8 +49,8 @@ def _save_decoded(decoded, path) -> None:
         box = np.concatenate([lo, hi - lo])
     else:
         box = [0.0, 0.0, 1.0, 1.0]
-    save_pose_file(PoseSequence(decoded.joint_set, [(0, to_instances([decoded], [box], [1.0]))]),
-                   path)
+    stack = to_instances(decoded.joint_set, [decoded], [box], [1.0])
+    save_pose_file(PoseSequence(decoded.joint_set, [(0, stack.instances())]), path)
 
 
 def cmd_synth(args):
@@ -122,7 +123,7 @@ def cmd_nms(args):
     consts = OksConstants.for_joint_set(seq.joint_set)
     frames = []
     for fidx, instances in seq.frames:
-        keep = oks_nms(instances, args.oks_thr, consts)
+        keep = oks_nms(InstanceStack.of(seq.joint_set, instances), args.oks_thr, consts)
         frames.append((fidx, [instances[i] for i in keep]))
     save_pose_file(PoseSequence(seq.joint_set, frames), args.out)
 
@@ -132,7 +133,8 @@ def cmd_track(args):
     tracker = TrackerState(OksConstants.for_joint_set(seq.joint_set),
                            sim_threshold=args.sim_thr, lookback=args.lookback,
                            matcher=args.matcher, propagator=args.propagator)
-    frames = track_sequence(seq.frames, tracker, args.min_len)
+    frames = track_sequence([(fidx, InstanceStack.of(seq.joint_set, instances))
+                             for fidx, instances in seq.frames], tracker, args.min_len)
     save_pose_file(PoseSequence(seq.joint_set, frames), args.out)
 
 

@@ -21,9 +21,12 @@ threshold is the CLI's ``--pckh-thr`` argument, a finite number > 0, default
   annotated in both, in ``np.mean``'s float order, by the same masked-mean
   helper as OKS), then the smaller (prediction, ground-truth) index pair.
   Pairs with zero correct joints stay unmatched, and only the sort keys of
-  the others are kept. The whole sequence is matched by one sort and one
-  walk (``assignment.greedy_walk``): each pose is in one frame, so the
-  frames' matchings do not interact and need no frame key.
+  the others are kept. Consecutive frames are matched in groups of at most
+  ``FRAME_PAIRS_LIMIT`` pairs, each by one sort and one walk
+  (``assignment.greedy_walk``), and only a group's matched pairs are kept:
+  each pose is in one frame, so the frames' matchings do not interact and
+  need no frame key, and what is held across groups grows only with the
+  matched pairs.
 * AP ranks every reported prediction joint by its keypoint score over the
   whole dataset (ties in frame, then prediction, order) and integrates the
   interpolated precision-recall curve.
@@ -48,8 +51,9 @@ from .suppression import _masked_mean
 
 PCKH_THRESHOLD = 0.5
 BLOCK_PAIRS = 16384   # (prediction, ground truth) pairs judged per _judge call
-# most (prediction, ground truth) pairs one frame may hold: match_poses keeps
-# about 130 B per pair with a correct joint, so one frame peaks below 150 MB
+# most (prediction, ground truth) pairs one frame, and one group of frames
+# matched together, may hold: match_poses keeps about 130 B per pair of a group
+# with a correct joint, so a group peaks below 150 MB
 FRAME_PAIRS_LIMIT = 2**20
 
 # Column grouping used by the report tables.
@@ -92,18 +96,33 @@ def _judge(pred, gt, pi, gi, threshold: float):
     annotated-in-both mask.
     """
     (p_xy, p_ann), (g_xy, g_ann, head) = pred, gt
-    sq = p_xy[pi] - g_xy[gi]
-    sq *= sq
-    # the Euclidean norm as np.linalg.norm computes it: sqrt(x * x + y * y)
-    d = np.sqrt(sq[..., 0] + sq[..., 1]) / head[gi, None]
+    with np.errstate(over="ignore"):   # far apart: an infinite distance, not correct
+        sq = p_xy[pi] - g_xy[gi]
+        sq *= sq
+        # the Euclidean norm as np.linalg.norm computes it: sqrt(x * x + y * y)
+        d = np.sqrt(sq[..., 0] + sq[..., 1]) / head[gi, None]
     both = p_ann[pi] & g_ann[gi]
     return both & (d <= threshold), d, both
 
 
-def _slices(total: int) -> range:
-    """Starts of the ``BLOCK_PAIRS``-long slices of ``range(total)``; one
-    empty slice when total is 0, so that the slices' results concatenate."""
-    return range(0, max(total, 1), BLOCK_PAIRS)
+def _slices(start: int, stop: int) -> range:
+    """Starts of the ``BLOCK_PAIRS``-long slices of ``range(start, stop)``; one
+    empty slice when it is empty, so that the slices' results concatenate."""
+    return range(start, max(stop, start + 1), BLOCK_PAIRS)
+
+
+def _groups(n_pairs) -> list:
+    """(start, stop) pair numbers of the groups of consecutive frames, each
+    frame's pair count given in order, that hold at most
+    ``FRAME_PAIRS_LIMIT`` pairs each: a frame joins the group before it if
+    it fits. One empty group when there are no frames."""
+    groups, start, stop = [], 0, 0
+    for n in n_pairs:
+        if stop + n - start > FRAME_PAIRS_LIMIT:
+            groups.append((start, stop))
+            start = stop
+        stop += n
+    return groups + [(start, stop)]
 
 
 def match_poses(pred, gt, threshold: float = PCKH_THRESHOLD):
@@ -114,9 +133,10 @@ def match_poses(pred, gt, threshold: float = PCKH_THRESHOLD):
     ``FRAME_PAIRS_LIMIT`` (pred, gt) pairs. The frames are merged by index;
     the within-frame pairs are numbered frame by frame, (pred, gt) row-major
     within a frame, and judged ``BLOCK_PAIRS`` at a time; only the sort keys
-    of pairs with a correct joint are kept. One sort and one greedy walk over
-    the whole sequence match them, and no pose is matched across frames. The
-    mean distance over joints annotated in both keeps ``np.mean``'s float
+    of pairs with a correct joint are kept. Consecutive frames of at most
+    ``FRAME_PAIRS_LIMIT`` pairs together (``_groups``) are matched by one sort
+    and one greedy walk, only their matched pairs are kept, and no pose is
+    matched across frames. The mean distance over joints annotated in both keeps ``np.mean``'s float
     order. Returns (frames, preds, gts, pairs, correct, dist): frames lists
     (frame_index, frame_preds, frame_gts) in order; preds and gts concatenate
     the frames' instances; pairs is an (M, 2) array of the matched (pred, gt)
@@ -149,29 +169,32 @@ def match_poses(pred, gt, threshold: float = PCKH_THRESHOLD):
     n_pairs = n_p * n_g
     p_at, g_at = np.cumsum(n_p) - n_p, np.cumsum(n_g) - n_g
     first = np.cumsum(n_pairs) - n_pairs   # each frame's first pair number
-    total = int(n_pairs.sum())
 
     def located(n):   # the pred and gt of pair numbers n
         f = np.searchsorted(first, n, side="right") - 1
         at = n - first[f]
         return p_at[f] + at // n_g[f], g_at[f] + at % n_g[f]
 
-    kept = []
-    for start in _slices(total):
-        n = np.arange(start, min(start + BLOCK_PAIRS, total))
-        pi, gi = located(n)
-        correct, d, both = _judge(p_rows, g_rows, pi, gi, threshold)
-        count = correct.sum(axis=1)
-        c = np.flatnonzero(count)   # pairs with zero correct joints never match
-        kept.append((n[c], -count[c], _masked_mean(d[c], both[c])))
-    n, neg_count, meandist = (np.concatenate(key) for key in zip(*kept))
-    # ties by pair number, (pred, gt) order; each pose is in one frame, so no frame key
-    pi, gi = located(n[np.lexsort((n, meandist, neg_count))])
-    taken = greedy_walk(pi, gi)
-    taken = taken[np.argsort(gi[taken])]
-    pi, gi = pi[taken], gi[taken]
+    matched = []
+    for lo, hi in _groups(n_pairs.tolist()):
+        kept = []
+        for start in _slices(lo, hi):
+            n = np.arange(start, min(start + BLOCK_PAIRS, hi))
+            pi, gi = located(n)
+            correct, d, both = _judge(p_rows, g_rows, pi, gi, threshold)
+            count = correct.sum(axis=1)
+            c = np.flatnonzero(count)   # pairs with zero correct joints never match
+            with np.errstate(over="ignore"):
+                kept.append((n[c], -count[c], _masked_mean(d[c], both[c])))
+        n, neg_count, meandist = (np.concatenate(key) for key in zip(*kept))
+        # ties by pair number, (pred, gt) order; each pose is in one frame, so no frame key
+        pi, gi = located(n[np.lexsort((n, meandist, neg_count))])
+        taken = greedy_walk(pi, gi)
+        taken = taken[np.argsort(gi[taken])]
+        matched.append((pi[taken], gi[taken]))
+    pi, gi = (np.concatenate(side) for side in zip(*matched))   # a later group's gts come later
     rows = [_judge(p_rows, g_rows, pi[start:start + BLOCK_PAIRS], gi[start:start + BLOCK_PAIRS],
-                   threshold) for start in _slices(len(taken))]
+                   threshold) for start in _slices(0, len(pi))]
     return (frames, preds, gts, np.column_stack([pi, gi]),
             np.concatenate([correct for correct, _, _ in rows]),
             np.concatenate([d for _, d, _ in rows]))

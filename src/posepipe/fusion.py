@@ -17,6 +17,7 @@ same bits as decoding each branch and projecting the poses.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +50,14 @@ def parse_fusion_spec(spec: str):
     return kind, names
 
 
+@functools.cache
 def _head_pairs(m: JointMapping) -> np.ndarray:
     """Which pairs of m carry a head joint: the rows head-swap takes from its
-    head branch."""
-    return np.array([canonical_name(n) in _HEAD_JOINTS for n in m.from_set.joints], bool)[m.src]
+    head branch. Worked out once per mapping, which ``skeletons.mapping``
+    shares, and read-only."""
+    rows = np.array([canonical_name(n) in _HEAD_JOINTS for n in m.from_set.joints], bool)[m.src]
+    rows.flags.writeable = False
+    return rows
 
 
 def rows_read(kind: str, names, branch: JointSet, target_set: JointSet) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Detected-person records: box, scores, per-joint keypoints, joint-set tag.
 
-Each instance rule is written once, over a stack of N instances: a dict with
-joint_set (one JointSet), box (N, 4), coords (N, K, 2), scores and annotated
-(N, K), and a sequence of N values for every other field.
+Each instance rule is written once, over a stack of N instances: joint_set
+(one JointSet), box (N, 4), coords (N, K, 2), scores and annotated (N, K),
+and a sequence of N values for every other field. ``InstanceStack`` holds a
+frame's instances in that form from decode to the tracker, so every rule runs
+once per frame over the columns a stage changes.
 """
 
 from __future__ import annotations
@@ -69,13 +71,21 @@ _ARRAYS = {"box": np.float64, "coords": np.float64, "scores": np.float64, "annot
 
 
 def _check(stack: dict, fields=None) -> None:
-    """Raise, for its first failing instance, the first rule that reads one of
-    fields (by default any) and that some instance of stack breaks."""
-    for reads, passes, fault in _RULES:
-        if fields is None or not fields.isdisjoint(reads):
-            ok = list(passes(stack))
-            if not all(ok):
-                raise PoseError(fault(stack, ok.index(False)))
+    """Raise, for the first instance of stack that breaks a rule reading one
+    of fields (by default any), the first such rule it breaks: the error that
+    checking the instances one by one raises first."""
+    _raise_first(stack, [rule for rule in _RULES if fields is None or not fields.isdisjoint(rule[0])])
+
+
+def _raise_first(stack: dict, rules: list) -> None:
+    for n, (_, passes, fault) in enumerate(rules):
+        ok = list(passes(stack))
+        if not all(ok):
+            i = ok.index(False)
+            if i:   # the instances before i passed every rule so far, not yet the later ones
+                _raise_first({k: v if k == "joint_set" else v[:i] for k, v in stack.items()},
+                             rules[n + 1:])
+            raise PoseError(fault(stack, i))
 
 
 def _one(f: dict) -> dict:
@@ -117,41 +127,84 @@ class PersonInstance:
         self.joint_set = get_joint_set(self.joint_set)
         _check(_one(vars(self)))
 
-    @property
-    def area(self) -> float:
-        return float(self.box[2] * self.box[3])
-
-    @property
-    def num_annotated(self) -> int:
-        return int(self.annotated.sum())
-
-    def replace(self, **changes) -> "PersonInstance":
-        """Copy with fields replaced, running only the rules that read a
-        replaced field; arrays are copied so instances stay independent."""
-        if not changes.keys() <= vars(self).keys():
-            raise TypeError(f"PersonInstance has no fields {sorted(changes.keys() - vars(self))}")
-        fields = vars(self) | changes
-        for name, dtype in _ARRAYS.items():
-            fields[name] = (np.asarray(changes[name], dtype=dtype) if name in changes
-                            else fields[name].copy())
-        fields["box"] = fields["box"].reshape(4)
-        fields["joint_set"] = get_joint_set(fields["joint_set"])
-        _check(_one(fields), changes.keys())
-        out = object.__new__(PersonInstance)
-        out.__dict__ = fields
-        return out
-
 
 _FIELDS = tuple(f.name for f in dataclasses.fields(PersonInstance))
 
 
-def stacked_instances(stack: dict) -> list:
-    """The N instances of stack, which holds a column for each field, after
-    one pass of every rule over them (raising as ``_check`` does)."""
-    _check(stack)
-    columns = [itertools.repeat(stack["joint_set"]) if name == "joint_set" else stack[name]
-               for name in _FIELDS]
-    out = [object.__new__(PersonInstance) for _ in range(len(stack["box"]))]
-    for p, row in zip(out, zip(*columns)):
-        p.__dict__ = dict(zip(_FIELDS, row))
+@dataclass
+class InstanceStack:
+    """N instances on one joint set as columns, in PersonInstance's fields:
+    box (N, 4) float64, coords (N, K, 2) float64, scores (N, K) float64,
+    annotated (N, K) bool, and a list of N values for each other field.
+
+    Every instance rule holds for every row. Making a stack runs each rule
+    once over it, ``replace`` runs the rules that read a replaced column, and
+    ``take`` and ``of`` start from rows that passed. ``len`` is N.
+    """
+
+    box: np.ndarray
+    box_score: list
+    coords: np.ndarray
+    scores: np.ndarray
+    annotated: np.ndarray
+    joint_set: JointSet
+    score: list
+    track_id: list
+    person_id: list
+    head_size: list
+
+    def __post_init__(self):
+        _check(vars(self))
+
+    def __len__(self) -> int:
+        return len(self.box)
+
+    @classmethod
+    def of(cls, joint_set, instances) -> "InstanceStack":
+        """The stack of instances (PersonInstances, each checked when made),
+        all on joint_set (a JointSet or a registered name)."""
+        js = get_joint_set(joint_set)
+        for p in instances:
+            if p.joint_set != js:
+                raise PoseError(f"instance joint set {p.joint_set.name!r} does not match "
+                                f"the stack's {js.name!r}")
+        fields = {name: [getattr(p, name) for p in instances]
+                  for name in _FIELDS if name != "joint_set"}
+        for name, shape in (("box", (4,)), ("coords", (js.count, 2)), ("scores", (js.count,)),
+                            ("annotated", (js.count,))):
+            fields[name] = np.array(fields[name], dtype=_ARRAYS[name]).reshape(-1, *shape)
+        fields["joint_set"] = js
+        return _stack(fields)
+
+    def take(self, rows) -> "InstanceStack":
+        """The stack of the rows at the indices rows, in that order."""
+        rows = list(rows)
+        return _stack({name: value if name == "joint_set" else
+                       value[rows] if isinstance(value, np.ndarray) else [value[i] for i in rows]
+                       for name, value in vars(self).items()})
+
+    def replace(self, **columns) -> "InstanceStack":
+        """The stack with columns replaced, after one pass over it of each rule
+        that reads a replaced column; the other columns are shared."""
+        if not columns.keys() <= vars(self).keys():
+            raise TypeError(f"InstanceStack has no columns {sorted(columns.keys() - vars(self))}")
+        fields = vars(self) | columns
+        _check(fields, columns.keys())
+        return _stack(fields)
+
+    def instances(self) -> list:
+        """The rows as PersonInstances, unchecked (the stack is), their arrays
+        views of the stack's."""
+        columns = [itertools.repeat(self.joint_set) if name == "joint_set" else vars(self)[name]
+                   for name in _FIELDS]
+        out = [object.__new__(PersonInstance) for _ in range(len(self))]
+        for p, row in zip(out, zip(*columns)):
+            p.__dict__ = dict(zip(_FIELDS, row))
+        return out
+
+
+def _stack(fields: dict) -> InstanceStack:
+    """An InstanceStack of fields, without the check."""
+    out = object.__new__(InstanceStack)
+    out.__dict__ = fields
     return out

@@ -38,7 +38,7 @@ from .fusion import (
     rows_read,
 )
 from .heatmaps import DecodedPose, check_flip_pair, flip_merge, load_heatmap
-from .instances import check_box, check_score, stacked_instances
+from .instances import InstanceStack, check_box, check_score
 from .poseio import (
     PoseSequence,
     check_frame_order,
@@ -125,50 +125,51 @@ def fuse(heatmaps, flipped, spec: str, target_set, smooth_sigma: float,
 
 
 def track_sequence(frames, tracker: TrackerState, min_len: int) -> list:
-    """Give every instance of [(frame_index, instances)] its track id from a
-    fresh tracker, then drop the instances of tracks with fewer than
-    ``min_len`` frames."""
-    ids = [(fidx, tracker.step(fidx, instances)) for fidx, instances in frames]
+    """Give every instance of [(frame_index, InstanceStack)] its track id from
+    a fresh tracker, then drop the instances of tracks with fewer than
+    ``min_len`` frames; returns [(frame_index, [PersonInstance])]."""
+    ids = [(fidx, tracker.step(fidx, stack)) for fidx, stack in frames]
     kept = set(finalize(tracker, min_len))
     return [(fidx, [tracker.tracks[t][fidx] for t in frame_ids if t in kept])
             for fidx, frame_ids in ids]
 
 
-def to_instances(decoded: list, boxes: list, box_scores: list) -> list:
-    """Each of decoded in its (x, y, w, h) box of boxes, its joint scores
-    clipped to [0, 1], after one pass of the instance rules over the stack
-    (``instances.stacked_instances``)."""
+def to_instances(joint_set, decoded: list, boxes: list, box_scores: list) -> InstanceStack:
+    """The InstanceStack on joint_set of each of decoded in its (x, y, w, h)
+    box of boxes, its joint scores clipped to [0, 1], after one pass of the
+    instance rules over it."""
     if not decoded:
-        return []
+        return InstanceStack.of(joint_set, [])
     n = len(decoded)
-    return stacked_instances({
-        "joint_set": decoded[0].joint_set,
-        "box": np.array(boxes, dtype=np.float64).reshape(n, 4), "box_score": box_scores,
-        "coords": np.stack([d.coords for d in decoded]),
-        "scores": np.clip(np.stack([d.scores for d in decoded]), 0.0, 1.0),
-        "annotated": np.stack([d.annotated for d in decoded]),
-        "score": [float(s) for s in box_scores],
-        **dict.fromkeys(("track_id", "person_id", "head_size"), [None] * n)})
+    return InstanceStack(
+        joint_set=joint_set,
+        box=np.array(boxes, dtype=np.float64).reshape(n, 4), box_score=box_scores,
+        coords=np.stack([d.coords for d in decoded]),
+        scores=np.clip(np.stack([d.scores for d in decoded]), 0.0, 1.0),
+        annotated=np.stack([d.annotated for d in decoded]),
+        score=[float(s) for s in box_scores], track_id=[None] * n, person_id=[None] * n,
+        head_size=[None] * n)
 
 
 def steps(config: PipelineConfig) -> list:
     """(name, step) for each per-frame stage config enables, in the fixed
     order decode+fuse -> rescore -> thresholds -> oks-nms; tracking follows
-    over the whole sequence (``track_sequence``). A step maps one frame's
-    list to the next: manifest entries (see load_manifest) to instances, then
-    instances to instances. A switch leaves its stage out; a number at its
-    off value leaves the stage in, doing nothing. Nothing is reordered."""
+    over the whole sequence (``track_sequence``). A step maps one frame to
+    the next: manifest entries (see load_manifest) to the frame's
+    InstanceStack, then one stack to the next. A switch leaves its stage
+    out; a number at its off value leaves the stage in, doing nothing.
+    Nothing is reordered."""
     consts = config.oks_constants()   # resolves the target set's name once
     chain = [
-        ("decode+fuse", True, lambda entries: to_instances(
-            [fuse(e["heatmaps"], e.get("flipped_heatmaps", {}), config.fusion,
-                  consts.joint_set, config.smooth_sigma, config.use_quarter_offset)
-             for e in entries], [e["box"] for e in entries], [e["box_score"] for e in entries])),
-        ("rescore", config.use_box_rescore, lambda instances: [rescore(p) for p in instances]),
-        ("thresholds", True, lambda instances: apply_thresholds(
-            instances, config.box_threshold, config.keypoint_threshold)),
-        ("oks-nms", config.use_oks_nms, lambda instances: [
-            instances[i] for i in oks_nms(instances, config.oks_nms_threshold, consts)]),
+        ("decode+fuse", True, lambda entries: to_instances(consts.joint_set, [
+            fuse(e["heatmaps"], e.get("flipped_heatmaps", {}), config.fusion,
+                 consts.joint_set, config.smooth_sigma, config.use_quarter_offset)
+            for e in entries], [e["box"] for e in entries], [e["box_score"] for e in entries])),
+        ("rescore", config.use_box_rescore, lambda stack: rescore(stack)),
+        ("thresholds", True, lambda stack: apply_thresholds(
+            stack, config.box_threshold, config.keypoint_threshold)),
+        ("oks-nms", config.use_oks_nms, lambda stack: stack.take(
+            oks_nms(stack, config.oks_nms_threshold, consts))),
     ]
     return [(name, step) for name, on, step in chain if on]
 
@@ -186,4 +187,6 @@ def run_pipeline(config: PipelineConfig, manifest_frames) -> PoseSequence:
         frames.append((fidx, frame))
     if config.use_tracking:
         frames = track_sequence(frames, config.tracker(), config.min_track_length)
+    else:
+        frames = [(fidx, stack.instances()) for fidx, stack in frames]
     return PoseSequence(config.target_joint_set, frames)

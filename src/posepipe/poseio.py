@@ -49,7 +49,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .errors import PoseError, checked
-from .instances import PersonInstance, check_box, check_score, stacked_instances
+from .instances import InstanceStack, PersonInstance, check_box, check_score
 from .skeletons import JointSet, get_joint_set
 
 HEAD_SIZE_FACTOR = 0.6
@@ -207,13 +207,13 @@ def _pose_instances(js: JointSet, records: list) -> list:
     if len(set(map(len, annotated))) > 1:
         raise PoseError("annotated lists of different lengths do not stack")
     box_score = column("box_score", 1.0)
-    return stacked_instances({
-        "box": np.array(column("box"), dtype=np.float64).reshape(-1, 4), "box_score": box_score,
-        "coords": kps[:, :, :2], "scores": kps[:, :, 2], "joint_set": js,
-        "annotated": np.array(annotated, dtype=bool),
-        "score": [float(b) if v is None else v for v, b in zip(column("score"), box_score)],
-        "track_id": column("track_id"), "person_id": column("person_id"),
-        "head_size": list(map(_head_size, column("head_size"), column("head_box")))})
+    return InstanceStack(
+        box=np.array(column("box"), dtype=np.float64).reshape(-1, 4), box_score=box_score,
+        coords=kps[:, :, :2], scores=kps[:, :, 2], joint_set=js,
+        annotated=np.array(annotated, dtype=bool),
+        score=[float(b) if v is None else v for v, b in zip(column("score"), box_score)],
+        track_id=column("track_id"), person_id=column("person_id"),
+        head_size=list(map(_head_size, column("head_size"), column("head_box")))).instances()
 
 
 def parse_pose_document(doc: dict) -> PoseSequence:

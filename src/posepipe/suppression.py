@@ -1,10 +1,12 @@
 """OKS similarity, greedy OKS-NMS, box IoU NMS, box re-scoring, thresholds.
 
-``oks`` is one kernel over stacked poses: it takes a reference stack and a
-candidate stack and returns their whole similarity matrix, so OKS-NMS and
-the tracker each make one call per frame. Its entries are bit-equal to the
-one-pair formula; ``_masked_mean`` keeps ``np.mean``'s float order, and
-``evaluation`` uses the same helper for its mean PCKh distance.
+Every stage takes a frame's ``InstanceStack``: ``rescore`` is one
+``_masked_mean`` over it and ``apply_thresholds`` one mask pass. ``oks`` takes
+a reference stack and a candidate stack and returns their whole similarity
+matrix, so OKS-NMS and the tracker each make one call per frame. Its
+entries are bit-equal to the one-pair formula; ``_masked_mean`` keeps
+``np.mean``'s float order, and ``evaluation`` uses the same helper for its
+mean PCKh distance.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoseError, predicate
-from .instances import PersonInstance
 from .skeletons import JointSet, canonical_name, get_joint_set
 
 # Per-joint fall-off constants for the COCO vocabulary (the familiar
@@ -98,42 +99,39 @@ def oks(a, b, consts: OksConstants):
     """Keypoint similarity of candidates b to references a, normalized by
     each reference's area.
 
-    a and b are sequences of PersonInstances. The result is the
-    (len(a), len(b)) float64 matrix whose row i holds every candidate's OKS
-    to reference i. Each entry is the mean over jointly annotated joints of
-    exp(-d^2 / (2 area k^2)), 0.0 when no joint is annotated in both, with
-    the float order of the one-pair formula (see ``_masked_mean``).
+    a and b are InstanceStacks. The result is the (len(a), len(b)) float64
+    matrix whose row i holds every candidate's OKS to reference i. Each entry
+    is the mean over jointly annotated joints of exp(-d^2 / (2 area k^2)),
+    0.0 when no joint is annotated in both, with the float order of the
+    one-pair formula (see ``_masked_mean``). Poses too far apart for d^2 to
+    be finite get exp(-inf) = 0.0.
     """
-    refs, cands = list(a), list(b)
-    if not refs or not cands:
-        return np.zeros((len(refs), len(cands)))
-    if any(p.joint_set != consts.joint_set for p in refs + cands):
-        first_a = next((p for p in refs if p.joint_set != consts.joint_set), refs[0])
-        first_b = next((p for p in cands if p.joint_set != consts.joint_set), cands[0])
-        raise PoseError(f"oks joint-set mismatch: {first_a.joint_set.name!r}, "
-                        f"{first_b.joint_set.name!r}, {consts.joint_set.name!r}")
-    area = np.array([p.area for p in refs], dtype=np.float64)
-    ra = np.stack([p.annotated for p in refs])
-    ca = np.stack([p.annotated for p in cands])
+    if not (len(a) and len(b)):
+        return np.zeros((len(a), len(b)))
+    if a.joint_set != consts.joint_set or b.joint_set != consts.joint_set:
+        raise PoseError(f"oks joint-set mismatch: {a.joint_set.name!r}, "
+                        f"{b.joint_set.name!r}, {consts.joint_set.name!r}")
+    area = a.box[:, 2] * a.box[:, 3]
     # unannotated coordinates may be anything; zero them so they stay finite
-    rc = np.where(ra[:, :, None], np.stack([p.coords for p in refs]), 0.0)
-    cc = np.where(ca[:, :, None], np.stack([p.coords for p in cands]), 0.0)
-    delta = rc[:, None] - cc[None]                      # (R, C, K, 2)
-    d2 = delta[..., 0] ** 2 + delta[..., 1] ** 2
+    rc = np.where(a.annotated[:, :, None], a.coords, 0.0)
+    cc = np.where(b.annotated[:, :, None], b.coords, 0.0)
+    with np.errstate(over="ignore"):
+        delta = rc[:, None] - cc[None]                  # (R, C, K, 2)
+        d2 = delta[..., 0] ** 2 + delta[..., 1] ** 2
     e = np.exp(-d2 / ((2.0 * area)[:, None, None] * consts.falloff ** 2))
-    return _masked_mean(e, ra[:, None] & ca[None])
+    return _masked_mean(e, a.annotated[:, None] & b.annotated[None])
 
 
-def oks_nms(instances, threshold: float, consts: OksConstants):
-    """Greedy duplicate-pose suppression by instance score and OKS (see
-    ``_greedy_nms``) over one stacked ``oks`` matrix. Returns kept indices
-    in visit order."""
+def oks_nms(stack, threshold: float, consts: OksConstants):
+    """Greedy duplicate-pose suppression of an InstanceStack by instance
+    score and OKS (see ``_greedy_nms``) over one stacked ``oks`` matrix.
+    Returns kept row indices in visit order."""
     if not 0 < threshold <= 1:
         raise PoseError("oks-nms threshold must be in (0, 1]")
-    if not instances:
+    if not len(stack):
         return []
-    scores = np.array([p.score for p in instances], dtype=np.float64)
-    return _greedy_nms(oks(instances, instances, consts), scores, threshold)
+    return _greedy_nms(oks(stack, stack, consts), np.array(stack.score, dtype=np.float64),
+                       threshold)
 
 
 def _greedy_nms(sims, scores, threshold: float) -> list:
@@ -172,25 +170,20 @@ def box_nms(boxes, scores, threshold: float):
     return _greedy_nms(box_ious(boxes, boxes), scores, threshold)
 
 
-def rescore(p: PersonInstance) -> PersonInstance:
-    """Instance score = box score x mean keypoint score over annotated joints
-    (0 with no annotated joint)."""
-    if p.num_annotated == 0:
-        return p.replace(score=0.0)
-    return p.replace(score=float(p.box_score * p.scores[p.annotated].mean()))
+def rescore(stack):
+    """An InstanceStack with each instance score = box score x mean keypoint
+    score over annotated joints (0 with no annotated joint)."""
+    means = _masked_mean(stack.scores, stack.annotated)
+    return stack.replace(score=(np.array(stack.box_score, dtype=np.float64) * means).tolist())
 
 
-def apply_thresholds(instances, box_thr: float, kp_thr: float):
-    """Drop instances scoring below box_thr; mark joints scoring below kp_thr
-    not-annotated (removing them from output and tracking similarity)."""
+def apply_thresholds(stack, box_thr: float, kp_thr: float):
+    """Drop the rows of an InstanceStack scoring below box_thr; mark joints
+    scoring below kp_thr not-annotated (removing them from output and
+    tracking similarity)."""
     if box_thr < 0 or kp_thr < 0:
         raise PoseError("thresholds must be >= 0")
-    out = []
-    for p in instances:
-        if p.score < box_thr:
-            continue
-        if kp_thr > 0:
-            annotated = p.annotated & (p.scores >= kp_thr)
-            p = p.replace(annotated=annotated)
-        out.append(p)
-    return out
+    stack = stack.take(np.flatnonzero(np.array(stack.score, dtype=np.float64) >= box_thr))
+    if kp_thr > 0:
+        stack = stack.replace(annotated=stack.annotated & (stack.scores >= kp_thr))
+    return stack

@@ -1,16 +1,19 @@
 """Frame-to-frame identity association over detected poses.
 
 A track is its history, a dict of frame index -> PersonInstance, and its id
-is its index in ``TrackerState.tracks``. Tracks extend by OKS similarity
-between each new detection and a propagated copy of the track's last
-instance. Matching runs the Hungarian solver by default (greedy available
-for comparison); a track may sit out up to ``lookback`` frames, with the
-propagator bridging the gap, before ``TrackerState.step`` retires it.
-Optical flow is out of scope: a propagator, called as
-``prop(history, gap)``, is named by its key in ``PROPAGATORS``, ``identity``
+is its index in ``TrackerState.tracks``. Each frame's detections come in as
+one ``InstanceStack``; their PersonInstances are built once, with their
+track ids, when ``TrackerState.step`` stores them. Tracks extend by OKS
+similarity between each new detection and a propagated copy of the track's
+last instance. Matching runs the Hungarian solver by default (greedy
+available for comparison); a track may sit out up to ``lookback`` frames,
+with the propagator bridging the gap, before ``TrackerState.step`` retires
+it. Optical flow is out of scope: a propagator, called as
+``prop(histories, gaps)``, predicts every live track at once and returns
+their InstanceStack; it is named by its key in ``PROPAGATORS``, ``identity``
 or ``velocity`` (``constant_velocity``), and the matcher by its key in
-``MATCHERS``. Each frame with detections propagates every live track exactly
-once and scores all track x detection pairs with one stacked ``oks`` call.
+``MATCHERS``. Each frame with detections propagates the live tracks in one
+call and scores all track x detection pairs with one stacked ``oks`` call.
 
 ``TrackerState.step`` is the only writer of histories: it checks frame order
 and only appends, so a history's keys increase in insertion order. Its last
@@ -27,32 +30,41 @@ import numpy as np
 
 from .assignment import solve_greedy, solve_hungarian
 from .errors import PoseError
-from .instances import PersonInstance
+from .instances import InstanceStack
 from .poseio import check_frame_order
 from .suppression import OksConstants, oks
 
 
-def identity(history: dict, gap: int) -> PersonInstance:
-    """Predict no motion: the track's last instance as-is."""
-    return history[next(reversed(history))]
+def identity(histories, gaps) -> InstanceStack:
+    """Predict no motion: each track's last instance as-is."""
+    last = [history[next(reversed(history))] for history in histories]
+    return InstanceStack.of(last[0].joint_set, last)
 
 
-def constant_velocity(history: dict, gap: int) -> PersonInstance:
-    """Extrapolate keypoints and box linearly from the last two observations.
-
-    Falls back to identity with fewer than two observations; gap 0 is always
-    the identity.
+def constant_velocity(histories, gaps) -> InstanceStack:
+    """Extrapolate keypoints and box linearly from each track's last two
+    observations, in one pass over the tracks that have two; the others, and
+    every track at gap 0, keep their last instance. The instance rules run
+    once over the propagated box and coordinates.
     """
-    if gap == 0 or len(history) < 2:
-        return identity(history, gap)
-    t1, t0 = itertools.islice(reversed(history), 2)
-    cur, prev = history[t1], history[t0]
-    dt = t1 - t0
-    vel_kp = (cur.coords - prev.coords) / dt
-    vel_box = (cur.box[:2] - prev.box[:2]) / dt
-    box = cur.box.copy()
-    box[:2] = box[:2] + vel_box * gap
-    return cur.replace(box=box, coords=cur.coords + vel_kp * gap)
+    now = identity(histories, gaps)
+    frames = [tuple(itertools.islice(reversed(history), 2)) for history in histories]
+    moving = [i for i, (t, gap) in enumerate(zip(frames, gaps)) if len(t) == 2 and gap]
+    if not moving:
+        return now
+    prev = [histories[i][frames[i][1]] for i in moving]
+    dt = np.array([frames[i][0] - frames[i][1] for i in moving], dtype=np.float64)[:, None]
+    gap = np.array(gaps, dtype=np.float64)[moving][:, None]
+    coords, box = now.coords.copy(), now.box.copy()
+    cur_kp, cur_box = now.coords[moving], now.box[moving, :2]
+    # far-apart values overflow to inf: an unannotated joint may, and a
+    # box or an annotated joint then fails its rule
+    with np.errstate(over="ignore"):
+        vel_kp = (cur_kp - np.array([p.coords for p in prev])) / dt[:, :, None]
+        vel_box = (cur_box - np.array([p.box[:2] for p in prev])) / dt
+        coords[moving] = cur_kp + vel_kp * gap[:, :, None]
+        box[moving, :2] = cur_box + vel_box * gap
+    return now.replace(box=box, coords=coords)
 
 
 PROPAGATORS = {"identity": identity, "velocity": constant_velocity}
@@ -63,9 +75,9 @@ def similarity(tracks, candidates, frame: int, prop, consts: OksConstants):
     """OKS of each candidate to each propagated track.
 
     tracks is a sequence of histories (frame index -> PersonInstance, never
-    empty) and candidates one of PersonInstances; the result is the
-    (len(tracks), len(candidates)) matrix. Every track is propagated once,
-    by ``prop(history, gap)``, and all of them go through one stacked
+    empty) and candidates an InstanceStack; the result is the
+    (len(tracks), len(candidates)) matrix. Every track is propagated by one
+    ``prop(tracks, gaps)`` call, and all of them go through one stacked
     ``oks`` call. Nothing is propagated when there is no track or no
     candidate. Lookback is not applied here: ``TrackerState.step`` retires
     old tracks before it calls this.
@@ -75,9 +87,9 @@ def similarity(tracks, candidates, frame: int, prop, consts: OksConstants):
     gaps = [frame - next(reversed(history)) for history in tracks]
     if any(gap < 1 for gap in gaps):
         raise PoseError("similarity requires frame > a track's last frame")
-    if not (tracks and candidates):
+    if not (tracks and len(candidates)):
         return np.zeros((len(tracks), len(candidates)))
-    return oks([prop(h, gap) for h, gap in zip(tracks, gaps)], candidates, consts)
+    return oks(prop(tracks, gaps), candidates, consts)
 
 
 @dataclass
@@ -113,8 +125,8 @@ class TrackerState:
         return len(self.tracks)
 
     def step(self, frame: int, detections) -> list:
-        """Associate one frame of detections; returns their track ids in
-        detection order."""
+        """Associate one frame of detections, an InstanceStack; returns their
+        track ids in detection order."""
         if self.last_frame is not None:
             check_frame_order((self.last_frame, frame))
         self.last_frame = frame
@@ -132,13 +144,14 @@ class TrackerState:
                     matched_dets[j] = self.live[i]
 
         ids = []
-        for j, det in enumerate(detections):
+        for j in range(len(detections)):
             tid = matched_dets.get(j, self.next_id)
             if tid == self.next_id:
                 self.live.append(tid)
                 self.tracks.append({})
-            self.tracks[tid][frame] = det.replace(track_id=tid)
             ids.append(tid)
+        for tid, p in zip(ids, detections.replace(track_id=ids).instances()):
+            self.tracks[tid][frame] = p
         return ids
 
     def all_tracks(self) -> list:

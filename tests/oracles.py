@@ -13,8 +13,9 @@ per-joint loops, with the library's earlier AP integration
 loop) kept as it was, and reuse only the library's mean, so they check the
 matching-and-judging bookkeeping and the AP arithmetic, not that formula.
 The one-pair OKS, the pair-by-pair pose matching and the one-pair box IoU
-with its pop-and-filter box NMS are the library's earlier versions, kept as
-they were, to check the stacked kernels bit for bit. ``pckh_distance`` is the one-joint PCKh distance, the textbook form
+with its pop-and-filter box NMS, and the one-track propagation
+(``reference_propagate``), are the library's earlier versions, kept as they
+were, to check the stacked kernels bit for bit. ``pckh_distance`` is the one-joint PCKh distance, the textbook form
 the judgement in ``evaluation`` stacks. The head-swap and vote fusions are
 the library's earlier versions too (decode each branch, then project; one
 index pair at a time); they reuse its decode and pose projection and check
@@ -530,6 +531,24 @@ def reference_compute_mota(preds, gts, k, threshold):
             "motp_total": _mean_defined(motp) if motp else None}
 
 
+def reference_propagate(history, gap, propagator):
+    """One track's predicted pose at gap frames after its last: its last
+    instance (``identity``, or ``velocity`` with fewer than two observations
+    or gap 0), or box and keypoints moved linearly from its last two."""
+    import dataclasses
+    frames = sorted(history)
+    cur = history[frames[-1]]
+    if propagator == "identity" or gap == 0 or len(frames) < 2:
+        return cur
+    prev = history[frames[-2]]
+    dt = frames[-1] - frames[-2]
+    vel_kp = (cur.coords - prev.coords) / dt
+    vel_box = (cur.box[:2] - prev.box[:2]) / dt
+    box = cur.box.copy()
+    box[:2] = box[:2] + vel_box * gap
+    return dataclasses.replace(cur, box=box, coords=cur.coords + vel_kp * gap)
+
+
 def reference_oks(a, b, consts):
     """Keypoint similarity of b to reference a, normalized by a's area.
 
@@ -541,14 +560,15 @@ def reference_oks(a, b, consts):
         raise PoseError(
             f"oks joint-set mismatch: {a.joint_set!r}, {b.joint_set!r}, {consts.joint_set!r}"
         )
-    if a.area <= 0:
+    area = float(a.box[2] * a.box[3])
+    if area <= 0:
         raise PoseError("reference instance area must be positive")
     shared = a.annotated & b.annotated
     if not shared.any():
         return 0.0
     d2 = np.sum((a.coords[shared] - b.coords[shared]) ** 2, axis=1)
     k2 = consts.falloff[shared] ** 2
-    return float(np.mean(np.exp(-d2 / (2.0 * a.area * k2))))
+    return float(np.mean(np.exp(-d2 / (2.0 * area * k2))))
 
 
 def _reference_judge(p, g, threshold):

@@ -62,7 +62,7 @@ def test_criterion_1_assignment_optimality():
 @criterion(2, "OKS-NMS and box NMS match exhaustive references on 500+ cases each")
 def test_criterion_2_nms_oracles():
     from posepipe import builtin_joint_set
-    from posepipe.instances import PersonInstance
+    from posepipe.instances import InstanceStack, PersonInstance
     from posepipe.suppression import OksConstants, box_ious, box_nms, oks, oks_nms
 
     js = builtin_joint_set("posetrack")
@@ -83,10 +83,11 @@ def test_criterion_2_nms_oracles():
                 score=float(rng.random()),
             ))
         thr = float(rng.uniform(0.05, 1.0))
-        sims = np.array([[oks([instances[i]], [instances[j]], consts)[0, 0]
+        rows = [InstanceStack.of(js, [p]) for p in instances]
+        sims = np.array([[oks(rows[i], rows[j], consts)[0, 0]
                           for j in range(n)] for i in range(n)])
         want = reference_greedy_nms(sims, [p.score for p in instances], thr)
-        assert oks_nms(instances, thr, consts) == want
+        assert oks_nms(InstanceStack.of(js, instances), thr, consts) == want
 
     for _ in range(500):
         n = int(rng.integers(1, 9))

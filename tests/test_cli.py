@@ -19,7 +19,14 @@ from posepipe.cli import main
 from posepipe.config import PipelineConfig
 from posepipe.evaluation import compute_map, compute_mota, format_table
 from posepipe.heatmaps import Heatmap, load_heatmap, render_target, save_heatmap
-from posepipe.poseio import document_text, load_pose_file, pose_document
+from posepipe.instances import PersonInstance
+from posepipe.poseio import (
+    PoseSequence,
+    document_text,
+    load_pose_file,
+    pose_document,
+    save_pose_file,
+)
 from posepipe.skeletons import JointSet, builtin_joint_set, register_joint_set
 from posepipe.toynet import load_network
 from posepipe.training import TRAIN_BYTES_LIMIT, TrainConfig
@@ -206,6 +213,56 @@ def test_nms_and_track_outputs_are_pinned(golden_scene_dir, tmp_path):
     assert len(doc["frames"][0]["instances"]) == 3
     assert {name: hashlib.sha256(path.read_bytes()).hexdigest()
             for name, path in out.items()} == _NMS_TRACK_SHA256
+
+
+def _far_person(x, unannotated_x=None, **ids):
+    """A posetrack person with every joint at (x, 0), or, given
+    unannotated_x, at (0, 0) with joint 3 there and not annotated."""
+    k = builtin_joint_set("posetrack").count
+    coords, annotated = np.zeros((k, 2)), np.ones(k, bool)
+    if unannotated_x is None:
+        coords[:, 0] = x
+    else:
+        coords[3, 0], annotated[3] = unannotated_x, False
+    return PersonInstance(box=[x, 0, 10, 20], box_score=0.9, coords=coords,
+                          scores=np.full(k, 0.8), annotated=annotated, joint_set="posetrack",
+                          **ids)
+
+
+def _track_ids(path):
+    return [[p.track_id for p in ii] for _, ii in load_pose_file(path).frames]
+
+
+@pytest.mark.parametrize("xs, unannotated, ids", [
+    # OKS of poses ~1.6e308 apart: d^2 overflows to inf, OKS 0, a new track
+    ([0.0, 1.6e308, 1.7e308], False, [[0], [1], [2]]),
+    # the velocity of a joint that is not annotated overflows to inf
+    ([1.7e308, -1.7e308, 0.0], True, [[0], [0], [0]]),
+])
+def test_far_apart_poses_track_without_warnings(tmp_path, xs, unannotated, ids):
+    # pyproject.toml makes a RuntimeWarning an error
+    frames = [(t, [_far_person(0.0, x) if unannotated else _far_person(x)])
+              for t, x in enumerate(xs)]
+    save_pose_file(PoseSequence("posetrack", frames), tmp_path / "in.json")
+    assert main(["track", str(tmp_path / "in.json"), "--min-len", "1",
+                 "--out", str(tmp_path / "out.json")]) == 0
+    assert _track_ids(tmp_path / "out.json") == ids
+
+
+def test_far_apart_poses_evaluate_without_warnings(tmp_path):
+    save_pose_file(PoseSequence("posetrack", [(0, [_far_person(1.7e308, track_id=0)])]),
+                   tmp_path / "pred.json")
+    gt = _far_person(-1.7e308, person_id=0, head_size=10.0)
+    save_pose_file(PoseSequence("posetrack", [(0, [gt])]), tmp_path / "gt.json")
+    reports = {}
+    for command in ("eval-map", "eval-mota"):
+        argv = [command, "--pred", str(tmp_path / "pred.json"), "--gt", str(tmp_path / "gt.json"),
+                "--json", str(tmp_path / f"{command}.json")]
+        assert main(argv) == 0
+        reports[command] = json.loads((tmp_path / f"{command}.json").read_text())
+    # no joint is correct: AP 0, and every joint a miss and a false positive
+    assert reports["eval-map"]["total_map"] == 0.0
+    assert reports["eval-mota"]["total_mota"] == -100.0
 
 
 def test_train_toy_subcommand(tmp_path):

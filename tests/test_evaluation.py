@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,7 +239,7 @@ def test_match_poses_matches_pair_by_pair_reference(threshold):
             pred.annotated = pred.annotated & (rng.random(K) < 0.8)
             p.append(pred)
             if rng.random() < 0.3:
-                p.append(pred.replace())
+                p.append(dataclasses.replace(pred))
         *_, pairs, correct, dist = match_poses(seq([(0, p)]), seq([(0, g)]), threshold)
         pairs = list(map(tuple, pairs.tolist()))
         assert pairs == sorted(reference_match_poses(p, g, threshold), key=by_gt)
@@ -493,3 +495,60 @@ def test_id_faults_name_their_frame_and_head_sizes_come_first():
     gts[7][1][0].head_size = 0.0
     with pytest.raises(PoseError, match="head_size"):
         compute_mota(seq(preds), seq(gts))
+
+
+@pytest.mark.parametrize("spare", [0, 5])
+def test_groups_of_frames_give_the_bytes_of_one_group(monkeypatch, spare):
+    # a limit at or just above the largest frame matches the sequence in many
+    # groups; each frame's matching is its own, so the reports do not change
+    rng = np.random.default_rng(17)
+    for _ in range(6):
+        preds, gts = _random_sequence(rng, 40)
+        pred_by_frame, gt_by_frame = dict(preds), dict(gts)
+        largest = max(len(pred_by_frame.get(t, [])) * len(gt_by_frame.get(t, []))
+                      for t in set(pred_by_frame) | set(gt_by_frame))
+        whole = _reports(preds, gts)
+        monkeypatch.setattr(evaluation, "FRAME_PAIRS_LIMIT", max(largest + spare, 1))
+        walks = _spy(monkeypatch, "greedy_walk")
+        assert _reports(preds, gts) == whole
+        assert len(walks) > 6   # more than one group per report
+        monkeypatch.undo()
+
+
+def _match_peak(frames: int) -> int:
+    """tracemalloc peak of one match_poses call (after a first, untraced
+    one) over frames of 32 co-located persons, every pair a candidate."""
+    g = [gt_person((0, 0), i) for i in range(32)]
+    p = [pred_from(x, track_id=x.person_id) for x in g]
+    pred, gt = seq([(t, p) for t in range(frames)]), seq([(t, g) for t in range(frames)])
+    match_poses(pred, gt)
+    tracemalloc.start()
+    try:
+        match_poses(pred, gt)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_match_poses_memory_does_not_grow_with_the_frame_count(monkeypatch):
+    # each frame at the limit: one frame's candidates are held at a time;
+    # what grows with the frames is the stacked poses and the matched rows
+    monkeypatch.setattr(evaluation, "FRAME_PAIRS_LIMIT", 32 * 32)
+    one = _match_peak(1)
+    assert _match_peak(8) < 1.5 * one
+    # one group of all 8 frames holds every frame's candidates at once
+    monkeypatch.setattr(evaluation, "FRAME_PAIRS_LIMIT", 8 * 32 * 32)
+    assert _match_peak(8) > 3 * one
+
+
+def test_a_mean_distance_past_the_float_limit_is_silent():
+    # one correct joint and two ~1e308 head sizes off: their mean overflows
+    # to inf (pyproject.toml makes a RuntimeWarning an error)
+    g = gt_person((0, 0), 0, head_size=1e-154)
+    far = g.coords.copy()
+    far[1:3, 0] += 1e154
+    p = pred_from(g, track_id=0)
+    g = dataclasses.replace(g, coords=far)
+    assert compute_map(seq([(0, [p])]), seq([(0, [g])]))["total_map"] == pytest.approx(
+        100.0 * 13 / 15)
+    assert compute_mota(seq([(0, [p])]), seq([(0, [g])]))["counts"]["fp"] == 2

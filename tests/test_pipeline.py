@@ -83,8 +83,8 @@ def test_keypoint_threshold_removes_weak_joints(scene):
     base_fp = compute_mota(base, gt)["counts"]["fp"]
     nokp_fp = compute_mota(nokp, gt)["counts"]["fp"]
     assert nokp_fp > base_fp
-    base_joints = sum(p.num_annotated for _, ii in base.frames for p in ii)
-    nokp_joints = sum(p.num_annotated for _, ii in nokp.frames for p in ii)
+    base_joints = sum(int(p.annotated.sum()) for _, ii in base.frames for p in ii)
+    nokp_joints = sum(int(p.annotated.sum()) for _, ii in nokp.frames for p in ii)
     assert nokp_joints > base_joints
 
 
@@ -281,8 +281,8 @@ def test_a_frame_s_instances_are_each_crop_s_instance(scene):
     entries = scene["frames"][0][1]
     decoded = [fuse(e["heatmaps"], e["flipped_heatmaps"], "vote", "posetrack", 1.0, True)
                for e in entries]
-    stacked = to_instances(decoded, [e["box"] for e in entries],
-                           [e["box_score"] for e in entries])
+    stacked = to_instances(decoded[0].joint_set, decoded, [e["box"] for e in entries],
+                           [e["box_score"] for e in entries]).instances()
     assert len(stacked) == len(entries) > 1
     for p, d, e in zip(stacked, decoded, entries):
         one = PersonInstance(box=np.asarray(e["box"], dtype=np.float64),
@@ -296,7 +296,7 @@ def test_a_frame_s_instances_are_each_crop_s_instance(scene):
                 assert got.dtype == value.dtype and got.tobytes() == value.tobytes()
             else:
                 assert type(got) is type(value) and got == value
-    assert to_instances([], [], []) == []
+    assert to_instances("posetrack", [], [], []).instances() == []
 
 
 @pytest.mark.parametrize("fusion", ["head-swap:coco,mpii", "vote"])

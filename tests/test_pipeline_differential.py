@@ -18,6 +18,7 @@ from posepipe import pipeline, tracking
 from posepipe.config import PipelineConfig
 from posepipe.fusion import BranchOutputs, parse_fusion_spec
 from posepipe.heatmaps import load_heatmap
+from posepipe.instances import InstanceStack
 from posepipe.pipeline import load_manifest, run_pipeline, steps, to_instances
 from posepipe.poseio import document_text, pose_document
 from posepipe.scenes import generate_scene
@@ -49,13 +50,15 @@ def reference_steps(config):
             b = BranchOutputs({name: branch(e, name) for name in e["heatmaps"]})
             decoded = (reference_fuse_head_swap(b, *names, *decode_args) if kind == "head-swap"
                        else reference_fuse_vote(b, *decode_args))
-            out.append(to_instances([decoded], [e["box"]], [e["box_score"]])[0])
-        return out
+            out += to_instances(consts.joint_set, [decoded], [e["box"]],
+                                [e["box_score"]]).instances()
+        return InstanceStack.of(consts.joint_set, out)
 
-    def nms(instances):
+    def nms(stack):
+        instances = stack.instances()
         sims = [[reference_oks(a, b, consts) for b in instances] for a in instances]
         keep = reference_greedy_nms(sims, [p.score for p in instances], config.oks_nms_threshold)
-        return [instances[i] for i in keep]
+        return stack.take(keep)
 
     reference = {"decode+fuse": decode_fuse, "oks-nms": nms}
     return [(name, reference.get(name, step)) for name, step in steps(config)]

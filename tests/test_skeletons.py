@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from posepipe import PoseError, builtin_joint_set, mapping
-from posepipe.instances import PersonInstance
+from posepipe.instances import InstanceStack, PersonInstance
 from posepipe.skeletons import JointSet, canonical_name, get_joint_set, register_joint_set
 
 from oracles import reference_take
@@ -254,9 +256,11 @@ def test_records_hold_their_joint_set_and_a_name_is_resolved_when_made():
     assert m.from_set is coco and m.to_set is builtin_joint_set("mpii")
     assert not hasattr(m, "to_count")
     p = _instance("coco")
-    assert p.joint_set is coco and p.replace(score=0.5).joint_set is coco
-    assert _instance("posetrack").replace(joint_set="coco", coords=p.coords, scores=p.scores,
-                                          annotated=p.annotated).joint_set is coco
+    stack = InstanceStack.of("coco", [p])
+    assert p.joint_set is coco and stack.joint_set is coco
+    assert stack.replace(score=[0.5]).instances()[0].joint_set is coco
+    assert dataclasses.replace(_instance("posetrack"), joint_set="coco", coords=p.coords,
+                               scores=p.scores, annotated=p.annotated).joint_set is coco
 
 
 def test_joint_set_equality_is_by_value_with_an_identity_shortcut():
@@ -312,7 +316,8 @@ def test_held_records_keep_their_set_across_a_re_registration(tmp_path, joints):
         decoded = decode(h, 0.0)
         assert decoded.joint_set is _HELD and decoded.annotated.tolist() == [True] * 3
         assert decoded.coords.tolist() == [[13.5, 21.5], [11.5, 22.5], [12.5, 23.5]]
-        assert oks([p], [p], consts).tolist() == [[1.0]]
+        held = InstanceStack.of(p.joint_set, [p])
+        assert oks(held, held, consts).tolist() == [[1.0]]
         save_pose_file(seq, tmp_path / "held.json")
         register_joint_set(_HELD)
         again = load_pose_file(tmp_path / "held.json")

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from posepipe import PoseError, builtin_joint_set
-from posepipe.instances import PersonInstance, check_box
+from posepipe.instances import InstanceStack, PersonInstance, check_box
 from posepipe.suppression import (
     OksConstants,
     apply_thresholds,
@@ -50,9 +51,15 @@ def random_instance(rng, score=None):
                          score=score if score is None else float(score))
 
 
+def stack(instances):
+    """The InstanceStack of instances, on their joint set (posetrack when
+    there are none)."""
+    return InstanceStack.of(instances[0].joint_set if instances else JS, instances)
+
+
 def oks1(a, b):
     """The OKS of one candidate to one reference, as a 1 x 1 stack."""
-    return oks([a], [b], CONSTS)[0, 0]
+    return oks(stack([a]), stack([b]), CONSTS)[0, 0]
 
 
 def test_oks_self_similarity():
@@ -63,7 +70,7 @@ def test_oks_self_similarity():
 def test_oks_uniform_displacement_closed_form():
     # displace every joint so d^2 = 2 * area * k_i^2, giving exp(-1) per joint
     a = make_instance(np.zeros((JS.count, 2)), box=(0, 0, 8, 12))
-    area = a.area
+    area = a.box[2] * a.box[3]
     d = np.sqrt(2.0 * area) * CONSTS.falloff
     coords = np.zeros((JS.count, 2))
     coords[:, 0] = d
@@ -90,11 +97,11 @@ def test_oks_uses_reference_area():
 
 def test_replaced_box_gives_the_reference_area_of_a_fresh_instance():
     a = make_instance(np.zeros((JS.count, 2)), box=(0, 0, 10, 20))
-    moved = a.replace(box=np.array([0.0, 0.0, 40.0, 40.0]))
+    moved = stack([a]).replace(box=np.array([[0.0, 0.0, 40.0, 40.0]]))
     fresh = make_instance(np.zeros((JS.count, 2)), box=(0, 0, 40, 40))
     neighbour = make_instance(np.full((JS.count, 2), 2.0))
-    assert moved.area == fresh.area == 1600.0
-    assert oks1(moved, neighbour) == oks1(fresh, neighbour) > 0.5
+    assert moved.box[0, 2] * moved.box[0, 3] == 1600.0
+    assert oks(moved, stack([neighbour]), CONSTS)[0, 0] == oks1(fresh, neighbour) > 0.5
 
 
 def test_box_whose_area_underflows_is_rejected():
@@ -143,30 +150,50 @@ def test_each_instance_rule_raises_its_message(fields, message):
     (dict(annotated=np.ones(_K - 1, bool)), "scores/annotated length does not match"),
 ])
 def test_replace_runs_the_rules_of_the_fields_it_changes(changes, message):
-    p = make_instance(np.zeros((_K, 2)))
+    p = stack([make_instance(np.zeros((_K, 2)))])
+    columns = {name: np.asarray(value)[None] if name in _ARRAY_COLUMNS else [value]
+               for name, value in changes.items()}
     with pytest.raises(PoseError) as err:
-        p.replace(**changes)
+        p.replace(**columns)
     assert err.value.message.startswith(message)
+
+
+_ARRAY_COLUMNS = ("box", "coords", "scores", "annotated")
 
 
 def test_replace_checks_an_annotated_mask_against_the_coordinates():
     # the NaN joint is allowed while it is not annotated, and not once it is
-    hidden = make_instance(_NAN_JOINT, annotated=np.arange(_K) != 3)
-    assert hidden.replace(track_id=5, score=0.5).track_id == 5
+    hidden = stack([make_instance(_NAN_JOINT, annotated=np.arange(_K) != 3)])
+    assert hidden.replace(track_id=[5], score=[0.5]).track_id == [5]
     with pytest.raises(PoseError, match="annotated joints must have finite coordinates"):
-        hidden.replace(annotated=np.ones(_K, bool))
+        hidden.replace(annotated=np.ones((1, _K), bool))
 
 
-def test_replace_copies_arrays_and_converts_the_replaced_ones():
-    p = make_instance(np.zeros((_K, 2)))
-    q = p.replace(box=[1, 2, 3, 4], annotated=[1] * _K, track_id=3)
-    assert q.box.dtype == np.float64 and q.box.tolist() == [1.0, 2.0, 3.0, 4.0]
-    assert q.annotated.dtype == bool and q.annotated.all() and q.area == 12.0
-    for name in ("box", "coords", "scores", "annotated"):
-        assert not np.shares_memory(getattr(p, name), getattr(q, name))
-    assert (p.track_id, q.track_id, q.score) == (None, 3, p.score)
+def test_stack_replace_shares_the_other_columns_and_rejects_an_unknown_one():
+    p = stack([make_instance(np.zeros((_K, 2)))])
+    q = p.replace(box=np.array([[1.0, 2.0, 3.0, 4.0]]), track_id=[3])
+    assert q.coords is p.coords and q.box.tolist() == [[1.0, 2.0, 3.0, 4.0]]
+    assert (p.track_id, q.track_id, q.score) == ([None], [3], p.score)
+    assert q.instances()[0].box.tolist() == [1.0, 2.0, 3.0, 4.0]
     with pytest.raises(TypeError, match="scroe"):
-        p.replace(scroe=0.5)
+        p.replace(scroe=[0.5])
+
+
+def test_a_stack_raises_the_first_error_of_its_first_failing_instance():
+    # row 0 breaks a later rule (area) than row 1 (box); checked one by one,
+    # row 0's error comes first, and the stack raises it too
+    good = make_instance(np.zeros((_K, 2)))
+    p = stack([good, good])
+    with pytest.raises(PoseError) as err:
+        p.replace(box=np.array([[0, 0, 1e-200, 1e-200], [0, 0, -1, 5]]))
+    assert err.value.message == "instance area must be positive"
+    with pytest.raises(PoseError) as err:
+        p.replace(box=np.array([[0, 0, -1, 5], [0, 0, 1e-200, 1e-200]]), score=[2.0, 0.5])
+    assert err.value.message.startswith("box must be finite")
+    # a stack made from columns is checked the same way
+    fields = {name: getattr(p, name) for name in vars(p)}
+    with pytest.raises(PoseError, match="instance area must be positive"):
+        InstanceStack(**fields | {"box": np.array([[0, 0, 1e-200, 1e-200], [0, 0, -1, 5]])})
 
 
 def test_oks_set_mismatch():
@@ -177,8 +204,10 @@ def test_oks_set_mismatch():
                        scores=np.ones(coco.count),
                        annotated=np.ones(coco.count, bool),
                        joint_set="coco")
-    with pytest.raises(PoseError):
+    with pytest.raises(PoseError, match="'posetrack', 'coco', 'posetrack'"):
         oks1(a, c)
+    with pytest.raises(PoseError, match="'coco', 'posetrack', 'posetrack'"):
+        oks1(c, a)
 
 
 def _pose(js_name, coords, annotated, box):
@@ -231,7 +260,7 @@ def test_oks_matrix_bit_equal_to_pair_reference(kind, js_name):
     rng = np.random.default_rng(["ties", "near-duplicate", "random"].index(kind))
     for _ in range(120):
         refs, cands = _oks_stacks(rng, kind, js_name)
-        got = oks(refs, cands, consts)
+        got = oks(stack(refs), stack(cands), consts)
         assert got.dtype == np.float64 and got.shape == (len(refs), len(cands))
         assert got.tobytes() == _pair_matrix(refs, cands, consts).tobytes()
 
@@ -254,7 +283,7 @@ def test_oks_matrix_bit_equal_for_every_shared_count(js_name):
             cands.append(_pose(js_name, rng.uniform(0, 20, (k, 2)), shared | ~extra & ~shared, box))
     counts = [int((a.annotated & b.annotated).sum()) for a, b in zip(refs, cands)]
     assert sorted(set(counts)) == list(range(k + 1))
-    got = oks(refs, cands, consts)
+    got = oks(stack(refs), stack(cands), consts)
     assert got.tobytes() == _pair_matrix(refs, cands, consts).tobytes()
     assert [float(v) for v in np.diag(got)] == [reference_oks(a, b, consts)
                                                for a, b in zip(refs, cands)]
@@ -264,10 +293,10 @@ def test_oks_stacking_forms():
     rng = np.random.default_rng(3)
     a, b, c = (random_instance(rng) for _ in range(3))
     assert oks1(a, b) == reference_oks(a, b, CONSTS)
-    assert oks([a], [b, c], CONSTS).shape == (1, 2)
-    assert oks([a, b], [c], CONSTS).shape == (2, 1)
-    assert oks([], [b, c], CONSTS).shape == (0, 2)
-    assert oks([a, b], (), CONSTS).shape == (2, 0)
+    assert oks(stack([a]), stack([b, c]), CONSTS).shape == (1, 2)
+    assert oks(stack([a, b]), stack([c]), CONSTS).shape == (2, 1)
+    assert oks(stack([]), stack([b, c]), CONSTS).shape == (0, 2)
+    assert oks(stack([a, b]), stack([]), CONSTS).shape == (2, 0)
 
 
 def test_oks_stack_rejects_a_mismatched_member():
@@ -278,17 +307,19 @@ def test_oks_stack_rejects_a_mismatched_member():
                        scores=np.ones(coco.count),
                        annotated=np.ones(coco.count, bool),
                        joint_set="coco")
-    with pytest.raises(PoseError, match="'posetrack', 'coco', 'posetrack'"):
-        oks([a, a], [a, c], CONSTS)
-    with pytest.raises(PoseError, match="'coco', 'posetrack', 'posetrack'"):
-        oks([a, c], [a], CONSTS)
+    with pytest.raises(PoseError, match="instance joint set 'coco' does not match "
+                                        "the stack's 'posetrack'"):
+        stack([a, a, c])
+    with pytest.raises(PoseError, match="instance joint set 'posetrack' does not match "
+                                        "the stack's 'coco'"):
+        stack([c, a])
 
 
 def test_oks_nms_identical_instances():
     p = make_instance(np.arange(JS.count * 2).reshape(-1, 2), score=0.9)
-    q = p.replace(score=0.7)
-    assert oks_nms([p, q], 0.4, CONSTS) == [0]
-    assert oks_nms([q, p], 0.4, CONSTS) == [1]
+    q = dataclasses.replace(p, score=0.7)
+    assert oks_nms(stack([p, q]), 0.4, CONSTS) == [0]
+    assert oks_nms(stack([q, p]), 0.4, CONSTS) == [1]
 
 
 def test_oks_nms_threshold_one_keeps_everything():
@@ -296,7 +327,7 @@ def test_oks_nms_threshold_one_keeps_everything():
     instances = [random_instance(rng, score=rng.random()) for _ in range(5)]
     sims = [[oks1(a, b) for b in instances] for a in instances]
     if all(sims[i][j] < 1.0 for i in range(5) for j in range(5) if i != j):
-        assert sorted(oks_nms(instances, 1.0, CONSTS)) == list(range(5))
+        assert sorted(oks_nms(stack(instances), 1.0, CONSTS)) == list(range(5))
 
 
 def test_oks_nms_matches_reference_on_random_inputs():
@@ -308,7 +339,7 @@ def test_oks_nms_matches_reference_on_random_inputs():
         sims = np.array([[oks1(instances[i], instances[j])
                           for j in range(n)] for i in range(n)])
         want = reference_greedy_nms(sims, [p.score for p in instances], thr)
-        assert oks_nms(instances, thr, CONSTS) == want
+        assert oks_nms(stack(instances), thr, CONSTS) == want
 
 
 def test_box_iou_examples():
@@ -364,22 +395,22 @@ def test_box_ious_and_box_nms_equal_the_pair_loop_bit_for_bit():
 def test_rescore_examples():
     p = make_instance(np.zeros((JS.count, 2)), scores=np.full(JS.count, 0.5),
                       box_score=0.8)
-    assert rescore(p).score == pytest.approx(0.4)
+    assert rescore(stack([p])).score[0] == pytest.approx(0.4)
     p = make_instance(np.zeros((JS.count, 2)), scores=np.ones(JS.count),
                       box_score=1.0)
-    assert rescore(p).score == 1.0
+    assert rescore(stack([p])).score[0] == 1.0
     scores = np.zeros(JS.count)
     ann = np.zeros(JS.count, bool)
     scores[:3] = [0.2, 0.4, 0.6]
     ann[:3] = True
     p = make_instance(np.zeros((JS.count, 2)), scores=scores, annotated=ann,
                       box_score=0.9)
-    assert rescore(p).score == pytest.approx(0.9 * 0.4)
+    assert rescore(stack([p])).score[0] == pytest.approx(0.9 * 0.4)
 
 
 def test_rescore_zero_annotated():
     p = make_instance(np.zeros((JS.count, 2)), annotated=np.zeros(JS.count, bool))
-    assert rescore(p).score == 0.0
+    assert rescore(stack([p])).score[0] == 0.0
 
 
 def test_rescore_keeps_ranking_under_uniform_scaling():
@@ -388,25 +419,25 @@ def test_rescore_keeps_ranking_under_uniform_scaling():
     factors = [0.3, 0.6, 1.0]
     instances = [make_instance(np.zeros((JS.count, 2)), scores=base * f,
                                box_score=0.8) for f in factors]
-    rescored = [rescore(p).score for p in instances]
+    rescored = rescore(stack(instances)).score
     assert rescored == sorted(rescored)
 
 
 def test_apply_thresholds():
     p = make_instance(np.zeros((JS.count, 2)), score=0.2)
     q = make_instance(np.zeros((JS.count, 2)), score=0.5)
-    assert apply_thresholds([p, q], 0.3, 0.0) == [q]
-    out = apply_thresholds([p, q], 0.0, 0.0)
-    assert len(out) == 2 and all(o.annotated.all() for o in out)
-    out = apply_thresholds([q], 0.0, 2.0)   # above every keypoint score
-    assert len(out) == 1 and out[0].num_annotated == 0
+    assert apply_thresholds(stack([p, q]), 0.3, 0.0).score == [0.5]
+    out = apply_thresholds(stack([p, q]), 0.0, 0.0)
+    assert len(out) == 2 and out.annotated.all()
+    out = apply_thresholds(stack([q]), 0.0, 2.0)   # above every keypoint score
+    assert len(out) == 1 and not out.annotated.any()
 
 
 def test_apply_thresholds_marks_weak_joints():
     scores = np.full(JS.count, 0.9)
     scores[3] = 0.1
     p = make_instance(np.zeros((JS.count, 2)), scores=scores)
-    out = apply_thresholds([p], 0.0, 0.3)[0]
+    out = apply_thresholds(stack([p]), 0.0, 0.3).instances()[0]
     assert not out.annotated[3] and out.annotated.sum() == JS.count - 1
 
 

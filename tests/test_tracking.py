@@ -6,7 +6,7 @@ import pytest
 
 from posepipe import PoseError, builtin_joint_set
 from posepipe.config import PipelineConfig
-from posepipe.instances import PersonInstance
+from posepipe.instances import InstanceStack, PersonInstance
 from posepipe.suppression import OksConstants
 from posepipe.tracking import (
     PROPAGATORS,
@@ -16,7 +16,7 @@ from posepipe.tracking import (
     similarity,
 )
 
-from oracles import reference_oks
+from oracles import reference_oks, reference_propagate
 
 JS = builtin_joint_set("posetrack")
 # uniform fall-off keeps the similarity arithmetic in the scenarios simple
@@ -37,6 +37,11 @@ def pose_at(x, y, box_wh=(25.0, 40.0)):
     )
 
 
+def S(instances):
+    """The InstanceStack of posetrack instances."""
+    return InstanceStack.of(JS, instances)
+
+
 def tracker(**settings):
     """A fresh TrackerState on CONSTS at the pipeline's default settings but
     for the ones given."""
@@ -45,7 +50,7 @@ def tracker(**settings):
 
 def similarity1(history, candidate, frame, prop):
     """One track's similarity to one candidate, as a 1 x 1 stack."""
-    return similarity([history], [candidate], frame, prop, CONSTS)[0, 0]
+    return similarity([history], S([candidate]), frame, prop, CONSTS)[0, 0]
 
 
 def test_identity_propagator_same_pose_similarity_one():
@@ -69,27 +74,27 @@ def test_velocity_propagator_tracks_linear_motion_exactly():
 
 def test_velocity_propagator_gap_zero_is_identity():
     t = {0: pose_at(0, 0), 1: pose_at(6, 2)}
-    p = constant_velocity(t, 0)
-    assert np.array_equal(p.coords, t[1].coords)
+    p = constant_velocity([t], [0])
+    assert np.array_equal(p.coords[0], t[1].coords)
 
 
 def test_velocity_falls_back_with_single_observation():
     t = {0: pose_at(4, 4)}
-    p = constant_velocity(t, 3)
-    assert np.array_equal(p.coords, pose_at(4, 4).coords)
+    p = constant_velocity([t], [3])
+    assert np.array_equal(p.coords[0], pose_at(4, 4).coords)
 
 
 def test_step_opens_tracks_with_fresh_ids():
     state = tracker()
-    ids = state.step(0, [pose_at(0, 0), pose_at(100, 100)])
+    ids = state.step(0, S([pose_at(0, 0), pose_at(100, 100)]))
     assert ids == [0, 1]
     assert state.next_id == 2
 
 
 def test_step_preserves_ids_on_repeat():
     state = tracker(propagator="identity")
-    state.step(0, [pose_at(0, 0), pose_at(100, 100)])
-    ids = state.step(1, [pose_at(0, 0), pose_at(100, 100)])
+    state.step(0, S([pose_at(0, 0), pose_at(100, 100)]))
+    ids = state.step(1, S([pose_at(0, 0), pose_at(100, 100)]))
     assert ids == [0, 1]
 
 
@@ -103,11 +108,11 @@ def test_tracker_takes_only_named_settings_in_range():
 
 def test_step_rejects_non_monotone_frames():
     state = tracker()
-    state.step(2, [pose_at(0, 0)])
+    state.step(2, S([pose_at(0, 0)]))
     with pytest.raises(PoseError):
-        state.step(2, [pose_at(0, 0)])
+        state.step(2, S([pose_at(0, 0)]))
     with pytest.raises(PoseError):
-        state.step(1, [pose_at(0, 0)])
+        state.step(1, S([pose_at(0, 0)]))
 
 
 def _run_two_lane_scenario(propagator, sim_threshold):
@@ -118,7 +123,7 @@ def _run_two_lane_scenario(propagator, sim_threshold):
     xs = [0.0, 2.0] + [2.0 + 6.0 * k for k in range(1, 9)]
     for t in range(10):
         dets = [pose_at(xs[t], 0.0), pose_at(200.0 - xs[t], 60.0)]
-        per_frame.append(state.step(t, dets))
+        per_frame.append(state.step(t, S(dets)))
     return state, per_frame
 
 
@@ -153,7 +158,7 @@ def test_identity_propagator_documented_switch_count():
 def test_ground_truth_identity_motion_never_switches_or_prunes():
     state = tracker(propagator="identity")
     dets = [pose_at(10, 10), pose_at(120, 40), pose_at(60, 150)]
-    ids_per_frame = [state.step(t, dets) for t in range(6)]
+    ids_per_frame = [state.step(t, S(dets)) for t in range(6)]
     assert all(ids == ids_per_frame[0] for ids in ids_per_frame)
     kept = finalize(state, 2)
     assert kept == [0, 1, 2] and all(len(state.tracks[t]) == 6 for t in kept)
@@ -168,18 +173,18 @@ def test_step_is_deterministic():
         for t in range(6):
             dets = [pose_at(rng.uniform(0, 50), rng.uniform(0, 50))
                     for _ in range(3)]
-            out.append(state.step(t, dets))
+            out.append(state.step(t, S(dets)))
         runs.append(out)
     assert runs[0] == runs[1]
 
 
 def test_tracks_retire_after_lookback():
     state = tracker(propagator="identity", lookback=2)
-    state.step(0, [pose_at(0, 0)])
-    state.step(1, [])
-    state.step(2, [])
-    state.step(3, [])   # gap 3 > lookback 2: track retires
-    ids = state.step(4, [pose_at(0, 0)])
+    state.step(0, S([pose_at(0, 0)]))
+    state.step(1, S([]))
+    state.step(2, S([]))
+    state.step(3, S([]))   # gap 3 > lookback 2: track retires
+    ids = state.step(4, S([pose_at(0, 0)]))
     assert ids == [1]
 
 
@@ -194,30 +199,30 @@ class _Unreadable(collections.abc.Mapping):
 
 def test_a_retired_history_is_never_read_again():
     state = tracker(propagator="identity", lookback=2)
-    state.step(0, [pose_at(0, 0)])
-    state.step(1, [pose_at(100, 100)])
-    state.step(3, [pose_at(100, 100)])   # track 0's gap 3 > lookback 2: it retires
+    state.step(0, S([pose_at(0, 0)]))
+    state.step(1, S([pose_at(100, 100)]))
+    state.step(3, S([pose_at(100, 100)]))   # track 0's gap 3 > lookback 2: it retires
     assert state.live == [1]
     state.tracks[0] = _Unreadable()
     for t in range(4, 20):
         # a person back at track 0's place opens a new track
-        assert state.step(t, [pose_at(100, 100), pose_at(0, 0)]) == [1, 2]
+        assert state.step(t, S([pose_at(100, 100), pose_at(0, 0)])) == [1, 2]
     assert state.live == [1, 2]
 
 
 def test_track_rematch_within_lookback():
     state = tracker(propagator="identity", lookback=8)
-    state.step(0, [pose_at(0, 0)])
-    state.step(1, [])
-    state.step(2, [])
-    ids = state.step(3, [pose_at(0, 0)])
+    state.step(0, S([pose_at(0, 0)]))
+    state.step(1, S([]))
+    state.step(2, S([]))
+    ids = state.step(3, S([pose_at(0, 0)]))
     assert ids == [0]
 
 
 def test_finalize_prunes_short_tracks():
     state = tracker(propagator="identity")
-    state.step(0, [pose_at(0, 0), pose_at(100, 100)])
-    state.step(1, [pose_at(0, 0)])
+    state.step(0, S([pose_at(0, 0), pose_at(100, 100)]))
+    state.step(1, S([pose_at(0, 0)]))
     assert finalize(state, 2) == [0]
     assert finalize(state, 1) == [0, 1]
     with pytest.raises(PoseError):
@@ -227,10 +232,10 @@ def test_finalize_prunes_short_tracks():
 def test_finalize_counts_stored_frames_not_span():
     # 3 observations with a 1-frame hole still count as length 3
     state = tracker(propagator="identity")
-    state.step(0, [pose_at(0, 0)])
-    state.step(1, [])
-    state.step(2, [pose_at(0, 0)])
-    state.step(3, [pose_at(0, 0)])
+    state.step(0, S([pose_at(0, 0)]))
+    state.step(1, S([]))
+    state.step(2, S([pose_at(0, 0)]))
+    state.step(3, S([pose_at(0, 0)]))
     assert finalize(state, 3) == [0] and len(state.tracks[0]) == 3
 
 
@@ -257,13 +262,13 @@ def test_similarity_matrix_matches_pair_loop():
             tracks.append(history)
         dets = [pose_at(rng.uniform(0, 40), rng.uniform(0, 40))
                 for _ in range(int(rng.integers(0, 7)))]
-        for prop in (identity, constant_velocity):
-            got = similarity(tracks, dets, frame, prop, CONSTS)
+        for name, prop in PROPAGATORS.items():
+            got = similarity(tracks, S(dets), frame, prop, CONSTS)
             want = np.zeros((len(tracks), len(dets)))
             for i, t in enumerate(tracks):
-                gap = frame - max(t)
+                predicted = reference_propagate(t, frame - max(t), name)
                 for j, det in enumerate(dets):
-                    want[i, j] = reference_oks(prop(t, gap), det, CONSTS)
+                    want[i, j] = reference_oks(predicted, det, CONSTS)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -271,30 +276,49 @@ def test_similarity_matrix_matches_pair_loop():
 def test_similarity_matrix_rejects_a_past_track():
     tracks = [{3: pose_at(10, 10)}, {5: pose_at(10, 10)}]
     with pytest.raises(PoseError):
-        similarity(tracks, [pose_at(10, 10)], 5, identity, CONSTS)
+        similarity(tracks, S([pose_at(10, 10)]), 5, identity, CONSTS)
 
 
 def test_custom_propagator_runs_once_per_live_track_per_frame(monkeypatch):
     calls = []
 
-    def counting(history, gap):
-        calls.append((next(i for i, h in enumerate(state.tracks) if h is history), gap))
-        return identity(history, gap)
+    def counting(histories, gaps):
+        calls.append([(next(i for i, h in enumerate(state.tracks) if h is history), gap)
+                      for history, gap in zip(histories, gaps)])
+        return identity(histories, gaps)
 
     monkeypatch.setitem(PROPAGATORS, "counting", counting)
     state = tracker(propagator="counting", lookback=3)
     lanes = [pose_at(0, 0), pose_at(100, 100), pose_at(200, 0)]
-    state.step(0, lanes)
+    state.step(0, S(lanes))
     assert calls == []                        # no track yet
-    state.step(1, lanes[:2])
-    assert calls == [(0, 1), (1, 1), (2, 1)]  # once per live track, not per pair
+    state.step(1, S(lanes[:2]))
+    assert calls == [[(0, 1), (1, 1), (2, 1)]]  # each live track once, in one call
     calls.clear()
-    state.step(2, [])
+    state.step(2, S([]))
     assert calls == []                        # nothing to score
-    state.step(4, lanes)                      # track 2 is 4 frames back: retired
-    assert calls == [(0, 3), (1, 3)]
+    state.step(4, S(lanes))                      # track 2 is 4 frames back: retired
+    assert calls == [[(0, 3), (1, 3)]]
 
 
 def test_similarity_rejects_an_empty_history():
     with pytest.raises(PoseError, match="non-empty"):
-        similarity([{3: pose_at(10, 10)}, {}], [pose_at(10, 10)], 5, identity, CONSTS)
+        similarity([{3: pose_at(10, 10)}, {}], S([pose_at(10, 10)]), 5, identity, CONSTS)
+
+
+def test_propagation_raises_the_error_of_its_first_failing_track():
+    # track a's annotated joints and track b's box move by ~2e308 a frame,
+    # so their propagated values overflow to inf and break a rule; the rules
+    # run once over the propagated stack and raise what checking the tracks
+    # one by one raises first
+    base = pose_at(0, 0)
+    far = np.full((JS.count, 2), 1e308)
+    a = {0: dataclasses.replace(base, coords=-far), 1: dataclasses.replace(base, coords=far)}
+    b = {0: dataclasses.replace(base, box=np.array([-1e308, 0, 25, 40])),
+         1: dataclasses.replace(base, box=np.array([1e308, 0, 25, 40]))}
+    with pytest.raises(PoseError, match="^annotated joints must have finite coordinates$"):
+        constant_velocity([a, b], [1, 1])
+    with pytest.raises(PoseError, match="^box must be finite"):
+        constant_velocity([b, a], [1, 1])
+    # identity keeps the last instances, which passed when they were made
+    assert identity([a, b], [1, 1]).coords.tolist() == [far.tolist(), base.coords.tolist()]
