@@ -136,9 +136,9 @@ def match_poses(pred, gt, threshold: float = PCKH_THRESHOLD):
     of pairs with a correct joint are kept. Consecutive frames of at most
     ``FRAME_PAIRS_LIMIT`` pairs together (``_groups``) are matched by one sort
     and one greedy walk, only their matched pairs are kept, and no pose is
-    matched across frames. The mean distance over joints annotated in both keeps ``np.mean``'s float
-    order. Returns (frames, preds, gts, pairs, correct, dist): frames lists
-    (frame_index, frame_preds, frame_gts) in order; preds and gts concatenate
+    matched across frames. The mean distance over joints annotated in both
+    keeps ``np.mean``'s float order. Returns (frames, preds, gts, pairs,
+    correct, dist): frames lists (frame_index, frame_preds, frame_gts) in order; preds and gts concatenate
     the frames' instances; pairs is an (M, 2) array of the matched (pred, gt)
     indices into them, sorted by gt; correct and dist are the pairs' (M, K)
     rows of the correct mask and of the distances.

@@ -50,11 +50,11 @@ def parse_fusion_spec(spec: str):
     return kind, names
 
 
-@functools.cache
+@functools.lru_cache(maxsize=256)
 def _head_pairs(m: JointMapping) -> np.ndarray:
     """Which pairs of m carry a head joint: the rows head-swap takes from its
     head branch. Worked out once per mapping, which ``skeletons.mapping``
-    shares, and read-only."""
+    shares (as many as it caches), and read-only."""
     rows = np.array([canonical_name(n) in _HEAD_JOINTS for n in m.from_set.joints], bool)[m.src]
     rows.flags.writeable = False
     return rows

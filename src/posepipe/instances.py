@@ -74,7 +74,8 @@ def _check(stack: dict, fields=None) -> None:
     """Raise, for the first instance of stack that breaks a rule reading one
     of fields (by default any), the first such rule it breaks: the error that
     checking the instances one by one raises first."""
-    _raise_first(stack, [rule for rule in _RULES if fields is None or not fields.isdisjoint(rule[0])])
+    _raise_first(stack, [rule for rule in _RULES
+                         if fields is None or not fields.isdisjoint(rule[0])])
 
 
 def _raise_first(stack: dict, rules: list) -> None:

@@ -15,8 +15,9 @@ matching-and-judging bookkeeping and the AP arithmetic, not that formula.
 The one-pair OKS, the pair-by-pair pose matching and the one-pair box IoU
 with its pop-and-filter box NMS, and the one-track propagation
 (``reference_propagate``), are the library's earlier versions, kept as they
-were, to check the stacked kernels bit for bit. ``pckh_distance`` is the one-joint PCKh distance, the textbook form
-the judgement in ``evaluation`` stacks. The head-swap and vote fusions are
+were, to check the stacked kernels bit for bit. ``pckh_distance`` is the
+one-joint PCKh distance, the textbook form the judgement in ``evaluation``
+stacks. The head-swap and vote fusions are
 the library's earlier versions too (decode each branch, then project; one
 index pair at a time); they reuse its decode and pose projection and check
 that decoding one assembled target-set map gives the same bits. The toy
