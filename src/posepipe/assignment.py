@@ -1,22 +1,32 @@
 """Minimum-cost assignment: an augmenting-path Hungarian solver and the
 greedy baseline it is compared against.
 
-Both solvers take a rectangular cost matrix and return a partial row-to-column
-map covering min(rows, cols) pairs. The Hungarian result is the minimum-total-
-cost maximum matching of the zero-padded square problem; among equal-cost
-optima it returns the lexicographically smallest assignment vector (row 0's
-column first, then row 1's, ...).
+Both solvers take an r x c cost matrix and return a partial row-to-column map
+covering min(r, c) pairs. The Hungarian result is the minimum-total-cost
+maximum matching of the zero-padded n x n square, n = max(r, c); among
+equal-cost optima it returns the lexicographically smallest assignment vector
+(row 0's column first, then row 1's, ...), where a padding column is larger
+than every real one.
 
-The Hungarian solver solves once, then breaks ties row by row with one
-O(n^2) shortest-path pass over the reduced costs, O(n^3) in all. A column
-qualifies for a row when forcing the row to it raises the optimum of the rows
-and columns not yet fixed by at most a tolerance of
-1e-9 * max(1, max |cost|) * n; the row takes the smallest qualifying column.
+The Hungarian solver never builds that square. It runs scalar loops over the
+rows of the r x c matrix, in two passes of O(min(r, c)^2 * max(r, c)) each:
+one shortest-augmenting-path solve over the smaller side, then a tie-break
+that fixes the rows in order. A column qualifies for a row when forcing the
+row to it raises the optimum of the rows and columns not yet fixed by at most
+a tolerance; the row takes the smallest qualifying column. The tolerance is
+that of the padded square: let lo be its smallest cell (the smallest cost, or
+0 if r != c and no cost is negative); if lo < 0 every cell, padding included,
+is shifted by -lo; then tol = 1e-9 * max(1, M) * n, M the largest |cell| of
+the shifted square. So ``[[-5, 1]]`` (cells 0 and 6, padding 5) gets
+tol = 1e-9 * 6 * 2 = 1.2e-8.
+
 The greedy solver is one stable sort of the cells and a walk over them
 (``greedy_walk``, which ``evaluation.match_poses`` shares).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -32,124 +42,252 @@ def _validate(cost) -> np.ndarray:
     return a
 
 
-def _solve_square(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column-for-row assignment of an n x n matrix, minimum total cost, with
-    the row and column potentials ``u, v`` that prove it optimal: every
-    reduced cost ``cost[i, j] - u[i] - v[j]`` is nonnegative and the chosen
-    cells' are zero.
+def _solve(rows: list, width: int) -> tuple[list, list, list]:
+    """Match each of the h <= width cost lists in ``rows`` to its own
+    position in 0..width-1 at minimum total cost, by h shortest augmenting
+    paths (Jonker and Volgenant, Computing 1987; Crouse, IEEE TAES 2016).
 
-    Shortest-augmenting-path formulation with row/column potentials; scans
-    are in ascending index order so the result is deterministic.
+    Returns ``held`` (the row at each position, -1 where free) and the
+    potentials ``u`` (rows) and ``v`` (positions) that prove it optimal: every
+    reduced cost ``rows[i][j] - u[i] - v[j]`` is nonnegative and the matched
+    cells' are zero; a free position's v is 0, every other v at most 0. Scans
+    go in ascending position order, so the result is deterministic.
+    O(h^2 * width).
     """
-    n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    match = np.zeros(n + 1, dtype=np.int64)   # match[j]: row held by column j (1-based, 0 = free)
-    for i in range(1, n + 1):
-        match[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        way = np.zeros(n + 1, dtype=np.int64)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = match[j0]
-            cur = cost[i0 - 1, :] - u[i0] - v[1:]
-            free = ~used[1:]
-            better = free & (cur < minv[1:])
-            minv[1:][better] = cur[better]
-            way[1:][better] = j0
-            reach = np.where(free, minv[1:], np.inf)
-            j1 = int(np.argmin(reach)) + 1
-            delta = reach[j1 - 1]
-            u[match[used]] += delta
-            v[used] -= delta
-            minv[~used] -= delta
-            j0 = j1
-            if match[j0] == 0:
+    u = [0.0] * len(rows)
+    v = [0.0] * width
+    held = [-1] * width
+    for start in range(len(rows)):
+        dist = [math.inf] * width
+        back = [-1] * width   # the position before j on its path, -1 for start's own
+        unsettled = list(range(width))
+        settled = []
+        i, base, prev = start, 0.0, -1
+        while True:   # Dijkstra over reduced costs until a free position
+            row, ui = rows[i], u[i]
+            best, k = math.inf, unsettled[0]
+            for j in unsettled:
+                d = row[j] - ui - v[j] + base
+                dj = dist[j]
+                if d < dj:
+                    dist[j] = dj = d
+                    back[j] = prev
+                if dj < best:
+                    best, k = dj, j
+            unsettled.remove(k)
+            if held[k] < 0:
                 break
-        while j0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    col_of_row = np.zeros(n, dtype=np.int64)
-    for j in range(1, n + 1):
-        col_of_row[match[j] - 1] = j - 1
-    return col_of_row, u[1:], v[1:]
+            settled.append(k)
+            i, base, prev = held[k], best, k
+        u[start] += best
+        for j in settled:
+            t = best - dist[j]
+            u[held[j]] += t
+            v[j] -= t
+        while k >= 0:   # each position on the path takes the row of the one before
+            p = back[k]
+            held[k] = held[p] if p >= 0 else start
+            k = p
+    return held, u, v
+
+
+def _tie_break(cells: list, tol: float, col_of: list, row_of: list, u: list, v: list):
+    """Turn the optimal matching ``col_of``/``row_of`` (-1 for unmatched) of
+    the r x c matrix ``cells``, with its potentials ``u, v``, into the
+    lexicographically smallest one within ``tol``, in place.
+
+    The padding is one node X of the path search: the free rows when r > c
+    (a row that leaves its column for X becomes unmatched; X hands a column
+    on through its cheapest free row), or the free columns when r < c (a row
+    enters X through its cheapest free column; X hands a column on by
+    freeing it). Its potential, ``free``, is the free rows' u or the free
+    columns' v.
+
+    Rows are fixed in order. For row r0, a Dijkstra over the reduced costs of
+    the rows and columns not yet fixed, backward from r0's column m (X if r0
+    is unmatched), gives for each column how much the remaining optimum
+    rises if r0 is forced to it. The search stops once every column before m
+    is settled or no column left can rise by at most tol. The row takes the
+    smallest settled column whose rise is at most tol, or keeps m; the
+    matching is rotated along the path to it and the potentials are shifted
+    by the path lengths, so they stay feasible and tight. A row's search
+    costs O(min(r, c)^2), plus O(r * c) when it passes through X; when r > c
+    only the at most c matched rows do, so the pass is
+    O(min(r, c)^2 * max(r, c)).
+    """
+    r, c = len(col_of), len(row_of)
+    tall = r > c
+    X = c
+    free = 0.0
+    live = list(range(c))   # columns not yet fixed to a row, ascending
+    for r0 in range(r):
+        if not live:   # every later row is unmatched
+            break
+        m = col_of[r0]
+        if m == live[0]:   # no column before r0's own
+            live.pop(0)
+            continue
+        target = m if m >= 0 else X
+        if tall:
+            nodes = live
+            others = [w for w in range(r0 + 1, r) if col_of[w] < 0] \
+                if m >= 0 and r - r0 > len(live) else []
+            has_x = m < 0 or bool(others)
+            pending = len(live) if m < 0 else live.index(m)
+        else:
+            nodes = [j for j in live if row_of[j] >= 0]
+            frees = [j for j in live if row_of[j] < 0]
+            has_x = bool(frees)
+            pending = nodes.index(m) + (frees[0] < m if frees else 0)
+        g = [math.inf] * (c + 1)
+        nxt = [target] * (c + 1)   # the next node on each node's path to target
+        done = [False] * (c + 1)
+        via = {}   # X's row on the way out (r > c), a row's way into X (r < c)
+        g[target] = 0.0
+        unsettled = nodes[:]
+        x_open = has_x
+        x_wanted = not tall and has_x and frees[0] < m   # a free column before m
+        while True:
+            b = min(unsettled, key=g.__getitem__) if unsettled else X
+            if x_open and g[X] < g[b]:
+                b = X
+            gb = g[b]
+            if gb > tol:   # no column left can qualify
+                break
+            done[b] = True
+            if b == X:
+                x_open = False
+                pending -= x_wanted
+                for a in unsettled:
+                    x = row_of[a]
+                    if tall:
+                        e = free - u[x]
+                    else:
+                        row = cells[x]
+                        f = min(frees, key=row.__getitem__)
+                        e = row[f] - u[x] - free
+                    d = e + gb
+                    if d < g[a]:
+                        g[a] = d
+                        nxt[a] = X
+                        if not tall:
+                            via[a] = f
+            else:
+                unsettled.remove(b)
+                pending -= b != target and (b < m or m < 0)
+                vb = v[b]
+                for a in unsettled:
+                    x = row_of[a]
+                    d = cells[x][b] - u[x] - vb + gb
+                    if d < g[a]:
+                        g[a] = d
+                        nxt[a] = b
+                if x_open:
+                    if tall:
+                        w = min(others, key=lambda w: cells[w][b])
+                        e = cells[w][b] - free - vb
+                    else:
+                        e = free - vb
+                    d = e + gb
+                    if d < g[X]:
+                        g[X] = d
+                        nxt[X] = b
+                        if tall:
+                            via[X] = w
+            if not pending:
+                break
+
+        pick = target
+        ur = u[r0] if m >= 0 else free
+        row = cells[r0]
+        for j in live:
+            if j == m:
+                break
+            node = j if row_of[j] >= 0 else X
+            if done[node] and row[j] - ur - (v[j] if node != X else free) + g[node] <= tol:
+                pick = j
+                break
+
+        # clamp the unsettled nodes' g; the potentials stay feasible
+        top = min([g[a] for a in unsettled] + ([g[X]] if x_open else []), default=math.inf)
+        for a in nodes:
+            ga = min(g[a], top)
+            u[row_of[a]] += ga
+            v[a] -= ga
+        if has_x:
+            ga = min(g[X], top)
+            free = free + ga if tall else free - ga
+
+        if pick != target:   # rotate along the path from pick to m
+            cur = pick if row_of[pick] >= 0 else X
+            mover = row_of[pick]   # -1: a padding row leaves X
+            row_of[pick] = r0
+            col_of[r0] = pick
+            while cur != target:
+                t = nxt[cur]
+                if t == X:
+                    if tall:   # mover becomes unmatched; X's free row moves on
+                        col_of[mover] = -1
+                        mover = via.get(X, -1)
+                        if mover >= 0:
+                            u[mover] = free
+                    else:   # mover takes its free column; X frees the next
+                        f = via[cur]
+                        row_of[f] = mover
+                        col_of[mover] = f
+                        v[f] = free
+                        mover = -1
+                    cur = X
+                    continue
+                old = row_of[t]
+                row_of[t] = mover
+                if mover >= 0:
+                    col_of[mover] = t
+                cur, mover = t, old
+        if col_of[r0] >= 0:
+            live.remove(col_of[r0])
 
 
 def solve_hungarian(cost) -> dict:
-    """Minimum-total-cost maximum matching as a row -> column partial map.
+    """Minimum-total-cost maximum matching as a row -> column partial map:
+    the minimum-cost matching of the zero-padded square with the pairs that
+    involve padding dropped, lexicographically smallest among the optima
+    within the module's tolerance (see the module docstring).
 
-    Rectangular inputs are zero-padded to square; pairs involving padding are
-    dropped from the result. Ties between optimal assignments break toward the
-    lexicographically smallest (row, col) choice.
-
-    One solve gives an optimal matching and its potentials. Real rows are then
-    fixed in order (padding rows are never reported): a Dijkstra over the
-    reduced costs of the rows and columns not yet fixed, backward from the
-    row's column along alternating paths, gives for each column how much the
-    remaining optimum rises if the row is forced to it. The search stops once
-    every column before the row's own is settled or no column left can rise by
-    at most the tolerance. A column qualifies when its rise is at most the
-    tolerance; the row takes the smallest qualifying column, the matching is
-    rotated along the path to it and the potentials are shifted by the path
-    lengths, so they stay feasible and tight. Each row costs O(n^2), O(n^3) in
-    all.
+    Costs are shifted as the padded square's would be, then read once into
+    lists. ``_solve`` matches the smaller side (the rows if r <= c, else the
+    columns), and ``_tie_break`` fixes the rows in order on the r x c
+    matrix. O(min(r, c)^2 * max(r, c)) in all, memory O(r * c).
     """
     a = _validate(cost)
     r, c = a.shape
     if r == 0 or c == 0:
         return {}
-    n = max(r, c)
-    padded = np.zeros((n, n), dtype=np.float64)
-    padded[:r, :c] = a
-    lo = padded.min()
+    lo = float(a.min())
+    if r != c:
+        lo = min(lo, 0.0)   # the padding's zeros
     if lo < 0:
-        padded = padded - lo   # keep reduced costs nonnegative for the path search
+        a = a - lo   # keep reduced costs nonnegative for the path search
+    top = float(np.abs(a).max())
+    if r != c:
+        top = max(top, -lo)   # a padding cell
+    tol = 1e-9 * max(1.0, top) * max(r, c)
 
-    tol = 1e-9 * max(1.0, float(np.abs(padded).max())) * n
-
-    col_of, u, v = _solve_square(padded)
-    row_of = np.empty(n, dtype=np.int64)
-    row_of[col_of] = np.arange(n)
-    live = np.ones(n, dtype=bool)   # columns not yet fixed to a row
-    for r0 in range(r):   # padding rows are never reported
-        cols = np.flatnonzero(live)
-        m = int(np.searchsorted(cols, col_of[r0]))
-        if m:   # some smaller column may also admit an optimal completion
-            owners = row_of[cols]
-            # step[a, b]: reduced cost of moving column a's owner to column b
-            step = padded[np.ix_(owners, cols)] - u[owners, None] - v[cols]
-            g = np.full(len(cols), np.inf)   # rise of the other rows' optimum if r0 takes b
-            g[m] = 0.0
-            nxt = np.full(len(cols), m)   # next column on b's path to column m
-            done = np.zeros(len(cols), dtype=bool)
-            while not done[:m].all():
-                b = int(np.argmin(np.where(done, np.inf, g)))
-                if g[b] > tol:   # no column left can qualify
-                    break
-                done[b] = True
-                via = step[:, b] + g[b]
-                better = ~done & (via < g)
-                g[better] = via[better]
-                nxt[better] = b
-            if not done.all():   # clamp unsettled columns; the potentials stay feasible
-                g = np.minimum(g, g[~done].min())
-            fits = np.flatnonzero(done[:m] & (step[m, :m] + g[:m] <= tol))
-            b = int(fits[0]) if len(fits) else m
-            u[owners] += g
-            v[cols] -= g
-            row = r0
-            while True:   # rotate along the path from column b to column m
-                col_of[row] = cols[b]
-                row_of[cols[b]] = row
-                if b == m:
-                    break
-                row, b = owners[b], nxt[b]
-        live[col_of[r0]] = False
-
-    return {i: int(col_of[i]) for i in range(r) if col_of[i] < c}
+    cells = a.tolist()
+    if r <= c:
+        row_of, u, v = _solve(cells, c)
+        col_of = [-1] * r
+        for j, i in enumerate(row_of):
+            if i >= 0:
+                col_of[i] = j
+    else:
+        col_of, v, u = _solve([list(col) for col in zip(*cells)], r)
+        row_of = [-1] * c
+        for i, j in enumerate(col_of):
+            if j >= 0:
+                row_of[j] = i
+    _tie_break(cells, tol, col_of, row_of, u, v)
+    return {i: j for i, j in enumerate(col_of) if j >= 0}
 
 
 def greedy_walk(rows, cols, limit=None) -> np.ndarray:

@@ -51,6 +51,13 @@ def parse_fusion_spec(spec: str):
 
 
 @functools.lru_cache(maxsize=256)
+def _has_head_joints(joint_set: JointSet) -> bool:
+    """Whether a set names a head joint: the check head-swap makes of its
+    head branch, worked out once per ``JointSet``."""
+    return any(canonical_name(n) in _HEAD_JOINTS for n in joint_set.joints)
+
+
+@functools.lru_cache(maxsize=256)
 def _head_pairs(m: JointMapping) -> np.ndarray:
     """Which pairs of m carry a head joint: the rows head-swap takes from its
     head branch. Worked out once per mapping, which ``skeletons.mapping``
@@ -163,7 +170,7 @@ def fuse_head_swap(b: BranchOutputs, body_branch: str, head_branch: str,
     are smoothed.
     """
     head = b[head_branch]
-    if not any(canonical_name(n) in _HEAD_JOINTS for n in head.joint_set.joints):
+    if not _has_head_joints(head.joint_set):
         raise PoseError(f"head branch {head_branch!r} provides no head joints")
 
     body = b[body_branch]

@@ -1,10 +1,14 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from posepipe import PoseError
+from posepipe import PoseError, tracking
 from posepipe.assignment import solve_greedy, solve_hungarian
+from posepipe.config import PipelineConfig
+from posepipe.pipeline import load_manifest, run_pipeline
+from posepipe.scenes import generate_scene
 
 from oracles import (
     assignment_total,
@@ -139,29 +143,59 @@ def test_lexicographic_tie_break():
     assert solve_hungarian(cost) == {0: 0, 1: 1}
 
 
+@pytest.mark.parametrize("row", [
+    [-5 + 1.6e-8, -5, 1],   # shifted by 5: cells (1.6e-8, 0, 6), tol 1.8e-8, not 1.5e-8
+    [-5 + 5e-9, -5, -4],   # the padding cell 5 is the largest: tol 1.5e-8, not 3e-9
+])
+def test_tolerance_is_read_off_the_shifted_padded_square(row):
+    # column 0 is within the tolerance of the optimum only as the module
+    # docstring computes it
+    for cost in (np.array([row]), np.array([row]).T):
+        assert solve_hungarian(cost) == {0: 0} == reference_lex_hungarian(cost)
+
+
+def test_hungarian_ends_with_a_full_matching_when_the_shift_overflows():
+    # shifting by the smallest cost overflows to inf, so no optimum is
+    # defined; the solver still ends, with min(r, c) distinct pairs
+    h, b = 1.7e308, 1e308
+    cost = np.array([[h, h, 1, 0, h, b], [-h, h, b, 0, h, h], [b, 1, b, b, -h, 0],
+                     [-h, h, -h, h, h, 0], [b, b, 1, -h, h, 1], [1, 0, h, -h, b, 1]])
+    for m in (cost, cost[:4], cost[:, :3]):
+        with np.errstate(over="ignore"):
+            got = solve_hungarian(m)
+        assert len(got) == len(set(got.values())) == min(m.shape)
+        assert set(got) <= set(range(m.shape[0])) and set(got.values()) <= set(range(m.shape[1]))
+
+
 def test_greedy_tie_break_by_row_col():
     cost = np.zeros((2, 2))
     assert solve_greedy(cost) == {0: 0, 1: 1}
 
 
-_KINDS = ["int", "oks", "negative", "near-tie", "oks-tall"]
+_KINDS = ["int", "oks", "negative", "near-tie", "oks-tall", "oks-wide"]
 
 
 def _tie_heavy_matrix(rng, kind, r, c):
     """One of the cost shapes the solvers see: small integers, 1 - OKS as
     tracking builds it (most cells exactly 1.0), negative entries, integers
-    with near-ties of k * 1e-13, or 1 - OKS of more live tracks than
-    detections, where tracks that reach no detection are whole rows of 1.0."""
+    with near-ties of k * 1e-13, 1 - OKS of more live tracks than
+    detections, where tracks that reach no detection are whole rows of 1.0,
+    or of fewer live tracks than detections, where detections that reach no
+    track are whole columns of 1.0."""
     if kind == "int":
         return rng.integers(0, 3, (r, c)).astype(float)
-    if kind in ("oks", "oks-tall"):
+    if kind.startswith("oks"):
         if kind == "oks-tall":
             r, c = max(r, c), min(r, c)
+        if kind == "oks-wide":
+            r, c = min(r, c), max(r, c)
         cost = np.ones((r, c))
         near = rng.random((r, c)) < 2.0 / max(r, c)
         cost[near] = 1.0 - rng.choice([0.25, 0.5, 0.75, 0.9, rng.random()], near.sum())
         if kind == "oks-tall":
             cost[rng.random(r) < 0.5] = 1.0
+        if kind == "oks-wide":
+            cost[:, rng.random(c) < 0.5] = 1.0
         return cost
     if kind == "negative":
         return rng.integers(-3, 3, (r, c)).astype(float)
@@ -176,6 +210,39 @@ def test_hungarian_matches_re_solving_reference(kind):
         c = r if trial % 2 else int(rng.integers(1, 31))
         cost = _tie_heavy_matrix(rng, kind, r, c)
         assert solve_hungarian(cost) == reference_lex_hungarian(cost), cost
+
+
+def test_hungarian_matches_re_solving_reference_on_the_tracker_s_matrices(tmp_path,
+                                                                         monkeypatch):
+    # 10 persons over 12 frames, some too fast to track, with vote fusion:
+    # the one-frame tracks of the fast persons pile up, so the matrices grow
+    # from 10 x 10 to 31 x 10
+    manifest, _ = generate_scene(str(tmp_path), num_frames=12, num_persons=10, seed=3)
+    seen = []
+
+    def recording(cost):
+        seen.append(np.array(cost))
+        return solve_hungarian(cost)
+
+    monkeypatch.setitem(tracking.MATCHERS, "hungarian", recording)
+    run_pipeline(PipelineConfig(fusion="vote"), load_manifest(manifest))
+    assert len(seen) == 11 and seen[0].shape == (10, 10) and seen[-1].shape == (31, 10)
+    for cost in seen:
+        assert solve_hungarian(cost) == reference_lex_hungarian(cost), cost
+
+
+@pytest.mark.parametrize("shape", [(1, 2000), (2000, 1)])
+def test_hungarian_never_builds_the_padded_square(shape):
+    cost = np.random.default_rng(13).integers(0, 50, shape).astype(float)   # tied minima
+    tracemalloc.start()
+    try:
+        got = solve_hungarian(cost)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20   # the padded 2000 x 2000 float64 square alone is 32 MB
+    first = int(np.argmin(cost.ravel()))   # the lexicographically smallest argmin
+    assert got == ({0: first} if shape[0] == 1 else {first: 0})
 
 
 def test_greedy_matches_cell_scan_reference():

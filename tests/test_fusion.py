@@ -13,7 +13,13 @@ from posepipe.fusion import (
 )
 from posepipe.heatmaps import DecodedPose, Heatmap, decode, render_target, save_heatmap
 from posepipe.pipeline import fuse
-from posepipe.skeletons import JointSet, get_joint_set, mapping, register_joint_set
+from posepipe.skeletons import (
+    JointSet,
+    canonical_name,
+    get_joint_set,
+    mapping,
+    register_joint_set,
+)
 
 from oracles import reference_flip_merge, reference_fuse_head_swap, reference_fuse_vote
 
@@ -173,8 +179,25 @@ def test_fuse_head_swap_equal_head_channels_agree():
 
 def test_fuse_head_swap_requires_head_joints():
     b = all_branches()
-    with pytest.raises(PoseError):
+    with pytest.raises(PoseError, match="^head branch 'coco' provides no head joints$"):
         fuse_head_swap(b, "mpii", "coco", "posetrack")   # coco has no head_top
+    # the head branch is looked up first, then checked before the body branch
+    with pytest.raises(PoseError, match="^branch 'nope' not present$"):
+        fuse_head_swap(b, "nope", "nope", "posetrack")
+    with pytest.raises(PoseError, match="provides no head joints"):
+        fuse_head_swap(b, "nope", "coco", "posetrack")
+
+
+def test_fuse_head_swap_names_the_head_joints_once_per_joint_set(monkeypatch):
+    import posepipe.fusion as fusion
+    b = all_branches()
+    fuse_head_swap(b, "coco", "mpii", "posetrack")
+    calls = []
+    monkeypatch.setattr(fusion, "canonical_name",
+                        lambda n: calls.append(n) or canonical_name(n))
+    for _ in range(3):
+        fuse_head_swap(b, "coco", "mpii", "posetrack")
+    assert calls == []
 
 
 def test_fuse_vote_identical_branches_equals_single_decode():
