@@ -18,7 +18,8 @@ that of the padded square: let lo be its smallest cell (the smallest cost, or
 0 if r != c and no cost is negative); if lo < 0 every cell, padding included,
 is shifted by -lo; then tol = 1e-9 * max(1, M) * n, M the largest |cell| of
 the shifted square. So ``[[-5, 1]]`` (cells 0 and 6, padding 5) gets
-tol = 1e-9 * 6 * 2 = 1.2e-8.
+tol = 1e-9 * 6 * 2 = 1.2e-8. A matrix whose shifted cells overflow, such as
+1.7e308 beside -1.7e308, has no defined optimum and is a PoseError.
 
 The greedy solver is one stable sort of the cells and a walk over them
 (``greedy_walk``, which ``evaluation.match_poses`` shares).
@@ -255,22 +256,24 @@ def solve_hungarian(cost) -> dict:
     within the module's tolerance (see the module docstring).
 
     Costs are shifted as the padded square's would be, then read once into
-    lists. ``_solve`` matches the smaller side (the rows if r <= c, else the
-    columns), and ``_tie_break`` fixes the rows in order on the r x c
-    matrix. O(min(r, c)^2 * max(r, c)) in all, memory O(r * c).
+    lists; a matrix whose shifted cells overflow (``1.7e308`` beside
+    ``-1.7e308``) has no defined optimum and is a PoseError. ``_solve``
+    matches the smaller side (the rows if r <= c, else the columns), and
+    ``_tie_break`` fixes the rows in order on the r x c matrix.
+    O(min(r, c)^2 * max(r, c)) in all, memory O(r * c).
     """
     a = _validate(cost)
     r, c = a.shape
     if r == 0 or c == 0:
         return {}
-    lo = float(a.min())
+    lo, hi = float(a.min()), float(a.max())
     if r != c:
-        lo = min(lo, 0.0)   # the padding's zeros
+        lo, hi = min(lo, 0.0), max(hi, 0.0)   # the padding's zeros
+    top = hi - lo if lo < 0 else hi   # the largest cell of the shifted square
+    if top == math.inf:
+        raise PoseError(f"cost matrix range must be finite when shifted, got {lo!r} to {hi!r}")
     if lo < 0:
         a = a - lo   # keep reduced costs nonnegative for the path search
-    top = float(np.abs(a).max())
-    if r != c:
-        top = max(top, -lo)   # a padding cell
     tol = 1e-9 * max(1.0, top) * max(r, c)
 
     cells = a.tolist()

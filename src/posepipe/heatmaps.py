@@ -15,6 +15,7 @@ Coordinate conventions (part of the golden-file contract):
 from __future__ import annotations
 
 import functools
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -31,7 +32,14 @@ _TINY = float(np.finfo(float).tiny)   # the smallest normal float
 
 @dataclass
 class Heatmap:
-    """K per-joint score grids plus the geometry linking grid to image space."""
+    """K per-joint score grids plus the geometry linking grid to image space.
+
+    Made with a check of every rule: values are (K, H, W), at least 3 x 3,
+    with K the joint set's count, and finite; strides finite and positive;
+    the crop finite. Finiteness is one ``isfinite`` pass over the cells,
+    never a sum of the values, which would overflow on a finite map of
+    large values.
+    """
 
     values: np.ndarray          # (K, H, W) float32
     joint_set: JointSet         # a registered name is resolved when made
@@ -49,7 +57,7 @@ class Heatmap:
         if k != self.joint_set.count:
             raise PoseError(f"heatmap has {k} channels but joint set "
                             f"{self.joint_set.name!r} has {self.joint_set.count}")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise PoseError("heatmap values must be finite")
         self.strides = (float(self.strides[0]), float(self.strides[1]))
         if not all(0 < s < math.inf for s in self.strides):
@@ -75,10 +83,9 @@ class Heatmap:
 
     def grid_to_image(self, gxy: np.ndarray) -> np.ndarray:
         """Map (..., 2) grid xy to image pixels, cell-center convention."""
-        gxy = np.asarray(gxy, dtype=np.float64)
-        out = np.empty_like(gxy)
-        out[..., 0] = self.crop[0] + (gxy[..., 0] + 0.5) * self.strides[0]
-        out[..., 1] = self.crop[1] + (gxy[..., 1] + 0.5) * self.strides[1]
+        out = np.add(gxy, 0.5, dtype=np.float64)
+        out *= self.strides
+        out += self.crop[:2]
         return out
 
 
@@ -261,17 +268,24 @@ def peaks(channels: np.ndarray, use_quarter_offset: bool = True):
     Returns ((K, 2) grid xy, (K,) values at the argmax cells). With quarter
     offsets on, an interior peak shifts each axis 0.25 cell toward the larger
     of its two neighbors (no shift on exact ties); border peaks never shift.
+
+    One flat argmax picks the cells, and one flat gather reads the x and y
+    neighbors of the interior peaks. The shift is 0.25 times
+    ``(hi > lo) - (lo > hi)``, worked out from the two comparisons, never
+    from ``hi - lo``, which overflows for neighbors near +-finfo.max.
     """
     k, height, width = channels.shape
-    py, px = np.divmod(channels.reshape(k, -1).argmax(axis=1), width)
+    flat = channels.reshape(k, -1)
+    best = flat.argmax(axis=1)
+    py, px = np.divmod(best, width)
     gxy = np.stack([px, py], axis=1).astype(np.float64)
     if use_quarter_offset:
         i = np.flatnonzero((0 < px) & (px < width - 1) & (0 < py) & (py < height - 1))
-        x, y = px[i], py[i]
-        for axis, lo, hi in ((0, channels[i, y, x - 1], channels[i, y, x + 1]),
-                             (1, channels[i, y - 1, x], channels[i, y + 1, x])):
-            gxy[i, axis] += np.where(hi > lo, 0.25, np.where(lo > hi, -0.25, 0.0))
-    return gxy, channels[np.arange(k), py, px]
+        at = i * (height * width) + best[i]
+        near = flat.take(at[:, None] + np.array([-1, -width, 1, width]))
+        lo, hi = near[:, :2], near[:, 2:]   # (x - 1, y - 1) and (x + 1, y + 1)
+        gxy[i] += np.subtract(hi > lo, lo > hi, dtype=np.int8) * 0.25
+    return gxy, flat[np.arange(k), best]
 
 
 def decode(h: Heatmap, smooth_sigma: float = 1.0,
@@ -288,8 +302,9 @@ def decode(h: Heatmap, smooth_sigma: float = 1.0,
     annotated = h.values.reshape(len(values), -1).any(axis=1)
     coords = hm.grid_to_image(gxy)
     scores = values.astype(np.float64)
-    coords[~annotated] = 0.0
-    scores[~annotated] = 0.0
+    missing = ~annotated
+    coords[missing] = 0.0
+    scores[missing] = 0.0
     return DecodedPose(h.joint_set, coords, scores, annotated)
 
 
@@ -310,8 +325,8 @@ def save_heatmap(h: Heatmap, path) -> None:
 
 
 def load_heatmap(path) -> Heatmap:
-    with open(path, "rb") as f:
-        blob = f.read()
+    with io.FileIO(path) as f:
+        blob = f.readall()
     if len(blob) < _HEADER.size:
         raise PoseError("truncated heatmap header", path=path)
     magic, version, k, height, width, cx, cy, cw, ch, sx, sy, name_len = \

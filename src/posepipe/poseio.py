@@ -98,15 +98,21 @@ def _encoder(depth: int):
     return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def _text(doc, depth: int) -> str:
-    """doc as ``json.dumps(doc, indent=2)`` writes it at depth."""
+    """doc as ``json.dumps(doc, indent=2)`` writes it at depth. A list whose
+    item types are all JSON scalars goes to the C encoder without a scan of
+    its items; any other list is scanned for containers."""
     if not (doc and isinstance(doc, (dict, list, tuple))):
         return _encoder(0)(doc)
     inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
     if isinstance(doc, dict):
         items = [f"{encode_basestring_ascii(k)}: {_text(v, depth + 1)}" for k, v in doc.items()]
         return "{" + inner + ("," + inner).join(items) + outer + "}"
-    if any(isinstance(v, (dict, list, tuple)) for v in doc):
+    if not set(map(type, doc)) <= _SCALARS and \
+            any(isinstance(v, (dict, list, tuple)) for v in doc):
         return "[" + inner + ("," + inner).join(_text(v, depth + 1) for v in doc) + outer + "]"
     return "[" + inner + _encoder(depth + 1)(doc)[1:-1] + outer + "]"
 

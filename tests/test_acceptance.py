@@ -219,6 +219,7 @@ def test_criterion_5_schedule_contract():
     return "frozen blocks bit-identical; absent heads exactly zero"
 
 
+@pytest.mark.slow
 @criterion(6, "multi-domain schedule beats target-only and no-fine-tune baselines")
 def test_criterion_6_directional_benefit():
     from posepipe.benchmark import run_benchmark

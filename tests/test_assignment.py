@@ -154,17 +154,21 @@ def test_tolerance_is_read_off_the_shifted_padded_square(row):
         assert solve_hungarian(cost) == {0: 0} == reference_lex_hungarian(cost)
 
 
-def test_hungarian_ends_with_a_full_matching_when_the_shift_overflows():
+def test_hungarian_rejects_costs_whose_shift_overflows():
     # shifting by the smallest cost overflows to inf, so no optimum is
-    # defined; the solver still ends, with min(r, c) distinct pairs
+    # defined: a one-line contract error, before any solving
     h, b = 1.7e308, 1e308
     cost = np.array([[h, h, 1, 0, h, b], [-h, h, b, 0, h, h], [b, 1, b, b, -h, 0],
                      [-h, h, -h, h, h, 0], [b, b, 1, -h, h, 1], [1, 0, h, -h, b, 1]])
-    for m in (cost, cost[:4], cost[:, :3]):
-        with np.errstate(over="ignore"):
-            got = solve_hungarian(m)
-        assert len(got) == len(set(got.values())) == min(m.shape)
-        assert set(got) <= set(range(m.shape[0])) and set(got.values()) <= set(range(m.shape[1]))
+    for m in (cost, cost[:4], cost[:, :3], np.array([[h, -h]]), np.array([[-h], [h]])):
+        with pytest.raises(PoseError) as err:
+            solve_hungarian(m)
+        assert str(err.value) == (f"cost matrix range must be finite when shifted, "
+                                  f"got {-h!r} to {h!r}")
+    # a spread that fits, or one shift by the padding's zero, still solves
+    for m, want in (([[0.8e308, -0.8e308]], {0: 1}), ([[-h, -h]], {0: 0}),
+                    ([[h], [h]], {0: 0}), ([[b, -0.7e308], [-0.7e308, b]], {0: 1, 1: 0})):
+        assert solve_hungarian(np.array(m)) == want
 
 
 def test_greedy_tie_break_by_row_col():

@@ -274,6 +274,26 @@ def test_peaks_match_per_channel_loop_on_ties():
             assert gxy.tobytes() == want.tobytes()
             assert values.dtype == dtype
             assert np.array_equal(values, channels.reshape(k, -1).max(axis=1))
+    # extreme values: a neighbor difference of +-finfo.max overflows (an
+    # error under the RuntimeWarning filter), and subnormals and -0.0 beside
+    # 0.0 tie or order only by comparison
+    for dtype in (np.float32, np.float64):
+        f = np.finfo(dtype)
+        pool = np.array([f.max, -f.max, f.smallest_subnormal, -f.smallest_subnormal,
+                         2 * f.smallest_subnormal, 0.0, -0.0, f.tiny], dtype=dtype)
+        spread = np.full((1, 5, 5), -f.max, dtype=dtype)
+        spread[0, 2, 1:4] = -f.max, f.max, f.max   # left -max, peak max, right max
+        spread[0, 1:4, 2] = -f.max, f.max, f.max   # up -max, down max
+        cases = [spread] + [pool[rng.integers(0, len(pool), size=(4, 5, 4))]
+                            for _ in range(300)]
+        for channels in cases:
+            for quarter in (True, False):
+                gxy, values = peaks(channels, quarter)
+                assert gxy.tobytes() == reference_grid_peaks(channels, quarter).tobytes()
+                k = len(channels)
+                assert values.tobytes() == channels.reshape(k, -1)[
+                    np.arange(k), channels.reshape(k, -1).argmax(axis=1)].tobytes()
+        assert peaks(spread)[0].tolist() == [[2.25, 2.25]]
 
 
 def test_decode_score_is_smoothed_peak():
@@ -357,6 +377,40 @@ def test_heatmap_rejects_non_finite_geometry(geometry):
     _single_joint_set()
     with pytest.raises(PoseError, match="heatmap (crop|strides) must be finite"):
         Heatmap(np.zeros((1, 8, 8), dtype=np.float32), "single", **geometry)
+
+
+@pytest.mark.parametrize("cells", [
+    {0: math.nan}, {-1: math.nan}, {0: math.inf}, {-1: math.inf},
+    {0: -math.inf}, {-1: -math.inf}, {0: math.inf, -1: -math.inf},
+])
+def test_heatmap_rejects_a_non_finite_value(cells):
+    _single_joint_set()
+    v = np.ones((1, 8, 8), dtype=np.float32)
+    for at, value in cells.items():
+        v.reshape(-1)[at] = value
+    with pytest.raises(PoseError) as err:
+        Heatmap(v, "single")
+    assert str(err.value) == "heatmap values must be finite"
+
+
+def test_heatmap_accepts_finite_values_whose_sum_overflows():
+    import warnings
+    _single_joint_set()
+    v = np.full((1, 8, 8), np.finfo(np.float32).max, dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(Heatmap(v, "single").values, v)
+
+
+def test_load_heatmap_names_the_file_of_a_non_finite_heatmap(tmp_path):
+    _single_joint_set()
+    path = tmp_path / "x.pkhm"
+    save_heatmap(Heatmap(np.zeros((1, 8, 8), dtype=np.float32), "single"), path)
+    path.write_bytes(path.read_bytes()[:-4] + np.float32(math.inf).astype("<f4").tobytes())
+    with pytest.raises(PoseError) as err:
+        load_heatmap(path)
+    assert str(err.value) == f"heatmap values must be finite (file={path})"
+    assert err.value.path == path
 
 
 def test_load_heatmap_names_the_file_of_a_bad_heatmap(tmp_path):
