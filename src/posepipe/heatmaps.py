@@ -36,9 +36,9 @@ class Heatmap:
 
     Made with a check of every rule: values are (K, H, W), at least 3 x 3,
     with K the joint set's count, and finite; strides finite and positive;
-    the crop finite. Finiteness is one ``isfinite`` pass over the cells,
-    never a sum of the values, which would overflow on a finite map of
-    large values.
+    the crop finite. Finiteness is one ``isfinite(values).all()`` pass: a
+    map is rejected exactly when a cell is NaN or +-inf, and a map of finite
+    values whose sum overflows is accepted without a warning.
     """
 
     values: np.ndarray          # (K, H, W) float32
