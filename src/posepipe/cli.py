@@ -250,7 +250,7 @@ def main(argv=None) -> int:
     except PoseError as exc:
         print(json.dumps({"error": str(exc), "kind": "contract"}), file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:   # a path the locale cannot encode
         print(json.dumps({"error": str(exc), "kind": "io"}), file=sys.stderr)
         return 1
     return 0

@@ -15,18 +15,15 @@ class PoseError(ValueError):
     mismatches, non-monotone frame indices, and similar caller errors.
 
     Subclasses ValueError so generic callers can catch it without importing
-    this package.
+    this package. row, unshown, is the index of a stack's failing row.
     """
 
-    def __init__(self, message, *, path=None, frame=None):
+    def __init__(self, message, *, path=None, frame=None, row=None):
         self.message = message
         self.path = path
         self.frame = frame
-        loc = []
-        if path is not None:
-            loc.append(f"file={path}")
-        if frame is not None:
-            loc.append(f"frame={frame}")
+        self.row = row
+        loc = [f"{key}={v}" for key, v in (("file", path), ("frame", frame)) if v is not None]
         if loc:
             message = f"{message} ({', '.join(loc)})"
         super().__init__(message)

@@ -25,15 +25,15 @@ def _unit(v):
     return (v >= 0) & (v <= 1)
 
 
-def _box_ok(box) -> bool:
+def box_ok(box) -> bool:
     """Whether an x, y, w, h box is finite, with w, h > 0 and w * h finite."""
     x, y, w, h = map(float, box)
     return w > 0 and h > 0 and math.isfinite(x + y + w * h)
 
 
 def check_box(box, what: str = "box") -> None:
-    """Raise unless box passes :func:`_box_ok`; what names it in the message."""
-    if not _box_ok(box):
+    """Raise unless box passes :func:`box_ok`; what names it in the message."""
+    if not box_ok(box):
         raise PoseError(f"{what} must be finite with positive width and height, got {box}")
 
 
@@ -53,7 +53,7 @@ _RULES = (
     (("joint_set", "scores", "annotated"),
      lambda s: [s["scores"].shape[1:] == s["annotated"].shape[1:] == (s["joint_set"].count,)],
      lambda s, i: "scores/annotated length does not match joint set"),
-    (("box",), lambda s: map(_box_ok, s["box"].tolist()),
+    (("box",), lambda s: map(box_ok, s["box"].tolist()),
      lambda s, i: check_box(s["box"][i].tolist())),
     (("scores",), lambda s: _unit(s["scores"]).all(axis=1),
      lambda s, i: "keypoint scores must lie in [0, 1]"),
@@ -62,7 +62,7 @@ _RULES = (
     (("coords", "annotated"),
      lambda s: (np.isfinite(s["coords"]) | ~s["annotated"][..., None]).all(axis=(1, 2)),
      lambda s, i: "annotated joints must have finite coordinates"),
-    # w * h can underflow to 0.0, which _box_ok passes
+    # w * h can underflow to 0.0, which box_ok passes
     (("box",), lambda s: [w * h > 0 for _, _, w, h in s["box"].tolist()],
      lambda s, i: "instance area must be positive"),
     (("score",), lambda s: map(_unit, s["score"]), lambda s, i: check_score(s["score"][i])),
@@ -70,23 +70,22 @@ _RULES = (
 _ARRAYS = {"box": np.float64, "coords": np.float64, "scores": np.float64, "annotated": bool}
 
 
-def _check(stack: dict, fields=None) -> None:
-    """Raise, for the first instance of stack that breaks a rule reading one
-    of fields (by default any), the first such rule it breaks: the error that
-    checking the instances one by one raises first."""
-    _raise_first(stack, [rule for rule in _RULES
-                         if fields is None or not fields.isdisjoint(rule[0])])
-
-
-def _raise_first(stack: dict, rules: list) -> None:
+def raise_first(stack: dict, rules) -> None:
+    """Raise, for the first row of stack (columns and a joint_set) that breaks
+    one of rules (as in ``_RULES``), the first it breaks, as checking row by
+    row would, with the row in the PoseError (0 for a whole-stack rule)."""
     for n, (_, passes, fault) in enumerate(rules):
         ok = list(passes(stack))
         if not all(ok):
             i = ok.index(False)
-            if i:   # the instances before i passed every rule so far, not yet the later ones
-                _raise_first({k: v if k == "joint_set" else v[:i] for k, v in stack.items()},
-                             rules[n + 1:])
-            raise PoseError(fault(stack, i))
+            if i:   # the rows before i passed every rule so far, not yet the later ones
+                raise_first({k: v if k == "joint_set" else v[:i] for k, v in stack.items()},
+                            rules[n + 1:])
+            try:
+                raise PoseError(fault(stack, i))
+            except PoseError as exc:   # the fault's message, or the error a check raised
+                exc.row = i
+                raise
 
 
 def _one(f: dict) -> dict:
@@ -126,7 +125,7 @@ class PersonInstance:
         if self.score is None:
             self.score = float(self.box_score)
         self.joint_set = get_joint_set(self.joint_set)
-        _check(_one(vars(self)))
+        raise_first(_one(vars(self)), _RULES)
 
 
 _FIELDS = tuple(f.name for f in dataclasses.fields(PersonInstance))
@@ -155,7 +154,7 @@ class InstanceStack:
     head_size: list
 
     def __post_init__(self):
-        _check(vars(self))
+        raise_first(vars(self), _RULES)
 
     def __len__(self) -> int:
         return len(self.box)
@@ -190,7 +189,7 @@ class InstanceStack:
         if not columns.keys() <= vars(self).keys():
             raise TypeError(f"InstanceStack has no columns {sorted(columns.keys() - vars(self))}")
         fields = vars(self) | columns
-        _check(fields, columns.keys())
+        raise_first(fields, [rule for rule in _RULES if not columns.keys().isdisjoint(rule[0])])
         return _stack(fields)
 
     def instances(self) -> list:

@@ -24,10 +24,10 @@ Each JSON object in these files is a record described once, by the signature
 of the function that builds its value (``document``, ``instance_frame``,
 ``box_frame``, ``pose_instance``, ``box_entry``, and the manifest's
 ``pipeline.manifest_instance``), which ``errors.checked`` reads: an unknown
-key, a missing key or a value of the wrong type is a PoseError. Ranges are
-checked where the values are used: a pose document's instances all at once,
-by the instance rules run over their stack (``instances``), and a document
-that fails is read again record by record to name its first error. Frame
+key, a missing key or a value of the wrong type is a PoseError. One walk,
+``read_frames``, checks a document's records in file order and makes them
+in one call, a pose document's instances as one stack (``instances``), so
+its first error in file order is raised and no record is read twice. Frame
 indices strictly increase; head_size may be derived from a head_box (which
 must pass ``check_box``) as diagonal x 0.6. Emission is canonical (fixed key
 order, repr floats, two-space indentation), so emit(parse(f)) == f byte-wise
@@ -49,7 +49,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .errors import PoseError, checked
-from .instances import InstanceStack, PersonInstance, check_box, check_score
+from .instances import InstanceStack, PersonInstance, box_ok, check_box, check_score, raise_first
 from .skeletons import JointSet, get_joint_set
 
 HEAD_SIZE_FACTOR = 0.6
@@ -73,7 +73,7 @@ class PoseSequence:
         check_frame_order([fidx for fidx, _ in self.frames])
         for fidx, instances in self.frames:
             for p in instances:
-                if p.joint_set != js:
+                if p.joint_set is not js and p.joint_set != js:
                     raise PoseError(f"instance joint set {p.joint_set.name!r} does not "
                                     f"match the sequence's {js.name!r}", frame=fidx)
 
@@ -81,7 +81,7 @@ class PoseSequence:
 def read_document(path, what: str, parse):
     """parse(doc) for the JSON value doc at path, which parse checks with
     ``errors.checked``; every PoseError raised names the file."""
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         try:
             doc = json.load(f)
         except (ValueError, RecursionError) as exc:   # malformed, not UTF-8, too deep
@@ -127,34 +127,48 @@ def document_text(doc) -> str:
 def write_document(path, doc) -> None:
     """Write doc at path as :func:`document_text`; the counterpart of
     :func:`read_document`."""
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(document_text(doc))
 
 
-def read_frames(frames: list, frame, record, **context) -> list:
-    """[(frame_index, [record(**entry, **context), ...])] for frames, a list of
-    frame records that the signature of ``frame`` describes and that frame
-    turns into (frame_index, entries); each entry is checked against record's
-    signature less the context keywords. A PoseError names its frame, and an
-    entry's error names the entry by record's name and its index."""
+def read_frames(frames: list, frame, record, build=None, **context) -> list:
+    """[(frame_index, entries)] for frames, frame records that frame's
+    signature describes and turns into (frame_index, entry records). The one
+    walk: it checks, in file order up to the first fault, each frame and its
+    entries (against record's signature less the context keywords), then
+    makes the entries before the fault in one call, build(entry records,
+    **context), by default record(**entry, **context) for each. The first
+    fault in file order is raised (a build's at its PoseError's row), naming
+    its frame, and an entry's the entry by record's name and frame index."""
     exclude, name = tuple(context), record.__name__.replace("_", " ")
-    out = []
+    counts, records, fault = [], [], None
     for doc in frames:
         fidx = None
         try:
             fidx, entries = frame(**checked(frame, doc, "frame"))
-            items = []
+            counts.append((fidx, len(entries)))
             for n, entry in enumerate(entries):
-                where = f"{name} {n}"
-                args = checked(record, entry, where, exclude)
-                try:
-                    items.append(record(**args, **context))
-                except PoseError as exc:
-                    raise PoseError(f"{where}: {exc.message}") from None
-            out.append((fidx, items))
+                records.append(checked(record, entry, f"{name} {n}", exclude))
         except PoseError as exc:
-            raise PoseError(exc.message, frame=fidx) from None
-    return out
+            fault = PoseError(exc.message, frame=fidx)
+            break
+    items = []
+    try:
+        if build:
+            items = build(records, **context)
+        else:
+            for entry in records:
+                items.append(record(**entry, **context))
+    except PoseError as exc:
+        row = exc.row if build else len(items)
+        for fidx, n in counts:
+            if row < n:
+                raise PoseError(f"{name} {row}: {exc.message}", frame=fidx) from None
+            row -= n
+    if fault:
+        raise fault
+    items = iter(items)
+    return [(fidx, list(itertools.islice(items, n))) for fidx, n in counts]
 
 
 def document(joint_set: str = None, frames: list = None) -> list:
@@ -178,69 +192,59 @@ def pose_instance(joint_set: JointSet, box: tuple[float, float, float, float],
                   box_score: float = 1.0, score: float = None, track_id: int = None,
                   person_id: int = None, head_size: float = None,
                   head_box: tuple[float, float, float, float] = None) -> PersonInstance:
-    """The instance a pose-document record describes, on joint_set: the
-    ``_pose_instances`` of the one record its keywords make."""
-    return _pose_instances(joint_set, [locals()])[0]
+    """The instance a pose-document record describes on joint_set, as
+    ``_pose_instances`` checks and makes it: 3 keypoint numbers and one
+    annotated flag (by default, a positive score) per joint; a head_box
+    passes check_box and gives head_size 0.6 x its diagonal by default."""
+    return _pose_instances([locals()], joint_set)[0]
 
 
-def _head_size(head_size=None, head_box=None):
-    """head_size, or else 0.6 x the diagonal of head_box; a head_box must pass
-    check_box."""
-    if head_box is not None:
-        check_box(head_box, "head_box")
-        if head_size is None:
-            return HEAD_SIZE_FACTOR * math.hypot(head_box[2], head_box[3])
-    return head_size
+_RECORD_RULES = (   # a pose-document record's checks before the instance rules
+    (("keypoints",), lambda s: map((3 * s["joint_set"].count).__eq__, map(len, s["keypoints"])),
+     lambda s, i: f"keypoints length {len(s['keypoints'][i])} != 3*{s['joint_set'].count}"),
+    (("head_box",), lambda s: [b is None or box_ok(b) for b in s["head_box"]],
+     lambda s, i: check_box(s["head_box"][i], "head_box")),
+    (("annotated",), lambda s: [a is None or len(a) == k for k in [s["joint_set"].count]
+                                for a in s["annotated"]],
+     lambda s, i: "scores/annotated length does not match joint set"),
+)
 
 
-def _pose_instances(js: JointSet, records: list) -> list:
-    """The instances of pose-document records (pose_instance keywords) on js,
-    each instance rule run once over the stack of all of them. A failing
-    record raises its first error when it is the only one, and else some
-    record's error."""
-    if not records:
-        return []
-    k = js.count
-
+def _pose_instances(records: list, joint_set: JointSet) -> list:
+    """The instances of pose-document records (pose_instance keywords) on
+    joint_set as one stack, each record check (``_RECORD_RULES``) and then
+    each instance rule one pass over all of them; a fault is the first that
+    checking them one by one meets, its record the PoseError's row."""
     def column(key, default=None):
         return [r.get(key, default) for r in records]
 
-    for v in column("keypoints"):
-        if len(v) != 3 * k:
-            raise PoseError(f"keypoints length {len(v)} != 3*{k}")
-    kps = np.array(column("keypoints"), dtype=np.float64).reshape(-1, k, 3)
-    annotated = [d if a is None else a for a, d in zip(column("annotated"), kps[:, :, 2] > 0)]
-    if len(set(map(len, annotated))) > 1:
-        raise PoseError("annotated lists of different lengths do not stack")
+    cols = {"joint_set": joint_set, "keypoints": column("keypoints"),
+            "head_box": column("head_box"), "annotated": column("annotated")}
+    try:
+        raise_first(cols, _RECORD_RULES)
+    except PoseError as exc:   # a record before it may break an instance rule first
+        _pose_instances(records[:exc.row], joint_set)
+        raise
+    kps = np.array(cols["keypoints"], dtype=np.float64).reshape(-1, joint_set.count, 3)
+    annotated = [kps[i, :, 2] > 0 if a is None else a for i, a in enumerate(cols["annotated"])]
     box_score = column("box_score", 1.0)
     return InstanceStack(
         box=np.array(column("box"), dtype=np.float64).reshape(-1, 4), box_score=box_score,
-        coords=kps[:, :, :2], scores=kps[:, :, 2], joint_set=js,
-        annotated=np.array(annotated, dtype=bool),
+        coords=kps[:, :, :2], scores=kps[:, :, 2], joint_set=joint_set,
+        annotated=np.array(annotated, dtype=bool).reshape(-1, joint_set.count),
         score=[float(b) if v is None else v for v, b in zip(column("score"), box_score)],
         track_id=column("track_id"), person_id=column("person_id"),
-        head_size=list(map(_head_size, column("head_size"), column("head_box")))).instances()
+        head_size=[HEAD_SIZE_FACTOR * math.hypot(b[2], b[3]) if v is None and b is not None
+                   else v for v, b in zip(column("head_size"), cols["head_box"])]).instances()
 
 
 def parse_pose_document(doc: dict) -> PoseSequence:
-    """The sequence a pose document describes. Every record is checked
-    (``errors.checked``), then the instance rules run once over the stack of
-    all instances; only a document that fails is read again, record by
-    record (``read_frames``), to raise its first error in file order."""
+    """The sequence a pose document describes, its frames and records walked
+    by ``read_frames`` and all its instances made as one stack."""
     frames = document(**checked(document, doc, "pose document", required=("joint_set",)))
     js = get_joint_set(doc["joint_set"])
-    counts, records = [], []
-    try:
-        for frame in frames:
-            fidx, entries = instance_frame(**checked(instance_frame, frame, "frame"))
-            counts.append((fidx, len(entries)))
-            records += [checked(pose_instance, e, "pose instance", ("joint_set",))
-                        for e in entries]
-        instances = iter(_pose_instances(js, records))
-        read = [(fidx, list(itertools.islice(instances, n))) for fidx, n in counts]
-    except PoseError:
-        read = read_frames(frames, instance_frame, pose_instance, joint_set=js)
-    return PoseSequence(js, read)
+    return PoseSequence(js, read_frames(frames, instance_frame, pose_instance, _pose_instances,
+                                        joint_set=js))
 
 
 def load_pose_file(path) -> PoseSequence:

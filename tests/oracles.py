@@ -33,10 +33,10 @@ library's earlier versions, kept as they were, to check that merging only
 the rows a fusion reads and smoothing through a cached index gather give the
 same bits.
 ``reference_load_pose_file`` is the library's earlier pose reader, which
-builds each record on its own into a ``PersonInstance`` (through
-``poseio.read_frames``), kept as it was but for the head_box check, to
-check that the stacked reader gives the same instances bit for bit, or the
-same error.
+builds each record on its own into a ``PersonInstance`` through its own copy
+of the earlier record-by-record frame walk (``reference_read_frames``),
+kept as it was but for the head_box check, to check that the one-walk
+stacked reader gives the same instances bit for bit, or the same error.
 """
 
 import functools
@@ -48,7 +48,7 @@ import numpy as np
 from posepipe.errors import PoseError, checked
 from posepipe.heatmaps import Heatmap, peaks
 from posepipe.instances import PersonInstance, check_box
-from posepipe.poseio import PoseSequence, document, instance_frame, read_document, read_frames
+from posepipe.poseio import PoseSequence, document, instance_frame, read_document
 from posepipe.skeletons import JointSet, get_joint_set, mapping
 from posepipe.synthetic import project_to_merged
 from posepipe.toynet import _select_joints, forward
@@ -762,6 +762,30 @@ def reference_heldout_error(net, samples, reference: str = "annotation") -> floa
     return float(np.mean(errs))
 
 
+def reference_read_frames(frames: list, frame, record, **context) -> list:
+    """[(frame_index, [record(**entry, **context), ...])] for frames, each
+    frame and then each of its entries checked and built on its own, in file
+    order; the library's earlier ``poseio.read_frames``, kept as it was."""
+    exclude, name = tuple(context), record.__name__.replace("_", " ")
+    out = []
+    for doc in frames:
+        fidx = None
+        try:
+            fidx, entries = frame(**checked(frame, doc, "frame"))
+            items = []
+            for n, entry in enumerate(entries):
+                where = f"{name} {n}"
+                args = checked(record, entry, where, exclude)
+                try:
+                    items.append(record(**args, **context))
+                except PoseError as exc:
+                    raise PoseError(f"{where}: {exc.message}") from None
+            out.append((fidx, items))
+        except PoseError as exc:
+            raise PoseError(exc.message, frame=fidx) from None
+    return out
+
+
 def reference_load_pose_file(path) -> PoseSequence:
     """The pose file at path, each record read, built and checked on its own."""
     def pose_instance(joint_set: JointSet, box: tuple[float, float, float, float],
@@ -787,6 +811,6 @@ def reference_load_pose_file(path) -> PoseSequence:
     def parse(doc):
         frames = document(**checked(document, doc, "pose document", required=("joint_set",)))
         js = get_joint_set(doc["joint_set"])
-        return PoseSequence(js.name, read_frames(frames, instance_frame, pose_instance,
-                                                 joint_set=js))
+        return PoseSequence(js.name, reference_read_frames(frames, instance_frame,
+                                                            pose_instance, joint_set=js))
     return read_document(path, "pose document", parse)

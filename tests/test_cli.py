@@ -1259,3 +1259,31 @@ def test_run_rejects_a_box_whose_area_underflows(golden_scene_dir, tmp_path, cap
     assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == 2
     assert _error_doc(capsys) == {"error": "instance area must be positive", "kind": "contract"}
     assert not out.exists()
+
+
+def test_run_reads_a_manifest_as_utf8_under_an_ascii_locale(tmp_path, capsys):
+    # under LC_ALL=C without UTF-8 mode the manifest used to be decoded as
+    # ASCII, and run exited 2 with "manifest is not valid JSON"; now its path
+    # is read as written, and only the file system's ASCII names fail (io)
+    root = os.fsencode(tmp_path)
+    os.mkdir(os.path.join(root, "h\u00e9".encode("utf-8")))
+    _coco_heatmap(os.path.join(root, "h\u00e9/coco.pkhm".encode("utf-8")))
+    manifest, out = tmp_path / "manifest.json", tmp_path / "out.json"
+    manifest.write_bytes(json.dumps({"frames": [{"frame_index": 0, "instances": [
+        {"box": [0, 0, 10, 10], "heatmaps": {"coco": "h\u00e9/coco.pkhm"}}]}]},
+        ensure_ascii=False).encode("utf-8"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"fusion": "select:coco", "use_tracking": False}))
+    argv = ["run", "--config", str(config), "--manifest", str(manifest), "--out", str(out)]
+    src = os.path.dirname(os.path.dirname(posepipe.__file__))
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "posepipe.cli"] + argv, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    error = json.loads(proc.stderr)
+    assert error["kind"] == "io"
+    assert error["error"].startswith("'ascii' codec can't encode character '\\xe9'")
+    assert not out.exists()
+    if sys.getfilesystemencoding() == "utf-8":   # a locale that can name the file
+        assert main(argv) == 0 and out.exists()

@@ -11,17 +11,29 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from posepipe import PoseError, builtin_joint_set
 from posepipe.cli import main
-from posepipe.errors import parameters
+from posepipe.errors import checked, parameters
 from posepipe.heatmaps import render_target, save_heatmap
-from posepipe.pipeline import manifest_instance
-from posepipe.poseio import box_entry, load_pose_file, pose_instance
+from posepipe.pipeline import load_manifest, manifest_instance
+from posepipe.poseio import (
+    BoxSequence,
+    box_entry,
+    box_frame,
+    check_frame_order,
+    document,
+    instance_frame,
+    load_box_file,
+    load_pose_file,
+    pose_instance,
+    read_document,
+)
 from posepipe.toynet import NetConfig, init_network, load_network, save_network
 
-from oracles import reference_load_pose_file
+from oracles import reference_load_pose_file, reference_read_frames
 from test_config_fuzz import _ANY, _INTS, _NAMES, _record, _typed
 
 _K = builtin_joint_set("coco").count
@@ -165,6 +177,129 @@ def test_stacked_pose_reader_matches_the_record_by_record_reader(doc):
         for p, q in zip(a, b):
             assert list(vars(p)) == list(vars(q))
             assert all(_same_field(vars(p)[k], v) for k, v in vars(q).items()), (vars(p), vars(q))
+
+
+# one fault of a single pose-document record, each made from _VALID
+_RECORD_FAULTS = {
+    "unknown key": dict(_VALID, bogus=1),
+    "wrong type": dict(_VALID, track_id="3"),
+    "keypoints length": dict(_VALID, keypoints=[1.0, 2.0, 0.5] * (_K - 1)),
+    "head_box": dict(_VALID, head_box=[0, 0, 1, -1]),
+    "annotated length": dict(_VALID, annotated=[1] * (_K + 1)),
+    "box": dict(_VALID, box=[0, 0, -1, 5]),
+    "keypoint score": dict(_VALID, keypoints=[1.0, 2.0, 1.5] * _K),
+    "box_score": dict(_VALID, box_score=1.5),
+    "score": dict(_VALID, score=-0.5),
+    "area underflow": dict(_VALID, box=[0, 0, 1e-200, 1e-200]),
+    "non-finite annotated coordinate": dict(_VALID, keypoints=[float("nan"), 2.0, 0.5] * _K),
+}
+# (first slot, second slot) of two faults among 3 frames x 2 records, in
+# file order or not, in one frame or in two
+_SLOTS = ((0, 1), (1, 0), (1, 4), (4, 1), (0, 5), (3, 2))
+
+
+# one fault of a frame record, as a change to the frame
+_FRAME_FAULTS = {"unknown frame key": lambda frame: dict(frame, bogus=1),
+                 "non-integer frame_index": lambda frame: dict(frame, frame_index="1")}
+
+
+def _pose_doc(faults: dict) -> dict:
+    """Three frames of two valid records, record n of frame f at slot
+    2 * f + n; faults maps a slot to the record put there, and ("frame", f)
+    to a frame fault, applied to frame f."""
+    frames = [{"frame_index": f, "instances": [faults.get(2 * f + n, _VALID) for n in (0, 1)]}
+              for f in range(3)]
+    for f in range(3):
+        frames[f] = faults.get(("frame", f), lambda frame: frame)(frames[f])
+    return {"joint_set": "coco", "frames": frames}
+
+
+def _first_faults(tmp, load, reference, docs):
+    """The (message, file, frame) of the PoseError each of docs raises under
+    load and under reference, as two lists."""
+    got, want = [], []
+    for n, doc in enumerate(docs):
+        path = os.path.join(tmp, f"{n}.json")
+        with open(path, "wb") as f:
+            f.write(_json(doc))
+        for side, read in ((got, load), (want, reference)):
+            err = _read(read, path)
+            assert isinstance(err, PoseError), doc
+            side.append((err.message, err.path, err.frame))
+    return got, want
+
+
+def test_pose_reader_raises_the_first_of_two_faults_in_file_order():
+    """Two faults of the table, at two records in one frame or in two, in
+    either order, or a record fault with a frame-level one: the error the
+    record-by-record reader raises (message, file and frame)."""
+    docs = [_pose_doc({a: first, b: second})
+            for first in _RECORD_FAULTS.values() for second in _RECORD_FAULTS.values()
+            for a, b in _SLOTS]
+    docs += [_pose_doc({("frame", f): frame_fault, slot: record})
+             for frame_fault in _FRAME_FAULTS.values() for record in _RECORD_FAULTS.values()
+             for f, slot in ((1, 0), (1, 2), (1, 4), (0, 5))]
+    docs += [{"joint_set": "coco", "frames": [{"frame_index": 0, "instances": [_VALID]},
+                                              {"frame_index": 0, "instances": [record]}]}
+             for record in _RECORD_FAULTS.values()]   # the record fault before the frame order
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = _first_faults(tmp, load_pose_file, reference_load_pose_file, docs)
+    assert got == want
+    assert len(set(want)) > len(_RECORD_FAULTS) * 3   # the faults name several records
+
+
+def _reference_box_file(path):
+    return read_document(path, "box document", lambda doc: BoxSequence(reference_read_frames(
+        document(**checked(document, doc, "box document", ("joint_set",))), box_frame,
+        box_entry)))
+
+
+def _reference_manifest(path):
+    base = os.path.dirname(os.path.abspath(path))
+
+    def parse(doc):
+        frames = reference_read_frames(
+            document(**checked(document, doc, "manifest", ("joint_set",))), instance_frame,
+            manifest_instance, base=base)
+        check_frame_order([fidx for fidx, _ in frames])
+        return frames
+    return read_document(path, "manifest", parse)
+
+
+_BOX = {"box": [0, 0, 2, 2], "score": 0.5}
+_CROP = {"box": [0, 0, 2, 2], "heatmaps": {"coco": "a.pkhm"}}
+
+
+@pytest.mark.parametrize("load, reference, items, valid, faults", [
+    (load_box_file, _reference_box_file, "boxes", _BOX,
+     [dict(_BOX, score=2), dict(_BOX, bogus=1), dict(_BOX, box=[0, 0, -1, 1]),
+      dict(_BOX, box="x")]),
+    (load_manifest, _reference_manifest, "instances", _CROP,
+     [dict(_CROP, box_score=2), dict(_CROP, bogus=1), dict(_CROP, heatmaps={"coco": "a\x00b"}),
+      dict(_CROP, heatmaps=["a.pkhm"])]),
+])
+def test_box_and_manifest_readers_raise_the_first_of_two_faults(load, reference, items, valid,
+                                                                faults):
+    """Two faults at two entries, in one frame or in two and in either order,
+    or an entry fault with a frame-level one: the error of the entry-by-entry
+    walk (message, file and frame)."""
+    docs = []
+    for first in faults:
+        for second in faults:
+            for a, b in _SLOTS:
+                slots = {a: first, b: second}
+                docs.append({"frames": [{"frame_index": f, items: [slots.get(2 * f + n, valid)
+                                                                   for n in (0, 1)]}
+                                        for f in range(3)]})
+        docs.append({"frames": [{"frame_index": 0, items: [valid]},
+                                {"frame_index": "1", items: [first]}]})
+        docs.append({"frames": [{"frame_index": 0, items: [first]}, {"frame_index": 1, "x": 1}]})
+        docs.append({"frames": [{"frame_index": 1, items: [valid]},
+                                {"frame_index": 0, items: [first]}]})
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = _first_faults(tmp, load, reference, docs)
+    assert got == want
+    assert len(set(want)) > len(faults) * 3
 
 
 @_FUZZ
