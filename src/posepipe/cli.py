@@ -20,7 +20,6 @@ from .config import PipelineConfig
 from .errors import PoseError
 from .evaluation import PCKH_THRESHOLD, compute_map, compute_mota, format_table
 from .heatmaps import decode, load_heatmap
-from .instances import InstanceStack
 from .pipeline import fuse, load_manifest, run_pipeline, to_instances, track_sequence
 from .poseio import (
     BoxSequence,
@@ -50,7 +49,7 @@ def _save_decoded(decoded, path) -> None:
     else:
         box = [0.0, 0.0, 1.0, 1.0]
     stack = to_instances(decoded.joint_set, [decoded], [box], [1.0])
-    save_pose_file(PoseSequence(decoded.joint_set, [(0, stack.instances())]), path)
+    save_pose_file(PoseSequence(decoded.joint_set, [(0, stack)]), path)
 
 
 def cmd_synth(args):
@@ -121,10 +120,8 @@ def cmd_merge_boxes(args):
 def cmd_nms(args):
     seq = load_pose_file(args.input)
     consts = OksConstants.for_joint_set(seq.joint_set)
-    frames = []
-    for fidx, instances in seq.frames:
-        keep = oks_nms(InstanceStack.of(seq.joint_set, instances), args.oks_thr, consts)
-        frames.append((fidx, [instances[i] for i in keep]))
+    frames = [(fidx, stack.take(oks_nms(stack, args.oks_thr, consts)))
+              for fidx, stack in seq.frames]
     save_pose_file(PoseSequence(seq.joint_set, frames), args.out)
 
 
@@ -133,8 +130,7 @@ def cmd_track(args):
     tracker = TrackerState(OksConstants.for_joint_set(seq.joint_set),
                            sim_threshold=args.sim_thr, lookback=args.lookback,
                            matcher=args.matcher, propagator=args.propagator)
-    frames = track_sequence([(fidx, InstanceStack.of(seq.joint_set, instances))
-                             for fidx, instances in seq.frames], tracker, args.min_len)
+    frames = track_sequence(seq.frames, tracker, args.min_len)
     save_pose_file(PoseSequence(seq.joint_set, frames), args.out)
 
 
@@ -250,8 +246,9 @@ def main(argv=None) -> int:
     except PoseError as exc:
         print(json.dumps({"error": str(exc), "kind": "contract"}), file=sys.stderr)
         return 2
-    except (OSError, UnicodeEncodeError) as exc:   # a path the locale cannot encode
-        print(json.dumps({"error": str(exc), "kind": "io"}), file=sys.stderr)
+    except (OSError, UnicodeEncodeError) as exc:   # a path the locale cannot encode, named
+        error = f"{exc}: {exc.object!r}" if isinstance(exc, UnicodeEncodeError) else str(exc)
+        print(json.dumps({"error": error, "kind": "io"}), file=sys.stderr)
         return 1
     return 0
 

@@ -46,6 +46,7 @@ import numpy as np
 
 from .assignment import greedy_walk
 from .errors import PoseError
+from .instances import InstanceStack
 from .skeletons import canonical_name
 from .suppression import _masked_mean
 
@@ -138,10 +139,11 @@ def match_poses(pred, gt, threshold: float = PCKH_THRESHOLD):
     and one greedy walk, only their matched pairs are kept, and no pose is
     matched across frames. The mean distance over joints annotated in both
     keeps ``np.mean``'s float order. Returns (frames, preds, gts, pairs,
-    correct, dist): frames lists (frame_index, frame_preds, frame_gts) in order; preds and gts concatenate
-    the frames' instances; pairs is an (M, 2) array of the matched (pred, gt)
-    indices into them, sorted by gt; correct and dist are the pairs' (M, K)
-    rows of the correct mask and of the distances.
+    correct, dist): preds and gts are InstanceStacks, each side's frames
+    concatenated in order; frames lists (frame_index, the frame's rows of
+    preds, of gts), both slices, in order; pairs is an (M, 2) array of the
+    matched (pred, gt) rows, sorted by gt; correct and dist are the pairs'
+    (M, K) rows of the correct mask and of the distances.
     """
     if pred.joint_set != gt.joint_set:
         raise PoseError(f"prediction joint set {pred.joint_set.name!r} != "
@@ -149,25 +151,26 @@ def match_poses(pred, gt, threshold: float = PCKH_THRESHOLD):
     if not 0 < threshold < math.inf:
         raise PoseError(f"PCKh threshold must be a finite number > 0, got {threshold!r}")
     pred_by_frame, gt_by_frame = dict(pred.frames), dict(gt.frames)
-    frames = [(f, pred_by_frame.get(f, []), gt_by_frame.get(f, []))
-              for f in sorted(pred_by_frame.keys() | gt_by_frame.keys())]
-    preds = [p for _, frame_preds, _ in frames for p in frame_preds]
-    gts = [g for _, _, frame_gts in frames for g in frame_gts]
-    heads = [g.head_size for g in gts]
-    if any(h is None or not 0 < h < math.inf for h in heads):
+    indices = sorted(pred_by_frame.keys() | gt_by_frame.keys())
+    # each side's frames are in order, so their rows concatenate in merged order
+    preds = InstanceStack.concat(pred.joint_set, pred_by_frame.values())
+    gts = InstanceStack.concat(gt.joint_set, gt_by_frame.values())
+    if any(h is None or not 0 < h < math.inf for h in gts.head_size):
         raise PoseError("ground-truth instances need a finite head_size > 0")
-    for f, frame_preds, frame_gts in frames:
-        if len(frame_preds) * len(frame_gts) > FRAME_PAIRS_LIMIT:
-            raise PoseError(f"{len(frame_preds)} predictions x {len(frame_gts)} ground "
-                            f"truths exceed {FRAME_PAIRS_LIMIT} pairs in a frame", frame=f)
-    k = gt.joint_set.count
-    p_rows = _rows(preds, "coords", np.float64, k, 2), _rows(preds, "annotated", bool, k)
-    g_rows = (_rows(gts, "coords", np.float64, k, 2), _rows(gts, "annotated", bool, k),
-              np.array(heads, dtype=np.float64))
-    n_p = np.array([len(frame_preds) for _, frame_preds, _ in frames], dtype=np.intp)
-    n_g = np.array([len(frame_gts) for _, _, frame_gts in frames], dtype=np.intp)
+    n_p = [len(pred_by_frame.get(f, ())) for f in indices]
+    n_g = [len(gt_by_frame.get(f, ())) for f in indices]
+    for f, a, b in zip(indices, n_p, n_g):
+        if a * b > FRAME_PAIRS_LIMIT:
+            raise PoseError(f"{a} predictions x {b} ground truths exceed {FRAME_PAIRS_LIMIT} "
+                            f"pairs in a frame", frame=f)
+    p_rows = preds.coords, preds.annotated
+    g_rows = gts.coords, gts.annotated, np.array(gts.head_size, dtype=np.float64)
+    n_p, n_g = np.array(n_p, dtype=np.intp), np.array(n_g, dtype=np.intp)
     n_pairs = n_p * n_g
     p_at, g_at = np.cumsum(n_p) - n_p, np.cumsum(n_g) - n_g
+    frames = [(f, slice(p, p + a), slice(g, g + b))
+              for f, p, a, g, b in zip(indices, p_at.tolist(), n_p.tolist(), g_at.tolist(),
+                                       n_g.tolist())]
     first = np.cumsum(n_pairs) - n_pairs   # each frame's first pair number
 
     def located(n):   # the pred and gt of pair numbers n
@@ -217,13 +220,6 @@ def _average_precision(scores, hits, npos: int) -> float:
     return 100.0 * ap
 
 
-def _rows(instances, field: str, dtype, *shape):
-    """The instances' field arrays, each of the given shape, stacked into an
-    (N, *shape) array."""
-    return np.array([getattr(p, field) for p in instances], dtype=dtype).reshape(
-        len(instances), *shape)
-
-
 def compute_map(pred, gt, threshold: float = PCKH_THRESHOLD) -> dict:
     """Per-joint AP over score-ranked keypoint detections.
 
@@ -235,13 +231,11 @@ def compute_map(pred, gt, threshold: float = PCKH_THRESHOLD) -> dict:
     annotates.
     """
     js = gt.joint_set
-    k = js.count
     _, preds, gts, pairs, correct, _ = match_poses(pred, gt, threshold)
-    annotated = _rows(preds, "annotated", bool, k)
-    scores = _rows(preds, "scores", np.float64, k)
+    annotated, scores = preds.annotated, preds.scores
     hits = np.zeros_like(annotated)
     hits[pairs[:, 0]] = correct
-    npos = _rows(gts, "annotated", bool, k).sum(axis=0)
+    npos = gts.annotated.sum(axis=0)
     # each joint's records: every prediction that reports it, in frame order
     ap = {name: _average_precision(scores[annotated[:, j], j], hits[annotated[:, j], j],
                                    int(npos[j]))
@@ -260,12 +254,13 @@ def _codes(values) -> np.ndarray:
     return np.array([seen.setdefault(v, len(seen)) for v in values], dtype=np.intp)
 
 
-def _check_ids(frames):
-    """Raise the first id fault of frames, in frame order, if there is one."""
-    for frame_index, frame_preds, frame_gts in frames:
-        if any(p.track_id is None for p in frame_preds):
+def _check_ids(frames, preds, gts):
+    """Raise the first id fault of frames (as ``match_poses`` returns them,
+    with preds and gts), in frame order, if there is one."""
+    for frame_index, p, g in frames:
+        if None in preds.track_id[p]:
             raise PoseError("compute_mota needs track ids on predictions", frame=frame_index)
-        ids = [g.person_id for g in frame_gts]
+        ids = gts.person_id[g]
         if None in ids:
             raise PoseError("compute_mota needs person ids on ground truth", frame=frame_index)
         if len(set(ids)) != len(ids):
@@ -286,10 +281,10 @@ def compute_mota(pred, gt, threshold: float = PCKH_THRESHOLD) -> dict:
     js = gt.joint_set
     k = js.count
     frames, preds, gts, pairs, correct, dist = match_poses(pred, gt, threshold)
-    _check_ids(frames)
+    _check_ids(frames, preds, gts)
 
-    gt_total = _rows(gts, "annotated", bool, k).sum(axis=0)
-    reported = _rows(preds, "annotated", bool, k).sum(axis=0)
+    gt_total = gts.annotated.sum(axis=0)
+    reported = preds.annotated.sum(axis=0)
     tp = correct.sum(axis=0)
     # summed pair by pair in ground-truth order, one fixed float order per
     # joint
@@ -297,8 +292,8 @@ def compute_mota(pred, gt, threshold: float = PCKH_THRESHOLD) -> dict:
     # an identity switch: a (person, joint) judged correct whose track id
     # differs from its previous correct match's
     m, j = np.nonzero(correct)
-    person = _codes([g.person_id for g in gts])[pairs[m, 1]]
-    track = _codes([p.track_id for p in preds])[pairs[m, 0]]
+    person = _codes(gts.person_id)[pairs[m, 1]]
+    track = _codes(preds.track_id)[pairs[m, 0]]
     order = np.lexsort((j, person))   # stable: pair order within a (person, joint)
     person, j, track = person[order], j[order], track[order]
     switch = (person[1:] == person[:-1]) & (j[1:] == j[:-1]) & (track[1:] != track[:-1])

@@ -3,8 +3,8 @@
 Each instance rule is written once, over a stack of N instances: joint_set
 (one JointSet), box (N, 4), coords (N, K, 2), scores and annotated (N, K),
 and a sequence of N values for every other field. ``InstanceStack`` holds a
-frame's instances in that form from decode to the tracker, so every rule runs
-once per frame over the columns a stage changes.
+frame's instances in that form from file or decode to the writer and the
+eval, so every rule runs once per frame over the columns a stage changes.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ class InstanceStack:
 
     Every instance rule holds for every row. Making a stack runs each rule
     once over it, ``replace`` runs the rules that read a replaced column, and
-    ``take`` and ``of`` start from rows that passed. ``len`` is N.
+    ``take``, ``of`` and ``concat`` start from rows that passed. ``len`` is N.
     """
 
     box: np.ndarray
@@ -176,12 +176,23 @@ class InstanceStack:
         fields["joint_set"] = js
         return _stack(fields)
 
-    def take(self, rows) -> "InstanceStack":
-        """The stack of the rows at the indices rows, in that order."""
-        rows = list(rows)
+    @classmethod
+    def concat(cls, joint_set, stacks) -> "InstanceStack":
+        """The rows of stacks (each on joint_set) one stack after another, the
+        empty stack for none; unchecked (each stack is)."""
+        columns = [vars(s) for s in (cls.of(joint_set, []), *stacks)]
         return _stack({name: value if name == "joint_set" else
-                       value[rows] if isinstance(value, np.ndarray) else [value[i] for i in rows]
-                       for name, value in vars(self).items()})
+                       np.concatenate([c[name] for c in columns]) if isinstance(value, np.ndarray)
+                       else [v for c in columns for v in c[name]]
+                       for name, value in columns[0].items()})
+
+    def take(self, rows) -> "InstanceStack":
+        """The stack of the rows at the indices rows, in that order, or of the
+        rows in the slice rows, its arrays views of the stack's."""
+        rows = rows if isinstance(rows, slice) else list(rows)
+        return _stack({name: value if name == "joint_set" else value[rows]
+                       if isinstance(value, np.ndarray) or isinstance(rows, slice)
+                       else [value[i] for i in rows] for name, value in vars(self).items()})
 
     def replace(self, **columns) -> "InstanceStack":
         """The stack with columns replaced, after one pass over it of each rule

@@ -127,26 +127,26 @@ def fuse(heatmaps, flipped, spec: str, target_set, smooth_sigma: float,
 def track_sequence(frames, tracker: TrackerState, min_len: int) -> list:
     """Give every instance of [(frame_index, InstanceStack)] its track id from
     a fresh tracker, then drop the instances of tracks with fewer than
-    ``min_len`` frames; returns [(frame_index, [PersonInstance])]."""
-    ids = [(fidx, tracker.step(fidx, stack)) for fidx, stack in frames]
+    ``min_len`` frames; returns [(frame_index, InstanceStack)], each frame's
+    kept rows in detection order."""
+    tracked = [(fidx, stack, tracker.step(fidx, stack)) for fidx, stack in frames]
     kept = set(finalize(tracker, min_len))
-    return [(fidx, [tracker.tracks[t][fidx] for t in frame_ids if t in kept])
-            for fidx, frame_ids in ids]
+    return [(fidx, stack.replace(track_id=ids).take([j for j, t in enumerate(ids) if t in kept]))
+            for fidx, stack, ids in tracked]
 
 
 def to_instances(joint_set, decoded: list, boxes: list, box_scores: list) -> InstanceStack:
     """The InstanceStack on joint_set of each of decoded in its (x, y, w, h)
     box of boxes, its joint scores clipped to [0, 1], after one pass of the
     instance rules over it."""
-    if not decoded:
-        return InstanceStack.of(joint_set, [])
-    n = len(decoded)
+    js, n = get_joint_set(joint_set), len(decoded)
+    k = js.count
+    scores = np.array([d.scores for d in decoded], dtype=np.float64).reshape(n, k)
     return InstanceStack(
-        joint_set=joint_set,
-        box=np.array(boxes, dtype=np.float64).reshape(n, 4), box_score=box_scores,
-        coords=np.stack([d.coords for d in decoded]),
-        scores=np.clip(np.stack([d.scores for d in decoded]), 0.0, 1.0),
-        annotated=np.stack([d.annotated for d in decoded]),
+        joint_set=js, box=np.array(boxes, dtype=np.float64).reshape(n, 4), box_score=box_scores,
+        coords=np.array([d.coords for d in decoded], dtype=np.float64).reshape(n, k, 2),
+        scores=np.clip(scores, 0.0, 1.0),
+        annotated=np.array([d.annotated for d in decoded], dtype=bool).reshape(n, k),
         score=[float(s) for s in box_scores], track_id=[None] * n, person_id=[None] * n,
         head_size=[None] * n)
 
@@ -187,6 +187,4 @@ def run_pipeline(config: PipelineConfig, manifest_frames) -> PoseSequence:
         frames.append((fidx, frame))
     if config.use_tracking:
         frames = track_sequence(frames, config.tracker(), config.min_track_length)
-    else:
-        frames = [(fidx, stack.instances()) for fidx, stack in frames]
     return PoseSequence(config.target_joint_set, frames)

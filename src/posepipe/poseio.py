@@ -26,8 +26,8 @@ of the function that builds its value (``document``, ``instance_frame``,
 ``pipeline.manifest_instance``), which ``errors.checked`` reads: an unknown
 key, a missing key or a value of the wrong type is a PoseError. One walk,
 ``read_frames``, checks a document's records in file order and makes them
-in one call, a pose document's instances as one stack (``instances``), so
-its first error in file order is raised and no record is read twice. Frame
+in one call, a pose document's instances as one stack sliced into frames,
+so its first error in file order is raised and no record is read twice. Frame
 indices strictly increase; head_size may be derived from a head_box (which
 must pass ``check_box``) as diagonal x 0.6. Emission is canonical (fixed key
 order, repr floats, two-space indentation), so emit(parse(f)) == f byte-wise
@@ -66,16 +66,15 @@ def check_frame_order(indices) -> None:
 @dataclass
 class PoseSequence:
     joint_set: JointSet   # a registered name is resolved when made
-    frames: list          # [(frame_index, [PersonInstance on joint_set, ...]), ...]
+    frames: list          # [(frame_index, InstanceStack on joint_set), ...]
 
     def __post_init__(self):
         self.joint_set = js = get_joint_set(self.joint_set)
         check_frame_order([fidx for fidx, _ in self.frames])
-        for fidx, instances in self.frames:
-            for p in instances:
-                if p.joint_set is not js and p.joint_set != js:
-                    raise PoseError(f"instance joint set {p.joint_set.name!r} does not "
-                                    f"match the sequence's {js.name!r}", frame=fidx)
+        for fidx, stack in self.frames:
+            if stack.joint_set != js:
+                raise PoseError(f"instance joint set {stack.joint_set.name!r} does not "
+                                f"match the sequence's {js.name!r}", frame=fidx)
 
 
 def read_document(path, what: str, parse):
@@ -137,9 +136,9 @@ def read_frames(frames: list, frame, record, build=None, **context) -> list:
     walk: it checks, in file order up to the first fault, each frame and its
     entries (against record's signature less the context keywords), then
     makes the entries before the fault in one call, build(entry records,
-    **context), by default record(**entry, **context) for each. The first
-    fault in file order is raised (a build's at its PoseError's row), naming
-    its frame, and an entry's the entry by record's name and frame index."""
+    **context), a frame's entries its ``take`` of their rows, by default the
+    list of record(**entry, **context). The first fault in file order is
+    raised (a build's at its PoseError's row), naming its frame and index."""
     exclude, name = tuple(context), record.__name__.replace("_", " ")
     counts, records, fault = [], [], None
     for doc in frames:
@@ -167,8 +166,9 @@ def read_frames(frames: list, frame, record, build=None, **context) -> list:
             row -= n
     if fault:
         raise fault
-    items = iter(items)
-    return [(fidx, list(itertools.islice(items, n))) for fidx, n in counts]
+    part = items.take if build else items.__getitem__
+    stops = itertools.accumulate(n for _, n in counts)
+    return [(fidx, part(slice(stop - n, stop))) for (fidx, n), stop in zip(counts, stops)]
 
 
 def document(joint_set: str = None, frames: list = None) -> list:
@@ -196,7 +196,8 @@ def pose_instance(joint_set: JointSet, box: tuple[float, float, float, float],
     ``_pose_instances`` checks and makes it: 3 keypoint numbers and one
     annotated flag (by default, a positive score) per joint; a head_box
     passes check_box and gives head_size 0.6 x its diagonal by default."""
-    return _pose_instances([locals()], joint_set)[0]
+    stack = _pose_instances([locals()], joint_set)
+    return PersonInstance(**{k: v if k == "joint_set" else v[0] for k, v in vars(stack).items()})
 
 
 _RECORD_RULES = (   # a pose-document record's checks before the instance rules
@@ -210,7 +211,7 @@ _RECORD_RULES = (   # a pose-document record's checks before the instance rules
 )
 
 
-def _pose_instances(records: list, joint_set: JointSet) -> list:
+def _pose_instances(records: list, joint_set: JointSet) -> InstanceStack:
     """The instances of pose-document records (pose_instance keywords) on
     joint_set as one stack, each record check (``_RECORD_RULES``) and then
     each instance rule one pass over all of them; a fault is the first that
@@ -235,7 +236,7 @@ def _pose_instances(records: list, joint_set: JointSet) -> list:
         score=[float(b) if v is None else v for v, b in zip(column("score"), box_score)],
         track_id=column("track_id"), person_id=column("person_id"),
         head_size=[HEAD_SIZE_FACTOR * math.hypot(b[2], b[3]) if v is None and b is not None
-                   else v for v, b in zip(column("head_size"), cols["head_box"])]).instances()
+                   else v for v, b in zip(column("head_size"), cols["head_box"])])
 
 
 def parse_pose_document(doc: dict) -> PoseSequence:
@@ -251,21 +252,19 @@ def load_pose_file(path) -> PoseSequence:
     return read_document(path, "pose document", parse_pose_document)
 
 
-def _instance_record(p: PersonInstance) -> dict:
-    entry = {"box": p.box.tolist(), "box_score": float(p.box_score), "score": float(p.score)}
-    for key, value, kind in (("track_id", p.track_id, int), ("person_id", p.person_id, int),
-                             ("head_size", p.head_size, float)):
-        if value is not None:
-            entry[key] = kind(value)
-    entry["keypoints"] = np.column_stack([p.coords, p.scores]).ravel().tolist()
-    entry["annotated"] = p.annotated.astype(int).tolist()
-    return entry
-
-
 def pose_document(seq: PoseSequence) -> dict:
+    """The document of seq, each column of its frames' rows listed at once."""
+    s = InstanceStack.concat(seq.joint_set, [stack for _, stack in seq.frames])
+    scalars = [[v if v is None else kind(v) for v in column] for kind, column in (
+        (float, s.box_score), (float, s.score), (int, s.track_id), (int, s.person_id),
+        (float, s.head_size))]
+    keypoints = np.dstack([s.coords, s.scores]).reshape(-1, 3 * seq.joint_set.count)
+    columns = [s.box.tolist(), *scalars, keypoints.tolist(), s.annotated.astype(int).tolist()]
+    keys = "box box_score score track_id person_id head_size keypoints annotated".split()
+    records = iter([{k: v for k, v in zip(keys, row) if v is not None} for row in zip(*columns)])
     return {"joint_set": seq.joint_set.name, "frames": [
-        {"frame_index": int(fidx), "instances": [_instance_record(p) for p in instances]}
-        for fidx, instances in seq.frames]}
+        {"frame_index": int(fidx), "instances": list(itertools.islice(records, len(stack)))}
+        for fidx, stack in seq.frames]}
 
 
 def save_pose_file(seq: PoseSequence, path) -> None:

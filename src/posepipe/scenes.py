@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import PoseError
 from .heatmaps import Heatmap, check_render_sigma, render_target, save_heatmap, unmirror
-from .instances import PersonInstance
+from .instances import InstanceStack
 from .poseio import HEAD_SIZE_FACTOR, PoseSequence, save_pose_file, write_document
 from .skeletons import builtin_joint_set, mapping
 from .synthetic import figure_points
@@ -146,8 +146,7 @@ def generate_scene(outdir, num_frames: int = 5, num_persons: int = 2, seed: int 
     branches = [builtin_joint_set(b) for b in BRANCHES]
 
     for t in range(num_frames):
-        entries = []
-        gt_instances = []
+        entries, gt_boxes, gt_coords, head_sizes = [], [], [], []
         for p in range(num_persons):
             pts = tracks[p][t]
             by_name = {n: pts[i] for i, n in enumerate(_MERGED.joints)}
@@ -170,17 +169,9 @@ def generate_scene(outdir, num_frames: int = 5, num_persons: int = 2, seed: int 
             entries.append(_write_crop(outdir, f"f{t}_p{p}", crop, 0.93, heatmaps,
                                        with_flipped))
 
-            k = posetrack.count
-            gt_instances.append(PersonInstance(
-                box=np.array([crop[0], crop[1], crop[2], crop[3]]),
-                box_score=1.0,
-                coords=to_pt.take(pts),
-                scores=np.ones(k),
-                annotated=np.ones(k, dtype=bool),
-                joint_set=posetrack,
-                person_id=p,
-                head_size=_head_size(by_name),
-            ))
+            gt_boxes.append(crop)
+            gt_coords.append(to_pt.take(pts))
+            head_sizes.append(_head_size(by_name))
 
         if with_clutter:
             mid = num_frames // 2
@@ -207,7 +198,12 @@ def generate_scene(outdir, num_frames: int = 5, num_persons: int = 2, seed: int 
                                            heatmaps, with_flipped))
 
         manifest_frames.append({"frame_index": t, "instances": entries})
-        gt_frames.append((t, gt_instances))
+        n, k = num_persons, posetrack.count
+        gt_frames.append((t, InstanceStack(
+            box=np.array(gt_boxes), box_score=[1.0] * n, coords=np.array(gt_coords),
+            scores=np.ones((n, k)), annotated=np.ones((n, k), dtype=bool), joint_set=posetrack,
+            score=[1.0] * n, track_id=[None] * n, person_id=list(range(n)),
+            head_size=head_sizes)))
 
     manifest_path = os.path.join(outdir, "manifest.json")
     write_document(manifest_path, {"frames": manifest_frames})

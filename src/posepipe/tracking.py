@@ -2,8 +2,8 @@
 
 A track is its history, a dict of frame index -> PersonInstance, and its id
 is its index in ``TrackerState.tracks``. Each frame's detections come in as
-one ``InstanceStack``; their PersonInstances are built once, with their
-track ids, when ``TrackerState.step`` stores them. Tracks extend by OKS
+one ``InstanceStack``; ``TrackerState.step`` returns their track ids and
+builds their PersonInstances once, for the histories. Tracks extend by OKS
 similarity between each new detection and a propagated copy of the track's
 last instance. Matching runs the Hungarian solver by default (greedy
 available for comparison); a track may sit out up to ``lookback`` frames,

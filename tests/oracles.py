@@ -35,8 +35,12 @@ same bits.
 ``reference_load_pose_file`` is the library's earlier pose reader, which
 builds each record on its own into a ``PersonInstance`` through its own copy
 of the earlier record-by-record frame walk (``reference_read_frames``),
-kept as it was but for the head_box check, to check that the one-walk
-stacked reader gives the same instances bit for bit, or the same error.
+kept as it was but for the head_box check, then stacks each frame's
+instances with ``InstanceStack.of``, to check that the one-walk stacked
+reader gives the same instances bit for bit, or the same error.
+``reference_pose_document`` is the library's earlier pose writer, one record
+built per instance, kept as it was, to check that writing each column of
+the frames' rows at once gives the same document.
 """
 
 import functools
@@ -47,7 +51,7 @@ import numpy as np
 
 from posepipe.errors import PoseError, checked
 from posepipe.heatmaps import Heatmap, peaks
-from posepipe.instances import PersonInstance, check_box
+from posepipe.instances import InstanceStack, PersonInstance, check_box
 from posepipe.poseio import PoseSequence, document, instance_frame, read_document
 from posepipe.skeletons import JointSet, get_joint_set, mapping
 from posepipe.synthetic import project_to_merged
@@ -811,6 +815,26 @@ def reference_load_pose_file(path) -> PoseSequence:
     def parse(doc):
         frames = document(**checked(document, doc, "pose document", required=("joint_set",)))
         js = get_joint_set(doc["joint_set"])
-        return PoseSequence(js.name, reference_read_frames(frames, instance_frame,
-                                                            pose_instance, joint_set=js))
+        return PoseSequence(js.name, [
+            (fidx, InstanceStack.of(js, instances)) for fidx, instances in
+            reference_read_frames(frames, instance_frame, pose_instance, joint_set=js)])
     return read_document(path, "pose document", parse)
+
+
+def _reference_instance_record(p: PersonInstance) -> dict:
+    entry = {"box": p.box.tolist(), "box_score": float(p.box_score), "score": float(p.score)}
+    for key, value, kind in (("track_id", p.track_id, int), ("person_id", p.person_id, int),
+                             ("head_size", p.head_size, float)):
+        if value is not None:
+            entry[key] = kind(value)
+    entry["keypoints"] = np.column_stack([p.coords, p.scores]).ravel().tolist()
+    entry["annotated"] = p.annotated.astype(int).tolist()
+    return entry
+
+
+def reference_pose_document(seq: PoseSequence) -> dict:
+    """The pose document of seq, one record built per instance."""
+    return {"joint_set": seq.joint_set.name, "frames": [
+        {"frame_index": int(fidx),
+         "instances": [_reference_instance_record(p) for p in stack.instances()]}
+        for fidx, stack in seq.frames]}

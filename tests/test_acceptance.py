@@ -285,11 +285,14 @@ def test_criterion_7_fusion_identities():
 def test_criterion_8_metrics_sanity():
     from posepipe import builtin_joint_set
     from posepipe.evaluation import compute_map, compute_mota
-    from posepipe.instances import PersonInstance
+    from posepipe.instances import InstanceStack, PersonInstance
     from posepipe.poseio import PoseSequence
 
     js = builtin_joint_set("posetrack")
     k = js.count
+
+    def sequence(frames):   # [(frame_index, [PersonInstance])] as a PoseSequence
+        return PoseSequence(js, [(t, InstanceStack.of(js, p)) for t, p in frames])
 
     def gt_person(cx, pid):
         coords = np.column_stack([cx + 2.0 * np.arange(k), np.zeros(k)])
@@ -307,9 +310,9 @@ def test_criterion_8_metrics_sanity():
 
     # perfect predictions
     gt_frames = [(t, [gt_person(0, 0), gt_person(200, 1)]) for t in range(10)]
-    gts = PoseSequence(js, gt_frames)
-    perfect = PoseSequence(js, [(t, [pred(g[0], score=1.0, tid=1),
-                                     pred(g[1], score=1.0, tid=2)]) for t, g in gt_frames])
+    gts = sequence(gt_frames)
+    perfect = sequence([(t, [pred(g[0], score=1.0, tid=1),
+                             pred(g[1], score=1.0, tid=2)]) for t, g in gt_frames])
     rep = compute_map(perfect, gts)
     assert rep["total_map"] == 100.0 and all(v == 100.0 for v in rep["per_joint_ap"].values())
     rep = compute_mota(perfect, gts)
@@ -321,18 +324,18 @@ def test_criterion_8_metrics_sanity():
         ids = (1, 2) if t < 5 else (2, 1)
         swapped.append((t, [pred(g[0], score=1.0, tid=ids[0]),
                             pred(g[1], score=1.0, tid=ids[1])]))
-    rep = compute_mota(PoseSequence(js, swapped), gts)
+    rep = compute_mota(sequence(swapped), gts)
     assert all(v == 90.0 for v in rep["per_joint_mota"].values()), rep["per_joint_mota"]
     assert rep["total_mota"] == 90.0
 
     # injected false positives / negatives reduce both metrics monotonically
     base = [(t, [pred(g[0], score=0.9, tid=1), pred(g[1], score=0.9, tid=2)])
             for t, g in gt_frames]
-    base_map = compute_map(PoseSequence(js, base), gts)["total_map"]
-    base_mota = compute_mota(PoseSequence(js, base), gts)["total_mota"]
-    fp = PoseSequence(js, [(t, p + [pred(gt_person(600, 9), score=0.95, tid=3)])
-                           for t, p in base])
-    fn = PoseSequence(js, [(t, p[:1]) for t, p in base])
+    base_map = compute_map(sequence(base), gts)["total_map"]
+    base_mota = compute_mota(sequence(base), gts)["total_mota"]
+    fp = sequence([(t, p + [pred(gt_person(600, 9), score=0.95, tid=3)])
+                   for t, p in base])
+    fn = sequence([(t, p[:1]) for t, p in base])
     assert compute_map(fp, gts)["total_map"] < base_map
     assert compute_mota(fp, gts)["total_mota"] < base_mota
     assert compute_map(fn, gts)["total_map"] < base_map
@@ -357,7 +360,7 @@ def test_criterion_9_tracking_ablations(tmp_path_factory):
     def run(config):
         seq = run_pipeline(config, frames)
         rep = compute_mota(seq, gt)
-        tracks = {p.track_id for _, ii in seq.frames for p in ii}
+        tracks = {t for _, stack in seq.frames for t in stack.track_id}
         return rep["counts"]["fp"], tracks
 
     base_fp, base_tracks = run(cfg)

@@ -19,7 +19,7 @@ from posepipe.cli import main
 from posepipe.config import PipelineConfig
 from posepipe.evaluation import compute_map, compute_mota, format_table
 from posepipe.heatmaps import Heatmap, load_heatmap, render_target, save_heatmap
-from posepipe.instances import PersonInstance
+from posepipe.instances import InstanceStack, PersonInstance
 from posepipe.poseio import (
     PoseSequence,
     document_text,
@@ -74,7 +74,7 @@ def test_run_and_eval_round_trip(scene_dir, tmp_path, capsys):
     assert rc == 0
     seq = load_pose_file(out)
     assert seq.joint_set.name == "posetrack"
-    assert all(p.track_id is not None for _, ii in seq.frames for p in ii)
+    assert all(p.track_id is not None for _, ii in seq.frames for p in ii.instances())
 
     report = tmp_path / "map.json"
     rc = main(["eval-map", "--pred", str(out), "--gt", str(scene_dir / "gt.json"),
@@ -111,7 +111,7 @@ def test_run_with_config_file(scene_dir, tmp_path):
                  "--manifest", str(scene_dir / "manifest.json"),
                  "--out", str(out)]) == 0
     seq = load_pose_file(out)
-    assert all(p.track_id is None for _, ii in seq.frames for p in ii)
+    assert all(p.track_id is None for _, ii in seq.frames for p in ii.instances())
 
 
 def test_decode_subcommand(tmp_path):
@@ -122,7 +122,7 @@ def test_decode_subcommand(tmp_path):
     out = tmp_path / "pose.json"
     assert main(["decode", "--heatmap", str(path), "--out", str(out)]) == 0
     seq = load_pose_file(out)
-    inst = seq.frames[0][1][0]
+    inst = seq.frames[0][1].instances()[0]
     assert inst.annotated.all()
     assert np.allclose(inst.coords[:, 0], 6.5, atol=0.3)
 
@@ -141,7 +141,7 @@ def test_fuse_subcommand(tmp_path):
     assert rc == 0
     seq = load_pose_file(out)
     assert seq.joint_set.name == "posetrack"
-    assert seq.frames[0][1][0].annotated.all()
+    assert seq.frames[0][1].instances()[0].annotated.all()
 
 
 def test_merge_boxes_subcommand(tmp_path):
@@ -175,7 +175,7 @@ def test_nms_and_track_subcommands(scene_dir, tmp_path):
     assert main(["track", str(deduped), "--matcher", "hungarian",
                  "--propagator", "velocity", "--out", str(tracked)]) == 0
     seq = load_pose_file(tracked)
-    assert all(p.track_id is not None for _, ii in seq.frames for p in ii)
+    assert all(p.track_id is not None for _, ii in seq.frames for p in ii.instances())
 
 
 # sha256 of the nms output and of the track output (default settings, then
@@ -230,7 +230,7 @@ def _far_person(x, unannotated_x=None, **ids):
 
 
 def _track_ids(path):
-    return [[p.track_id for p in ii] for _, ii in load_pose_file(path).frames]
+    return [list(stack.track_id) for _, stack in load_pose_file(path).frames]
 
 
 @pytest.mark.parametrize("xs, unannotated, ids", [
@@ -241,8 +241,8 @@ def _track_ids(path):
 ])
 def test_far_apart_poses_track_without_warnings(tmp_path, xs, unannotated, ids):
     # pyproject.toml makes a RuntimeWarning an error
-    frames = [(t, [_far_person(0.0, x) if unannotated else _far_person(x)])
-              for t, x in enumerate(xs)]
+    frames = [(t, InstanceStack.of("posetrack", [
+        _far_person(0.0, x) if unannotated else _far_person(x)])) for t, x in enumerate(xs)]
     save_pose_file(PoseSequence("posetrack", frames), tmp_path / "in.json")
     assert main(["track", str(tmp_path / "in.json"), "--min-len", "1",
                  "--out", str(tmp_path / "out.json")]) == 0
@@ -250,10 +250,10 @@ def test_far_apart_poses_track_without_warnings(tmp_path, xs, unannotated, ids):
 
 
 def test_far_apart_poses_evaluate_without_warnings(tmp_path):
-    save_pose_file(PoseSequence("posetrack", [(0, [_far_person(1.7e308, track_id=0)])]),
-                   tmp_path / "pred.json")
-    gt = _far_person(-1.7e308, person_id=0, head_size=10.0)
-    save_pose_file(PoseSequence("posetrack", [(0, [gt])]), tmp_path / "gt.json")
+    pred = InstanceStack.of("posetrack", [_far_person(1.7e308, track_id=0)])
+    save_pose_file(PoseSequence("posetrack", [(0, pred)]), tmp_path / "pred.json")
+    gt = InstanceStack.of("posetrack", [_far_person(-1.7e308, person_id=0, head_size=10.0)])
+    save_pose_file(PoseSequence("posetrack", [(0, gt)]), tmp_path / "gt.json")
     reports = {}
     for command in ("eval-map", "eval-mota"):
         argv = [command, "--pred", str(tmp_path / "pred.json"), "--gt", str(tmp_path / "gt.json"),
@@ -320,14 +320,14 @@ def test_fuse_subcommand_matches_run_without_post_processing(golden_scene_dir,
                use_tracking=False)
     doc = json.loads(manifest.read_text())
     for (fidx, instances), frame in zip(seq.frames, doc["frames"], strict=True):
-        for inst, entry in zip(instances, frame["instances"], strict=True):
+        for inst, entry in zip(instances.instances(), frame["instances"], strict=True):
             argv = ["fuse", "--strategy", strategy, "--target", "posetrack",
                     "--out", str(tmp_path / "fused.json")]
             for flag, key in (("--branch", "heatmaps"), ("--flipped", "flipped_heatmaps")):
                 for name, path in entry[key].items():
                     argv += [flag, f"{name}={golden_scene_dir / path}"]
             assert main(argv) == 0
-            fused = load_pose_file(tmp_path / "fused.json").frames[0][1][0]
+            fused = load_pose_file(tmp_path / "fused.json").frames[0][1].instances()[0]
             assert np.array_equal(fused.coords, inst.coords), (fidx, strategy)
             assert np.array_equal(fused.scores, inst.scores), (fidx, strategy)
             assert np.array_equal(fused.annotated, inst.annotated), (fidx, strategy)
@@ -340,11 +340,12 @@ def test_track_subcommand_matches_run_with_tracking(golden_scene_dir, tmp_path):
                  "--out", str(tmp_path / "tracked.json")]) == 0
     tracked = load_pose_file(tmp_path / "tracked.json")
     ran = _run(manifest, tmp_path / "run.json", tmp_path)
-    ids = [[(p.track_id, p.coords.tobytes()) for p in ii] for _, ii in tracked.frames]
-    assert ids == [[(p.track_id, p.coords.tobytes()) for p in ii]
+    ids = [[(p.track_id, p.coords.tobytes()) for p in ii.instances()]
+           for _, ii in tracked.frames]
+    assert ids == [[(p.track_id, p.coords.tobytes()) for p in ii.instances()]
                    for _, ii in ran.frames]
     assert [f for f, _ in tracked.frames] == [f for f, _ in ran.frames]
-    assert any(p.track_id is not None for _, ii in ran.frames for p in ii)
+    assert any(p.track_id is not None for _, ii in ran.frames for p in ii.instances())
 
 
 def _coco_heatmap(path):
@@ -1284,6 +1285,8 @@ def test_run_reads_a_manifest_as_utf8_under_an_ascii_locale(tmp_path, capsys):
     error = json.loads(proc.stderr)
     assert error["kind"] == "io"
     assert error["error"].startswith("'ascii' codec can't encode character '\\xe9'")
+    # the error names the file it could not open
+    assert error["error"].endswith(": " + repr(os.path.join(str(tmp_path), "hé/coco.pkhm")))
     assert not out.exists()
     if sys.getfilesystemencoding() == "utf-8":   # a locale that can name the file
         assert main(argv) == 0 and out.exists()

@@ -7,7 +7,7 @@ import pytest
 
 from posepipe import PoseError, builtin_joint_set, evaluation
 from posepipe.evaluation import compute_map, compute_mota, format_table, match_poses
-from posepipe.instances import PersonInstance
+from posepipe.instances import InstanceStack, PersonInstance
 from posepipe.poseio import PoseSequence
 
 from oracles import (
@@ -24,7 +24,8 @@ K = JS.count
 
 
 def seq(frames):
-    return PoseSequence(JS, frames)
+    """The PoseSequence of [(frame_index, [PersonInstance])]."""
+    return PoseSequence(JS, [(t, InstanceStack.of(JS, p)) for t, p in frames])
 
 
 def gt_person(center, person_id, head_size=10.0, annotated=None):
@@ -359,6 +360,15 @@ def _assert_reports_match_reference_loops(preds, gts, threshold):
     return want["idsw"]
 
 
+def test_no_frames_and_empty_frames_match_the_reference_loops():
+    # the stacked columns of no frame, or of frames with no pose, on either side
+    preds, gts = _random_sequence(np.random.default_rng(2), 6)
+    empty = [(t, []) for t in (0, 3, 9)]
+    for pair in [([], []), (empty, empty), ([], gts), (preds, []), (empty, gts),
+                 (preds, empty)]:
+        _assert_reports_match_reference_loops(*pair, 0.5)
+
+
 @pytest.mark.parametrize("threshold", [0.2, 0.5, 1.0])
 def test_metrics_match_per_joint_reference_loops(threshold, monkeypatch):
     # every other sequence is judged in slices of 40 pairs, which split
@@ -391,8 +401,8 @@ def _spy(monkeypatch, name):
     return calls
 
 
-def _reports(preds, gts):
-    return [json.dumps(fn(seq(preds), seq(gts), threshold=threshold))
+def _reports(pred, gt):
+    return [json.dumps(fn(pred, gt, threshold=threshold))
             for threshold in (0.2, 0.5, 1.0) for fn in (compute_map, compute_mota)]
 
 
@@ -421,9 +431,9 @@ def test_slices_of_pairs_give_the_bytes_of_one_slice(monkeypatch, cap):
     rng = np.random.default_rng(11)
     for _ in range(8):
         preds, gts = _random_sequence(rng, 40)
-        whole = _reports(preds, gts)
+        whole = _reports(seq(preds), seq(gts))
         monkeypatch.setattr(evaluation, "BLOCK_PAIRS", cap)
-        assert _reports(preds, gts) == whole
+        assert _reports(seq(preds), seq(gts)) == whole
         monkeypatch.undo()
 
 
@@ -445,13 +455,13 @@ def test_judged_pairs_stay_within_the_slice_cap(monkeypatch):
 
 
 def test_match_poses_runs_once_per_report(monkeypatch):
-    preds, gts = _random_sequence(np.random.default_rng(3), 60)
+    pred, gt = map(seq, _random_sequence(np.random.default_rng(3), 60))
     calls = _spy(monkeypatch, "match_poses")
-    _reports(preds, gts)
+    _reports(pred, gt)
     monkeypatch.setattr(evaluation, "BLOCK_PAIRS", 7)
-    _reports(preds, gts)
+    _reports(pred, gt)
     assert len(calls) == 12   # one call per report, whatever the slice cap
-    assert calls[0][0].frames is preds and calls[0][1].frames is gts   # whole sequences
+    assert calls[0][0] is pred and calls[0][1] is gt   # whole sequences
 
 
 def test_a_frame_over_the_pair_limit_is_rejected_before_any_pair_is_judged(monkeypatch):
@@ -507,10 +517,10 @@ def test_groups_of_frames_give_the_bytes_of_one_group(monkeypatch, spare):
         pred_by_frame, gt_by_frame = dict(preds), dict(gts)
         largest = max(len(pred_by_frame.get(t, [])) * len(gt_by_frame.get(t, []))
                       for t in set(pred_by_frame) | set(gt_by_frame))
-        whole = _reports(preds, gts)
+        whole = _reports(seq(preds), seq(gts))
         monkeypatch.setattr(evaluation, "FRAME_PAIRS_LIMIT", max(largest + spare, 1))
         walks = _spy(monkeypatch, "greedy_walk")
-        assert _reports(preds, gts) == whole
+        assert _reports(seq(preds), seq(gts)) == whole
         assert len(walks) > 6   # more than one group per report
         monkeypatch.undo()
 

@@ -158,7 +158,7 @@ def _run(manifest, config, tmp_path):
     assert main(["run", "--config", str(cfg), "--manifest", manifest,
                  "--out", str(out)]) == 0
     frames = load_pose_file(out).frames
-    return ([[p.track_id for p in instances] for _, instances in frames],
+    return ([list(stack.track_id) for _, stack in frames],
             hashlib.sha256(out.read_bytes()).hexdigest())
 
 

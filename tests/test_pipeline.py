@@ -50,7 +50,7 @@ def test_decode_only_pipeline_keeps_everything(scene):
         assert fidx == fidx2
         assert len(instances) == len(entries)
         # without re-scoring the instance score is the box score
-        for inst, entry in zip(instances, entries):
+        for inst, entry in zip(instances.instances(), entries):
             assert inst.score == entry["box_score"]
 
 
@@ -70,8 +70,8 @@ def test_tracklet_pruning_removes_one_frame_clutter(scene):
     nopr = run_pipeline(PipelineConfig(min_track_length=1), scene["frames"])
     base_fp = compute_mota(base, gt)["counts"]["fp"]
     nopr_fp = compute_mota(nopr, gt)["counts"]["fp"]
-    base_tracks = {p.track_id for _, ii in base.frames for p in ii}
-    nopr_tracks = {p.track_id for _, ii in nopr.frames for p in ii}
+    base_tracks = {p.track_id for _, ii in base.frames for p in ii.instances()}
+    nopr_tracks = {p.track_id for _, ii in nopr.frames for p in ii.instances()}
     assert len(nopr_tracks) > len(base_tracks)
     assert nopr_fp > base_fp
 
@@ -83,8 +83,8 @@ def test_keypoint_threshold_removes_weak_joints(scene):
     base_fp = compute_mota(base, gt)["counts"]["fp"]
     nokp_fp = compute_mota(nokp, gt)["counts"]["fp"]
     assert nokp_fp > base_fp
-    base_joints = sum(int(p.annotated.sum()) for _, ii in base.frames for p in ii)
-    nokp_joints = sum(int(p.annotated.sum()) for _, ii in nokp.frames for p in ii)
+    base_joints = sum(int(p.annotated.sum()) for _, ii in base.frames for p in ii.instances())
+    nokp_joints = sum(int(p.annotated.sum()) for _, ii in nokp.frames for p in ii.instances())
     assert nokp_joints > base_joints
 
 
@@ -104,7 +104,7 @@ def test_pipeline_quality_on_clean_scene(scene):
     assert rep["total_precision"] == 100.0
     # two true persons tracked without identity switches
     assert rep["counts"]["idsw"] == 0
-    ids = {p.track_id for _, ii in seq.frames for p in ii}
+    ids = {p.track_id for _, ii in seq.frames for p in ii.instances()}
     assert len(ids) == 2
 
 

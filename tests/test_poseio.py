@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from posepipe import PoseError, builtin_joint_set
-from posepipe.instances import PersonInstance
+from posepipe.instances import InstanceStack, PersonInstance
 from posepipe.poseio import (
     BoxSequence,
     PoseSequence,
@@ -18,7 +19,10 @@ from posepipe.poseio import (
     save_pose_file,
 )
 
+from oracles import reference_pose_document
+
 JS = builtin_joint_set("posetrack")
+EMPTY = InstanceStack.of(JS, [])
 
 
 def make_instance(rng, track_id=None, person_id=None, head_size=None):
@@ -39,9 +43,8 @@ def make_sequence(seed=0):
     rng = np.random.default_rng(seed)
     frames = []
     for t in range(3):
-        frames.append((t * 2, [make_instance(rng, track_id=t, person_id=t,
-                                             head_size=10.0 + t)
-                               for _ in range(2)]))
+        frames.append((t * 2, InstanceStack.of(JS, [
+            make_instance(rng, track_id=t, person_id=t, head_size=10.0 + t) for _ in range(2)])))
     return PoseSequence("posetrack", frames)
 
 
@@ -51,17 +54,16 @@ def test_round_trip_preserves_everything(tmp_path):
     save_pose_file(seq, path)
     again = load_pose_file(path)
     assert again.joint_set == seq.joint_set
-    for (fa, insts_a), (fb, insts_b) in zip(seq.frames, again.frames):
+    for (fa, a), (fb, b) in zip(seq.frames, again.frames):
         assert fa == fb
-        for a, b in zip(insts_a, insts_b):
-            assert np.array_equal(a.box, b.box)
-            assert np.array_equal(a.coords, b.coords)
-            assert np.array_equal(a.scores, b.scores)
-            assert np.array_equal(a.annotated, b.annotated)
-            assert a.score == b.score
-            assert a.track_id == b.track_id
-            assert a.person_id == b.person_id
-            assert a.head_size == b.head_size
+        assert np.array_equal(a.box, b.box)
+        assert np.array_equal(a.coords, b.coords)
+        assert np.array_equal(a.scores, b.scores)
+        assert np.array_equal(a.annotated, b.annotated)
+        assert a.score == b.score
+        assert a.track_id == b.track_id
+        assert a.person_id == b.person_id
+        assert a.head_size == b.head_size
 
 
 def test_canonical_emission_is_stable(tmp_path):
@@ -75,9 +77,9 @@ def test_canonical_emission_is_stable(tmp_path):
 def test_strictly_increasing_frames_enforced():
     rng = np.random.default_rng(1)
     with pytest.raises(PoseError):
-        PoseSequence("posetrack", [(0, []), (0, [])])
+        PoseSequence("posetrack", [(0, EMPTY), (0, EMPTY)])
     with pytest.raises(PoseError):
-        PoseSequence("posetrack", [(3, []), (1, [])])
+        PoseSequence("posetrack", [(3, EMPTY), (1, EMPTY)])
     doc = {"joint_set": "posetrack",
            "frames": [{"frame_index": 2, "instances": []},
                       {"frame_index": 1, "instances": []}]}
@@ -116,7 +118,7 @@ def test_head_box_converts_to_head_size(tmp_path):
     path = tmp_path / "gt.json"
     path.write_text(json.dumps(doc))
     seq = load_pose_file(path)
-    assert seq.frames[0][1][0].head_size == pytest.approx(0.6 * 5.0)
+    assert seq.frames[0][1].head_size[0] == pytest.approx(0.6 * 5.0)
 
 
 def test_not_json_rejected(tmp_path):
@@ -135,8 +137,8 @@ def test_missing_annotated_defaults_to_positive_scores(tmp_path):
                {"box": [0, 0, 5, 5], "box_score": 1.0, "keypoints": kps}]}]}
     path = tmp_path / "p.json"
     path.write_text(json.dumps(doc))
-    inst = load_pose_file(path).frames[0][1][0]
-    assert inst.annotated.sum() == (JS.count + 1) // 2
+    stack = load_pose_file(path).frames[0][1]
+    assert stack.annotated[0].sum() == (JS.count + 1) // 2
 
 
 def test_box_file_round_trip(tmp_path):
@@ -189,7 +191,29 @@ def test_a_sequence_rejects_an_instance_of_another_set(tmp_path):
                        scores=np.ones(mpii.count), annotated=np.ones(mpii.count, dtype=bool),
                        joint_set="mpii")
     with pytest.raises(PoseError) as err:
-        PoseSequence("coco", [(0, []), (3, [p])])
+        PoseSequence("coco", [(0, InstanceStack.of("coco", [])),
+                              (3, InstanceStack.of(mpii, [p]))])
     assert str(err.value) == ("instance joint set 'mpii' does not match the sequence's "
                               "'coco' (frame=3)")
-    assert PoseSequence(mpii, [(3, [p])]).joint_set is mpii
+    assert PoseSequence(mpii, [(3, InstanceStack.of(mpii, [p]))]).joint_set is mpii
+
+
+def test_pose_document_writes_the_per_instance_writer_s_bytes():
+    # optional fields set and None within one frame, numpy and Python floats
+    # and ints, an empty frame, and a sequence of no frames
+    rng = np.random.default_rng(3)
+    mixed = [dataclasses.replace(make_instance(rng, track_id=1), box_score=np.float64(0.75),
+                                 score=np.float32(0.3)),
+             make_instance(rng, person_id=np.int64(4), head_size=np.float32(7.5)),
+             make_instance(rng, track_id=np.int64(2), person_id=0, head_size=12.25),
+             dataclasses.replace(make_instance(rng), box_score=1, score=np.float16(0.5))]
+    plain = [make_instance(rng, track_id=t, person_id=t, head_size=10.0 + t) for t in range(3)]
+    sequences = [PoseSequence(JS, [(0, InstanceStack.of(JS, mixed)), (2, EMPTY),
+                                   (5, InstanceStack.of(JS, plain))]),
+                 PoseSequence(JS, [(1, EMPTY)]), PoseSequence(JS, [])]
+    for seq in sequences:
+        assert document_text(pose_document(seq)) == document_text(reference_pose_document(seq))
+    records = pose_document(sequences[0])["frames"][0]["instances"]
+    assert [[k for k in r if k in ("track_id", "person_id", "head_size")] for r in records] == [
+        ["track_id"], ["person_id", "head_size"], ["track_id", "person_id", "head_size"], []]
+    assert (records[0]["box_score"], records[0]["score"]) == (0.75, float(np.float32(0.3)))

@@ -174,7 +174,7 @@ def test_stacked_pose_reader_matches_the_record_by_record_reader(doc):
     assert [f for f, _ in got.frames] == [f for f, _ in want.frames]
     for (_, a), (_, b) in zip(got.frames, want.frames):
         assert len(a) == len(b)
-        for p, q in zip(a, b):
+        for p, q in zip(a.instances(), b.instances()):
             assert list(vars(p)) == list(vars(q))
             assert all(_same_field(vars(p)[k], v) for k, v in vars(q).items()), (vars(p), vars(q))
 

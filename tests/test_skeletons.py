@@ -303,7 +303,7 @@ def test_held_records_keep_their_set_across_a_re_registration(tmp_path, joints):
                        scores=[0.5, 0.6, 0.7], annotated=[True, True, False],
                        joint_set="held")
     consts = OksConstants.for_joint_set("held")
-    seq = PoseSequence("held", [(0, [p])])
+    seq = PoseSequence("held", [(0, InstanceStack.of("held", [p]))])
     register_joint_set(JointSet("held", joints))
     try:
         assert get_joint_set("held").joints == joints
@@ -322,6 +322,6 @@ def test_held_records_keep_their_set_across_a_re_registration(tmp_path, joints):
         register_joint_set(_HELD)
         again = load_pose_file(tmp_path / "held.json")
         assert again.joint_set is _HELD
-        assert again.frames[0][1][0].coords.tolist() == p.coords.tolist()
+        assert again.frames[0][1].coords[0].tolist() == p.coords.tolist()
     finally:
         register_joint_set(_HELD)
